@@ -1,0 +1,331 @@
+"""Command-line front end: simulate, estimate-ratio, train-rdm, run, eval, report.
+
+Each command reads an optional JSON config; command-line flags override
+config values.  All outputs are written atomically and are byte-identical
+across reruns with the same inputs and seeds.  Log verbosity comes from the
+CROWDPOST_LOG environment variable (default WARNING).
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import glob
+import json
+import logging
+import os
+import sys
+
+from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionGroup,
+                         read_detection_groups, read_scenes,
+                         write_detection_groups, write_scenes)
+from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg, \
+    write_result_json
+from .fileio import atomic_write_text
+from .nms import NmsConfig, build_detection_set
+from .pipeline import PostProcessConfig, postprocess
+from .ratio import HeadBodyRatio, estimate_ratio, save_ratio, scene_pairs
+from .rdm import TrainConfig, build_training_pairs, load_model, save_model, train, \
+    write_loss_csv
+from .simulator import NoiseConfig, SimConfig, generate_scenes, simulate_detections
+
+logger = logging.getLogger(__name__)
+
+_DEFAULT_NUM_SCENES = 50
+
+
+def _load_config(path) -> dict:
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return obj
+
+
+def _build(cls, obj, **overrides):
+    """Instantiate a config dataclass from a JSON mapping plus flag overrides."""
+    data = dict(obj or {})
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in overrides.items():
+        if value is not None:
+            data[key] = value
+    if cls is SimConfig:
+        if "image_size" in data:
+            data["image_size"] = tuple(data["image_size"])
+        if "true_ratio" in data and not isinstance(data["true_ratio"], HeadBodyRatio):
+            data["true_ratio"] = HeadBodyRatio(*data["true_ratio"])
+    return cls(**data)
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args.config)
+    sim = _build(SimConfig, cfg.get("sim"), seed=args.seed,
+                 crowd_cluster_prob=args.cluster_prob,
+                 persons_per_image=args.persons_per_image)
+    noise = _build(NoiseConfig, cfg.get("noise"), seed=args.noise_seed,
+                   head_fp_rate=args.head_fp_rate, detect_prob=args.detect_prob)
+    num_scenes = args.num_scenes if args.num_scenes is not None \
+        else cfg.get("num_scenes", _DEFAULT_NUM_SCENES)
+    if num_scenes < 0:
+        raise ValueError("num-scenes must be non-negative")
+
+    scenes = generate_scenes(sim, num_scenes)
+    detections = simulate_detections(scenes, noise)
+    groups = []
+    for scene in scenes:
+        heads, bodies = detections[scene.scene_id]
+        groups.append(DetectionGroup(scene.scene_id, HEAD, PRE_NMS, heads))
+        groups.append(DetectionGroup(scene.scene_id, BODY, PRE_NMS, bodies))
+    write_scenes(scenes, args.out_scenes)
+    write_detection_groups(groups, args.out_dets)
+    logger.info("wrote %d scenes (%d persons) and %d detection groups",
+                len(scenes), sum(len(s.persons) for s in scenes), len(groups))
+    return 0
+
+
+def cmd_estimate_ratio(args) -> int:
+    scenes = read_scenes(args.scenes)
+    ratio = estimate_ratio(scene_pairs(scenes))
+    save_ratio(ratio, args.out)
+    logger.info("ratio: %s", ratio)
+    return 0
+
+
+def _pre_nms_by_scene(groups) -> list[tuple[str, list, list]]:
+    """Collect (scene_id, heads, bodies) for pre-NMS groups in file order."""
+    order, slots = [], {}
+    for g in groups:
+        if g.stage != PRE_NMS:
+            continue
+        if g.scene_id not in slots:
+            order.append(g.scene_id)
+            slots[g.scene_id] = {HEAD: [], BODY: []}
+        slots[g.scene_id][g.class_name].extend(g.dets)
+    if not order:
+        raise ValueError("no pre-NMS detection groups found")
+    return [(sid, slots[sid][HEAD], slots[sid][BODY]) for sid in order]
+
+
+def cmd_train_rdm(args) -> int:
+    cfg = _load_config(args.config)
+    nms_cfg = _build(NmsConfig, cfg.get("nms"))
+    train_cfg = _build(TrainConfig, cfg.get("train"), epochs=args.epochs,
+                       learning_rate=args.learning_rate, seed=args.seed)
+    hidden_dim = args.hidden_dim if args.hidden_dim is not None \
+        else cfg.get("hidden_dim", 64)
+    ioh_threshold = cfg.get("ioh_threshold", 0.7)
+
+    scenes = read_scenes(args.scenes)
+    groups = read_detection_groups(args.dets)
+    sets = [build_detection_set(sid, heads, bodies, nms_cfg)
+            for sid, heads, bodies in _pre_nms_by_scene(groups)]
+    features, labels = build_training_pairs(scenes, sets, ioh_threshold)
+    logger.info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
+    model, trace = train(features, labels, train_cfg, hidden_dim)
+    save_model(model, args.out_model)
+    write_loss_csv(trace, args.out_loss)
+    return 0
+
+
+def _canonical_group(scene_id, class_name, stage, dets) -> DetectionGroup:
+    return DetectionGroup(scene_id, class_name, stage,
+                          sorted(dets, key=lambda d: d.det_id))
+
+
+def cmd_run(args) -> int:
+    cfg = _load_config(args.config)
+    nms_cfg = _build(NmsConfig, cfg.get("nms"), iou_threshold=args.nms_iou,
+                     score_floor=args.score_floor)
+    post_cfg = _build(PostProcessConfig, cfg.get("post"),
+                      ioh_threshold=args.ioh_threshold,
+                      low_threshold=args.low_threshold,
+                      high_threshold=args.high_threshold)
+    model = load_model(args.model)
+    groups = read_detection_groups(args.dets)
+
+    baseline_groups, rdm_groups, audit_scenes = [], [], []
+    for scene_id, heads_pre, bodies_pre in _pre_nms_by_scene(groups):
+        ds = build_detection_set(scene_id, heads_pre, bodies_pre, nms_cfg)
+        out = postprocess(list(ds.heads_post_nms), list(ds.bodies_pre_nms),
+                          list(ds.bodies_post_nms), model.pair_score, post_cfg)
+        baseline_groups.append(_canonical_group(scene_id, HEAD, POST_NMS,
+                                                ds.heads_post_nms))
+        baseline_groups.append(_canonical_group(scene_id, BODY, POST_NMS,
+                                                ds.bodies_post_nms))
+        rdm_groups.append(_canonical_group(scene_id, HEAD, POST_NMS, out.final_heads))
+        rdm_groups.append(_canonical_group(scene_id, BODY, POST_NMS, out.final_bodies))
+        audit_scenes.append({
+            "scene_id": scene_id,
+            "recalled_body_ids": out.recalled_body_ids,
+            "removed_head_ids": out.removed_head_ids,
+            "pairs": [{"head": r.head_id, "body": r.body_id,
+                       "score": r.score, "phase": r.phase} for r in out.pair_log],
+        })
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_detection_groups(baseline_groups, os.path.join(args.out_dir, "baseline.jsonl"))
+    write_detection_groups(rdm_groups, os.path.join(args.out_dir, "rdm.jsonl"))
+    atomic_write_text(os.path.join(args.out_dir, "audit.json"),
+                      json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
+    recalled = sum(len(s["recalled_body_ids"]) for s in audit_scenes)
+    removed = sum(len(s["removed_head_ids"]) for s in audit_scenes)
+    logger.info("recalled %d bodies, removed %d heads over %d scenes",
+                recalled, removed, len(audit_scenes))
+    return 0
+
+
+def cmd_eval(args) -> int:
+    eval_cfg = EvalConfig(iou_match_threshold=args.iou if args.iou is not None else 0.5,
+                          class_under_test=args.class_name)
+    scenes = read_scenes(args.scenes)
+    groups = read_detection_groups(args.results)
+    if not groups:
+        raise ValueError(f"{args.results}: empty results file")
+    dets = [d for g in groups
+            if g.class_name == args.class_name and g.stage == POST_NMS
+            for d in g.dets]
+    if not any(g.class_name == args.class_name and g.stage == POST_NMS for g in groups):
+        raise ValueError(f"{args.results}: no post-NMS {args.class_name} groups")
+
+    result = compute_mr2(dets, scenes, eval_cfg)
+    name = args.name if args.name else os.path.basename(args.out_prefix)
+    write_result_json(result, args.out_prefix + ".eval.json", name, args.class_name)
+    write_curve_csv(result, args.out_prefix + ".curve.csv")
+    write_curve_svg([(name, result)], args.out_prefix + ".svg")
+    logger.info("%s %s: mr2 %.4f over %d GT / %d images",
+                name, args.class_name, result.mr2, result.num_gt, result.num_images)
+    return 0
+
+
+def cmd_report(args) -> int:
+    paths = sorted(glob.glob(os.path.join(args.dir, "*.eval.json")))
+    if not paths:
+        raise ValueError(f"no .eval.json files under {args.dir}")
+    cells: dict[str, dict[str, float]] = {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        try:
+            cells.setdefault(str(obj["name"]), {})[str(obj["class"])] = float(obj["mr2"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a valid eval result ({exc})") from exc
+
+    lines = ["# Detection post-process comparison", "",
+             "Log-average miss rate (MR-2, lower is better).", "",
+             "| variant | head MR-2 | body MR-2 |",
+             "|---|---|---|"]
+    for name in sorted(cells):
+        row = cells[name]
+        fmt = lambda c: f"{row[c] * 100.0:.2f}%" if c in row else "-"
+        lines.append(f"| {name} | {fmt(HEAD)} | {fmt(BODY)} |")
+    text = "\n".join(lines) + "\n"
+    atomic_write_text(args.out, text)
+    sys.stdout.write(text)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+def _add_simulate(sub):
+    p = sub.add_parser("simulate", help="generate synthetic scenes and detections")
+    p.add_argument("--config", help="JSON with 'sim', 'noise' and 'num_scenes'")
+    p.add_argument("--out-scenes", required=True)
+    p.add_argument("--out-dets", required=True)
+    p.add_argument("--num-scenes", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--noise-seed", type=int)
+    p.add_argument("--cluster-prob", type=float)
+    p.add_argument("--persons-per-image", type=float)
+    p.add_argument("--detect-prob", type=float)
+    p.add_argument("--head-fp-rate", type=float)
+    p.set_defaults(func=cmd_simulate)
+
+
+def _add_estimate_ratio(sub):
+    p = sub.add_parser("estimate-ratio", help="fit the head-body ratio from scenes")
+    p.add_argument("--scenes", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_estimate_ratio)
+
+
+def _add_train_rdm(sub):
+    p = sub.add_parser("train-rdm", help="train the relation model on labeled pairs")
+    p.add_argument("--config", help="JSON with 'nms', 'train', 'hidden_dim', 'ioh_threshold'")
+    p.add_argument("--scenes", required=True)
+    p.add_argument("--dets", required=True, help="pre-NMS detection file")
+    p.add_argument("--out-model", required=True)
+    p.add_argument("--out-loss", required=True)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--hidden-dim", type=int)
+    p.set_defaults(func=cmd_train_rdm)
+
+
+def _add_run(sub):
+    p = sub.add_parser("run", help="apply NMS and the relation post-process")
+    p.add_argument("--config", help="JSON with 'nms' and 'post'")
+    p.add_argument("--dets", required=True, help="pre-NMS detection file")
+    p.add_argument("--model", required=True)
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--nms-iou", type=float)
+    p.add_argument("--score-floor", type=float)
+    p.add_argument("--ioh-threshold", type=float)
+    p.add_argument("--low-threshold", type=float)
+    p.add_argument("--high-threshold", type=float)
+    p.set_defaults(func=cmd_run)
+
+
+def _add_eval(sub):
+    p = sub.add_parser("eval", help="score a results file against ground truth")
+    p.add_argument("--results", required=True)
+    p.add_argument("--scenes", required=True)
+    p.add_argument("--class", dest="class_name", required=True, choices=[HEAD, BODY])
+    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--name", help="variant name for report legends")
+    p.add_argument("--iou", type=float)
+    p.set_defaults(func=cmd_eval)
+
+
+def _add_report(sub):
+    p = sub.add_parser("report", help="summarize eval results as a markdown table")
+    p.add_argument("--dir", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_report)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="crowdpost",
+        description="Joint head/person detection post-processing toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in (_add_simulate, _add_estimate_ratio, _add_train_rdm,
+                _add_run, _add_eval, _add_report):
+        add(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(
+        level=os.environ.get("CROWDPOST_LOG", "WARNING").upper(),
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        print(f"crowdpost {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,276 @@
+"""Log-average miss rate evaluation (Caltech-style protocol).
+
+Detections are greedily matched per scene in descending score order; the miss
+rate / false-positives-per-image curve is swept over every detection score,
+and the reported number is the geometric mean of the miss rates sampled at 9
+log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .data_model import BODY, HEAD, Detection, Scene
+from .fileio import atomic_write_text
+
+TP = "TP"
+FP = "FP"
+IGNORED = "ignored"
+
+# 10^(-2 + k/4) for k = 0..8
+DEFAULT_FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
+
+# floor inside the log; only the all-zero case would hit it and that is
+# special-cased to an exact 0
+_MISS_FLOOR = 1e-10
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    iou_match_threshold: float = 0.5
+    fppi_points: tuple[float, ...] = DEFAULT_FPPI_POINTS
+    reasonable_min_height: float = 50.0
+    reasonable_max_occlusion: float = 0.35
+    class_under_test: str = BODY
+
+    def __post_init__(self):
+        object.__setattr__(self, "fppi_points", tuple(self.fppi_points))
+        if self.class_under_test not in (HEAD, BODY):
+            raise ValueError(f"unknown class {self.class_under_test!r}")
+        pts = self.fppi_points
+        if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
+            raise ValueError("fppi_points must be strictly increasing and non-empty")
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    mr2: float
+    curve: tuple[tuple[float, float, float], ...]  # (score threshold, fppi, miss rate)
+    num_gt: int
+    num_images: int
+
+
+def reasonable_filter(scene: Scene, cfg: EvalConfig) -> Scene:
+    """Ignore-flag persons failing the evaluation filter.
+
+    Kept: height at least `reasonable_min_height` and occlusion ratio strictly
+    below `reasonable_max_occlusion`.  Failing persons are flagged, not
+    deleted, so detections on them do not count as false positives.
+    """
+    persons = []
+    for p in scene.persons:
+        keep = (p.body.height >= cfg.reasonable_min_height
+                and p.occlusion_ratio < cfg.reasonable_max_occlusion)
+        persons.append(p if keep or p.ignore else replace(p, ignore=True))
+    return Scene(scene.scene_id, scene.width, scene.height, tuple(persons))
+
+
+def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tuple[int, str]]:
+    """Greedy per-scene matching, descending score.
+
+    Each detection takes the unmatched non-ignored ground truth of maximal IoU
+    when it reaches the threshold (TP); failing that, overlap with any ignored
+    ground truth at the threshold absorbs it (neither TP nor FP); otherwise it
+    is an FP.  Non-ignored ground truths match at most once; ignored ones may
+    absorb any number of detections.
+    """
+    gt_box = {HEAD: lambda p: p.head, BODY: lambda p: p.body}[cfg.class_under_test]
+    persons = scene.persons
+    boxes = np.array([gt_box(p).as_list() for p in persons], dtype=np.float64).reshape(-1, 4)
+    ignored_mask = [p.ignore for p in persons]
+
+    ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
+    taken = [False] * len(persons)
+    outcomes = []
+    for det in ranked:
+        ious = _iou_row(np.array(det.box.as_list()), boxes)
+        best, best_iou = -1, cfg.iou_match_threshold
+        for j in range(len(persons)):
+            if ignored_mask[j] or taken[j]:
+                continue
+            v = ious[j]
+            if v > best_iou or (best < 0 and v == best_iou):
+                best, best_iou = j, v
+        if best >= 0:
+            taken[best] = True
+            outcomes.append((det.det_id, TP))
+            continue
+        hit_ignore = any(ignored_mask[j] and ious[j] >= cfg.iou_match_threshold
+                         for j in range(len(persons)))
+        outcomes.append((det.det_id, IGNORED if hit_ignore else FP))
+    return outcomes
+
+
+def _iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    if len(boxes) == 0:
+        return np.zeros(0)
+    ix = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
+    iy = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area = (box[2] - box[0]) * (box[3] - box[1])
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    union = area + areas - inter
+    out = np.zeros(len(boxes))
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> EvalResult:
+    """Evaluate one detection class against all scenes.
+
+    Applies the Reasonable filter, matches per scene, then sweeps every
+    distinct detection score as a keep-threshold.  For each FPPI reference
+    point the lowest miss rate among curve points at or below it is taken
+    (1.0 when the curve never gets there).
+    """
+    by_scene: dict[str, list[Detection]] = {}
+    scene_ids = {s.scene_id for s in scenes}
+    for d in dets:
+        if d.class_name != cfg.class_under_test:
+            raise ValueError(f"detection {d.det_id} has class {d.class_name!r}, "
+                             f"expected {cfg.class_under_test!r}")
+        if d.scene_id not in scene_ids:
+            raise ValueError(f"detection scene {d.scene_id!r} has no ground truth")
+        by_scene.setdefault(d.scene_id, []).append(d)
+
+    num_gt = 0
+    pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
+    for scene in scenes:
+        filtered = reasonable_filter(scene, cfg)
+        num_gt += sum(not p.ignore for p in filtered.persons)
+        scene_dets = by_scene.get(scene.scene_id, [])
+        score_of = {d.det_id: d.score for d in scene_dets}
+        for det_id, outcome in match_to_gt(scene_dets, filtered, cfg):
+            if outcome != IGNORED:
+                pool.append((score_of[det_id], outcome, scene.scene_id, det_id))
+    if num_gt == 0:
+        raise ValueError("no ground truth left after the Reasonable filter")
+    num_images = len(scenes)
+
+    pool.sort(key=lambda item: (-item[0], item[2], item[3]))
+    # Sweep every distinct input score, not just scores of counted outcomes:
+    # a level where only ignored detections enter still yields a curve point.
+    thresholds = sorted({d.score for d in dets}, reverse=True)
+    curve = []
+    tp = fp = 0
+    i = 0
+    for threshold in thresholds:
+        while i < len(pool) and pool[i][0] >= threshold:
+            if pool[i][1] == TP:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        curve.append((threshold, fp / num_images, 1.0 - tp / num_gt))
+
+    mr2 = log_average_miss_rate(curve, cfg.fppi_points)
+    return EvalResult(mr2=mr2, curve=tuple(curve), num_gt=num_gt, num_images=num_images)
+
+
+def log_average_miss_rate(curve, fppi_points) -> float:
+    samples = []
+    for ref in fppi_points:
+        eligible = [miss for _, fppi, miss in curve if fppi <= ref]
+        samples.append(min(eligible) if eligible else 1.0)
+    if all(m == 0.0 for m in samples):
+        return 0.0
+    return math.exp(sum(math.log(max(m, _MISS_FLOOR)) for m in samples) / len(samples))
+
+
+# ---------------------------------------------------------------------------
+# result files
+
+def write_result_json(result: EvalResult, path, name: str, class_name: str) -> None:
+    obj = {"name": name, "class": class_name, "mr2": result.mr2,
+           "num_gt": result.num_gt, "num_images": result.num_images}
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def write_curve_csv(result: EvalResult, path) -> None:
+    lines = ["threshold,fppi,miss_rate"]
+    lines += [f"{t!r},{f!r},{m!r}" for t, f, m in result.curve]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# SVG plot (hand-rolled so output bytes are reproducible)
+
+_PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+
+
+def write_curve_svg(curves: list[tuple[str, EvalResult]], path,
+                    fppi_range: tuple[float, float] = (1e-2, 1.0)) -> None:
+    """Log-log miss rate vs FPPI plot; legend lines carry the MR score as
+    'NAME XX.XX%'."""
+    width, height = 640, 480
+    left, right, top, bottom = 70, 24, 24, 56
+    pw, ph = width - left - right, height - top - bottom
+
+    x_lo, x_hi = (math.log10(v) for v in fppi_range)
+    y_hi = 0.0  # miss rate 1.0
+    y_lo = _curve_floor(curves)
+
+    def px(x):
+        return left + (x - x_lo) / (x_hi - x_lo) * pw
+
+    def py(y):
+        return top + (y_hi - y) / (y_hi - y_lo) * ph
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>',
+             f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
+             'fill="none" stroke="#222222"/>']
+
+    for d in range(int(math.ceil(x_lo)), int(math.floor(x_hi)) + 1):
+        x = px(float(d))
+        parts.append(f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{top + ph}" '
+                     'stroke="#dddddd"/>')
+        parts.append(f'<text x="{x:.2f}" y="{top + ph + 18}" font-size="12" '
+                     f'text-anchor="middle" font-family="sans-serif">1e{d}</text>')
+    for d in range(int(math.ceil(y_lo)), 1):
+        y = py(float(d))
+        parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{left + pw}" y2="{y:.2f}" '
+                     'stroke="#dddddd"/>')
+        parts.append(f'<text x="{left - 6}" y="{y + 4:.2f}" font-size="12" '
+                     f'text-anchor="end" font-family="sans-serif">1e{d}</text>')
+    parts.append(f'<text x="{left + pw / 2:.2f}" y="{height - 14}" font-size="13" '
+                 'text-anchor="middle" font-family="sans-serif">'
+                 'false positives per image</text>')
+    parts.append(f'<text x="16" y="{top + ph / 2:.2f}" font-size="13" '
+                 'text-anchor="middle" font-family="sans-serif" '
+                 f'transform="rotate(-90 16 {top + ph / 2:.2f})">miss rate</text>')
+
+    for k, (name, result) in enumerate(curves):
+        color = _PALETTE[k % len(_PALETTE)]
+        pts = []
+        for _t, fppi, miss in sorted(result.curve, key=lambda c: c[1]):
+            if fppi <= 0.0:
+                continue
+            x = min(max(math.log10(fppi), x_lo), x_hi)
+            y = min(max(math.log10(max(miss, 10.0 ** y_lo)), y_lo), y_hi)
+            pts.append(f"{px(x):.2f},{py(y):.2f}")
+        if pts:
+            parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                         f'stroke="{color}" stroke-width="2"/>')
+        ly = top + 18 + 18 * k
+        parts.append(f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
+                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
+                     f'font-family="sans-serif">{name} {result.mr2 * 100.0:.2f}%</text>')
+
+    parts.append("</svg>")
+    atomic_write_text(path, "\n".join(parts) + "\n")
+
+
+def _curve_floor(curves) -> float:
+    lo = -1.0
+    for _name, result in curves:
+        for _t, _f, miss in result.curve:
+            if miss > 0.0:
+                lo = min(lo, math.floor(math.log10(miss)))
+    return max(lo, -4.0)

@@ -1,0 +1,60 @@
+"""Greedy score-descending non-maximum suppression.
+
+Returns both the survivors and the floor-filtered input so callers can keep
+the before/after pair that the recall post-process needs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .data_model import Detection, DetectionSet
+from .geometry import iou
+
+
+@dataclass(frozen=True)
+class NmsConfig:
+    iou_threshold: float = 0.5
+    score_floor: float = 0.05
+
+    def __post_init__(self):
+        if not 0.0 < self.iou_threshold <= 1.0:
+            raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1]")
+        if not 0.0 <= self.score_floor < 1.0:
+            raise ValueError(f"score_floor {self.score_floor} outside [0, 1)")
+
+
+def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
+    """Suppress overlapping detections of one class within one scene.
+
+    Returns (kept, input_after_floor): `kept` sorted by descending score with
+    ties broken by ascending det id; a box is suppressed when its IoU with a
+    higher-ranked kept box exceeds the threshold.
+    """
+    if not dets:
+        return [], []
+    scene_ids = {d.scene_id for d in dets}
+    classes = {d.class_name for d in dets}
+    if len(scene_ids) > 1 or len(classes) > 1:
+        raise ValueError(f"nms input mixes scenes {scene_ids} or classes {classes}")
+
+    after_floor = [d for d in dets if d.score >= cfg.score_floor]
+    ranked = sorted(after_floor, key=lambda d: (-d.score, d.det_id))
+    kept: list[Detection] = []
+    for cand in ranked:
+        if all(iou(cand.box, k.box) <= cfg.iou_threshold for k in kept):
+            kept.append(cand)
+    return kept, after_floor
+
+
+def build_detection_set(scene_id: str, heads_pre: list[Detection],
+                        bodies_pre: list[Detection], cfg: NmsConfig) -> DetectionSet:
+    """NMS both classes of one scene into the post-process input triple.
+
+    Heads keep only their survivors; bodies keep both the floor-filtered
+    pre-NMS list (recall candidates) and the survivors.
+    """
+    heads_kept, _ = nms(heads_pre, cfg)
+    bodies_kept, bodies_floor = nms(bodies_pre, cfg)
+    return DetectionSet(scene_id=scene_id, heads_post_nms=heads_kept,
+                        bodies_pre_nms=bodies_floor, bodies_post_nms=bodies_kept)

@@ -1,0 +1,94 @@
+"""Statistical head-to-body box transform.
+
+A four-parameter affine map: the body box is alpha_w x alpha_h times the head
+size, with its center offset from the head center by (delta_x, delta_y) head
+units.  Estimated from annotated pairs by the per-parameter median, which keeps
+crouching/truncated outliers from skewing the fit.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+from dataclasses import dataclass
+
+import numpy as np
+
+from .fileio import atomic_write_text
+from .geometry import BBox
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class HeadBodyRatio:
+    alpha_w: float
+    alpha_h: float
+    delta_x: float
+    delta_y: float
+
+    def __post_init__(self):
+        for name in ("alpha_w", "alpha_h", "delta_x", "delta_y"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.alpha_w <= 0 or self.alpha_h <= 0:
+            raise ValueError(f"scale factors must be positive, got "
+                             f"({self.alpha_w}, {self.alpha_h})")
+
+
+def estimate_ratio(pairs) -> HeadBodyRatio:
+    """Fit the transform from (head, body) box pairs by per-parameter median.
+
+    Pairs with a degenerate head box are skipped (counted in a warning);
+    an empty or all-degenerate input raises ValueError.
+    """
+    per_pair = []
+    skipped = 0
+    for head, body in pairs:
+        hw, hh = head.width, head.height
+        if hw <= 0 or hh <= 0:
+            skipped += 1
+            continue
+        hcx, hcy = head.center
+        bcx, bcy = body.center
+        per_pair.append((body.width / hw, body.height / hh,
+                         (bcx - hcx) / hw, (bcy - hcy) / hh))
+    if skipped:
+        logger.warning("estimate_ratio skipped %d pair(s) with zero-area heads", skipped)
+    if not per_pair:
+        raise ValueError("no usable head-body pairs to estimate from")
+    alpha_w, alpha_h, delta_x, delta_y = np.median(np.asarray(per_pair), axis=0)
+    return HeadBodyRatio(float(alpha_w), float(alpha_h), float(delta_x), float(delta_y))
+
+
+def apply_ratio(head: BBox, ratio: HeadBodyRatio,
+                image_size: tuple[float, float] | None = None) -> BBox:
+    """Infer a body box from a head box; clip to the image when bounds given."""
+    hw, hh = head.width, head.height
+    hcx, hcy = head.center
+    body = BBox.from_center_size(hcx + ratio.delta_x * hw,
+                                 hcy + ratio.delta_y * hh,
+                                 ratio.alpha_w * hw,
+                                 ratio.alpha_h * hh)
+    if image_size is not None:
+        body = body.clipped(image_size[0], image_size[1])
+    return body
+
+
+def scene_pairs(scenes) -> list[tuple[BBox, BBox]]:
+    """All (head, body) annotation pairs of a scene collection."""
+    return [(p.head, p.body) for scene in scenes for p in scene.persons]
+
+
+def save_ratio(ratio: HeadBodyRatio, path) -> None:
+    obj = {"alpha_w": ratio.alpha_w, "alpha_h": ratio.alpha_h,
+           "delta_x": ratio.delta_x, "delta_y": ratio.delta_y}
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def load_ratio(path) -> HeadBodyRatio:
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        return HeadBodyRatio(obj["alpha_w"], obj["alpha_h"], obj["delta_x"], obj["delta_y"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid ratio file ({exc})") from exc

@@ -1,0 +1,307 @@
+"""Relation discriminator: does a head detection and a body detection belong
+to the same person?
+
+The scorer is a three-layer perceptron over a 10-d geometric pair descriptor.
+Pooled CNN features would slot in behind the same fixed-width interface; the
+geometric descriptor keeps the module trainable and testable without images.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .data_model import Detection, DetectionSet, Scene
+from .fileio import atomic_write_text
+from .geometry import BBox, ioh, iou
+
+FEATURE_DIM = 10
+
+# IoU at which a detection counts as localizing a ground-truth person
+ASSIGN_IOU = 0.5
+
+# logits are clamped before the logistic so scores stay strictly inside (0, 1)
+_LOGIT_LIMIT = 30.0
+
+
+def extract_features(head: Detection, body: Detection) -> np.ndarray:
+    """10-d descriptor of a head/body detection pair.
+
+    Entries: normalized center offsets, log size ratios, IoH, IoU, the two
+    detector scores, and the two aspect ratios.  Invariant under joint
+    translation and uniform scaling of both boxes.
+    """
+    hb, bb = head.box, body.box
+    hw, hh = hb.width, hb.height
+    bw, bh = bb.width, bb.height
+    if hw <= 0 or hh <= 0 or bw <= 0 or bh <= 0:
+        raise ValueError("zero-area box in pair feature extraction")
+    hcx, hcy = hb.center
+    bcx, bcy = bb.center
+    return np.array([
+        (hcx - bcx) / bw,
+        (hcy - bcy) / bh,
+        math.log(hw / bw),
+        math.log(hh / bh),
+        ioh(hb, bb),
+        iou(hb, bb),
+        head.score,
+        body.score,
+        hw / hh,
+        bw / bh,
+    ], dtype=np.float64)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -_LOGIT_LIMIT, _LOGIT_LIMIT)))
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
+
+
+@dataclass
+class RelationModel:
+    """Three stacked fully-connected layers with rectifier activations and a
+    logistic output."""
+
+    w1: np.ndarray  # (FEATURE_DIM, d)
+    b1: np.ndarray  # (d,)
+    w2: np.ndarray  # (d, d)
+    b2: np.ndarray  # (d,)
+    w3: np.ndarray  # (d, 1)
+    b3: np.ndarray  # (1,)
+
+    @classmethod
+    def initialize(cls, hidden_dim: int = 64,
+                   seed: int | np.random.Generator = 0) -> "RelationModel":
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+        def layer(fan_in, fan_out):
+            bound = 1.0 / math.sqrt(fan_in)
+            return (rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                    np.zeros(fan_out))
+
+        w1, b1 = layer(FEATURE_DIM, hidden_dim)
+        w2, b2 = layer(hidden_dim, hidden_dim)
+        w3, b3 = layer(hidden_dim, 1)
+        return cls(w1, b1, w2, b2, w3, b3)
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w1.shape[1]
+
+    def params(self) -> tuple[np.ndarray, ...]:
+        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+
+    def _forward(self, x: np.ndarray):
+        z1 = x @ self.w1 + self.b1
+        a1 = _relu(z1)
+        z2 = a1 @ self.w2 + self.b2
+        a2 = _relu(z2)
+        z3 = a2 @ self.w3 + self.b3
+        return z1, a1, z2, a2, z3, _sigmoid(z3)[:, 0]
+
+    def score_many(self, features: np.ndarray) -> np.ndarray:
+        """Relationship scores in (0, 1) for an (n, 10) feature batch."""
+        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        return self._forward(x)[-1]
+
+    def score(self, features: np.ndarray) -> float:
+        return float(self.score_many(features)[0])
+
+    def pair_score(self, head: Detection, body: Detection) -> float:
+        return self.score(extract_features(head, body))
+
+    def to_obj(self) -> dict:
+        layers = []
+        for w, b in ((self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)):
+            layers.append({"in": w.shape[0], "out": w.shape[1],
+                           "weights": [float(v) for v in w.ravel(order="C")],
+                           "bias": [float(v) for v in b]})
+        return {"hidden_dim": self.hidden_dim, "layers": layers}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "RelationModel":
+        layers = obj["layers"]
+        if len(layers) != 3:
+            raise ValueError(f"expected 3 layers, found {len(layers)}")
+        arrays = []
+        for spec in layers:
+            w = np.array(spec["weights"], dtype=np.float64).reshape(spec["in"], spec["out"])
+            b = np.array(spec["bias"], dtype=np.float64)
+            arrays.extend([w, b])
+        model = cls(*arrays)
+        if model.w1.shape[0] != FEATURE_DIM or model.w3.shape[1] != 1:
+            raise ValueError("layer dimensions do not form a 10->d->d->1 stack")
+        return model
+
+
+def save_model(model: RelationModel, path) -> None:
+    atomic_write_text(path, json.dumps(model.to_obj()) + "\n")
+
+
+def load_model(path) -> RelationModel:
+    with open(path, "r", encoding="utf-8") as fh:
+        return RelationModel.from_obj(json.load(fh))
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    batch_size: int = 512
+    pos_neg_ratio: tuple[int, int] = (1, 3)
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    weight_decay: float = 0.0001
+    epochs: int = 20
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos_neg_ratio", tuple(self.pos_neg_ratio))
+        if self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("batch_size and epochs must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if min(self.pos_neg_ratio) <= 0:
+            raise ValueError("pos_neg_ratio parts must be positive")
+
+    @property
+    def positives_per_batch(self) -> int:
+        p, n = self.pos_neg_ratio
+        return round(self.batch_size * p / (p + n))
+
+
+# ---------------------------------------------------------------------------
+# training data
+
+def _assign_to_persons(dets, persons, boxes) -> dict[int, int]:
+    """Greedy score-descending assignment of detections to ground truth.
+
+    Each detection takes the unmatched person of maximal IoU when that IoU
+    reaches ASSIGN_IOU; each person is used at most once.
+    """
+    assign: dict[int, int] = {}
+    taken: set[int] = set()
+    for det in sorted(dets, key=lambda d: (-d.score, d.det_id)):
+        best, best_iou = None, ASSIGN_IOU
+        for person, box in zip(persons, boxes):
+            if person.person_id in taken:
+                continue
+            v = iou(det.box, box)
+            if v > best_iou or (best is None and v == best_iou):
+                best, best_iou = person.person_id, v
+        if best is not None:
+            assign[det.det_id] = best
+            taken.add(best)
+    return assign
+
+
+def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet],
+                         ioh_threshold: float = 0.7) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate head x body pairs above the IoH gate and label them.
+
+    Heads come from the post-NMS set, bodies from the pre-NMS set so that
+    pairs with suppressed bodies are represented.  A pair is positive exactly
+    when both detections are assigned to the same ground-truth person.
+
+    Returns (features, labels) as (n, 10) and (n,) float arrays.
+    """
+    by_id = {s.scene_id: s for s in scenes}
+    feats, labels = [], []
+    for ds in detection_sets:
+        if ds.scene_id not in by_id:
+            raise ValueError(f"no ground-truth scene for {ds.scene_id!r}")
+        scene = by_id[ds.scene_id]
+        head_of = _assign_to_persons(ds.heads_post_nms, scene.persons,
+                                     [p.head for p in scene.persons])
+        body_of = _assign_to_persons(ds.bodies_pre_nms, scene.persons,
+                                     [p.body for p in scene.persons])
+        for h in ds.heads_post_nms:
+            for b in ds.bodies_pre_nms:
+                if ioh(h.box, b.box) <= ioh_threshold:
+                    continue
+                same = (h.det_id in head_of and b.det_id in body_of
+                        and head_of[h.det_id] == body_of[b.det_id])
+                feats.append(extract_features(h, b))
+                labels.append(1.0 if same else 0.0)
+    if not feats:
+        return np.zeros((0, FEATURE_DIM)), np.zeros(0)
+    return np.stack(feats), np.array(labels)
+
+
+# ---------------------------------------------------------------------------
+# optimization
+
+def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(-labels * np.log(probs) - (1.0 - labels) * np.log(1.0 - probs)))
+
+
+def _loss_and_gradients(model: RelationModel, x: np.ndarray, y: np.ndarray):
+    z1, a1, z2, a2, _z3, p = model._forward(x)
+    n = len(y)
+    loss = bce_loss(p, y)
+    dz3 = ((p - y) / n)[:, None]
+    gw3 = a2.T @ dz3
+    gb3 = dz3.sum(axis=0)
+    dz2 = (dz3 @ model.w3.T) * (z2 > 0)
+    gw2 = a1.T @ dz2
+    gb2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ model.w2.T) * (z1 > 0)
+    gw1 = x.T @ dz1
+    gb1 = dz1.sum(axis=0)
+    return loss, (gw1, gb1, gw2, gb2, gw3, gb3)
+
+
+def _sample_batch(rng: np.random.Generator, pos_idx: np.ndarray, neg_idx: np.ndarray,
+                  cfg: TrainConfig) -> np.ndarray:
+    """One class-balanced batch; sampling falls back to replacement only when a
+    class has fewer examples than its quota."""
+    n_pos = cfg.positives_per_batch
+    n_neg = cfg.batch_size - n_pos
+    pos = rng.choice(pos_idx, size=n_pos, replace=len(pos_idx) < n_pos)
+    neg = rng.choice(neg_idx, size=n_neg, replace=len(neg_idx) < n_neg)
+    return np.concatenate([pos, neg])
+
+
+def train(features: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
+          hidden_dim: int = 64) -> tuple[RelationModel, list[float]]:
+    """Minibatch SGD with momentum and weight decay on binary cross-entropy.
+
+    Every batch is resampled to the configured positive:negative mix.  Fully
+    seeded: identical inputs and config give bit-identical parameters.
+
+    Returns the trained model and the end-of-epoch loss over the full input.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    pos_idx = np.flatnonzero(y == 1.0)
+    neg_idx = np.flatnonzero(y == 0.0)
+    if len(pos_idx) == 0 or len(neg_idx) == 0:
+        raise ValueError("training needs at least one positive and one negative pair")
+
+    init_seq, batch_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    model = RelationModel.initialize(hidden_dim, np.random.default_rng(init_seq))
+    rng = np.random.default_rng(batch_seq)
+
+    velocity = [np.zeros_like(p) for p in model.params()]
+    steps_per_epoch = max(1, math.ceil(len(y) / cfg.batch_size))
+    trace = []
+    for _epoch in range(cfg.epochs):
+        for _step in range(steps_per_epoch):
+            idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
+            _, grads = _loss_and_gradients(model, x[idx], y[idx])
+            for param, vel, grad in zip(model.params(), velocity, grads):
+                vel *= cfg.momentum
+                vel += grad + cfg.weight_decay * param
+                param -= cfg.learning_rate * vel
+        trace.append(bce_loss(model.score_many(x), y))
+    return model, trace
+
+
+def write_loss_csv(trace: list[float], path) -> None:
+    lines = ["epoch,mean_bce"]
+    lines += [f"{epoch},{loss!r}" for epoch, loss in enumerate(trace, start=1)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
