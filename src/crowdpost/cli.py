@@ -44,13 +44,47 @@ def _load_config(path) -> dict:
     return obj
 
 
-def _build(cls, obj, **overrides):
-    """Instantiate a config dataclass from a JSON mapping plus flag overrides."""
-    data = dict(obj or {})
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+def _check_value(key: str, value, like) -> None:
+    """Reject a JSON config value that does not have the type of `like`, the
+    default it replaces: an integer for an int, any number for a float, and
+    a list of as many such values for a tuple or a dataclass of numbers."""
+    if dataclasses.is_dataclass(like):
+        like = dataclasses.astuple(like)
+    if isinstance(like, tuple):
+        if not isinstance(value, list) or len(value) != len(like):
+            raise ValueError(f"config key {key}: expected a list of {len(like)} "
+                             f"values, got {value!r}")
+        for i, (item, item_like) in enumerate(zip(value, like)):
+            _check_value(f"{key}[{i}]", item, item_like)
+        return
+    integral = isinstance(like, int)
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise ValueError(f"config key {key}: expected "
+                         f"{'an integer' if integral else 'a number'}, got {value!r}")
+
+
+def _get(cfg: dict, key: str, default):
+    """Top-level config value with the type of its default."""
+    if key not in cfg:
+        return default
+    _check_value(key, cfg[key], default)
+    return cfg[key]
+
+
+def _build(cls, cfg: dict, section: str, **overrides):
+    """Instantiate a config dataclass from one config section plus flag overrides."""
+    obj = cfg.get(section)
+    if obj is None:
+        obj = {}
+    elif not isinstance(obj, dict):
+        raise ValueError(f"config key {section}: expected an object, got {obj!r}")
+    data = dict(obj)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        _check_value(f"{section}.{key}", value, fields[key].default)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -67,13 +101,13 @@ def _build(cls, obj, **overrides):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    sim = _build(SimConfig, cfg.get("sim"), seed=args.seed,
+    sim = _build(SimConfig, cfg, "sim", seed=args.seed,
                  crowd_cluster_prob=args.cluster_prob,
                  persons_per_image=args.persons_per_image)
-    noise = _build(NoiseConfig, cfg.get("noise"), seed=args.noise_seed,
+    noise = _build(NoiseConfig, cfg, "noise", seed=args.noise_seed,
                    head_fp_rate=args.head_fp_rate, detect_prob=args.detect_prob)
     num_scenes = args.num_scenes if args.num_scenes is not None \
-        else cfg.get("num_scenes", _DEFAULT_NUM_SCENES)
+        else _get(cfg, "num_scenes", _DEFAULT_NUM_SCENES)
     if num_scenes < 0:
         raise ValueError("num-scenes must be non-negative")
 
@@ -116,12 +150,12 @@ def _pre_nms_by_scene(groups) -> list[tuple[str, list, list]]:
 
 def cmd_train_rdm(args) -> int:
     cfg = _load_config(args.config)
-    nms_cfg = _build(NmsConfig, cfg.get("nms"))
-    train_cfg = _build(TrainConfig, cfg.get("train"), epochs=args.epochs,
+    nms_cfg = _build(NmsConfig, cfg, "nms")
+    train_cfg = _build(TrainConfig, cfg, "train", epochs=args.epochs,
                        learning_rate=args.learning_rate, seed=args.seed)
     hidden_dim = args.hidden_dim if args.hidden_dim is not None \
-        else cfg.get("hidden_dim", 64)
-    ioh_threshold = cfg.get("ioh_threshold", 0.7)
+        else _get(cfg, "hidden_dim", 64)
+    ioh_threshold = _get(cfg, "ioh_threshold", 0.7)
 
     scenes = read_scenes(args.scenes)
     groups = read_detection_groups(args.dets)
@@ -142,9 +176,9 @@ def _canonical_group(scene_id, class_name, stage, dets) -> DetectionGroup:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    nms_cfg = _build(NmsConfig, cfg.get("nms"), iou_threshold=args.nms_iou,
+    nms_cfg = _build(NmsConfig, cfg, "nms", iou_threshold=args.nms_iou,
                      score_floor=args.score_floor)
-    post_cfg = _build(PostProcessConfig, cfg.get("post"),
+    post_cfg = _build(PostProcessConfig, cfg, "post",
                       ioh_threshold=args.ioh_threshold,
                       low_threshold=args.low_threshold,
                       high_threshold=args.high_threshold)

@@ -12,10 +12,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .data_model import BODY, HEAD, Detection, Scene
 from .fileio import atomic_write_text
+from .geometry import box_array, greedy_match, pairwise_iou
 
 TP = "TP"
 FP = "FP"
@@ -79,44 +78,17 @@ def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tu
     absorb any number of detections.
     """
     gt_box = {HEAD: lambda p: p.head, BODY: lambda p: p.body}[cfg.class_under_test]
-    persons = scene.persons
-    boxes = np.array([gt_box(p).as_list() for p in persons], dtype=np.float64).reshape(-1, 4)
-    ignored_mask = [p.ignore for p in persons]
-
+    thr = cfg.iou_match_threshold
     ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
-    taken = [False] * len(persons)
-    outcomes = []
-    for det in ranked:
-        ious = _iou_row(np.array(det.box.as_list()), boxes)
-        best, best_iou = -1, cfg.iou_match_threshold
-        for j in range(len(persons)):
-            if ignored_mask[j] or taken[j]:
-                continue
-            v = ious[j]
-            if v > best_iou or (best < 0 and v == best_iou):
-                best, best_iou = j, v
-        if best >= 0:
-            taken[best] = True
-            outcomes.append((det.det_id, TP))
-            continue
-        hit_ignore = any(ignored_mask[j] and ious[j] >= cfg.iou_match_threshold
-                         for j in range(len(persons)))
-        outcomes.append((det.det_id, IGNORED if hit_ignore else FP))
-    return outcomes
-
-
-def _iou_row(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    if len(boxes) == 0:
-        return np.zeros(0)
-    ix = np.minimum(box[2], boxes[:, 2]) - np.maximum(box[0], boxes[:, 0])
-    iy = np.minimum(box[3], boxes[:, 3]) - np.maximum(box[1], boxes[:, 1])
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area = (box[2] - box[0]) * (box[3] - box[1])
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    union = area + areas - inter
-    out = np.zeros(len(boxes))
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    # matchable ground truth in the leading columns, ignored after them
+    matchable = [p for p in scene.persons if not p.ignore]
+    ignored = [p for p in scene.persons if p.ignore]
+    ious = pairwise_iou(box_array(d.box for d in ranked),
+                        box_array(gt_box(p) for p in matchable + ignored))
+    matched = greedy_match(ious[:, :len(matchable)], thr)
+    ignored_ious = ious[:, len(matchable):].tolist()
+    return [(d.det_id, TP if j >= 0 else IGNORED if any(v >= thr for v in row) else FP)
+            for d, j, row in zip(ranked, matched, ignored_ious)]
 
 
 def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> EvalResult:

@@ -1,15 +1,27 @@
-"""Axis-aligned bounding-box arithmetic: areas, overlaps, IoU and IoH."""
+"""Axis-aligned bounding-box arithmetic: areas, overlaps, IoU and IoH.
+
+The scalar `iou`/`ioh` are the reference definitions.  `pairwise_iou` and
+`pairwise_ioh` evaluate the same arithmetic in the same order over (n, 4)
+float64 arrays, so every matrix entry is bit-identical to the scalar value
+for finite input; `greedy_match` is the one greedy assignment over such a
+matrix.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
 class BBox:
     """Rectangle in pixel coordinates, corner form (x_min, y_min, x_max, y_max).
 
-    Zero-area boxes are allowed; negative extents are rejected at construction.
+    Zero-area boxes are allowed; negative extents and non-finite coordinates
+    are rejected at construction.
     """
 
     x_min: float
@@ -19,7 +31,10 @@ class BBox:
 
     def __post_init__(self):
         for name in ("x_min", "y_min", "x_max", "y_max"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite box coordinate {name}={value}")
+            object.__setattr__(self, name, value)
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError(f"box has negative extent: ({self.x_min}, {self.y_min}, "
                              f"{self.x_max}, {self.y_max})")
@@ -81,3 +96,77 @@ def ioh(head: BBox, body: BBox) -> float:
     if head_area <= 0.0:
         raise ValueError(f"zero-area head box: {head}")
     return intersection_area(head, body) / head_area
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+
+def box_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """Stack boxes into an (n, 4) float64 array in corner form."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    wh = boxes[:, 2:] - boxes[:, :2]
+    return wh[:, 0] * wh[:, 1]
+
+
+def _pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # clamping the extents at 0 gives the scalar path's 0 for every disjoint
+    # or touching pair (up to the sign of zero)
+    wh = np.minimum(a[:, None, 2:], b[:, 2:]) - np.maximum(a[:, None, :2], b[:, :2])
+    np.maximum(wh, 0.0, out=wh)
+    return wh[..., 0] * wh[..., 1]
+
+
+# The union of two boxes is never below either area, so it is 0 only for two
+# zero-area boxes, whose intersection is 0 too.  Flooring the union at the
+# smallest positive double therefore turns 0/0 into the scalar path's 0 and
+# leaves every other quotient unchanged.
+_UNION_FLOOR = float(np.nextafter(0.0, 1.0))
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix whose [i, j] entry equals `iou` of boxes a[i] and b[j]."""
+    area_a = _areas(a)
+    area_b = area_a if b is a else _areas(b)
+    inter = _pairwise_intersection(a, b)
+    return inter / np.maximum(area_a[:, None] + area_b - inter, _UNION_FLOOR)
+
+
+def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """(n, m) matrix whose [i, j] entry equals `ioh` of heads[i] in bodies[j].
+
+    Raises ValueError for a zero-area head exactly when the scalar path
+    would: whenever there is at least one body to compare it with.
+    """
+    head_area = _areas(heads)
+    if len(bodies):
+        degenerate = np.flatnonzero(head_area <= 0.0)
+        if len(degenerate):
+            raise ValueError(f"zero-area head box: {BBox(*heads[degenerate[0]])}")
+    return _pairwise_intersection(heads, bodies) / head_area[:, None]
+
+
+def greedy_match(ious: np.ndarray, threshold: float) -> list[int]:
+    """One-to-one greedy assignment of rows to columns, rows in order.
+
+    Each row takes the still-free column of maximal value when that value
+    reaches `threshold`, the lowest such column on ties.  Returns the column
+    per row, -1 for rows left unmatched.
+    """
+    rows, cols = np.nonzero(ious >= threshold)
+    values = ious.tolist()
+    candidates: list[list[tuple[float, int]]] = [[] for _ in values]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        candidates[i].append((values[i][j], j))
+    match = [-1] * len(ious)
+    taken: set[int] = set()
+    for i, cands in enumerate(candidates):
+        free = [c for c in cands if c[1] not in taken]
+        if free:
+            # max() keeps the first maximal entry, the lowest column
+            match[i] = max(free, key=lambda c: c[0])[1]
+            taken.add(match[i])
+    return match

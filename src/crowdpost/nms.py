@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data_model import Detection, DetectionSet
-from .geometry import iou
+from .geometry import box_array, pairwise_iou
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,16 @@ def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[De
 
     after_floor = [d for d in dets if d.score >= cfg.score_floor]
     ranked = sorted(after_floor, key=lambda d: (-d.score, d.det_id))
+    if len(ranked) < 2:
+        return ranked, after_floor
+    boxes = box_array(d.box for d in ranked)
+    overlaps = pairwise_iou(boxes, boxes) > cfg.iou_threshold
+    suppressed = np.zeros(len(ranked), dtype=bool)
     kept: list[Detection] = []
-    for cand in ranked:
-        if all(iou(cand.box, k.box) <= cfg.iou_threshold for k in kept):
+    for i, cand in enumerate(ranked):
+        if not suppressed[i]:
             kept.append(cand)
+            suppressed |= overlaps[i]
     return kept, after_floor
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .data_model import Detection
-from .geometry import ioh
+from .geometry import box_array, pairwise_ioh
 
 PairScorer = Callable[[Detection, Detection], float]
 
@@ -52,40 +54,6 @@ class PipelineOutput:
     pair_log: list[PairRecord] = field(default_factory=list)
 
 
-def match_pairs(heads: list[Detection], bodies: list[Detection],
-                ioh_threshold: float) -> list[tuple[Detection, Detection]]:
-    """Every (head, body) pair whose IoH clears the gate; heads may pair with
-    several bodies, the max relationship score decides later."""
-    return [(h, b) for h in heads for b in bodies
-            if ioh(h.box, b.box) > ioh_threshold]
-
-
-def _scored_partners(head: Detection, bodies: list[Detection], scorer: PairScorer,
-                     cfg: PostProcessConfig, phase: str,
-                     log: list[PairRecord] | None) -> list[tuple[Detection, float]]:
-    scored = []
-    for body in bodies:
-        if ioh(head.box, body.box) <= cfg.ioh_threshold:
-            continue
-        s = scorer(head, body)
-        if log is not None:
-            log.append(PairRecord(head.det_id, body.det_id, s, phase))
-        scored.append((body, s))
-    return scored
-
-
-def find_mismatched_heads(heads: list[Detection], bodies_post: list[Detection],
-                          scorer: PairScorer, cfg: PostProcessConfig) -> list[Detection]:
-    """Heads with no kept-body partner above the IoH gate, or whose best
-    partner scores below the low threshold."""
-    mismatched = []
-    for head in heads:
-        scored = _scored_partners(head, bodies_post, scorer, cfg, FIRST, None)
-        if not scored or max(s for _, s in scored) < cfg.low_threshold:
-            mismatched.append(head)
-    return mismatched
-
-
 def postprocess(heads: list[Detection], bodies_pre: list[Detection],
                 bodies_post: list[Detection], scorer: PairScorer,
                 cfg: PostProcessConfig) -> PipelineOutput:
@@ -94,30 +62,43 @@ def postprocess(heads: list[Detection], bodies_pre: list[Detection],
     Only ever adds bodies and removes heads: the final bodies are a superset
     of the kept bodies, the final heads a subset of the kept heads.  Each
     head's outcome depends only on the immutable input sets, so the result is
-    independent of processing order.
+    independent of processing order.  Pairs are scored head by head in input
+    order, each head's bodies in the order of the phase's body list.
     """
-    pre_ids = {d.det_id for d in bodies_pre}
-    missing = [d.det_id for d in bodies_post if d.det_id not in pre_ids]
+    pre_col = {d.det_id: j for j, d in enumerate(bodies_pre)}
+    missing = [d.det_id for d in bodies_post
+               if d.det_id not in pre_col or bodies_pre[pre_col[d.det_id]] != d]
     if missing:
         raise ValueError(f"post-NMS bodies {missing} missing from the pre-NMS set")
 
+    # one IoH gate against the pre-NMS bodies serves both phases; the kept
+    # bodies are a subset of its columns
+    gate = pairwise_ioh(box_array(h.box for h in heads),
+                        box_array(b.box for b in bodies_pre)) > cfg.ioh_threshold
+    partners: list[list[int]] = [[] for _ in heads]  # gated pre-NMS columns per head
+    head_idx, body_idx = np.nonzero(gate)
+    for i, j in zip(head_idx.tolist(), body_idx.tolist()):
+        partners[i].append(j)
+    post_rank = {pre_col[d.det_id]: k for k, d in enumerate(bodies_post)}
+
     log: list[PairRecord] = []
-    mismatched = []
-    for head in heads:
-        # only heads that fail the first phase are audited; a clean match
-        # leaves no trace so an untouched scene has an empty pair log
-        head_log: list[PairRecord] = []
-        scored = _scored_partners(head, bodies_post, scorer, cfg, FIRST, head_log)
+    mismatched: list[tuple[Detection, list[int]]] = []
+    for head, cols in zip(heads, partners):
+        kept = sorted(post_rank[j] for j in cols if j in post_rank)
+        scored = [(bodies_post[k], scorer(head, bodies_post[k])) for k in kept]
         if not scored or max(s for _, s in scored) < cfg.low_threshold:
-            mismatched.append(head)
-            log.extend(head_log)
+            mismatched.append((head, cols))
+            # only heads that fail the first phase are audited; a clean match
+            # leaves no trace so an untouched scene has an empty pair log
+            log.extend(PairRecord(head.det_id, b.det_id, s, FIRST) for b, s in scored)
 
     final_bodies = list(bodies_post)
     present_body_ids = {d.det_id for d in bodies_post}
     recalled: list[int] = []
     removed: list[int] = []
-    for head in mismatched:
-        scored = _scored_partners(head, bodies_pre, scorer, cfg, SECOND, log)
+    for head, cols in mismatched:
+        scored = [(bodies_pre[j], scorer(head, bodies_pre[j])) for j in cols]
+        log.extend(PairRecord(head.det_id, b.det_id, s, SECOND) for b, s in scored)
         if scored:
             best_score = max(s for _, s in scored)
             if best_score > cfg.high_threshold:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data_model import Detection, DetectionSet, Scene
 from .fileio import atomic_write_text
-from .geometry import BBox, ioh, iou
+from .geometry import box_array, greedy_match, ioh, iou, pairwise_ioh, pairwise_iou
 
 FEATURE_DIM = 10
 
@@ -183,20 +183,10 @@ def _assign_to_persons(dets, persons, boxes) -> dict[int, int]:
     Each detection takes the unmatched person of maximal IoU when that IoU
     reaches ASSIGN_IOU; each person is used at most once.
     """
-    assign: dict[int, int] = {}
-    taken: set[int] = set()
-    for det in sorted(dets, key=lambda d: (-d.score, d.det_id)):
-        best, best_iou = None, ASSIGN_IOU
-        for person, box in zip(persons, boxes):
-            if person.person_id in taken:
-                continue
-            v = iou(det.box, box)
-            if v > best_iou or (best is None and v == best_iou):
-                best, best_iou = person.person_id, v
-        if best is not None:
-            assign[det.det_id] = best
-            taken.add(best)
-    return assign
+    ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
+    ious = pairwise_iou(box_array(d.box for d in ranked), box_array(boxes))
+    return {d.det_id: persons[j].person_id
+            for d, j in zip(ranked, greedy_match(ious, ASSIGN_IOU)) if j >= 0}
 
 
 def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet],
@@ -215,18 +205,18 @@ def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet]
         if ds.scene_id not in by_id:
             raise ValueError(f"no ground-truth scene for {ds.scene_id!r}")
         scene = by_id[ds.scene_id]
-        head_of = _assign_to_persons(ds.heads_post_nms, scene.persons,
-                                     [p.head for p in scene.persons])
-        body_of = _assign_to_persons(ds.bodies_pre_nms, scene.persons,
-                                     [p.body for p in scene.persons])
-        for h in ds.heads_post_nms:
-            for b in ds.bodies_pre_nms:
-                if ioh(h.box, b.box) <= ioh_threshold:
-                    continue
-                same = (h.det_id in head_of and b.det_id in body_of
-                        and head_of[h.det_id] == body_of[b.det_id])
-                feats.append(extract_features(h, b))
-                labels.append(1.0 if same else 0.0)
+        heads, bodies = ds.heads_post_nms, ds.bodies_pre_nms
+        head_of = _assign_to_persons(heads, scene.persons, [p.head for p in scene.persons])
+        body_of = _assign_to_persons(bodies, scene.persons, [p.body for p in scene.persons])
+        gate = pairwise_ioh(box_array(h.box for h in heads),
+                            box_array(b.box for b in bodies)) > ioh_threshold
+        head_idx, body_idx = np.nonzero(gate)
+        for i, j in zip(head_idx.tolist(), body_idx.tolist()):
+            h, b = heads[i], bodies[j]
+            same = (h.det_id in head_of and b.det_id in body_of
+                    and head_of[h.det_id] == body_of[b.det_id])
+            feats.append(extract_features(h, b))
+            labels.append(1.0 if same else 0.0)
     if not feats:
         return np.zeros((0, FEATURE_DIM)), np.zeros(0)
     return np.stack(feats), np.array(labels)

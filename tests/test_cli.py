@@ -3,6 +3,8 @@ error-path diagnostics."""
 
 import filecmp
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -229,3 +231,54 @@ def test_failed_command_leaves_no_output(capsys, chain, tmp_path):
                  "--out", str(out)]) == 1
     capsys.readouterr()
     assert not out.exists()
+
+
+def test_config_wrong_value_type(capsys, chain, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"post": {"low_threshold": "0.1"}}))
+    out = tmp_path / "out"
+    _expect_error(capsys, ["run", "--config", str(cfg), "--dets", str(chain / "dets.jsonl"),
+                           "--model", str(chain / "model.json"), "--out-dir", str(out)],
+                  "config key post.low_threshold: expected a number, got '0.1'")
+    assert not out.exists()
+
+    cfg.write_text(json.dumps({"num_scenes": "5"}))
+    _expect_error(capsys, ["simulate", "--config", str(cfg),
+                           "--out-scenes", str(tmp_path / "s.jsonl"),
+                           "--out-dets", str(tmp_path / "d.jsonl")],
+                  "config key num_scenes: expected an integer, got '5'")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, value", [("box", float("nan")), ("box", float("inf")),
+                                          ("score", float("nan")),
+                                          ("score", float("inf"))])
+def test_non_finite_detection_rejected(capsys, chain, tmp_path, field, value):
+    lines = (chain / "dets.jsonl").read_text(encoding="utf-8").splitlines()
+    group = json.loads(lines[2])
+    if field == "box":
+        group["dets"][0]["box"][2] = value
+    else:
+        group["dets"][0]["score"] = value
+    lines[2] = json.dumps(group)
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    fragment = "dets.jsonl:3: dets[0].box:" if field == "box" else "dets.jsonl:3: dets[0]:"
+    _expect_error(capsys, ["run", "--dets", str(dets), "--model", str(chain / "model.json"),
+                           "--out-dir", str(out)], fragment)
+    assert not out.exists()
+
+
+def test_outputs_honour_umask(capsys, chain, tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--dets", str(chain / "dets.jsonl"),
+                     "--model", str(chain / "model.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    written = sorted((tmp_path / "out").iterdir())
+    assert [p.name for p in written] == ["audit.json", "baseline.jsonl", "rdm.jsonl"]
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import BBox, area, intersection_area, iou, ioh
+from crowdpost.geometry import (BBox, area, box_array, greedy_match, intersection_area, iou,
+                                ioh, pairwise_ioh, pairwise_iou)
 
 from oracles import raster_iou, raster_ioh
 
@@ -11,6 +12,15 @@ def test_bbox_rejects_negative_extent():
         BBox(10, 0, 5, 10)
     with pytest.raises(ValueError):
         BBox(0, 10, 10, 5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bbox_rejects_non_finite(bad):
+    for i in range(4):
+        coords = [0.0, 0.0, 10.0, 10.0]
+        coords[i] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BBox(*coords)
 
 
 def test_bbox_zero_area_allowed():
@@ -127,3 +137,93 @@ def test_agreement_with_raster_oracle():
         ta, tb = tuple(a.as_list()), tuple(b.as_list())
         assert abs(iou(a, b) - raster_iou(ta, tb)) < 1e-9
         assert abs(ioh(a, b) - raster_ioh(ta, tb)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# array kernels: every entry must equal the scalar reference exactly
+
+def _kernel_cases():
+    rng = np.random.default_rng(99)
+    boxes = []
+    for _ in range(40):
+        x = np.sort(rng.uniform(-20, 80, size=2))
+        y = np.sort(rng.uniform(-20, 80, size=2))
+        boxes.append(BBox(x[0], y[0], x[1], y[1]))
+    boxes += [
+        BBox(0, 0, 10, 10), BBox(0, 0, 10, 10),      # identical
+        BBox(10, 0, 20, 10), BBox(0, 10, 10, 20),    # shared edges
+        BBox(2, 3, 7, 8), BBox(-5, -5, 30, 30),      # containment both ways
+        BBox(4, 0, 4, 10), BBox(4, 0, 4, 10),        # zero width, identical
+        BBox(0, 5, 10, 5),                           # zero height
+        BBox(0.1, 0.2, 0.7, 0.9), BBox(0.3, 0.1, 1.1, 0.6),
+    ]
+    return boxes
+
+
+def test_pairwise_iou_equals_scalar():
+    boxes = _kernel_cases()
+    matrix = pairwise_iou(box_array(boxes), box_array(boxes[::-1]))
+    assert matrix.shape == (len(boxes), len(boxes))
+    for i, a in enumerate(boxes):
+        for j, b in enumerate(boxes[::-1]):
+            assert matrix[i, j] == iou(a, b)
+
+
+def test_pairwise_ioh_equals_scalar():
+    boxes = _kernel_cases()
+    heads = [b for b in boxes if area(b) > 0.0]
+    matrix = pairwise_ioh(box_array(heads), box_array(boxes))
+    for i, h in enumerate(heads):
+        for j, b in enumerate(boxes):
+            assert matrix[i, j] == ioh(h, b)
+
+
+def test_pairwise_empty_shapes():
+    none = box_array([])
+    some = box_array([BBox(0, 0, 1, 1), BBox(0, 0, 2, 2)])
+    assert pairwise_iou(none, some).shape == (0, 2)
+    assert pairwise_iou(some, none).shape == (2, 0)
+    assert pairwise_ioh(some, none).shape == (2, 0)
+    assert pairwise_ioh(none, some).shape == (0, 2)
+
+
+def test_pairwise_ioh_zero_area_head_needs_bodies_to_raise():
+    heads = box_array([BBox(0, 0, 4, 4), BBox(5, 5, 5, 9)])
+    with pytest.raises(ValueError, match="zero-area head"):
+        pairwise_ioh(heads, box_array([BBox(0, 0, 10, 10)]))
+    assert pairwise_ioh(heads, box_array([])).shape == (2, 0)
+
+
+def _greedy_match_reference(ious, threshold):
+    # the per-row loop both matchers used before the matrix kernel
+    taken, match = set(), []
+    for row in ious:
+        best, best_v = -1, threshold
+        for j, v in enumerate(row):
+            if j in taken:
+                continue
+            if v > best_v or (best < 0 and v == best_v):
+                best, best_v = j, v
+        if best >= 0:
+            taken.add(best)
+        match.append(best)
+    return match
+
+
+def test_greedy_match_examples():
+    ious = np.array([[0.5, 0.9, 0.9],    # tie: lowest column
+                     [0.4, 0.9, 0.6],    # column 1 taken: next best
+                     [0.5, 0.2, 0.2],    # exactly at threshold
+                     [0.7, 0.7, 0.7]])   # everything taken
+    assert greedy_match(ious, 0.5) == [1, 2, 0, -1]
+    assert greedy_match(np.zeros((3, 0)), 0.5) == [-1, -1, -1]
+    assert greedy_match(np.zeros((0, 3)), 0.5) == []
+
+
+def test_greedy_match_agrees_with_loop_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = rng.integers(0, 8, size=2)
+        # coarse values make ties and exact-threshold hits common
+        ious = rng.integers(0, 5, size=(n, m)) / 4.0
+        assert greedy_match(ious, 0.5) == _greedy_match_reference(ious, 0.5)

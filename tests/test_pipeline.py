@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import HEAD
-from crowdpost.pipeline import (FIRST, SECOND, PostProcessConfig, find_mismatched_heads,
-                                match_pairs, postprocess)
+from crowdpost.geometry import BBox, box_array, ioh, pairwise_ioh
+from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess
 
 from helpers import det
 
@@ -39,26 +39,34 @@ def test_config_validation():
     PostProcessConfig(low_threshold=0.0, high_threshold=1.0)  # boundary allowed
 
 
-def test_match_pairs_examples():
-    head = det(1, (10, 0, 20, 10), 0.9, HEAD)
-    inside = det(1, (0, 0, 30, 80), 0.9)
-    assert match_pairs([head], [inside], 0.7) == [(head, inside)]
-
-    left = det(1, (0, 0, 18, 80), 0.9)     # IoH 0.8
-    right = det(2, (12.5, 0, 40, 80), 0.8)  # IoH 0.75
-    assert len(match_pairs([head], [left, right], 0.7)) == 2
-
-    weak = det(3, (14, 0, 40, 80), 0.8)     # IoH 0.6
-    assert match_pairs([head], [weak], 0.7) == []
+def test_ioh_gate_examples():
+    head = box_array([BBox(10, 0, 20, 10)])
+    bodies = box_array([BBox(0, 0, 30, 80),      # head inside: IoH 1
+                        BBox(0, 0, 18, 80),      # IoH 0.8
+                        BBox(12.5, 0, 40, 80),   # IoH 0.75
+                        BBox(14, 0, 40, 80)])    # IoH 0.6
+    values = pairwise_ioh(head, bodies)
+    assert values.tolist() == [[1.0, 0.8, 0.75, 0.6]]
+    assert (values > CFG.ioh_threshold).tolist() == [[True, True, True, False]]
 
 
-def test_find_mismatched_examples():
-    # strong partner: not mismatched
-    assert find_mismatched_heads([H_BOTH], BODIES_POST, stub(0.95), CFG) == []
-    # no kept-body partner above the gate: mismatched
-    assert find_mismatched_heads([H_ORPHAN], BODIES_POST, stub(0.95), CFG) == [H_ORPHAN]
-    # partner scores 0.05 < low threshold: mismatched
-    assert find_mismatched_heads([H_BOTH], BODIES_POST, stub(0.05), CFG) == [H_BOTH]
+def test_phase1_mismatch_examples():
+    # phase one scores each head against its gated kept bodies; a head with
+    # no such partner, or whose best partner scores below the low threshold,
+    # is mismatched and scored again against every gated pre-NMS body
+    heads = [H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY]
+    for value, calls_expected, removed in (
+            (0.95, [(1, 1), (3, 2)], [2]),
+            (0.05, [(1, 1), (1, 1), (1, 2), (3, 2)], [1, 2, 3])):
+        calls = []
+
+        def scorer(head, body):
+            calls.append((head.det_id, body.det_id))
+            return value
+
+        out = postprocess(heads, BODIES_PRE, BODIES_POST, scorer, CFG)
+        assert calls == calls_expected
+        assert out.removed_head_ids == removed
 
 
 def test_branch_noop():
@@ -125,6 +133,22 @@ def test_subset_precondition_checked():
     rogue = det(9, (0, 0, 30, 80), 0.9)
     with pytest.raises(ValueError, match="missing from the pre-NMS set"):
         postprocess([], BODIES_PRE, [rogue], stub(0.5), CFG)
+
+
+def test_subset_precondition_compares_whole_detections():
+    moved = det(1, (1, 0, 31, 80), 0.9)  # kept id 1 with a box unlike pre-NMS id 1
+    with pytest.raises(ValueError, match=r"\[1\] missing from the pre-NMS set"):
+        postprocess([H_BOTH], BODIES_PRE, [moved], stub(0.5), CFG)
+
+
+def test_zero_area_head_raises_only_when_there_are_bodies():
+    flat = det(7, (10, 0, 10, 12), 0.9, HEAD)
+    with pytest.raises(ValueError, match="zero-area head"):
+        postprocess([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
+    with pytest.raises(ValueError, match="zero-area head"):
+        postprocess([flat], BODIES_PRE, [], stub(0.95), CFG)
+    out = postprocess([flat], [], [], stub(0.95), CFG)
+    assert out.removed_head_ids == [7]
 
 
 def test_duplicate_recall_inserted_once():
@@ -226,7 +250,7 @@ def test_constant_high_stub_removes_only_partnerless_heads():
         heads, pre, post = _fuzz_scene(rng)
         out = postprocess(heads, pre, post, stub(0.95), CFG)
         partnerless = {h.det_id for h in heads
-                       if not match_pairs([h], pre, CFG.ioh_threshold)}
+                       if all(ioh(h.box, b.box) <= CFG.ioh_threshold for b in pre)}
         assert set(out.removed_head_ids) == partnerless
 
 
