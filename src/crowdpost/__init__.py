@@ -12,7 +12,8 @@ from .geometry import BBox, intersection_area, ioh, iou
 from .nms import NmsConfig, build_detection_set, nms
 from .pipeline import PipelineOutput, PostProcessConfig, postprocess
 from .ratio import HeadBodyRatio, apply_ratio, estimate_ratio
-from .rdm import RelationModel, TrainConfig, build_training_pairs, extract_features, train
+from .rdm import RelationModel, TrainConfig, build_training_pairs, extract_features, \
+    pair_features, train
 from .simulator import NoiseConfig, SimConfig, generate_scene, generate_scenes, \
     simulate_detections, simulate_detector
 
@@ -25,6 +26,6 @@ __all__ = [
     "Scene", "SimConfig", "TrainConfig", "apply_ratio", "build_detection_set",
     "build_training_pairs", "compute_mr2", "estimate_ratio", "extract_features",
     "generate_scene", "generate_scenes", "intersection_area", "ioh", "iou", "nms",
-    "postprocess", "reasonable_filter", "simulate_detections", "simulate_detector",
-    "train",
+    "pair_features", "postprocess", "reasonable_filter", "simulate_detections",
+    "simulate_detector", "train",
 ]

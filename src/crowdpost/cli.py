@@ -33,6 +33,10 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_NUM_SCENES = 50
 
+# every top-level key some command reads; one config file may serve them all
+_CONFIG_KEYS = frozenset({"sim", "noise", "num_scenes", "nms", "train", "hidden_dim",
+                          "ioh_threshold", "post"})
+
 
 def _load_config(path) -> dict:
     if path is None:
@@ -41,6 +45,9 @@ def _load_config(path) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return obj
 
 
@@ -189,7 +196,7 @@ def cmd_run(args) -> int:
     for scene_id, heads_pre, bodies_pre in _pre_nms_by_scene(groups):
         ds = build_detection_set(scene_id, heads_pre, bodies_pre, nms_cfg)
         out = postprocess(list(ds.heads_post_nms), list(ds.bodies_pre_nms),
-                          list(ds.bodies_post_nms), model.pair_score, post_cfg)
+                          list(ds.bodies_post_nms), model.score_pairs, post_cfg)
         baseline_groups.append(_canonical_group(scene_id, HEAD, POST_NMS,
                                                 ds.heads_post_nms))
         baseline_groups.append(_canonical_group(scene_id, BODY, POST_NMS,
@@ -204,7 +211,6 @@ def cmd_run(args) -> int:
                        "score": r.score, "phase": r.phase} for r in out.pair_log],
         })
 
-    os.makedirs(args.out_dir, exist_ok=True)
     write_detection_groups(baseline_groups, os.path.join(args.out_dir, "baseline.jsonl"))
     write_detection_groups(rdm_groups, os.path.join(args.out_dir, "rdm.jsonl"))
     atomic_write_text(os.path.join(args.out_dir, "audit.json"),

@@ -314,51 +314,3 @@ def _group_obj(group: DetectionGroup) -> dict:
 def write_detection_groups(groups, path) -> None:
     atomic_write_text(path, "".join(json.dumps(_group_obj(g)) + "\n" for g in groups))
 
-
-def read_detection_sets(path) -> list[DetectionSet]:
-    """Read a detection file holding complete per-scene sets (post-NMS heads,
-    pre-NMS bodies, post-NMS bodies).
-
-    Requires head/post_nms, body/pre_nms and body/post_nms lines per scene and
-    enforces that the post-NMS bodies are a subset of the pre-NMS ones.
-    """
-    by_scene: dict[str, dict[tuple[str, str], DetectionGroup]] = {}
-    lines: dict[str, int] = {}
-    order: list[str] = []
-    for line_no, obj in _iter_jsonl(path):
-        group = _parse_group(obj, path, line_no)
-        slot = by_scene.setdefault(group.scene_id, {})
-        key = (group.class_name, group.stage)
-        if key in slot:
-            raise FormatError(f"duplicate group {(group.scene_id,) + key}", path, line_no)
-        if group.scene_id not in lines:
-            order.append(group.scene_id)
-        slot[key] = group
-        lines[group.scene_id] = line_no
-
-    sets = []
-    for scene_id in order:
-        slot = by_scene[scene_id]
-        for key in ((HEAD, POST_NMS), (BODY, PRE_NMS), (BODY, POST_NMS)):
-            if key not in slot:
-                raise FormatError(f"scene {scene_id!r} is missing its {key[0]}/{key[1]} group",
-                                  path, lines[scene_id])
-        try:
-            sets.append(DetectionSet(
-                scene_id=scene_id,
-                heads_post_nms=slot[(HEAD, POST_NMS)].dets,
-                bodies_pre_nms=slot[(BODY, PRE_NMS)].dets,
-                bodies_post_nms=slot[(BODY, POST_NMS)].dets,
-            ))
-        except ValueError as exc:
-            raise FormatError(str(exc), path, lines[scene_id]) from exc
-    return sets
-
-
-def write_detection_sets(sets, path) -> None:
-    groups = []
-    for ds in sets:
-        groups.append(DetectionGroup(ds.scene_id, HEAD, POST_NMS, ds.heads_post_nms))
-        groups.append(DetectionGroup(ds.scene_id, BODY, PRE_NMS, ds.bodies_pre_nms))
-        groups.append(DetectionGroup(ds.scene_id, BODY, POST_NMS, ds.bodies_post_nms))
-    write_detection_groups(groups, path)

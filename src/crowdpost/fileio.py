@@ -9,12 +9,13 @@ import tempfile
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write via a temp file in the same directory, then rename.
 
-    Keeps failed runs from leaving half-written outputs behind.  The file
-    gets the mode a plain `open` would give it under the process umask, not
-    the owner-only mode of the temp file.
+    Creates the directory when it is missing.  Keeps failed runs from leaving
+    half-written outputs behind.  The file gets the mode a plain `open` would
+    give it under the process umask, not the owner-only mode of the temp file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

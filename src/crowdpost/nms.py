@@ -1,17 +1,21 @@
 """Greedy score-descending non-maximum suppression.
 
 Returns both the survivors and the floor-filtered input so callers can keep
-the before/after pair that the recall post-process needs.
+the before/after pair that the recall post-process needs.  Zero-area boxes
+are degenerate detections: they are dropped at the score floor.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import Detection, DetectionSet
-from .geometry import box_array, pairwise_iou
+from .geometry import area, box_array, pairwise_iou
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -29,8 +33,10 @@ class NmsConfig:
 def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
     """Suppress overlapping detections of one class within one scene.
 
-    Returns (kept, input_after_floor): `kept` sorted by descending score with
-    ties broken by ascending det id; a box is suppressed when its IoU with a
+    Returns (kept, input_after_floor): `input_after_floor` keeps, in input
+    order, the detections that reach the score floor and have a box of
+    positive area; `kept` is sorted by descending score with ties
+    broken by ascending det id; a box is suppressed when its IoU with a
     higher-ranked kept box exceeds the threshold.
     """
     if not dets:
@@ -40,7 +46,11 @@ def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[De
     if len(scene_ids) > 1 or len(classes) > 1:
         raise ValueError(f"nms input mixes scenes {scene_ids} or classes {classes}")
 
-    after_floor = [d for d in dets if d.score >= cfg.score_floor]
+    scored = [d for d in dets if d.score >= cfg.score_floor]
+    after_floor = [d for d in scored if area(d.box) > 0.0]
+    if len(after_floor) < len(scored):
+        logger.info("scene %s: dropped %d zero-area %s detections", dets[0].scene_id,
+                    len(scored) - len(after_floor), dets[0].class_name)
     ranked = sorted(after_floor, key=lambda d: (-d.score, d.det_id))
     if len(ranked) < 2:
         return ranked, after_floor

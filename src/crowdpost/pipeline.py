@@ -10,14 +10,15 @@ between the two score thresholds are left untouched and recall nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data_model import Detection
 from .geometry import box_array, pairwise_ioh
 
-PairScorer = Callable[[Detection, Detection], float]
+# scores of the pairs (heads[k], bodies[k]) of two equal-length sequences
+PairScorer = Callable[[Sequence[Detection], Sequence[Detection]], Sequence[float]]
 
 FIRST = "first"
 SECOND = "second"
@@ -62,8 +63,11 @@ def postprocess(heads: list[Detection], bodies_pre: list[Detection],
     Only ever adds bodies and removes heads: the final bodies are a superset
     of the kept bodies, the final heads a subset of the kept heads.  Each
     head's outcome depends only on the immutable input sets, so the result is
-    independent of processing order.  Pairs are scored head by head in input
-    order, each head's bodies in the order of the phase's body list.
+    independent of processing order.  The scorer is called at most once, with
+    every IoH-gated (head, pre-NMS body) pair in head order, each head's
+    bodies in pre-NMS order; phase one reads the kept-body scores, phase two
+    all of them.  The pair log lists each head's bodies in the order of the
+    phase's body list.
     """
     pre_col = {d.det_id: j for j, d in enumerate(bodies_pre)}
     missing = [d.det_id for d in bodies_post
@@ -75,29 +79,33 @@ def postprocess(heads: list[Detection], bodies_pre: list[Detection],
     # bodies are a subset of its columns
     gate = pairwise_ioh(box_array(h.box for h in heads),
                         box_array(b.box for b in bodies_pre)) > cfg.ioh_threshold
-    partners: list[list[int]] = [[] for _ in heads]  # gated pre-NMS columns per head
     head_idx, body_idx = np.nonzero(gate)
-    for i, j in zip(head_idx.tolist(), body_idx.tolist()):
-        partners[i].append(j)
+    rows, cols = head_idx.tolist(), body_idx.tolist()
+    scores = np.asarray(scorer([heads[i] for i in rows], [bodies_pre[j] for j in cols]),
+                        dtype=np.float64).tolist() if rows else []
+    # (pre-NMS column, score) of each head's gated bodies
+    partners: list[list[tuple[int, float]]] = [[] for _ in heads]
+    for i, j, s in zip(rows, cols, scores):
+        partners[i].append((j, s))
     post_rank = {pre_col[d.det_id]: k for k, d in enumerate(bodies_post)}
 
     log: list[PairRecord] = []
-    mismatched: list[tuple[Detection, list[int]]] = []
-    for head, cols in zip(heads, partners):
-        kept = sorted(post_rank[j] for j in cols if j in post_rank)
-        scored = [(bodies_post[k], scorer(head, bodies_post[k])) for k in kept]
-        if not scored or max(s for _, s in scored) < cfg.low_threshold:
-            mismatched.append((head, cols))
+    mismatched: list[tuple[Detection, list[tuple[int, float]]]] = []
+    for head, scored_cols in zip(heads, partners):
+        kept = sorted((post_rank[j], s) for j, s in scored_cols if j in post_rank)
+        if not kept or max(s for _, s in kept) < cfg.low_threshold:
+            mismatched.append((head, scored_cols))
             # only heads that fail the first phase are audited; a clean match
             # leaves no trace so an untouched scene has an empty pair log
-            log.extend(PairRecord(head.det_id, b.det_id, s, FIRST) for b, s in scored)
+            log.extend(PairRecord(head.det_id, bodies_post[k].det_id, s, FIRST)
+                       for k, s in kept)
 
     final_bodies = list(bodies_post)
     present_body_ids = {d.det_id for d in bodies_post}
     recalled: list[int] = []
     removed: list[int] = []
-    for head, cols in mismatched:
-        scored = [(bodies_pre[j], scorer(head, bodies_pre[j])) for j in cols]
+    for head, scored_cols in mismatched:
+        scored = [(bodies_pre[j], s) for j, s in scored_cols]
         log.extend(PairRecord(head.det_id, b.det_id, s, SECOND) for b, s in scored)
         if scored:
             best_score = max(s for _, s in scored)

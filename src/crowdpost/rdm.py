@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +54,41 @@ def extract_features(head: Detection, body: Detection) -> np.ndarray:
         hw / hh,
         bw / bh,
     ], dtype=np.float64)
+
+
+def pair_features(heads: Sequence[Detection], bodies: Sequence[Detection]) -> np.ndarray:
+    """(n, 10) descriptors of the pairs (heads[k], bodies[k]).
+
+    Row k is bit-identical to `extract_features(heads[k], bodies[k])`, which
+    stays the reference: the same arithmetic in the same order, with
+    `math.log` for the size ratios because `np.log` can differ in the last bit.
+    """
+    n = len(heads)
+    boxes = box_array([d.box for d in heads] + [d.box for d in bodies])
+    wh = boxes[:, 2:] - boxes[:, :2]
+    if not (wh > 0.0).all():
+        raise ValueError("zero-area box in pair feature extraction")
+    center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    area = wh[:, 0] * wh[:, 1]
+    head_wh, body_wh = wh[:n], wh[n:]
+    head_area, body_area = area[:n], area[n:]
+    # a disjoint or touching pair clamps to the scalar path's 0 overlap (up to
+    # the sign of zero)
+    overlap = np.minimum(boxes[:n, 2:], boxes[n:, 2:]) - np.maximum(boxes[:n, :2], boxes[n:, :2])
+    np.maximum(overlap, 0.0, out=overlap)
+    inter = overlap[:, 0] * overlap[:, 1]
+
+    out = np.empty((n, FEATURE_DIM))
+    out[:, 0:2] = (center[:n] - center[n:]) / body_wh
+    out[:, 2:4] = np.array([math.log(r) for r in (head_wh / body_wh).ravel().tolist()]
+                           ).reshape(n, 2)
+    out[:, 4] = inter / head_area
+    out[:, 5] = inter / (head_area + body_area - inter)
+    out[:, 6] = [d.score for d in heads]
+    out[:, 7] = [d.score for d in bodies]
+    out[:, 8] = head_wh[:, 0] / head_wh[:, 1]
+    out[:, 9] = body_wh[:, 0] / body_wh[:, 1]
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -110,11 +146,10 @@ class RelationModel:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         return self._forward(x)[-1]
 
-    def score(self, features: np.ndarray) -> float:
-        return float(self.score_many(features)[0])
-
-    def pair_score(self, head: Detection, body: Detection) -> float:
-        return self.score(extract_features(head, body))
+    def score_pairs(self, heads: Sequence[Detection],
+                    bodies: Sequence[Detection]) -> np.ndarray:
+        """Scores of the pairs (heads[k], bodies[k]) in one forward pass."""
+        return self.score_many(pair_features(heads, bodies))
 
     def to_obj(self) -> dict:
         layers = []
@@ -211,15 +246,16 @@ def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet]
         gate = pairwise_ioh(box_array(h.box for h in heads),
                             box_array(b.box for b in bodies)) > ioh_threshold
         head_idx, body_idx = np.nonzero(gate)
-        for i, j in zip(head_idx.tolist(), body_idx.tolist()):
-            h, b = heads[i], bodies[j]
+        pair_heads = [heads[i] for i in head_idx.tolist()]
+        pair_bodies = [bodies[j] for j in body_idx.tolist()]
+        feats.append(pair_features(pair_heads, pair_bodies))
+        for h, b in zip(pair_heads, pair_bodies):
             same = (h.det_id in head_of and b.det_id in body_of
                     and head_of[h.det_id] == body_of[b.det_id])
-            feats.append(extract_features(h, b))
             labels.append(1.0 if same else 0.0)
     if not feats:
         return np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    return np.stack(feats), np.array(labels)
+    return np.concatenate(feats), np.array(labels)
 
 
 # ---------------------------------------------------------------------------

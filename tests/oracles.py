@@ -62,8 +62,10 @@ def plain_iou(a, b) -> float:
 # records: dicts {"id": int, "box": (x1, y1, x2, y2), "score": float}
 
 def nms_reference(records, iou_threshold, score_floor):
-    """Returns (kept_ids, floored_ids); floored preserves input order."""
-    floored = [r for r in records if r["score"] >= score_floor]
+    """Returns (kept_ids, floored_ids); floored preserves input order and
+    drops boxes below the score floor or of zero area."""
+    floored = [r for r in records if r["score"] >= score_floor
+               and (r["box"][2] - r["box"][0]) * (r["box"][3] - r["box"][1]) > 0]
     remaining = list(floored)
     kept_ids = []
     while remaining:

@@ -308,7 +308,7 @@ def _direction_one_seed(seed, cluster=0.65):
         h, b = dets[s.scene_id]
         ds = build_detection_set(s.scene_id, h, b, nms_cfg)
         out = postprocess(ds.heads_post_nms, ds.bodies_pre_nms,
-                          ds.bodies_post_nms, model.pair_score, post_cfg)
+                          ds.bodies_post_nms, model.score_pairs, post_cfg)
         base[HEAD] += ds.heads_post_nms
         base[BODY] += ds.bodies_post_nms
         with_model[HEAD] += out.final_heads

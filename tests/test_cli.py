@@ -282,3 +282,62 @@ def test_outputs_honour_umask(capsys, chain, tmp_path):
     assert [p.name for p in written] == ["audit.json", "baseline.jsonl", "rdm.jsonl"]
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+def test_unknown_top_level_config_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_scene": 2}))
+    _expect_error(capsys, ["simulate", "--config", str(cfg),
+                           "--out-scenes", str(tmp_path / "s.jsonl"),
+                           "--out-dets", str(tmp_path / "d.jsonl")],
+                  "unknown config keys: num_scene")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_eval_and_report_create_output_directories(capsys, chain, tmp_path):
+    prefix = tmp_path / "new" / "evals" / "rdm_body"
+    assert main(["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                 "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                 "--out-prefix", str(prefix), "--name", "rdm"]) == 0
+    for suffix in (".eval.json", ".curve.csv", ".svg"):
+        assert filecmp.cmp(str(prefix) + suffix,
+                           chain / "eval" / ("rdm_body" + suffix), shallow=False)
+    report = tmp_path / "other" / "report.md"
+    assert main(["report", "--dir", str(prefix.parent), "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert "| rdm | - |" in report.read_text(encoding="utf-8")
+
+
+def test_run_requires_pre_nms_groups(capsys, chain, tmp_path):
+    # a file holding only post-NMS groups, which `run` cannot take as input
+    dets = tmp_path / "sets.jsonl"
+    dets.write_text('{"format": "detections/v1", "scene_id": "s0", "class": "head", '
+                    '"stage": "post_nms", "dets": []}\n')
+    _expect_error(capsys, ["run", "--dets", str(dets), "--model", str(chain / "model.json"),
+                           "--out-dir", str(tmp_path / "out")],
+                  "no pre-NMS detection groups found")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_drops_zero_area_detections(capsys, chain, tmp_path):
+    # the top-scoring head and body of the first scene, flattened, are dropped
+    # at the score floor: the outputs equal those of a file without them
+    lines = (chain / "dets.jsonl").read_text(encoding="utf-8").splitlines()
+    flat, gone = list(lines), list(lines)
+    for k, cls in ((0, HEAD), (1, BODY)):
+        group = json.loads(lines[k])
+        assert group["class"] == cls and group["stage"] == "pre_nms"
+        top = max(range(len(group["dets"])), key=lambda i: group["dets"][i]["score"])
+        box = group["dets"][top]["box"]
+        box[2] = box[0]
+        flat[k] = json.dumps(group)
+        del group["dets"][top]
+        gone[k] = json.dumps(group)
+    for name, content in (("flat", flat), ("gone", gone)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(content) + "\n", encoding="utf-8")
+        assert main(["run", "--dets", str(path), "--model", str(chain / "model.json"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    for rel in ("baseline.jsonl", "rdm.jsonl", "audit.json"):
+        assert filecmp.cmp(tmp_path / "flat" / rel, tmp_path / "gone" / rel,
+                           shallow=False), rel

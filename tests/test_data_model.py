@@ -3,8 +3,8 @@ import pytest
 
 from crowdpost.data_model import (
     BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionGroup, DetectionSet,
-    FormatError, PersonInstance, Scene, read_detection_groups, read_detection_sets,
-    read_scenes, write_detection_groups, write_detection_sets, write_scenes)
+    FormatError, PersonInstance, Scene, read_detection_groups, read_scenes,
+    write_detection_groups, write_scenes)
 from crowdpost.geometry import BBox
 
 from helpers import det, person, scene
@@ -182,14 +182,24 @@ def test_duplicate_group_rejected(tmp_path):
         read_detection_groups(path)
 
 
+def _detection_set(path, scene_id="s0"):
+    """The post-process input of one scene, assembled from a detection file."""
+    groups = {(g.class_name, g.stage): g.dets for g in read_detection_groups(path)
+              if g.scene_id == scene_id}
+    return DetectionSet(scene_id, groups[(HEAD, POST_NMS)], groups[(BODY, PRE_NMS)],
+                        groups[(BODY, POST_NMS)])
+
+
 def test_detection_set_round_trip(tmp_path):
     b1 = det(1, (0, 0, 30, 80), 0.9)
     b2 = det(2, (5, 0, 35, 80), 0.7)
     h1 = det(1, (10, 0, 20, 12), 0.8, HEAD)
     ds = DetectionSet("s0", (h1,), (b1, b2), (b1,))
     path = tmp_path / "sets.jsonl"
-    write_detection_sets([ds], path)
-    assert read_detection_sets(path) == [ds]
+    write_detection_groups([DetectionGroup("s0", HEAD, POST_NMS, ds.heads_post_nms),
+                            DetectionGroup("s0", BODY, PRE_NMS, ds.bodies_pre_nms),
+                            DetectionGroup("s0", BODY, POST_NMS, ds.bodies_post_nms)], path)
+    assert _detection_set(path) == ds
 
 
 def test_detection_set_read_enforces_subset(tmp_path):
@@ -203,16 +213,8 @@ def test_detection_set_read_enforces_subset(tmp_path):
         '"stage": "post_nms", "dets": [{"id": 7, "box": [0, 0, 30, 80], "score": 0.9}]}',
     ]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="absent from the pre-NMS set"):
-        read_detection_sets(path)
-
-
-def test_detection_set_read_requires_all_groups(tmp_path):
-    path = tmp_path / "sets.jsonl"
-    path.write_text('{"format": "detections/v1", "scene_id": "s0", "class": "head", '
-                    '"stage": "post_nms", "dets": []}\n')
-    with pytest.raises(FormatError, match="missing its body/pre_nms"):
-        read_detection_sets(path)
+    with pytest.raises(ValueError, match="absent from the pre-NMS set"):
+        _detection_set(path)
 
 
 def test_unsupported_format_rejected(tmp_path):

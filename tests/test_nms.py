@@ -132,3 +132,32 @@ def test_build_detection_set():
     assert [d.det_id for d in ds.heads_post_nms] == [1]
     assert [d.det_id for d in ds.bodies_pre_nms] == [1, 2]  # floor keeps both
     assert [d.det_id for d in ds.bodies_post_nms] == [1]
+
+
+@pytest.mark.parametrize("class_name", [HEAD, BODY])
+def test_zero_area_boxes_dropped_at_floor(caplog, class_name):
+    flat = det(1, (5, 5, 5, 15), 0.95, class_name)   # zero width
+    line = det(2, (0, 8, 20, 8), 0.9, class_name)    # zero height
+    good = det(3, (0, 0, 10, 10), 0.8, class_name)
+    with caplog.at_level("INFO", logger="crowdpost.nms"):
+        kept, floored = nms([flat, line, good], NmsConfig())
+    assert kept == [good]
+    assert floored == [good]
+    assert "dropped 2 zero-area" in caplog.text
+
+
+def test_zero_area_rule_matches_reference():
+    rng = np.random.default_rng(41)
+    cfg = NmsConfig(iou_threshold=0.5, score_floor=0.2)
+    for _ in range(100):
+        dets = _random_scene(rng, int(rng.integers(0, 30)))
+        for i in rng.choice(len(dets), size=len(dets) // 4, replace=False):
+            x1, y1, x2, y2 = dets[i].box.as_list()
+            box = (x1, y1, x1, y2) if rng.random() < 0.5 else (x1, y1, x2, y1)
+            dets[i] = det(dets[i].det_id, box, dets[i].score)
+        kept, floored = nms(dets, cfg)
+        records = [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score}
+                   for d in dets]
+        ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
+        assert [d.det_id for d in kept] == ref_kept
+        assert [d.det_id for d in floored] == ref_floored

@@ -9,7 +9,7 @@ from helpers import det
 
 
 def stub(value):
-    return lambda head, body: value
+    return lambda heads, bodies: [value] * len(heads)
 
 
 # shared scene: b1 kept, b2 suppressed duplicate, h1 inside both,
@@ -51,22 +51,39 @@ def test_ioh_gate_examples():
 
 
 def test_phase1_mismatch_examples():
-    # phase one scores each head against its gated kept bodies; a head with
-    # no such partner, or whose best partner scores below the low threshold,
-    # is mismatched and scored again against every gated pre-NMS body
+    # phase one reads each head's scores against its gated kept bodies; a head
+    # with no such partner, or whose best partner scores below the low
+    # threshold, is mismatched and read again against every gated pre-NMS body
     heads = [H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY]
-    for value, calls_expected, removed in (
-            (0.95, [(1, 1), (3, 2)], [2]),
-            (0.05, [(1, 1), (1, 1), (1, 2), (3, 2)], [1, 2, 3])):
-        calls = []
-
-        def scorer(head, body):
-            calls.append((head.det_id, body.det_id))
-            return value
-
-        out = postprocess(heads, BODIES_PRE, BODIES_POST, scorer, CFG)
-        assert calls == calls_expected
+    for value, log_expected, removed in (
+            (0.95, [(3, 2, SECOND)], [2]),
+            (0.05, [(1, 1, FIRST), (1, 1, SECOND), (1, 2, SECOND), (3, 2, SECOND)],
+             [1, 2, 3])):
+        out = postprocess(heads, BODIES_PRE, BODIES_POST, stub(value), CFG)
+        assert [(r.head_id, r.body_id, r.phase) for r in out.pair_log] == log_expected
         assert out.removed_head_ids == removed
+
+
+def recording(scorer):
+    """`scorer` that also records the (head id, body id) pairs of each call."""
+    calls = []
+
+    def wrapped(heads, bodies):
+        calls.append([(h.det_id, b.det_id) for h, b in zip(heads, bodies)])
+        return scorer(heads, bodies)
+
+    return wrapped, calls
+
+
+def test_scorer_called_once_with_every_gated_pair():
+    scorer, calls = recording(stub(0.05))
+    postprocess([H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, scorer, CFG)
+    # head order, then pre-NMS order; h3's kept b1 is outside the gate
+    assert calls == [[(1, 1), (1, 2), (3, 2)]]
+
+    scorer, calls = recording(stub(0.05))
+    postprocess([H_ORPHAN], BODIES_PRE, BODIES_POST, scorer, CFG)
+    assert calls == []  # no gated pair, no call
 
 
 def test_branch_noop():
@@ -118,8 +135,8 @@ def test_branch_dead_zone_keep():
 def test_all_four_branches_in_one_scene():
     heads = [H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY]
 
-    def scorer(head, body):
-        return 0.95 if head.det_id == 3 else 0.95 if head.det_id == 1 else 0.0
+    def scorer(heads, bodies):
+        return [0.95 if h.det_id in (1, 3) else 0.0 for h in heads]
 
     out = postprocess(heads, BODIES_PRE, BODIES_POST, scorer, CFG)
     # h1 matched (no-op), h2 removed (no partner), h3 recalls b2
@@ -169,8 +186,8 @@ def test_recall_argmax_tie_takes_lowest_id():
 def test_recall_takes_argmax_score():
     other = det(5, (30.5, 0, 36.5, 80), 0.6)
 
-    def scorer(head, body):
-        return 0.99 if body.det_id == 5 else 0.92
+    def scorer(heads, bodies):
+        return [0.99 if b.det_id == 5 else 0.92 for b in bodies]
 
     out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE + [other], BODIES_POST,
                       scorer, CFG)
@@ -209,8 +226,12 @@ def _fuzz_scene(rng, scene_id="s0"):
     return heads, bodies_pre, bodies_post
 
 
-def hash_scorer(head, body):
-    return (head.det_id * 2654435761 + body.det_id * 40503) % 997 / 997.0
+def _hash_score(head_id, body_id):
+    return (head_id * 2654435761 + body_id * 40503) % 997 / 997.0
+
+
+def hash_scorer(heads, bodies):
+    return [_hash_score(h.det_id, b.det_id) for h, b in zip(heads, bodies)]
 
 
 def test_fuzz_superset_subset_invariants():
@@ -262,3 +283,18 @@ def test_constant_low_stub_removes_every_head_and_recalls_nothing():
         assert out.recalled_body_ids == []
         assert out.final_heads == []  # every head is mismatched at 0.05
         assert sorted(out.removed_head_ids) == ids(heads)
+
+
+def test_fuzz_scorer_sees_exactly_the_gated_pairs():
+    # one call per scene at most, with the pairs the scalar `ioh` gates, in
+    # head order then pre-NMS order; the pair log takes its scores from it
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        heads, pre, post = _fuzz_scene(rng)
+        scorer, calls = recording(hash_scorer)
+        out = postprocess(heads, pre, post, scorer, CFG)
+        gated = [(h.det_id, b.det_id) for h in heads for b in pre
+                 if ioh(h.box, b.box) > CFG.ioh_threshold]
+        assert calls == ([gated] if gated else [])
+        for r in out.pair_log:
+            assert r.score == _hash_score(r.head_id, r.body_id)

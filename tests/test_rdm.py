@@ -7,8 +7,8 @@ from crowdpost.data_model import HEAD, DetectionSet
 from crowdpost.geometry import BBox
 from crowdpost.rdm import (FEATURE_DIM, RelationModel, TrainConfig, bce_loss,
                            build_training_pairs, extract_features, load_model,
-                           save_model, train, write_loss_csv, _loss_and_gradients,
-                           _sample_batch)
+                           pair_features, save_model, train, write_loss_csv,
+                           _loss_and_gradients, _sample_batch)
 
 from helpers import det, person, scene
 
@@ -73,6 +73,50 @@ def test_feature_rejects_zero_area_box():
         extract_features(head, body)
 
 
+def _feature_pairs(rng, n):
+    """Random, shared-edge, contained and identical head/body pairs."""
+    heads, bodies = [], []
+    for k in range(n):
+        x, y = rng.uniform(-50, 150, size=2)
+        w, h = rng.uniform(0.5, 60, size=2)
+        body = (x, y, x + w, y + h)
+        kind = k % 4
+        if kind == 0:    # anywhere, usually disjoint
+            hx, hy = rng.uniform(-50, 150, size=2)
+            hw, hh = rng.uniform(0.5, 20, size=2)
+            head = (hx, hy, hx + hw, hy + hh)
+        elif kind == 1:  # shares the body's right edge from outside
+            hw, hh = rng.uniform(0.5, 20, size=2)
+            head = (x + w, y, x + w + hw, y + hh)
+        elif kind == 2:  # inside the body
+            fx0, fx1 = np.sort(rng.uniform(0, 1, size=2))
+            head = (x + fx0 * w, y, x + max(fx1, fx0 + 0.01) * w, y + 0.2 * h)
+        else:            # the body's own box
+            head = body
+        heads.append(det(k, head, float(rng.uniform(0, 1)), HEAD))
+        bodies.append(det(k, body, float(rng.uniform(0, 1))))
+    return heads, bodies
+
+
+def test_pair_features_equal_stacked_reference():
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 2, 3, 7, 64, 401):
+        heads, bodies = _feature_pairs(rng, n)
+        got = pair_features(heads, bodies)
+        assert got.shape == (n, FEATURE_DIM)
+        expected = np.array([extract_features(h, b) for h, b in zip(heads, bodies)])
+        assert (got == expected.reshape(n, FEATURE_DIM)).all()
+
+
+def test_pair_features_reject_zero_area_box():
+    good = det(1, (5, 10, 35, 90), 0.8)
+    for flat in (det(2, (10, 10, 10, 20), 0.9, HEAD), det(2, (10, 10, 20, 10), 0.9)):
+        with pytest.raises(ValueError, match="zero-area"):
+            pair_features([good, flat], [good, good])
+        with pytest.raises(ValueError, match="zero-area"):
+            pair_features([good, good], [good, flat])
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -81,7 +125,7 @@ def test_zero_model_scores_half():
     model = RelationModel(np.zeros((FEATURE_DIM, d)), np.zeros(d),
                           np.zeros((d, d)), np.zeros(d),
                           np.zeros((d, 1)), np.zeros(1))
-    assert model.score(np.ones(FEATURE_DIM)) == 0.5
+    assert model.score_many(np.ones(FEATURE_DIM)).tolist() == [0.5]
 
 
 def test_scores_strictly_inside_unit_interval():
@@ -91,6 +135,18 @@ def test_scores_strictly_inside_unit_interval():
     p = model.score_many(x)
     assert np.all(p > 0.0)
     assert np.all(p < 1.0)
+
+
+def test_score_pairs_matches_per_row_scores():
+    rng = np.random.default_rng(2)
+    model = RelationModel.initialize(hidden_dim=64, seed=4)
+    for n in (0, 1, 5, 333):
+        heads, bodies = _feature_pairs(rng, n)
+        got = model.score_pairs(heads, bodies)
+        per_row = [model.score_many(extract_features(h, b))[0]
+                   for h, b in zip(heads, bodies)]
+        assert got.shape == (n,)
+        assert np.allclose(got, per_row, rtol=0.0, atol=1e-12)
 
 
 def test_initialize_deterministic():
