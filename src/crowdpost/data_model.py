@@ -14,6 +14,7 @@ Detection lines group the detections of one scene, class and NMS stage:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,7 +50,11 @@ class FormatError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
+# The records below convert a field only when it does not already hold the
+# target type, so values read from a file are converted once, and numpy
+# scalars from programmatic callers still become Python ints and floats.
+
+@dataclass(frozen=True, slots=True)
 class PersonInstance:
     """One annotated person: paired head and full-body boxes."""
 
@@ -60,18 +65,23 @@ class PersonInstance:
     occlusion_ratio: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "person_id", int(self.person_id))
-        object.__setattr__(self, "ignore", bool(self.ignore))
-        object.__setattr__(self, "occlusion_ratio", float(self.occlusion_ratio))
-        if not 0.0 <= self.occlusion_ratio <= 1.0:
-            raise ValueError(f"occlusion_ratio {self.occlusion_ratio} outside [0, 1]")
+        if type(self.person_id) is not int:
+            object.__setattr__(self, "person_id", int(self.person_id))
+        if type(self.ignore) is not bool:
+            object.__setattr__(self, "ignore", bool(self.ignore))
+        occ = self.occlusion_ratio
+        if type(occ) is not float:
+            occ = float(occ)
+            object.__setattr__(self, "occlusion_ratio", occ)
+        if not 0.0 <= occ <= 1.0:
+            raise ValueError(f"occlusion_ratio {occ} outside [0, 1]")
         h, b = self.head, self.body
         # labeling rule: the head box lies within the body box
         if h.x_min < b.x_min or h.y_min < b.y_min or h.x_max > b.x_max or h.y_max > b.y_max:
             raise ValueError("head box extends beyond body box")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     """Ground truth for one image."""
 
@@ -81,22 +91,31 @@ class Scene:
     persons: tuple[PersonInstance, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
-        object.__setattr__(self, "persons", tuple(self.persons))
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"non-positive image size {self.width}x{self.height}")
+        width, height, persons = self.width, self.height, self.persons
+        if type(width) is not float:
+            width = float(width)
+            object.__setattr__(self, "width", width)
+        if type(height) is not float:
+            height = float(height)
+            object.__setattr__(self, "height", height)
+        if type(persons) is not tuple:
+            persons = tuple(persons)
+            object.__setattr__(self, "persons", persons)
+        if width <= 0 or height <= 0:
+            raise ValueError(f"non-positive image size {width}x{height}")
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise ValueError(f"non-finite image size {width}x{height}")
         seen = set()
-        for p in self.persons:
+        for p in persons:
             if p.person_id in seen:
                 raise ValueError(f"duplicate person id {p.person_id}")
             seen.add(p.person_id)
             b = p.body
-            if b.x_min < 0 or b.y_min < 0 or b.x_max > self.width or b.y_max > self.height:
+            if b.x_min < 0 or b.y_min < 0 or b.x_max > width or b.y_max > height:
                 raise ValueError(f"person {p.person_id} body box outside image bounds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored box of one class in one scene."""
 
@@ -107,15 +126,19 @@ class Detection:
     scene_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "det_id", int(self.det_id))
-        object.__setattr__(self, "score", float(self.score))
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score {self.score} outside [0, 1]")
+        if type(self.det_id) is not int:
+            object.__setattr__(self, "det_id", int(self.det_id))
+        score = self.score
+        if type(score) is not float:
+            score = float(score)
+            object.__setattr__(self, "score", score)
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"detection score {score} outside [0, 1]")
         if self.class_name not in CLASSES:
             raise ValueError(f"unknown detection class {self.class_name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionGroup:
     """All detections of one (scene, class, stage) triple, as stored on one file line."""
 
@@ -125,21 +148,30 @@ class DetectionGroup:
     dets: tuple[Detection, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dets", tuple(self.dets))
+        dets = self.dets
+        if type(dets) is not tuple:
+            dets = tuple(dets)
+            object.__setattr__(self, "dets", dets)
         if self.class_name not in CLASSES:
             raise ValueError(f"unknown class {self.class_name!r}")
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
+        scene_id, class_name = self.scene_id, self.class_name
+        member_ids = {d.det_id for d in dets
+                      if d.scene_id == scene_id and d.class_name == class_name}
+        if len(member_ids) == len(dets):
+            return
+        # name the first detection that is foreign or repeats an id
         seen = set()
-        for d in self.dets:
-            if d.scene_id != self.scene_id or d.class_name != self.class_name:
+        for d in dets:
+            if d.scene_id != scene_id or d.class_name != class_name:
                 raise ValueError(f"detection {d.det_id} does not belong to this group")
             if d.det_id in seen:
                 raise ValueError(f"duplicate det id {d.det_id}")
             seen.add(d.det_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionSet:
     """Pipeline input for one scene: kept heads, and bodies before/after NMS."""
 
@@ -150,7 +182,8 @@ class DetectionSet:
 
     def __post_init__(self):
         for name in ("heads_post_nms", "bodies_pre_nms", "bodies_post_nms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         pre_ids = {d.det_id for d in self.bodies_pre_nms}
         missing = [d.det_id for d in self.bodies_post_nms if d.det_id not in pre_ids]
         if missing:
@@ -160,18 +193,37 @@ class DetectionSet:
 # ---------------------------------------------------------------------------
 # scene files
 
-def _parse_box(value, path, line_no, field) -> BBox:
+def _field(item, key):
+    return f"{item}.{key}" if item else key
+
+
+def _parse_box(value, path, line_no, item, key) -> BBox:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise FormatError("box must be a 4-element [x1, y1, x2, y2] list", path, line_no, field)
+        raise FormatError("box must be a 4-element [x1, y1, x2, y2] list",
+                          path, line_no, _field(item, key))
     try:
-        return BBox(*[float(v) for v in value])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc), path, line_no, field) from exc
+        return BBox(*value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(str(exc), path, line_no, _field(item, key)) from exc
 
 
-def _require(obj, key, path, line_no, context=""):
+def _entry(value, path, line_no, item) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"expected an object, got {value!r}", path, line_no, item)
+    return value
+
+
+def _typed(value, kind, what, path, line_no, item, key):
+    # the record classes convert, so a float id or a string flag would be
+    # misread rather than rejected; a file must hold the JSON type itself
+    if type(value) is not kind:
+        raise FormatError(f"expected {what}, got {value!r}", path, line_no, _field(item, key))
+    return value
+
+
+def _require(obj, key, path, line_no, item=""):
     if key not in obj:
-        raise FormatError("missing required key", path, line_no, context + key)
+        raise FormatError("missing required key", path, line_no, _field(item, key))
     return obj[key]
 
 
@@ -192,22 +244,26 @@ def _parse_scene(obj, path, line_no) -> Scene:
     if not isinstance(raw_persons, list):
         raise FormatError("persons must be a list", path, line_no, "persons")
     for i, p in enumerate(raw_persons):
-        ctx = f"persons[{i}]."
-        head = _parse_box(_require(p, "head", path, line_no, ctx), path, line_no, ctx + "head")
-        body = _parse_box(_require(p, "body", path, line_no, ctx), path, line_no, ctx + "body")
+        item = f"persons[{i}]"
+        p = _entry(p, path, line_no, item)
+        head = _parse_box(_require(p, "head", path, line_no, item), path, line_no, item, "head")
+        body = _parse_box(_require(p, "body", path, line_no, item), path, line_no, item, "body")
+        person_id = _typed(_require(p, "id", path, line_no, item), int, "an integer",
+                           path, line_no, item, "id")
+        ignore = _typed(p.get("ignore", False), bool, "a boolean", path, line_no, item, "ignore")
         try:
             persons.append(PersonInstance(
-                person_id=_require(p, "id", path, line_no, ctx),
+                person_id=person_id,
                 head=head,
                 body=body,
-                ignore=p.get("ignore", False),
+                ignore=ignore,
                 occlusion_ratio=p.get("occ", 0.0),
             ))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(str(exc), path, line_no, ctx.rstrip(".")) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(str(exc), path, line_no, item) from exc
     try:
         return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(str(exc), path, line_no) from exc
 
 
@@ -220,6 +276,10 @@ def _iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON ({exc.msg})", path, line_no) from exc
+            except (RecursionError, ValueError) as exc:
+                # nesting deeper than the decoder's recursion limit, or an
+                # integer literal longer than int() accepts
+                raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
             if not isinstance(obj, dict):
                 raise FormatError("line is not a JSON object", path, line_no)
             yield line_no, obj
@@ -268,18 +328,22 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
         raise FormatError("dets must be a list", path, line_no, "dets")
     dets = []
     for i, d in enumerate(raw):
-        ctx = f"dets[{i}]."
-        box = _parse_box(_require(d, "box", path, line_no, ctx), path, line_no, ctx + "box")
+        item = f"dets[{i}]"
+        d = _entry(d, path, line_no, item)
+        box = _parse_box(_require(d, "box", path, line_no, item), path, line_no, item, "box")
+        det_id = _require(d, "id", path, line_no, item)
+        score = _require(d, "score", path, line_no, item)
+        _typed(det_id, int, "an integer", path, line_no, item, "id")
         try:
             dets.append(Detection(
-                det_id=_require(d, "id", path, line_no, ctx),
+                det_id=det_id,
                 box=box,
-                score=_require(d, "score", path, line_no, ctx),
+                score=score,
                 class_name=class_name,
                 scene_id=scene_id,
             ))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(str(exc), path, line_no, ctx.rstrip(".")) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(str(exc), path, line_no, item) from exc
     try:
         return DetectionGroup(scene_id=scene_id, class_name=class_name,
                               stage=stage, dets=tuple(dets))

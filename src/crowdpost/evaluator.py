@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .data_model import BODY, HEAD, Detection, Scene
+from .data_model import BODY, HEAD, Detection, PersonInstance, Scene
 from .fileio import atomic_write_text
 from .geometry import box_array, greedy_match, pairwise_iou
 
@@ -53,6 +53,11 @@ class EvalResult:
     num_images: int
 
 
+def _reasonable(p: PersonInstance, cfg: EvalConfig) -> bool:
+    return (p.body.height >= cfg.reasonable_min_height
+            and p.occlusion_ratio < cfg.reasonable_max_occlusion)
+
+
 def reasonable_filter(scene: Scene, cfg: EvalConfig) -> Scene:
     """Ignore-flag persons failing the evaluation filter.
 
@@ -60,11 +65,8 @@ def reasonable_filter(scene: Scene, cfg: EvalConfig) -> Scene:
     below `reasonable_max_occlusion`.  Failing persons are flagged, not
     deleted, so detections on them do not count as false positives.
     """
-    persons = []
-    for p in scene.persons:
-        keep = (p.body.height >= cfg.reasonable_min_height
-                and p.occlusion_ratio < cfg.reasonable_max_occlusion)
-        persons.append(p if keep or p.ignore else replace(p, ignore=True))
+    persons = [p if p.ignore or _reasonable(p, cfg) else replace(p, ignore=True)
+               for p in scene.persons]
     return Scene(scene.scene_id, scene.width, scene.height, tuple(persons))
 
 
@@ -77,12 +79,17 @@ def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tu
     is an FP.  Non-ignored ground truths match at most once; ignored ones may
     absorb any number of detections.
     """
+    matchable = [p for p in scene.persons if not p.ignore]
+    ignored = [p for p in scene.persons if p.ignore]
+    return _match(dets, matchable, ignored, cfg)
+
+
+def _match(dets, matchable, ignored, cfg) -> list[tuple[int, str]]:
+    """`match_to_gt` given the matchable and the ignored ground truth."""
     gt_box = {HEAD: lambda p: p.head, BODY: lambda p: p.body}[cfg.class_under_test]
     thr = cfg.iou_match_threshold
     ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
     # matchable ground truth in the leading columns, ignored after them
-    matchable = [p for p in scene.persons if not p.ignore]
-    ignored = [p for p in scene.persons if p.ignore]
     ious = pairwise_iou(box_array(d.box for d in ranked),
                         box_array(gt_box(p) for p in matchable + ignored))
     matched = greedy_match(ious[:, :len(matchable)], thr)
@@ -112,11 +119,17 @@ def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> 
     num_gt = 0
     pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
     for scene in scenes:
-        filtered = reasonable_filter(scene, cfg)
-        num_gt += sum(not p.ignore for p in filtered.persons)
-        scene_dets = by_scene.get(scene.scene_id, [])
+        # the split that reasonable_filter then match_to_gt make, without
+        # building a filtered Scene
+        matchable, ignored = [], []
+        for p in scene.persons:
+            (ignored if p.ignore or not _reasonable(p, cfg) else matchable).append(p)
+        num_gt += len(matchable)
+        scene_dets = by_scene.get(scene.scene_id)
+        if not scene_dets:
+            continue
         score_of = {d.det_id: d.score for d in scene_dets}
-        for det_id, outcome in match_to_gt(scene_dets, filtered, cfg):
+        for det_id, outcome in _match(scene_dets, matchable, ignored, cfg):
             if outcome != IGNORED:
                 pool.append((score_of[det_id], outcome, scene.scene_id, det_id))
     if num_gt == 0:

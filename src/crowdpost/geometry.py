@@ -15,13 +15,16 @@ from typing import Iterable
 
 import numpy as np
 
+_COORDINATES = ("x_min", "y_min", "x_max", "y_max")
+_isfinite = math.isfinite
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Rectangle in pixel coordinates, corner form (x_min, y_min, x_max, y_max).
 
     Zero-area boxes are allowed; negative extents and non-finite coordinates
-    are rejected at construction.
+    are rejected at construction.  Coordinates are stored as Python floats.
     """
 
     x_min: float
@@ -30,14 +33,19 @@ class BBox:
     y_max: float
 
     def __post_init__(self):
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite box coordinate {name}={value}")
-            object.__setattr__(self, name, value)
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError(f"box has negative extent: ({self.x_min}, {self.y_min}, "
-                             f"{self.x_max}, {self.y_max})")
+        x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
+        if not (type(x1) is float and type(y1) is float
+                and type(x2) is float and type(y2) is float
+                and _isfinite(x1) and _isfinite(y1) and _isfinite(x2) and _isfinite(y2)):
+            # convert and check in field order, so the first bad coordinate is named
+            for name in _COORDINATES:
+                value = float(getattr(self, name))
+                if not _isfinite(value):
+                    raise ValueError(f"non-finite box coordinate {name}={value}")
+                object.__setattr__(self, name, value)
+            x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
+        if x2 < x1 or y2 < y1:
+            raise ValueError(f"box has negative extent: ({x1}, {y1}, {x2}, {y2})")
 
     @property
     def width(self) -> float:

@@ -270,6 +270,62 @@ def test_non_finite_detection_rejected(capsys, chain, tmp_path, field, value):
     assert not out.exists()
 
 
+# inputs that once escaped as tracebacks or were misread; each must name
+# its line and field in one stderr line
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("target, path, value, fragment", [
+    pytest.param("dets", ("dets", 0), 5,
+                 "dets.jsonl:3: dets[0]: expected an object", id="det-not-object"),
+    pytest.param("dets", ("dets", 0, "box", 2), _HUGE,
+                 "dets.jsonl:3: dets[0].box: int too large", id="box-huge-int"),
+    pytest.param("dets", ("dets", 0, "score"), _HUGE,
+                 "dets.jsonl:3: dets[0]: int too large", id="score-huge-int"),
+    pytest.param("dets", ("dets", 0, "id"), float("inf"),
+                 "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-infinity"),
+    pytest.param("dets", ("dets", 0, "id"), 1.5,
+                 "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-float"),
+    pytest.param("dets", ("dets", 0, "id"), True,
+                 "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-bool"),
+    pytest.param("dets", None, None, "dets.jsonl:3: invalid JSON", id="det-line-too-deep"),
+    pytest.param("scenes", ("persons", 0), 5,
+                 "scenes.jsonl:3: persons[0]: expected an object", id="person-not-object"),
+    pytest.param("scenes", ("persons", 0, "id"), 1.7,
+                 "scenes.jsonl:3: persons[0].id: expected an integer", id="person-id-float"),
+    pytest.param("scenes", ("persons", 0, "ignore"), "false",
+                 "scenes.jsonl:3: persons[0].ignore: expected a boolean", id="ignore-string"),
+    pytest.param("scenes", ("persons", 0, "occ"), _HUGE,
+                 "scenes.jsonl:3: persons[0]: int too large", id="occ-huge-int"),
+])
+def test_malformed_input_is_one_line_error(capsys, chain, tmp_path, target, path, value,
+                                           fragment):
+    lines = (chain / f"{target}.jsonl").read_text(encoding="utf-8").splitlines()
+    if path is None:
+        lines[2] = "[" * 100_000
+    else:
+        obj = json.loads(lines[2])
+        *parents, last = path
+        node = obj
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        lines[2] = json.dumps(obj)
+    bad = tmp_path / f"{target}.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if target == "dets":
+        out = tmp_path / "out"
+        _expect_error(capsys, ["run", "--dets", str(bad), "--model", str(chain / "model.json"),
+                               "--out-dir", str(out)], fragment)
+        assert not out.exists()
+    else:
+        prefix = tmp_path / "eval" / "x"
+        _expect_error(capsys, ["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                               "--scenes", str(bad), "--class", BODY,
+                               "--out-prefix", str(prefix)], fragment)
+        assert not prefix.parent.exists()
+
+
 def test_outputs_honour_umask(capsys, chain, tmp_path):
     old = os.umask(0o022)
     try:

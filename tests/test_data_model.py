@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,145 @@ def test_unsupported_format_rejected(tmp_path):
                     '"height": 10, "persons": []}\n')
     with pytest.raises(FormatError, match="unsupported format"):
         read_scenes(path)
+
+
+# ---------------------------------------------------------------------------
+# record types
+
+def _records():
+    box = BBox(0, 0, 10, 40)
+    p = person(1, head=(2, 0, 8, 6), body=(0, 0, 10, 40))
+    d = det(1, (0, 0, 10, 10), 0.5)
+    return [box, p, scene([p]), d, DetectionGroup("s0", BODY, PRE_NMS, (d,)),
+            DetectionSet("s0", (), (d,), (d,))]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_slotted_and_frozen(record):
+    assert "__slots__" in type(record).__dict__
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
+
+
+def test_replace_still_validates():
+    box, p, s, d, g, ds = _records()
+    with pytest.raises(ValueError, match="negative extent"):
+        dataclasses.replace(box, x_max=-1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        dataclasses.replace(box, y_min=float("nan"))
+    with pytest.raises(ValueError, match="outside"):
+        dataclasses.replace(p, occlusion_ratio=1.5)
+    with pytest.raises(ValueError, match="duplicate person id"):
+        dataclasses.replace(s, persons=(p, p))
+    with pytest.raises(ValueError, match="outside"):
+        dataclasses.replace(d, score=2)
+    with pytest.raises(ValueError, match="duplicate det id"):
+        dataclasses.replace(g, dets=[d, d])
+    with pytest.raises(ValueError, match="absent from the pre-NMS set"):
+        dataclasses.replace(ds, bodies_pre_nms=())
+
+
+def test_numpy_scalars_stored_as_python_numbers():
+    box = BBox(np.float32(1.5), np.int64(2), np.float64(3.0), 4)
+    assert [type(v) for v in box.as_list()] == [float] * 4
+    assert box.as_list() == [1.5, 2.0, 3.0, 4.0]
+    p = PersonInstance(np.int64(3), box, box, np.bool_(True), np.float32(0.25))
+    assert (type(p.person_id), type(p.ignore), type(p.occlusion_ratio)) == (int, bool, float)
+    assert (p.person_id, p.ignore, p.occlusion_ratio) == (3, True, 0.25)
+    s = Scene("s0", np.int64(100), np.float32(50.0), [p])
+    assert (type(s.width), type(s.height), type(s.persons)) == (float, float, tuple)
+    d = Detection(np.int32(7), box, np.float64(0.5), BODY, "s0")
+    assert (type(d.det_id), type(d.score)) == (int, float)
+    assert type(DetectionGroup("s0", BODY, PRE_NMS, [d]).dets) is tuple
+    ds = DetectionSet("s0", [], [d], [d])
+    assert all(type(v) is tuple for v in (ds.heads_post_nms, ds.bodies_pre_nms,
+                                          ds.bodies_post_nms))
+
+
+@pytest.mark.parametrize("width, height", [(float("nan"), 100), (100, float("inf"))])
+def test_scene_rejects_non_finite_size(width, height):
+    with pytest.raises(ValueError, match="non-finite image size"):
+        scene([], width=width, height=height)
+
+
+def test_group_names_first_foreign_or_repeated_detection():
+    d1 = det(1, (0, 0, 10, 10), 0.5)
+    foreign = det(2, (0, 0, 10, 10), 0.5, scene_id="s1")
+    with pytest.raises(ValueError, match="duplicate det id 1"):
+        DetectionGroup("s0", BODY, PRE_NMS, (d1, d1, foreign))
+    with pytest.raises(ValueError, match="detection 2 does not belong"):
+        DetectionGroup("s0", BODY, PRE_NMS, (d1, foreign, d1))
+
+
+# ---------------------------------------------------------------------------
+# scalar types in files
+
+def _det_line(entry: str) -> str:
+    return ('{"format": "detections/v1", "scene_id": "s0", "class": "body", '
+            f'"stage": "pre_nms", "dets": [{entry}]}}\n')
+
+
+def _scene_line(entry: str) -> str:
+    return ('{"format": "scenes/v1", "scene_id": "s0", "width": 100, "height": 100, '
+            f'"persons": [{entry}]}}\n')
+
+
+_PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
+
+
+@pytest.mark.parametrize("line, field, message", [
+    pytest.param(_det_line('{"id": 1.5, "box": [0, 0, 1, 1], "score": 0.5}'),
+                 "dets[0].id", "expected an integer, got 1.5", id="det-id-float"),
+    pytest.param(_det_line('{"id": true, "box": [0, 0, 1, 1], "score": 0.5}'),
+                 "dets[0].id", "expected an integer, got True", id="det-id-bool"),
+    pytest.param(_det_line('{"id": "1", "box": [0, 0, 1, 1], "score": 0.5}'),
+                 "dets[0].id", "expected an integer, got '1'", id="det-id-string"),
+    pytest.param(_det_line('{"id": Infinity, "box": [0, 0, 1, 1], "score": 0.5}'),
+                 "dets[0].id", "expected an integer, got inf", id="det-id-infinity"),
+    pytest.param(_det_line("5"), "dets[0]", "expected an object, got 5", id="det-not-object"),
+    pytest.param(_det_line('{"id": 1, "box": [0, 0, 1%s, 1], "score": 0.5}' % ("0" * 400)),
+                 "dets[0].box", "int too large to convert to float", id="box-huge-int"),
+    pytest.param(_det_line('{"id": 1, "box": [0, 0, 1, 1], "score": 1%s}' % ("0" * 400)),
+                 "dets[0]", "int too large to convert to float", id="score-huge-int"),
+    pytest.param(_scene_line('{"id": 1.7, %s}' % _PERSON),
+                 "persons[0].id", "expected an integer, got 1.7", id="person-id-float"),
+    pytest.param(_scene_line('{"id": 1, "ignore": "false", %s}' % _PERSON),
+                 "persons[0].ignore", "expected a boolean, got 'false'", id="ignore-string"),
+    pytest.param(_scene_line('{"id": 1, "ignore": 0, %s}' % _PERSON),
+                 "persons[0].ignore", "expected a boolean, got 0", id="ignore-int"),
+    pytest.param(_scene_line('{"id": 1, "occ": 1%s, %s}' % ("0" * 400, _PERSON)),
+                 "persons[0]", "int too large to convert to float", id="occ-huge-int"),
+    pytest.param(_scene_line('[1]'), "persons[0]", "expected an object, got [1]",
+                 id="person-not-object"),
+])
+def test_reader_rejects_bad_scalars(tmp_path, line, field, message):
+    path = tmp_path / "in.jsonl"
+    path.write_text(line)
+    reader = read_scenes if '"scenes/v1"' in line else read_detection_groups
+    with pytest.raises(FormatError) as exc_info:
+        reader(path)
+    assert exc_info.value.line == 1
+    assert exc_info.value.field == field
+    assert str(exc_info.value) == f"in.jsonl:1: {field}: {message}"
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"n": %s}' % ("1" * 5000)],
+                         ids=["deep-nesting", "long-integer"])
+def test_undecodable_json_reports_line(tmp_path, line):
+    path = tmp_path / "scenes.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(FormatError, match="invalid JSON") as exc_info:
+        read_scenes(path)
+    assert exc_info.value.line == 1
+
+
+def test_box_names_first_bad_coordinate(tmp_path):
+    with pytest.raises(ValueError, match="non-finite box coordinate y_min=nan"):
+        BBox(0, float("nan"), float("inf"), 1)
+    path = tmp_path / "dets.jsonl"
+    path.write_text(_det_line('{"id": 1, "box": [0, Infinity, NaN, 1], "score": 0.5}'))
+    with pytest.raises(FormatError, match="dets\\[0\\].box: non-finite box coordinate "
+                                          "y_min=inf"):
+        read_detection_groups(path)

@@ -50,6 +50,33 @@ def test_reasonable_filter_keeps_existing_ignores():
     assert out.persons[0].ignore
 
 
+def test_compute_mr2_filters_like_reasonable_filter():
+    # compute_mr2 splits persons itself; it must count and match exactly as
+    # reasonable_filter followed by match_to_gt, also at the filter limits
+    s = scene([
+        _person_at(1, 0, 0, h=49.0),
+        _person_at(2, 40, 0, h=50.0, occ=0.34),
+        _person_at(3, 80, 0, h=120.0, occ=0.35),
+        _person_at(4, 120, 0, ignore=True),
+        _person_at(5, 160, 0, h=60.0),
+    ])
+    dets = [det(k, (x, 0, x + 30, h), score) for k, (x, h, score) in
+            enumerate([(0, 49, 0.9), (40, 50, 0.8), (80, 120, 0.7), (120, 100, 0.6),
+                       (160, 60, 0.5), (165, 60, 0.4), (0, 49, 0.3)])]
+    cfg = EvalConfig()
+    outcomes = match_to_gt(dets, reasonable_filter(s, cfg), cfg)
+    assert [o for _, o in outcomes] == [IGNORED, TP, IGNORED, IGNORED, TP, FP, IGNORED]
+    result = compute_mr2(dets, [s], cfg)
+    assert result.num_gt == 2
+    tp = fp = 0
+    expected = []
+    for d, (_, outcome) in zip(sorted(dets, key=lambda d: -d.score), outcomes):
+        tp += outcome == TP
+        fp += outcome == FP
+        expected.append((d.score, float(fp), 1.0 - tp / 2))
+    assert list(result.curve) == expected
+
+
 def test_match_single_tp():
     s = scene([_person_at(1, 10, 10)])
     d = det(1, (10, 10, 40, 110), 0.9)

@@ -1,0 +1,245 @@
+"""Property tests for the JSON-lines files: round trips, and the rule that a
+malformed line is a FormatError naming it, which the CLI reports as exit 1,
+one stderr line and no output files."""
+
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from crowdpost.cli import main  # noqa: E402
+from crowdpost.data_model import (  # noqa: E402
+    CLASSES, STAGES, Detection, DetectionGroup, FormatError, PersonInstance, Scene,
+    read_detection_groups, read_scenes, write_detection_groups, write_scenes)
+from crowdpost.geometry import BBox  # noqa: E402
+from crowdpost.rdm import RelationModel, save_model  # noqa: E402
+
+# bounded and derandomized: tier-1 runs the same examples every time
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+# each example corrupts every field of one line in turn
+CORRUPTION = settings(PROPERTY, max_examples=12)
+
+_coord = st.floats(-1e6, 1e6, allow_nan=False)
+_unit = st.floats(0.0, 1.0)
+_ids = st.integers(-2 ** 63, 2 ** 63)
+
+
+@st.composite
+def _span(draw, lo, hi):
+    a, b = sorted((draw(st.floats(lo, hi)), draw(st.floats(lo, hi))))
+    return a, b
+
+
+@st.composite
+def boxes(draw, within=None):
+    if within is None:
+        x1, x2 = sorted((draw(_coord), draw(_coord)))
+        y1, y2 = sorted((draw(_coord), draw(_coord)))
+    else:
+        (x1, x2), (y1, y2) = draw(_span(*within[0])), draw(_span(*within[1]))
+    return BBox(x1, y1, x2, y2)
+
+
+@st.composite
+def scenes(draw, scene_id, min_persons):
+    width = draw(st.floats(1.0, 1e4))
+    height = draw(st.floats(1.0, 1e4))
+    persons = []
+    for pid in draw(st.lists(_ids, min_size=min_persons, max_size=4, unique=True)):
+        body = draw(boxes(within=((0.0, width), (0.0, height))))
+        head = draw(boxes(within=((body.x_min, body.x_max), (body.y_min, body.y_max))))
+        persons.append(PersonInstance(pid, head, body, draw(st.booleans()), draw(_unit)))
+    return Scene(scene_id, width, height, tuple(persons))
+
+
+@st.composite
+def scene_files(draw, min_persons=0):
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    return [draw(scenes(sid, min_persons)) for sid in ids]
+
+
+@st.composite
+def group_files(draw, min_dets=0):
+    keys = draw(st.lists(st.tuples(st.text(max_size=6), st.sampled_from(CLASSES),
+                                   st.sampled_from(STAGES)),
+                         min_size=1, max_size=4, unique=True))
+    groups = []
+    for scene_id, class_name, stage in keys:
+        dets = tuple(Detection(det_id, draw(boxes()), draw(_unit), class_name, scene_id)
+                     for det_id in draw(st.lists(_ids, min_size=min_dets, max_size=4,
+                                                 unique=True)))
+        groups.append(DetectionGroup(scene_id, class_name, stage, dets))
+    return groups
+
+
+def _round_trip(records, write, read):
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a.jsonl"), os.path.join(d, "b.jsonl")
+        write(records, first)
+        back = read(first)
+        write(back, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    return back
+
+
+@PROPERTY
+@given(scene_files())
+def test_scene_file_round_trip(records):
+    assert _round_trip(records, write_scenes, read_scenes) == records
+
+
+@PROPERTY
+@given(group_files())
+def test_detection_file_round_trip(records):
+    assert _round_trip(records, write_detection_groups, read_detection_groups) == records
+
+
+# ---------------------------------------------------------------------------
+# single-field corruptions
+
+_not_number = st.one_of(st.none(), st.text(alphabet="abc", max_size=3), st.lists(st.integers()),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_not_finite = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400])
+_outside_unit = st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9),
+                          st.integers(max_value=-1), st.integers(min_value=2), _not_finite,
+                          _not_number)
+_not_integer = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                         st.lists(st.integers(), max_size=1))
+_not_boolean = st.one_of(st.integers(), st.floats(), st.text(max_size=5), st.none())
+_not_object = st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers()), st.none())
+_not_list = st.one_of(st.integers(), st.text(max_size=3), st.none(),
+                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_not_box = st.one_of(
+    _not_list,
+    st.lists(st.floats(0, 10), max_size=3),
+    st.lists(st.floats(0, 10), min_size=5, max_size=6),
+    st.tuples(st.integers(0, 3), st.one_of(_not_finite, _not_number)).map(
+        lambda iv: [iv[1] if k == iv[0] else 0.0 for k in range(4)]),
+    st.sampled_from([[5.0, 0.0, 1.0, 1.0], [0.0, 5.0, 1.0, 1.0]]))
+
+
+_DELETE = object()
+_MISSING = st.just(_DELETE)
+
+
+def _scene_corruptions(obj):
+    """(path, strategy of invalid values) for every field of a scene line."""
+    choices = [(("format",), st.text(max_size=8).filter(lambda t: t != "scenes/v1")),
+               (("width",), st.one_of(st.floats(max_value=0.0), _not_finite, _not_number)),
+               (("height",), st.one_of(st.floats(max_value=0.0), _not_finite, _not_number)),
+               (("persons",), _not_list)]
+    choices += [((key,), _MISSING) for key in ("scene_id", "width", "height", "persons")]
+    for i, p in enumerate(obj["persons"]):
+        choices += [(("persons", i), _not_object),
+                    (("persons", i, "id"), _not_integer),
+                    (("persons", i, "ignore"), _not_boolean),
+                    (("persons", i, "occ"), _outside_unit),
+                    (("persons", i, "head"), _not_box),
+                    (("persons", i, "body"), _not_box),
+                    # the head moved out of its body, the body out of the image
+                    (("persons", i, "head"), st.just([p["body"][2] + 1.0] * 2
+                                                      + [p["body"][2] + 2.0] * 2)),
+                    (("persons", i, "body"), st.just([0.0, 0.0, obj["width"] * 2,
+                                                      obj["height"] * 2]))]
+        choices += [(("persons", i, key), _MISSING) for key in ("id", "head", "body")]
+        if i:
+            choices.append((("persons", i, "id"), st.just(obj["persons"][0]["id"])))
+    return choices
+
+
+def _group_corruptions(obj):
+    """(path, strategy of invalid values) for every field of a detection line."""
+    choices = [(("format",), st.text(max_size=8).filter(lambda t: t != "detections/v1")),
+               (("class",), st.one_of(st.text(max_size=5).filter(lambda t: t not in CLASSES),
+                                      _not_number)),
+               (("stage",), st.one_of(st.text(max_size=5).filter(lambda t: t not in STAGES),
+                                      _not_number)),
+               (("dets",), _not_list)]
+    choices += [((key,), _MISSING) for key in ("scene_id", "class", "stage", "dets")]
+    for i in range(len(obj["dets"])):
+        choices += [(("dets", i), _not_object),
+                    (("dets", i, "id"), _not_integer),
+                    (("dets", i, "score"), _outside_unit),
+                    (("dets", i, "box"), _not_box)]
+        choices += [(("dets", i, key), _MISSING) for key in ("id", "box", "score")]
+        if i:
+            choices.append((("dets", i, "id"), st.just(obj["dets"][0]["id"])))
+    return choices
+
+
+def _apply(obj, path, value):
+    *parents, last = path
+    for key in parents:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+
+
+def _corrupted_files(draw, records, write, corruptions):
+    """Write `records`, pick a line, and yield (text, line number) once for
+    every field of that line, with that one field given an invalid value."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.jsonl")
+        write(records, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    for field, values in corruptions(json.loads(lines[k])):
+        obj = json.loads(lines[k])
+        _apply(obj, field, draw(values))
+        yield "\n".join(lines[:k] + [json.dumps(obj)] + lines[k + 1:]) + "\n", k + 1
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(RelationModel.initialize(hidden_dim=4), path)
+    return path
+
+
+def _expect_rejected(capsys, text, line_no, reader, argv_for):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(FormatError) as exc_info:
+            reader(path)
+        assert exc_info.value.line == line_no
+        assert str(exc_info.value).startswith(f"in.jsonl:{line_no}:")
+        out = os.path.join(tmp, "out")
+        argv = argv_for(path, out)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"crowdpost {argv[0]}: error: in.jsonl:{line_no}:")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
+
+@CORRUPTION
+@given(st.data())
+def test_corrupt_scene_line_is_rejected(capsys, data):
+    records = data.draw(scene_files(min_persons=1))
+    for text, line_no in _corrupted_files(data.draw, records, write_scenes,
+                                          _scene_corruptions):
+        _expect_rejected(capsys, text, line_no, read_scenes,
+                         lambda path, out: ["estimate-ratio", "--scenes", path, "--out", out])
+
+
+@CORRUPTION
+@given(st.data())
+def test_corrupt_detection_line_is_rejected(capsys, model_path, data):
+    records = data.draw(group_files(min_dets=1))
+    for text, line_no in _corrupted_files(data.draw, records, write_detection_groups,
+                                          _group_corruptions):
+        _expect_rejected(capsys, text, line_no, read_detection_groups,
+                         lambda path, out: ["run", "--dets", path, "--model", str(model_path),
+                                            "--out-dir", out])
