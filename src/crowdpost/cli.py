@@ -1,9 +1,10 @@
 """Command-line front end: simulate, estimate-ratio, train-rdm, run, eval, report.
 
-Each command reads an optional JSON config; command-line flags override
-config values.  All outputs are written atomically and are byte-identical
-across reruns with the same inputs and seeds.  Log verbosity comes from the
-CROWDPOST_LOG environment variable (default WARNING).
+`simulate`, `train-rdm` and `run` read an optional JSON config whose sections
+are the config dataclasses; command-line flags override config values.  All
+outputs are written atomically and are byte-identical across reruns with the
+same inputs and seeds.  Log verbosity comes from the CROWDPOST_LOG environment
+variable (default WARNING).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg
 from .fileio import atomic_write_text
 from .nms import NmsConfig, build_detection_set
 from .pipeline import PostProcessConfig, postprocess
-from .ratio import HeadBodyRatio, estimate_ratio, save_ratio, scene_pairs
+from .ratio import estimate_ratio, save_ratio, scene_pairs
 from .rdm import TrainConfig, build_training_pairs, load_model, save_model, train, \
     write_loss_csv
 from .simulator import NoiseConfig, SimConfig, generate_scenes, simulate_detections
@@ -34,8 +35,7 @@ logger = logging.getLogger(__name__)
 _DEFAULT_NUM_SCENES = 50
 
 # every top-level key some command reads; one config file may serve them all
-_CONFIG_KEYS = frozenset({"sim", "noise", "num_scenes", "nms", "train", "hidden_dim",
-                          "ioh_threshold", "post"})
+_CONFIG_KEYS = frozenset({"sim", "noise", "num_scenes", "nms", "train", "post"})
 
 
 def _load_config(path) -> dict:
@@ -70,14 +70,6 @@ def _check_value(key: str, value, like) -> None:
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
 
 
-def _get(cfg: dict, key: str, default):
-    """Top-level config value with the type of its default."""
-    if key not in cfg:
-        return default
-    _check_value(key, cfg[key], default)
-    return cfg[key]
-
-
 def _build(cls, cfg: dict, section: str, **overrides):
     """Instantiate a config dataclass from one config section plus flag overrides."""
     obj = cfg.get(section)
@@ -95,11 +87,6 @@ def _build(cls, cfg: dict, section: str, **overrides):
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    if cls is SimConfig:
-        if "image_size" in data:
-            data["image_size"] = tuple(data["image_size"])
-        if "true_ratio" in data and not isinstance(data["true_ratio"], HeadBodyRatio):
-            data["true_ratio"] = HeadBodyRatio(*data["true_ratio"])
     return cls(**data)
 
 
@@ -113,8 +100,10 @@ def cmd_simulate(args) -> int:
                  persons_per_image=args.persons_per_image)
     noise = _build(NoiseConfig, cfg, "noise", seed=args.noise_seed,
                    head_fp_rate=args.head_fp_rate, detect_prob=args.detect_prob)
-    num_scenes = args.num_scenes if args.num_scenes is not None \
-        else _get(cfg, "num_scenes", _DEFAULT_NUM_SCENES)
+    num_scenes = args.num_scenes
+    if num_scenes is None:
+        num_scenes = cfg.get("num_scenes", _DEFAULT_NUM_SCENES)
+        _check_value("num_scenes", num_scenes, _DEFAULT_NUM_SCENES)
     if num_scenes < 0:
         raise ValueError("num-scenes must be non-negative")
 
@@ -159,18 +148,18 @@ def cmd_train_rdm(args) -> int:
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms")
     train_cfg = _build(TrainConfig, cfg, "train", epochs=args.epochs,
-                       learning_rate=args.learning_rate, seed=args.seed)
-    hidden_dim = args.hidden_dim if args.hidden_dim is not None \
-        else _get(cfg, "hidden_dim", 64)
-    ioh_threshold = _get(cfg, "ioh_threshold", 0.7)
+                       learning_rate=args.learning_rate, seed=args.seed,
+                       hidden_dim=args.hidden_dim)
+    # the pairs the model learns from pass the same gate as the pairs `run` scores
+    post_cfg = _build(PostProcessConfig, cfg, "post")
 
     scenes = read_scenes(args.scenes)
     groups = read_detection_groups(args.dets)
     sets = [build_detection_set(sid, heads, bodies, nms_cfg)
             for sid, heads, bodies in _pre_nms_by_scene(groups)]
-    features, labels = build_training_pairs(scenes, sets, ioh_threshold)
+    features, labels = build_training_pairs(scenes, sets, post_cfg.ioh_threshold)
     logger.info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
-    model, trace = train(features, labels, train_cfg, hidden_dim)
+    model, trace = train(features, labels, train_cfg)
     save_model(model, args.out_model)
     write_loss_csv(trace, args.out_loss)
     return 0
@@ -239,7 +228,7 @@ def cmd_eval(args) -> int:
     name = args.name if args.name else os.path.basename(args.out_prefix)
     write_result_json(result, args.out_prefix + ".eval.json", name, args.class_name)
     write_curve_csv(result, args.out_prefix + ".curve.csv")
-    write_curve_svg([(name, result)], args.out_prefix + ".svg")
+    write_curve_svg(name, result, args.out_prefix + ".svg")
     logger.info("%s %s: mr2 %.4f over %d GT / %d images",
                 name, args.class_name, result.mr2, result.num_gt, result.num_images)
     return 0
@@ -299,7 +288,8 @@ def _add_estimate_ratio(sub):
 
 def _add_train_rdm(sub):
     p = sub.add_parser("train-rdm", help="train the relation model on labeled pairs")
-    p.add_argument("--config", help="JSON with 'nms', 'train', 'hidden_dim', 'ioh_threshold'")
+    p.add_argument("--config", help="JSON with 'nms', 'train' and 'post' "
+                   "(post.ioh_threshold gates the training pairs)")
     p.add_argument("--scenes", required=True)
     p.add_argument("--dets", required=True, help="pre-NMS detection file")
     p.add_argument("--out-model", required=True)
@@ -307,7 +297,7 @@ def _add_train_rdm(sub):
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--hidden-dim", type=int, help="overrides train.hidden_dim")
     p.set_defaults(func=cmd_train_rdm)
 
 

@@ -201,8 +201,12 @@ def _parse_box(value, path, line_no, item, key) -> BBox:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise FormatError("box must be a 4-element [x1, y1, x2, y2] list",
                           path, line_no, _field(item, key))
+    x1, y1, x2, y2 = value
+    if not (type(x1) is float and type(y1) is float
+            and type(x2) is float and type(y2) is float):
+        x1, y1, x2, y2 = (_number(v, path, line_no, item, key) for v in value)
     try:
-        return BBox(*value)
+        return BBox(x1, y1, x2, y2)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(str(exc), path, line_no, _field(item, key)) from exc
 
@@ -221,6 +225,19 @@ def _typed(value, kind, what, path, line_no, item, key):
     return value
 
 
+def _number(value, path, line_no, item, key) -> float:
+    """A JSON number as a float: an integer converts here, where an overflow
+    names its field, and a bool or a numeric string is rejected."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise FormatError(f"expected a number, got {value!r}", path, line_no, _field(item, key))
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FormatError(str(exc), path, line_no, _field(item, key)) from exc
+
+
 def _require(obj, key, path, line_no, item=""):
     if key not in obj:
         raise FormatError("missing required key", path, line_no, _field(item, key))
@@ -236,9 +253,10 @@ def _check_format(obj, expected, path, line_no):
 
 def _parse_scene(obj, path, line_no) -> Scene:
     _check_format(obj, SCENE_FORMAT, path, line_no)
-    scene_id = str(_require(obj, "scene_id", path, line_no))
-    width = _require(obj, "width", path, line_no)
-    height = _require(obj, "height", path, line_no)
+    scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
+                      path, line_no, "", "scene_id")
+    width = _number(_require(obj, "width", path, line_no), path, line_no, "", "width")
+    height = _number(_require(obj, "height", path, line_no), path, line_no, "", "height")
     persons = []
     raw_persons = _require(obj, "persons", path, line_no)
     if not isinstance(raw_persons, list):
@@ -251,13 +269,14 @@ def _parse_scene(obj, path, line_no) -> Scene:
         person_id = _typed(_require(p, "id", path, line_no, item), int, "an integer",
                            path, line_no, item, "id")
         ignore = _typed(p.get("ignore", False), bool, "a boolean", path, line_no, item, "ignore")
+        occ = _number(p.get("occ", 0.0), path, line_no, item, "occ")
         try:
             persons.append(PersonInstance(
                 person_id=person_id,
                 head=head,
                 body=body,
                 ignore=ignore,
-                occlusion_ratio=p.get("occ", 0.0),
+                occlusion_ratio=occ,
             ))
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(str(exc), path, line_no, item) from exc
@@ -320,7 +339,8 @@ def write_scenes(scenes, path) -> None:
 
 def _parse_group(obj, path, line_no) -> DetectionGroup:
     _check_format(obj, DETECTION_FORMAT, path, line_no)
-    scene_id = str(_require(obj, "scene_id", path, line_no))
+    scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
+                      path, line_no, "", "scene_id")
     class_name = _require(obj, "class", path, line_no)
     stage = _require(obj, "stage", path, line_no)
     raw = _require(obj, "dets", path, line_no)
@@ -332,7 +352,7 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
         d = _entry(d, path, line_no, item)
         box = _parse_box(_require(d, "box", path, line_no, item), path, line_no, item, "box")
         det_id = _require(d, "id", path, line_no, item)
-        score = _require(d, "score", path, line_no, item)
+        score = _number(_require(d, "score", path, line_no, item), path, line_no, item, "score")
         _typed(det_id, int, "an integer", path, line_no, item, "id")
         try:
             dets.append(Detection(

@@ -21,7 +21,11 @@ FP = "FP"
 IGNORED = "ignored"
 
 # 10^(-2 + k/4) for k = 0..8
-DEFAULT_FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
+FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
+
+# the Reasonable subset: persons at least this tall and less occluded than this
+REASONABLE_MIN_HEIGHT = 50.0
+REASONABLE_MAX_OCCLUSION = 0.35
 
 # floor inside the log; only the all-zero case would hit it and that is
 # special-cased to an exact 0
@@ -31,18 +35,13 @@ _MISS_FLOOR = 1e-10
 @dataclass(frozen=True)
 class EvalConfig:
     iou_match_threshold: float = 0.5
-    fppi_points: tuple[float, ...] = DEFAULT_FPPI_POINTS
-    reasonable_min_height: float = 50.0
-    reasonable_max_occlusion: float = 0.35
     class_under_test: str = BODY
 
     def __post_init__(self):
-        object.__setattr__(self, "fppi_points", tuple(self.fppi_points))
+        if not 0.0 < self.iou_match_threshold <= 1.0:
+            raise ValueError(f"iou_match_threshold {self.iou_match_threshold} outside (0, 1]")
         if self.class_under_test not in (HEAD, BODY):
             raise ValueError(f"unknown class {self.class_under_test!r}")
-        pts = self.fppi_points
-        if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("fppi_points must be strictly increasing and non-empty")
 
 
 @dataclass(frozen=True)
@@ -53,19 +52,19 @@ class EvalResult:
     num_images: int
 
 
-def _reasonable(p: PersonInstance, cfg: EvalConfig) -> bool:
-    return (p.body.height >= cfg.reasonable_min_height
-            and p.occlusion_ratio < cfg.reasonable_max_occlusion)
+def _reasonable(p: PersonInstance) -> bool:
+    return (p.body.height >= REASONABLE_MIN_HEIGHT
+            and p.occlusion_ratio < REASONABLE_MAX_OCCLUSION)
 
 
-def reasonable_filter(scene: Scene, cfg: EvalConfig) -> Scene:
+def reasonable_filter(scene: Scene) -> Scene:
     """Ignore-flag persons failing the evaluation filter.
 
-    Kept: height at least `reasonable_min_height` and occlusion ratio strictly
-    below `reasonable_max_occlusion`.  Failing persons are flagged, not
+    Kept: height at least `REASONABLE_MIN_HEIGHT` and occlusion ratio strictly
+    below `REASONABLE_MAX_OCCLUSION`.  Failing persons are flagged, not
     deleted, so detections on them do not count as false positives.
     """
-    persons = [p if p.ignore or _reasonable(p, cfg) else replace(p, ignore=True)
+    persons = [p if p.ignore or _reasonable(p) else replace(p, ignore=True)
                for p in scene.persons]
     return Scene(scene.scene_id, scene.width, scene.height, tuple(persons))
 
@@ -123,7 +122,7 @@ def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> 
         # building a filtered Scene
         matchable, ignored = [], []
         for p in scene.persons:
-            (ignored if p.ignore or not _reasonable(p, cfg) else matchable).append(p)
+            (ignored if p.ignore or not _reasonable(p) else matchable).append(p)
         num_gt += len(matchable)
         scene_dets = by_scene.get(scene.scene_id)
         if not scene_dets:
@@ -152,7 +151,7 @@ def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> 
             i += 1
         curve.append((threshold, fp / num_images, 1.0 - tp / num_gt))
 
-    mr2 = log_average_miss_rate(curve, cfg.fppi_points)
+    mr2 = log_average_miss_rate(curve, FPPI_POINTS)
     return EvalResult(mr2=mr2, curve=tuple(curve), num_gt=num_gt, num_images=num_images)
 
 
@@ -184,20 +183,16 @@ def write_curve_csv(result: EvalResult, path) -> None:
 # ---------------------------------------------------------------------------
 # SVG plot (hand-rolled so output bytes are reproducible)
 
-_PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
-
-
-def write_curve_svg(curves: list[tuple[str, EvalResult]], path,
-                    fppi_range: tuple[float, float] = (1e-2, 1.0)) -> None:
-    """Log-log miss rate vs FPPI plot; legend lines carry the MR score as
-    'NAME XX.XX%'."""
+def write_curve_svg(name: str, result: EvalResult, path) -> None:
+    """Log-log miss rate vs FPPI plot over the protocol's FPPI range; the
+    legend line carries the MR score as 'NAME XX.XX%'."""
     width, height = 640, 480
     left, right, top, bottom = 70, 24, 24, 56
     pw, ph = width - left - right, height - top - bottom
 
-    x_lo, x_hi = (math.log10(v) for v in fppi_range)
+    x_lo, x_hi = math.log10(FPPI_POINTS[0]), math.log10(FPPI_POINTS[-1])
     y_hi = 0.0  # miss rate 1.0
-    y_lo = _curve_floor(curves)
+    y_lo = _curve_floor(result)
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * pw
@@ -230,32 +225,30 @@ def write_curve_svg(curves: list[tuple[str, EvalResult]], path,
                  'text-anchor="middle" font-family="sans-serif" '
                  f'transform="rotate(-90 16 {top + ph / 2:.2f})">miss rate</text>')
 
-    for k, (name, result) in enumerate(curves):
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = []
-        for _t, fppi, miss in sorted(result.curve, key=lambda c: c[1]):
-            if fppi <= 0.0:
-                continue
-            x = min(max(math.log10(fppi), x_lo), x_hi)
-            y = min(max(math.log10(max(miss, 10.0 ** y_lo)), y_lo), y_hi)
-            pts.append(f"{px(x):.2f},{py(y):.2f}")
-        if pts:
-            parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                         f'stroke="{color}" stroke-width="2"/>')
-        ly = top + 18 + 18 * k
-        parts.append(f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
-                     f'font-family="sans-serif">{name} {result.mr2 * 100.0:.2f}%</text>')
+    color = "#d62728"
+    pts = []
+    for _t, fppi, miss in sorted(result.curve, key=lambda c: c[1]):
+        if fppi <= 0.0:
+            continue
+        x = min(max(math.log10(fppi), x_lo), x_hi)
+        y = min(max(math.log10(max(miss, 10.0 ** y_lo)), y_lo), y_hi)
+        pts.append(f"{px(x):.2f},{py(y):.2f}")
+    if pts:
+        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
+    ly = top + 18
+    parts.append(f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
+                 f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+    parts.append(f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
+                 f'font-family="sans-serif">{name} {result.mr2 * 100.0:.2f}%</text>')
 
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def _curve_floor(curves) -> float:
+def _curve_floor(result: EvalResult) -> float:
     lo = -1.0
-    for _name, result in curves:
-        for _t, _f, miss in result.curve:
-            if miss > 0.0:
-                lo = min(lo, math.floor(math.log10(miss)))
+    for _t, _f, miss in result.curve:
+        if miss > 0.0:
+            lo = min(lo, math.floor(math.log10(miss)))
     return max(lo, -4.0)

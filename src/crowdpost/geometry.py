@@ -63,12 +63,6 @@ class BBox:
     def from_center_size(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
         return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
-    def clipped(self, width: float, height: float) -> "BBox":
-        """Clip into the image rectangle [0, width] x [0, height]."""
-        clamp = lambda v, hi: min(max(v, 0.0), hi)
-        return BBox(clamp(self.x_min, width), clamp(self.y_min, height),
-                    clamp(self.x_max, width), clamp(self.y_max, height))
-
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 

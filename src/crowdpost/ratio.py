@@ -60,18 +60,14 @@ def estimate_ratio(pairs) -> HeadBodyRatio:
     return HeadBodyRatio(float(alpha_w), float(alpha_h), float(delta_x), float(delta_y))
 
 
-def apply_ratio(head: BBox, ratio: HeadBodyRatio,
-                image_size: tuple[float, float] | None = None) -> BBox:
-    """Infer a body box from a head box; clip to the image when bounds given."""
+def apply_ratio(head: BBox, ratio: HeadBodyRatio) -> BBox:
+    """Infer a body box from a head box."""
     hw, hh = head.width, head.height
     hcx, hcy = head.center
-    body = BBox.from_center_size(hcx + ratio.delta_x * hw,
+    return BBox.from_center_size(hcx + ratio.delta_x * hw,
                                  hcy + ratio.delta_y * hh,
                                  ratio.alpha_w * hw,
                                  ratio.alpha_h * hh)
-    if image_size is not None:
-        body = body.clipped(image_size[0], image_size[1])
-    return body
 
 
 def scene_pairs(scenes) -> list[tuple[BBox, BBox]]:

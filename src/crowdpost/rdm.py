@@ -193,11 +193,14 @@ class TrainConfig:
     weight_decay: float = 0.0001
     epochs: int = 20
     seed: int = 0
+    hidden_dim: int = 64  # width of both hidden layers
 
     def __post_init__(self):
         object.__setattr__(self, "pos_neg_ratio", tuple(self.pos_neg_ratio))
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
+        if self.hidden_dim <= 0:
+            raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if min(self.pos_neg_ratio) <= 0:
@@ -225,7 +228,7 @@ def _assign_to_persons(dets, persons, boxes) -> dict[int, int]:
 
 
 def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet],
-                         ioh_threshold: float = 0.7) -> tuple[np.ndarray, np.ndarray]:
+                         ioh_threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate head x body pairs above the IoH gate and label them.
 
     Heads come from the post-NMS set, bodies from the pre-NMS set so that
@@ -292,8 +295,8 @@ def _sample_batch(rng: np.random.Generator, pos_idx: np.ndarray, neg_idx: np.nda
     return np.concatenate([pos, neg])
 
 
-def train(features: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-          hidden_dim: int = 64) -> tuple[RelationModel, list[float]]:
+def train(features: np.ndarray, labels: np.ndarray,
+          cfg: TrainConfig) -> tuple[RelationModel, list[float]]:
     """Minibatch SGD with momentum and weight decay on binary cross-entropy.
 
     Every batch is resampled to the configured positive:negative mix.  Fully
@@ -309,7 +312,7 @@ def train(features: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         raise ValueError("training needs at least one positive and one negative pair")
 
     init_seq, batch_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    model = RelationModel.initialize(hidden_dim, np.random.default_rng(init_seq))
+    model = RelationModel.initialize(cfg.hidden_dim, np.random.default_rng(init_seq))
     rng = np.random.default_rng(batch_seq)
 
     velocity = [np.zeros_like(p) for p in model.params()]

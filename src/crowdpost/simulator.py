@@ -15,7 +15,7 @@ No rendering happens anywhere; everything is box arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class SimConfig:
     def __post_init__(self):
         w, h = self.image_size
         object.__setattr__(self, "image_size", (float(w), float(h)))
+        if not isinstance(self.true_ratio, HeadBodyRatio):
+            object.__setattr__(self, "true_ratio", HeadBodyRatio(*self.true_ratio))
         if w <= 0 or h <= 0:
             raise ValueError(f"non-positive image size {self.image_size}")
         if self.persons_per_image < 0:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import BODY, HEAD
-from crowdpost.evaluator import EvalConfig, compute_mr2, reasonable_filter
+from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2, reasonable_filter
 from crowdpost.geometry import BBox, ioh, iou
 from crowdpost.nms import NmsConfig, build_detection_set, nms
 from crowdpost.pipeline import PostProcessConfig, postprocess
@@ -151,7 +151,7 @@ def test_criterion_3_evaluator():
     checked = 0
     while checked < 100:
         scenes, images, dets = _random_instance(rng, int(rng.integers(1, 11)))
-        filtered = [reasonable_filter(s, cfg) for s in scenes]
+        filtered = [reasonable_filter(s) for s in scenes]
         if sum(not p.ignore for s in filtered for p in s.persons) == 0:
             continue
         checked += 1
@@ -161,7 +161,7 @@ def test_criterion_3_evaluator():
             gts = [{"box": tuple(p.body.as_list()), "ignore": p.ignore}
                    for p in s.persons]
             oracle_images.append({"gts": gts, "dets": image})
-        ref_mr2, ref_curve = mr2_reference(oracle_images, cfg.fppi_points,
+        ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
         assert list(result.curve) == ref_curve
@@ -223,14 +223,14 @@ def test_criterion_5_rdm():
     assert worst < 1e-5
 
     feats, labels = _separable_pairs()
-    cfg = TrainConfig(epochs=100, seed=0)
-    fitted, trace = train(feats, labels, cfg, hidden_dim=16)
+    cfg = TrainConfig(epochs=100, seed=0, hidden_dim=16)
+    fitted, trace = train(feats, labels, cfg)
     accuracy = np.mean((fitted.score_many(feats) > 0.5) == (labels == 1.0))
     assert accuracy >= 0.99
     for earlier, later in zip(trace[:5], trace[1:6]):
         assert later <= earlier + 1e-12
 
-    again, trace_again = train(feats, labels, cfg, hidden_dim=16)
+    again, trace_again = train(feats, labels, cfg)
     assert trace == trace_again
     for pa, pb in zip(fitted.params(), again.params()):
         assert np.array_equal(pa, pb)

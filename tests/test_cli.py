@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from crowdpost.cli import main
@@ -207,6 +208,15 @@ def test_negative_num_scenes(capsys, tmp_path):
                            "--num-scenes", "-1"], "non-negative")
 
 
+@pytest.mark.parametrize("iou", ["0", "1.5", "-1", "nan"])
+def test_eval_rejects_iou_outside_unit_interval(capsys, chain, tmp_path, iou):
+    _expect_error(capsys, ["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                           "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                           "--out-prefix", str(tmp_path / "x"), f"--iou={iou}"],
+                  "iou_match_threshold")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_empty_dir(capsys, tmp_path):
     _expect_error(capsys, ["report", "--dir", str(tmp_path),
                            "--out", str(tmp_path / "r.md")], "no .eval.json")
@@ -281,7 +291,15 @@ _HUGE = 10 ** 400
     pytest.param("dets", ("dets", 0, "box", 2), _HUGE,
                  "dets.jsonl:3: dets[0].box: int too large", id="box-huge-int"),
     pytest.param("dets", ("dets", 0, "score"), _HUGE,
-                 "dets.jsonl:3: dets[0]: int too large", id="score-huge-int"),
+                 "dets.jsonl:3: dets[0].score: int too large", id="score-huge-int"),
+    pytest.param("dets", ("dets", 0, "score"), "0.5",
+                 "dets.jsonl:3: dets[0].score: expected a number, got '0.5'",
+                 id="score-string"),
+    pytest.param("dets", ("dets", 0, "box", 3), True,
+                 "dets.jsonl:3: dets[0].box: expected a number, got True",
+                 id="box-bool"),
+    pytest.param("dets", ("scene_id",), 7,
+                 "dets.jsonl:3: scene_id: expected a string, got 7", id="det-scene-id-int"),
     pytest.param("dets", ("dets", 0, "id"), float("inf"),
                  "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-infinity"),
     pytest.param("dets", ("dets", 0, "id"), 1.5,
@@ -296,7 +314,14 @@ _HUGE = 10 ** 400
     pytest.param("scenes", ("persons", 0, "ignore"), "false",
                  "scenes.jsonl:3: persons[0].ignore: expected a boolean", id="ignore-string"),
     pytest.param("scenes", ("persons", 0, "occ"), _HUGE,
-                 "scenes.jsonl:3: persons[0]: int too large", id="occ-huge-int"),
+                 "scenes.jsonl:3: persons[0].occ: int too large", id="occ-huge-int"),
+    pytest.param("scenes", ("width",), _HUGE,
+                 "scenes.jsonl:3: width: int too large", id="width-huge-int"),
+    pytest.param("scenes", ("height",), True,
+                 "scenes.jsonl:3: height: expected a number, got True", id="height-bool"),
+    pytest.param("scenes", ("scene_id",), None,
+                 "scenes.jsonl:3: scene_id: expected a string, got None",
+                 id="scene-id-null"),
 ])
 def test_malformed_input_is_one_line_error(capsys, chain, tmp_path, target, path, value,
                                            fragment):
@@ -397,3 +422,62 @@ def test_run_drops_zero_area_detections(capsys, chain, tmp_path):
     for rel in ("baseline.jsonl", "rdm.jsonl", "audit.json"):
         assert filecmp.cmp(tmp_path / "flat" / rel, tmp_path / "gone" / rel,
                            shallow=False), rel
+
+
+# ---------------------------------------------------------------------------
+# train-rdm settings: post.ioh_threshold gates the pairs, train.hidden_dim
+# sets the width
+
+def _train_argv(chain, tmp_path, *extra):
+    return ["train-rdm", "--scenes", str(chain / "scenes.jsonl"),
+            "--dets", str(chain / "dets.jsonl"), "--out-model", str(tmp_path / "model.json"),
+            "--out-loss", str(tmp_path / "loss.csv"), "--epochs", "1", *extra]
+
+
+@pytest.mark.parametrize("config, flags, fragment", [
+    pytest.param(None, ["--hidden-dim", "0"], "hidden_dim must be positive", id="flag-width"),
+    pytest.param({"train": {"hidden_dim": 0}}, [], "hidden_dim must be positive",
+                 id="config-width"),
+    pytest.param({"post": {"ioh_threshold": -1}}, [], "ioh_threshold -1 outside (0, 1)",
+                 id="gate-negative"),
+    pytest.param({"ioh_threshold": 0.3}, [], "unknown config keys: ioh_threshold",
+                 id="old-gate-key"),
+    pytest.param({"hidden_dim": 16}, [], "unknown config keys: hidden_dim", id="old-width-key"),
+])
+def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, fragment):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", str(cfg), *flags]
+    _expect_error(capsys, _train_argv(chain, tmp_path, *flags), fragment)
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "loss.csv").exists()
+
+
+def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
+    from crowdpost import cli
+    from crowdpost.nms import NmsConfig, build_detection_set
+    from crowdpost.rdm import build_training_pairs
+
+    seen = []
+    real_train = cli.train
+
+    def spy(features, labels, cfg):
+        seen.append((features, labels))
+        return real_train(features, labels, cfg)
+
+    monkeypatch.setattr(cli, "train", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"post": {"ioh_threshold": 0.3}}))
+    assert main(_train_argv(chain, tmp_path, "--config", str(cfg))) == 0
+
+    scenes = read_scenes(chain / "scenes.jsonl")
+    groups = read_detection_groups(chain / "dets.jsonl")
+    sets = [build_detection_set(sid, heads, bodies, NmsConfig())
+            for sid, heads, bodies in cli._pre_nms_by_scene(groups)]
+    features, labels = build_training_pairs(scenes, sets, 0.3)
+    (got_features, got_labels), = seen
+    assert np.array_equal(got_features, features)
+    assert np.array_equal(got_labels, labels)
+    # the looser gate admits pairs the default 0.7 gate does not
+    assert len(labels) > len(build_training_pairs(scenes, sets, 0.7)[1])

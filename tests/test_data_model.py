@@ -305,9 +305,11 @@ def _det_line(entry: str) -> str:
             f'"stage": "pre_nms", "dets": [{entry}]}}\n')
 
 
-def _scene_line(entry: str) -> str:
-    return ('{"format": "scenes/v1", "scene_id": "s0", "width": 100, "height": 100, '
-            f'"persons": [{entry}]}}\n')
+_SCENE = '"scene_id": "s0", "width": 100, "height": 100'
+
+
+def _scene_line(entry: str, scene: str = _SCENE) -> str:
+    return f'{{"format": "scenes/v1", {scene}, "persons": [{entry}]}}\n'
 
 
 _PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
@@ -326,7 +328,21 @@ _PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
     pytest.param(_det_line('{"id": 1, "box": [0, 0, 1%s, 1], "score": 0.5}' % ("0" * 400)),
                  "dets[0].box", "int too large to convert to float", id="box-huge-int"),
     pytest.param(_det_line('{"id": 1, "box": [0, 0, 1, 1], "score": 1%s}' % ("0" * 400)),
-                 "dets[0]", "int too large to convert to float", id="score-huge-int"),
+                 "dets[0].score", "int too large to convert to float", id="score-huge-int"),
+    pytest.param(_det_line('{"id": 1, "box": ["0", "0", "1e1", "10"], "score": 0.5}'),
+                 "dets[0].box", "expected a number, got '0'", id="box-strings"),
+    pytest.param(_det_line('{"id": 1, "box": [0, 0, true, 10], "score": 0.5}'),
+                 "dets[0].box", "expected a number, got True", id="box-bool"),
+    pytest.param(_det_line('{"id": 1, "box": [0, 0, 1, 1], "score": "0.5"}'),
+                 "dets[0].score", "expected a number, got '0.5'", id="score-string"),
+    pytest.param(_det_line('{"id": 1, "box": [0, 0, 1, 1], "score": true}'),
+                 "dets[0].score", "expected a number, got True", id="score-bool"),
+    pytest.param(_det_line("").replace('"s0"', "null"),
+                 "scene_id", "expected a string, got None", id="det-scene-id-null"),
+    pytest.param(_det_line("").replace('"s0"', "7"),
+                 "scene_id", "expected a string, got 7", id="det-scene-id-int"),
+    pytest.param(_det_line("").replace('"s0"', '["a"]'),
+                 "scene_id", "expected a string, got ['a']", id="det-scene-id-list"),
     pytest.param(_scene_line('{"id": 1.7, %s}' % _PERSON),
                  "persons[0].id", "expected an integer, got 1.7", id="person-id-float"),
     pytest.param(_scene_line('{"id": 1, "ignore": "false", %s}' % _PERSON),
@@ -334,7 +350,21 @@ _PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
     pytest.param(_scene_line('{"id": 1, "ignore": 0, %s}' % _PERSON),
                  "persons[0].ignore", "expected a boolean, got 0", id="ignore-int"),
     pytest.param(_scene_line('{"id": 1, "occ": 1%s, %s}' % ("0" * 400, _PERSON)),
-                 "persons[0]", "int too large to convert to float", id="occ-huge-int"),
+                 "persons[0].occ", "int too large to convert to float", id="occ-huge-int"),
+    pytest.param(_scene_line('{"id": 1, "occ": "0.2", %s}' % _PERSON),
+                 "persons[0].occ", "expected a number, got '0.2'", id="occ-string"),
+    pytest.param(_scene_line("", '"scene_id": "s0", "width": 1%s, "height": 100' % ("0" * 400)),
+                 "width", "int too large to convert to float", id="width-huge-int"),
+    pytest.param(_scene_line("", '"scene_id": "s0", "width": "100", "height": 100'),
+                 "width", "expected a number, got '100'", id="width-string"),
+    pytest.param(_scene_line("", '"scene_id": "s0", "width": 100, "height": true'),
+                 "height", "expected a number, got True", id="height-bool"),
+    pytest.param(_scene_line("", '"scene_id": null, "width": 100, "height": 100'),
+                 "scene_id", "expected a string, got None", id="scene-id-null"),
+    pytest.param(_scene_line("", '"scene_id": 7, "width": 100, "height": 100'),
+                 "scene_id", "expected a string, got 7", id="scene-id-int"),
+    pytest.param(_scene_line("", '"scene_id": ["a"], "width": 100, "height": 100'),
+                 "scene_id", "expected a string, got ['a']", id="scene-id-list"),
     pytest.param(_scene_line('[1]'), "persons[0]", "expected an object, got [1]",
                  id="person-not-object"),
 ])

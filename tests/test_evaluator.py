@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import BODY, HEAD
-from crowdpost.evaluator import (FP, IGNORED, TP, EvalConfig, EvalResult,
+from crowdpost.evaluator import (FP, FPPI_POINTS, IGNORED, TP, EvalConfig, EvalResult,
                                  compute_mr2, log_average_miss_rate, match_to_gt,
                                  reasonable_filter, write_curve_csv, write_curve_svg,
                                  write_result_json)
@@ -21,15 +21,9 @@ def _person_at(pid, x, y, w=30.0, h=100.0, occ=0.0, ignore=False):
 
 
 def test_default_fppi_points():
-    cfg = EvalConfig()
     expected = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
-    assert cfg.fppi_points == expected
-    assert len(cfg.fppi_points) == 9
-
-
-def test_fppi_points_must_increase():
-    with pytest.raises(ValueError):
-        EvalConfig(fppi_points=(0.1, 0.1, 0.3))
+    assert FPPI_POINTS == expected
+    assert len(FPPI_POINTS) == 9
 
 
 def test_reasonable_filter_boundaries():
@@ -38,7 +32,7 @@ def test_reasonable_filter_boundaries():
         _person_at(2, 40, 0, h=50.0, occ=0.34),  # exactly at both limits: kept
         _person_at(3, 80, 0, h=120.0, occ=0.35),  # occlusion at limit: ignored
     ])
-    out = reasonable_filter(s, EvalConfig())
+    out = reasonable_filter(s)
     flags = {p.person_id: p.ignore for p in out.persons}
     assert flags == {1: True, 2: False, 3: True}
     assert len(out.persons) == len(s.persons)  # flagged, never deleted
@@ -46,7 +40,7 @@ def test_reasonable_filter_boundaries():
 
 def test_reasonable_filter_keeps_existing_ignores():
     s = scene([_person_at(1, 0, 0, ignore=True)])
-    out = reasonable_filter(s, EvalConfig())
+    out = reasonable_filter(s)
     assert out.persons[0].ignore
 
 
@@ -64,7 +58,7 @@ def test_compute_mr2_filters_like_reasonable_filter():
             enumerate([(0, 49, 0.9), (40, 50, 0.8), (80, 120, 0.7), (120, 100, 0.6),
                        (160, 60, 0.5), (165, 60, 0.4), (0, 49, 0.3)])]
     cfg = EvalConfig()
-    outcomes = match_to_gt(dets, reasonable_filter(s, cfg), cfg)
+    outcomes = match_to_gt(dets, reasonable_filter(s), cfg)
     assert [o for _, o in outcomes] == [IGNORED, TP, IGNORED, IGNORED, TP, FP, IGNORED]
     result = compute_mr2(dets, [s], cfg)
     assert result.num_gt == 2
@@ -226,7 +220,7 @@ def test_matches_brute_force_reference():
     cfg = EvalConfig()
     for _ in range(30):
         scenes, images, dets = _random_instance(rng, int(rng.integers(1, 7)))
-        filtered = [reasonable_filter(s, cfg) for s in scenes]
+        filtered = [reasonable_filter(s) for s in scenes]
         if sum(not p.ignore for s in filtered for p in s.persons) == 0:
             continue
         result = compute_mr2(dets, scenes, cfg)
@@ -235,7 +229,7 @@ def test_matches_brute_force_reference():
             gts = [{"box": tuple(p.body.as_list()), "ignore": p.ignore}
                    for p in s.persons]
             oracle_images.append({"gts": gts, "dets": image})
-        ref_mr2, ref_curve = mr2_reference(oracle_images, cfg.fppi_points,
+        ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
         assert list(result.curve) == ref_curve
@@ -246,7 +240,7 @@ def test_fp_injection_never_improves_mr2():
     cfg = EvalConfig()
     for _ in range(10):
         scenes, _, dets = _random_instance(rng, 4)
-        filtered = [reasonable_filter(s, cfg) for s in scenes]
+        filtered = [reasonable_filter(s) for s in scenes]
         if sum(not p.ignore for s in filtered for p in s.persons) == 0:
             continue
         base = compute_mr2(dets, scenes, cfg).mr2
@@ -272,13 +266,13 @@ def test_ignored_only_score_levels_still_swept():
 
 
 def test_log_average_empty_curve():
-    assert log_average_miss_rate([], EvalConfig().fppi_points) == 1.0
+    assert log_average_miss_rate([], FPPI_POINTS) == 1.0
 
 
 def test_log_average_floor():
     curve = [(0.9, 0.005, 0.0)]
     # all nine references eligible, all sampled at zero miss: reported as 0
-    assert log_average_miss_rate(curve, EvalConfig().fppi_points) == 0.0
+    assert log_average_miss_rate(curve, FPPI_POINTS) == 0.0
 
 
 def test_write_result_json(tmp_path):
@@ -304,7 +298,7 @@ def test_write_curve_svg(tmp_path):
                                          (0.7, 0.9, 0.25)),
                         num_gt=4, num_images=2)
     path = tmp_path / "plot.svg"
-    write_curve_svg([("baseline", result)], path)
+    write_curve_svg("baseline", result, path)
     text = path.read_text()
     root = ET.fromstring(text)  # well-formed XML
     assert root.tag.endswith("svg")
@@ -316,6 +310,6 @@ def test_write_curve_svg_deterministic(tmp_path):
     result = EvalResult(mr2=0.3, curve=((0.9, 0.02, 0.6), (0.5, 0.4, 0.3)),
                         num_gt=3, num_images=2)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    write_curve_svg([("m", result)], a)
-    write_curve_svg([("m", result)], b)
+    write_curve_svg("m", result, a)
+    write_curve_svg("m", result, b)
     assert a.read_bytes() == b.read_bytes()

@@ -44,12 +44,6 @@ def test_from_center_size_round_trip():
     assert b.height == 16.0
 
 
-def test_clipped():
-    b = BBox(-5, -5, 20, 30)
-    c = b.clipped(10, 25)
-    assert c.as_list() == [0, 0, 10, 25]
-
-
 def test_area_examples():
     assert area(BBox(0, 0, 10, 10)) == 100.0
     assert area(BBox(0, 0, 0, 10)) == 0.0

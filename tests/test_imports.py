@@ -1,0 +1,38 @@
+"""Every name a module under src/ imports is used in that module, so a
+deletion cannot leave a stale import behind."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "crowdpost"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read.  `from __future__` imports
+    and names listed in `__all__` count as used."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_detects():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+              "from x import a, b, c\n__all__ = ['c']\nos.sep\nprint(a)\n")
+    assert unused_imports(source) == ["j", "b"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -104,8 +104,12 @@ def test_detection_file_round_trip(records):
 # ---------------------------------------------------------------------------
 # single-field corruptions
 
+# numeric strings and booleans too: float() would accept them
 _not_number = st.one_of(st.none(), st.text(alphabet="abc", max_size=3), st.lists(st.integers()),
-                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                        st.sampled_from(["0.5", "1e1", "1"]), st.booleans())
+_not_string = st.one_of(st.none(), st.integers(), st.floats(), st.booleans(),
+                        st.lists(st.text(max_size=2), max_size=1))
 _not_finite = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10 ** 400])
 _outside_unit = st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9),
                           st.integers(max_value=-1), st.integers(min_value=2), _not_finite,
@@ -134,7 +138,8 @@ def _scene_corruptions(obj):
     choices = [(("format",), st.text(max_size=8).filter(lambda t: t != "scenes/v1")),
                (("width",), st.one_of(st.floats(max_value=0.0), _not_finite, _not_number)),
                (("height",), st.one_of(st.floats(max_value=0.0), _not_finite, _not_number)),
-               (("persons",), _not_list)]
+               (("persons",), _not_list),
+               (("scene_id",), _not_string)]
     choices += [((key,), _MISSING) for key in ("scene_id", "width", "height", "persons")]
     for i, p in enumerate(obj["persons"]):
         choices += [(("persons", i), _not_object),
@@ -161,7 +166,8 @@ def _group_corruptions(obj):
                                       _not_number)),
                (("stage",), st.one_of(st.text(max_size=5).filter(lambda t: t not in STAGES),
                                       _not_number)),
-               (("dets",), _not_list)]
+               (("dets",), _not_list),
+               (("scene_id",), _not_string)]
     choices += [((key,), _MISSING) for key in ("scene_id", "class", "stage", "dets")]
     for i in range(len(obj["dets"])):
         choices += [(("dets", i), _not_object),

@@ -37,13 +37,6 @@ def test_apply_identity_ratio():
     assert apply_ratio(head, HeadBodyRatio(1, 1, 0, 0)) == head
 
 
-def test_apply_clips_to_image():
-    body = apply_ratio(BBox(0, 0, 10, 10), HeadBodyRatio(3, 8, 0, 3.5),
-                       image_size=(100, 50))
-    assert body.y_max == 50.0
-    assert body.x_min == 0.0
-
-
 def test_round_trip_exact_noise_free():
     # dyadic parameters and integer heads make the arithmetic exact
     true = HeadBodyRatio(3.0, 8.25, 0.5, 3.5)

@@ -232,8 +232,8 @@ def _separable_pairs(n_pos=250, n_neg=750, seed=0):
 
 def test_training_separates_separable_pairs():
     x, y = _separable_pairs()
-    cfg = TrainConfig(epochs=100, seed=0)
-    model, trace = train(x, y, cfg, hidden_dim=16)
+    cfg = TrainConfig(epochs=100, seed=0, hidden_dim=16)
+    model, trace = train(x, y, cfg)
     accuracy = np.mean((model.score_many(x) > 0.5) == (y == 1.0))
     assert accuracy >= 0.99
     assert len(trace) == cfg.epochs
@@ -244,9 +244,9 @@ def test_training_separates_separable_pairs():
 
 def test_training_bit_identical_across_runs():
     x, y = _separable_pairs(seed=4)
-    cfg = TrainConfig(epochs=5, seed=11)
-    model_a, trace_a = train(x, y, cfg, hidden_dim=8)
-    model_b, trace_b = train(x, y, cfg, hidden_dim=8)
+    cfg = TrainConfig(epochs=5, seed=11, hidden_dim=8)
+    model_a, trace_a = train(x, y, cfg)
+    model_b, trace_b = train(x, y, cfg)
     assert trace_a == trace_b
     for pa, pb in zip(model_a.params(), model_b.params()):
         assert np.array_equal(pa, pb)
@@ -287,6 +287,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(pos_neg_ratio=(0, 3))
+    with pytest.raises(ValueError, match="hidden_dim"):
+        TrainConfig(hidden_dim=0)
 
 
 def test_bce_loss_value():
@@ -354,12 +356,12 @@ def test_unassigned_detection_pairs_are_negative():
 def test_missing_scene_rejected():
     _, sets = _two_person_setup()
     with pytest.raises(ValueError, match="no ground-truth scene"):
-        build_training_pairs([], sets)
+        build_training_pairs([], sets, 0.7)
 
 
 def test_no_pairs_gives_empty_arrays():
     s = scene([person(1, head=(10, 0, 20, 10), body=(0, 0, 30, 80))])
     ds = DetectionSet("s0", (), (), ())
-    feats, labels = build_training_pairs([s], [ds])
+    feats, labels = build_training_pairs([s], [ds], 0.7)
     assert feats.shape == (0, FEATURE_DIM)
     assert labels.shape == (0,)

@@ -4,6 +4,7 @@ import pytest
 from crowdpost.data_model import BODY, HEAD
 from crowdpost.geometry import area, intersection_area, ioh, iou
 from crowdpost.nms import NmsConfig, nms
+from crowdpost.ratio import HeadBodyRatio
 from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scene,
                                  generate_scenes, simulate_detections,
                                  simulate_detector)
@@ -28,6 +29,15 @@ def test_config_validation():
         NoiseConfig(head_fp_rate=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(crowd_attraction=1.0)
+
+
+def test_config_converts_json_lists():
+    # a config file gives tuples and the ratio as JSON lists
+    from_lists = SimConfig(image_size=[400, 300], true_ratio=[3, 8, 0, 3.5])
+    assert from_lists == SimConfig(image_size=(400.0, 300.0),
+                                   true_ratio=HeadBodyRatio(3.0, 8.0, 0.0, 3.5))
+    assert generate_scene(from_lists, 0) == generate_scene(
+        SimConfig(image_size=(400.0, 300.0)), 0)
 
 
 def test_generation_deterministic():
