@@ -218,13 +218,11 @@ def cmd_eval(args) -> int:
     groups = read_detection_groups(args.results)
     if not groups:
         raise ValueError(f"{args.results}: empty results file")
-    dets = [d for g in groups
-            if g.class_name == args.class_name and g.stage == POST_NMS
-            for d in g.dets]
-    if not any(g.class_name == args.class_name and g.stage == POST_NMS for g in groups):
+    selected = [g for g in groups if g.class_name == args.class_name and g.stage == POST_NMS]
+    if not selected:
         raise ValueError(f"{args.results}: no post-NMS {args.class_name} groups")
 
-    result = compute_mr2(dets, scenes, eval_cfg)
+    result = compute_mr2([(g.scene_id, d) for g in selected for d in g.dets], scenes, eval_cfg)
     name = args.name if args.name else os.path.basename(args.out_prefix)
     write_result_json(result, args.out_prefix + ".eval.json", name, args.class_name)
     write_curve_csv(result, args.out_prefix + ".curve.csv")

@@ -5,7 +5,9 @@ Both file kinds hold one JSON object per line.  Scene lines:
     {"format": "scenes/v1", "scene_id": ..., "width": ..., "height": ...,
      "persons": [{"id", "head": [x1,y1,x2,y2], "body": [...], "ignore", "occ"}, ...]}
 
-Detection lines group the detections of one scene, class and NMS stage:
+Detection lines group the detections of one scene, class and NMS stage; in
+memory as on file, a detection is its id, box and score, and its scene and
+class are those of the group, set or list that holds it:
 
     {"format": "detections/v1", "scene_id": ..., "class": "head"|"body",
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
@@ -117,13 +119,11 @@ class Scene:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """A scored box of one class in one scene."""
+    """A scored box: its scene and class are those of the group that holds it."""
 
     det_id: int
     box: BBox
     score: float
-    class_name: str
-    scene_id: str
 
     def __post_init__(self):
         if type(self.det_id) is not int:
@@ -134,8 +134,6 @@ class Detection:
             object.__setattr__(self, "score", score)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"detection score {score} outside [0, 1]")
-        if self.class_name not in CLASSES:
-            raise ValueError(f"unknown detection class {self.class_name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,16 +154,8 @@ class DetectionGroup:
             raise ValueError(f"unknown class {self.class_name!r}")
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
-        scene_id, class_name = self.scene_id, self.class_name
-        member_ids = {d.det_id for d in dets
-                      if d.scene_id == scene_id and d.class_name == class_name}
-        if len(member_ids) == len(dets):
-            return
-        # name the first detection that is foreign or repeats an id
         seen = set()
         for d in dets:
-            if d.scene_id != scene_id or d.class_name != class_name:
-                raise ValueError(f"detection {d.det_id} does not belong to this group")
             if d.det_id in seen:
                 raise ValueError(f"duplicate det id {d.det_id}")
             seen.add(d.det_id)
@@ -184,10 +174,6 @@ class DetectionSet:
         for name in ("heads_post_nms", "bodies_pre_nms", "bodies_post_nms"):
             if type(getattr(self, name)) is not tuple:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        pre_ids = {d.det_id for d in self.bodies_pre_nms}
-        missing = [d.det_id for d in self.bodies_post_nms if d.det_id not in pre_ids]
-        if missing:
-            raise ValueError(f"post-NMS body ids {missing} absent from the pre-NMS set")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +328,11 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
     scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
                       path, line_no, "", "scene_id")
     class_name = _require(obj, "class", path, line_no)
+    if class_name not in CLASSES:
+        raise FormatError(f"unknown class {class_name!r}", path, line_no, "class")
     stage = _require(obj, "stage", path, line_no)
+    if stage not in STAGES:
+        raise FormatError(f"unknown stage {stage!r}", path, line_no, "stage")
     raw = _require(obj, "dets", path, line_no)
     if not isinstance(raw, list):
         raise FormatError("dets must be a list", path, line_no, "dets")
@@ -355,13 +345,7 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
         score = _number(_require(d, "score", path, line_no, item), path, line_no, item, "score")
         _typed(det_id, int, "an integer", path, line_no, item, "id")
         try:
-            dets.append(Detection(
-                det_id=det_id,
-                box=box,
-                score=score,
-                class_name=class_name,
-                scene_id=scene_id,
-            ))
+            dets.append(Detection(det_id=det_id, box=box, score=score))
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(str(exc), path, line_no, item) from exc
     try:

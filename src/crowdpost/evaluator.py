@@ -97,8 +97,9 @@ def _match(dets, matchable, ignored, cfg) -> list[tuple[int, str]]:
             for d, j, row in zip(ranked, matched, ignored_ious)]
 
 
-def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> EvalResult:
-    """Evaluate one detection class against all scenes.
+def compute_mr2(dets: list[tuple[str, Detection]], scenes: list[Scene],
+                cfg: EvalConfig) -> EvalResult:
+    """Evaluate the `(scene_id, detection)` pairs of one class against all scenes.
 
     Applies the Reasonable filter, matches per scene, then sweeps every
     distinct detection score as a keep-threshold.  For each FPPI reference
@@ -107,13 +108,10 @@ def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> 
     """
     by_scene: dict[str, list[Detection]] = {}
     scene_ids = {s.scene_id for s in scenes}
-    for d in dets:
-        if d.class_name != cfg.class_under_test:
-            raise ValueError(f"detection {d.det_id} has class {d.class_name!r}, "
-                             f"expected {cfg.class_under_test!r}")
-        if d.scene_id not in scene_ids:
-            raise ValueError(f"detection scene {d.scene_id!r} has no ground truth")
-        by_scene.setdefault(d.scene_id, []).append(d)
+    for scene_id, d in dets:
+        if scene_id not in scene_ids:
+            raise ValueError(f"detection scene {scene_id!r} has no ground truth")
+        by_scene.setdefault(scene_id, []).append(d)
 
     num_gt = 0
     pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
@@ -138,7 +136,7 @@ def compute_mr2(dets: list[Detection], scenes: list[Scene], cfg: EvalConfig) -> 
     pool.sort(key=lambda item: (-item[0], item[2], item[3]))
     # Sweep every distinct input score, not just scores of counted outcomes:
     # a level where only ignored detections enter still yields a curve point.
-    thresholds = sorted({d.score for d in dets}, reverse=True)
+    thresholds = sorted({d.score for _, d in dets}, reverse=True)
     curve = []
     tp = fp = 0
     i = 0

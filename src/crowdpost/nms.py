@@ -31,7 +31,8 @@ class NmsConfig:
 
 
 def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
-    """Suppress overlapping detections of one class within one scene.
+    """Suppress overlapping detections; the caller passes those of one class
+    within one scene.
 
     Returns (kept, input_after_floor): `input_after_floor` keeps, in input
     order, the detections that reach the score floor and have a box of
@@ -39,18 +40,10 @@ def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[De
     broken by ascending det id; a box is suppressed when its IoU with a
     higher-ranked kept box exceeds the threshold.
     """
-    if not dets:
-        return [], []
-    scene_ids = {d.scene_id for d in dets}
-    classes = {d.class_name for d in dets}
-    if len(scene_ids) > 1 or len(classes) > 1:
-        raise ValueError(f"nms input mixes scenes {scene_ids} or classes {classes}")
-
     scored = [d for d in dets if d.score >= cfg.score_floor]
     after_floor = [d for d in scored if area(d.box) > 0.0]
     if len(after_floor) < len(scored):
-        logger.info("scene %s: dropped %d zero-area %s detections", dets[0].scene_id,
-                    len(scored) - len(after_floor), dets[0].class_name)
+        logger.info("dropped %d zero-area detections", len(scored) - len(after_floor))
     ranked = sorted(after_floor, key=lambda d: (-d.score, d.det_id))
     if len(ranked) < 2:
         return ranked, after_floor

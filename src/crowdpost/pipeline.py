@@ -34,7 +34,7 @@ class PostProcessConfig:
         if not 0.0 < self.ioh_threshold < 1.0:
             raise ValueError(f"ioh_threshold {self.ioh_threshold} outside (0, 1)")
         if not 0.0 <= self.low_threshold < self.high_threshold <= 1.0:
-            raise ValueError(f"need 0 <= low < high <= 1, got "
+            raise ValueError(f"need 0 <= low_threshold < high_threshold <= 1, got "
                              f"({self.low_threshold}, {self.high_threshold})")
 
 

@@ -161,18 +161,30 @@ class RelationModel:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RelationModel":
+        """Rebuild a model from `to_obj` output; a layer whose shape breaks the
+        10->d->d->1 chain, whose bias length differs from its width, or that
+        holds a non-finite value raises a ValueError naming the layer."""
         layers = obj["layers"]
         if len(layers) != 3:
             raise ValueError(f"expected 3 layers, found {len(layers)}")
+        d = layers[0]["out"]
+        if type(d) is not int or d <= 0:
+            raise ValueError(f"layer 1: width {d!r} is not a positive integer")
         arrays = []
-        for spec in layers:
-            w = np.array(spec["weights"], dtype=np.float64).reshape(spec["in"], spec["out"])
+        for k, (spec, shape) in enumerate(zip(layers, ((FEATURE_DIM, d), (d, d), (d, 1))),
+                                          start=1):
+            if (spec["in"], spec["out"]) != shape:
+                raise ValueError(f"layer {k}: shape {spec['in']}->{spec['out']} breaks the "
+                                 f"10->{d}->{d}->1 chain")
+            w = np.array(spec["weights"], dtype=np.float64)
             b = np.array(spec["bias"], dtype=np.float64)
-            arrays.extend([w, b])
-        model = cls(*arrays)
-        if model.w1.shape[0] != FEATURE_DIM or model.w3.shape[1] != 1:
-            raise ValueError("layer dimensions do not form a 10->d->d->1 stack")
-        return model
+            if w.shape != (shape[0] * shape[1],) or b.shape != (shape[1],):
+                raise ValueError(f"layer {k}: {w.size} weights and {b.size} biases for a "
+                                 f"{shape[0]}->{shape[1]} layer")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {k}: non-finite weight or bias")
+            arrays.extend([w.reshape(shape), b])
+        return cls(*arrays)
 
 
 def save_model(model: RelationModel, path) -> None:
@@ -201,8 +213,15 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be positive")
         if self.hidden_dim <= 0:
             raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails every comparison
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum {self.momentum} outside [0, 1)")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, "
+                             f"got {self.weight_decay}")
         if min(self.pos_neg_ratio) <= 0:
             raise ValueError("pos_neg_ratio parts must be positive")
 

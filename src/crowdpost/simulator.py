@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BODY, HEAD, Detection, PersonInstance, Scene
+from .data_model import Detection, PersonInstance, Scene
 from .geometry import BBox, area, intersection_area
 from .ratio import HeadBodyRatio, apply_ratio
 
@@ -48,16 +48,19 @@ class SimConfig:
         object.__setattr__(self, "image_size", (float(w), float(h)))
         if not isinstance(self.true_ratio, HeadBodyRatio):
             object.__setattr__(self, "true_ratio", HeadBodyRatio(*self.true_ratio))
-        if w <= 0 or h <= 0:
-            raise ValueError(f"non-positive image size {self.image_size}")
-        if self.persons_per_image < 0:
-            raise ValueError("persons_per_image must be non-negative")
+        # each comparison is written so that NaN fails it
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf):
+            raise ValueError(f"image_size must be positive and finite, got {self.image_size}")
         if not 0.0 <= self.crowd_cluster_prob <= 1.0:
-            raise ValueError("crowd_cluster_prob outside [0, 1]")
-        if self.head_aspect <= 0 or self.median_height <= 0:
-            raise ValueError("head_aspect and median_height must be positive")
-        if self.log_height_sigma < 0:
-            raise ValueError("log_height_sigma must be non-negative")
+            raise ValueError(f"crowd_cluster_prob {self.crowd_cluster_prob} outside [0, 1]")
+        for name in ("head_aspect", "median_height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        for name in ("persons_per_image", "log_height_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,19 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each comparison is written so that NaN fails it
         if not 0.0 <= self.detect_prob <= 1.0:
-            raise ValueError("detect_prob outside [0, 1]")
+            raise ValueError(f"detect_prob {self.detect_prob} outside [0, 1]")
         if not 0.0 <= self.crowd_attraction < 1.0:
-            raise ValueError("crowd_attraction outside [0, 1)")
+            raise ValueError(f"crowd_attraction {self.crowd_attraction} outside [0, 1)")
+        for name in ("tp_score_mean", "fp_score_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("loc_jitter_sigma", "tp_score_std", "fp_score_std",
                      "head_fp_rate", "body_fp_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +372,9 @@ def simulate_detector(scene: Scene, noise: NoiseConfig,
     heads: list[Detection] = []
     bodies: list[Detection] = []
 
-    def emit(dets, box, score, class_name):
+    def emit(dets, box, score):
         if box is not None:
-            dets.append(Detection(det_id=len(dets), box=box, score=score,
-                                  class_name=class_name, scene_id=scene.scene_id))
+            dets.append(Detection(det_id=len(dets), box=box, score=score))
 
     partners = _overlap_partners(scene) if noise.crowd_attraction > 0 else {}
     for p in scene.persons:
@@ -378,18 +385,18 @@ def simulate_detector(scene: Scene, noise: NoiseConfig,
         partner = partners.get(p.person_id)
         if bbox is not None and partner is not None:
             bbox = _attract(rng, bbox, partner, noise.crowd_attraction, img_w, img_h)
-        emit(heads, hbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std), HEAD)
-        emit(bodies, bbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std), BODY)
+        emit(heads, hbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std))
+        emit(bodies, bbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std))
 
     if scene.persons:
         for _ in range(int(rng.poisson(noise.head_fp_rate))):
             person = scene.persons[int(rng.integers(len(scene.persons)))]
             emit(heads, _head_fp_box(rng, person, img_w, img_h),
-                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std), HEAD)
+                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std))
         for _ in range(int(rng.poisson(noise.body_fp_rate))):
             person = scene.persons[int(rng.integers(len(scene.persons)))]
             emit(bodies, _body_fp_box(rng, person, img_w, img_h),
-                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std), BODY)
+                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std))
 
     return heads, bodies
 

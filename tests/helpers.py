@@ -1,12 +1,11 @@
 """Small builders shared by the test modules."""
 
-from crowdpost.data_model import BODY, HEAD, Detection, PersonInstance, Scene
+from crowdpost.data_model import Detection, PersonInstance, Scene
 from crowdpost.geometry import BBox
 
 
-def det(det_id, box, score, class_name=BODY, scene_id="s0"):
-    return Detection(det_id=det_id, box=BBox(*box), score=score,
-                     class_name=class_name, scene_id=scene_id)
+def det(det_id, box, score):
+    return Detection(det_id=det_id, box=BBox(*box), score=score)
 
 
 def person(person_id, head, body, ignore=False, occ=0.0):

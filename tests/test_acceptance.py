@@ -121,7 +121,7 @@ def _boundary_mr2(height, occ):
     anchor = person(0, (10, 0, 22, 10), (0, 0, 30, 100))
     probe = person(1, (210, 0, 222, 10), (200, 0, 230, height), occ=occ)
     s = scene([anchor, probe], width=400.0, height=400.0)
-    dets = [det(0, (0, 0, 30, 100), 0.9)]
+    dets = [("s0", det(0, (0, 0, 30, 100), 0.9))]
     return compute_mr2(dets, [s], EvalConfig()).mr2
 
 
@@ -134,9 +134,9 @@ def test_criterion_3_evaluator():
     persons = [person(i, (10, 0, 22, 10), (0, 0, 30, 100)) for i in range(2)]
     perfect_scenes = [scene(persons[:1], scene_id="a", width=400, height=400),
                       scene(persons, scene_id="b", width=400, height=400)]
-    perfect = [det(0, (0, 0, 30, 100), 0.9, scene_id="a"),
-               det(0, (0, 0, 30, 100), 0.9, scene_id="b"),
-               det(1, (0, 0, 30, 100), 0.9, scene_id="b")]
+    perfect = [("a", det(0, (0, 0, 30, 100), 0.9)),
+               ("b", det(0, (0, 0, 30, 100), 0.9)),
+               ("b", det(1, (0, 0, 30, 100), 0.9))]
     assert compute_mr2(perfect, perfect_scenes, cfg).mr2 == 0.0
     empty = compute_mr2([], perfect_scenes, cfg)
     assert empty.mr2 == 1.0 and empty.curve == ()
@@ -309,10 +309,10 @@ def _direction_one_seed(seed, cluster=0.65):
         ds = build_detection_set(s.scene_id, h, b, nms_cfg)
         out = postprocess(ds.heads_post_nms, ds.bodies_pre_nms,
                           ds.bodies_post_nms, model.score_pairs, post_cfg)
-        base[HEAD] += ds.heads_post_nms
-        base[BODY] += ds.bodies_post_nms
-        with_model[HEAD] += out.final_heads
-        with_model[BODY] += out.final_bodies
+        base[HEAD] += [(s.scene_id, d) for d in ds.heads_post_nms]
+        base[BODY] += [(s.scene_id, d) for d in ds.bodies_post_nms]
+        with_model[HEAD] += [(s.scene_id, d) for d in out.final_heads]
+        with_model[BODY] += [(s.scene_id, d) for d in out.final_bodies]
     result = {}
     for cls in (HEAD, BODY):
         cfg = EvalConfig(class_under_test=cls)

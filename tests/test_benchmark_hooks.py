@@ -1,0 +1,50 @@
+"""The benchmark's traced mode (`perfbench/run.py --trace 1`) patches names
+on `crowdpost.cli` and calls `postprocess` positionally.  Its own tests are
+outside this suite, so these read perfbench/run.py as text and check that
+the names it relies on still exist; nothing under perfbench/ is imported."""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+from crowdpost import cli
+
+RUN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def patched_names(source: str) -> set[str]:
+    """Names `install_tracer` patches on its `cli` argument: the string keys
+    of the dicts in its body and the attributes it sets on `cli`."""
+    tree = ast.parse(source)
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install_tracer")
+    names = set()
+    for node in ast.walk(install):
+        if isinstance(node, ast.Dict):
+            names |= {k.value for k in node.keys
+                      if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "cli"):
+            names.add(node.attr)
+    return names
+
+
+NAMES = sorted(patched_names(RUN.read_text(encoding="utf-8")) | {"postprocess"})
+
+
+def test_patched_names_found():
+    assert {"read_detection_groups", "build_detection_set", "compute_mr2",
+            "postprocess"} <= set(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_patched_name_exists_in_cli(name):
+    assert callable(getattr(cli, name, None))
+
+
+def test_postprocess_takes_its_arguments_positionally():
+    params = list(inspect.signature(cli.postprocess).parameters.values())
+    assert [p.name for p in params] == ["heads", "bodies_pre", "bodies_post", "scorer", "cfg"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)

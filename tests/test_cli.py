@@ -443,6 +443,8 @@ def _train_argv(chain, tmp_path, *extra):
     pytest.param({"ioh_threshold": 0.3}, [], "unknown config keys: ioh_threshold",
                  id="old-gate-key"),
     pytest.param({"hidden_dim": 16}, [], "unknown config keys: hidden_dim", id="old-width-key"),
+    pytest.param(None, ["--learning-rate", "nan"],
+                 "learning_rate must be positive and finite, got nan", id="nan-learning-rate"),
 ])
 def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, fragment):
     if config is not None:
@@ -452,6 +454,25 @@ def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, 
     _expect_error(capsys, _train_argv(chain, tmp_path, *flags), fragment)
     assert not (tmp_path / "model.json").exists()
     assert not (tmp_path / "loss.csv").exists()
+
+
+def test_simulate_rejects_nan_setting(capsys, tmp_path):
+    scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    _expect_error(capsys, ["simulate", "--out-scenes", str(scenes), "--out-dets", str(dets),
+                           "--num-scenes", "2", "--persons-per-image", "nan"],
+                  "persons_per_image must be non-negative and finite, got nan")
+    assert not scenes.exists() and not dets.exists()
+
+
+def test_run_rejects_non_finite_model(capsys, chain, tmp_path):
+    obj = json.loads((chain / "model.json").read_text())
+    obj["layers"][1]["weights"][0] = float("nan")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    _expect_error(capsys, ["run", "--dets", str(chain / "dets.jsonl"), "--model", str(model),
+                           "--out-dir", str(out)], "layer 2: non-finite weight or bias")
+    assert not out.exists()
 
 
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):

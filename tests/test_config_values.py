@@ -1,0 +1,44 @@
+"""Every float setting of every config dataclass rejects NaN and infinity,
+with a message naming the setting."""
+
+import dataclasses
+import math
+
+import pytest
+
+from crowdpost.evaluator import EvalConfig
+from crowdpost.nms import NmsConfig
+from crowdpost.pipeline import PostProcessConfig
+from crowdpost.rdm import TrainConfig
+from crowdpost.simulator import NoiseConfig, SimConfig
+
+CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig)
+
+
+def _float_settings():
+    """(config class, field, index): index is None for a float field and the
+    position within a tuple-of-floats field."""
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            if f.type == "float":
+                yield pytest.param(cls, f.name, None, id=f"{cls.__name__}.{f.name}")
+            elif f.type == "tuple[float, float]":
+                for index in range(2):
+                    yield pytest.param(cls, f.name, index,
+                                       id=f"{cls.__name__}.{f.name}[{index}]")
+
+
+def test_every_config_has_a_float_setting():
+    covered = {p.values[0] for p in _float_settings()}
+    assert covered == set(CONFIGS)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name, index", _float_settings())
+def test_non_finite_setting_rejected(cls, name, index, value):
+    if index is not None:
+        items = list(getattr(cls(), name))
+        items[index] = value
+        value = tuple(items)
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})

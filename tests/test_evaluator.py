@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from crowdpost.data_model import BODY, HEAD
+from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FP, FPPI_POINTS, IGNORED, TP, EvalConfig, EvalResult,
                                  compute_mr2, log_average_miss_rate, match_to_gt,
                                  reasonable_filter, write_curve_csv, write_curve_svg,
@@ -60,7 +60,7 @@ def test_compute_mr2_filters_like_reasonable_filter():
     cfg = EvalConfig()
     outcomes = match_to_gt(dets, reasonable_filter(s), cfg)
     assert [o for _, o in outcomes] == [IGNORED, TP, IGNORED, IGNORED, TP, FP, IGNORED]
-    result = compute_mr2(dets, [s], cfg)
+    result = compute_mr2([("s0", d) for d in dets], [s], cfg)
     assert result.num_gt == 2
     tp = fp = 0
     expected = []
@@ -117,8 +117,7 @@ def test_perfect_detector_scores_zero():
     dets = []
     for s in scenes:
         for p in s.persons:
-            dets.append(det(p.person_id, tuple(p.body.as_list()), 1.0,
-                            scene_id=s.scene_id))
+            dets.append((s.scene_id, det(p.person_id, tuple(p.body.as_list()), 1.0)))
     result = compute_mr2(dets, scenes, EvalConfig())
     assert result.mr2 == 0.0
     assert result.num_gt == 3
@@ -138,28 +137,21 @@ def test_zero_gt_rejected():
         compute_mr2([], scenes, EvalConfig())
 
 
-def test_wrong_class_rejected():
-    scenes = [scene([_person_at(1, 10, 10)])]
-    d = det(1, (10, 10, 40, 110), 0.9, HEAD)
-    with pytest.raises(ValueError, match="has class"):
-        compute_mr2([d], scenes, EvalConfig(class_under_test=BODY))
-
-
 def test_unknown_scene_rejected():
     scenes = [scene([_person_at(1, 10, 10)], scene_id="a")]
-    d = det(1, (10, 10, 40, 110), 0.9, scene_id="zz")
+    d = det(1, (10, 10, 40, 110), 0.9)
     with pytest.raises(ValueError, match="no ground truth"):
-        compute_mr2([d], scenes, EvalConfig())
+        compute_mr2([("zz", d)], scenes, EvalConfig())
 
 
 def _worked_example():
     scenes = [scene([_person_at(1, 10, 10)], scene_id=f"s{i}") for i in range(4)]
     dets = [
-        det(1, (10, 10, 40, 110), 0.9, scene_id="s0"),   # TP
-        det(2, (150, 10, 180, 110), 0.85, scene_id="s0"),  # FP
-        det(1, (10, 10, 40, 110), 0.8, scene_id="s1"),   # TP
-        det(1, (10, 10, 40, 110), 0.7, scene_id="s2"),   # TP
-        det(2, (150, 10, 180, 110), 0.6, scene_id="s1"),   # FP
+        ("s0", det(1, (10, 10, 40, 110), 0.9)),   # TP
+        ("s0", det(2, (150, 10, 180, 110), 0.85)),  # FP
+        ("s1", det(1, (10, 10, 40, 110), 0.8)),   # TP
+        ("s2", det(1, (10, 10, 40, 110), 0.7)),   # TP
+        ("s1", det(2, (150, 10, 180, 110), 0.6)),   # FP
     ]
     return scenes, dets
 
@@ -209,7 +201,7 @@ def _random_instance(rng, n_scenes):
                 w, h = rng.uniform(10, 80, size=2)
                 box = (x, y, x + w, y + h)
             score = float(rng.choice([0.2, 0.4, 0.6, 0.6, 0.8, 0.95]))
-            dets.append(det(j, box, score, scene_id=f"s{i}"))
+            dets.append((f"s{i}", det(j, box, score)))
             image.append({"id": j, "box": box, "score": score})
         images.append(image)
     return scenes, images, dets
@@ -244,8 +236,8 @@ def test_fp_injection_never_improves_mr2():
         if sum(not p.ignore for s in filtered for p in s.persons) == 0:
             continue
         base = compute_mr2(dets, scenes, cfg).mr2
-        junk = [det(1000 + j, (350 + 2 * j, 350, 380 + 2 * j, 390),
-                    float(rng.uniform(0.05, 1)), scene_id=scenes[0].scene_id)
+        junk = [(scenes[0].scene_id, det(1000 + j, (350 + 2 * j, 350, 380 + 2 * j, 390),
+                                         float(rng.uniform(0.05, 1))))
                 for j in range(5)]
         worse = compute_mr2(dets + junk, scenes, cfg).mr2
         assert worse >= base
@@ -255,8 +247,8 @@ def test_fp_injection_never_improves_mr2():
 def test_ignored_only_score_levels_still_swept():
     scenes = [scene([_person_at(1, 10, 10, ignore=True)], scene_id="a"),
               scene([_person_at(1, 10, 10)], scene_id="b")]
-    dets = [det(1, (10, 10, 40, 110), 0.9, scene_id="a"),   # absorbed
-            det(1, (10, 10, 40, 110), 0.95, scene_id="b")]  # TP
+    dets = [("a", det(1, (10, 10, 40, 110), 0.9)),   # absorbed
+            ("b", det(1, (10, 10, 40, 110), 0.95))]  # TP
     result = compute_mr2(dets, scenes, EvalConfig())
     assert result.mr2 == 0.0
     assert result.num_gt == 1

@@ -35,20 +35,6 @@ def test_empty_input():
     assert nms([], NmsConfig()) == ([], [])
 
 
-def test_mixed_scene_rejected():
-    a = det(1, (0, 0, 10, 10), 0.9, scene_id="s0")
-    b = det(2, (0, 0, 10, 10), 0.8, scene_id="s1")
-    with pytest.raises(ValueError, match="mixes"):
-        nms([a, b], NmsConfig())
-
-
-def test_mixed_class_rejected():
-    a = det(1, (0, 0, 10, 10), 0.9, BODY)
-    b = det(2, (0, 0, 10, 10), 0.8, HEAD)
-    with pytest.raises(ValueError, match="mixes"):
-        nms([a, b], NmsConfig())
-
-
 def test_suppression_is_strictly_greater_than_threshold():
     # IoU of the pair is exactly 0.5: half-area box nested in the other
     a = det(1, (0, 0, 10, 10), 0.9)
@@ -125,7 +111,7 @@ def test_raising_threshold_never_shrinks_kept_set():
 
 
 def test_build_detection_set():
-    heads = [det(1, (10, 0, 20, 12), 0.9, HEAD), det(2, (10, 0, 20, 12), 0.8, HEAD)]
+    heads = [det(1, (10, 0, 20, 12), 0.9), det(2, (10, 0, 20, 12), 0.8)]
     bodies = [det(1, (5, 0, 35, 80), 0.9), det(2, (6, 0, 36, 80), 0.7),
               det(3, (100, 0, 130, 80), 0.02)]
     ds = build_detection_set("s0", heads, bodies, NmsConfig())
@@ -136,14 +122,19 @@ def test_build_detection_set():
 
 @pytest.mark.parametrize("class_name", [HEAD, BODY])
 def test_zero_area_boxes_dropped_at_floor(caplog, class_name):
-    flat = det(1, (5, 5, 5, 15), 0.95, class_name)   # zero width
-    line = det(2, (0, 8, 20, 8), 0.9, class_name)    # zero height
-    good = det(3, (0, 0, 10, 10), 0.8, class_name)
+    flat = det(1, (5, 5, 5, 15), 0.95)   # zero width
+    line = det(2, (0, 8, 20, 8), 0.9)    # zero height
+    good = det(3, (0, 0, 10, 10), 0.8)
+    dets = [flat, line, good]
     with caplog.at_level("INFO", logger="crowdpost.nms"):
-        kept, floored = nms([flat, line, good], NmsConfig())
+        kept, floored = nms(dets, NmsConfig())
+        ds = build_detection_set("s0", dets if class_name == HEAD else [],
+                                 dets if class_name == BODY else [], NmsConfig())
     assert kept == [good]
     assert floored == [good]
-    assert "dropped 2 zero-area" in caplog.text
+    kept_of_class = ds.heads_post_nms if class_name == HEAD else ds.bodies_post_nms
+    assert kept_of_class == (good,)
+    assert caplog.text.count("dropped 2 zero-area detections") == 2
 
 
 def test_zero_area_rule_matches_reference():

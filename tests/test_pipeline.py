@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from crowdpost.data_model import HEAD
 from crowdpost.geometry import BBox, box_array, ioh, pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess
 
@@ -16,9 +15,9 @@ def stub(value):
 # h3 inside only the suppressed b2, h2 inside nothing
 B1_KEPT = det(1, (0, 0, 30, 80), 0.9)
 B2_SUPPRESSED = det(2, (6, 0, 36, 80), 0.7)
-H_BOTH = det(1, (10, 0, 20, 12), 0.9, HEAD)
-H_ORPHAN = det(2, (50, 0, 60, 12), 0.8, HEAD)
-H_SUPPRESSED_ONLY = det(3, (31, 0, 36, 12), 0.85, HEAD)
+H_BOTH = det(1, (10, 0, 20, 12), 0.9)
+H_ORPHAN = det(2, (50, 0, 60, 12), 0.8)
+H_SUPPRESSED_ONLY = det(3, (31, 0, 36, 12), 0.85)
 
 BODIES_PRE = [B1_KEPT, B2_SUPPRESSED]
 BODIES_POST = [B1_KEPT]
@@ -159,7 +158,7 @@ def test_subset_precondition_compares_whole_detections():
 
 
 def test_zero_area_head_raises_only_when_there_are_bodies():
-    flat = det(7, (10, 0, 10, 12), 0.9, HEAD)
+    flat = det(7, (10, 0, 10, 12), 0.9)
     with pytest.raises(ValueError, match="zero-area head"):
         postprocess([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
     with pytest.raises(ValueError, match="zero-area head"):
@@ -169,7 +168,7 @@ def test_zero_area_head_raises_only_when_there_are_bodies():
 
 
 def test_duplicate_recall_inserted_once():
-    twin = det(4, (31, 0, 36, 12), 0.8, HEAD)  # also only inside b2
+    twin = det(4, (31, 0, 36, 12), 0.8)  # also only inside b2
     out = postprocess([H_SUPPRESSED_ONLY, twin], BODIES_PRE, BODIES_POST,
                       stub(0.95), CFG)
     assert ids(out.final_bodies) == [1, 2]
@@ -205,13 +204,12 @@ def test_neutral_thresholds_change_nothing():
         assert out.removed_head_ids == []
 
 
-def _fuzz_scene(rng, scene_id="s0"):
+def _fuzz_scene(rng):
     bodies_pre = []
     for i in range(rng.integers(1, 12)):
         x, y = rng.uniform(0, 150, size=2)
         w, h = rng.uniform(15, 45, size=2)
-        bodies_pre.append(det(i, (x, y, x + w, y + h), float(rng.uniform(0.1, 1)),
-                              scene_id=scene_id))
+        bodies_pre.append(det(i, (x, y, x + w, y + h), float(rng.uniform(0.1, 1))))
     post_n = int(rng.integers(0, len(bodies_pre) + 1))
     bodies_post = list(rng.choice(len(bodies_pre), size=post_n, replace=False))
     bodies_post = [bodies_pre[i] for i in sorted(bodies_post)]
@@ -221,8 +219,7 @@ def _fuzz_scene(rng, scene_id="s0"):
         hw = anchor.width * 0.35
         hx = anchor.x_min + rng.uniform(-0.3, 1.0) * anchor.width
         hy = anchor.y_min + rng.uniform(-0.2, 0.4) * anchor.height
-        heads.append(det(i, (hx, hy, hx + hw, hy + hw), float(rng.uniform(0.1, 1)),
-                         HEAD, scene_id=scene_id))
+        heads.append(det(i, (hx, hy, hx + hw, hy + hw), float(rng.uniform(0.1, 1))))
     return heads, bodies_pre, bodies_post
 
 

@@ -71,7 +71,7 @@ def group_files(draw, min_dets=0):
                          min_size=1, max_size=4, unique=True))
     groups = []
     for scene_id, class_name, stage in keys:
-        dets = tuple(Detection(det_id, draw(boxes()), draw(_unit), class_name, scene_id)
+        dets = tuple(Detection(det_id, draw(boxes()), draw(_unit))
                      for det_id in draw(st.lists(_ids, min_size=min_dets, max_size=4,
                                                  unique=True)))
         groups.append(DetectionGroup(scene_id, class_name, stage, dets))

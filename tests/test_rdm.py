@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdpost.data_model import HEAD, DetectionSet
+from crowdpost.data_model import DetectionSet
 from crowdpost.geometry import BBox
 from crowdpost.rdm import (FEATURE_DIM, RelationModel, TrainConfig, bce_loss,
                            build_training_pairs, extract_features, load_model,
@@ -17,7 +17,7 @@ from helpers import det, person, scene
 # features
 
 def test_feature_worked_example():
-    head = det(1, (10, 10, 20, 20), 0.9, HEAD)
+    head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
     got = extract_features(head, body)
     expected = np.array([
@@ -37,7 +37,7 @@ def test_feature_worked_example():
 
 def test_feature_identity_geometry():
     box = (4, 2, 10, 14)
-    head = det(1, box, 1.0, HEAD)
+    head = det(1, box, 1.0)
     body = det(1, box, 1.0)
     got = extract_features(head, body)
     aspect = 6.0 / 12.0
@@ -45,29 +45,29 @@ def test_feature_identity_geometry():
 
 
 def test_feature_determinism():
-    head = det(1, (10, 10, 20, 20), 0.9, HEAD)
+    head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
     assert np.array_equal(extract_features(head, body), extract_features(head, body))
 
 
 def test_feature_translation_and_scale_invariance():
-    head = det(1, (10, 10, 20, 20), 0.9, HEAD)
+    head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
     base = extract_features(head, body)
 
     shift = lambda box, dx, dy: (box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy)
-    moved = extract_features(det(1, shift((10, 10, 20, 20), 7, 31), 0.9, HEAD),
+    moved = extract_features(det(1, shift((10, 10, 20, 20), 7, 31), 0.9),
                              det(1, shift((5, 10, 35, 90), 7, 31), 0.8))
     assert np.array_equal(base, moved)
 
     scale = lambda box, s: tuple(s * v for v in box)
-    scaled = extract_features(det(1, scale((10, 10, 20, 20), 2.0), 0.9, HEAD),
+    scaled = extract_features(det(1, scale((10, 10, 20, 20), 2.0), 0.9),
                               det(1, scale((5, 10, 35, 90), 2.0), 0.8))
     assert np.array_equal(base, scaled)
 
 
 def test_feature_rejects_zero_area_box():
-    head = det(1, (10, 10, 10, 20), 0.9, HEAD)
+    head = det(1, (10, 10, 10, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
     with pytest.raises(ValueError, match="zero-area"):
         extract_features(head, body)
@@ -93,7 +93,7 @@ def _feature_pairs(rng, n):
             head = (x + fx0 * w, y, x + max(fx1, fx0 + 0.01) * w, y + 0.2 * h)
         else:            # the body's own box
             head = body
-        heads.append(det(k, head, float(rng.uniform(0, 1)), HEAD))
+        heads.append(det(k, head, float(rng.uniform(0, 1))))
         bodies.append(det(k, body, float(rng.uniform(0, 1))))
     return heads, bodies
 
@@ -110,7 +110,7 @@ def test_pair_features_equal_stacked_reference():
 
 def test_pair_features_reject_zero_area_box():
     good = det(1, (5, 10, 35, 90), 0.8)
-    for flat in (det(2, (10, 10, 10, 20), 0.9, HEAD), det(2, (10, 10, 20, 10), 0.9)):
+    for flat in (det(2, (10, 10, 10, 20), 0.9), det(2, (10, 10, 20, 10), 0.9)):
         with pytest.raises(ValueError, match="zero-area"):
             pair_features([good, flat], [good, good])
         with pytest.raises(ValueError, match="zero-area"):
@@ -173,6 +173,32 @@ def test_from_obj_validates_layers():
     del obj["layers"][2]
     with pytest.raises(ValueError, match="3 layers"):
         RelationModel.from_obj(obj)
+
+
+def _set(layer, **values):
+    return lambda layers: layers[layer].update(values)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(_set(0, bias=[0.0]), "layer 1: 40 weights and 1 biases for a 10->4 layer",
+                 id="short-bias"),
+    pytest.param(lambda layers: layers[1]["weights"].__setitem__(5, float("nan")),
+                 "layer 2: non-finite weight or bias", id="nan-weight"),
+    pytest.param(_set(2, bias=[float("inf")]), "layer 3: non-finite weight or bias",
+                 id="inf-bias"),
+    pytest.param(_set(1, out=3, weights=[0.0] * 12, bias=[0.0] * 3),
+                 "layer 2: shape 4->3 breaks the 10->4->4->1 chain", id="narrow-middle"),
+    pytest.param(_set(2, weights=[0.0] * 3), "layer 3: 3 weights and 1 biases for a 4->1 layer",
+                 id="short-weights"),
+    pytest.param(_set(0, out=0, weights=[], bias=[]),
+                 "layer 1: width 0 is not a positive integer", id="zero-width"),
+])
+def test_from_obj_rejects_bad_layers(mutate, message):
+    obj = RelationModel.initialize(hidden_dim=4, seed=0).to_obj()
+    mutate(obj["layers"])
+    with pytest.raises(ValueError) as exc_info:
+        RelationModel.from_obj(obj)
+    assert str(exc_info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +339,7 @@ def _two_person_setup():
         person(1, head=(10, 0, 20, 10), body=(0, 0, 30, 80)),
         person(2, head=(28, 0, 38, 10), body=(12, 0, 48, 80)),
     ])
-    heads = [det(1, (10, 0, 20, 10), 0.9, HEAD), det(2, (28, 0, 38, 10), 0.85, HEAD)]
+    heads = [det(1, (10, 0, 20, 10), 0.9), det(2, (28, 0, 38, 10), 0.85)]
     bodies = [det(1, (0, 0, 30, 80), 0.9), det(2, (12, 0, 48, 80), 0.8)]
     ds = DetectionSet("s0", tuple(heads), tuple(bodies), tuple(bodies))
     return [s], [ds]
@@ -346,7 +372,7 @@ def test_unassigned_detection_pairs_are_negative():
     s = scene([person(1, head=(10, 0, 20, 10), body=(0, 0, 30, 80))])
     # body det too wide to localize the ground truth (IoU 0.31), but the head
     # still lies inside it, so the pair is emitted with label 0
-    heads = [det(1, (10, 0, 20, 10), 0.9, HEAD)]
+    heads = [det(1, (10, 0, 20, 10), 0.9)]
     bodies = [det(1, (8, 0, 70, 80), 0.8)]
     ds = DetectionSet("s0", tuple(heads), tuple(bodies), tuple(bodies))
     _, labels = build_training_pairs([s], [ds], ioh_threshold=0.7)
