@@ -1,10 +1,10 @@
 """Axis-aligned bounding-box arithmetic: areas, overlaps, IoU and IoH.
 
-The scalar `iou`/`ioh` are the reference definitions.  `pairwise_iou` and
-`pairwise_ioh` evaluate the same arithmetic in the same order over (n, 4)
-float64 arrays, so every matrix entry is bit-identical to the scalar value
-for finite input; `greedy_match` is the one greedy assignment over such a
-matrix.
+The scalar `intersection_area`/`iou`/`ioh` are the reference definitions.
+`pairwise_intersection`, `pairwise_iou` and `pairwise_ioh` evaluate the same
+arithmetic in the same order over (n, 4) float64 arrays, so every matrix
+entry is bit-identical to the scalar value for finite input;
+`greedy_match` is the one greedy assignment over such a matrix.
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ def _areas(boxes: np.ndarray) -> np.ndarray:
     return wh[:, 0] * wh[:, 1]
 
 
-def _pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix whose [i, j] entry equals `intersection_area` of boxes
+    a[i] and b[j]."""
     # clamping the extents at 0 gives the scalar path's 0 for every disjoint
     # or touching pair (up to the sign of zero)
     wh = np.minimum(a[:, None, 2:], b[:, 2:]) - np.maximum(a[:, None, :2], b[:, :2])
@@ -133,7 +135,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) matrix whose [i, j] entry equals `iou` of boxes a[i] and b[j]."""
     area_a = _areas(a)
     area_b = area_a if b is a else _areas(b)
-    inter = _pairwise_intersection(a, b)
+    inter = pairwise_intersection(a, b)
     return inter / np.maximum(area_a[:, None] + area_b - inter, _UNION_FLOOR)
 
 
@@ -148,7 +150,7 @@ def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
         degenerate = np.flatnonzero(head_area <= 0.0)
         if len(degenerate):
             raise ValueError(f"zero-area head box: {BBox(*heads[degenerate[0]])}")
-    return _pairwise_intersection(heads, bodies) / head_area[:, None]
+    return pairwise_intersection(heads, bodies) / head_area[:, None]
 
 
 def greedy_match(ious: np.ndarray, threshold: float) -> list[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,14 @@ class HeadBodyRatio:
     def __post_init__(self):
         for name in ("alpha_w", "alpha_h", "delta_x", "delta_y"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.alpha_w <= 0 or self.alpha_h <= 0:
-            raise ValueError(f"scale factors must be positive, got "
-                             f"({self.alpha_w}, {self.alpha_h})")
+        # each comparison is written so that NaN fails it
+        for name in ("alpha_w", "alpha_h"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        for name in ("delta_x", "delta_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def estimate_ratio(pairs) -> HeadBodyRatio:

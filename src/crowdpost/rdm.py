@@ -161,23 +161,41 @@ class RelationModel:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RelationModel":
-        """Rebuild a model from `to_obj` output; a layer whose shape breaks the
-        10->d->d->1 chain, whose bias length differs from its width, or that
-        holds a non-finite value raises a ValueError naming the layer."""
-        layers = obj["layers"]
+        """Rebuild a model from `to_obj` output.  A top level that is not an
+        object with a `layers` list raises a ValueError; so does a layer that
+        is not an object, whose weights or bias are not a list of numbers,
+        whose shape breaks the 10->d->d->1 chain, whose bias length differs
+        from its width, or that holds a non-finite value, naming the layer."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"model must be a JSON object, got {type(obj).__name__}")
+        layers = obj.get("layers")
+        if not isinstance(layers, list):
+            raise ValueError(f"model layers must be a list, got {type(layers).__name__}")
         if len(layers) != 3:
             raise ValueError(f"expected 3 layers, found {len(layers)}")
-        d = layers[0]["out"]
+        for k, spec in enumerate(layers, start=1):
+            if not isinstance(spec, dict):
+                raise ValueError(f"layer {k}: expected an object, got {type(spec).__name__}")
+            for key in ("weights", "bias"):
+                values = spec.get(key)
+                if not (isinstance(values, list)
+                        and all(type(v) is float or type(v) is int for v in values)):
+                    raise ValueError(f"layer {k}: {key} must be a list of numbers")
+        # a missing width reads as None and fails the checks below
+        d = layers[0].get("out")
         if type(d) is not int or d <= 0:
             raise ValueError(f"layer 1: width {d!r} is not a positive integer")
         arrays = []
         for k, (spec, shape) in enumerate(zip(layers, ((FEATURE_DIM, d), (d, d), (d, 1))),
                                           start=1):
-            if (spec["in"], spec["out"]) != shape:
-                raise ValueError(f"layer {k}: shape {spec['in']}->{spec['out']} breaks the "
-                                 f"10->{d}->{d}->1 chain")
-            w = np.array(spec["weights"], dtype=np.float64)
-            b = np.array(spec["bias"], dtype=np.float64)
+            if (spec.get("in"), spec.get("out")) != shape:
+                raise ValueError(f"layer {k}: shape {spec.get('in')}->{spec.get('out')} "
+                                 f"breaks the 10->{d}->{d}->1 chain")
+            try:
+                w = np.array(spec["weights"], dtype=np.float64)
+                b = np.array(spec["bias"], dtype=np.float64)
+            except OverflowError:  # an integer too large for a float
+                raise ValueError(f"layer {k}: non-finite weight or bias") from None
             if w.shape != (shape[0] * shape[1],) or b.shape != (shape[1],):
                 raise ValueError(f"layer {k}: {w.size} weights and {b.size} biases for a "
                                  f"{shape[0]}->{shape[1]} layer")

@@ -7,6 +7,11 @@ with probability `crowd_cluster_prob` a new person is dropped next to an
 existing one at a lateral offset small enough that the two body boxes overlap,
 which is what later puts NMS under pressure.
 
+Depth follows one painter order: a body with a larger bottom edge (`y_max`)
+is closer to the camera, and ties go to the larger person id (in generated
+scenes the id is the list position).  A person's occlusion ratio is the
+fraction of its body covered by the bodies in front of it.
+
 The detector model emits one jittered head and body detection per sampled
 person, plus limb-site head false positives and offset body false positives.
 No rendering happens anywhere; everything is box arithmetic.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Detection, PersonInstance, Scene
-from .geometry import BBox, area, intersection_area
+from .geometry import BBox, area, box_array, pairwise_intersection
 from .ratio import HeadBodyRatio, apply_ratio
 
 _MIN_HEIGHT = 12.0
@@ -110,21 +115,11 @@ def _feasible_center_range(head_w, head_h, ratio, image_w, image_h):
     return lo_x, hi_x, lo_y, hi_y
 
 
-def _head_dims(body_height, cfg: SimConfig):
-    head_h = body_height / cfg.true_ratio.alpha_h
-    return head_h / cfg.head_aspect, head_h
-
-
-def _sample_height(rng, cfg: SimConfig):
-    img_h = cfg.image_size[1]
-    raw = cfg.median_height * math.exp(cfg.log_height_sigma * rng.standard_normal())
-    return min(max(raw, _MIN_HEIGHT), _MAX_HEIGHT_FRACTION * img_h)
-
-
 def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
     """Build one scene; scene `index` is seeded with cfg.seed + index."""
     rng = np.random.default_rng(cfg.seed + index)
     img_w, img_h = cfg.image_size
+    ratio = cfg.true_ratio
     count = int(rng.poisson(cfg.persons_per_image))
 
     heads: list[BBox] = []
@@ -132,52 +127,45 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
     # overlaps pairwise instead of snowballing into many-body stacks
     free: list[int] = []
     for _ in range(count):
-        anchor = None
+        anchor_body = None
         if free and rng.random() < cfg.crowd_cluster_prob:
             slot = int(rng.integers(len(free)))
-            anchor = heads[free.pop(slot)]
+            anchor_body = apply_ratio(heads[free.pop(slot)], ratio)
 
-        if anchor is None:
-            height = _sample_height(rng, cfg)
-            head_w, head_h = _head_dims(height, cfg)
-            lo_x, hi_x, lo_y, hi_y = _feasible_center_range(
-                head_w, head_h, cfg.true_ratio, img_w, img_h)
-            if lo_x > hi_x or lo_y > hi_y:
-                continue
+        if anchor_body is None:
+            height = cfg.median_height * math.exp(cfg.log_height_sigma * rng.standard_normal())
+        else:
+            height = anchor_body.height * math.exp(rng.normal(0.0, 0.05))
+        height = min(max(height, _MIN_HEIGHT), _MAX_HEIGHT_FRACTION * img_h)
+        head_h = height / ratio.alpha_h
+        head_w = head_h / cfg.head_aspect
+        lo_x, hi_x, lo_y, hi_y = _feasible_center_range(head_w, head_h, ratio, img_w, img_h)
+        if lo_x > hi_x or lo_y > hi_y:
+            continue
+
+        if anchor_body is None:
             cx = lo_x + (hi_x - lo_x) * rng.random()
             cy = lo_y + (hi_y - lo_y) * rng.random()
+            free.append(len(heads))
         else:
-            anchor_body = apply_ratio(anchor, cfg.true_ratio)
-            height = anchor_body.height * math.exp(rng.normal(0.0, 0.05))
-            height = min(max(height, _MIN_HEIGHT), _MAX_HEIGHT_FRACTION * img_h)
-            head_w, head_h = _head_dims(height, cfg)
-            lo_x, hi_x, lo_y, hi_y = _feasible_center_range(
-                head_w, head_h, cfg.true_ratio, img_w, img_h)
-            if lo_x > hi_x or lo_y > hi_y:
-                continue
             bw = anchor_body.width
             acx, acy = anchor_body.center
             # lateral offset floor keeps neighbors geometrically distinct
             offset = bw * (0.25 + abs(rng.normal(0.0, 0.18)))
             sign = -1.0 if rng.random() < 0.5 else 1.0
             dy = anchor_body.height * rng.normal(0.0, 0.0625)
-            cx = cy = None
+            cx = None
             for s in (sign, -sign):
-                bcx = acx + s * offset
-                cand = min(max(bcx - cfg.true_ratio.delta_x * head_w, lo_x), hi_x)
-                if abs(cand + cfg.true_ratio.delta_x * head_w - acx) >= 0.15 * bw:
+                cand = min(max(acx + s * offset - ratio.delta_x * head_w, lo_x), hi_x)
+                if abs(cand + ratio.delta_x * head_w - acx) >= 0.15 * bw:
                     cx = cand
                     break
             if cx is None:
-                cx = min(max(acx + sign * offset - cfg.true_ratio.delta_x * head_w,
-                             lo_x), hi_x)
-            cy = min(max(acy + dy - cfg.true_ratio.delta_y * head_h, lo_y), hi_y)
-
-        if anchor is None:
-            free.append(len(heads))
+                cx = min(max(acx + sign * offset - ratio.delta_x * head_w, lo_x), hi_x)
+            cy = min(max(acy + dy - ratio.delta_y * head_h, lo_y), hi_y)
         heads.append(BBox.from_center_size(cx, cy, head_w, head_h))
 
-    bodies = [apply_ratio(h, cfg.true_ratio) for h in heads]
+    bodies = [apply_ratio(h, ratio) for h in heads]
     # clamp heads into their bodies: the ratio puts the head top flush with
     # the body top, where float rounding can violate containment by one ulp
     heads = [BBox(max(h.x_min, b.x_min), max(h.y_min, b.y_min),
@@ -195,23 +183,25 @@ def generate_scenes(cfg: SimConfig, num_scenes: int) -> list[Scene]:
     return [generate_scene(cfg, i) for i in range(num_scenes)]
 
 
-def _occlusion_ratios(bodies: list[BBox]) -> list[float]:
-    """Fraction of each body covered by bodies in front of it.
+def _painter_overlaps(bodies: list[BBox], ids) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise body intersections and the mask `behind[i, j]`: body j is
+    behind body i in painter order."""
+    boxes = box_array(bodies)
+    depth = np.empty(len(boxes), dtype=np.intp)
+    depth[np.lexsort((np.asarray(ids), boxes[:, 3]))] = np.arange(len(boxes))
+    return pairwise_intersection(boxes, boxes), depth < depth[:, None]
 
-    Painter order: larger bottom edge means closer to the camera; ties break
-    on list position.
-    """
-    order = sorted(range(len(bodies)), key=lambda i: (bodies[i].y_max, i))
-    depth = {idx: rank for rank, idx in enumerate(order)}
+
+def _occlusion_ratios(bodies: list[BBox]) -> list[float]:
+    """Fraction of each body covered by bodies in front of it."""
+    if len(bodies) < 2:
+        return [0.0] * len(bodies)
+    inter, behind = _painter_overlaps(bodies, range(len(bodies)))
     ratios = []
-    for i, body in enumerate(bodies):
-        in_front = [bodies[j] for j in range(len(bodies))
-                    if depth[j] > depth[i] and intersection_area(body, bodies[j]) > 0.0]
-        body_area = area(body)
-        if body_area <= 0.0 or not in_front:
-            ratios.append(0.0)
-            continue
-        ratios.append(min(_covered_area(body, in_front) / body_area, 1.0))
+    # a zero-area body overlaps nothing, so it is never divided by
+    for body, in_front in zip(bodies, (behind.T & (inter > 0.0)).tolist()):
+        others = [b for b, front in zip(bodies, in_front) if front]
+        ratios.append(min(_covered_area(body, others) / area(body), 1.0) if others else 0.0)
     return ratios
 
 
@@ -278,25 +268,18 @@ def _overlap_partners(scene: Scene) -> dict[int, BBox]:
     """Drift target per person: the body it most overlaps among those behind it.
 
     Only the occluder's detection drifts (its box absorbs the occludee's
-    evidence); the occludee keeps an honest box.  Painter order as in scene
-    generation: larger bottom edge is closer, ties on person id.
+    evidence); the occludee keeps an honest box.  Of equal overlaps the
+    first person in the scene wins.
     """
     persons = scene.persons
-    order = sorted(range(len(persons)), key=lambda i: (persons[i].body.y_max,
-                                                       persons[i].person_id))
-    depth = {persons[i].person_id: rank for rank, i in enumerate(order)}
-    partners: dict[int, BBox] = {}
-    for p in persons:
-        best, best_area = None, 0.0
-        for q in persons:
-            if q.person_id == p.person_id or depth[q.person_id] > depth[p.person_id]:
-                continue
-            inter = intersection_area(p.body, q.body)
-            if inter > best_area:
-                best, best_area = q.body, inter
-        if best is not None:
-            partners[p.person_id] = best
-    return partners
+    if len(persons) < 2:
+        return {}
+    inter, behind = _painter_overlaps([p.body for p in persons],
+                                      [p.person_id for p in persons])
+    inter[~behind] = 0.0
+    best = inter.argmax(axis=1).tolist()
+    return {p.person_id: persons[j].body
+            for i, (p, j) in enumerate(zip(persons, best)) if inter[i, j] > 0.0}
 
 
 def _attract(rng, box: BBox, target: BBox, max_blend: float,

@@ -475,6 +475,41 @@ def test_run_rejects_non_finite_model(capsys, chain, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, fragment", [
+    pytest.param("[]", "model must be a JSON object, got list", id="top-level-list"),
+    pytest.param('{"layers": "abc"}', "model layers must be a list, got str", id="layers-string"),
+    pytest.param('{"layers": [1, 2, 3]}', "layer 1: expected an object, got int", id="layer-int"),
+    pytest.param(None, "layer 1: weights must be a list of numbers", id="weights-object"),
+])
+def test_run_rejects_malformed_model(capsys, chain, tmp_path, text, fragment):
+    if text is None:
+        obj = json.loads((chain / "model.json").read_text())
+        obj["layers"][0]["weights"] = {}
+        text = json.dumps(obj)
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    out = tmp_path / "out"
+    _expect_error(capsys, ["run", "--dets", str(chain / "dets.jsonl"), "--model", str(model),
+                           "--out-dir", str(out)], fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio, fragment", [
+    pytest.param("[3, 8, Infinity, 3.5]", "delta_x must be finite, got inf", id="inf-delta"),
+    pytest.param("[NaN, 8, 0, 3.5]", "alpha_w must be positive and finite, got nan",
+                 id="nan-alpha"),
+    pytest.param("[3, -Infinity, 0, 3.5]", "alpha_h must be positive and finite, got -inf",
+                 id="negative-inf-alpha"),
+])
+def test_simulate_rejects_non_finite_ratio(capsys, tmp_path, ratio, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sim": {"true_ratio": %s}}' % ratio)
+    scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    _expect_error(capsys, ["simulate", "--config", str(cfg), "--out-scenes", str(scenes),
+                           "--out-dets", str(dets), "--num-scenes", "2"], fragment)
+    assert not scenes.exists() and not dets.exists()
+
+
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
     from crowdpost import cli
     from crowdpost.nms import NmsConfig, build_detection_set

@@ -1,5 +1,5 @@
-"""Every float setting of every config dataclass rejects NaN and infinity,
-with a message naming the setting."""
+"""Every float setting of every config dataclass, and every parameter of the
+head-body ratio, rejects NaN and infinity, with a message naming it."""
 
 import dataclasses
 import math
@@ -9,10 +9,14 @@ import pytest
 from crowdpost.evaluator import EvalConfig
 from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
+from crowdpost.ratio import HeadBodyRatio
 from crowdpost.rdm import TrainConfig
 from crowdpost.simulator import NoiseConfig, SimConfig
 
-CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig)
+CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig,
+           HeadBodyRatio)
+# the one class without defaults is built from the simulator's ratio
+REQUIRED = {HeadBodyRatio: dataclasses.asdict(SimConfig().true_ratio)}
 
 
 def _float_settings():
@@ -36,9 +40,10 @@ def test_every_config_has_a_float_setting():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("cls, name, index", _float_settings())
 def test_non_finite_setting_rejected(cls, name, index, value):
+    required = REQUIRED.get(cls, {})
     if index is not None:
-        items = list(getattr(cls(), name))
+        items = list(getattr(cls(**required), name))
         items[index] = value
         value = tuple(items)
     with pytest.raises(ValueError, match=name):
-        cls(**{name: value})
+        cls(**{**required, name: value})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crowdpost.geometry import (BBox, area, box_array, greedy_match, intersection_area, iou,
-                                ioh, pairwise_ioh, pairwise_iou)
+                                ioh, pairwise_intersection, pairwise_ioh, pairwise_iou)
 
 from oracles import raster_iou, raster_ioh
 
@@ -156,11 +156,13 @@ def _kernel_cases():
 
 def test_pairwise_iou_equals_scalar():
     boxes = _kernel_cases()
-    matrix = pairwise_iou(box_array(boxes), box_array(boxes[::-1]))
-    assert matrix.shape == (len(boxes), len(boxes))
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes[::-1]):
-            assert matrix[i, j] == iou(a, b)
+    a_arr, b_arr = box_array(boxes), box_array(boxes[::-1])
+    for kernel, scalar in ((pairwise_intersection, intersection_area), (pairwise_iou, iou)):
+        matrix = kernel(a_arr, b_arr)
+        assert matrix.shape == (len(boxes), len(boxes))
+        for i, a in enumerate(boxes):
+            for j, b in enumerate(boxes[::-1]):
+                assert matrix[i, j] == scalar(a, b)
 
 
 def test_pairwise_ioh_equals_scalar():
@@ -175,6 +177,8 @@ def test_pairwise_ioh_equals_scalar():
 def test_pairwise_empty_shapes():
     none = box_array([])
     some = box_array([BBox(0, 0, 1, 1), BBox(0, 0, 2, 2)])
+    assert pairwise_intersection(none, some).shape == (0, 2)
+    assert pairwise_intersection(some, none).shape == (2, 0)
     assert pairwise_iou(none, some).shape == (0, 2)
     assert pairwise_iou(some, none).shape == (2, 0)
     assert pairwise_ioh(some, none).shape == (2, 0)

@@ -1,5 +1,7 @@
 """Every name a module under src/ imports is used in that module, so a
-deletion cannot leave a stale import behind."""
+deletion cannot leave a stale import behind, and no module imports another
+crowdpost module's underscore-prefixed names, so a helper two modules share
+is public."""
 
 import ast
 import pathlib
@@ -36,3 +38,26 @@ def test_unused_imports_detects():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from a crowdpost module, relative
+    or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "crowdpost"):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_private_imports_detects():
+    source = ("from __future__ import annotations\nfrom .geometry import BBox, _areas\n"
+              "from crowdpost.cli import _build as b\nfrom numpy import _globals\n"
+              "from . import _private\n")
+    assert private_imports(source) == ["_areas", "_build", "_private"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -176,13 +176,30 @@ def test_from_obj_validates_layers():
 
 
 def _set(layer, **values):
-    return lambda layers: layers[layer].update(values)
+    def mutate(obj):
+        obj["layers"][layer].update(values)
+        return obj
+    return mutate
+
+
+def _drop(layer, key):
+    def mutate(obj):
+        del obj["layers"][layer][key]
+        return obj
+    return mutate
+
+
+def _set_weight(layer, index, value):
+    def mutate(obj):
+        obj["layers"][layer]["weights"][index] = value
+        return obj
+    return mutate
 
 
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(_set(0, bias=[0.0]), "layer 1: 40 weights and 1 biases for a 10->4 layer",
                  id="short-bias"),
-    pytest.param(lambda layers: layers[1]["weights"].__setitem__(5, float("nan")),
+    pytest.param(_set_weight(1, 5, float("nan")),
                  "layer 2: non-finite weight or bias", id="nan-weight"),
     pytest.param(_set(2, bias=[float("inf")]), "layer 3: non-finite weight or bias",
                  id="inf-bias"),
@@ -192,10 +209,26 @@ def _set(layer, **values):
                  id="short-weights"),
     pytest.param(_set(0, out=0, weights=[], bias=[]),
                  "layer 1: width 0 is not a positive integer", id="zero-width"),
+    pytest.param(lambda obj: [], "model must be a JSON object, got list", id="top-level-list"),
+    pytest.param(lambda obj: {"layers": "abc"}, "model layers must be a list, got str",
+                 id="layers-string"),
+    pytest.param(lambda obj: {"layers": [1, 2, 3]}, "layer 1: expected an object, got int",
+                 id="layer-int"),
+    pytest.param(_set(1, weights={}), "layer 2: weights must be a list of numbers",
+                 id="weights-object"),
+    pytest.param(_set_weight(0, 3, "0.5"), "layer 1: weights must be a list of numbers",
+                 id="weight-string"),
+    pytest.param(_set_weight(2, 0, None), "layer 3: weights must be a list of numbers",
+                 id="weight-null"),
+    pytest.param(_set(2, bias=[True]), "layer 3: bias must be a list of numbers",
+                 id="bias-boolean"),
+    pytest.param(_set_weight(0, 0, 10 ** 400), "layer 1: non-finite weight or bias",
+                 id="huge-int-weight"),
+    pytest.param(_drop(1, "in"), "layer 2: shape None->4 breaks the 10->4->4->1 chain",
+                 id="missing-in"),
 ])
 def test_from_obj_rejects_bad_layers(mutate, message):
-    obj = RelationModel.initialize(hidden_dim=4, seed=0).to_obj()
-    mutate(obj["layers"])
+    obj = mutate(RelationModel.initialize(hidden_dim=4, seed=0).to_obj())
     with pytest.raises(ValueError) as exc_info:
         RelationModel.from_obj(obj)
     assert str(exc_info.value) == message

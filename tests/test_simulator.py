@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import area, intersection_area, ioh, iou
+from crowdpost.data_model import PersonInstance, Scene
+from crowdpost.geometry import BBox, area, intersection_area, ioh, iou
 from crowdpost.nms import NmsConfig, nms
 from crowdpost.ratio import HeadBodyRatio
-from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scene,
+from crowdpost.simulator import (NoiseConfig, SimConfig, _overlap_partners, generate_scene,
                                  generate_scenes, simulate_detections,
                                  simulate_detector)
 
@@ -97,6 +98,51 @@ def test_occlusion_matches_union_oracle():
                     fronts.append((x1, y1, x2, y2))
             expected = min(union_area_reference(fronts) / area(p.body), 1.0)
             assert abs(p.occlusion_ratio - expected) < 1e-9
+
+
+def _overlap_partners_reference(scene):
+    """Per person, the first body of maximal positive overlap among those
+    behind it: smaller bottom edge, or an equal one and a smaller id."""
+    partners = {}
+    for p in scene.persons:
+        best, best_area = None, 0.0
+        for q in scene.persons:
+            if (q.body.y_max, q.person_id) >= (p.body.y_max, p.person_id):
+                continue
+            inter = intersection_area(p.body, q.body)
+            if inter > best_area:
+                best, best_area = q.body, inter
+        if best is not None:
+            partners[p.person_id] = best
+    return partners
+
+
+def test_overlap_partners_match_reference_on_crowds():
+    cfg = SimConfig(image_size=(500.0, 400.0), persons_per_image=30.0,
+                    crowd_cluster_prob=0.95, median_height=90.0, seed=11)
+    drifting = 0
+    for scene in generate_scenes(cfg, 6):
+        partners = _overlap_partners(scene)
+        assert partners == _overlap_partners_reference(scene)
+        drifting += len(partners)
+    assert drifting > 0
+
+
+def _person(person_id, body):
+    head = BBox(body.x_min, body.y_min, body.x_min + 2.0, body.y_min + 2.0)
+    return PersonInstance(person_id=person_id, head=head, body=body)
+
+
+def test_overlap_partners_tie_rules():
+    # a and b share a bottom edge, so the larger id (a) is in front; c is in
+    # front of both and overlaps each by the same area, so the first listed wins
+    a = _person(5, BBox(10, 0, 20, 20))
+    b = _person(2, BBox(15, 0, 25, 20))
+    c = _person(0, BBox(5, 10, 30, 30))
+    scene = Scene(scene_id="s", width=40.0, height=40.0, persons=(a, b, c))
+    expected = {5: b.body, 0: a.body}
+    assert _overlap_partners(scene) == expected == _overlap_partners_reference(scene)
+    assert _overlap_partners(Scene("s", 40.0, 40.0, (a,))) == {}
 
 
 def test_cluster_probability_raises_overlap():
