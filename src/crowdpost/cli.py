@@ -53,10 +53,8 @@ def _load_config(path) -> dict:
 
 def _check_value(key: str, value, like) -> None:
     """Reject a JSON config value that does not have the type of `like`, the
-    default it replaces: an integer for an int, any number for a float, and
-    a list of as many such values for a tuple or a dataclass of numbers."""
-    if dataclasses.is_dataclass(like):
-        like = dataclasses.astuple(like)
+    default it replaces: an integer for an int, any number that fits a float
+    for a float, and a list of as many such values for a tuple."""
     if isinstance(like, tuple):
         if not isinstance(value, list) or len(value) != len(like):
             raise ValueError(f"config key {key}: expected a list of {len(like)} "
@@ -68,6 +66,11 @@ def _check_value(key: str, value, like) -> None:
     if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
         raise ValueError(f"config key {key}: expected "
                          f"{'an integer' if integral else 'a number'}, got {value!r}")
+    if not integral:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"config key {key}: integer too large for a float") from None
 
 
 def _build(cls, cfg: dict, section: str, **overrides):
@@ -232,18 +235,38 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_eval_result(path) -> tuple[str, str, float]:
+    """(name, class, mr2) of an eval result file, each of its JSON type: a
+    string name, head or body, and a number in [0, 1]."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a valid eval result ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a valid eval result (expected a JSON object)")
+    name, class_name, mr2 = obj.get("name"), obj.get("class"), obj.get("mr2")
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: name must be a string, got {name!r}")
+    if class_name not in (HEAD, BODY):
+        raise ValueError(f"{path}: class must be {HEAD!r} or {BODY!r}, got {class_name!r}")
+    # an integer is compared before it is converted, so a huge one cannot overflow
+    if type(mr2) not in (int, float) or not 0 <= mr2 <= 1:
+        raise ValueError(f"{path}: mr2 must be a number in [0, 1], got {mr2!r}")
+    return name, class_name, float(mr2)
+
+
 def cmd_report(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.dir, "*.eval.json")))
     if not paths:
         raise ValueError(f"no .eval.json files under {args.dir}")
     cells: dict[str, dict[str, float]] = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        try:
-            cells.setdefault(str(obj["name"]), {})[str(obj["class"])] = float(obj["mr2"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: not a valid eval result ({exc})") from exc
+        name, class_name, mr2 = _read_eval_result(path)
+        row = cells.setdefault(name, {})
+        if class_name in row:
+            raise ValueError(f"{path}: a second {class_name} result for {name!r}")
+        row[class_name] = mr2
 
     lines = ["# Detection post-process comparison", "",
              "Log-average miss rate (MR-2, lower is better).", "",

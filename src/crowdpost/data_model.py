@@ -273,8 +273,14 @@ def _parse_scene(obj, path, line_no) -> Scene:
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    # read as bytes and decoded per line, so a byte that is not UTF-8 names its line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"not UTF-8 ({exc.reason} at byte {exc.start})",
+                                  path, line_no) from exc
             if not line.strip():
                 continue
             try:

@@ -235,10 +235,12 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="{color}" stroke-width="2"/>')
     ly = top + 18
+    # escaped by hand: xml.sax.saxutils pulls in urllib.request at import
+    label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
                  f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
     parts.append(f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
-                 f'font-family="sans-serif">{name} {result.mr2 * 100.0:.2f}%</text>')
+                 f'font-family="sans-serif">{label} {result.mr2 * 100.0:.2f}%</text>')
 
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")

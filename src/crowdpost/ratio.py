@@ -86,11 +86,3 @@ def save_ratio(ratio: HeadBodyRatio, path) -> None:
            "delta_x": ratio.delta_x, "delta_y": ratio.delta_y}
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
-
-def load_ratio(path) -> HeadBodyRatio:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        return HeadBodyRatio(obj["alpha_w"], obj["alpha_h"], obj["delta_x"], obj["delta_y"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a valid ratio file ({exc})") from exc

@@ -214,39 +214,35 @@ def load_model(path) -> RelationModel:
         return RelationModel.from_obj(json.load(fh))
 
 
+# SGD recipe: momentum, L2 weight decay, and a 1:3 positive:negative batch mix
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0001
+POSITIVE_SHARE = 0.25
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 512
-    pos_neg_ratio: tuple[int, int] = (1, 3)
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0001
     epochs: int = 20
     seed: int = 0
     hidden_dim: int = 64  # width of both hidden layers
 
     def __post_init__(self):
-        object.__setattr__(self, "pos_neg_ratio", tuple(self.pos_neg_ratio))
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
         if self.hidden_dim <= 0:
             raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        # written so that NaN fails every comparison
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # written so that NaN fails the comparison
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum {self.momentum} outside [0, 1)")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be non-negative and finite, "
-                             f"got {self.weight_decay}")
-        if min(self.pos_neg_ratio) <= 0:
-            raise ValueError("pos_neg_ratio parts must be positive")
 
     @property
     def positives_per_batch(self) -> int:
-        p, n = self.pos_neg_ratio
-        return round(self.batch_size * p / (p + n))
+        return round(self.batch_size * POSITIVE_SHARE)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +332,7 @@ def train(features: np.ndarray, labels: np.ndarray,
           cfg: TrainConfig) -> tuple[RelationModel, list[float]]:
     """Minibatch SGD with momentum and weight decay on binary cross-entropy.
 
-    Every batch is resampled to the configured positive:negative mix.  Fully
+    Every batch is resampled to the 1:3 positive:negative mix.  Fully
     seeded: identical inputs and config give bit-identical parameters.
 
     Returns the trained model and the end-of-epoch loss over the full input.
@@ -360,8 +356,8 @@ def train(features: np.ndarray, labels: np.ndarray,
             idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
             _, grads = _loss_and_gradients(model, x[idx], y[idx])
             for param, vel, grad in zip(model.params(), velocity, grads):
-                vel *= cfg.momentum
-                vel += grad + cfg.weight_decay * param
+                vel *= MOMENTUM
+                vel += grad + WEIGHT_DECAY * param
                 param -= cfg.learning_rate * vel
         trace.append(bce_loss(model.score_many(x), y))
     return model, trace

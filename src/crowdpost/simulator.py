@@ -34,7 +34,14 @@ _MAX_HEIGHT_FRACTION = 0.92
 # safety inset so derived body boxes stay strictly inside the image
 _EDGE_INSET = 1e-6
 
-_DEFAULT_RATIO = HeadBodyRatio(3.0, 8.0, 0.0, 3.5)
+_HEAD_ASPECT = 1.25  # head height : width
+# spread of log body height around the median for unanchored persons
+_LOG_HEIGHT_SIGMA = 0.5
+# the head-body ratio scenes are generated with
+_TRUE_RATIO = HeadBodyRatio(3.0, 8.0, 0.0, 3.5)
+# (mean, std) of the detector scores, clipped to [0, 1]
+_TP_SCORE = (0.75, 0.12)
+_FP_SCORE = (0.40, 0.15)
 
 
 @dataclass(frozen=True)
@@ -42,40 +49,31 @@ class SimConfig:
     image_size: tuple[float, float] = (1333.0, 800.0)
     persons_per_image: float = 22.6
     crowd_cluster_prob: float = 0.5
-    head_aspect: float = 1.25  # head height : width
-    true_ratio: HeadBodyRatio = _DEFAULT_RATIO
     median_height: float = 84.0
-    log_height_sigma: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         w, h = self.image_size
         object.__setattr__(self, "image_size", (float(w), float(h)))
-        if not isinstance(self.true_ratio, HeadBodyRatio):
-            object.__setattr__(self, "true_ratio", HeadBodyRatio(*self.true_ratio))
         # each comparison is written so that NaN fails it
         if not (0.0 < w < math.inf and 0.0 < h < math.inf):
             raise ValueError(f"image_size must be positive and finite, got {self.image_size}")
         if not 0.0 <= self.crowd_cluster_prob <= 1.0:
             raise ValueError(f"crowd_cluster_prob {self.crowd_cluster_prob} outside [0, 1]")
-        for name in ("head_aspect", "median_height"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        for name in ("persons_per_image", "log_height_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, "
-                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.median_height < math.inf:
+            raise ValueError(f"median_height must be positive and finite, "
+                             f"got {self.median_height}")
+        if not 0.0 <= self.persons_per_image < math.inf:
+            raise ValueError(f"persons_per_image must be non-negative and finite, "
+                             f"got {self.persons_per_image}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
     detect_prob: float = 0.95
     loc_jitter_sigma: float = 0.02  # corner noise, fraction of box extent
-    tp_score_mean: float = 0.75
-    tp_score_std: float = 0.12
-    fp_score_mean: float = 0.40
-    fp_score_std: float = 0.15
     head_fp_rate: float = 1.0  # Poisson mean per scene
     body_fp_rate: float = 0.5
     # body boxes of overlapping persons drift toward the neighbor, the crowd
@@ -89,14 +87,12 @@ class NoiseConfig:
             raise ValueError(f"detect_prob {self.detect_prob} outside [0, 1]")
         if not 0.0 <= self.crowd_attraction < 1.0:
             raise ValueError(f"crowd_attraction {self.crowd_attraction} outside [0, 1)")
-        for name in ("tp_score_mean", "fp_score_mean"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("loc_jitter_sigma", "tp_score_std", "fp_score_std",
-                     "head_fp_rate", "body_fp_rate"):
+        for name in ("loc_jitter_sigma", "head_fp_rate", "body_fp_rate"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +115,7 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
     """Build one scene; scene `index` is seeded with cfg.seed + index."""
     rng = np.random.default_rng(cfg.seed + index)
     img_w, img_h = cfg.image_size
-    ratio = cfg.true_ratio
+    ratio = _TRUE_RATIO
     count = int(rng.poisson(cfg.persons_per_image))
 
     heads: list[BBox] = []
@@ -133,12 +129,12 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
             anchor_body = apply_ratio(heads[free.pop(slot)], ratio)
 
         if anchor_body is None:
-            height = cfg.median_height * math.exp(cfg.log_height_sigma * rng.standard_normal())
+            height = cfg.median_height * math.exp(_LOG_HEIGHT_SIGMA * rng.standard_normal())
         else:
             height = anchor_body.height * math.exp(rng.normal(0.0, 0.05))
         height = min(max(height, _MIN_HEIGHT), _MAX_HEIGHT_FRACTION * img_h)
         head_h = height / ratio.alpha_h
-        head_w = head_h / cfg.head_aspect
+        head_w = head_h / _HEAD_ASPECT
         lo_x, hi_x, lo_y, hi_y = _feasible_center_range(head_w, head_h, ratio, img_w, img_h)
         if lo_x > hi_x or lo_y > hi_y:
             continue
@@ -368,18 +364,18 @@ def simulate_detector(scene: Scene, noise: NoiseConfig,
         partner = partners.get(p.person_id)
         if bbox is not None and partner is not None:
             bbox = _attract(rng, bbox, partner, noise.crowd_attraction, img_w, img_h)
-        emit(heads, hbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std))
-        emit(bodies, bbox, _clip_score(rng, noise.tp_score_mean, noise.tp_score_std))
+        emit(heads, hbox, _clip_score(rng, *_TP_SCORE))
+        emit(bodies, bbox, _clip_score(rng, *_TP_SCORE))
 
     if scene.persons:
         for _ in range(int(rng.poisson(noise.head_fp_rate))):
             person = scene.persons[int(rng.integers(len(scene.persons)))]
             emit(heads, _head_fp_box(rng, person, img_w, img_h),
-                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std))
+                 _clip_score(rng, *_FP_SCORE))
         for _ in range(int(rng.poisson(noise.body_fp_rate))):
             person = scene.persons[int(rng.integers(len(scene.persons)))]
             emit(bodies, _body_fp_box(rng, person, img_w, img_h),
-                 _clip_score(rng, noise.fp_score_mean, noise.fp_score_std))
+                 _clip_score(rng, *_FP_SCORE))
 
     return heads, bodies
 

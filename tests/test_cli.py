@@ -235,6 +235,35 @@ def test_report_missing_class_shows_dash(capsys, chain, tmp_path):
     assert cells[2] == "-"
 
 
+@pytest.mark.parametrize("key, raw, fragment", [
+    pytest.param("mr2", '"0.5"', "mr2 must be a number in [0, 1], got '0.5'", id="mr2-string"),
+    pytest.param("mr2", "true", "mr2 must be a number in [0, 1], got True", id="mr2-bool"),
+    pytest.param("mr2", "-3", "mr2 must be a number in [0, 1], got -3", id="mr2-negative"),
+    pytest.param("mr2", "1e400", "mr2 must be a number in [0, 1], got inf", id="mr2-inf"),
+    pytest.param("mr2", "NaN", "mr2 must be a number in [0, 1], got nan", id="mr2-nan"),
+    pytest.param("mr2", str(10 ** 400), "mr2 must be a number in [0, 1], got 1000",
+                 id="mr2-huge-int"),
+    pytest.param("class", '"torso"', "class must be 'head' or 'body', got 'torso'",
+                 id="class-unknown"),
+    pytest.param("name", "7", "name must be a string, got 7", id="name-number"),
+    pytest.param(None, None, "a second head result for 'baseline'", id="duplicate"),
+])
+def test_report_rejects_bad_eval_result(capsys, chain, tmp_path, key, raw, fragment):
+    # b.eval.json is a valid result with one value replaced by raw JSON text;
+    # it sorts after its unchanged copy a.eval.json, so it is the file named
+    text = (chain / "eval" / f"baseline_{HEAD}.eval.json").read_text(encoding="utf-8")
+    (tmp_path / "a.eval.json").write_text(text, encoding="utf-8")
+    if key is not None:
+        obj = json.loads(text)
+        obj[key] = "@"
+        text = json.dumps(obj).replace('"@"', raw)
+    (tmp_path / "b.eval.json").write_text(text, encoding="utf-8")
+    out = tmp_path / "report.md"
+    _expect_error(capsys, ["report", "--dir", str(tmp_path), "--out", str(out)],
+                  f"b.eval.json: {fragment}")
+    assert not out.exists()
+
+
 def test_failed_command_leaves_no_output(capsys, chain, tmp_path):
     out = tmp_path / "r.json"
     assert main(["estimate-ratio", "--scenes", str(tmp_path / "missing.jsonl"),
@@ -258,6 +287,28 @@ def test_config_wrong_value_type(capsys, chain, tmp_path):
                            "--out-dets", str(tmp_path / "d.jsonl")],
                   "config key num_scenes: expected an integer, got '5'")
     assert not (tmp_path / "s.jsonl").exists()
+
+    # integers too large for a float, and negative seeds, name their setting
+    simulate = ["simulate", "--config", str(cfg), "--num-scenes", "2",
+                "--out-scenes", str(tmp_path / "s.jsonl"),
+                "--out-dets", str(tmp_path / "d.jsonl")]
+    train = _train_argv(chain, tmp_path, "--config", str(cfg))
+    for config, argv, fragment in [
+        ({"sim": {"median_height": _HUGE}}, simulate,
+         "config key sim.median_height: integer too large for a float"),
+        ({"sim": {"image_size": [_HUGE, 800]}}, simulate,
+         "config key sim.image_size[0]: integer too large for a float"),
+        ({"noise": {"head_fp_rate": _HUGE}}, simulate,
+         "config key noise.head_fp_rate: integer too large for a float"),
+        ({"train": {"learning_rate": _HUGE}}, train,
+         "config key train.learning_rate: integer too large for a float"),
+        ({}, [*simulate, "--seed", "-1"], "seed must be non-negative, got -1"),
+        ({}, [*simulate, "--noise-seed", "-1"], "seed must be non-negative, got -1"),
+        ({}, [*train, "--seed", "-1"], "seed must be non-negative, got -1"),
+    ]:
+        cfg.write_text(json.dumps(config))
+        _expect_error(capsys, argv, fragment)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"], fragment
 
 
 @pytest.mark.parametrize("field, value", [("box", float("nan")), ("box", float("inf")),
@@ -306,7 +357,11 @@ _HUGE = 10 ** 400
                  "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-float"),
     pytest.param("dets", ("dets", 0, "id"), True,
                  "dets.jsonl:3: dets[0].id: expected an integer", id="det-id-bool"),
-    pytest.param("dets", None, None, "dets.jsonl:3: invalid JSON", id="det-line-too-deep"),
+    pytest.param("dets", None, "[" * 100_000, "dets.jsonl:3: invalid JSON",
+                 id="det-line-too-deep"),
+    # a lone surrogate escape is written as the raw byte 0xff
+    pytest.param("dets", None, '{"format": "detections/v1", "scene_id": "s\udcff"}',
+                 "dets.jsonl:3: not UTF-8 (invalid start byte at byte 42)", id="det-not-utf8"),
     pytest.param("scenes", ("persons", 0), 5,
                  "scenes.jsonl:3: persons[0]: expected an object", id="person-not-object"),
     pytest.param("scenes", ("persons", 0, "id"), 1.7,
@@ -327,7 +382,7 @@ def test_malformed_input_is_one_line_error(capsys, chain, tmp_path, target, path
                                            fragment):
     lines = (chain / f"{target}.jsonl").read_text(encoding="utf-8").splitlines()
     if path is None:
-        lines[2] = "[" * 100_000
+        lines[2] = value
     else:
         obj = json.loads(lines[2])
         *parents, last = path
@@ -337,7 +392,7 @@ def test_malformed_input_is_one_line_error(capsys, chain, tmp_path, target, path
         node[last] = value
         lines[2] = json.dumps(obj)
     bad = tmp_path / f"{target}.jsonl"
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     if target == "dets":
         out = tmp_path / "out"
         _expect_error(capsys, ["run", "--dets", str(bad), "--model", str(chain / "model.json"),
@@ -443,6 +498,8 @@ def _train_argv(chain, tmp_path, *extra):
     pytest.param({"ioh_threshold": 0.3}, [], "unknown config keys: ioh_threshold",
                  id="old-gate-key"),
     pytest.param({"hidden_dim": 16}, [], "unknown config keys: hidden_dim", id="old-width-key"),
+    pytest.param({"train": {"momentum": 0.5}}, [], "unknown TrainConfig keys: momentum",
+                 id="fixed-momentum"),
     pytest.param(None, ["--learning-rate", "nan"],
                  "learning_rate must be positive and finite, got nan", id="nan-learning-rate"),
 ])
@@ -494,19 +551,20 @@ def test_run_rejects_malformed_model(capsys, chain, tmp_path, text, fragment):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ratio, fragment", [
-    pytest.param("[3, 8, Infinity, 3.5]", "delta_x must be finite, got inf", id="inf-delta"),
-    pytest.param("[NaN, 8, 0, 3.5]", "alpha_w must be positive and finite, got nan",
-                 id="nan-alpha"),
-    pytest.param("[3, -Infinity, 0, 3.5]", "alpha_h must be positive and finite, got -inf",
-                 id="negative-inf-alpha"),
+@pytest.mark.parametrize("ratio", [
+    pytest.param("[3, 8, Infinity, 3.5]", id="inf-delta"),
+    pytest.param("[NaN, 8, 0, 3.5]", id="nan-alpha"),
+    pytest.param("[3, -Infinity, 0, 3.5]", id="negative-inf-alpha"),
 ])
-def test_simulate_rejects_non_finite_ratio(capsys, tmp_path, ratio, fragment):
+def test_simulate_rejects_non_finite_ratio(capsys, tmp_path, ratio):
+    # the generating head-body ratio is fixed, not a setting, so any
+    # true_ratio, finite or not, is refused as an unknown key
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"sim": {"true_ratio": %s}}' % ratio)
     scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
     _expect_error(capsys, ["simulate", "--config", str(cfg), "--out-scenes", str(scenes),
-                           "--out-dets", str(dets), "--num-scenes", "2"], fragment)
+                           "--out-dets", str(dets), "--num-scenes", "2"],
+                  "unknown SimConfig keys: true_ratio")
     assert not scenes.exists() and not dets.exists()
 
 

@@ -1,11 +1,15 @@
 """Every float setting of every config dataclass, and every parameter of the
-head-body ratio, rejects NaN and infinity, with a message naming it."""
+head-body ratio, rejects NaN and infinity, with a message naming it; and the
+README lists exactly the config keys."""
 
 import dataclasses
 import math
+import pathlib
+import re
 
 import pytest
 
+from crowdpost.cli import _CONFIG_KEYS
 from crowdpost.evaluator import EvalConfig
 from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
@@ -15,8 +19,12 @@ from crowdpost.simulator import NoiseConfig, SimConfig
 
 CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig,
            HeadBodyRatio)
-# the one class without defaults is built from the simulator's ratio
-REQUIRED = {HeadBodyRatio: dataclasses.asdict(SimConfig().true_ratio)}
+# the one class without defaults
+REQUIRED = {HeadBodyRatio: {"alpha_w": 3.0, "alpha_h": 8.0, "delta_x": 0.0, "delta_y": 3.5}}
+# config file section -> dataclass
+SECTIONS = {"sim": SimConfig, "noise": NoiseConfig, "nms": NmsConfig, "train": TrainConfig,
+            "post": PostProcessConfig}
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _float_settings():
@@ -47,3 +55,18 @@ def test_non_finite_setting_rejected(cls, name, index, value):
         value = tuple(items)
     with pytest.raises(ValueError, match=name):
         cls(**{**required, name: value})
+
+
+def test_readme_lists_every_config_key():
+    """The README's config key list, one `- `section`: `key`, ...` line per
+    section, names every field of each section's dataclass in field order, and
+    the top-level keys are exactly those sections plus `num_scenes`."""
+    listed = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"- `(\w+)`: (.*)", line)
+        if m:
+            listed[m.group(1)] = re.findall(r"`(\w+)`", m.group(2))
+    assert set(listed) == _CONFIG_KEYS
+    for section, cls in SECTIONS.items():
+        assert listed[section] == [f.name for f in dataclasses.fields(cls)], section
+    assert listed["num_scenes"] == []

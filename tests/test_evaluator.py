@@ -297,6 +297,11 @@ def test_write_curve_svg(tmp_path):
     assert "baseline 52.00%" in text
     assert "polyline" in text
 
+    # markup characters in the name are escaped and read back unchanged
+    write_curve_svg("R&D <v2> a>b", result, path)
+    texts = [el.text for el in ET.parse(path).getroot().iter() if el.tag.endswith("text")]
+    assert "R&D <v2> a>b 52.00%" in texts
+
 
 def test_write_curve_svg_deterministic(tmp_path):
     result = EvalResult(mr2=0.3, curve=((0.9, 0.02, 0.6), (0.5, 0.4, 0.3)),

@@ -344,8 +344,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(pos_neg_ratio=(0, 3))
     with pytest.raises(ValueError, match="hidden_dim"):
         TrainConfig(hidden_dim=0)
 

@@ -4,7 +4,6 @@ import pytest
 from crowdpost.data_model import PersonInstance, Scene
 from crowdpost.geometry import BBox, area, intersection_area, ioh, iou
 from crowdpost.nms import NmsConfig, nms
-from crowdpost.ratio import HeadBodyRatio
 from crowdpost.simulator import (NoiseConfig, SimConfig, _overlap_partners, generate_scene,
                                  generate_scenes, simulate_detections,
                                  simulate_detector)
@@ -32,10 +31,9 @@ def test_config_validation():
 
 
 def test_config_converts_json_lists():
-    # a config file gives tuples and the ratio as JSON lists
-    from_lists = SimConfig(image_size=[400, 300], true_ratio=[3, 8, 0, 3.5])
-    assert from_lists == SimConfig(image_size=(400.0, 300.0),
-                                   true_ratio=HeadBodyRatio(3.0, 8.0, 0.0, 3.5))
+    # a config file gives tuples as JSON lists
+    from_lists = SimConfig(image_size=[400, 300])
+    assert from_lists == SimConfig(image_size=(400.0, 300.0))
     assert generate_scene(from_lists, 0) == generate_scene(
         SimConfig(image_size=(400.0, 300.0)), 0)
 
