@@ -33,6 +33,8 @@ from .simulator import NoiseConfig, SimConfig, generate_scenes, simulate_detecti
 logger = logging.getLogger(__name__)
 
 _DEFAULT_NUM_SCENES = 50
+# far above any useful split; a larger count is rejected before simulating
+_MAX_NUM_SCENES = 100_000
 
 # every top-level key some command reads; one config file may serve them all
 _CONFIG_KEYS = frozenset({"sim", "noise", "num_scenes", "nms", "train", "post"})
@@ -109,6 +111,8 @@ def cmd_simulate(args) -> int:
         _check_value("num_scenes", num_scenes, _DEFAULT_NUM_SCENES)
     if num_scenes < 0:
         raise ValueError("num-scenes must be non-negative")
+    if num_scenes > _MAX_NUM_SCENES:
+        raise ValueError(f"num-scenes must be at most {_MAX_NUM_SCENES}, got {num_scenes}")
 
     scenes = generate_scenes(sim, num_scenes)
     detections = simulate_detections(scenes, noise)

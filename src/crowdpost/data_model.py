@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .fileio import atomic_write_text
 from .geometry import BBox
@@ -237,6 +238,35 @@ def _check_format(obj, expected, path, line_no):
                           path, line_no, "format")
 
 
+def _plain_box(value) -> BBox | None:
+    """The box of a list of four JSON floats that passes BBox's checks, else
+    None: the readers' fast path, which leaves naming a fault to `_parse_box`."""
+    if type(value) is list and len(value) == 4:
+        x1, y1, x2, y2 = value
+        if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
+            try:
+                return BBox(x1, y1, x2, y2)
+            except ValueError:
+                pass
+    return None
+
+
+def _parse_person(p, path, line_no, item) -> PersonInstance:
+    """One `persons` entry, every field checked and a fault named."""
+    p = _entry(p, path, line_no, item)
+    head = _parse_box(_require(p, "head", path, line_no, item), path, line_no, item, "head")
+    body = _parse_box(_require(p, "body", path, line_no, item), path, line_no, item, "body")
+    person_id = _typed(_require(p, "id", path, line_no, item), int, "an integer",
+                       path, line_no, item, "id")
+    ignore = _typed(p.get("ignore", False), bool, "a boolean", path, line_no, item, "ignore")
+    occ = _number(p.get("occ", 0.0), path, line_no, item, "occ")
+    try:
+        return PersonInstance(person_id=person_id, head=head, body=body,
+                              ignore=ignore, occlusion_ratio=occ)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(str(exc), path, line_no, item) from exc
+
+
 def _parse_scene(obj, path, line_no) -> Scene:
     _check_format(obj, SCENE_FORMAT, path, line_no)
     scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
@@ -247,25 +277,21 @@ def _parse_scene(obj, path, line_no) -> Scene:
     raw_persons = _require(obj, "persons", path, line_no)
     if not isinstance(raw_persons, list):
         raise FormatError("persons must be a list", path, line_no, "persons")
-    for i, p in enumerate(raw_persons):
-        item = f"persons[{i}]"
-        p = _entry(p, path, line_no, item)
-        head = _parse_box(_require(p, "head", path, line_no, item), path, line_no, item, "head")
-        body = _parse_box(_require(p, "body", path, line_no, item), path, line_no, item, "body")
-        person_id = _typed(_require(p, "id", path, line_no, item), int, "an integer",
-                           path, line_no, item, "id")
-        ignore = _typed(p.get("ignore", False), bool, "a boolean", path, line_no, item, "ignore")
-        occ = _number(p.get("occ", 0.0), path, line_no, item, "occ")
-        try:
-            persons.append(PersonInstance(
-                person_id=person_id,
-                head=head,
-                body=body,
-                ignore=ignore,
-                occlusion_ratio=occ,
-            ))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(str(exc), path, line_no, item) from exc
+    for p in raw_persons:
+        # fast path: every field already of its JSON type and in range;
+        # anything else goes through _parse_person, which converts an integer
+        # coordinate or raises the error that names the field
+        if type(p) is dict:
+            person_id, ignore, occ = p.get("id"), p.get("ignore", False), p.get("occ", 0.0)
+            if type(person_id) is int and type(ignore) is bool and type(occ) is float:
+                head, body = _plain_box(p.get("head")), _plain_box(p.get("body"))
+                if head is not None and body is not None:
+                    try:
+                        persons.append(PersonInstance(person_id, head, body, ignore, occ))
+                        continue
+                    except ValueError:
+                        pass
+        persons.append(_parse_person(p, path, line_no, f"persons[{len(persons)}]"))
     try:
         return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -308,26 +334,43 @@ def read_scenes(path) -> list[Scene]:
     return scenes
 
 
-def _scene_obj(scene: Scene) -> dict:
-    return {
-        "format": SCENE_FORMAT,
-        "scene_id": scene.scene_id,
-        "width": scene.width,
-        "height": scene.height,
-        "persons": [
-            {"id": p.person_id, "head": p.head.as_list(), "body": p.body.as_list(),
-             "ignore": p.ignore, "occ": p.occlusion_ratio}
-            for p in scene.persons
-        ],
-    }
+# The writers format each line directly, giving the bytes `json.dumps` gives
+# for the line's object: the records hold exact ints, bools and finite
+# floats, whose JSON text is their repr, and the one free-form string, the
+# scene id, is escaped by the function `json.dumps` uses for it.
+
+def _box_text(b: BBox) -> str:
+    return f"[{b.x_min!r}, {b.y_min!r}, {b.x_max!r}, {b.y_max!r}]"
+
+
+def _scene_line(scene: Scene) -> str:
+    persons = ", ".join(
+        f'{{"id": {p.person_id!r}, "head": {_box_text(p.head)}, "body": {_box_text(p.body)}, '
+        f'"ignore": {"true" if p.ignore else "false"}, "occ": {p.occlusion_ratio!r}}}'
+        for p in scene.persons)
+    return (f'{{"format": "{SCENE_FORMAT}", "scene_id": {_json_string(scene.scene_id)}, '
+            f'"width": {scene.width!r}, "height": {scene.height!r}, "persons": [{persons}]}}\n')
 
 
 def write_scenes(scenes, path) -> None:
-    atomic_write_text(path, "".join(json.dumps(_scene_obj(s)) + "\n" for s in scenes))
+    atomic_write_text(path, "".join(map(_scene_line, scenes)))
 
 
 # ---------------------------------------------------------------------------
 # detection files
+
+def _parse_det(d, path, line_no, item) -> Detection:
+    """One `dets` entry, every field checked and a fault named."""
+    d = _entry(d, path, line_no, item)
+    box = _parse_box(_require(d, "box", path, line_no, item), path, line_no, item, "box")
+    det_id = _require(d, "id", path, line_no, item)
+    score = _number(_require(d, "score", path, line_no, item), path, line_no, item, "score")
+    _typed(det_id, int, "an integer", path, line_no, item, "id")
+    try:
+        return Detection(det_id=det_id, box=box, score=score)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(str(exc), path, line_no, item) from exc
+
 
 def _parse_group(obj, path, line_no) -> DetectionGroup:
     _check_format(obj, DETECTION_FORMAT, path, line_no)
@@ -343,17 +386,16 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
     if not isinstance(raw, list):
         raise FormatError("dets must be a list", path, line_no, "dets")
     dets = []
-    for i, d in enumerate(raw):
-        item = f"dets[{i}]"
-        d = _entry(d, path, line_no, item)
-        box = _parse_box(_require(d, "box", path, line_no, item), path, line_no, item, "box")
-        det_id = _require(d, "id", path, line_no, item)
-        score = _number(_require(d, "score", path, line_no, item), path, line_no, item, "score")
-        _typed(det_id, int, "an integer", path, line_no, item, "id")
-        try:
-            dets.append(Detection(det_id=det_id, box=box, score=score))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(str(exc), path, line_no, item) from exc
+    for d in raw:
+        # fast path as in _parse_scene; _parse_det names a fault
+        if type(d) is dict:
+            det_id, score = d.get("id"), d.get("score")
+            if type(det_id) is int and type(score) is float and 0.0 <= score <= 1.0:
+                box = _plain_box(d.get("box"))
+                if box is not None:
+                    dets.append(Detection(det_id, box, score))
+                    continue
+        dets.append(_parse_det(d, path, line_no, f"dets[{len(dets)}]"))
     try:
         return DetectionGroup(scene_id=scene_id, class_name=class_name,
                               stage=stage, dets=tuple(dets))
@@ -374,17 +416,12 @@ def read_detection_groups(path) -> list[DetectionGroup]:
     return groups
 
 
-def _group_obj(group: DetectionGroup) -> dict:
-    return {
-        "format": DETECTION_FORMAT,
-        "scene_id": group.scene_id,
-        "class": group.class_name,
-        "stage": group.stage,
-        "dets": [{"id": d.det_id, "box": d.box.as_list(), "score": d.score}
-                 for d in group.dets],
-    }
+def _group_line(group: DetectionGroup) -> str:
+    dets = ", ".join(f'{{"id": {d.det_id!r}, "box": {_box_text(d.box)}, "score": {d.score!r}}}'
+                     for d in group.dets)
+    return (f'{{"format": "{DETECTION_FORMAT}", "scene_id": {_json_string(group.scene_id)}, '
+            f'"class": "{group.class_name}", "stage": "{group.stage}", "dets": [{dets}]}}\n')
 
 
 def write_detection_groups(groups, path) -> None:
-    atomic_write_text(path, "".join(json.dumps(_group_obj(g)) + "\n" for g in groups))
-
+    atomic_write_text(path, "".join(map(_group_line, groups)))

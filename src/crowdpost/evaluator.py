@@ -4,6 +4,15 @@ Detections are greedily matched per scene in descending score order; the miss
 rate / false-positives-per-image curve is swept over every detection score,
 and the reported number is the geometric mean of the miss rates sampled at 9
 log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
+
+The matching of many scenes shares one IoU call and one greedy pass: the
+ranked detections and the ground truth of each scene are stacked into
+(scenes, n, 4) and (scenes, m, 4) arrays, zero-padded to the largest scene of
+the batch.  A zero box has IoU 0 with every box, and `EvalConfig` requires a
+match threshold above 0, so padding never matches.  A batch holds at most
+`_PAIR_BUDGET` padded detection/ground-truth pairs, which bounds its memory;
+a scene larger than that is matched on its own.  `match_to_gt` is the
+one-scene call of the same matcher.
 """
 
 from __future__ import annotations
@@ -11,10 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
+
+import numpy as np
 
 from .data_model import BODY, HEAD, Detection, PersonInstance, Scene
 from .fileio import atomic_write_text
-from .geometry import box_array, greedy_match, pairwise_iou
+from .geometry import greedy_match, pairwise_iou
 
 TP = "TP"
 FP = "FP"
@@ -26,6 +38,12 @@ FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
 # the Reasonable subset: persons at least this tall and less occluded than this
 REASONABLE_MIN_HEIGHT = 50.0
 REASONABLE_MAX_OCCLUSION = 0.35
+
+# padded detection/ground-truth pairs per batched IoU call
+_PAIR_BUDGET = 4096
+
+_GT_BOX = {HEAD: attrgetter("head"), BODY: attrgetter("body")}
+_ZERO_BOX = (0.0, 0.0, 0.0, 0.0)
 
 # floor inside the log; only the all-zero case would hit it and that is
 # special-cased to an exact 0
@@ -78,23 +96,64 @@ def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tu
     is an FP.  Non-ignored ground truths match at most once; ignored ones may
     absorb any number of detections.
     """
-    matchable = [p for p in scene.persons if not p.ignore]
-    ignored = [p for p in scene.persons if p.ignore]
-    return _match(dets, matchable, ignored, cfg)
+    gt_box = _GT_BOX[cfg.class_under_test]
+    ranked = _ranked(dets)
+    outcomes, = _match_batch([(ranked,
+                               [gt_box(p) for p in scene.persons if not p.ignore],
+                               [gt_box(p) for p in scene.persons if p.ignore])],
+                             cfg.iou_match_threshold)
+    return [(d.det_id, outcome) for d, outcome in zip(ranked, outcomes)]
 
 
-def _match(dets, matchable, ignored, cfg) -> list[tuple[int, str]]:
-    """`match_to_gt` given the matchable and the ignored ground truth."""
-    gt_box = {HEAD: lambda p: p.head, BODY: lambda p: p.body}[cfg.class_under_test]
-    thr = cfg.iou_match_threshold
-    ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
-    # matchable ground truth in the leading columns, ignored after them
-    ious = pairwise_iou(box_array(d.box for d in ranked),
-                        box_array(gt_box(p) for p in matchable + ignored))
-    matched = greedy_match(ious[:, :len(matchable)], thr)
-    ignored_ious = ious[:, len(matchable):].tolist()
-    return [(d.det_id, TP if j >= 0 else IGNORED if any(v >= thr for v in row) else FP)
-            for d, j, row in zip(ranked, matched, ignored_ious)]
+def _ranked(dets) -> list[Detection]:
+    return sorted(dets, key=lambda d: (-d.score, d.det_id))
+
+
+def _append_boxes(coords: list[float], boxes, size: int) -> None:
+    """Append the corners of `boxes`, zero-padded to `size` boxes."""
+    for b in boxes:
+        coords += (b.x_min, b.y_min, b.x_max, b.y_max)
+    coords += _ZERO_BOX * (size - len(boxes))
+
+
+def _match_batch(jobs, thr: float) -> list[list[str]]:
+    """`match_to_gt` outcomes for each `(ranked detections, matchable boxes,
+    ignored boxes)` job, in ranked order, from one IoU call over the stack."""
+    n = max(len(ranked) for ranked, _, _ in jobs)
+    n_matchable = max(len(matchable) for _, matchable, _ in jobs)
+    n_ignored = max(len(ignored) for _, _, ignored in jobs)
+    det_coords: list[float] = []
+    gt_coords: list[float] = []
+    for ranked, matchable, ignored in jobs:
+        _append_boxes(det_coords, [d.box for d in ranked], n)
+        # matchable ground truth in the leading columns, ignored after them
+        _append_boxes(gt_coords, matchable, n_matchable)
+        _append_boxes(gt_coords, ignored, n_ignored)
+    ious = pairwise_iou(np.array(det_coords, dtype=np.float64).reshape(len(jobs), n, 4),
+                        np.array(gt_coords, dtype=np.float64).reshape(
+                            len(jobs), n_matchable + n_ignored, 4))
+    matched = greedy_match(ious[..., :n_matchable], thr)
+    absorbed = (ious[..., n_matchable:] >= thr).any(axis=-1).tolist()
+    return [[TP if j >= 0 else IGNORED if a else FP for _, j, a in zip(ranked, js, hit)]
+            for (ranked, _, _), js, hit in zip(jobs, matched, absorbed)]
+
+
+def _batches(work):
+    """Consecutive runs of `(scene_id, job)` items whose zero-padded stack
+    stays within `_PAIR_BUDGET` pairs; a job larger than that forms a batch
+    alone."""
+    batch: list = []
+    shape = (0, 0, 0)  # the batch's largest detection, matchable and ignored counts
+    for item in work:
+        sizes = tuple(map(len, item[1]))
+        grown = tuple(map(max, shape, sizes))
+        if batch and (len(batch) + 1) * grown[0] * (grown[1] + grown[2]) > _PAIR_BUDGET:
+            yield batch
+            batch, grown = [], sizes
+        batch.append(item)
+        shape = grown
+    if batch:
+        yield batch
 
 
 def compute_mr2(dets: list[tuple[str, Detection]], scenes: list[Scene],
@@ -113,25 +172,32 @@ def compute_mr2(dets: list[tuple[str, Detection]], scenes: list[Scene],
             raise ValueError(f"detection scene {scene_id!r} has no ground truth")
         by_scene.setdefault(scene_id, []).append(d)
 
+    gt_box = _GT_BOX[cfg.class_under_test]
     num_gt = 0
-    pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
+    work = []  # (scene_id, (ranked detections, matchable boxes, ignored boxes))
     for scene in scenes:
         # the split that reasonable_filter then match_to_gt make, without
         # building a filtered Scene
         matchable, ignored = [], []
         for p in scene.persons:
-            (ignored if p.ignore or not _reasonable(p) else matchable).append(p)
+            (ignored if p.ignore or not _reasonable(p) else matchable).append(gt_box(p))
         num_gt += len(matchable)
-        scene_dets = by_scene.get(scene.scene_id)
-        if not scene_dets:
-            continue
-        score_of = {d.det_id: d.score for d in scene_dets}
-        for det_id, outcome in _match(scene_dets, matchable, ignored, cfg):
-            if outcome != IGNORED:
-                pool.append((score_of[det_id], outcome, scene.scene_id, det_id))
+        scene_dets = by_scene.pop(scene.scene_id, None)
+        if scene_dets:
+            work.append((scene.scene_id, (_ranked(scene_dets), matchable, ignored)))
     if num_gt == 0:
         raise ValueError("no ground truth left after the Reasonable filter")
     num_images = len(scenes)
+
+    # scenes of like size share a batch, which keeps the padding small; the
+    # pool is sorted below, so the order scenes are matched in does not show
+    work.sort(key=lambda item: tuple(map(len, item[1])))
+    pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
+    for batch in _batches(work):
+        outcomes = _match_batch([job for _, job in batch], cfg.iou_match_threshold)
+        for (scene_id, (ranked, _, _)), scene_outcomes in zip(batch, outcomes):
+            pool += [(d.score, outcome, scene_id, d.det_id)
+                     for d, outcome in zip(ranked, scene_outcomes) if outcome != IGNORED]
 
     pool.sort(key=lambda item: (-item[0], item[2], item[3]))
     # Sweep every distinct input score, not just scores of counted outcomes:

@@ -5,6 +5,13 @@ The scalar `intersection_area`/`iou`/`ioh` are the reference definitions.
 arithmetic in the same order over (n, 4) float64 arrays, so every matrix
 entry is bit-identical to the scalar value for finite input;
 `greedy_match` is the one greedy assignment over such a matrix.
+
+`pairwise_intersection`, `pairwise_iou` and `greedy_match` also take leading
+batch axes: (..., n, 4) and (..., m, 4) stacks give (..., n, m) matrices whose
+every slice is bit-identical to the 2-D call on that slice, and the matcher
+assigns each slice on its own.  Scenes of different sizes share one stack by
+padding with the zero box (0, 0, 0, 0): its intersection with any box is 0,
+so its IoU is 0 and it never reaches a positive match threshold.
 """
 
 from __future__ import annotations
@@ -110,16 +117,17 @@ def box_array(boxes: Iterable[BBox]) -> np.ndarray:
 
 
 def _areas(boxes: np.ndarray) -> np.ndarray:
-    wh = boxes[:, 2:] - boxes[:, :2]
-    return wh[:, 0] * wh[:, 1]
+    wh = boxes[..., 2:] - boxes[..., :2]
+    return wh[..., 0] * wh[..., 1]
 
 
 def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) matrix whose [i, j] entry equals `intersection_area` of boxes
-    a[i] and b[j]."""
+    """(..., n, m) matrix whose [..., i, j] entry equals `intersection_area`
+    of boxes a[..., i] and b[..., j]."""
     # clamping the extents at 0 gives the scalar path's 0 for every disjoint
     # or touching pair (up to the sign of zero)
-    wh = np.minimum(a[:, None, 2:], b[:, 2:]) - np.maximum(a[:, None, :2], b[:, :2])
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    wh = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     np.maximum(wh, 0.0, out=wh)
     return wh[..., 0] * wh[..., 1]
 
@@ -132,11 +140,13 @@ _UNION_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) matrix whose [i, j] entry equals `iou` of boxes a[i] and b[j]."""
+    """(..., n, m) matrix whose [..., i, j] entry equals `iou` of boxes
+    a[..., i] and b[..., j]."""
     area_a = _areas(a)
     area_b = area_a if b is a else _areas(b)
     inter = pairwise_intersection(a, b)
-    return inter / np.maximum(area_a[:, None] + area_b - inter, _UNION_FLOOR)
+    return inter / np.maximum(area_a[..., :, None] + area_b[..., None, :] - inter,
+                              _UNION_FLOOR)
 
 
 def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
@@ -153,24 +163,38 @@ def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     return pairwise_intersection(heads, bodies) / head_area[:, None]
 
 
-def greedy_match(ious: np.ndarray, threshold: float) -> list[int]:
+def greedy_match(ious: np.ndarray, threshold: float) -> list:
     """One-to-one greedy assignment of rows to columns, rows in order.
 
     Each row takes the still-free column of maximal value when that value
     reaches `threshold`, the lowest such column on ties.  Returns the column
-    per row, -1 for rows left unmatched.
+    per row, -1 for rows left unmatched.  An (..., n, m) stack is matched
+    slice by slice and gives the per-slice lists nested as its leading axes.
     """
-    rows, cols = np.nonzero(ious >= threshold)
-    values = ious.tolist()
-    candidates: list[list[tuple[float, int]]] = [[] for _ in values]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        candidates[i].append((values[i][j], j))
-    match = [-1] * len(ious)
+    *lead, n, m = ious.shape
+    flat = ious.reshape(math.prod(lead), n, m)
+    hits = flat >= threshold
+    slices, rows, cols = np.nonzero(hits)
+    # one key per (slice, row) and per (slice, column), so every slice has
+    # its own rows and its own taken columns
+    row_keys = (slices * n + rows).tolist()
+    col_keys = (slices * m + cols).tolist()
+    match = [-1] * (len(flat) * n)
     taken: set[int] = set()
-    for i, cands in enumerate(candidates):
-        free = [c for c in cands if c[1] not in taken]
-        if free:
-            # max() keeps the first maximal entry, the lowest column
-            match[i] = max(free, key=lambda c: c[0])[1]
-            taken.add(match[i])
-    return match
+    # candidates come row by row, columns ascending; a row's pick is fixed
+    # once the next row starts
+    row, best, best_value = -1, -1, 0.0
+    for r, c, k, v in zip(row_keys, cols.tolist(), col_keys, flat[hits].tolist()):
+        if r != row:
+            if best >= 0:
+                match[row] = best
+                taken.add(row // n * m + best)
+            row, best = r, -1
+        # strictly greater keeps the first maximal entry, the lowest column
+        if k not in taken and (best < 0 or v > best_value):
+            best, best_value = c, v
+    if best >= 0:
+        match[row] = best
+    if not lead:
+        return match
+    return np.array(match, dtype=np.int64).reshape(ious.shape[:-1]).tolist()

@@ -219,6 +219,12 @@ MOMENTUM = 0.9
 WEIGHT_DECAY = 0.0001
 POSITIVE_SHARE = 0.25
 
+# Upper bounds on the integer settings, far above any useful value: a larger
+# one is rejected by name before it can overflow or ask numpy for gigabytes.
+MAX_BATCH_SIZE = 8192
+MAX_EPOCHS = 10_000
+MAX_HIDDEN_DIM = 512
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -233,6 +239,11 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be positive")
         if self.hidden_dim <= 0:
             raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
+        for name, limit in (("batch_size", MAX_BATCH_SIZE), ("epochs", MAX_EPOCHS),
+                            ("hidden_dim", MAX_HIDDEN_DIM)):
+            value = getattr(self, name)
+            if value > limit:
+                raise ValueError(f"{name} must be at most {limit}, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # written so that NaN fails the comparison

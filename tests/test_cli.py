@@ -208,6 +208,21 @@ def test_negative_num_scenes(capsys, tmp_path):
                            "--num-scenes", "-1"], "non-negative")
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--num-scenes", "100001"], None),
+    ([], {"num_scenes": 10 ** 400}),
+], ids=["flag", "config"])
+def test_num_scenes_above_limit(capsys, tmp_path, flags, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", str(cfg)]
+    _expect_error(capsys, ["simulate", "--out-scenes", str(tmp_path / "s.jsonl"),
+                           "--out-dets", str(tmp_path / "d.jsonl"), *flags],
+                  "num-scenes must be at most 100000")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.mark.parametrize("iou", ["0", "1.5", "-1", "nan"])
 def test_eval_rejects_iou_outside_unit_interval(capsys, chain, tmp_path, iou):
     _expect_error(capsys, ["eval", "--results", str(chain / "out" / "rdm.jsonl"),
@@ -502,6 +517,15 @@ def _train_argv(chain, tmp_path, *extra):
                  id="fixed-momentum"),
     pytest.param(None, ["--learning-rate", "nan"],
                  "learning_rate must be positive and finite, got nan", id="nan-learning-rate"),
+    # sizes past the limits are rejected before anything is allocated
+    pytest.param({"train": {"batch_size": 10 ** 400}}, [], "batch_size must be at most 8192",
+                 id="huge-batch"),
+    pytest.param({"train": {"batch_size": 10 ** 11}}, [], "batch_size must be at most 8192",
+                 id="large-batch"),
+    pytest.param(None, ["--epochs", str(10 ** 400)], "epochs must be at most 10000",
+                 id="huge-epochs"),
+    pytest.param({"train": {"hidden_dim": 513}}, [], "hidden_dim must be at most 512",
+                 id="wide-model"),
 ])
 def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, fragment):
     if config is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -369,3 +370,61 @@ def test_box_names_first_bad_coordinate(tmp_path):
     with pytest.raises(FormatError, match="dets\\[0\\].box: non-finite box coordinate "
                                           "y_min=inf"):
         read_detection_groups(path)
+
+
+def test_integer_valued_numbers_read_as_floats(tmp_path):
+    # the writers emit floats; a file written by hand may hold integers, also
+    # mixed with floats in one box
+    path = tmp_path / "dets.jsonl"
+    path.write_text(_det_line('{"id": 1, "box": [0, 2, 10, 20], "score": 1}, '
+                              '{"id": 2, "box": [0, 2.5, 10, 20.0], "score": 0}'))
+    assert read_detection_groups(path) == [DetectionGroup(
+        "s0", BODY, PRE_NMS, (det(1, (0.0, 2.0, 10.0, 20.0), 1.0),
+                              det(2, (0.0, 2.5, 10.0, 20.0), 0.0)))]
+    path = tmp_path / "scenes.jsonl"
+    path.write_text(_scene_line('{"id": 1, "occ": 1, %s}, {"id": 2, "occ": 0, '
+                                '"head": [2, 0.5, 8, 6], "body": [0.0, 0, 10, 40]}' % _PERSON))
+    assert read_scenes(path) == [scene(
+        [person(1, (2.0, 0.0, 8.0, 6.0), (0.0, 0.0, 10.0, 40.0), occ=1.0),
+         person(2, (2.0, 0.5, 8.0, 6.0), (0.0, 0.0, 10.0, 40.0), occ=0.0)],
+        width=100.0, height=100.0)]
+    assert all(type(v) is float for g in read_detection_groups(tmp_path / "dets.jsonl")
+               for d in g.dets for v in (*d.box.as_list(), d.score))
+
+
+_LONG = 40
+
+
+@pytest.mark.parametrize("key, value, field, message", [
+    ("box", "[0, 0, 1]", "box", "box must be a 4-element [x1, y1, x2, y2] list"),
+    ("box", "[5.0, 0.0, 1.0, 1.0]", "box", "box has negative extent: (5.0, 0.0, 1.0, 1.0)"),
+    ("id", "1.0", "id", "expected an integer, got 1.0"),
+    ("score", "1.5", None, "detection score 1.5 outside [0, 1]"),
+])
+def test_fault_in_last_detection_named(tmp_path, key, value, field, message):
+    entries = [{"id": k, "box": [0.0, 0.0, 1.0, 1.0], "score": 0.5} for k in range(_LONG)]
+    entries[-1][key] = "VALUE"
+    path = tmp_path / "dets.jsonl"
+    path.write_text(_det_line(", ".join(map(json.dumps, entries))).replace('"VALUE"', value))
+    item = f"dets[{_LONG - 1}]" + (f".{field}" if field else "")
+    with pytest.raises(FormatError) as exc_info:
+        read_detection_groups(path)
+    assert str(exc_info.value) == f"dets.jsonl:1: {item}: {message}"
+
+
+@pytest.mark.parametrize("key, value, field, message", [
+    ("ignore", '"no"', "ignore", "expected a boolean, got 'no'"),
+    ("occ", "1.5", None, "occlusion_ratio 1.5 outside [0, 1]"),
+    ("head", "[0.0, 0.0, 12.0, 6.0]", None, "head box extends beyond body box"),
+    ("body", "[0.0, 0.0, 10.0, Infinity]", "body", "non-finite box coordinate y_max=inf"),
+])
+def test_fault_in_last_person_named(tmp_path, key, value, field, message):
+    entries = [{"id": k, "head": [2.0, 0.0, 8.0, 6.0], "body": [0.0, 0.0, 10.0, 40.0],
+                "ignore": False, "occ": 0.25} for k in range(_LONG)]
+    entries[-1][key] = "VALUE"
+    path = tmp_path / "scenes.jsonl"
+    path.write_text(_scene_line(", ".join(map(json.dumps, entries))).replace('"VALUE"', value))
+    item = f"persons[{_LONG - 1}]" + (f".{field}" if field else "")
+    with pytest.raises(FormatError) as exc_info:
+        read_scenes(path)
+    assert str(exc_info.value) == f"scenes.jsonl:1: {item}: {message}"

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from crowdpost import evaluator
 from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FP, FPPI_POINTS, IGNORED, TP, EvalConfig, EvalResult,
                                  compute_mr2, log_average_miss_rate, match_to_gt,
@@ -225,6 +226,73 @@ def test_matches_brute_force_reference():
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
         assert list(result.curve) == ref_curve
+
+
+def _mr2_scene_by_scene(dets, scenes, cfg):
+    """compute_mr2 composed from one match_to_gt call per scene."""
+    pool, num_gt = [], 0
+    for s in map(reasonable_filter, scenes):
+        num_gt += sum(not p.ignore for p in s.persons)
+        scene_dets = [d for scene_id, d in dets if scene_id == s.scene_id]
+        score = {d.det_id: d.score for d in scene_dets}
+        pool += [(score[i], o) for i, o in match_to_gt(scene_dets, s, cfg) if o != IGNORED]
+    curve = []
+    for t in sorted({d.score for _, d in dets}, reverse=True):
+        tp = sum(o == TP for score, o in pool if score >= t)
+        fp = sum(o == FP for score, o in pool if score >= t)
+        curve.append((t, fp / len(scenes), 1.0 - tp / num_gt))
+    return EvalResult(log_average_miss_rate(curve, FPPI_POINTS), tuple(curve), num_gt,
+                      len(scenes))
+
+
+def _mixed_split(rng, class_name):
+    """Forty scenes: mostly small, some without persons or detections, and a
+    few crowds whose detection/ground-truth pairs exceed the pair budget."""
+    scenes, dets = [], []
+    for i in range(40):
+        crowd = i % 13 == 5
+        persons = []
+        for pid in range(int(rng.integers(55, 70) if crowd else rng.integers(0, 5))):
+            h = float(rng.uniform(30, 130))
+            persons.append(_person_at(pid, float(rng.uniform(0, 400 - 0.4 * h)),
+                                      float(rng.uniform(0, 400 - h)), w=0.4 * h, h=h,
+                                      occ=float(rng.uniform(0, 0.6)),
+                                      ignore=bool(rng.random() < 0.2)))
+        scenes.append(scene(persons, scene_id=f"s{i}", width=400, height=400))
+        for j in range(int(rng.integers(70, 90) if crowd else rng.choice([0, 1, 3, 8]))):
+            if persons and rng.random() < 0.7:
+                base = getattr(persons[rng.integers(0, len(persons))], class_name).as_list()
+                jit = rng.normal(scale=3.0, size=4)
+                box = (base[0] + jit[0], base[1] + jit[1],
+                       max(base[0] + jit[0] + 1, base[2] + jit[2]),
+                       max(base[1] + jit[1] + 1, base[3] + jit[3]))
+            else:
+                x, y = rng.uniform(0, 300, size=2)
+                box = (x, y, x + rng.uniform(5, 80), y + rng.uniform(5, 80))
+            score = float(rng.choice([0.2, 0.4, 0.6, 0.8, 0.95, rng.uniform()]))
+            dets.append((f"s{i}", det(j, box, score)))
+        if i % 4 == 1:
+            # a box over the whole image, which any non-zero padding box would match
+            dets.append((f"s{i}", det(999, (0, 0, 400, 400), 0.5)))
+    return scenes, dets
+
+
+@pytest.mark.parametrize("budget", [None, 60, 1])
+@pytest.mark.parametrize("class_name, thr", [("body", 0.5), ("head", 0.5), ("body", 0.3)])
+def test_batched_matching_equals_scene_by_scene(monkeypatch, budget, class_name, thr):
+    if budget is not None:
+        monkeypatch.setattr(evaluator, "_PAIR_BUDGET", budget)
+    rng = np.random.default_rng(97)
+    cfg = EvalConfig(iou_match_threshold=thr, class_under_test=class_name)
+    for _ in range(3):
+        scenes, dets = _mixed_split(rng, class_name)
+        sizes = {sid: 0 for sid in (s.scene_id for s in scenes)}
+        for sid, _ in dets:
+            sizes[sid] += 1
+        # some crowd outgrows the budget alone; some scenes lack persons or detections
+        assert any(sizes[s.scene_id] * len(s.persons) > evaluator._PAIR_BUDGET for s in scenes)
+        assert any(not s.persons for s in scenes) and 0 in sizes.values()
+        assert compute_mr2(dets, scenes, cfg) == _mr2_scene_by_scene(dets, scenes, cfg)
 
 
 def test_fp_injection_never_improves_mr2():

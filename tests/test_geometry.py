@@ -225,3 +225,47 @@ def test_greedy_match_agrees_with_loop_reference():
         # coarse values make ties and exact-threshold hits common
         ious = rng.integers(0, 5, size=(n, m)) / 4.0
         assert greedy_match(ious, 0.5) == _greedy_match_reference(ious, 0.5)
+
+
+def _padded_stack(rng, boxes, slices, size):
+    """(slices, size, 4) stack of random picks from `boxes`, each slice holding
+    0..size of them and zero-padded after."""
+    stack = np.zeros((slices, size, 4))
+    for s in range(slices):
+        k = int(rng.integers(0, size + 1))
+        stack[s, :k] = box_array(boxes[i] for i in rng.integers(0, len(boxes), size=k))
+    return stack
+
+
+def test_pairwise_batched_equals_per_slice_bit_for_bit():
+    boxes = _kernel_cases()
+    rng = np.random.default_rng(17)
+    a, b = _padded_stack(rng, boxes, 12, 9), _padded_stack(rng, boxes, 12, 7)
+    for kernel in (pairwise_intersection, pairwise_iou):
+        batched = kernel(a, b)
+        assert batched.shape == (12, 9, 7)
+        for s in range(12):
+            # padding rows and columns included; bytes also compare the sign of zero
+            assert batched[s].tobytes() == kernel(a[s], b[s]).tobytes()
+        # any number of leading axes
+        deep = kernel(a.reshape(3, 4, 9, 4), b.reshape(3, 4, 7, 4))
+        assert deep.tobytes() == batched.tobytes()
+    assert pairwise_iou(a[:, :0], b).shape == (12, 0, 7)
+    assert pairwise_iou(a, b[:, :0]).shape == (12, 9, 0)
+
+
+def test_zero_box_padding_never_overlaps():
+    boxes = box_array(_kernel_cases())
+    zero = np.zeros((1, 4))
+    assert not pairwise_intersection(zero, boxes).any()
+    assert not pairwise_iou(boxes, zero).any()
+
+
+def test_batched_greedy_match_equals_per_slice():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        s, n, m = rng.integers(0, 6, size=3)
+        ious = rng.integers(0, 5, size=(s, n, m)) / 4.0
+        assert greedy_match(ious, 0.5) == [greedy_match(x, 0.5) for x in ious]
+    ious = rng.integers(0, 5, size=(2, 3, 4, 5)) / 4.0
+    assert greedy_match(ious, 0.5) == [[greedy_match(x, 0.5) for x in row] for row in ious]

@@ -101,6 +101,75 @@ def test_detection_file_round_trip(records):
     assert _round_trip(records, write_detection_groups, read_detection_groups) == records
 
 
+# ids that need escaping, and coordinates, scores and occlusions that may be -0.0
+_tricky_ids = st.text(alphabet=st.sampled_from(['"', "\\", "/", "a", " ", "\x00", "\n", "\u2028",
+                                                "\u00e9", "\u20ac", "\U0001f600", "\ud800"]),
+                      max_size=8)
+_signed_zero = st.sampled_from([-0.0, 0.0])
+_any_coord = st.one_of(_signed_zero, st.floats(allow_nan=False, allow_infinity=False))
+_any_unit = st.one_of(_signed_zero, _unit)
+
+
+@st.composite
+def _tricky_scenes(draw):
+    scenes = []
+    for scene_id in draw(st.lists(_tricky_ids, min_size=1, max_size=4, unique=True)):
+        width, height = draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4))
+        persons = []
+        for pid in draw(st.lists(_ids, max_size=3, unique=True)):
+            x1, x2 = sorted((draw(st.one_of(_signed_zero, st.floats(0.0, width))),
+                             draw(st.floats(0.0, width))))
+            y1, y2 = sorted((draw(_signed_zero), draw(st.floats(0.0, height))))
+            persons.append(PersonInstance(pid, BBox(x1, y1, x2, y1), BBox(x1, y1, x2, y2),
+                                          draw(st.booleans()), draw(_any_unit)))
+        scenes.append(Scene(scene_id, width, height, tuple(persons)))
+    return scenes
+
+
+@st.composite
+def _tricky_groups(draw):
+    groups = []
+    for scene_id in draw(st.lists(_tricky_ids, min_size=1, max_size=4)):
+        dets = []
+        for det_id in draw(st.lists(_ids, max_size=4, unique=True)):
+            x1, x2 = sorted((draw(_any_coord), draw(_any_coord)))
+            y1, y2 = sorted((draw(_any_coord), draw(_any_coord)))
+            dets.append(Detection(det_id, BBox(x1, y1, x2, y2), draw(_any_unit)))
+        groups.append(DetectionGroup(scene_id, draw(st.sampled_from(CLASSES)),
+                                     draw(st.sampled_from(STAGES)), tuple(dets)))
+    return groups
+
+
+def _written(records, write) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.jsonl")
+        write(records, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@PROPERTY
+@given(_tricky_scenes())
+def test_scene_writer_bytes_equal_json_dumps(records):
+    expected = "".join(json.dumps({
+        "format": "scenes/v1", "scene_id": s.scene_id, "width": s.width, "height": s.height,
+        "persons": [{"id": p.person_id, "head": p.head.as_list(), "body": p.body.as_list(),
+                     "ignore": p.ignore, "occ": p.occlusion_ratio} for p in s.persons],
+    }) + "\n" for s in records)
+    assert _written(records, write_scenes) == expected.encode("utf-8")
+
+
+@PROPERTY
+@given(_tricky_groups())
+def test_detection_writer_bytes_equal_json_dumps(records):
+    expected = "".join(json.dumps({
+        "format": "detections/v1", "scene_id": g.scene_id, "class": g.class_name,
+        "stage": g.stage,
+        "dets": [{"id": d.det_id, "box": d.box.as_list(), "score": d.score} for d in g.dets],
+    }) + "\n" for g in records)
+    assert _written(records, write_detection_groups) == expected.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # single-field corruptions
 

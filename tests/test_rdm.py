@@ -5,9 +5,10 @@ import pytest
 
 from crowdpost.data_model import DetectionSet
 from crowdpost.geometry import BBox
-from crowdpost.rdm import (FEATURE_DIM, RelationModel, TrainConfig, bce_loss,
-                           build_training_pairs, extract_features, load_model,
-                           pair_features, save_model, train, write_loss_csv,
+from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_DIM,
+                           RelationModel, TrainConfig, bce_loss, build_training_pairs,
+                           extract_features, load_model, pair_features, save_model, train,
+                           write_loss_csv,
                            _loss_and_gradients, _sample_batch)
 
 from helpers import det, person, scene
@@ -346,6 +347,15 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="hidden_dim"):
         TrainConfig(hidden_dim=0)
+
+
+def test_train_config_upper_bounds():
+    # the limits themselves are accepted; building a config allocates nothing
+    TrainConfig(batch_size=MAX_BATCH_SIZE, epochs=MAX_EPOCHS, hidden_dim=MAX_HIDDEN_DIM)
+    for name, limit in (("batch_size", MAX_BATCH_SIZE), ("epochs", MAX_EPOCHS),
+                        ("hidden_dim", MAX_HIDDEN_DIM)):
+        with pytest.raises(ValueError, match=f"^{name} must be at most {limit}, got {limit + 1}$"):
+            TrainConfig(**{name: limit + 1})
 
 
 def test_bce_loss_value():
