@@ -186,10 +186,11 @@ def cmd_run(args) -> int:
                       low_threshold=args.low_threshold,
                       high_threshold=args.high_threshold)
     model = load_model(args.model)
-    groups = read_detection_groups(args.dets)
+    # only the records outlive this line, not the reader's columns
+    scenes = _pre_nms_by_scene(read_detection_groups(args.dets))
 
     baseline_groups, rdm_groups, audit_scenes = [], [], []
-    for scene_id, heads_pre, bodies_pre in _pre_nms_by_scene(groups):
+    for scene_id, heads_pre, bodies_pre in scenes:
         ds = build_detection_set(scene_id, heads_pre, bodies_pre, nms_cfg)
         out = postprocess(list(ds.heads_post_nms), list(ds.bodies_pre_nms),
                           list(ds.bodies_post_nms), model.score_pairs, post_cfg)
@@ -218,19 +219,26 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _has_control_character(name: str) -> bool:
+    return any(c < " " or "\x7f" <= c <= "\x9f" for c in name)
+
+
 def cmd_eval(args) -> int:
     eval_cfg = EvalConfig(iou_match_threshold=args.iou if args.iou is not None else 0.5,
                           class_under_test=args.class_name)
+    name = args.name if args.name else os.path.basename(args.out_prefix)
+    # a line break or another control character would break the report's table rows
+    if _has_control_character(name):
+        raise ValueError(f"variant name {name!r} holds a control character")
     scenes = read_scenes(args.scenes)
     groups = read_detection_groups(args.results)
     if not groups:
         raise ValueError(f"{args.results}: empty results file")
-    selected = [g for g in groups if g.class_name == args.class_name and g.stage == POST_NMS]
-    if not selected:
+    selected = groups.select(args.class_name, POST_NMS)
+    if not selected.scene_ids:
         raise ValueError(f"{args.results}: no post-NMS {args.class_name} groups")
 
-    result = compute_mr2([(g.scene_id, d) for g in selected for d in g.dets], scenes, eval_cfg)
-    name = args.name if args.name else os.path.basename(args.out_prefix)
+    result = compute_mr2(selected, scenes, eval_cfg)
     write_result_json(result, args.out_prefix + ".eval.json", name, args.class_name)
     write_curve_csv(result, args.out_prefix + ".curve.csv")
     write_curve_svg(name, result, args.out_prefix + ".svg")
@@ -252,6 +260,8 @@ def _read_eval_result(path) -> tuple[str, str, float]:
     name, class_name, mr2 = obj.get("name"), obj.get("class"), obj.get("mr2")
     if not isinstance(name, str):
         raise ValueError(f"{path}: name must be a string, got {name!r}")
+    if _has_control_character(name):
+        raise ValueError(f"{path}: name {name!r} holds a control character")
     if class_name not in (HEAD, BODY):
         raise ValueError(f"{path}: class must be {HEAD!r} or {BODY!r}, got {class_name!r}")
     # an integer is compared before it is converted, so a huge one cannot overflow
@@ -279,7 +289,8 @@ def cmd_report(args) -> int:
     for name in sorted(cells):
         row = cells[name]
         fmt = lambda c: f"{row[c] * 100.0:.2f}%" if c in row else "-"
-        lines.append(f"| {name} | {fmt(HEAD)} | {fmt(BODY)} |")
+        cell = name.replace("|", "\\|")  # an unescaped pipe would end the cell
+        lines.append(f"| {cell} | {fmt(HEAD)} | {fmt(BODY)} |")
     text = "\n".join(lines) + "\n"
     atomic_write_text(args.out, text)
     sys.stdout.write(text)

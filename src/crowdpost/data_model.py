@@ -11,6 +11,9 @@ class are those of the group, set or list that holds it:
 
     {"format": "detections/v1", "scene_id": ..., "class": "head"|"body",
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
+
+The readers return a file's records as columns (`SceneColumns`,
+`GroupColumns`), which are also read-only sequences of the records.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
+
+import numpy as np
 
 from .fileio import atomic_write_text
-from .geometry import BBox
+from .geometry import BBox, box_array
 
 HEAD = "head"
 BODY = "body"
@@ -178,6 +186,223 @@ class DetectionSet:
 
 
 # ---------------------------------------------------------------------------
+# columns
+#
+# The readers return the records of a file as columns: one list or array per
+# field, entries of one scene or group next to each other, and offsets that
+# bound each scene's persons or each group's detections.  The columns are
+# also a read-only sequence of the records, built together on the first
+# access to any of them, so callers that walk records keep working; the
+# evaluator reads the arrays and builds no record.
+
+class _Records(Sequence):
+    """A read-only sequence of `size` records, all built by `_records()` on
+    the first access to any of them; it equals a list of equal records."""
+
+    __slots__ = ("_size", "_built")
+
+    def __init__(self, size: int):
+        self._size, self._built = size, None
+
+    def __len__(self):
+        return self._size
+
+    def _all(self) -> list:
+        if self._built is None:
+            self._built = self._records()
+        return self._built
+
+    def __getitem__(self, k):
+        return self._all()[k]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Records)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 4) array: does `BBox` accept it (finite, no negative extent)?"""
+    return (np.isfinite(boxes).all(axis=1)
+            & (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1]))
+
+
+def _owners(offsets: list[int], bad: np.ndarray) -> list[int]:
+    """The rows, bounded by `offsets`, that hold an entry flagged in `bad`."""
+    if not bad.any():
+        return []
+    return np.unique(np.searchsorted(offsets, np.flatnonzero(bad), side="right") - 1).tolist()
+
+
+def _split(items: list, offsets: list[int]) -> list[tuple]:
+    """The runs of `items` that `offsets` bound, as tuples."""
+    return [tuple(items[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def _floats(runs) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(runs), dtype=np.float64)
+
+
+def _offsets(runs) -> list[int]:
+    return list(accumulate(map(len, runs), initial=0))
+
+
+class SceneColumns(_Records):
+    """Scenes as columns, and the sequence of their `Scene` records.
+
+    Per scene: `scene_ids`, `widths` and `heights`, and `person_offsets`,
+    whose entries k and k + 1 bound the persons of scene k.  Per person:
+    `person_ids`, `heads` and `bodies` ((n, 4) float64 corners), `ignore`
+    (bool) and `occlusion` (float64).
+    """
+
+    __slots__ = ("scene_ids", "widths", "heights", "person_offsets", "person_ids",
+                 "heads", "bodies", "ignore", "occlusion")
+
+    def __init__(self, scene_ids, widths, heights, person_offsets, person_ids,
+                 heads, bodies, ignore, occlusion):
+        super().__init__(len(scene_ids))
+        self.scene_ids, self.widths, self.heights = scene_ids, widths, heights
+        self.person_offsets, self.person_ids = person_offsets, person_ids
+        self.heads, self.bodies, self.ignore, self.occlusion = heads, bodies, ignore, occlusion
+
+    @classmethod
+    def from_records(cls, scenes) -> SceneColumns:
+        return _scene_columns(list(map(_scene_fields, scenes)))
+
+    def _records(self) -> list[Scene]:
+        persons = list(map(PersonInstance, self.person_ids,
+                           starmap(BBox, self.heads.tolist()),
+                           starmap(BBox, self.bodies.tolist()),
+                           self.ignore.tolist(), self.occlusion.tolist()))
+        return list(map(Scene, self.scene_ids, self.widths, self.heights,
+                        _split(persons, self.person_offsets)))
+
+    def _faulty(self) -> list[int]:
+        """The scenes holding a person that `PersonInstance` or `Scene` rejects."""
+        heads, bodies, occ = self.heads, self.bodies, self.occlusion
+        counts = np.diff(self.person_offsets)
+        ok = (_valid_boxes(heads) & _valid_boxes(bodies) & (occ >= 0.0) & (occ <= 1.0)
+              & (heads[:, :2] >= bodies[:, :2]).all(axis=1)
+              & (heads[:, 2:] <= bodies[:, 2:]).all(axis=1)
+              & (bodies[:, :2] >= 0.0).all(axis=1)
+              & (bodies[:, 2] <= np.repeat(self.widths, counts))
+              & (bodies[:, 3] <= np.repeat(self.heights, counts)))
+        return _owners(self.person_offsets, ~ok)
+
+
+class DetectionColumns(_Records):
+    """Detections of many groups as columns, and the sequence of their
+    `(scene_id, Detection)` pairs: its length is the number of detections.
+
+    Per group: `scene_ids` and `det_offsets`, whose entries g and g + 1 bound
+    the detections of group g.  Per detection: `det_ids`, `boxes` ((n, 4)
+    float64 corners) and `scores` (float64).
+    """
+
+    __slots__ = ("scene_ids", "det_offsets", "det_ids", "boxes", "scores")
+
+    def __init__(self, scene_ids, det_offsets, det_ids, boxes, scores):
+        super().__init__(len(det_ids))
+        self.scene_ids, self.det_offsets = scene_ids, det_offsets
+        self.det_ids, self.boxes, self.scores = det_ids, boxes, scores
+
+    @classmethod
+    def from_pairs(cls, pairs) -> DetectionColumns:
+        """Columns of `(scene_id, Detection)` pairs, each pair a group of its own."""
+        pairs = list(pairs)
+        dets = [d for _, d in pairs]
+        return cls([scene_id for scene_id, _ in pairs], list(range(len(pairs) + 1)),
+                   [d.det_id for d in dets], box_array(d.box for d in dets),
+                   np.array([d.score for d in dets], dtype=np.float64))
+
+    def _detections(self) -> list[Detection]:
+        return list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),
+                        self.scores.tolist()))
+
+    def _records(self) -> list[tuple[str, Detection]]:
+        offsets = self.det_offsets
+        scene_ids = chain.from_iterable(map(repeat, self.scene_ids, np.diff(offsets).tolist()))
+        return list(zip(scene_ids, self._detections()))
+
+    def _faulty(self) -> list[int]:
+        """The groups holding a detection that `BBox` or `Detection` rejects."""
+        scores = self.scores
+        return _owners(self.det_offsets,
+                       ~(_valid_boxes(self.boxes) & (scores >= 0.0) & (scores <= 1.0)))
+
+
+class GroupColumns(_Records):
+    """Detection groups as columns, and the sequence of their
+    `DetectionGroup` records: `detections` holds every group's scene and
+    detections, `class_names` and `stages` the rest of each group's key."""
+
+    __slots__ = ("detections", "class_names", "stages")
+
+    def __init__(self, detections: DetectionColumns, class_names, stages):
+        super().__init__(len(class_names))
+        self.detections, self.class_names, self.stages = detections, class_names, stages
+
+    def _records(self) -> list[DetectionGroup]:
+        d = self.detections
+        return list(map(DetectionGroup, d.scene_ids, self.class_names, self.stages,
+                        _split(d._detections(), d.det_offsets)))
+
+    def select(self, class_name: str, stage: str) -> DetectionColumns:
+        """The detections of the groups of one class and stage, in file order."""
+        d = self.detections
+        chosen = [c == class_name and s == stage
+                  for c, s in zip(self.class_names, self.stages)]
+        counts = np.diff(d.det_offsets)
+        kept = np.repeat(np.array(chosen, dtype=bool), counts)
+        return DetectionColumns(list(compress(d.scene_ids, chosen)),
+                                [0, *np.cumsum(counts[chosen]).tolist()],
+                                list(compress(d.det_ids, kept.tolist())),
+                                d.boxes[kept], d.scores[kept])
+
+
+# A row is one scene's or one group's fields, with a list per person or
+# detection field and box corners flat; the readers collect rows, and these
+# turn them into columns.
+
+def _scene_fields(scene: Scene) -> tuple:
+    persons = scene.persons
+    return (scene.scene_id, scene.width, scene.height, [p.person_id for p in persons],
+            [v for p in persons for v in p.head.as_list()],
+            [v for p in persons for v in p.body.as_list()],
+            [p.ignore for p in persons], [p.occlusion_ratio for p in persons])
+
+
+def _scene_columns(rows: list[tuple]) -> SceneColumns:
+    scene_ids, widths, heights, ids, heads, bodies, ignore, occ = list(zip(*rows)) or [()] * 8
+    return SceneColumns(list(scene_ids), list(widths), list(heights), _offsets(ids),
+                        list(chain.from_iterable(ids)), _floats(heads).reshape(-1, 4),
+                        _floats(bodies).reshape(-1, 4),
+                        np.fromiter(chain.from_iterable(ignore), dtype=bool), _floats(occ))
+
+
+def _group_fields(group: DetectionGroup) -> tuple:
+    dets = group.dets
+    return (group.scene_id, group.class_name, group.stage, [d.det_id for d in dets],
+            [v for d in dets for v in d.box.as_list()], [d.score for d in dets])
+
+
+def _group_columns(rows: list[tuple]) -> GroupColumns:
+    scene_ids, class_names, stages, ids, boxes, scores = list(zip(*rows)) or [()] * 6
+    detections = DetectionColumns(list(scene_ids), _offsets(ids), list(chain.from_iterable(ids)),
+                                  _floats(boxes).reshape(-1, 4), _floats(scores))
+    return GroupColumns(detections, list(class_names), list(stages))
+
+
+# ---------------------------------------------------------------------------
 # scene files
 
 def _field(item, key):
@@ -238,19 +463,6 @@ def _check_format(obj, expected, path, line_no):
                           path, line_no, "format")
 
 
-def _plain_box(value) -> BBox | None:
-    """The box of a list of four JSON floats that passes BBox's checks, else
-    None: the readers' fast path, which leaves naming a fault to `_parse_box`."""
-    if type(value) is list and len(value) == 4:
-        x1, y1, x2, y2 = value
-        if type(x1) is float and type(y1) is float and type(x2) is float and type(y2) is float:
-            try:
-                return BBox(x1, y1, x2, y2)
-            except ValueError:
-                pass
-    return None
-
-
 def _parse_person(p, path, line_no, item) -> PersonInstance:
     """One `persons` entry, every field checked and a fault named."""
     p = _entry(p, path, line_no, item)
@@ -273,29 +485,21 @@ def _parse_scene(obj, path, line_no) -> Scene:
                       path, line_no, "", "scene_id")
     width = _number(_require(obj, "width", path, line_no), path, line_no, "", "width")
     height = _number(_require(obj, "height", path, line_no), path, line_no, "", "height")
-    persons = []
     raw_persons = _require(obj, "persons", path, line_no)
     if not isinstance(raw_persons, list):
         raise FormatError("persons must be a list", path, line_no, "persons")
-    for p in raw_persons:
-        # fast path: every field already of its JSON type and in range;
-        # anything else goes through _parse_person, which converts an integer
-        # coordinate or raises the error that names the field
-        if type(p) is dict:
-            person_id, ignore, occ = p.get("id"), p.get("ignore", False), p.get("occ", 0.0)
-            if type(person_id) is int and type(ignore) is bool and type(occ) is float:
-                head, body = _plain_box(p.get("head")), _plain_box(p.get("body"))
-                if head is not None and body is not None:
-                    try:
-                        persons.append(PersonInstance(person_id, head, body, ignore, occ))
-                        continue
-                    except ValueError:
-                        pass
-        persons.append(_parse_person(p, path, line_no, f"persons[{len(persons)}]"))
+    persons = [_parse_person(p, path, line_no, f"persons[{i}]")
+               for i, p in enumerate(raw_persons)]
     try:
         return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(str(exc), path, line_no) from exc
+
+
+# the C scanner behind `json.loads`, called without its wrapper; a line it
+# does not take whole goes to `json.loads`, which raises the error
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
 
 
 def _iter_jsonl(path):
@@ -307,30 +511,116 @@ def _iter_jsonl(path):
             except UnicodeDecodeError as exc:
                 raise FormatError(f"not UTF-8 ({exc.reason} at byte {exc.start})",
                                   path, line_no) from exc
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", path, line_no) from exc
-            except (RecursionError, ValueError) as exc:
-                # nesting deeper than the decoder's recursion limit, or an
-                # integer literal longer than int() accepts
-                raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = 0
+            if not end or line[end:].strip(_JSON_SPACE):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON ({exc.msg})", path, line_no) from exc
+                except (RecursionError, ValueError) as exc:
+                    # nesting deeper than the decoder's recursion limit, or an
+                    # integer literal longer than int() accepts
+                    raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
             if not isinstance(obj, dict):
                 raise FormatError("line is not a JSON object", path, line_no)
             yield line_no, obj
 
 
-def read_scenes(path) -> list[Scene]:
-    scenes = []
-    seen = set()
-    for line_no, obj in _iter_jsonl(path):
-        scene = _parse_scene(obj, path, line_no)
-        if scene.scene_id in seen:
-            raise FormatError(f"duplicate scene_id {scene.scene_id!r}", path, line_no)
-        seen.add(scene.scene_id)
-        scenes.append(scene)
+def _raise_first_fault(path, parse, flagged: list[int], error: FormatError | None) -> None:
+    """Raise the fault of the first of the `flagged` lines, as `parse`, the
+    per-field parser, words it, when that line comes no later than the line
+    of `error`, the fault the reading pass stopped at; else raise `error`."""
+    if error is not None:
+        flagged = [n for n in flagged if n <= error.line]
+    if flagged:
+        wanted = set(flagged)
+        for line_no, obj in _iter_jsonl(path):
+            if line_no in wanted:
+                parse(obj, path, line_no)
+                if line_no == flagged[-1]:
+                    break
+    if error is not None:
+        raise error
+
+
+def _read_rows(path, fast_row, parse, fields, key, duplicate):
+    """One row per line: `fast_row(obj)`, or the `fields` of the record that
+    `parse`, the per-field parser, makes of a line `fast_row` turns away.
+    Returns the rows, their line numbers, and the `FormatError` the pass
+    stopped at, if any; a second row of the same `key` is one."""
+    rows, lines, seen, error = [], [], set(), None
+    try:
+        for line_no, obj in _iter_jsonl(path):
+            row = fast_row(obj) or fields(parse(obj, path, line_no))
+            rows.append(row)
+            lines.append(line_no)
+            if key(row) in seen:
+                raise FormatError(duplicate(key(row)), path, line_no)
+            seen.add(key(row))
+    except FormatError as exc:
+        error = exc
+    return rows, lines, error
+
+
+# The readers take a line's values with C-level calls when every field has
+# its JSON type, leaving the range checks to one array pass over the file.
+# Any other line goes through the per-field parser, which converts an
+# integer or raises the error that names the field.  A range fault that the
+# array pass finds is raised by the same parser, for the first such line,
+# unless the reading pass stopped at an earlier line.
+
+_GET_ID, _GET_HEAD, _GET_BODY = itemgetter("id"), itemgetter("head"), itemgetter("body")
+_GET_BOX, _GET_SCORE = itemgetter("box"), itemgetter("score")
+_INT, _FLOAT, _BOOL, _LIST, _FOUR = {int}, {float}, {bool}, {list}, {4}
+
+
+def _flat_boxes(boxes) -> list | None:
+    """The corners of a list of boxes, flat, if each is a list of four floats."""
+    if set(map(type, boxes)) <= _LIST and set(map(len, boxes)) <= _FOUR:
+        coords = list(chain.from_iterable(boxes))
+        if set(map(type, coords)) <= _FLOAT:
+            return coords
+    return None
+
+
+def _scene_row(obj) -> tuple | None:
+    """The row of a scene line whose fields all have their JSON type, whose
+    size is positive and finite and whose person ids are unique; None for
+    any other line."""
+    try:
+        if obj.get("format", SCENE_FORMAT) != SCENE_FORMAT:
+            return None
+        scene_id, width, height = obj["scene_id"], obj["width"], obj["height"]
+        persons = obj["persons"]
+        if not (type(scene_id) is str and type(width) is float and type(height) is float
+                and 0.0 < width < math.inf and 0.0 < height < math.inf
+                and type(persons) is list):
+            return None
+        ids = list(map(_GET_ID, persons))
+        heads = _flat_boxes(list(map(_GET_HEAD, persons)))
+        bodies = _flat_boxes(list(map(_GET_BODY, persons)))
+        ignore = list(map(dict.get, persons, repeat("ignore"), repeat(False)))
+        occlusion = list(map(dict.get, persons, repeat("occ"), repeat(0.0)))
+        if (heads is None or bodies is None or not set(map(type, ids)) <= _INT
+                or not set(map(type, ignore)) <= _BOOL
+                or not set(map(type, occlusion)) <= _FLOAT or len(set(ids)) != len(ids)):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return scene_id, width, height, ids, heads, bodies, ignore, occlusion
+
+
+def read_scenes(path) -> SceneColumns:
+    """The scenes of a file: columns, and the sequence of `Scene` records."""
+    rows, lines, error = _read_rows(path, _scene_row, _parse_scene, _scene_fields,
+                                    itemgetter(0), "duplicate scene_id {!r}".format)
+    scenes = _scene_columns(rows)
+    _raise_first_fault(path, _parse_scene, [lines[k] for k in scenes._faulty()], error)
     return scenes
 
 
@@ -385,17 +675,7 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
     raw = _require(obj, "dets", path, line_no)
     if not isinstance(raw, list):
         raise FormatError("dets must be a list", path, line_no, "dets")
-    dets = []
-    for d in raw:
-        # fast path as in _parse_scene; _parse_det names a fault
-        if type(d) is dict:
-            det_id, score = d.get("id"), d.get("score")
-            if type(det_id) is int and type(score) is float and 0.0 <= score <= 1.0:
-                box = _plain_box(d.get("box"))
-                if box is not None:
-                    dets.append(Detection(det_id, box, score))
-                    continue
-        dets.append(_parse_det(d, path, line_no, f"dets[{len(dets)}]"))
+    dets = [_parse_det(d, path, line_no, f"dets[{i}]") for i, d in enumerate(raw)]
     try:
         return DetectionGroup(scene_id=scene_id, class_name=class_name,
                               stage=stage, dets=tuple(dets))
@@ -403,16 +683,35 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
         raise FormatError(str(exc), path, line_no) from exc
 
 
-def read_detection_groups(path) -> list[DetectionGroup]:
-    groups = []
-    seen = set()
-    for line_no, obj in _iter_jsonl(path):
-        group = _parse_group(obj, path, line_no)
-        key = (group.scene_id, group.class_name, group.stage)
-        if key in seen:
-            raise FormatError(f"duplicate group {key}", path, line_no)
-        seen.add(key)
-        groups.append(group)
+def _group_row(obj) -> tuple | None:
+    """The row of a detection line whose fields all have their JSON type and
+    whose det ids are unique; None for any other line."""
+    try:
+        if obj.get("format", DETECTION_FORMAT) != DETECTION_FORMAT:
+            return None
+        scene_id, class_name, stage, dets = obj["scene_id"], obj["class"], obj["stage"], obj["dets"]
+        if not (type(scene_id) is str and class_name in CLASSES and stage in STAGES
+                and type(dets) is list):
+            return None
+        ids = list(map(_GET_ID, dets))
+        boxes = _flat_boxes(list(map(_GET_BOX, dets)))
+        scores = list(map(_GET_SCORE, dets))
+        if (boxes is None or not set(map(type, ids)) <= _INT
+                or not set(map(type, scores)) <= _FLOAT or len(set(ids)) != len(ids)):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return scene_id, class_name, stage, ids, boxes, scores
+
+
+def read_detection_groups(path) -> GroupColumns:
+    """The detection groups of a file: columns, and the sequence of
+    `DetectionGroup` records."""
+    rows, lines, error = _read_rows(path, _group_row, _parse_group, _group_fields,
+                                    itemgetter(0, 1, 2), "duplicate group {}".format)
+    groups = _group_columns(rows)
+    _raise_first_fault(path, _parse_group,
+                       [lines[g] for g in groups.detections._faulty()], error)
     return groups
 
 

@@ -5,11 +5,14 @@ rate / false-positives-per-image curve is swept over every detection score,
 and the reported number is the geometric mean of the miss rates sampled at 9
 log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
 
-The matching of many scenes shares one IoU call and one greedy pass: the
-ranked detections and the ground truth of each scene are stacked into
-(scenes, n, 4) and (scenes, m, 4) arrays, zero-padded to the largest scene of
-the batch.  A zero box has IoU 0 with every box, and `EvalConfig` requires a
-match threshold above 0, so padding never matches.  A batch holds at most
+`compute_mr2` works on columns: the detections' boxes, scores and scenes,
+and the persons' boxes and flags, as arrays (`data_model.DetectionColumns`
+and `SceneColumns`, which the readers return).  The matching of many scenes
+shares one IoU call and one greedy pass: the ranked detections and the
+ground truth of each scene are gathered into (scenes, n, 4) and
+(scenes, m, 4) arrays, zero-padded to the largest scene of the batch.  A
+zero box has IoU 0 with every box, and `EvalConfig` requires a match
+threshold above 0, so padding never matches.  A batch holds at most
 `_PAIR_BUDGET` padded detection/ground-truth pairs, which bounds its memory;
 a scene larger than that is matched on its own.  `match_to_gt` is the
 one-scene call of the same matcher.
@@ -20,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
-from .data_model import BODY, HEAD, Detection, PersonInstance, Scene
+from .data_model import (BODY, HEAD, Detection, DetectionColumns, PersonInstance, Scene,
+                         SceneColumns)
 from .fileio import atomic_write_text
 from .geometry import greedy_match, pairwise_iou
 
@@ -41,9 +44,6 @@ REASONABLE_MAX_OCCLUSION = 0.35
 
 # padded detection/ground-truth pairs per batched IoU call
 _PAIR_BUDGET = 4096
-
-_GT_BOX = {HEAD: attrgetter("head"), BODY: attrgetter("body")}
-_ZERO_BOX = (0.0, 0.0, 0.0, 0.0)
 
 # floor inside the log; only the all-zero case would hit it and that is
 # special-cased to an exact 0
@@ -96,134 +96,164 @@ def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tu
     is an FP.  Non-ignored ground truths match at most once; ignored ones may
     absorb any number of detections.
     """
-    gt_box = _GT_BOX[cfg.class_under_test]
-    ranked = _ranked(dets)
-    outcomes, = _match_batch([(ranked,
-                               [gt_box(p) for p in scene.persons if not p.ignore],
-                               [gt_box(p) for p in scene.persons if p.ignore])],
-                             cfg.iou_match_threshold)
-    return [(d.det_id, outcome) for d, outcome in zip(ranked, outcomes)]
+    columns = DetectionColumns.from_pairs((scene.scene_id, d) for d in dets)
+    gt = SceneColumns.from_records([scene])
+    order, tp, absorbed = _match(columns, np.zeros(len(columns), dtype=np.intp), gt,
+                                 ~gt.ignore, cfg)
+    return [(columns.det_ids[i], TP if t else IGNORED if a else FP)
+            for i, t, a in zip(order.tolist(), tp.tolist(), absorbed.tolist())]
 
 
-def _ranked(dets) -> list[Detection]:
-    return sorted(dets, key=lambda d: (-d.score, d.det_id))
+def _id_keys(ids: list[int]) -> np.ndarray:
+    """int64 keys that sort like `ids`, also for ids beyond int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        keys = np.empty(len(ids), dtype=np.int64)
+        keys[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return keys
 
 
-def _append_boxes(coords: list[float], boxes, size: int) -> None:
-    """Append the corners of `boxes`, zero-padded to `size` boxes."""
-    for b in boxes:
-        coords += (b.x_min, b.y_min, b.x_max, b.y_max)
-    coords += _ZERO_BOX * (size - len(boxes))
+def _ragged(starts: np.ndarray, counts: np.ndarray):
+    """The indices of the runs `starts[r]` .. `starts[r] + counts[r] - 1`,
+    one after the other, with each index's run and its position in the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    pos = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return starts[run] + pos, run, pos
 
 
-def _match_batch(jobs, thr: float) -> list[list[str]]:
-    """`match_to_gt` outcomes for each `(ranked detections, matchable boxes,
-    ignored boxes)` job, in ranked order, from one IoU call over the stack."""
-    n = max(len(ranked) for ranked, _, _ in jobs)
-    n_matchable = max(len(matchable) for _, matchable, _ in jobs)
-    n_ignored = max(len(ignored) for _, _, ignored in jobs)
-    det_coords: list[float] = []
-    gt_coords: list[float] = []
-    for ranked, matchable, ignored in jobs:
-        _append_boxes(det_coords, [d.box for d in ranked], n)
-        # matchable ground truth in the leading columns, ignored after them
-        _append_boxes(gt_coords, matchable, n_matchable)
-        _append_boxes(gt_coords, ignored, n_ignored)
-    ious = pairwise_iou(np.array(det_coords, dtype=np.float64).reshape(len(jobs), n, 4),
-                        np.array(gt_coords, dtype=np.float64).reshape(
-                            len(jobs), n_matchable + n_ignored, 4))
-    matched = greedy_match(ious[..., :n_matchable], thr)
-    absorbed = (ious[..., n_matchable:] >= thr).any(axis=-1).tolist()
-    return [[TP if j >= 0 else IGNORED if a else FP for _, j, a in zip(ranked, js, hit)]
-            for (ranked, _, _), js, hit in zip(jobs, matched, absorbed)]
-
-
-def _batches(work):
-    """Consecutive runs of `(scene_id, job)` items whose zero-padded stack
-    stays within `_PAIR_BUDGET` pairs; a job larger than that forms a batch
-    alone."""
-    batch: list = []
-    shape = (0, 0, 0)  # the batch's largest detection, matchable and ignored counts
-    for item in work:
-        sizes = tuple(map(len, item[1]))
+def _batches(scenes: np.ndarray, *counts: np.ndarray):
+    """Consecutive runs of `scenes` whose zero-padded stack stays within
+    `_PAIR_BUDGET` pairs, each with its largest detection, matchable and
+    ignored counts; a scene larger than that forms a batch alone."""
+    batch: list[int] = []
+    shape = (0, 0, 0)
+    for s, *sizes in zip(scenes.tolist(), *(c[scenes].tolist() for c in counts)):
         grown = tuple(map(max, shape, sizes))
         if batch and (len(batch) + 1) * grown[0] * (grown[1] + grown[2]) > _PAIR_BUDGET:
-            yield batch
-            batch, grown = [], sizes
-        batch.append(item)
+            yield np.array(batch), shape
+            batch, grown = [], tuple(sizes)
+        batch.append(s)
         shape = grown
     if batch:
-        yield batch
+        yield np.array(batch), shape
 
 
-def compute_mr2(dets: list[tuple[str, Detection]], scenes: list[Scene],
-                cfg: EvalConfig) -> EvalResult:
-    """Evaluate the `(scene_id, detection)` pairs of one class against all scenes.
+def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
+           matchable: np.ndarray, cfg: EvalConfig):
+    """`match_to_gt` for every scene of `gt` at once; detection i belongs to
+    scene `det_scene[i]`, and ground truth that is not `matchable` is ignored.
+
+    Returns `order`, the detection indices scene after scene, each scene's
+    in ranked order, and per entry of `order` whether it is a TP and whether
+    an ignored ground truth absorbed it.
+    """
+    num_scenes = len(gt.scene_ids)
+    order = np.lexsort((_id_keys(dets.det_ids), -dets.scores, det_scene))
+    boxes = dets.boxes[order]
+    det_counts = np.bincount(det_scene, minlength=num_scenes)
+    det_starts = np.cumsum(det_counts) - det_counts
+    # each scene's matchable ground truth first, then its ignored, both in
+    # person order: a tie goes to the lower column
+    person_counts = np.diff(gt.person_offsets)
+    person_scene = np.repeat(np.arange(num_scenes), person_counts)
+    gt_boxes = (gt.heads if cfg.class_under_test == HEAD else gt.bodies)[
+        np.lexsort((~matchable, person_scene))]
+    gt_starts = np.asarray(gt.person_offsets[:-1], dtype=np.intp)
+    matchable_counts = np.bincount(person_scene[matchable], minlength=num_scenes)
+    ignored_counts = person_counts - matchable_counts
+
+    thr = cfg.iou_match_threshold
+    tp = np.zeros(len(order), dtype=bool)
+    absorbed = np.zeros(len(order), dtype=bool)
+    # scenes of like size share a batch, which keeps the padding small
+    work = np.flatnonzero(det_counts)
+    work = work[np.lexsort((ignored_counts[work], matchable_counts[work], det_counts[work]))]
+    for batch, (n, n_matchable, n_ignored) in _batches(work, det_counts, matchable_counts,
+                                                       ignored_counts):
+        det_stack = np.zeros((len(batch), n, 4))
+        index, slot, pos = _ragged(det_starts[batch], det_counts[batch])
+        det_stack[slot, pos] = boxes[index]
+        gt_stack = np.zeros((len(batch), n_matchable + n_ignored, 4))
+        g, gslot, gpos = _ragged(gt_starts[batch], matchable_counts[batch])
+        gt_stack[gslot, gpos] = gt_boxes[g]
+        g, gslot, gpos = _ragged(gt_starts[batch] + matchable_counts[batch],
+                                 ignored_counts[batch])
+        gt_stack[gslot, n_matchable + gpos] = gt_boxes[g]
+        ious = pairwise_iou(det_stack, gt_stack)
+        matched = np.array(greedy_match(ious[..., :n_matchable], thr))
+        tp[index] = matched[slot, pos] >= 0
+        absorbed[index] = (ious[..., n_matchable:] >= thr).any(axis=-1)[slot, pos]
+    return order, tp, absorbed & ~tp
+
+
+def compute_mr2(dets, scenes, cfg: EvalConfig) -> EvalResult:
+    """Evaluate the detections of one class against all scenes.
+
+    `dets` is a sequence of `(scene_id, Detection)` pairs and `scenes` one of
+    `Scene` records.  The `DetectionColumns` that `GroupColumns.select`
+    returns and the `SceneColumns` that `read_scenes` returns are such
+    sequences, and their arrays go to the core as they are; other inputs are
+    converted to arrays first.
 
     Applies the Reasonable filter, matches per scene, then sweeps every
     distinct detection score as a keep-threshold.  For each FPPI reference
     point the lowest miss rate among curve points at or below it is taken
     (1.0 when the curve never gets there).
     """
-    by_scene: dict[str, list[Detection]] = {}
-    scene_ids = {s.scene_id for s in scenes}
-    for scene_id, d in dets:
-        if scene_id not in scene_ids:
+    if not isinstance(dets, DetectionColumns):
+        dets = DetectionColumns.from_pairs(dets)
+    if not isinstance(scenes, SceneColumns):
+        scenes = SceneColumns.from_records(scenes)
+    index: dict[str, int] = {}
+    for k, scene_id in enumerate(scenes.scene_ids):
+        index.setdefault(scene_id, k)
+    counts = np.diff(dets.det_offsets)
+    group_scene = []
+    for scene_id, count in zip(dets.scene_ids, counts.tolist()):
+        k = index.get(scene_id)
+        if k is None and count:
             raise ValueError(f"detection scene {scene_id!r} has no ground truth")
-        by_scene.setdefault(scene_id, []).append(d)
+        group_scene.append(k or 0)
+    det_scene = np.repeat(np.array(group_scene, dtype=np.intp), counts)
 
-    gt_box = _GT_BOX[cfg.class_under_test]
-    num_gt = 0
-    work = []  # (scene_id, (ranked detections, matchable boxes, ignored boxes))
-    for scene in scenes:
-        # the split that reasonable_filter then match_to_gt make, without
-        # building a filtered Scene
-        matchable, ignored = [], []
-        for p in scene.persons:
-            (ignored if p.ignore or not _reasonable(p) else matchable).append(gt_box(p))
-        num_gt += len(matchable)
-        scene_dets = by_scene.pop(scene.scene_id, None)
-        if scene_dets:
-            work.append((scene.scene_id, (_ranked(scene_dets), matchable, ignored)))
+    # the split that reasonable_filter then match_to_gt make
+    bodies = scenes.bodies
+    matchable = (~scenes.ignore & (bodies[:, 3] - bodies[:, 1] >= REASONABLE_MIN_HEIGHT)
+                 & (scenes.occlusion < REASONABLE_MAX_OCCLUSION))
+    num_gt = int(matchable.sum())
     if num_gt == 0:
         raise ValueError("no ground truth left after the Reasonable filter")
-    num_images = len(scenes)
+    num_images = len(scenes.scene_ids)
 
-    # scenes of like size share a batch, which keeps the padding small; the
-    # pool is sorted below, so the order scenes are matched in does not show
-    work.sort(key=lambda item: tuple(map(len, item[1])))
-    pool: list[tuple[float, str, str, int]] = []  # (score, outcome, scene_id, det_id)
-    for batch in _batches(work):
-        outcomes = _match_batch([job for _, job in batch], cfg.iou_match_threshold)
-        for (scene_id, (ranked, _, _)), scene_outcomes in zip(batch, outcomes):
-            pool += [(d.score, outcome, scene_id, d.det_id)
-                     for d, outcome in zip(ranked, scene_outcomes) if outcome != IGNORED]
-
-    pool.sort(key=lambda item: (-item[0], item[2], item[3]))
+    order, tp, ignored = _match(dets, det_scene, scenes, matchable, cfg)
+    ranked = dets.scores[order]
+    tp_scores = np.sort(ranked[tp])
+    fp_scores = np.sort(ranked[~(tp | ignored)])
     # Sweep every distinct input score, not just scores of counted outcomes:
     # a level where only ignored detections enter still yields a curve point.
-    thresholds = sorted({d.score for _, d in dets}, reverse=True)
-    curve = []
-    tp = fp = 0
-    i = 0
-    for threshold in thresholds:
-        while i < len(pool) and pool[i][0] >= threshold:
-            if pool[i][1] == TP:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        curve.append((threshold, fp / num_images, 1.0 - tp / num_gt))
-
-    mr2 = log_average_miss_rate(curve, FPPI_POINTS)
-    return EvalResult(mr2=mr2, curve=tuple(curve), num_gt=num_gt, num_images=num_images)
+    thresholds = np.unique(dets.scores)[::-1]
+    if len(thresholds) and thresholds[-1] == 0.0:
+        # a set of the scores keeps the first zero in input order, whatever its sign
+        thresholds[-1] = dets.scores[np.flatnonzero(dets.scores == 0.0)[0]]
+    tps = len(tp_scores) - np.searchsorted(tp_scores, thresholds)
+    fps = len(fp_scores) - np.searchsorted(fp_scores, thresholds)
+    fppi, miss = fps / num_images, 1.0 - tps / num_gt
+    mr2 = _log_average(fppi, miss, FPPI_POINTS)
+    curve = tuple(zip(thresholds.tolist(), fppi.tolist(), miss.tolist()))
+    return EvalResult(mr2=mr2, curve=curve, num_gt=num_gt, num_images=num_images)
 
 
 def log_average_miss_rate(curve, fppi_points) -> float:
+    curve = np.array(curve, dtype=np.float64).reshape(-1, 3)
+    return _log_average(curve[:, 1], curve[:, 2], fppi_points)
+
+
+def _log_average(fppi: np.ndarray, miss: np.ndarray, fppi_points) -> float:
     samples = []
     for ref in fppi_points:
-        eligible = [miss for _, fppi, miss in curve if fppi <= ref]
-        samples.append(min(eligible) if eligible else 1.0)
+        eligible = miss[fppi <= ref]
+        samples.append(float(eligible.min()) if len(eligible) else 1.0)
     if all(m == 0.0 for m in samples):
         return 0.0
     return math.exp(sum(math.log(max(m, _MISS_FLOOR)) for m in samples) / len(samples))

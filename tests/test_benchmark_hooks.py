@@ -48,3 +48,32 @@ def test_postprocess_takes_its_arguments_positionally():
     params = list(inspect.signature(cli.postprocess).parameters.values())
     assert [p.name for p in params] == ["heads", "bodies_pre", "bodies_post", "scorer", "cfg"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+
+def test_eval_calls_each_traced_name_once(monkeypatch, tmp_path):
+    # the traced mode times `eval` by these three names and counts the length
+    # of compute_mr2's first argument as its detections
+    from crowdpost.data_model import BODY, POST_NMS, read_detection_groups
+    from crowdpost.rdm import RelationModel, save_model
+
+    scenes, dets, model = tmp_path / "s.jsonl", tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli.main(["simulate", "--out-scenes", str(scenes), "--out-dets", str(dets),
+                     "--num-scenes", "4", "--seed", "3", "--noise-seed", "3"]) == 0
+    save_model(RelationModel.initialize(hidden_dim=4), model)
+    assert cli.main(["run", "--dets", str(dets), "--model", str(model),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    results = tmp_path / "out" / "rdm.jsonl"
+
+    calls = {name: [] for name in ("read_scenes", "read_detection_groups", "compute_mr2")}
+    for name, log in calls.items():
+        def traced(*args, _original=getattr(cli, name), _log=log):
+            _log.append(args)
+            return _original(*args)
+        monkeypatch.setattr(cli, name, traced)
+    assert cli.main(["eval", "--results", str(results), "--scenes", str(scenes),
+                     "--class", BODY, "--out-prefix", str(tmp_path / "e")]) == 0
+    assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
+    expected = sum(len(g.dets) for g in read_detection_groups(results)
+                   if g.class_name == BODY and g.stage == POST_NMS)
+    assert expected > 0
+    assert len(calls["compute_mr2"][0][0]) == expected

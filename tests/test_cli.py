@@ -4,6 +4,7 @@ error-path diagnostics."""
 import filecmp
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -277,6 +278,41 @@ def test_report_rejects_bad_eval_result(capsys, chain, tmp_path, key, raw, fragm
     _expect_error(capsys, ["report", "--dir", str(tmp_path), "--out", str(out)],
                   f"b.eval.json: {fragment}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["x|y\nz", "tab\there", "nul\x00", "del\x7f", "c1\x85"])
+def test_eval_rejects_control_characters_in_name(capsys, chain, tmp_path, name):
+    _expect_error(capsys, ["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                           "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                           "--out-prefix", str(tmp_path / "x"), "--name", name],
+                  f"variant name {name!r} holds a control character")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_rejects_control_characters_in_name(capsys, chain, tmp_path):
+    obj = json.loads((chain / "eval" / f"rdm_{BODY}.eval.json").read_text(encoding="utf-8"))
+    obj["name"] = "x|y\nz"
+    (tmp_path / "bad.eval.json").write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "report.md"
+    _expect_error(capsys, ["report", "--dir", str(tmp_path), "--out", str(out)],
+                  "bad.eval.json: name 'x|y\\nz' holds a control character")
+    assert not out.exists()
+
+
+def test_report_escapes_pipes_in_names(capsys, chain, tmp_path):
+    prefix = tmp_path / "evals" / "piped"
+    for cls in (HEAD, BODY):
+        assert main(["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                     "--scenes", str(chain / "scenes.jsonl"), "--class", cls,
+                     "--out-prefix", f"{prefix}_{cls}", "--name", "a|b"]) == 0
+    report = tmp_path / "report.md"
+    assert main(["report", "--dir", str(prefix.parent), "--out", str(report)]) == 0
+    capsys.readouterr()
+    rows = [ln for ln in report.read_text(encoding="utf-8").splitlines()
+            if ln.startswith("| a")]
+    assert len(rows) == 1 and rows[0].startswith("| a\\|b | ")
+    # split on the pipes no backslash escapes: the row keeps three cells
+    assert len(re.split(r"(?<!\\)\|", rows[0].strip("|"))) == 3
 
 
 def test_failed_command_leaves_no_output(capsys, chain, tmp_path):

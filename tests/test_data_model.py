@@ -73,7 +73,12 @@ def test_scene_round_trip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     scenes = [_demo_scene("a"), _demo_scene("b"), scene([], scene_id="empty")]
     write_scenes(scenes, path)
-    assert read_scenes(path) == scenes
+    back = read_scenes(path)
+    assert back == scenes and scenes == back and not back != scenes
+    assert list(back) == scenes and len(back) == 3
+    assert back[1] == scenes[1] and back[-1] == scenes[-1] and back[:2] == scenes[:2]
+    assert back != scenes[:2] and back != tuple(scenes)
+    assert back == read_scenes(path)
 
 
 def test_scene_round_trip_random(tmp_path):
@@ -149,8 +154,10 @@ def test_bad_score_rejected_on_read(tmp_path):
 def test_duplicate_scene_id_rejected(tmp_path):
     path = tmp_path / "scenes.jsonl"
     write_scenes([_demo_scene("a"), _demo_scene("a")], path)
-    with pytest.raises(FormatError, match="duplicate scene_id"):
-        read_scenes(path)
+    for tail in ("", "not JSON\n"):
+        path.write_text(path.read_text().splitlines(keepends=True)[0] * 2 + tail)
+        with pytest.raises(FormatError, match="^scenes.jsonl:2: duplicate scene_id 'a'$"):
+            read_scenes(path)
 
 
 def test_group_round_trip(tmp_path):
@@ -162,14 +169,24 @@ def test_group_round_trip(tmp_path):
     ]
     path = tmp_path / "dets.jsonl"
     write_detection_groups(groups, path)
-    assert read_detection_groups(path) == groups
+    back = read_detection_groups(path)
+    assert back == groups and groups == back and list(back) == groups
+    assert back[0] == groups[0] and back[-1] == groups[-1] and len(back) == 2
+    assert back != groups[::-1]
+    # the evaluator's selection: (scene_id, detection) pairs of one class and stage
+    selected = back.select(HEAD, POST_NMS)
+    assert selected == [("s0", d) for d in groups[0].dets] and len(selected) == 2
+    assert back.select(BODY, POST_NMS) == [] and len(back.select(BODY, PRE_NMS)) == 1
+    assert selected.boxes.tolist() == [d.box.as_list() for d in groups[0].dets]
+    assert selected.scores.tolist() == [0.875, 0.5] and selected.det_ids == [1, 2]
 
 
 def test_duplicate_group_rejected(tmp_path):
     g = DetectionGroup("s0", BODY, PRE_NMS, (det(1, (0, 0, 30, 80), 0.625),))
     path = tmp_path / "dets.jsonl"
     write_detection_groups([g, g], path)
-    with pytest.raises(FormatError, match="duplicate group"):
+    path.write_text(path.read_text() + "not JSON\n")
+    with pytest.raises(FormatError, match="^dets.jsonl:2: duplicate group \\('s0', 'body'"):
         read_detection_groups(path)
 
 
@@ -277,6 +294,14 @@ def _scene_line(entry: str, scene: str = _SCENE) -> str:
 
 _PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
 
+_BOX = "[0.0, 0.0, 1.0, 1.0]"
+_GOOD_PERSON = '{"id": 1, "head": [2.0, 0.0, 8.0, 6.0], "body": [0.0, 0.0, 10.0, 40.0]}'
+_FLOAT_SCENE = '"scene_id": "s1", "width": 100.0, "height": 100.0'
+
+
+def _float_det_line(entries: str, scene_id: str = "s1") -> str:
+    return _det_line(entries).replace('"s0"', f'"{scene_id}"')
+
 
 @pytest.mark.parametrize("line, field, message", [
     pytest.param(_det_line('{"id": 1.5, "box": [0, 0, 1, 1], "score": 0.5}'),
@@ -340,16 +365,44 @@ _PERSON = '"head": [2, 0, 8, 6], "body": [0, 0, 10, 40]'
                  "scene_id", "expected a string, got ['a']", id="scene-id-list"),
     pytest.param(_scene_line('[1]'), "persons[0]", "expected an object, got [1]",
                  id="person-not-object"),
+    # range faults in values of the right JSON type
+    pytest.param(_float_det_line('{"id": 1, "box": %s, "score": 1.5}' % _BOX),
+                 "dets[0]", "detection score 1.5 outside [0, 1]", id="score-range"),
+    pytest.param(_float_det_line('{"id": 1, "box": [0.0, 1e999, 1.0, 1.0], "score": 0.5}'),
+                 "dets[0].box", "non-finite box coordinate y_min=inf", id="coordinate-1e999"),
+    pytest.param(_float_det_line('{"id": 1, "box": [2.0, 0.0, 1.0, 1.0], "score": 0.5}'),
+                 "dets[0].box", "box has negative extent: (2.0, 0.0, 1.0, 1.0)",
+                 id="negative-extent"),
+    pytest.param(_float_det_line('{"id": 4, "box": %s, "score": 0.5}, '
+                                 '{"id": 4, "box": %s, "score": 0.25}' % (_BOX, _BOX)),
+                 None, "duplicate det id 4", id="duplicate-det"),
+    pytest.param(_scene_line('{"id": 1, "head": [2.0, 0.0, 12.0, 6.0], '
+                             '"body": [0.0, 0.0, 10.0, 40.0]}', _FLOAT_SCENE),
+                 "persons[0]", "head box extends beyond body box", id="head-outside-body"),
+    pytest.param(_scene_line('{"id": 1, "head": [2.0, 0.0, 8.0, 6.0], '
+                             '"body": [0.0, 0.0, 10.0, 400.0]}', _FLOAT_SCENE),
+                 None, "person 1 body box outside image bounds", id="body-outside-image"),
+    pytest.param(_scene_line('{"id": 1, "occ": 1.5, "head": [2.0, 0.0, 8.0, 6.0], '
+                             '"body": [0.0, 0.0, 10.0, 40.0]}', _FLOAT_SCENE),
+                 "persons[0]", "occlusion_ratio 1.5 outside [0, 1]", id="occlusion-range"),
+    pytest.param(_scene_line(", ".join([_GOOD_PERSON] * 2), _FLOAT_SCENE),
+                 None, "duplicate person id 1", id="duplicate-person"),
 ])
 def test_reader_rejects_bad_scalars(tmp_path, line, field, message):
+    # the faulty line comes second, after a valid one; the third is not
+    # JSON, and the fault of the earlier line is the one reported
+    scenes = '"scenes/v1"' in line
+    reader = read_scenes if scenes else read_detection_groups
+    valid = (_scene_line(_GOOD_PERSON, _FLOAT_SCENE.replace('"s1"', '"s9"')) if scenes
+             else _float_det_line('{"id": 1, "box": %s, "score": 0.5}' % _BOX, "s9"))
     path = tmp_path / "in.jsonl"
-    path.write_text(line)
-    reader = read_scenes if '"scenes/v1"' in line else read_detection_groups
-    with pytest.raises(FormatError) as exc_info:
-        reader(path)
-    assert exc_info.value.line == 1
-    assert exc_info.value.field == field
-    assert str(exc_info.value) == f"in.jsonl:1: {field}: {message}"
+    for tail in ("", '{"format": \n', "[1]\n"):
+        path.write_text(valid + line + tail)
+        with pytest.raises(FormatError) as exc_info:
+            reader(path)
+        assert exc_info.value.line == 2
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == f"in.jsonl:2:{f' {field}:' if field else ''} {message}"
 
 
 @pytest.mark.parametrize("line", ["[" * 100_000, '{"n": %s}' % ("1" * 5000)],
@@ -400,6 +453,10 @@ _LONG = 40
     ("box", "[5.0, 0.0, 1.0, 1.0]", "box", "box has negative extent: (5.0, 0.0, 1.0, 1.0)"),
     ("id", "1.0", "id", "expected an integer, got 1.0"),
     ("score", "1.5", None, "detection score 1.5 outside [0, 1]"),
+    ("score", "1e999", None, "detection score inf outside [0, 1]"),
+    ("box", "[0.0, 0.0, 1e999, 1.0]", "box", "non-finite box coordinate x_max=inf"),
+    ("box", "[0.0, 0.0, 1.0, -1.0]", "box", "box has negative extent: (0.0, 0.0, 1.0, -1.0)"),
+    ("score", "true", "score", "expected a number, got True"),
 ])
 def test_fault_in_last_detection_named(tmp_path, key, value, field, message):
     entries = [{"id": k, "box": [0.0, 0.0, 1.0, 1.0], "score": 0.5} for k in range(_LONG)]
@@ -417,6 +474,10 @@ def test_fault_in_last_detection_named(tmp_path, key, value, field, message):
     ("occ", "1.5", None, "occlusion_ratio 1.5 outside [0, 1]"),
     ("head", "[0.0, 0.0, 12.0, 6.0]", None, "head box extends beyond body box"),
     ("body", "[0.0, 0.0, 10.0, Infinity]", "body", "non-finite box coordinate y_max=inf"),
+    ("occ", "-0.5", None, "occlusion_ratio -0.5 outside [0, 1]"),
+    ("head", "[2.0, 0.0, 8.0, 1e999]", "head", "non-finite box coordinate y_max=inf"),
+    ("head", "[8.0, 0.0, 2.0, 6.0]", "head", "box has negative extent: (8.0, 0.0, 2.0, 6.0)"),
+    ("id", "39.0", "id", "expected an integer, got 39.0"),
 ])
 def test_fault_in_last_person_named(tmp_path, key, value, field, message):
     entries = [{"id": k, "head": [2.0, 0.0, 8.0, 6.0], "body": [0.0, 0.0, 10.0, 40.0],
@@ -428,3 +489,20 @@ def test_fault_in_last_person_named(tmp_path, key, value, field, message):
     with pytest.raises(FormatError) as exc_info:
         read_scenes(path)
     assert str(exc_info.value) == f"scenes.jsonl:1: {item}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the first faulty line is the one reported
+
+def test_first_of_several_faulty_lines_reported(tmp_path):
+    lines = [_float_det_line('{"id": 1, "box": %s, "score": %s}' % (_BOX, score), f"s{k}")
+             for k, score in enumerate(["0.5", "0.5", "2.5", "0.5", "-1.0", "3.5"])]
+    path = tmp_path / "dets.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError, match="^dets.jsonl:3: dets\\[0\\]: detection score 2.5"):
+        read_detection_groups(path)
+    # an integer in a box takes the per-field parser, which reports its own line
+    path.write_text("".join(lines[:2]) + lines[3].replace("1.0, 1.0]", "1, 1]")
+                    + lines[2].replace('"s2"', '"s9"'))
+    with pytest.raises(FormatError, match="^dets.jsonl:4: dets\\[0\\]: detection score 2.5"):
+        read_detection_groups(path)

@@ -318,3 +318,104 @@ def test_corrupt_detection_line_is_rejected(capsys, model_path, data):
         _expect_rejected(capsys, text, line_no, read_detection_groups,
                          lambda path, out: ["run", "--dets", path, "--model", str(model_path),
                                             "--out-dir", out])
+
+
+# ---------------------------------------------------------------------------
+# single-key corruptions of a config file
+
+def _valid_config() -> dict:
+    """Every key each command reads, at its default, with a short training."""
+    import dataclasses
+    from crowdpost.nms import NmsConfig
+    from crowdpost.pipeline import PostProcessConfig
+    from crowdpost.rdm import TrainConfig
+    from crowdpost.simulator import NoiseConfig, SimConfig
+
+    def section(cls, **values):
+        out = {f.name: f.default for f in dataclasses.fields(cls)}
+        out.update(values)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+
+    return {"sim": section(SimConfig, persons_per_image=3.0), "noise": section(NoiseConfig),
+            "num_scenes": 2, "nms": section(NmsConfig),
+            "train": section(TrainConfig, epochs=2, hidden_dim=4, batch_size=64),
+            "post": section(PostProcessConfig)}
+
+
+# the values JSON can hold that a config check must turn away or take
+_CORRUPT = [None, True, False, "0.5", "x", [], [1.0], {}, {"a": 1}, 1e308, -1e308,
+            float("nan"), float("inf"), float("-inf"), 10 ** 19, -10 ** 19]
+
+
+def _config_corruptions():
+    """(key path, value) for every key of the valid config and every
+    corrupt value, and lists one entry too short or too long."""
+    config = _valid_config()
+    out = []
+    for key, value in config.items():
+        paths = [((key,), value)]
+        if isinstance(value, dict):
+            paths += [((key, sub), v) for sub, v in value.items()]
+        for path, v in paths:
+            out += [(path, bad) for bad in _CORRUPT]
+            if isinstance(v, list):
+                out += [(path, v[:-1]), (path, v + v[:1])]
+    return out
+
+
+_COMMANDS = {
+    "simulate": lambda cfg, inputs, out: ["simulate", "--config", cfg, "--out-scenes",
+                                          f"{out}/s.jsonl", "--out-dets", f"{out}/d.jsonl"],
+    "train-rdm": lambda cfg, inputs, out: ["train-rdm", "--config", cfg,
+                                           "--scenes", f"{inputs}/s.jsonl",
+                                           "--dets", f"{inputs}/d.jsonl",
+                                           "--out-model", f"{out}/m.json",
+                                           "--out-loss", f"{out}/l.csv"],
+    "run": lambda cfg, inputs, out: ["run", "--config", cfg, "--dets", f"{inputs}/d.jsonl",
+                                     "--model", f"{inputs}/m.json", "--out-dir", f"{out}/run"],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny")
+    assert main(["simulate", "--out-scenes", str(d / "s.jsonl"), "--out-dets",
+                 str(d / "d.jsonl"), "--num-scenes", "2", "--persons-per-image", "3"]) == 0
+    save_model(RelationModel.initialize(hidden_dim=4), d / "m.json")
+    return d
+
+
+def test_valid_config_runs_every_command(capsys, tiny_inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(_valid_config(), fh)
+        for name, argv_for in _COMMANDS.items():
+            out = os.path.join(tmp, name)
+            assert main(argv_for(cfg, tiny_inputs, out)) == 0, name
+            assert os.listdir(out)
+    capsys.readouterr()
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from(_config_corruptions()))
+def test_corrupt_config_key_is_taken_or_rejected(capsys, tiny_inputs, corruption):
+    (key, *sub), value = corruption
+    config = _valid_config()
+    if sub:
+        config[key][sub[0]] = value
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        for name, argv_for in _COMMANDS.items():
+            out = os.path.join(tmp, name)
+            code = main(argv_for(cfg, tiny_inputs, out))
+            err = capsys.readouterr().err
+            if code == 1:
+                assert err.startswith(f"crowdpost {name}: error: ") and err.count("\n") == 1
+                assert not os.path.exists(out), name
+            else:
+                assert code == 0, (name, err)
