@@ -2,16 +2,16 @@
 
 `simulate`, `train-rdm` and `run` read an optional JSON config whose sections
 are the config dataclasses; command-line flags override config values.  All
-outputs are written atomically and are byte-identical across reruns with the
-same inputs and seeds.  Log verbosity comes from the CROWDPOST_LOG environment
-variable (default WARNING).
+outputs are written atomically, a failed command removes those it already
+wrote, and they are byte-identical across reruns with the same inputs and
+seeds.  Log verbosity comes from the CROWDPOST_LOG environment variable
+(default WARNING).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import json
 import logging
 import os
@@ -22,7 +22,7 @@ from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionGroup,
                          write_detection_groups, write_scenes)
 from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg, \
     write_result_json
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, removed_on_error
 from .nms import NmsConfig, build_detection_set
 from .pipeline import PostProcessConfig, postprocess
 from .ratio import estimate_ratio, save_ratio, scene_pairs
@@ -227,6 +227,9 @@ def cmd_eval(args) -> int:
     eval_cfg = EvalConfig(iou_match_threshold=args.iou if args.iou is not None else 0.5,
                           class_under_test=args.class_name)
     name = args.name if args.name else os.path.basename(args.out_prefix)
+    if not name:
+        raise ValueError("empty variant name: give --name, or an --out-prefix that ends "
+                         f"in a file name (got {args.out_prefix!r})")
     # a line break or another control character would break the report's table rows
     if _has_control_character(name):
         raise ValueError(f"variant name {name!r} holds a control character")
@@ -260,6 +263,8 @@ def _read_eval_result(path) -> tuple[str, str, float]:
     name, class_name, mr2 = obj.get("name"), obj.get("class"), obj.get("mr2")
     if not isinstance(name, str):
         raise ValueError(f"{path}: name must be a string, got {name!r}")
+    if not name:
+        raise ValueError(f"{path}: empty name")
     if _has_control_character(name):
         raise ValueError(f"{path}: name {name!r} holds a control character")
     if class_name not in (HEAD, BODY):
@@ -271,7 +276,9 @@ def _read_eval_result(path) -> tuple[str, str, float]:
 
 
 def cmd_report(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.dir, "*.eval.json")))
+    # hidden files too, which a glob would skip
+    paths = [os.path.join(args.dir, f) for f in sorted(os.listdir(args.dir))
+             if f.endswith(".eval.json")]
     if not paths:
         raise ValueError(f"no .eval.json files under {args.dir}")
     cells: dict[str, dict[str, float]] = {}
@@ -387,7 +394,8 @@ def main(argv=None) -> int:
         stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with removed_on_error():
+            return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"crowdpost {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -14,26 +14,22 @@ ground truth of each scene are gathered into (scenes, n, 4) and
 zero box has IoU 0 with every box, and `EvalConfig` requires a match
 threshold above 0, so padding never matches.  A batch holds at most
 `_PAIR_BUDGET` padded detection/ground-truth pairs, which bounds its memory;
-a scene larger than that is matched on its own.  `match_to_gt` is the
-one-scene call of the same matcher.
+a scene larger than that is matched on its own.  `tests/oracles.py` holds
+the one-image references: the greedy match, the Reasonable rule and the
+log-average.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import (BODY, HEAD, Detection, DetectionColumns, PersonInstance, Scene,
-                         SceneColumns)
+from .data_model import BODY, HEAD, DetectionColumns, SceneColumns
 from .fileio import atomic_write_text
 from .geometry import greedy_match, pairwise_iou
-
-TP = "TP"
-FP = "FP"
-IGNORED = "ignored"
 
 # 10^(-2 + k/4) for k = 0..8
 FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
@@ -68,40 +64,6 @@ class EvalResult:
     curve: tuple[tuple[float, float, float], ...]  # (score threshold, fppi, miss rate)
     num_gt: int
     num_images: int
-
-
-def _reasonable(p: PersonInstance) -> bool:
-    return (p.body.height >= REASONABLE_MIN_HEIGHT
-            and p.occlusion_ratio < REASONABLE_MAX_OCCLUSION)
-
-
-def reasonable_filter(scene: Scene) -> Scene:
-    """Ignore-flag persons failing the evaluation filter.
-
-    Kept: height at least `REASONABLE_MIN_HEIGHT` and occlusion ratio strictly
-    below `REASONABLE_MAX_OCCLUSION`.  Failing persons are flagged, not
-    deleted, so detections on them do not count as false positives.
-    """
-    persons = [p if p.ignore or _reasonable(p) else replace(p, ignore=True)
-               for p in scene.persons]
-    return Scene(scene.scene_id, scene.width, scene.height, tuple(persons))
-
-
-def match_to_gt(dets: list[Detection], scene: Scene, cfg: EvalConfig) -> list[tuple[int, str]]:
-    """Greedy per-scene matching, descending score.
-
-    Each detection takes the unmatched non-ignored ground truth of maximal IoU
-    when it reaches the threshold (TP); failing that, overlap with any ignored
-    ground truth at the threshold absorbs it (neither TP nor FP); otherwise it
-    is an FP.  Non-ignored ground truths match at most once; ignored ones may
-    absorb any number of detections.
-    """
-    columns = DetectionColumns.from_pairs((scene.scene_id, d) for d in dets)
-    gt = SceneColumns.from_records([scene])
-    order, tp, absorbed = _match(columns, np.zeros(len(columns), dtype=np.intp), gt,
-                                 ~gt.ignore, cfg)
-    return [(columns.det_ids[i], TP if t else IGNORED if a else FP)
-            for i, t, a in zip(order.tolist(), tp.tolist(), absorbed.tolist())]
 
 
 def _id_keys(ids: list[int]) -> np.ndarray:
@@ -141,8 +103,12 @@ def _batches(scenes: np.ndarray, *counts: np.ndarray):
 
 def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
            matchable: np.ndarray, cfg: EvalConfig):
-    """`match_to_gt` for every scene of `gt` at once; detection i belongs to
+    """Greedy matching of every scene of `gt` at once; detection i belongs to
     scene `det_scene[i]`, and ground truth that is not `matchable` is ignored.
+
+    In ranked order, a detection takes the free matchable ground truth of
+    maximal IoU at the threshold (TP); failing that, an ignored one at the
+    threshold absorbs it (neither TP nor FP); otherwise it is an FP.
 
     Returns `order`, the detection indices scene after scene, each scene's
     in ranked order, and per entry of `order` whether it is a TP and whether
@@ -217,7 +183,7 @@ def compute_mr2(dets, scenes, cfg: EvalConfig) -> EvalResult:
         group_scene.append(k or 0)
     det_scene = np.repeat(np.array(group_scene, dtype=np.intp), counts)
 
-    # the split that reasonable_filter then match_to_gt make
+    # the Reasonable subset: persons flagged ignore stay ignored
     bodies = scenes.bodies
     matchable = (~scenes.ignore & (bodies[:, 3] - bodies[:, 1] >= REASONABLE_MIN_HEIGHT)
                  & (scenes.occlusion < REASONABLE_MAX_OCCLUSION))
@@ -242,11 +208,6 @@ def compute_mr2(dets, scenes, cfg: EvalConfig) -> EvalResult:
     mr2 = _log_average(fppi, miss, FPPI_POINTS)
     curve = tuple(zip(thresholds.tolist(), fppi.tolist(), miss.tolist()))
     return EvalResult(mr2=mr2, curve=curve, num_gt=num_gt, num_images=num_images)
-
-
-def log_average_miss_rate(curve, fppi_points) -> float:
-    curve = np.array(curve, dtype=np.float64).reshape(-1, 3)
-    return _log_average(curve[:, 1], curve[:, 2], fppi_points)
 
 
 def _log_average(fppi: np.ndarray, miss: np.ndarray, fppi_points) -> float:

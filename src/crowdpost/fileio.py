@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
 import tempfile
+
+# the paths `atomic_write_text` wrote inside `removed_on_error`, else None
+_written: contextvars.ContextVar[list[str] | None] = contextvars.ContextVar(
+    "crowdpost_written", default=None)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -30,3 +36,26 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+    written = _written.get()
+    if written is not None:
+        written.append(path)
+
+
+@contextlib.contextmanager
+def removed_on_error():
+    """Run a block; when it raises, remove every file `atomic_write_text`
+    wrote inside it, so a failed command leaves none of its outputs.  Each
+    file stays in place as soon as its writer returns."""
+    written: list[str] = []
+    token = _written.set(written)
+    try:
+        yield
+    except BaseException:
+        for path in written:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise
+    finally:
+        _written.reset(token)

@@ -1,9 +1,12 @@
 """Axis-aligned bounding-box arithmetic: areas, overlaps, IoU and IoH.
 
-The scalar `intersection_area`/`iou`/`ioh` are the reference definitions.
-`pairwise_intersection`, `pairwise_iou` and `pairwise_ioh` evaluate the same
-arithmetic in the same order over (n, 4) float64 arrays, so every matrix
-entry is bit-identical to the scalar value for finite input;
+`pairwise_intersection`, `pairwise_iou` and `pairwise_ioh` compute the
+overlaps of every pair of boxes from two (n, 4) float64 arrays.  Each entry
+is bit-identical, for finite input and up to the sign of zero, to the
+one-pair references `intersection_area`, `iou` and `ioh` in
+`tests/oracles.py`: intersection 0 for disjoint or touching boxes, IoU 0 for
+two zero-area boxes, and IoH (the overlap over the head's area) an error for
+a zero-area head.
 `greedy_match` is the one greedy assignment over such a matrix.
 
 `pairwise_intersection`, `pairwise_iou` and `greedy_match` also take leading
@@ -78,35 +81,6 @@ def area(b: BBox) -> float:
     return b.width * b.height
 
 
-def intersection_area(a: BBox, b: BBox) -> float:
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 when both boxes are degenerate."""
-    inter = intersection_area(a, b)
-    union = area(a) + area(b) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def ioh(head: BBox, body: BBox) -> float:
-    """Overlap area normalized by the head-box area.
-
-    Asymmetric: equals 1 exactly when the head lies inside the body box.
-    Raises ValueError for a zero-area head (degenerate detection).
-    """
-    head_area = area(head)
-    if head_area <= 0.0:
-        raise ValueError(f"zero-area head box: {head}")
-    return intersection_area(head, body) / head_area
-
-
 # ---------------------------------------------------------------------------
 # array kernels
 
@@ -122,10 +96,10 @@ def _areas(boxes: np.ndarray) -> np.ndarray:
 
 
 def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., n, m) matrix whose [..., i, j] entry equals `intersection_area`
-    of boxes a[..., i] and b[..., j]."""
-    # clamping the extents at 0 gives the scalar path's 0 for every disjoint
-    # or touching pair (up to the sign of zero)
+    """(..., n, m) matrix of the intersection areas of boxes a[..., i] and
+    b[..., j]."""
+    # clamping the extents at 0 gives 0 for every disjoint or touching pair
+    # (up to the sign of zero)
     a, b = a[..., :, None, :], b[..., None, :, :]
     wh = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     np.maximum(wh, 0.0, out=wh)
@@ -134,14 +108,14 @@ def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # The union of two boxes is never below either area, so it is 0 only for two
 # zero-area boxes, whose intersection is 0 too.  Flooring the union at the
-# smallest positive double therefore turns 0/0 into the scalar path's 0 and
+# smallest positive double therefore turns 0/0 into an IoU of 0 and
 # leaves every other quotient unchanged.
 _UNION_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., n, m) matrix whose [..., i, j] entry equals `iou` of boxes
-    a[..., i] and b[..., j]."""
+    """(..., n, m) matrix of the IoU of boxes a[..., i] and b[..., j]; 0 for
+    two zero-area boxes."""
     area_a = _areas(a)
     area_b = area_a if b is a else _areas(b)
     inter = pairwise_intersection(a, b)
@@ -150,10 +124,11 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
-    """(n, m) matrix whose [i, j] entry equals `ioh` of heads[i] in bodies[j].
+    """(n, m) matrix of the overlap of heads[i] and bodies[j] over the area
+    of heads[i]: 1 exactly when the head lies inside the body.
 
-    Raises ValueError for a zero-area head exactly when the scalar path
-    would: whenever there is at least one body to compare it with.
+    Raises ValueError for a zero-area head whenever there is at least one
+    body to compare it with.
     """
     head_area = _areas(heads)
     if len(bodies):

@@ -4,6 +4,7 @@ to the same person?
 The scorer is a three-layer perceptron over a 10-d geometric pair descriptor.
 Pooled CNN features would slot in behind the same fixed-width interface; the
 geometric descriptor keeps the module trainable and testable without images.
+Its one-pair reference is `extract_features` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data_model import Detection, DetectionSet, Scene
 from .fileio import atomic_write_text
-from .geometry import box_array, greedy_match, ioh, iou, pairwise_ioh, pairwise_iou
+from .geometry import box_array, greedy_match, pairwise_ioh, pairwise_iou
 
 FEATURE_DIM = 10
 
@@ -28,39 +29,12 @@ ASSIGN_IOU = 0.5
 _LOGIT_LIMIT = 30.0
 
 
-def extract_features(head: Detection, body: Detection) -> np.ndarray:
-    """10-d descriptor of a head/body detection pair.
-
-    Entries: normalized center offsets, log size ratios, IoH, IoU, the two
-    detector scores, and the two aspect ratios.  Invariant under joint
-    translation and uniform scaling of both boxes.
-    """
-    hb, bb = head.box, body.box
-    hw, hh = hb.width, hb.height
-    bw, bh = bb.width, bb.height
-    if hw <= 0 or hh <= 0 or bw <= 0 or bh <= 0:
-        raise ValueError("zero-area box in pair feature extraction")
-    hcx, hcy = hb.center
-    bcx, bcy = bb.center
-    return np.array([
-        (hcx - bcx) / bw,
-        (hcy - bcy) / bh,
-        math.log(hw / bw),
-        math.log(hh / bh),
-        ioh(hb, bb),
-        iou(hb, bb),
-        head.score,
-        body.score,
-        hw / hh,
-        bw / bh,
-    ], dtype=np.float64)
-
-
 def pair_features(heads: Sequence[Detection], bodies: Sequence[Detection]) -> np.ndarray:
     """(n, 10) descriptors of the pairs (heads[k], bodies[k]).
 
-    Row k is bit-identical to `extract_features(heads[k], bodies[k])`, which
-    stays the reference: the same arithmetic in the same order, with
+    Entries: normalized center offsets, log size ratios, IoH, IoU, the two
+    detector scores, and the two aspect ratios.  Row k is bit-identical to
+    the one-pair reference: the same arithmetic in the same order, with
     `math.log` for the size ratios because `np.log` can differ in the last bit.
     """
     n = len(heads)
@@ -72,8 +46,7 @@ def pair_features(heads: Sequence[Detection], bodies: Sequence[Detection]) -> np
     area = wh[:, 0] * wh[:, 1]
     head_wh, body_wh = wh[:n], wh[n:]
     head_area, body_area = area[:n], area[n:]
-    # a disjoint or touching pair clamps to the scalar path's 0 overlap (up to
-    # the sign of zero)
+    # a disjoint or touching pair clamps to 0 overlap (up to the sign of zero)
     overlap = np.minimum(boxes[:n, 2:], boxes[n:, 2:]) - np.maximum(boxes[:n, :2], boxes[n:, :2])
     np.maximum(overlap, 0.0, out=overlap)
     inter = overlap[:, 0] * overlap[:, 1]

@@ -1,10 +1,13 @@
 """Independent reference implementations used to pin derived expectations.
 
 Everything here works on plain tuples and dicts and recomputes results from
-first principles: overlap by counting raster cells, NMS by repeated global
-argmax, MR-2 by re-matching every image from scratch at every threshold, and
+first principles: overlap by counting raster cells, the scalar box overlaps
+and the pair descriptor one pair at a time, NMS by repeated global argmax,
+MR-2 by re-matching every image from scratch at every threshold, and
 rectangle-union area by scanline integration.  None of it shares code with
 the package under test.
+
+Boxes are (x_min, y_min, x_max, y_max) sequences.
 """
 
 from __future__ import annotations
@@ -45,15 +48,69 @@ def raster_ioh(head, body) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain float IoU shared by the NMS and evaluation references
+# scalar float overlaps, one pair of boxes at a time
+#
+# The array kernels (`geometry.pairwise_*`) must equal these bit for bit on
+# finite input, up to the sign of zero.
 
-def plain_iou(a, b) -> float:
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = ((a[2] - a[0]) * (a[3] - a[1])
-             + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    return inter / union if union > 0 else 0.0
+def area(b) -> float:
+    return (b[2] - b[0]) * (b[3] - b[1])
+
+
+def intersection_area(a, b) -> float:
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    return iw * ih
+
+
+def iou(a, b) -> float:
+    """Intersection over union; 0 when both boxes are degenerate."""
+    inter = intersection_area(a, b)
+    union = area(a) + area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def ioh(head, body) -> float:
+    """Overlap area over the head-box area; 1 exactly when the head lies
+    inside the body.  Raises ValueError for a zero-area head."""
+    head_area = area(head)
+    if head_area <= 0.0:
+        raise ValueError(f"zero-area head box: {tuple(head)}")
+    return intersection_area(head, body) / head_area
+
+
+# ---------------------------------------------------------------------------
+# the relation model's pair descriptor, one pair at a time
+
+def extract_features(head, head_score, body, body_score) -> np.ndarray:
+    """10-d descriptor of a head/body box pair with their detector scores.
+
+    Entries: center offsets over the body size, log size ratios, IoH, IoU,
+    the two scores and the two aspect ratios.  `rdm.pair_features` must give
+    each pair this row bit for bit: the arithmetic runs in the same order.
+    """
+    hw, hh = head[2] - head[0], head[3] - head[1]
+    bw, bh = body[2] - body[0], body[3] - body[1]
+    if hw <= 0 or hh <= 0 or bw <= 0 or bh <= 0:
+        raise ValueError("zero-area box in pair feature extraction")
+    hcx, hcy = (head[0] + head[2]) / 2.0, (head[1] + head[3]) / 2.0
+    bcx, bcy = (body[0] + body[2]) / 2.0, (body[1] + body[3]) / 2.0
+    return np.array([
+        (hcx - bcx) / bw,
+        (hcy - bcy) / bh,
+        math.log(hw / bw),
+        math.log(hh / bh),
+        ioh(head, body),
+        iou(head, body),
+        head_score,
+        body_score,
+        hw / hh,
+        bw / bh,
+    ], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +130,7 @@ def nms_reference(records, iou_threshold, score_floor):
         kept_ids.append(best["id"])
         remaining = [r for r in remaining
                      if r is not best
-                     and plain_iou(r["box"], best["box"]) <= iou_threshold]
+                     and iou(r["box"], best["box"]) <= iou_threshold]
     return kept_ids, [r["id"] for r in floored]
 
 
@@ -82,13 +139,33 @@ def nms_reference(records, iou_threshold, score_floor):
 #
 # images: dicts {"gts": [{"box", "ignore"}], "dets": [{"id", "box", "score"}]}
 
-def _match_image(dets, gts, iou_threshold):
-    """Greedy protocol match of one image; returns (tp, fp)."""
+TP = "TP"
+FP = "FP"
+IGNORED = "ignored"
+
+
+def reasonable_ignore(person) -> bool:
+    """Whether the Reasonable subset ignores a person, a dict {"body",
+    "occlusion", "ignore"}: one already flagged ignore stays ignored, and so
+    is one whose body is under 50 px tall or at least 35% occluded."""
+    body = person["body"]
+    return person["ignore"] or body[3] - body[1] < 50.0 or person["occlusion"] >= 0.35
+
+
+def match_outcomes(dets, gts, iou_threshold):
+    """Greedy protocol match of one image: (id, outcome) per detection in
+    ranked order, descending score then ascending id.
+
+    A detection takes the free non-ignored ground truth of maximal IoU at or
+    above the threshold, the first such one on ties (TP).  Failing that, an
+    ignored ground truth at the threshold absorbs it (IGNORED), any number of
+    times; otherwise it is an FP.
+    """
     order = sorted(dets, key=lambda d: (-d["score"], d["id"]))
     taken = [False] * len(gts)
-    tp = fp = 0
+    outcomes = []
     for det in order:
-        ious = [plain_iou(det["box"], g["box"]) for g in gts]
+        ious = [iou(det["box"], g["box"]) for g in gts]
         best = -1
         best_iou = iou_threshold
         for j, g in enumerate(gts):
@@ -98,11 +175,33 @@ def _match_image(dets, gts, iou_threshold):
                 best, best_iou = j, ious[j]
         if best >= 0:
             taken[best] = True
-            tp += 1
-        elif not any(g["ignore"] and ious[j] >= iou_threshold
-                     for j, g in enumerate(gts)):
-            fp += 1
-    return tp, fp
+            outcome = TP
+        elif any(g["ignore"] and ious[j] >= iou_threshold for j, g in enumerate(gts)):
+            outcome = IGNORED
+        else:
+            outcome = FP
+        outcomes.append((det["id"], outcome))
+    return outcomes
+
+
+def _match_image(dets, gts, iou_threshold):
+    """(tp, fp) counts of one image's greedy match."""
+    outcomes = [o for _, o in match_outcomes(dets, gts, iou_threshold)]
+    return outcomes.count(TP), outcomes.count(FP)
+
+
+def log_average(curve, fppi_points) -> float:
+    """Geometric mean of the miss rates sampled at the reference FPPIs: at
+    each, the lowest miss rate among curve rows (threshold, fppi, miss_rate)
+    with fppi at or below it, 1.0 when there is none.  An all-zero sample is
+    reported as exactly 0; otherwise each sample is floored at 1e-10."""
+    samples = []
+    for ref in fppi_points:
+        eligible = [miss for _, fppi, miss in curve if fppi <= ref]
+        samples.append(min(eligible) if eligible else 1.0)
+    if all(m == 0.0 for m in samples):
+        return 0.0
+    return math.exp(sum(math.log(max(m, 1e-10)) for m in samples) / len(samples))
 
 
 def mr2_reference(images, fppi_points, iou_threshold=0.5):
@@ -120,15 +219,7 @@ def mr2_reference(images, fppi_points, iou_threshold=0.5):
             tp += im_tp
             fp += im_fp
         curve.append((threshold, fp / num_images, 1.0 - tp / num_gt))
-
-    samples = []
-    for ref in fppi_points:
-        eligible = [miss for _, fppi, miss in curve if fppi <= ref]
-        samples.append(min(eligible) if eligible else 1.0)
-    if all(m == 0.0 for m in samples):
-        return 0.0, curve
-    mr2 = math.exp(sum(math.log(max(m, 1e-10)) for m in samples) / len(samples))
-    return mr2, curve
+    return log_average(curve, fppi_points), curve
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import BODY, HEAD
-from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2, reasonable_filter
-from crowdpost.geometry import BBox, ioh, iou
+from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2
+from crowdpost.geometry import BBox, box_array, pairwise_ioh, pairwise_iou
 from crowdpost.nms import NmsConfig, build_detection_set, nms
 from crowdpost.pipeline import PostProcessConfig, postprocess
 from crowdpost.ratio import HeadBodyRatio, apply_ratio, estimate_ratio
@@ -26,9 +26,9 @@ from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scenes,
                                  simulate_detections)
 
 from helpers import det, person, scene
-from oracles import mr2_reference, nms_reference, raster_ioh, raster_iou
+from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
-from test_evaluator import _random_instance
+from test_evaluator import _random_instance, num_reasonable, oracle_gts
 from test_pipeline import (B1_KEPT, B2_SUPPRESSED, BODIES_POST, BODIES_PRE,
                            H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY, _fuzz_scene,
                            hash_scorer, stub)
@@ -77,15 +77,26 @@ def criterion(num, title, budget=None):
 
 @criterion(1, "geometry matches the pixel-rasterization oracle", budget=5.0)
 def test_criterion_1_geometry():
-    assert ioh(BBox(0, 0, 10, 10), BBox(5, 0, 100, 100)) == 0.5
+    assert pairwise_ioh(box_array([BBox(0, 0, 10, 10)]),
+                        box_array([BBox(5, 0, 100, 100)]))[0, 0] == 0.5
     rng = np.random.default_rng(11)
+    boxes_a, boxes_b = [], []
     for _ in range(1000):
         ax, ay, bx, by = (int(v) for v in rng.integers(0, 24, size=4))
         aw, ah, bw, bh = (int(v) for v in rng.integers(1, 16, size=4))
-        a = (ax, ay, ax + aw, ay + ah)
-        b = (bx, by, bx + bw, by + bh)
-        assert abs(iou(BBox(*a), BBox(*b)) - raster_iou(a, b)) <= 1e-9
-        assert abs(ioh(BBox(*a), BBox(*b)) - raster_ioh(a, b)) <= 1e-9
+        boxes_a.append((ax, ay, ax + aw, ay + ah))
+        boxes_b.append((bx, by, bx + bw, by + bh))
+    # the kernels that run, on every pair of the sample, against the raster
+    # oracle and bit for bit against the one-pair float oracles
+    arr_a, arr_b = np.array(boxes_a, dtype=np.float64), np.array(boxes_b, dtype=np.float64)
+    ious, iohs = pairwise_iou(arr_a, arr_b), pairwise_ioh(arr_a, arr_b)
+    for k, (a, b) in enumerate(zip(boxes_a, boxes_b)):
+        assert abs(ious[k, k] - raster_iou(a, b)) <= 1e-9
+        assert abs(iohs[k, k] - raster_ioh(a, b)) <= 1e-9
+        assert ious[k, k] == iou(a, b) and iohs[k, k] == ioh(a, b)
+    for k in rng.integers(0, 1000, size=(50, 2)).tolist():
+        assert ious[k[0], k[1]] == iou(boxes_a[k[0]], boxes_b[k[1]])
+        assert iohs[k[0], k[1]] == ioh(boxes_a[k[0]], boxes_b[k[1]])
 
 
 @criterion(2, "NMS identical to the quadratic argmax reference", budget=10.0)
@@ -151,16 +162,12 @@ def test_criterion_3_evaluator():
     checked = 0
     while checked < 100:
         scenes, images, dets = _random_instance(rng, int(rng.integers(1, 11)))
-        filtered = [reasonable_filter(s) for s in scenes]
-        if sum(not p.ignore for s in filtered for p in s.persons) == 0:
+        if num_reasonable(scenes) == 0:
             continue
         checked += 1
         result = compute_mr2(dets, scenes, cfg)
-        oracle_images = []
-        for s, image in zip(filtered, images):
-            gts = [{"box": tuple(p.body.as_list()), "ignore": p.ignore}
-                   for p in s.persons]
-            oracle_images.append({"gts": gts, "dets": image})
+        oracle_images = [{"gts": oracle_gts(s), "dets": image}
+                         for s, image in zip(scenes, images)]
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2

@@ -323,6 +323,65 @@ def test_failed_command_leaves_no_output(capsys, chain, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "train-rdm", "run", "eval"])
+def test_failed_command_removes_outputs_it_wrote(capsys, chain, tmp_path, command):
+    # the path of the command's last output is a directory, so that write
+    # fails after the others have succeeded
+    argv, blocked = {
+        "simulate": (["simulate", "--out-scenes", str(tmp_path / "s.jsonl"),
+                      "--out-dets", str(tmp_path / "d.jsonl"), "--num-scenes", "2"],
+                     "d.jsonl"),
+        "train-rdm": (_train_argv(chain, tmp_path), "loss.csv"),
+        "run": (["run", "--dets", str(chain / "dets.jsonl"),
+                 "--model", str(chain / "model.json"), "--out-dir", str(tmp_path)],
+                "audit.json"),
+        "eval": (["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                  "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                  "--out-prefix", str(tmp_path / "x"), "--name", "x"], "x.svg"),
+    }[command]
+    (tmp_path / blocked).mkdir()
+    _expect_error(capsys, argv, blocked)
+    # no output and no temp file is left, only the empty directory
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert list((tmp_path / blocked).iterdir()) == []
+
+
+def test_eval_rejects_empty_variant_name(capsys, chain, tmp_path):
+    # a prefix naming a directory gives no file name to take the name from
+    prefix = str(tmp_path / "ev") + os.sep
+    _expect_error(capsys, ["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                           "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                           "--out-prefix", prefix], "empty variant name")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_reads_hidden_results(capsys, chain, tmp_path):
+    evals = tmp_path / "ev"
+    for cls in (HEAD, BODY):
+        assert main(["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                     "--scenes", str(chain / "scenes.jsonl"), "--class", cls,
+                     "--out-prefix", str(evals / f".rdm_{cls}"), "--name", "rdm"]) == 0
+    assert sorted(p.name for p in evals.iterdir())[0].startswith(".")
+    report = tmp_path / "report.md"
+    assert main(["report", "--dir", str(evals), "--out", str(report)]) == 0
+    capsys.readouterr()
+    rows = [ln for ln in report.read_text(encoding="utf-8").splitlines()
+            if ln.startswith("| rdm")]
+    expected = [ln for ln in (chain / "report.md").read_text(encoding="utf-8").splitlines()
+                if ln.startswith("| rdm")]
+    assert rows == expected and len(rows) == 1
+
+
+def test_report_rejects_empty_name(capsys, chain, tmp_path):
+    obj = json.loads((chain / "eval" / f"rdm_{BODY}.eval.json").read_text(encoding="utf-8"))
+    obj["name"] = ""
+    (tmp_path / "blank.eval.json").write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "report.md"
+    _expect_error(capsys, ["report", "--dir", str(tmp_path), "--out", str(out)],
+                  "blank.eval.json: empty name")
+    assert not out.exists()
+
+
 def test_config_wrong_value_type(capsys, chain, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"post": {"low_threshold": "0.1"}}))

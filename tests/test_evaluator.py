@@ -7,18 +7,49 @@ import pytest
 
 from crowdpost import evaluator
 from crowdpost.data_model import BODY
-from crowdpost.evaluator import (FP, FPPI_POINTS, IGNORED, TP, EvalConfig, EvalResult,
-                                 compute_mr2, log_average_miss_rate, match_to_gt,
-                                 reasonable_filter, write_curve_csv, write_curve_svg,
-                                 write_result_json)
+from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
+                                 write_curve_csv, write_curve_svg, write_result_json)
 
 from helpers import det, person, scene
-from oracles import mr2_reference
+from oracles import (FP, IGNORED, TP, log_average, match_outcomes, mr2_reference,
+                     reasonable_ignore)
 
 
 def _person_at(pid, x, y, w=30.0, h=100.0, occ=0.0, ignore=False):
     head = (x + 0.3 * w, y, x + 0.7 * w, y + 0.2 * h)
     return person(pid, head, (x, y, x + w, y + h), ignore=ignore, occ=occ)
+
+
+def _reasonable_ignore(p):
+    return reasonable_ignore({"body": p.body.as_list(), "occlusion": p.occlusion_ratio,
+                              "ignore": p.ignore})
+
+
+def oracle_gts(s, class_name=BODY):
+    """A scene's ground truth as the oracles take it, flagged by the
+    Reasonable rule."""
+    return [{"box": tuple(getattr(p, class_name).as_list()), "ignore": _reasonable_ignore(p)}
+            for p in s.persons]
+
+
+def num_reasonable(scenes):
+    return sum(not _reasonable_ignore(p) for s in scenes for p in s.persons)
+
+
+def _oracle_dets(dets):
+    return [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score} for d in dets]
+
+
+def _outcomes(dets, s, cfg=EvalConfig()):
+    """The oracle's (id, outcome) per detection of one scene, in ranked order."""
+    return match_outcomes(_oracle_dets(dets), oracle_gts(s, cfg.class_under_test),
+                          cfg.iou_match_threshold)
+
+
+def _assert_mr2_matches(dets, s, cfg=EvalConfig()):
+    """`compute_mr2` on one scene gives the result of the oracle's outcomes."""
+    pairs = [(s.scene_id, d) for d in dets]
+    assert compute_mr2(pairs, [s], cfg) == _mr2_scene_by_scene(pairs, [s], cfg)
 
 
 def test_default_fppi_points():
@@ -33,21 +64,31 @@ def test_reasonable_filter_boundaries():
         _person_at(2, 40, 0, h=50.0, occ=0.34),  # exactly at both limits: kept
         _person_at(3, 80, 0, h=120.0, occ=0.35),  # occlusion at limit: ignored
     ])
-    out = reasonable_filter(s)
-    flags = {p.person_id: p.ignore for p in out.persons}
+    flags = {p.person_id: _reasonable_ignore(p) for p in s.persons}
     assert flags == {1: True, 2: False, 3: True}
-    assert len(out.persons) == len(s.persons)  # flagged, never deleted
+    assert compute_mr2([], [s], EvalConfig()).num_gt == 1
+    # flagged, never deleted: a detection on a filtered person is absorbed
+    dets = [det(p.person_id, tuple(p.body.as_list()), 0.9) for p in s.persons]
+    assert _outcomes(dets, s) == [(1, IGNORED), (2, TP), (3, IGNORED)]
+    _assert_mr2_matches(dets, s)
 
 
 def test_reasonable_filter_keeps_existing_ignores():
     s = scene([_person_at(1, 0, 0, ignore=True)])
-    out = reasonable_filter(s)
-    assert out.persons[0].ignore
+    assert _reasonable_ignore(s.persons[0])
+    with pytest.raises(ValueError, match="no ground truth left"):
+        compute_mr2([], [s], EvalConfig())
+    # next to a counted person, the flagged one still absorbs detections
+    s = scene([_person_at(1, 0, 0, ignore=True), _person_at(2, 60, 0)])
+    dets = [det(1, (0, 0, 30, 100), 0.9), det(2, (1, 0, 31, 100), 0.8)]
+    assert _outcomes(dets, s) == [(1, IGNORED), (2, IGNORED)]
+    assert compute_mr2([], [s], EvalConfig()).num_gt == 1
+    _assert_mr2_matches(dets, s)
 
 
 def test_compute_mr2_filters_like_reasonable_filter():
     # compute_mr2 splits persons itself; it must count and match exactly as
-    # reasonable_filter followed by match_to_gt, also at the filter limits
+    # the oracle's Reasonable rule and greedy match, also at the filter limits
     s = scene([
         _person_at(1, 0, 0, h=49.0),
         _person_at(2, 40, 0, h=50.0, occ=0.34),
@@ -59,7 +100,7 @@ def test_compute_mr2_filters_like_reasonable_filter():
             enumerate([(0, 49, 0.9), (40, 50, 0.8), (80, 120, 0.7), (120, 100, 0.6),
                        (160, 60, 0.5), (165, 60, 0.4), (0, 49, 0.3)])]
     cfg = EvalConfig()
-    outcomes = match_to_gt(dets, reasonable_filter(s), cfg)
+    outcomes = _outcomes(dets, s, cfg)
     assert [o for _, o in outcomes] == [IGNORED, TP, IGNORED, IGNORED, TP, FP, IGNORED]
     result = compute_mr2([("s0", d) for d in dets], [s], cfg)
     assert result.num_gt == 2
@@ -75,28 +116,38 @@ def test_compute_mr2_filters_like_reasonable_filter():
 def test_match_single_tp():
     s = scene([_person_at(1, 10, 10)])
     d = det(1, (10, 10, 40, 110), 0.9)
-    assert match_to_gt([d], s, EvalConfig()) == [(1, TP)]
+    assert _outcomes([d], s) == [(1, TP)]
+    _assert_mr2_matches([d], s)
 
 
 def test_match_second_det_on_same_gt_is_fp():
     s = scene([_person_at(1, 10, 10)])
     dets = [det(1, (10, 10, 40, 110), 0.9), det(2, (11, 10, 41, 110), 0.8)]
-    assert dict(match_to_gt(dets, s, EvalConfig())) == {1: TP, 2: FP}
+    assert _outcomes(dets, s) == [(1, TP), (2, FP)]
+    _assert_mr2_matches(dets, s)
 
 
 def test_match_on_ignored_gt_absorbs():
-    s = scene([_person_at(1, 10, 10, ignore=True)])
+    # a counted person far away keeps the scene evaluable
+    s = scene([_person_at(1, 10, 10, ignore=True), _person_at(2, 150, 10)])
     dets = [det(1, (10, 10, 40, 110), 0.9), det(2, (11, 10, 41, 110), 0.8)]
     # both land on the ignored person; neither is a false positive
-    assert dict(match_to_gt(dets, s, EvalConfig())) == {1: IGNORED, 2: IGNORED}
+    assert _outcomes(dets, s) == [(1, IGNORED), (2, IGNORED)]
+    _assert_mr2_matches(dets, s)
 
 
 def test_match_iou_threshold_boundary():
     s = scene([_person_at(1, 0, 0, w=20, h=100)])
     exactly_half = det(1, (0, 0, 20, 50), 0.9)  # IoU exactly 0.5
-    assert match_to_gt([exactly_half], s, EvalConfig()) == [(1, TP)]
+    assert _outcomes([exactly_half], s) == [(1, TP)]
+    _assert_mr2_matches([exactly_half], s)
     below = det(2, (0, 0, 20, 49), 0.9)
-    assert match_to_gt([below], s, EvalConfig()) == [(2, FP)]
+    assert _outcomes([below], s) == [(2, FP)]
+    _assert_mr2_matches([below], s)
+    # an ignored person absorbs at exactly the threshold too
+    s = scene([_person_at(1, 0, 0, w=20, h=100, ignore=True), _person_at(2, 100, 0)])
+    assert _outcomes([exactly_half], s) == [(1, IGNORED)]
+    _assert_mr2_matches([exactly_half], s)
 
 
 def test_match_prefers_max_iou_not_score_order():
@@ -104,12 +155,12 @@ def test_match_prefers_max_iou_not_score_order():
     b = _person_at(2, 20, 0, w=30)
     s = scene([a, b])
     d = det(1, (21, 0, 51, 100), 0.9)  # IoU higher with person 2
-    outcomes = match_to_gt([d], s, EvalConfig())
-    assert outcomes == [(1, TP)]
+    assert _outcomes([d], s) == [(1, TP)]
+    _assert_mr2_matches([d], s)
     # person 2 is consumed; an equal second det can only take person 1 if it overlaps
     d2 = det(2, (21, 0, 51, 100), 0.8)
-    outcomes = match_to_gt([d, d2], s, EvalConfig())
-    assert dict(outcomes)[2] == FP
+    assert _outcomes([d, d2], s) == [(1, TP), (2, FP)]
+    _assert_mr2_matches([d, d2], s)
 
 
 def test_perfect_detector_scores_zero():
@@ -213,15 +264,11 @@ def test_matches_brute_force_reference():
     cfg = EvalConfig()
     for _ in range(30):
         scenes, images, dets = _random_instance(rng, int(rng.integers(1, 7)))
-        filtered = [reasonable_filter(s) for s in scenes]
-        if sum(not p.ignore for s in filtered for p in s.persons) == 0:
+        if num_reasonable(scenes) == 0:
             continue
         result = compute_mr2(dets, scenes, cfg)
-        oracle_images = []
-        for s, image in zip(filtered, images):
-            gts = [{"box": tuple(p.body.as_list()), "ignore": p.ignore}
-                   for p in s.persons]
-            oracle_images.append({"gts": gts, "dets": image})
+        oracle_images = [{"gts": oracle_gts(s), "dets": image}
+                         for s, image in zip(scenes, images)]
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
@@ -229,20 +276,20 @@ def test_matches_brute_force_reference():
 
 
 def _mr2_scene_by_scene(dets, scenes, cfg):
-    """compute_mr2 composed from one match_to_gt call per scene."""
+    """compute_mr2 composed from the oracle's greedy match, one scene at a
+    time, and its log-average."""
     pool, num_gt = [], 0
-    for s in map(reasonable_filter, scenes):
-        num_gt += sum(not p.ignore for p in s.persons)
+    for s in scenes:
+        num_gt += sum(not g["ignore"] for g in oracle_gts(s, cfg.class_under_test))
         scene_dets = [d for scene_id, d in dets if scene_id == s.scene_id]
         score = {d.det_id: d.score for d in scene_dets}
-        pool += [(score[i], o) for i, o in match_to_gt(scene_dets, s, cfg) if o != IGNORED]
+        pool += [(score[i], o) for i, o in _outcomes(scene_dets, s, cfg) if o != IGNORED]
     curve = []
     for t in sorted({d.score for _, d in dets}, reverse=True):
         tp = sum(o == TP for score, o in pool if score >= t)
         fp = sum(o == FP for score, o in pool if score >= t)
         curve.append((t, fp / len(scenes), 1.0 - tp / num_gt))
-    return EvalResult(log_average_miss_rate(curve, FPPI_POINTS), tuple(curve), num_gt,
-                      len(scenes))
+    return EvalResult(log_average(curve, FPPI_POINTS), tuple(curve), num_gt, len(scenes))
 
 
 def _mixed_split(rng, class_name):
@@ -300,8 +347,7 @@ def test_fp_injection_never_improves_mr2():
     cfg = EvalConfig()
     for _ in range(10):
         scenes, _, dets = _random_instance(rng, 4)
-        filtered = [reasonable_filter(s) for s in scenes]
-        if sum(not p.ignore for s in filtered for p in s.persons) == 0:
+        if num_reasonable(scenes) == 0:
             continue
         base = compute_mr2(dets, scenes, cfg).mr2
         junk = [(scenes[0].scene_id, det(1000 + j, (350 + 2 * j, 350, 380 + 2 * j, 390),
@@ -326,13 +372,22 @@ def test_ignored_only_score_levels_still_swept():
 
 
 def test_log_average_empty_curve():
-    assert log_average_miss_rate([], FPPI_POINTS) == 1.0
+    assert log_average([], FPPI_POINTS) == 1.0
+    result = compute_mr2([], [scene([_person_at(1, 10, 10)])], EvalConfig())
+    assert result.curve == () and result.mr2 == 1.0
 
 
 def test_log_average_floor():
-    curve = [(0.9, 0.005, 0.0)]
+    # one TP and one FP at 0.9 over 200 images: a single curve point at
+    # FPPI 0.005 and miss rate 0
+    scenes = [scene([_person_at(1, 10, 10)] if i == 0 else [], scene_id=f"s{i}")
+              for i in range(200)]
+    dets = [("s0", det(1, (10, 10, 40, 110), 0.9)), ("s0", det(2, (150, 10, 180, 110), 0.9))]
+    result = compute_mr2(dets, scenes, EvalConfig())
+    assert result.curve == ((0.9, 0.005, 0.0),)
     # all nine references eligible, all sampled at zero miss: reported as 0
-    assert log_average_miss_rate(curve, FPPI_POINTS) == 0.0
+    assert log_average(result.curve, FPPI_POINTS) == 0.0
+    assert result.mr2 == 0.0
 
 
 def test_write_result_json(tmp_path):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import (BBox, area, box_array, greedy_match, intersection_area, iou,
-                                ioh, pairwise_intersection, pairwise_ioh, pairwise_iou)
+from crowdpost.geometry import (BBox, area, box_array, greedy_match, pairwise_intersection,
+                                pairwise_ioh, pairwise_iou)
 
-from oracles import raster_iou, raster_ioh
+from oracles import intersection_area, ioh, iou, raster_iou, raster_ioh
+
+
+def _one(kernel, a, b):
+    """A kernel's value for one pair of boxes, from a 1 x 1 call."""
+    return kernel(box_array([a]), box_array([b]))[0, 0]
 
 
 def test_bbox_rejects_negative_extent():
@@ -52,9 +57,9 @@ def test_area_examples():
 
 def test_intersection_examples():
     a = BBox(0, 0, 10, 10)
-    assert intersection_area(a, BBox(0, 0, 10, 10)) == 100.0
-    assert intersection_area(a, BBox(20, 20, 30, 30)) == 0.0
-    assert intersection_area(a, BBox(5, 0, 100, 100)) == 50.0
+    assert _one(pairwise_intersection, a, BBox(0, 0, 10, 10)) == 100.0
+    assert _one(pairwise_intersection, a, BBox(20, 20, 30, 30)) == 0.0
+    assert _one(pairwise_intersection, a, BBox(5, 0, 100, 100)) == 50.0
 
 
 def test_intersection_bounded_by_min_area():
@@ -63,19 +68,20 @@ def test_intersection_bounded_by_min_area():
         x = rng.uniform(0, 50, size=8)
         a = BBox(min(x[0], x[1]), min(x[2], x[3]), max(x[0], x[1]), max(x[2], x[3]))
         b = BBox(min(x[4], x[5]), min(x[6], x[7]), max(x[4], x[5]), max(x[6], x[7]))
-        assert intersection_area(a, b) <= min(area(a), area(b)) + 1e-12
+        assert _one(pairwise_intersection, a, b) <= min(area(a), area(b)) + 1e-12
 
 
 def test_iou_examples():
     a = BBox(0, 0, 10, 10)
-    assert iou(a, a) == 1.0
-    assert iou(a, BBox(20, 20, 30, 30)) == 0.0
-    assert iou(a, BBox(5, 0, 100, 100)) == 50.0 / 9550.0
+    assert _one(pairwise_iou, a, a) == 1.0
+    assert _one(pairwise_iou, a, BBox(20, 20, 30, 30)) == 0.0
+    assert _one(pairwise_iou, a, BBox(5, 0, 100, 100)) == 50.0 / 9550.0
 
 
 def test_iou_both_zero_area():
     z = BBox(5, 5, 5, 5)
-    assert iou(z, z) == 0.0
+    assert _one(pairwise_iou, z, z) == 0.0
+    assert iou(z.as_list(), z.as_list()) == 0.0
 
 
 def test_iou_symmetric():
@@ -84,37 +90,39 @@ def test_iou_symmetric():
         c = rng.integers(0, 40, size=8)
         a = BBox(min(c[0], c[1]), min(c[2], c[3]), max(c[0], c[1]) + 1, max(c[2], c[3]) + 1)
         b = BBox(min(c[4], c[5]), min(c[6], c[7]), max(c[4], c[5]) + 1, max(c[6], c[7]) + 1)
-        assert iou(a, b) == iou(b, a)
+        assert _one(pairwise_iou, a, b) == _one(pairwise_iou, b, a)
 
 
 def test_ioh_worked_example():
-    assert ioh(BBox(0, 0, 10, 10), BBox(5, 0, 100, 100)) == 0.5
+    assert _one(pairwise_ioh, BBox(0, 0, 10, 10), BBox(5, 0, 100, 100)) == 0.5
 
 
 def test_ioh_containment_and_disjoint():
     body = BBox(0, 0, 50, 120)
-    assert ioh(BBox(10, 5, 20, 15), body) == 1.0
-    assert ioh(BBox(200, 200, 210, 210), body) == 0.0
+    assert _one(pairwise_ioh, BBox(10, 5, 20, 15), body) == 1.0
+    assert _one(pairwise_ioh, BBox(200, 200, 210, 210), body) == 0.0
 
 
 def test_ioh_is_one_iff_contained():
     inside = BBox(1, 1, 9, 9)
-    assert ioh(inside, BBox(0, 0, 10, 10)) == 1.0
+    assert _one(pairwise_ioh, inside, BBox(0, 0, 10, 10)) == 1.0
     sticking_out = BBox(1, 1, 11, 9)
-    assert ioh(sticking_out, BBox(0, 0, 10, 10)) < 1.0
+    assert _one(pairwise_ioh, sticking_out, BBox(0, 0, 10, 10)) < 1.0
 
 
 def test_ioh_asymmetric_pair():
     # regression: IoH must not be symmetric
     small = BBox(0, 0, 10, 10)
     big = BBox(0, 0, 100, 100)
-    assert ioh(small, big) == 1.0
-    assert ioh(big, small) == 0.01
+    assert _one(pairwise_ioh, small, big) == 1.0
+    assert _one(pairwise_ioh, big, small) == 0.01
 
 
 def test_ioh_zero_area_head_rejected():
-    with pytest.raises(ValueError):
-        ioh(BBox(5, 5, 5, 5), BBox(0, 0, 10, 10))
+    with pytest.raises(ValueError, match="zero-area head"):
+        _one(pairwise_ioh, BBox(5, 5, 5, 5), BBox(0, 0, 10, 10))
+    with pytest.raises(ValueError, match="zero-area head"):
+        ioh((5, 5, 5, 5), (0, 0, 10, 10))
 
 
 def _random_int_box(rng, lo=0, hi=60):
@@ -129,12 +137,14 @@ def test_agreement_with_raster_oracle():
         a = _random_int_box(rng)
         b = _random_int_box(rng)
         ta, tb = tuple(a.as_list()), tuple(b.as_list())
-        assert abs(iou(a, b) - raster_iou(ta, tb)) < 1e-9
-        assert abs(ioh(a, b) - raster_ioh(ta, tb)) < 1e-9
+        assert abs(_one(pairwise_iou, a, b) - raster_iou(ta, tb)) < 1e-9
+        assert abs(_one(pairwise_ioh, a, b) - raster_ioh(ta, tb)) < 1e-9
+        assert abs(iou(ta, tb) - raster_iou(ta, tb)) < 1e-9
+        assert abs(ioh(ta, tb) - raster_ioh(ta, tb)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# array kernels: every entry must equal the scalar reference exactly
+# array kernels: every entry must equal the one-pair oracle exactly
 
 def _kernel_cases():
     rng = np.random.default_rng(99)
@@ -162,7 +172,7 @@ def test_pairwise_iou_equals_scalar():
         assert matrix.shape == (len(boxes), len(boxes))
         for i, a in enumerate(boxes):
             for j, b in enumerate(boxes[::-1]):
-                assert matrix[i, j] == scalar(a, b)
+                assert matrix[i, j] == scalar(a.as_list(), b.as_list())
 
 
 def test_pairwise_ioh_equals_scalar():
@@ -171,7 +181,7 @@ def test_pairwise_ioh_equals_scalar():
     matrix = pairwise_ioh(box_array(heads), box_array(boxes))
     for i, h in enumerate(heads):
         for j, b in enumerate(boxes):
-            assert matrix[i, j] == ioh(h, b)
+            assert matrix[i, j] == ioh(h.as_list(), b.as_list())
 
 
 def test_pairwise_empty_shapes():

@@ -1,7 +1,9 @@
 """Every name a module under src/ imports is used in that module, so a
 deletion cannot leave a stale import behind, and no module imports another
 crowdpost module's underscore-prefixed names, so a helper two modules share
-is public."""
+is public.  Every public function and class is used by code under src/, so
+API that only tests call lives in the tests, and the package root binds
+nothing but `__version__`."""
 
 import ast
 import pathlib
@@ -61,3 +63,47 @@ def test_private_imports_detects():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes of the given modules that no
+    code in them reads, as a name or an attribute.  Imports, strings and
+    `__all__` entries do not count as a use."""
+    trees = [ast.parse(source) for source in sources]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_unreferenced_definitions_detects():
+    sources = ["from .b import used, imported_only\n__all__ = ['exported']\n"
+               "def used(): pass\ndef _private(): pass\nclass Unused: pass\n"
+               "def exported(): 'used() in a string'\nused()\n",
+               "import a\ndef imported_only(): pass\ndef by_attribute(): pass\n"
+               "a.by_attribute\n"]
+    assert unreferenced_definitions(sources) == ["Unused", "exported", "imported_only"]
+
+
+def test_every_public_definition_is_used_in_src():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_definitions(sources) == []
+
+
+def test_package_root_binds_only_version():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        if isinstance(node, ast.Assign):
+            bound += [ast.unparse(t) for t in node.targets]
+        else:
+            bound.append(ast.unparse(node).splitlines()[0])
+    assert bound == ["__version__"]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import BBox, box_array, ioh, pairwise_ioh
+from crowdpost.geometry import BBox, box_array, pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess
 
 from helpers import det
+from oracles import ioh
 
 
 def stub(value):
@@ -268,7 +269,8 @@ def test_constant_high_stub_removes_only_partnerless_heads():
         heads, pre, post = _fuzz_scene(rng)
         out = postprocess(heads, pre, post, stub(0.95), CFG)
         partnerless = {h.det_id for h in heads
-                       if all(ioh(h.box, b.box) <= CFG.ioh_threshold for b in pre)}
+                       if all(ioh(h.box.as_list(), b.box.as_list()) <= CFG.ioh_threshold
+                              for b in pre)}
         assert set(out.removed_head_ids) == partnerless
 
 
@@ -283,7 +285,7 @@ def test_constant_low_stub_removes_every_head_and_recalls_nothing():
 
 
 def test_fuzz_scorer_sees_exactly_the_gated_pairs():
-    # one call per scene at most, with the pairs the scalar `ioh` gates, in
+    # one call per scene at most, with the pairs the one-pair `ioh` oracle gates, in
     # head order then pre-NMS order; the pair log takes its scores from it
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -291,7 +293,7 @@ def test_fuzz_scorer_sees_exactly_the_gated_pairs():
         scorer, calls = recording(hash_scorer)
         out = postprocess(heads, pre, post, scorer, CFG)
         gated = [(h.det_id, b.det_id) for h in heads for b in pre
-                 if ioh(h.box, b.box) > CFG.ioh_threshold]
+                 if ioh(h.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
         assert calls == ([gated] if gated else [])
         for r in out.pair_log:
             assert r.score == _hash_score(r.head_id, r.body_id)

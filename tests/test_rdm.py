@@ -7,11 +7,21 @@ from crowdpost.data_model import DetectionSet
 from crowdpost.geometry import BBox
 from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_DIM,
                            RelationModel, TrainConfig, bce_loss, build_training_pairs,
-                           extract_features, load_model, pair_features, save_model, train,
-                           write_loss_csv,
+                           load_model, pair_features, save_model, train, write_loss_csv,
                            _loss_and_gradients, _sample_batch)
 
 from helpers import det, person, scene
+from oracles import extract_features
+
+
+def _features(head, body):
+    """`pair_features` of one pair, the row the kernel gives it."""
+    return pair_features([head], [body])[0]
+
+
+def _reference(head, body):
+    """The one-pair oracle's descriptor of two detections."""
+    return extract_features(head.box.as_list(), head.score, body.box.as_list(), body.score)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +30,7 @@ from helpers import det, person, scene
 def test_feature_worked_example():
     head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
-    got = extract_features(head, body)
+    got = _features(head, body)
     expected = np.array([
         -5.0 / 30.0,            # center dx over body width
         -35.0 / 80.0,           # center dy over body height
@@ -34,36 +44,38 @@ def test_feature_worked_example():
         30.0 / 80.0,            # body aspect
     ])
     assert np.array_equal(got, expected)
+    assert np.array_equal(_reference(head, body), expected)
 
 
 def test_feature_identity_geometry():
     box = (4, 2, 10, 14)
     head = det(1, box, 1.0)
     body = det(1, box, 1.0)
-    got = extract_features(head, body)
     aspect = 6.0 / 12.0
-    assert np.array_equal(got, np.array([0, 0, 0, 0, 1, 1, 1, 1, aspect, aspect]))
+    expected = np.array([0, 0, 0, 0, 1, 1, 1, 1, aspect, aspect])
+    assert np.array_equal(_features(head, body), expected)
+    assert np.array_equal(_reference(head, body), expected)
 
 
 def test_feature_determinism():
     head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
-    assert np.array_equal(extract_features(head, body), extract_features(head, body))
+    assert np.array_equal(_features(head, body), _features(head, body))
 
 
 def test_feature_translation_and_scale_invariance():
     head = det(1, (10, 10, 20, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
-    base = extract_features(head, body)
+    base = _features(head, body)
 
     shift = lambda box, dx, dy: (box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy)
-    moved = extract_features(det(1, shift((10, 10, 20, 20), 7, 31), 0.9),
-                             det(1, shift((5, 10, 35, 90), 7, 31), 0.8))
+    moved = _features(det(1, shift((10, 10, 20, 20), 7, 31), 0.9),
+                      det(1, shift((5, 10, 35, 90), 7, 31), 0.8))
     assert np.array_equal(base, moved)
 
     scale = lambda box, s: tuple(s * v for v in box)
-    scaled = extract_features(det(1, scale((10, 10, 20, 20), 2.0), 0.9),
-                              det(1, scale((5, 10, 35, 90), 2.0), 0.8))
+    scaled = _features(det(1, scale((10, 10, 20, 20), 2.0), 0.9),
+                       det(1, scale((5, 10, 35, 90), 2.0), 0.8))
     assert np.array_equal(base, scaled)
 
 
@@ -71,7 +83,9 @@ def test_feature_rejects_zero_area_box():
     head = det(1, (10, 10, 10, 20), 0.9)
     body = det(1, (5, 10, 35, 90), 0.8)
     with pytest.raises(ValueError, match="zero-area"):
-        extract_features(head, body)
+        _features(head, body)
+    with pytest.raises(ValueError, match="zero-area"):
+        _reference(head, body)
 
 
 def _feature_pairs(rng, n):
@@ -105,7 +119,7 @@ def test_pair_features_equal_stacked_reference():
         heads, bodies = _feature_pairs(rng, n)
         got = pair_features(heads, bodies)
         assert got.shape == (n, FEATURE_DIM)
-        expected = np.array([extract_features(h, b) for h, b in zip(heads, bodies)])
+        expected = np.array([_reference(h, b) for h, b in zip(heads, bodies)])
         assert (got == expected.reshape(n, FEATURE_DIM)).all()
 
 
@@ -144,7 +158,7 @@ def test_score_pairs_matches_per_row_scores():
     for n in (0, 1, 5, 333):
         heads, bodies = _feature_pairs(rng, n)
         got = model.score_pairs(heads, bodies)
-        per_row = [model.score_many(extract_features(h, b))[0]
+        per_row = [model.score_many(_reference(h, b))[0]
                    for h, b in zip(heads, bodies)]
         assert got.shape == (n,)
         assert np.allclose(got, per_row, rtol=0.0, atol=1e-12)
