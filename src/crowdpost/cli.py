@@ -2,8 +2,8 @@
 
 `simulate`, `train-rdm` and `run` read an optional JSON config whose sections
 are the config dataclasses; command-line flags override config values.  All
-outputs are written atomically, a failed command removes those it already
-wrote, and they are byte-identical across reruns with the same inputs and
+outputs are written atomically, a failed command leaves each output path as
+it found it, and they are byte-identical across reruns with the same inputs and
 seeds.  Log verbosity comes from the CROWDPOST_LOG environment variable
 (default WARNING).
 """
@@ -17,12 +17,12 @@ import logging
 import os
 import sys
 
-from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionGroup,
+from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionGroup, GroupColumns,
                          read_detection_groups, read_scenes,
                          write_detection_groups, write_scenes)
 from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg, \
     write_result_json
-from .fileio import atomic_write_text, removed_on_error
+from .fileio import atomic_write_text, read_json, restored_on_error
 from .nms import NmsConfig, build_detection_set
 from .pipeline import PostProcessConfig, postprocess
 from .ratio import estimate_ratio, save_ratio, scene_pairs
@@ -43,8 +43,7 @@ _CONFIG_KEYS = frozenset({"sim", "noise", "num_scenes", "nms", "train", "post"})
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(obj) - _CONFIG_KEYS)
@@ -130,22 +129,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate_ratio(args) -> int:
     scenes = read_scenes(args.scenes)
-    ratio = estimate_ratio(scene_pairs(scenes))
+    ratio = estimate_ratio(*scene_pairs(scenes))
     save_ratio(ratio, args.out)
     logger.info("ratio: %s", ratio)
     return 0
 
 
-def _pre_nms_by_scene(groups) -> list[tuple[str, list, list]]:
+def _pre_nms_by_scene(groups: GroupColumns) -> list[tuple[str, list, list]]:
     """Collect (scene_id, heads, bodies) for pre-NMS groups in file order."""
     order, slots = [], {}
-    for g in groups:
-        if g.stage != PRE_NMS:
+    d = groups.detections
+    for scene_id, class_name, stage, dets in zip(d.scene_ids, groups.class_names,
+                                                 groups.stages, d.detection_lists()):
+        if stage != PRE_NMS:
             continue
-        if g.scene_id not in slots:
-            order.append(g.scene_id)
-            slots[g.scene_id] = {HEAD: [], BODY: []}
-        slots[g.scene_id][g.class_name].extend(g.dets)
+        if scene_id not in slots:
+            order.append(scene_id)
+            slots[scene_id] = {HEAD: [], BODY: []}
+        slots[scene_id][class_name].extend(dets)
     if not order:
         raise ValueError("no pre-NMS detection groups found")
     return [(sid, slots[sid][HEAD], slots[sid][BODY]) for sid in order]
@@ -235,7 +236,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"variant name {name!r} holds a control character")
     scenes = read_scenes(args.scenes)
     groups = read_detection_groups(args.results)
-    if not groups:
+    if not groups.class_names:
         raise ValueError(f"{args.results}: empty results file")
     selected = groups.select(args.class_name, POST_NMS)
     if not selected.scene_ids:
@@ -253,11 +254,7 @@ def cmd_eval(args) -> int:
 def _read_eval_result(path) -> tuple[str, str, float]:
     """(name, class, mr2) of an eval result file, each of its JSON type: a
     string name, head or body, and a number in [0, 1]."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not a valid eval result ({exc})") from None
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: not a valid eval result (expected a JSON object)")
     name, class_name, mr2 = obj.get("name"), obj.get("class"), obj.get("mr2")
@@ -394,7 +391,7 @@ def main(argv=None) -> int:
         stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        with removed_on_error():
+        with restored_on_error():
             return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"crowdpost {args.command}: error: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ class are those of the group, set or list that holds it:
     {"format": "detections/v1", "scene_id": ..., "class": "head"|"body",
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
 
-The readers return a file's records as columns (`SceneColumns`,
-`GroupColumns`), which are also read-only sequences of the records.
+The readers return a file as columns (`SceneColumns`, `GroupColumns`): flat
+lists and arrays, not records.  The records are what the simulator and the
+NMS and post-process stages work on, and what the writers take.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_string
@@ -30,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fileio import atomic_write_text
-from .geometry import BBox, box_array
+from .geometry import BBox
 
 HEAD = "head"
 BODY = "body"
@@ -190,44 +190,7 @@ class DetectionSet:
 #
 # The readers return the records of a file as columns: one list or array per
 # field, entries of one scene or group next to each other, and offsets that
-# bound each scene's persons or each group's detections.  The columns are
-# also a read-only sequence of the records, built together on the first
-# access to any of them, so callers that walk records keep working; the
-# evaluator reads the arrays and builds no record.
-
-class _Records(Sequence):
-    """A read-only sequence of `size` records, all built by `_records()` on
-    the first access to any of them; it equals a list of equal records."""
-
-    __slots__ = ("_size", "_built")
-
-    def __init__(self, size: int):
-        self._size, self._built = size, None
-
-    def __len__(self):
-        return self._size
-
-    def _all(self) -> list:
-        if self._built is None:
-            self._built = self._records()
-        return self._built
-
-    def __getitem__(self, k):
-        return self._all()[k]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _Records)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self)!r})"
-
+# bound each scene's persons or each group's detections.
 
 def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Per row of an (n, 4) array: does `BBox` accept it (finite, no negative extent)?"""
@@ -242,11 +205,6 @@ def _owners(offsets: list[int], bad: np.ndarray) -> list[int]:
     return np.unique(np.searchsorted(offsets, np.flatnonzero(bad), side="right") - 1).tolist()
 
 
-def _split(items: list, offsets: list[int]) -> list[tuple]:
-    """The runs of `items` that `offsets` bound, as tuples."""
-    return [tuple(items[a:b]) for a, b in zip(offsets, offsets[1:])]
-
-
 def _floats(runs) -> np.ndarray:
     return np.fromiter(chain.from_iterable(runs), dtype=np.float64)
 
@@ -255,13 +213,13 @@ def _offsets(runs) -> list[int]:
     return list(accumulate(map(len, runs), initial=0))
 
 
-class SceneColumns(_Records):
-    """Scenes as columns, and the sequence of their `Scene` records.
+class SceneColumns:
+    """Scenes as columns.
 
     Per scene: `scene_ids`, `widths` and `heights`, and `person_offsets`,
     whose entries k and k + 1 bound the persons of scene k.  Per person:
     `person_ids`, `heads` and `bodies` ((n, 4) float64 corners), `ignore`
-    (bool) and `occlusion` (float64).
+    (bool) and `occlusion` (float64).  Person ids are unique within a scene.
     """
 
     __slots__ = ("scene_ids", "widths", "heights", "person_offsets", "person_ids",
@@ -269,22 +227,9 @@ class SceneColumns(_Records):
 
     def __init__(self, scene_ids, widths, heights, person_offsets, person_ids,
                  heads, bodies, ignore, occlusion):
-        super().__init__(len(scene_ids))
         self.scene_ids, self.widths, self.heights = scene_ids, widths, heights
         self.person_offsets, self.person_ids = person_offsets, person_ids
         self.heads, self.bodies, self.ignore, self.occlusion = heads, bodies, ignore, occlusion
-
-    @classmethod
-    def from_records(cls, scenes) -> SceneColumns:
-        return _scene_columns(list(map(_scene_fields, scenes)))
-
-    def _records(self) -> list[Scene]:
-        persons = list(map(PersonInstance, self.person_ids,
-                           starmap(BBox, self.heads.tolist()),
-                           starmap(BBox, self.bodies.tolist()),
-                           self.ignore.tolist(), self.occlusion.tolist()))
-        return list(map(Scene, self.scene_ids, self.widths, self.heights,
-                        _split(persons, self.person_offsets)))
 
     def _faulty(self) -> list[int]:
         """The scenes holding a person that `PersonInstance` or `Scene` rejects."""
@@ -299,9 +244,8 @@ class SceneColumns(_Records):
         return _owners(self.person_offsets, ~ok)
 
 
-class DetectionColumns(_Records):
-    """Detections of many groups as columns, and the sequence of their
-    `(scene_id, Detection)` pairs: its length is the number of detections.
+class DetectionColumns:
+    """Detections of many groups as columns; `len()` is the number of detections.
 
     Per group: `scene_ids` and `det_offsets`, whose entries g and g + 1 bound
     the detections of group g.  Per detection: `det_ids`, `boxes` ((n, 4)
@@ -311,27 +255,18 @@ class DetectionColumns(_Records):
     __slots__ = ("scene_ids", "det_offsets", "det_ids", "boxes", "scores")
 
     def __init__(self, scene_ids, det_offsets, det_ids, boxes, scores):
-        super().__init__(len(det_ids))
         self.scene_ids, self.det_offsets = scene_ids, det_offsets
         self.det_ids, self.boxes, self.scores = det_ids, boxes, scores
 
-    @classmethod
-    def from_pairs(cls, pairs) -> DetectionColumns:
-        """Columns of `(scene_id, Detection)` pairs, each pair a group of its own."""
-        pairs = list(pairs)
-        dets = [d for _, d in pairs]
-        return cls([scene_id for scene_id, _ in pairs], list(range(len(pairs) + 1)),
-                   [d.det_id for d in dets], box_array(d.box for d in dets),
-                   np.array([d.score for d in dets], dtype=np.float64))
+    def __len__(self):
+        return len(self.det_ids)
 
-    def _detections(self) -> list[Detection]:
-        return list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),
+    def detection_lists(self) -> list[list[Detection]]:
+        """Each group's detections as a list of `Detection` records."""
+        dets = list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),
                         self.scores.tolist()))
-
-    def _records(self) -> list[tuple[str, Detection]]:
         offsets = self.det_offsets
-        scene_ids = chain.from_iterable(map(repeat, self.scene_ids, np.diff(offsets).tolist()))
-        return list(zip(scene_ids, self._detections()))
+        return [dets[a:b] for a, b in zip(offsets, offsets[1:])]
 
     def _faulty(self) -> list[int]:
         """The groups holding a detection that `BBox` or `Detection` rejects."""
@@ -340,21 +275,14 @@ class DetectionColumns(_Records):
                        ~(_valid_boxes(self.boxes) & (scores >= 0.0) & (scores <= 1.0)))
 
 
-class GroupColumns(_Records):
-    """Detection groups as columns, and the sequence of their
-    `DetectionGroup` records: `detections` holds every group's scene and
+class GroupColumns:
+    """Detection groups as columns: `detections` holds every group's scene and
     detections, `class_names` and `stages` the rest of each group's key."""
 
     __slots__ = ("detections", "class_names", "stages")
 
     def __init__(self, detections: DetectionColumns, class_names, stages):
-        super().__init__(len(class_names))
         self.detections, self.class_names, self.stages = detections, class_names, stages
-
-    def _records(self) -> list[DetectionGroup]:
-        d = self.detections
-        return list(map(DetectionGroup, d.scene_ids, self.class_names, self.stages,
-                        _split(d._detections(), d.det_offsets)))
 
     def select(self, class_name: str, stage: str) -> DetectionColumns:
         """The detections of the groups of one class and stage, in file order."""
@@ -616,7 +544,7 @@ def _scene_row(obj) -> tuple | None:
 
 
 def read_scenes(path) -> SceneColumns:
-    """The scenes of a file: columns, and the sequence of `Scene` records."""
+    """The scenes of a file, as columns."""
     rows, lines, error = _read_rows(path, _scene_row, _parse_scene, _scene_fields,
                                     itemgetter(0), "duplicate scene_id {!r}".format)
     scenes = _scene_columns(rows)
@@ -705,8 +633,7 @@ def _group_row(obj) -> tuple | None:
 
 
 def read_detection_groups(path) -> GroupColumns:
-    """The detection groups of a file: columns, and the sequence of
-    `DetectionGroup` records."""
+    """The detection groups of a file, as columns."""
     rows, lines, error = _read_rows(path, _group_row, _parse_group, _group_fields,
                                     itemgetter(0, 1, 2), "duplicate group {}".format)
     groups = _group_columns(rows)

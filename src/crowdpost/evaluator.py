@@ -5,9 +5,10 @@ rate / false-positives-per-image curve is swept over every detection score,
 and the reported number is the geometric mean of the miss rates sampled at 9
 log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
 
-`compute_mr2` works on columns: the detections' boxes, scores and scenes,
-and the persons' boxes and flags, as arrays (`data_model.DetectionColumns`
-and `SceneColumns`, which the readers return).  The matching of many scenes
+`compute_mr2` works on columns only: the detections' boxes, scores and
+scenes, and the persons' boxes and flags, as arrays
+(`data_model.DetectionColumns` and `SceneColumns`, which the readers
+return).  The matching of many scenes
 shares one IoU call and one greedy pass: the ranked detections and the
 ground truth of each scene are gathered into (scenes, n, 4) and
 (scenes, m, 4) arrays, zero-padded to the largest scene of the batch.  A
@@ -153,24 +154,18 @@ def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
     return order, tp, absorbed & ~tp
 
 
-def compute_mr2(dets, scenes, cfg: EvalConfig) -> EvalResult:
+def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -> EvalResult:
     """Evaluate the detections of one class against all scenes.
 
-    `dets` is a sequence of `(scene_id, Detection)` pairs and `scenes` one of
-    `Scene` records.  The `DetectionColumns` that `GroupColumns.select`
-    returns and the `SceneColumns` that `read_scenes` returns are such
-    sequences, and their arrays go to the core as they are; other inputs are
-    converted to arrays first.
+    `dets` are the detections of the class under test, as
+    `GroupColumns.select` returns them, and `scenes` the ground truth as
+    `read_scenes` returns it; their arrays go to the core as they are.
 
     Applies the Reasonable filter, matches per scene, then sweeps every
     distinct detection score as a keep-threshold.  For each FPPI reference
     point the lowest miss rate among curve points at or below it is taken
     (1.0 when the curve never gets there).
     """
-    if not isinstance(dets, DetectionColumns):
-        dets = DetectionColumns.from_pairs(dets)
-    if not isinstance(scenes, SceneColumns):
-        scenes = SceneColumns.from_records(scenes)
     index: dict[str, int] = {}
     for k, scene_id in enumerate(scenes.scene_ids):
         index.setdefault(scene_id, k)

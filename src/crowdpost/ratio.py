@@ -3,7 +3,8 @@
 A four-parameter affine map: the body box is alpha_w x alpha_h times the head
 size, with its center offset from the head center by (delta_x, delta_y) head
 units.  Estimated from annotated pairs by the per-parameter median, which keeps
-crouching/truncated outliers from skewing the fit.
+crouching/truncated outliers from skewing the fit; the pairs are the rows of
+two (n, 4) box arrays, as `read_scenes` returns them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import SceneColumns
 from .fileio import atomic_write_text
 from .geometry import BBox
 
@@ -41,28 +43,25 @@ class HeadBodyRatio:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-def estimate_ratio(pairs) -> HeadBodyRatio:
-    """Fit the transform from (head, body) box pairs by per-parameter median.
+def estimate_ratio(heads: np.ndarray, bodies: np.ndarray) -> HeadBodyRatio:
+    """Fit the transform by per-parameter median from paired head and body
+    boxes, row k of the (n, 4) arrays `heads` and `bodies` being one person.
 
     Pairs with a degenerate head box are skipped (counted in a warning);
     an empty or all-degenerate input raises ValueError.
     """
-    per_pair = []
-    skipped = 0
-    for head, body in pairs:
-        hw, hh = head.width, head.height
-        if hw <= 0 or hh <= 0:
-            skipped += 1
-            continue
-        hcx, hcy = head.center
-        bcx, bcy = body.center
-        per_pair.append((body.width / hw, body.height / hh,
-                         (bcx - hcx) / hw, (bcy - hcy) / hh))
+    head_wh = heads[:, 2:] - heads[:, :2]
+    usable = (head_wh > 0.0).all(axis=1)
+    skipped = len(usable) - int(usable.sum())
     if skipped:
         logger.warning("estimate_ratio skipped %d pair(s) with zero-area heads", skipped)
-    if not per_pair:
+    if skipped == len(usable):
         raise ValueError("no usable head-body pairs to estimate from")
-    alpha_w, alpha_h, delta_x, delta_y = np.median(np.asarray(per_pair), axis=0)
+    heads, bodies, head_wh = heads[usable], bodies[usable], head_wh[usable]
+    body_wh = bodies[:, 2:] - bodies[:, :2]
+    offset = (bodies[:, :2] + bodies[:, 2:]) / 2.0 - (heads[:, :2] + heads[:, 2:]) / 2.0
+    per_pair = np.hstack([body_wh / head_wh, offset / head_wh])
+    alpha_w, alpha_h, delta_x, delta_y = np.median(per_pair, axis=0)
     return HeadBodyRatio(float(alpha_w), float(alpha_h), float(delta_x), float(delta_y))
 
 
@@ -76,9 +75,9 @@ def apply_ratio(head: BBox, ratio: HeadBodyRatio) -> BBox:
                                  ratio.alpha_h * hh)
 
 
-def scene_pairs(scenes) -> list[tuple[BBox, BBox]]:
-    """All (head, body) annotation pairs of a scene collection."""
-    return [(p.head, p.body) for scene in scenes for p in scene.persons]
+def scene_pairs(scenes: SceneColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4) head and body boxes of every annotated person of a split."""
+    return scenes.heads, scenes.bodies
 
 
 def save_ratio(ratio: HeadBodyRatio, path) -> None:

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import Detection, DetectionSet, Scene
-from .fileio import atomic_write_text
+from .data_model import Detection, DetectionSet, SceneColumns
+from .fileio import atomic_write_text, read_json
 from .geometry import box_array, greedy_match, pairwise_ioh, pairwise_iou
 
 FEATURE_DIM = 10
@@ -183,8 +183,7 @@ def save_model(model: RelationModel, path) -> None:
 
 
 def load_model(path) -> RelationModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RelationModel.from_obj(json.load(fh))
+    return RelationModel.from_obj(read_json(path))
 
 
 # SGD recipe: momentum, L2 weight decay, and a 1:3 positive:negative batch mix
@@ -232,19 +231,21 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # training data
 
-def _assign_to_persons(dets, persons, boxes) -> dict[int, int]:
+def _assign_to_persons(dets: Sequence[Detection], boxes: np.ndarray) -> np.ndarray:
     """Greedy score-descending assignment of detections to ground truth.
 
     Each detection takes the unmatched person of maximal IoU when that IoU
-    reaches ASSIGN_IOU; each person is used at most once.
+    reaches ASSIGN_IOU; each person is used at most once.  Returns each
+    detection's row of `boxes`, -1 for none.
     """
-    ranked = sorted(dets, key=lambda d: (-d.score, d.det_id))
-    ious = pairwise_iou(box_array(d.box for d in ranked), box_array(boxes))
-    return {d.det_id: persons[j].person_id
-            for d, j in zip(ranked, greedy_match(ious, ASSIGN_IOU)) if j >= 0}
+    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].det_id))
+    ious = pairwise_iou(box_array(dets[i].box for i in ranked), boxes)
+    rows = np.full(len(dets), -1)
+    rows[ranked] = greedy_match(ious, ASSIGN_IOU)
+    return rows
 
 
-def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet],
+def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet],
                          ioh_threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate head x body pairs above the IoH gate and label them.
 
@@ -254,28 +255,27 @@ def build_training_pairs(scenes: list[Scene], detection_sets: list[DetectionSet]
 
     Returns (features, labels) as (n, 10) and (n,) float arrays.
     """
-    by_id = {s.scene_id: s for s in scenes}
+    row_of = {scene_id: k for k, scene_id in enumerate(scenes.scene_ids)}
+    offsets = scenes.person_offsets
     feats, labels = [], []
     for ds in detection_sets:
-        if ds.scene_id not in by_id:
+        if ds.scene_id not in row_of:
             raise ValueError(f"no ground-truth scene for {ds.scene_id!r}")
-        scene = by_id[ds.scene_id]
+        k = row_of[ds.scene_id]
+        persons = slice(offsets[k], offsets[k + 1])
         heads, bodies = ds.heads_post_nms, ds.bodies_pre_nms
-        head_of = _assign_to_persons(heads, scene.persons, [p.head for p in scene.persons])
-        body_of = _assign_to_persons(bodies, scene.persons, [p.body for p in scene.persons])
+        head_person = _assign_to_persons(heads, scenes.heads[persons])
+        body_person = _assign_to_persons(bodies, scenes.bodies[persons])
         gate = pairwise_ioh(box_array(h.box for h in heads),
                             box_array(b.box for b in bodies)) > ioh_threshold
         head_idx, body_idx = np.nonzero(gate)
-        pair_heads = [heads[i] for i in head_idx.tolist()]
-        pair_bodies = [bodies[j] for j in body_idx.tolist()]
-        feats.append(pair_features(pair_heads, pair_bodies))
-        for h, b in zip(pair_heads, pair_bodies):
-            same = (h.det_id in head_of and b.det_id in body_of
-                    and head_of[h.det_id] == body_of[b.det_id])
-            labels.append(1.0 if same else 0.0)
+        feats.append(pair_features([heads[i] for i in head_idx.tolist()],
+                                   [bodies[j] for j in body_idx.tolist()]))
+        person = head_person[head_idx]
+        labels.append(((person >= 0) & (person == body_person[body_idx])).astype(np.float64))
     if not feats:
         return np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    return np.concatenate(feats), np.array(labels)
+    return np.concatenate(feats), np.concatenate(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ _TRUE_RATIO = HeadBodyRatio(3.0, 8.0, 0.0, 3.5)
 # (mean, std) of the detector scores, clipped to [0, 1]
 _TP_SCORE = (0.75, 0.12)
 _FP_SCORE = (0.40, 0.15)
+# Upper bound on the Poisson means (persons and false positives per scene),
+# far above any useful value: a larger one is rejected by name before it can
+# draw millions of boxes into a per-person loop.
+MAX_POISSON_MEAN = 1000.0
+
+
+def _check_poisson_mean(name: str, value: float) -> None:
+    if value > MAX_POISSON_MEAN:
+        raise ValueError(f"{name} must be at most MAX_POISSON_MEAN = {MAX_POISSON_MEAN}, "
+                         f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,7 @@ class SimConfig:
         if not 0.0 <= self.persons_per_image < math.inf:
             raise ValueError(f"persons_per_image must be non-negative and finite, "
                              f"got {self.persons_per_image}")
+        _check_poisson_mean("persons_per_image", self.persons_per_image)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -91,6 +102,8 @@ class NoiseConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, "
                                  f"got {getattr(self, name)}")
+        for name in ("head_fp_rate", "body_fp_rate"):
+            _check_poisson_mean(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -1,7 +1,19 @@
-"""Small builders shared by the test modules."""
+"""Small builders shared by the test modules.
 
-from crowdpost.data_model import Detection, PersonInstance, Scene
-from crowdpost.geometry import BBox
+The readers and the functions that take their output work on columns; the
+tests build records, and `scene_columns`, `detection_columns` and
+`group_columns` turn those into the columns a reader would return for them.
+`fields` gives every column of a columns object as plain values, so two of
+them compare by the values they hold.
+"""
+
+from itertools import accumulate
+
+import numpy as np
+
+from crowdpost.data_model import (Detection, DetectionColumns, GroupColumns, PersonInstance,
+                                  Scene, SceneColumns)
+from crowdpost.geometry import BBox, box_array
 
 
 def det(det_id, box, score):
@@ -15,3 +27,69 @@ def person(person_id, head, body, ignore=False, occ=0.0):
 
 def scene(persons, scene_id="s0", width=200.0, height=200.0):
     return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
+
+
+def box_pairs(pairs):
+    """(head, body) `BBox` pairs as the two (n, 4) arrays `estimate_ratio` takes."""
+    pairs = list(pairs)
+    return box_array(h for h, _ in pairs), box_array(b for _, b in pairs)
+
+
+def scene_columns(scenes) -> SceneColumns:
+    """The columns `read_scenes` returns for a file of these `Scene` records."""
+    scenes = list(scenes)
+    persons = [p for s in scenes for p in s.persons]
+    return SceneColumns([s.scene_id for s in scenes], [s.width for s in scenes],
+                        [s.height for s in scenes],
+                        list(accumulate((len(s.persons) for s in scenes), initial=0)),
+                        [p.person_id for p in persons], box_array(p.head for p in persons),
+                        box_array(p.body for p in persons),
+                        np.array([p.ignore for p in persons], dtype=bool),
+                        np.array([p.occlusion_ratio for p in persons], dtype=np.float64))
+
+
+def _detection_columns(scene_ids, runs) -> DetectionColumns:
+    dets = [d for run in runs for d in run]
+    return DetectionColumns(list(scene_ids), list(accumulate(map(len, runs), initial=0)),
+                            [d.det_id for d in dets], box_array(d.box for d in dets),
+                            np.array([d.score for d in dets], dtype=np.float64))
+
+
+def detection_columns(pairs) -> DetectionColumns:
+    """Columns of `(scene_id, Detection)` pairs, each pair a group of its own,
+    as `compute_mr2` takes them."""
+    pairs = list(pairs)
+    return _detection_columns([scene_id for scene_id, _ in pairs], [[d] for _, d in pairs])
+
+
+def group_columns(groups) -> GroupColumns:
+    """The columns `read_detection_groups` returns for a file of these
+    `DetectionGroup` records."""
+    groups = list(groups)
+    return GroupColumns(_detection_columns([g.scene_id for g in groups],
+                                           [g.dets for g in groups]),
+                        [g.class_name for g in groups], [g.stage for g in groups])
+
+
+def group_det_ids(groups: GroupColumns) -> list[tuple]:
+    """(scene_id, class_name, stage, det ids) of each group, in file order."""
+    d = groups.detections
+    offsets = d.det_offsets
+    return [(scene_id, class_name, stage, d.det_ids[a:b])
+            for scene_id, class_name, stage, a, b in zip(d.scene_ids, groups.class_names,
+                                                          groups.stages, offsets, offsets[1:])]
+
+
+def fields(columns) -> dict:
+    """Every column by name: arrays as (dtype, shape, values, bytes), so that
+    also the sign of a zero counts, nested columns as their own fields, and
+    lists as they are."""
+    out = {}
+    for name in type(columns).__slots__:
+        value = getattr(columns, name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tolist(), value.tobytes())
+        elif hasattr(type(value), "__slots__"):
+            value = fields(value)
+        out[name] = value
+    return out

@@ -25,7 +25,7 @@ from crowdpost.rdm import TrainConfig, _loss_and_gradients, build_training_pairs
 from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scenes,
                                  simulate_detections)
 
-from helpers import det, person, scene
+from helpers import box_pairs, det, detection_columns, person, scene, scene_columns
 from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
 from test_evaluator import _random_instance, num_reasonable, oracle_gts
@@ -133,7 +133,7 @@ def _boundary_mr2(height, occ):
     probe = person(1, (210, 0, 222, 10), (200, 0, 230, height), occ=occ)
     s = scene([anchor, probe], width=400.0, height=400.0)
     dets = [("s0", det(0, (0, 0, 30, 100), 0.9))]
-    return compute_mr2(dets, [s], EvalConfig()).mr2
+    return compute_mr2(detection_columns(dets), scene_columns([s]), EvalConfig()).mr2
 
 
 @criterion(3, "log-average miss rate equals the brute-force reference",
@@ -148,8 +148,9 @@ def test_criterion_3_evaluator():
     perfect = [("a", det(0, (0, 0, 30, 100), 0.9)),
                ("b", det(0, (0, 0, 30, 100), 0.9)),
                ("b", det(1, (0, 0, 30, 100), 0.9))]
-    assert compute_mr2(perfect, perfect_scenes, cfg).mr2 == 0.0
-    empty = compute_mr2([], perfect_scenes, cfg)
+    perfect_columns = scene_columns(perfect_scenes)
+    assert compute_mr2(detection_columns(perfect), perfect_columns, cfg).mr2 == 0.0
+    empty = compute_mr2(detection_columns([]), perfect_columns, cfg)
     assert empty.mr2 == 1.0 and empty.curve == ()
 
     # filter boundaries: 50 px and 35% occlusion are the first excluded edge
@@ -165,7 +166,7 @@ def test_criterion_3_evaluator():
         if num_reasonable(scenes) == 0:
             continue
         checked += 1
-        result = compute_mr2(dets, scenes, cfg)
+        result = compute_mr2(detection_columns(dets), scene_columns(scenes), cfg)
         oracle_images = [{"gts": oracle_gts(s), "dets": image}
                          for s, image in zip(scenes, images)]
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
@@ -186,7 +187,7 @@ def test_criterion_4_ratio():
             w = int(rng.integers(4, 33))
             head = BBox(x, y, x + w, y + w)
             pairs.append((head, apply_ratio(head, true)))
-        assert estimate_ratio(pairs) == true
+        assert estimate_ratio(*box_pairs(pairs)) == true
 
     # 10% gross outliers: within 5% relative error on every parameter
     true = HeadBodyRatio(3.0, 8.0, 0.0, 3.5)
@@ -201,7 +202,7 @@ def test_criterion_4_ratio():
             if i % 10 == 0:
                 body = BBox(x - 40, y - 40, x + 5 * w, y + 20 * w)
             pairs.append((head, body))
-        got = estimate_ratio(pairs)
+        got = estimate_ratio(*box_pairs(pairs))
         assert abs(got.alpha_w - true.alpha_w) <= 0.05 * abs(true.alpha_w)
         assert abs(got.alpha_h - true.alpha_h) <= 0.05 * abs(true.alpha_h)
         assert abs(got.delta_x - true.delta_x) <= 0.05 * max(abs(true.delta_x), 1.0)
@@ -301,7 +302,7 @@ def _direction_one_seed(seed, cluster=0.65):
                                      NoiseConfig(seed=seed * 1000 + 500))
     sets = [build_detection_set(sid, h, b, nms_cfg)
             for sid, (h, b) in train_dets.items()]
-    feats, labels = build_training_pairs(train_scenes, sets, 0.7)
+    feats, labels = build_training_pairs(scene_columns(train_scenes), sets, 0.7)
     model, _ = train(feats, labels,
                      TrainConfig(epochs=150, learning_rate=0.05, seed=seed))
 
@@ -321,10 +322,11 @@ def _direction_one_seed(seed, cluster=0.65):
         with_model[HEAD] += [(s.scene_id, d) for d in out.final_heads]
         with_model[BODY] += [(s.scene_id, d) for d in out.final_bodies]
     result = {}
+    gt = scene_columns(scenes)
     for cls in (HEAD, BODY):
         cfg = EvalConfig(class_under_test=cls)
-        result[cls] = (compute_mr2(base[cls], scenes, cfg).mr2,
-                       compute_mr2(with_model[cls], scenes, cfg).mr2)
+        result[cls] = (compute_mr2(detection_columns(base[cls]), gt, cfg).mr2,
+                       compute_mr2(detection_columns(with_model[cls]), gt, cfg).mr2)
     return result
 
 

@@ -15,6 +15,8 @@ import pytest
 from crowdpost.cli import main
 from crowdpost.data_model import BODY, HEAD, read_detection_groups, read_scenes
 
+from helpers import group_det_ids
+
 
 def _chain(base):
     """Run simulate -> estimate-ratio -> train-rdm -> run -> eval x4 -> report."""
@@ -64,15 +66,14 @@ def test_chain_artifacts_exist(chain):
 
 
 def test_simulate_respects_num_scenes(chain):
-    assert len(read_scenes(chain / "scenes.jsonl")) == 12
+    assert len(read_scenes(chain / "scenes.jsonl").scene_ids) == 12
 
 
 def test_run_outputs_keep_invariants(chain):
     def by_scene(path):
         slots = {}
-        for g in read_detection_groups(path):
-            slots.setdefault(g.scene_id, {})[g.class_name] = \
-                {d.det_id for d in g.dets}
+        for scene_id, class_name, _, ids in group_det_ids(read_detection_groups(path)):
+            slots.setdefault(scene_id, {})[class_name] = set(ids)
         return slots
 
     baseline = by_scene(chain / "out" / "baseline.jsonl")
@@ -88,8 +89,9 @@ def test_audit_matches_outputs(chain):
         audit = json.load(fh)
     slots = {}
     for path in ("baseline.jsonl", "rdm.jsonl"):
-        for g in read_detection_groups(chain / "out" / path):
-            slots[(path, g.scene_id, g.class_name)] = {d.det_id for d in g.dets}
+        for scene_id, class_name, _, ids in group_det_ids(
+                read_detection_groups(chain / "out" / path)):
+            slots[(path, scene_id, class_name)] = set(ids)
     for rec in audit["scenes"]:
         sid = rec["scene_id"]
         added = slots[("rdm.jsonl", sid, BODY)] - slots[("baseline.jsonl", sid, BODY)]
@@ -164,11 +166,10 @@ def test_eval_empty_results(capsys, chain, tmp_path):
 
 
 def test_eval_missing_class_groups(capsys, chain, tmp_path):
-    heads_only = [g for g in read_detection_groups(chain / "out" / "baseline.jsonl")
-                  if g.class_name == HEAD]
-    from crowdpost.data_model import write_detection_groups
+    lines = (chain / "out" / "baseline.jsonl").read_text(encoding="utf-8").splitlines(True)
     path = tmp_path / "heads.jsonl"
-    write_detection_groups(heads_only, path)
+    path.write_text("".join(line for line in lines if json.loads(line)["class"] == HEAD),
+                    encoding="utf-8")
     _expect_error(capsys, ["eval", "--results", str(path),
                            "--scenes", str(chain / "scenes.jsonl"),
                            "--class", BODY, "--out-prefix", str(tmp_path / "x")],
@@ -344,6 +345,74 @@ def test_failed_command_removes_outputs_it_wrote(capsys, chain, tmp_path, comman
     # no output and no temp file is left, only the empty directory
     assert [p.name for p in tmp_path.iterdir()] == [blocked]
     assert list((tmp_path / blocked).iterdir()) == []
+
+
+def test_failed_command_keeps_previous_outputs(capsys, chain, tmp_path):
+    # an earlier run's files are put back when a rerun into the same
+    # directory fails on its last output
+    out = tmp_path / "out"
+    run = ["run", "--dets", str(chain / "dets.jsonl"), "--model", str(chain / "model.json"),
+           "--out-dir", str(out)]
+    assert main([*run, "--nms-iou", "0.4"]) == 0
+    before = {name: (out / name).read_bytes() for name in ("baseline.jsonl", "rdm.jsonl")}
+    assert before["rdm.jsonl"] != (chain / "out" / "rdm.jsonl").read_bytes()
+    (out / "audit.json").unlink()
+    (out / "audit.json").mkdir()
+    _expect_error(capsys, run, "audit.json")
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in out.iterdir()) == ["audit.json", "baseline.jsonl",
+                                                     "rdm.jsonl"]
+    # once the rerun succeeds, no backup is left behind
+    (out / "audit.json").rmdir()
+    assert main(run) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["audit.json", "baseline.jsonl",
+                                                     "rdm.jsonl"]
+    assert (out / "rdm.jsonl").read_bytes() == (chain / "out" / "rdm.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("target", ["config", "model", "eval-result"])
+def test_too_deep_json_file_is_one_line_error(capsys, chain, tmp_path, target):
+    deep = tmp_path / "in" / "deep.eval.json"
+    deep.parent.mkdir()
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "config": ["simulate", "--config", str(deep), "--out-scenes", str(out / "s.jsonl"),
+                   "--out-dets", str(out / "d.jsonl"), "--num-scenes", "2"],
+        "model": ["run", "--dets", str(chain / "dets.jsonl"), "--model", str(deep),
+                  "--out-dir", str(out)],
+        "eval-result": ["report", "--dir", str(deep.parent), "--out", str(out / "report.md")],
+    }[target]
+    _expect_error(capsys, argv, f"{deep}: not valid JSON (maximum recursion depth")
+    assert not out.exists()
+
+
+def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, monkeypatch):
+    # estimate-ratio, train-rdm and eval take the scene file's arrays as the
+    # reader returns them; none of them builds a Scene or PersonInstance
+    from crowdpost.data_model import PersonInstance, Scene
+
+    def refuse(record):
+        raise ValueError(f"{type(record).__name__} record built")
+
+    for cls in (PersonInstance, Scene):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert main(["estimate-ratio", "--scenes", str(chain / "scenes.jsonl"),
+                 "--out", str(tmp_path / "ratio.json")]) == 0
+    assert main(_train_argv(chain, tmp_path)) == 0
+    assert main(["eval", "--results", str(chain / "out" / "rdm.jsonl"),
+                 "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                 "--out-prefix", str(tmp_path / "rdm_body"), "--name", "rdm"]) == 0
+    assert capsys.readouterr().err == ""
+    assert filecmp.cmp(tmp_path / "ratio.json", chain / "ratio.json", shallow=False)
+    for suffix in (".eval.json", ".curve.csv", ".svg"):
+        assert filecmp.cmp(str(tmp_path / "rdm_body") + suffix,
+                           chain / "eval" / ("rdm_body" + suffix), shallow=False)
+    # the readers' results are columns, not sequences of records
+    groups = read_detection_groups(chain / "out" / "rdm.jsonl")
+    for columns in (read_scenes(chain / "scenes.jsonl"), groups, groups.select(BODY, "post_nms")):
+        with pytest.raises(TypeError):
+            iter(columns)
 
 
 def test_eval_rejects_empty_variant_name(capsys, chain, tmp_path):

@@ -1,6 +1,7 @@
 """Every float setting of every config dataclass, and every parameter of the
-head-body ratio, rejects NaN and infinity, with a message naming it; and the
-README lists exactly the config keys."""
+head-body ratio, rejects NaN and infinity, with a message naming it; the
+simulator's Poisson means have an upper bound; and the README lists exactly
+the config keys."""
 
 import dataclasses
 import math
@@ -15,7 +16,7 @@ from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio
 from crowdpost.rdm import TrainConfig
-from crowdpost.simulator import NoiseConfig, SimConfig
+from crowdpost.simulator import MAX_POISSON_MEAN, NoiseConfig, SimConfig
 
 CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig,
            HeadBodyRatio)
@@ -55,6 +56,17 @@ def test_non_finite_setting_rejected(cls, name, index, value):
         value = tuple(items)
     with pytest.raises(ValueError, match=name):
         cls(**{**required, name: value})
+
+
+@pytest.mark.parametrize("cls, name", [(SimConfig, "persons_per_image"),
+                                       (NoiseConfig, "head_fp_rate"),
+                                       (NoiseConfig, "body_fp_rate")])
+def test_poisson_mean_above_bound_rejected(cls, name):
+    # only a value just above the bound: a large one would be simulated
+    value = math.nextafter(MAX_POISSON_MEAN, math.inf)
+    with pytest.raises(ValueError, match=f"^{name} must be at most MAX_POISSON_MEAN = "
+                                         f"{MAX_POISSON_MEAN}, got {value}$"):
+        cls(**{name: value})
 
 
 def test_readme_lists_every_config_key():

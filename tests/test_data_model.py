@@ -10,7 +10,7 @@ from crowdpost.data_model import (
     write_detection_groups, write_scenes)
 from crowdpost.geometry import BBox
 
-from helpers import det, person, scene
+from helpers import det, fields, group_columns, person, scene, scene_columns
 
 
 def test_person_requires_head_inside_body():
@@ -73,12 +73,11 @@ def test_scene_round_trip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     scenes = [_demo_scene("a"), _demo_scene("b"), scene([], scene_id="empty")]
     write_scenes(scenes, path)
-    back = read_scenes(path)
-    assert back == scenes and scenes == back and not back != scenes
-    assert list(back) == scenes and len(back) == 3
-    assert back[1] == scenes[1] and back[-1] == scenes[-1] and back[:2] == scenes[:2]
-    assert back != scenes[:2] and back != tuple(scenes)
-    assert back == read_scenes(path)
+    back = fields(read_scenes(path))
+    assert back == fields(scene_columns(scenes)) and len(back["scene_ids"]) == 3
+    assert back != fields(scene_columns(scenes[:2]))
+    assert back != fields(scene_columns(scenes[::-1]))
+    assert back == fields(read_scenes(path))
 
 
 def test_scene_round_trip_random(tmp_path):
@@ -96,20 +95,20 @@ def test_scene_round_trip_random(tmp_path):
         scenes.append(scene(persons, scene_id=f"s{k}", width=150, height=150))
     path = tmp_path / "scenes.jsonl"
     write_scenes(scenes, path)
-    assert read_scenes(path) == scenes
+    assert fields(read_scenes(path)) == fields(scene_columns(scenes))
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "scenes.jsonl"
     path.write_text("")
-    assert read_scenes(path) == []
+    assert fields(read_scenes(path)) == fields(scene_columns([]))
 
 
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "scenes.jsonl"
     write_scenes([_demo_scene()], path)
     path.write_text("\n" + path.read_text() + "\n\n")
-    assert len(read_scenes(path)) == 1
+    assert fields(read_scenes(path)) == fields(scene_columns([_demo_scene()]))
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -170,13 +169,14 @@ def test_group_round_trip(tmp_path):
     path = tmp_path / "dets.jsonl"
     write_detection_groups(groups, path)
     back = read_detection_groups(path)
-    assert back == groups and groups == back and list(back) == groups
-    assert back[0] == groups[0] and back[-1] == groups[-1] and len(back) == 2
-    assert back != groups[::-1]
-    # the evaluator's selection: (scene_id, detection) pairs of one class and stage
+    assert fields(back) == fields(group_columns(groups)) and len(back.class_names) == 2
+    assert fields(back) != fields(group_columns(groups[::-1]))
+    # the evaluator's selection: the detections of one class and stage
     selected = back.select(HEAD, POST_NMS)
-    assert selected == [("s0", d) for d in groups[0].dets] and len(selected) == 2
-    assert back.select(BODY, POST_NMS) == [] and len(back.select(BODY, PRE_NMS)) == 1
+    assert fields(selected) == fields(group_columns(groups[:1]).detections)
+    assert len(selected) == 2
+    assert fields(back.select(BODY, POST_NMS)) == fields(group_columns([]).detections)
+    assert len(back.select(BODY, PRE_NMS)) == 1
     assert selected.boxes.tolist() == [d.box.as_list() for d in groups[0].dets]
     assert selected.scores.tolist() == [0.875, 0.5] and selected.det_ids == [1, 2]
 
@@ -192,8 +192,11 @@ def test_duplicate_group_rejected(tmp_path):
 
 def _detection_set(path, scene_id="s0"):
     """The post-process input of one scene, assembled from a detection file."""
-    groups = {(g.class_name, g.stage): g.dets for g in read_detection_groups(path)
-              if g.scene_id == scene_id}
+    columns = read_detection_groups(path)
+    d = columns.detections
+    groups = {(c, stage): tuple(dets) for sid, c, stage, dets in
+              zip(d.scene_ids, columns.class_names, columns.stages, d.detection_lists())
+              if sid == scene_id}
     return DetectionSet(scene_id, groups[(HEAD, POST_NMS)], groups[(BODY, PRE_NMS)],
                         groups[(BODY, POST_NMS)])
 
@@ -431,18 +434,19 @@ def test_integer_valued_numbers_read_as_floats(tmp_path):
     path = tmp_path / "dets.jsonl"
     path.write_text(_det_line('{"id": 1, "box": [0, 2, 10, 20], "score": 1}, '
                               '{"id": 2, "box": [0, 2.5, 10, 20.0], "score": 0}'))
-    assert read_detection_groups(path) == [DetectionGroup(
+    assert fields(read_detection_groups(path)) == fields(group_columns([DetectionGroup(
         "s0", BODY, PRE_NMS, (det(1, (0.0, 2.0, 10.0, 20.0), 1.0),
-                              det(2, (0.0, 2.5, 10.0, 20.0), 0.0)))]
+                              det(2, (0.0, 2.5, 10.0, 20.0), 0.0)))]))
     path = tmp_path / "scenes.jsonl"
     path.write_text(_scene_line('{"id": 1, "occ": 1, %s}, {"id": 2, "occ": 0, '
                                 '"head": [2, 0.5, 8, 6], "body": [0.0, 0, 10, 40]}' % _PERSON))
-    assert read_scenes(path) == [scene(
+    assert fields(read_scenes(path)) == fields(scene_columns([scene(
         [person(1, (2.0, 0.0, 8.0, 6.0), (0.0, 0.0, 10.0, 40.0), occ=1.0),
          person(2, (2.0, 0.5, 8.0, 6.0), (0.0, 0.0, 10.0, 40.0), occ=0.0)],
-        width=100.0, height=100.0)]
-    assert all(type(v) is float for g in read_detection_groups(tmp_path / "dets.jsonl")
-               for d in g.dets for v in (*d.box.as_list(), d.score))
+        width=100.0, height=100.0)]))
+    assert all(type(v) is float
+               for dets in read_detection_groups(tmp_path / "dets.jsonl").detections
+               .detection_lists() for d in dets for v in (*d.box.as_list(), d.score))
 
 
 _LONG = 40

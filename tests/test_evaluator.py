@@ -10,7 +10,7 @@ from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
                                  write_curve_csv, write_curve_svg, write_result_json)
 
-from helpers import det, person, scene
+from helpers import det, detection_columns, person, scene, scene_columns
 from oracles import (FP, IGNORED, TP, log_average, match_outcomes, mr2_reference,
                      reasonable_ignore)
 
@@ -49,7 +49,8 @@ def _outcomes(dets, s, cfg=EvalConfig()):
 def _assert_mr2_matches(dets, s, cfg=EvalConfig()):
     """`compute_mr2` on one scene gives the result of the oracle's outcomes."""
     pairs = [(s.scene_id, d) for d in dets]
-    assert compute_mr2(pairs, [s], cfg) == _mr2_scene_by_scene(pairs, [s], cfg)
+    assert (compute_mr2(detection_columns(pairs), scene_columns([s]), cfg)
+            == _mr2_scene_by_scene(pairs, [s], cfg))
 
 
 def test_default_fppi_points():
@@ -66,7 +67,7 @@ def test_reasonable_filter_boundaries():
     ])
     flags = {p.person_id: _reasonable_ignore(p) for p in s.persons}
     assert flags == {1: True, 2: False, 3: True}
-    assert compute_mr2([], [s], EvalConfig()).num_gt == 1
+    assert compute_mr2(detection_columns([]), scene_columns([s]), EvalConfig()).num_gt == 1
     # flagged, never deleted: a detection on a filtered person is absorbed
     dets = [det(p.person_id, tuple(p.body.as_list()), 0.9) for p in s.persons]
     assert _outcomes(dets, s) == [(1, IGNORED), (2, TP), (3, IGNORED)]
@@ -77,12 +78,12 @@ def test_reasonable_filter_keeps_existing_ignores():
     s = scene([_person_at(1, 0, 0, ignore=True)])
     assert _reasonable_ignore(s.persons[0])
     with pytest.raises(ValueError, match="no ground truth left"):
-        compute_mr2([], [s], EvalConfig())
+        compute_mr2(detection_columns([]), scene_columns([s]), EvalConfig())
     # next to a counted person, the flagged one still absorbs detections
     s = scene([_person_at(1, 0, 0, ignore=True), _person_at(2, 60, 0)])
     dets = [det(1, (0, 0, 30, 100), 0.9), det(2, (1, 0, 31, 100), 0.8)]
     assert _outcomes(dets, s) == [(1, IGNORED), (2, IGNORED)]
-    assert compute_mr2([], [s], EvalConfig()).num_gt == 1
+    assert compute_mr2(detection_columns([]), scene_columns([s]), EvalConfig()).num_gt == 1
     _assert_mr2_matches(dets, s)
 
 
@@ -102,7 +103,7 @@ def test_compute_mr2_filters_like_reasonable_filter():
     cfg = EvalConfig()
     outcomes = _outcomes(dets, s, cfg)
     assert [o for _, o in outcomes] == [IGNORED, TP, IGNORED, IGNORED, TP, FP, IGNORED]
-    result = compute_mr2([("s0", d) for d in dets], [s], cfg)
+    result = compute_mr2(detection_columns([("s0", d) for d in dets]), scene_columns([s]), cfg)
     assert result.num_gt == 2
     tp = fp = 0
     expected = []
@@ -170,7 +171,7 @@ def test_perfect_detector_scores_zero():
     for s in scenes:
         for p in s.persons:
             dets.append((s.scene_id, det(p.person_id, tuple(p.body.as_list()), 1.0)))
-    result = compute_mr2(dets, scenes, EvalConfig())
+    result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
     assert result.mr2 == 0.0
     assert result.num_gt == 3
     assert result.num_images == 2
@@ -178,7 +179,7 @@ def test_perfect_detector_scores_zero():
 
 def test_empty_detector_scores_one():
     scenes = [scene([_person_at(1, 10, 10)])]
-    result = compute_mr2([], scenes, EvalConfig())
+    result = compute_mr2(detection_columns([]), scene_columns(scenes), EvalConfig())
     assert result.mr2 == 1.0
     assert result.curve == ()
 
@@ -186,14 +187,14 @@ def test_empty_detector_scores_one():
 def test_zero_gt_rejected():
     scenes = [scene([_person_at(1, 0, 0, h=30)])]  # filtered out
     with pytest.raises(ValueError, match="no ground truth left"):
-        compute_mr2([], scenes, EvalConfig())
+        compute_mr2(detection_columns([]), scene_columns(scenes), EvalConfig())
 
 
 def test_unknown_scene_rejected():
     scenes = [scene([_person_at(1, 10, 10)], scene_id="a")]
     d = det(1, (10, 10, 40, 110), 0.9)
     with pytest.raises(ValueError, match="no ground truth"):
-        compute_mr2([("zz", d)], scenes, EvalConfig())
+        compute_mr2(detection_columns([("zz", d)]), scene_columns(scenes), EvalConfig())
 
 
 def _worked_example():
@@ -210,7 +211,7 @@ def _worked_example():
 
 def test_worked_example_curve_and_mr2():
     scenes, dets = _worked_example()
-    result = compute_mr2(dets, scenes, EvalConfig())
+    result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
     assert result.curve == (
         (0.9, 0.0, 0.75),
         (0.85, 0.25, 0.75),
@@ -266,7 +267,7 @@ def test_matches_brute_force_reference():
         scenes, images, dets = _random_instance(rng, int(rng.integers(1, 7)))
         if num_reasonable(scenes) == 0:
             continue
-        result = compute_mr2(dets, scenes, cfg)
+        result = compute_mr2(detection_columns(dets), scene_columns(scenes), cfg)
         oracle_images = [{"gts": oracle_gts(s), "dets": image}
                          for s, image in zip(scenes, images)]
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
@@ -339,7 +340,8 @@ def test_batched_matching_equals_scene_by_scene(monkeypatch, budget, class_name,
         # some crowd outgrows the budget alone; some scenes lack persons or detections
         assert any(sizes[s.scene_id] * len(s.persons) > evaluator._PAIR_BUDGET for s in scenes)
         assert any(not s.persons for s in scenes) and 0 in sizes.values()
-        assert compute_mr2(dets, scenes, cfg) == _mr2_scene_by_scene(dets, scenes, cfg)
+        assert (compute_mr2(detection_columns(dets), scene_columns(scenes), cfg)
+                == _mr2_scene_by_scene(dets, scenes, cfg))
 
 
 def test_fp_injection_never_improves_mr2():
@@ -349,11 +351,11 @@ def test_fp_injection_never_improves_mr2():
         scenes, _, dets = _random_instance(rng, 4)
         if num_reasonable(scenes) == 0:
             continue
-        base = compute_mr2(dets, scenes, cfg).mr2
+        base = compute_mr2(detection_columns(dets), scene_columns(scenes), cfg).mr2
         junk = [(scenes[0].scene_id, det(1000 + j, (350 + 2 * j, 350, 380 + 2 * j, 390),
                                          float(rng.uniform(0.05, 1))))
                 for j in range(5)]
-        worse = compute_mr2(dets + junk, scenes, cfg).mr2
+        worse = compute_mr2(detection_columns(dets + junk), scene_columns(scenes), cfg).mr2
         assert worse >= base
         assert base <= 1.0
 
@@ -363,7 +365,7 @@ def test_ignored_only_score_levels_still_swept():
               scene([_person_at(1, 10, 10)], scene_id="b")]
     dets = [("a", det(1, (10, 10, 40, 110), 0.9)),   # absorbed
             ("b", det(1, (10, 10, 40, 110), 0.95))]  # TP
-    result = compute_mr2(dets, scenes, EvalConfig())
+    result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
     assert result.mr2 == 0.0
     assert result.num_gt == 1
     # the absorbed det's score level still appears as a threshold
@@ -373,7 +375,8 @@ def test_ignored_only_score_levels_still_swept():
 
 def test_log_average_empty_curve():
     assert log_average([], FPPI_POINTS) == 1.0
-    result = compute_mr2([], [scene([_person_at(1, 10, 10)])], EvalConfig())
+    result = compute_mr2(detection_columns([]), scene_columns([scene([_person_at(1, 10, 10)])]),
+                         EvalConfig())
     assert result.curve == () and result.mr2 == 1.0
 
 
@@ -383,7 +386,7 @@ def test_log_average_floor():
     scenes = [scene([_person_at(1, 10, 10)] if i == 0 else [], scene_id=f"s{i}")
               for i in range(200)]
     dets = [("s0", det(1, (10, 10, 40, 110), 0.9)), ("s0", det(2, (150, 10, 180, 110), 0.9))]
-    result = compute_mr2(dets, scenes, EvalConfig())
+    result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
     assert result.curve == ((0.9, 0.005, 0.0),)
     # all nine references eligible, all sampled at zero miss: reported as 0
     assert log_average(result.curve, FPPI_POINTS) == 0.0

@@ -17,6 +17,7 @@ from crowdpost.data_model import (  # noqa: E402
     read_detection_groups, read_scenes, write_detection_groups, write_scenes)
 from crowdpost.geometry import BBox  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
+from helpers import fields, group_columns, scene_columns  # noqa: E402
 
 # bounded and derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -79,26 +80,24 @@ def group_files(draw, min_dets=0):
 
 
 def _round_trip(records, write, read):
+    """The fields of the columns `read` returns for a file `write` made."""
     with tempfile.TemporaryDirectory() as d:
-        first, second = os.path.join(d, "a.jsonl"), os.path.join(d, "b.jsonl")
-        write(records, first)
-        back = read(first)
-        write(back, second)
-        with open(first, "rb") as fa, open(second, "rb") as fb:
-            assert fa.read() == fb.read()
-    return back
+        path = os.path.join(d, "a.jsonl")
+        write(records, path)
+        return fields(read(path))
 
 
 @PROPERTY
 @given(scene_files())
 def test_scene_file_round_trip(records):
-    assert _round_trip(records, write_scenes, read_scenes) == records
+    assert _round_trip(records, write_scenes, read_scenes) == fields(scene_columns(records))
 
 
 @PROPERTY
 @given(group_files())
 def test_detection_file_round_trip(records):
-    assert _round_trip(records, write_detection_groups, read_detection_groups) == records
+    assert (_round_trip(records, write_detection_groups, read_detection_groups)
+            == fields(group_columns(records)))
 
 
 # ids that need escaping, and coordinates, scores and occlusions that may be -0.0

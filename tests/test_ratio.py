@@ -8,7 +8,7 @@ from crowdpost.geometry import BBox
 from crowdpost.ratio import (HeadBodyRatio, apply_ratio, estimate_ratio, save_ratio,
                              scene_pairs)
 
-from helpers import person, scene
+from helpers import box_pairs, person, scene, scene_columns
 
 
 def test_ratio_validation():
@@ -19,13 +19,13 @@ def test_ratio_validation():
 
 
 def test_single_pair_worked_example():
-    r = estimate_ratio([(BBox(10, 10, 20, 20), BBox(5, 10, 35, 90))])
+    r = estimate_ratio(*box_pairs([(BBox(10, 10, 20, 20), BBox(5, 10, 35, 90))]))
     assert r == HeadBodyRatio(3.0, 8.0, 0.5, 3.5)
 
 
 def test_copies_match_single_pair():
     pair = (BBox(10, 10, 20, 20), BBox(5, 10, 35, 90))
-    assert estimate_ratio([pair] * 7) == estimate_ratio([pair])
+    assert estimate_ratio(*box_pairs([pair] * 7)) == estimate_ratio(*box_pairs([pair]))
 
 
 def test_apply_worked_example():
@@ -48,13 +48,13 @@ def test_round_trip_exact_noise_free():
         w = int(rng.integers(4, 33))
         head = BBox(x, y, x + w, y + w)
         pairs.append((head, apply_ratio(head, true)))
-    assert estimate_ratio(pairs) == true
+    assert estimate_ratio(*box_pairs(pairs)) == true
 
 
 def test_estimate_then_apply_round_trip():
     r = HeadBodyRatio(2.75, 7.5, -0.25, 3.0)
     head = BBox(40, 12, 56, 28)
-    assert estimate_ratio([(head, apply_ratio(head, r))]) == r
+    assert estimate_ratio(*box_pairs([(head, apply_ratio(head, r))])) == r
 
 
 def test_scale_invariance():
@@ -65,7 +65,7 @@ def test_scale_invariance():
     pairs = [(h, apply_ratio(h, true)) for h in heads]
     scaled = [(BBox(*(4.0 * v for v in h.as_list())),
                BBox(*(4.0 * v for v in b.as_list()))) for h, b in pairs]
-    assert estimate_ratio(scaled) == estimate_ratio(pairs)
+    assert estimate_ratio(*box_pairs(scaled)) == estimate_ratio(*box_pairs(pairs))
 
 
 def test_outlier_robustness():
@@ -81,7 +81,7 @@ def test_outlier_robustness():
             if i % 10 == 0:  # 10% gross outliers
                 body = BBox(x - 40, y - 40, x + 5 * w, y + 20 * w)
             pairs.append((head, body))
-        got = estimate_ratio(pairs)
+        got = estimate_ratio(*box_pairs(pairs))
         assert abs(got.alpha_w - true.alpha_w) <= 0.05 * abs(true.alpha_w)
         assert abs(got.alpha_h - true.alpha_h) <= 0.05 * abs(true.alpha_h)
         assert abs(got.delta_x - true.delta_x) <= 0.05 * max(abs(true.delta_x), 1.0)
@@ -90,14 +90,14 @@ def test_outlier_robustness():
 
 def test_empty_input_rejected():
     with pytest.raises(ValueError, match="no usable"):
-        estimate_ratio([])
+        estimate_ratio(*box_pairs([]))
 
 
 def test_degenerate_heads_skipped_with_warning(caplog):
     good = (BBox(10, 10, 20, 20), BBox(5, 10, 35, 90))
     bad = (BBox(0, 0, 0, 10), BBox(0, 0, 30, 80))
     with caplog.at_level(logging.WARNING, logger="crowdpost.ratio"):
-        r = estimate_ratio([good, bad])
+        r = estimate_ratio(*box_pairs([good, bad]))
     assert r == HeadBodyRatio(3.0, 8.0, 0.5, 3.5)
     assert any("skipped 1" in rec.getMessage() for rec in caplog.records)
 
@@ -105,15 +105,16 @@ def test_degenerate_heads_skipped_with_warning(caplog):
 def test_all_degenerate_rejected():
     bad = (BBox(0, 0, 0, 10), BBox(0, 0, 30, 80))
     with pytest.raises(ValueError, match="no usable"):
-        estimate_ratio([bad])
+        estimate_ratio(*box_pairs([bad]))
 
 
 def test_scene_pairs():
     s = scene([person(1, head=(10, 10, 20, 20), body=(5, 10, 35, 90)),
                person(2, head=(60, 5, 70, 15), body=(55, 5, 85, 85))])
-    pairs = scene_pairs([s])
-    assert pairs == [(BBox(10, 10, 20, 20), BBox(5, 10, 35, 90)),
-                     (BBox(60, 5, 70, 15), BBox(55, 5, 85, 85))]
+    pairs = scene_pairs(scene_columns([s]))
+    expected = box_pairs([(BBox(10, 10, 20, 20), BBox(5, 10, 35, 90)),
+                          (BBox(60, 5, 70, 15), BBox(55, 5, 85, 85))])
+    assert [a.tolist() for a in pairs] == [a.tolist() for a in expected]
 
 
 def test_save_load_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_D
                            load_model, pair_features, save_model, train, write_loss_csv,
                            _loss_and_gradients, _sample_batch)
 
-from helpers import det, person, scene
+from helpers import det, person, scene, scene_columns
 from oracles import extract_features
 
 
@@ -402,7 +402,7 @@ def _two_person_setup():
 
 def test_pair_labels():
     scenes, sets = _two_person_setup()
-    feats, labels = build_training_pairs(scenes, sets, ioh_threshold=0.7)
+    feats, labels = build_training_pairs(scene_columns(scenes), sets, ioh_threshold=0.7)
     # head A: IoH 1.0 with body A, 0.8 with body B; head B: 1.0 with B, 0.2 with A
     assert feats.shape == (3, FEATURE_DIM)
     assert sorted(labels.tolist()) == [0.0, 1.0, 1.0]
@@ -410,14 +410,14 @@ def test_pair_labels():
 
 def test_pair_gate_excludes_low_ioh():
     scenes, sets = _two_person_setup()
-    _, loose = build_training_pairs(scenes, sets, ioh_threshold=0.1)
+    _, loose = build_training_pairs(scene_columns(scenes), sets, ioh_threshold=0.1)
     assert len(loose) == 4  # head B x body A (IoH 0.2) now enters, labeled 0
     assert sorted(loose.tolist()) == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_pair_gate_is_strict():
     scenes, sets = _two_person_setup()
-    _, labels = build_training_pairs(scenes, sets, ioh_threshold=0.8)
+    _, labels = build_training_pairs(scene_columns(scenes), sets, ioh_threshold=0.8)
     # the 0.8 cross pair sits exactly at the gate and must not be emitted
     assert len(labels) == 2
     assert labels.tolist() == [1.0, 1.0]
@@ -430,19 +430,19 @@ def test_unassigned_detection_pairs_are_negative():
     heads = [det(1, (10, 0, 20, 10), 0.9)]
     bodies = [det(1, (8, 0, 70, 80), 0.8)]
     ds = DetectionSet("s0", tuple(heads), tuple(bodies), tuple(bodies))
-    _, labels = build_training_pairs([s], [ds], ioh_threshold=0.7)
+    _, labels = build_training_pairs(scene_columns([s]), [ds], ioh_threshold=0.7)
     assert labels.tolist() == [0.0]
 
 
 def test_missing_scene_rejected():
     _, sets = _two_person_setup()
     with pytest.raises(ValueError, match="no ground-truth scene"):
-        build_training_pairs([], sets, 0.7)
+        build_training_pairs(scene_columns([]), sets, 0.7)
 
 
 def test_no_pairs_gives_empty_arrays():
     s = scene([person(1, head=(10, 0, 20, 10), body=(0, 0, 30, 80))])
     ds = DetectionSet("s0", (), (), ())
-    feats, labels = build_training_pairs([s], [ds], 0.7)
+    feats, labels = build_training_pairs(scene_columns([s]), [ds], 0.7)
     assert feats.shape == (0, FEATURE_DIM)
     assert labels.shape == (0,)
