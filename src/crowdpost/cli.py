@@ -16,15 +16,18 @@ import json
 import logging
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
-from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionGroup, GroupColumns,
-                         read_detection_groups, read_scenes,
+import numpy as np
+
+from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, DetectionGroup,
+                         GroupColumns, id_keys, read_detection_groups, read_scenes,
                          write_detection_groups, write_scenes)
 from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg, \
     write_result_json
 from .fileio import atomic_write_text, read_json, restored_on_error
-from .nms import NmsConfig, build_detection_set
-from .pipeline import PostProcessConfig, postprocess
+from .nms import NmsConfig, build_detection_set, nms_groups
+from .pipeline import PipelineOutput, PostProcessConfig, postprocess
 from .ratio import estimate_ratio, save_ratio, scene_pairs
 from .rdm import TrainConfig, build_training_pairs, load_model, save_model, train, \
     write_loss_csv
@@ -121,7 +124,7 @@ def cmd_simulate(args) -> int:
         groups.append(DetectionGroup(scene.scene_id, HEAD, PRE_NMS, heads))
         groups.append(DetectionGroup(scene.scene_id, BODY, PRE_NMS, bodies))
     write_scenes(scenes, args.out_scenes)
-    write_detection_groups(groups, args.out_dets)
+    write_detection_groups(GroupColumns.from_groups(groups), args.out_dets)
     logger.info("wrote %d scenes (%d persons) and %d detection groups",
                 len(scenes), sum(len(s.persons) for s in scenes), len(groups))
     return 0
@@ -135,21 +138,20 @@ def cmd_estimate_ratio(args) -> int:
     return 0
 
 
-def _pre_nms_by_scene(groups: GroupColumns) -> list[tuple[str, list, list]]:
-    """Collect (scene_id, heads, bodies) for pre-NMS groups in file order."""
-    order, slots = [], {}
+def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionColumns]:
+    """The pre-NMS heads and bodies, one group per scene in the order the
+    scenes first appear, a class the file lacks for a scene as an empty group."""
+    slots: dict[str, list[int]] = {}
     d = groups.detections
-    for scene_id, class_name, stage, dets in zip(d.scene_ids, groups.class_names,
-                                                 groups.stages, d.detection_lists()):
-        if stage != PRE_NMS:
-            continue
-        if scene_id not in slots:
-            order.append(scene_id)
-            slots[scene_id] = {HEAD: [], BODY: []}
-        slots[scene_id][class_name].extend(dets)
-    if not order:
+    for g, (scene_id, class_name, stage) in enumerate(zip(d.scene_ids, groups.class_names,
+                                                          groups.stages)):
+        if stage == PRE_NMS:
+            slots.setdefault(scene_id, [-1, -1])[class_name == BODY] = g
+    if not slots:
         raise ValueError("no pre-NMS detection groups found")
-    return [(sid, slots[sid][HEAD], slots[sid][BODY]) for sid in order]
+    scene_ids = list(slots)
+    head_groups, body_groups = zip(*slots.values())
+    return d.regroup(scene_ids, head_groups), d.regroup(scene_ids, body_groups)
 
 
 def cmd_train_rdm(args) -> int:
@@ -163,8 +165,9 @@ def cmd_train_rdm(args) -> int:
 
     scenes = read_scenes(args.scenes)
     groups = read_detection_groups(args.dets)
-    sets = [build_detection_set(sid, heads, bodies, nms_cfg)
-            for sid, heads, bodies in _pre_nms_by_scene(groups)]
+    heads, bodies = _pre_nms_columns(groups)
+    sets = [build_detection_set(sid, h, b, nms_cfg) for sid, h, b in
+            zip(heads.scene_ids, heads.detection_lists(), bodies.detection_lists())]
     features, labels = build_training_pairs(scenes, sets, post_cfg.ioh_threshold)
     logger.info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
     model, trace = train(features, labels, train_cfg)
@@ -173,9 +176,48 @@ def cmd_train_rdm(args) -> int:
     return 0
 
 
-def _canonical_group(scene_id, class_name, stage, dets) -> DetectionGroup:
-    return DetectionGroup(scene_id, class_name, stage,
-                          sorted(dets, key=lambda d: d.det_id))
+def _post_nms_groups(heads: DetectionColumns, bodies: DetectionColumns) -> GroupColumns:
+    """Each scene's head group, then its body group, at the post-NMS stage,
+    each group's detections sorted by det id."""
+    num_scenes = len(heads.scene_ids)
+    ids = heads.det_ids + bodies.det_ids
+    # group 2k holds scene k's heads, group 2k + 1 its bodies
+    group = np.concatenate([2 * heads.det_groups(), 2 * bodies.det_groups() + 1])
+    order = np.lexsort((id_keys(ids), group))
+    counts = np.bincount(group, minlength=2 * num_scenes)
+    dets = DetectionColumns([scene_id for scene_id in heads.scene_ids for _ in (HEAD, BODY)],
+                            [0, *np.cumsum(counts).tolist()], [ids[i] for i in order.tolist()],
+                            np.concatenate([heads.boxes, bodies.boxes])[order],
+                            np.concatenate([heads.scores, bodies.scores])[order])
+    return GroupColumns(dets, [HEAD, BODY] * num_scenes, [POST_NMS] * (2 * num_scenes))
+
+
+def _json_block(items: list[str], indent: str) -> str:
+    """A JSON list of already formatted items as `json.dumps(..., indent=2)`
+    lays it out when it closes at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _audit_text(scene_ids: list[str], out: PipelineOutput) -> str:
+    """`audit.json`: per scene its recalled body ids, removed head ids and
+    pair log, the bytes `json.dumps({"scenes": [...]}, indent=2)` gives for
+    them (ids are ints, scores finite floats, whose JSON text is their repr)."""
+    pairs = [f'        {{\n          "head": {r.head_id!r},\n          "body": {r.body_id!r},\n'
+             f'          "score": {r.score!r},\n          "phase": {_json_string(r.phase)}\n'
+             '        }' for r in out.pair_log]
+    recalled = [f"        {i!r}" for i in out.recalled_body_ids]
+    removed = [f"        {i!r}" for i in out.removed_head_ids]
+    scenes = [f'    {{\n      "scene_id": {_json_string(scene_id)},\n'
+              f'      "recalled_body_ids": {_json_block(recalled[ra:rb], "      ")},\n'
+              f'      "removed_head_ids": {_json_block(removed[da:db], "      ")},\n'
+              f'      "pairs": {_json_block(pairs[pa:pb], "      ")}\n    }}'
+              for scene_id, ra, rb, da, db, pa, pb in zip(
+                  scene_ids, out.recalled_offsets, out.recalled_offsets[1:],
+                  out.removed_offsets, out.removed_offsets[1:],
+                  out.pair_offsets, out.pair_offsets[1:])]
+    return f'{{\n  "scenes": {_json_block(scenes, "  ")}\n}}\n'
 
 
 def cmd_run(args) -> int:
@@ -187,36 +229,19 @@ def cmd_run(args) -> int:
                       low_threshold=args.low_threshold,
                       high_threshold=args.high_threshold)
     model = load_model(args.model)
-    # only the records outlive this line, not the reader's columns
-    scenes = _pre_nms_by_scene(read_detection_groups(args.dets))
+    heads_pre, bodies_pre = _pre_nms_columns(read_detection_groups(args.dets))
 
-    baseline_groups, rdm_groups, audit_scenes = [], [], []
-    for scene_id, heads_pre, bodies_pre in scenes:
-        ds = build_detection_set(scene_id, heads_pre, bodies_pre, nms_cfg)
-        out = postprocess(list(ds.heads_post_nms), list(ds.bodies_pre_nms),
-                          list(ds.bodies_post_nms), model.score_pairs, post_cfg)
-        baseline_groups.append(_canonical_group(scene_id, HEAD, POST_NMS,
-                                                ds.heads_post_nms))
-        baseline_groups.append(_canonical_group(scene_id, BODY, POST_NMS,
-                                                ds.bodies_post_nms))
-        rdm_groups.append(_canonical_group(scene_id, HEAD, POST_NMS, out.final_heads))
-        rdm_groups.append(_canonical_group(scene_id, BODY, POST_NMS, out.final_bodies))
-        audit_scenes.append({
-            "scene_id": scene_id,
-            "recalled_body_ids": out.recalled_body_ids,
-            "removed_head_ids": out.removed_head_ids,
-            "pairs": [{"head": r.head_id, "body": r.body_id,
-                       "score": r.score, "phase": r.phase} for r in out.pair_log],
-        })
+    heads, _ = nms_groups(heads_pre, nms_cfg)
+    bodies_post, bodies_floor = nms_groups(bodies_pre, nms_cfg)
+    out = postprocess(heads, bodies_floor, bodies_post, model.score_pairs, post_cfg)
 
-    write_detection_groups(baseline_groups, os.path.join(args.out_dir, "baseline.jsonl"))
-    write_detection_groups(rdm_groups, os.path.join(args.out_dir, "rdm.jsonl"))
-    atomic_write_text(os.path.join(args.out_dir, "audit.json"),
-                      json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
-    recalled = sum(len(s["recalled_body_ids"]) for s in audit_scenes)
-    removed = sum(len(s["removed_head_ids"]) for s in audit_scenes)
+    write_detection_groups(_post_nms_groups(heads, bodies_post),
+                           os.path.join(args.out_dir, "baseline.jsonl"))
+    write_detection_groups(_post_nms_groups(out.final_heads, out.final_bodies),
+                           os.path.join(args.out_dir, "rdm.jsonl"))
+    atomic_write_text(os.path.join(args.out_dir, "audit.json"), _audit_text(heads.scene_ids, out))
     logger.info("recalled %d bodies, removed %d heads over %d scenes",
-                recalled, removed, len(audit_scenes))
+                len(out.recalled_body_ids), len(out.removed_head_ids), len(heads.scene_ids))
     return 0
 
 

@@ -13,8 +13,9 @@ class are those of the group, set or list that holds it:
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
 
 The readers return a file as columns (`SceneColumns`, `GroupColumns`): flat
-lists and arrays, not records.  The records are what the simulator and the
-NMS and post-process stages work on, and what the writers take.
+lists and arrays, not records, and `write_detection_groups` writes a
+`GroupColumns`.  The records are what the simulator makes and what
+`train-rdm`'s per-scene NMS works on.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fileio import atomic_write_text
-from .geometry import BBox
+from .geometry import BBox, ragged
 
 HEAD = "head"
 BODY = "body"
@@ -205,6 +206,16 @@ def _owners(offsets: list[int], bad: np.ndarray) -> list[int]:
     return np.unique(np.searchsorted(offsets, np.flatnonzero(bad), side="right") - 1).tolist()
 
 
+def id_keys(ids: list[int]) -> np.ndarray:
+    """int64 keys that sort like `ids`, also for ids beyond int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        keys = np.empty(len(ids), dtype=np.int64)
+        keys[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return keys
+
+
 def _floats(runs) -> np.ndarray:
     return np.fromiter(chain.from_iterable(runs), dtype=np.float64)
 
@@ -261,6 +272,34 @@ class DetectionColumns:
     def __len__(self):
         return len(self.det_ids)
 
+    def det_groups(self) -> np.ndarray:
+        """The group of each detection."""
+        counts = np.diff(self.det_offsets)
+        return np.repeat(np.arange(len(counts)), counts)
+
+    def _gather(self, scene_ids, index: np.ndarray, counts: np.ndarray) -> "DetectionColumns":
+        ids = self.det_ids
+        return DetectionColumns(scene_ids, [0, *np.cumsum(counts).tolist()],
+                                [ids[i] for i in index.tolist()], self.boxes[index],
+                                self.scores[index])
+
+    def take(self, index: np.ndarray) -> "DetectionColumns":
+        """The detections at `index`, in the same groups: `index` lists
+        group 0's chosen detections first, then group 1's, and so on."""
+        group = np.searchsorted(self.det_offsets, index, side="right") - 1
+        return self._gather(self.scene_ids, index,
+                            np.bincount(group, minlength=len(self.scene_ids)))
+
+    def regroup(self, scene_ids, groups) -> "DetectionColumns":
+        """Group k holds the detections of group `groups[k]`, or none when
+        that is -1, as a group of scene `scene_ids[k]`."""
+        groups = np.asarray(groups, dtype=np.intp).reshape(-1)
+        offsets = np.asarray(self.det_offsets)
+        present = groups >= 0
+        starts = np.where(present, offsets[groups], 0)
+        counts = np.where(present, offsets[groups + 1] - starts, 0)
+        return self._gather(scene_ids, ragged(starts, counts)[0], counts)
+
     def detection_lists(self) -> list[list[Detection]]:
         """Each group's detections as a list of `Detection` records."""
         dets = list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),
@@ -284,17 +323,17 @@ class GroupColumns:
     def __init__(self, detections: DetectionColumns, class_names, stages):
         self.detections, self.class_names, self.stages = detections, class_names, stages
 
+    @classmethod
+    def from_groups(cls, groups) -> "GroupColumns":
+        """The columns of these `DetectionGroup` records, in their order."""
+        return _group_columns(list(map(_group_fields, groups)))
+
     def select(self, class_name: str, stage: str) -> DetectionColumns:
         """The detections of the groups of one class and stage, in file order."""
-        d = self.detections
         chosen = [c == class_name and s == stage
                   for c, s in zip(self.class_names, self.stages)]
-        counts = np.diff(d.det_offsets)
-        kept = np.repeat(np.array(chosen, dtype=bool), counts)
-        return DetectionColumns(list(compress(d.scene_ids, chosen)),
-                                [0, *np.cumsum(counts[chosen]).tolist()],
-                                list(compress(d.det_ids, kept.tolist())),
-                                d.boxes[kept], d.scores[kept])
+        d = self.detections
+        return d.regroup(list(compress(d.scene_ids, chosen)), np.flatnonzero(chosen))
 
 
 # A row is one scene's or one group's fields, with a list per person or
@@ -642,12 +681,21 @@ def read_detection_groups(path) -> GroupColumns:
     return groups
 
 
-def _group_line(group: DetectionGroup) -> str:
-    dets = ", ".join(f'{{"id": {d.det_id!r}, "box": {_box_text(d.box)}, "score": {d.score!r}}}'
-                     for d in group.dets)
-    return (f'{{"format": "{DETECTION_FORMAT}", "scene_id": {_json_string(group.scene_id)}, '
-            f'"class": "{group.class_name}", "stage": "{group.stage}", "dets": [{dets}]}}\n')
+def _group_lines(groups: GroupColumns):
+    # group by group, so that a file's text is never held whole
+    d = groups.detections
+    offsets = d.det_offsets
+    for scene_id, class_name, stage, a, b in zip(d.scene_ids, groups.class_names,
+                                                  groups.stages, offsets, offsets[1:]):
+        dets = ", ".join(
+            f'{{"id": {i!r}, "box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "score": {s!r}}}'
+            for i, (x1, y1, x2, y2), s in zip(d.det_ids[a:b], d.boxes[a:b].tolist(),
+                                               d.scores[a:b].tolist()))
+        yield (f'{{"format": "{DETECTION_FORMAT}", "scene_id": {_json_string(scene_id)}, '
+               f'"class": "{class_name}", "stage": "{stage}", "dets": [{dets}]}}\n')
 
 
-def write_detection_groups(groups, path) -> None:
-    atomic_write_text(path, "".join(map(_group_line, groups)))
+def write_detection_groups(groups: GroupColumns, path) -> None:
+    """One line per group, from the columns (`GroupColumns.from_groups`
+    gives the columns of records)."""
+    atomic_write_text(path, _group_lines(groups))

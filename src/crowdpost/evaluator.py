@@ -11,11 +11,10 @@ scenes, and the persons' boxes and flags, as arrays
 return).  The matching of many scenes
 shares one IoU call and one greedy pass: the ranked detections and the
 ground truth of each scene are gathered into (scenes, n, 4) and
-(scenes, m, 4) arrays, zero-padded to the largest scene of the batch.  A
+(scenes, m, 4) arrays, zero-padded to the largest scene of the batch
+(`geometry.padded_batches`, which bounds the padded pairs of a batch).  A
 zero box has IoU 0 with every box, and `EvalConfig` requires a match
-threshold above 0, so padding never matches.  A batch holds at most
-`_PAIR_BUDGET` padded detection/ground-truth pairs, which bounds its memory;
-a scene larger than that is matched on its own.  `tests/oracles.py` holds
+threshold above 0, so padding never matches.  `tests/oracles.py` holds
 the one-image references: the greedy match, the Reasonable rule and the
 log-average.
 """
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BODY, HEAD, DetectionColumns, SceneColumns
+from .data_model import BODY, HEAD, DetectionColumns, SceneColumns, id_keys
 from .fileio import atomic_write_text
-from .geometry import greedy_match, pairwise_iou
+from .geometry import greedy_match, padded_batches, padded_stack, pairwise_iou
 
 # 10^(-2 + k/4) for k = 0..8
 FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
@@ -38,9 +37,6 @@ FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
 # the Reasonable subset: persons at least this tall and less occluded than this
 REASONABLE_MIN_HEIGHT = 50.0
 REASONABLE_MAX_OCCLUSION = 0.35
-
-# padded detection/ground-truth pairs per batched IoU call
-_PAIR_BUDGET = 4096
 
 # floor inside the log; only the all-zero case would hit it and that is
 # special-cased to an exact 0
@@ -67,41 +63,6 @@ class EvalResult:
     num_images: int
 
 
-def _id_keys(ids: list[int]) -> np.ndarray:
-    """int64 keys that sort like `ids`, also for ids beyond int64."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        keys = np.empty(len(ids), dtype=np.int64)
-        keys[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        return keys
-
-
-def _ragged(starts: np.ndarray, counts: np.ndarray):
-    """The indices of the runs `starts[r]` .. `starts[r] + counts[r] - 1`,
-    one after the other, with each index's run and its position in the run."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    pos = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts[run] + pos, run, pos
-
-
-def _batches(scenes: np.ndarray, *counts: np.ndarray):
-    """Consecutive runs of `scenes` whose zero-padded stack stays within
-    `_PAIR_BUDGET` pairs, each with its largest detection, matchable and
-    ignored counts; a scene larger than that forms a batch alone."""
-    batch: list[int] = []
-    shape = (0, 0, 0)
-    for s, *sizes in zip(scenes.tolist(), *(c[scenes].tolist() for c in counts)):
-        grown = tuple(map(max, shape, sizes))
-        if batch and (len(batch) + 1) * grown[0] * (grown[1] + grown[2]) > _PAIR_BUDGET:
-            yield np.array(batch), shape
-            batch, grown = [], tuple(sizes)
-        batch.append(s)
-        shape = grown
-    if batch:
-        yield np.array(batch), shape
-
-
 def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
            matchable: np.ndarray, cfg: EvalConfig):
     """Greedy matching of every scene of `gt` at once; detection i belongs to
@@ -116,7 +77,7 @@ def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
     an ignored ground truth absorbed it.
     """
     num_scenes = len(gt.scene_ids)
-    order = np.lexsort((_id_keys(dets.det_ids), -dets.scores, det_scene))
+    order = np.lexsort((id_keys(dets.det_ids), -dets.scores, det_scene))
     boxes = dets.boxes[order]
     det_counts = np.bincount(det_scene, minlength=num_scenes)
     det_starts = np.cumsum(det_counts) - det_counts
@@ -133,20 +94,16 @@ def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
     thr = cfg.iou_match_threshold
     tp = np.zeros(len(order), dtype=bool)
     absorbed = np.zeros(len(order), dtype=bool)
-    # scenes of like size share a batch, which keeps the padding small
-    work = np.flatnonzero(det_counts)
-    work = work[np.lexsort((ignored_counts[work], matchable_counts[work], det_counts[work]))]
-    for batch, (n, n_matchable, n_ignored) in _batches(work, det_counts, matchable_counts,
-                                                       ignored_counts):
-        det_stack = np.zeros((len(batch), n, 4))
-        index, slot, pos = _ragged(det_starts[batch], det_counts[batch])
-        det_stack[slot, pos] = boxes[index]
-        gt_stack = np.zeros((len(batch), n_matchable + n_ignored, 4))
-        g, gslot, gpos = _ragged(gt_starts[batch], matchable_counts[batch])
-        gt_stack[gslot, gpos] = gt_boxes[g]
-        g, gslot, gpos = _ragged(gt_starts[batch] + matchable_counts[batch],
-                                 ignored_counts[batch])
-        gt_stack[gslot, n_matchable + gpos] = gt_boxes[g]
+    # a scene without ground truth leaves its detections FPs
+    for batch, (n, n_matchable, n_ignored) in padded_batches(det_counts, matchable_counts,
+                                                             ignored_counts):
+        det_stack, (index, slot, pos) = padded_stack(boxes, det_starts[batch],
+                                                     det_counts[batch], n)
+        starts = gt_starts[batch]
+        gt_stack = np.concatenate(
+            [padded_stack(gt_boxes, starts, matchable_counts[batch], n_matchable)[0],
+             padded_stack(gt_boxes, starts + matchable_counts[batch], ignored_counts[batch],
+                          n_ignored)[0]], axis=1)
         ious = pairwise_iou(det_stack, gt_stack)
         matched = np.array(greedy_match(ious[..., :n_matchable], thr))
         tp[index] = matched[slot, pos] >= 0

@@ -7,6 +7,7 @@ import contextvars
 import json
 import os
 import tempfile
+from typing import Iterable
 
 # (path, backup) for each file `atomic_write_text` wrote inside
 # `restored_on_error`, the backup holding the file it replaced, else None
@@ -14,13 +15,31 @@ _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
 
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def read_json(path):
     """The JSON value of a whole file.  A file that is not UTF-8, is not
-    JSON, or nests deeper than the decoder's recursion limit raises a
-    one-line ValueError that names the path."""
+    JSON, nests deeper than the decoder's recursion limit, or repeats a key
+    within one object (which the decoder would resolve silently, last value
+    winning) raises a one-line ValueError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except (RecursionError, ValueError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
@@ -33,8 +52,9 @@ def _unlink_quietly(path: str | None) -> None:
             pass
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write via a temp file in the same directory, then rename.
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write `text`, or the concatenation of an iterable of strings, via a
+    temp file in the same directory, then rename.
 
     Creates the directory when it is missing.  Keeps failed runs from leaving
     half-written outputs behind.  The file gets the mode a plain `open` would
@@ -52,7 +72,10 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         if written is not None and os.path.isfile(path):
             # a hard link under the temp file's unique name keeps the old file
             link = tmp.removesuffix(".tmp") + ".bak"

@@ -9,12 +9,15 @@ two zero-area boxes, and IoH (the overlap over the head's area) an error for
 a zero-area head.
 `greedy_match` is the one greedy assignment over such a matrix.
 
-`pairwise_intersection`, `pairwise_iou` and `greedy_match` also take leading
-batch axes: (..., n, 4) and (..., m, 4) stacks give (..., n, m) matrices whose
-every slice is bit-identical to the 2-D call on that slice, and the matcher
-assigns each slice on its own.  Scenes of different sizes share one stack by
-padding with the zero box (0, 0, 0, 0): its intersection with any box is 0,
-so its IoU is 0 and it never reaches a positive match threshold.
+The kernels and `greedy_match` also take leading batch axes: (..., n, 4)
+and (..., m, 4) stacks give (..., n, m) matrices whose every slice is
+bit-identical to the 2-D call on that slice, and the matcher assigns each
+slice on its own.  Scenes of different sizes share one stack by padding
+with the zero box (0, 0, 0, 0): its intersection with any box is 0, so its
+IoU and its IoH with a head are 0 and it never passes a positive threshold.
+`padded_batches` groups the scenes of a split, size-sorted, into such
+stacks under a bound on their padded pairs, and `padded_stack` fills one;
+the evaluator, NMS and the post-process gate all batch through them.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def box_array(boxes: Iterable[BBox]) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def _areas(boxes: np.ndarray) -> np.ndarray:
+def areas(boxes: np.ndarray) -> np.ndarray:
+    """The area of each box of a (..., 4) array, width times height."""
     wh = boxes[..., 2:] - boxes[..., :2]
     return wh[..., 0] * wh[..., 1]
 
@@ -116,26 +120,76 @@ _UNION_FLOOR = float(np.nextafter(0.0, 1.0))
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., n, m) matrix of the IoU of boxes a[..., i] and b[..., j]; 0 for
     two zero-area boxes."""
-    area_a = _areas(a)
-    area_b = area_a if b is a else _areas(b)
+    area_a = areas(a)
+    area_b = area_a if b is a else areas(b)
     inter = pairwise_intersection(a, b)
     return inter / np.maximum(area_a[..., :, None] + area_b[..., None, :] - inter,
                               _UNION_FLOOR)
 
 
 def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of the overlap of heads[i] and bodies[j] over the area
-    of heads[i]: 1 exactly when the head lies inside the body.
+    """(..., n, m) matrix of the overlap of heads[..., i] and bodies[..., j]
+    over the area of heads[..., i]: 1 exactly when the head lies inside the
+    body.
 
     Raises ValueError for a zero-area head whenever there is at least one
     body to compare it with.
     """
-    head_area = _areas(heads)
-    if len(bodies):
-        degenerate = np.flatnonzero(head_area <= 0.0)
+    head_area = areas(heads)
+    if bodies.shape[-2]:
+        degenerate = np.argwhere(head_area <= 0.0)
         if len(degenerate):
-            raise ValueError(f"zero-area head box: {BBox(*heads[degenerate[0]])}")
-    return pairwise_intersection(heads, bodies) / head_area[:, None]
+            raise ValueError(f"zero-area head box: {BBox(*heads[tuple(degenerate[0])])}")
+    return pairwise_intersection(heads, bodies) / head_area[..., :, None]
+
+
+# padded pairs per stack that `padded_batches` forms
+PAIR_BUDGET = 4096
+
+
+def ragged(starts: np.ndarray, counts: np.ndarray):
+    """The indices of the runs `starts[r]` .. `starts[r] + counts[r] - 1`,
+    one after the other, with each index's run and its position in the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    pos = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return starts[run] + pos, run, pos
+
+
+def padded_batches(rows: np.ndarray, *cols: np.ndarray):
+    """Batches of the items i that have pairs (`rows[i]` times the sum of
+    the `cols[c][i]` is positive), as arrays of item indices sorted by size,
+    so that items of like size share a batch, each with its largest `rows`
+    entry and its largest entry of each `cols`.  A batch's zero-padded
+    stack, its item count times the largest rows times the sum of the
+    largest cols, stays within `PAIR_BUDGET` pairs; an item larger than that
+    forms a batch alone."""
+    items = np.flatnonzero(rows * sum(cols))
+    items = items[np.lexsort(tuple(c[items] for c in reversed((rows, *cols))))]
+    batch: list[int] = []
+    shape: tuple = ()
+    for i, *sizes in zip(items.tolist(), rows[items].tolist(),
+                         *(c[items].tolist() for c in cols)):
+        grown = tuple(map(max, shape or sizes, sizes))
+        if batch and (len(batch) + 1) * grown[0] * sum(grown[1:]) > PAIR_BUDGET:
+            yield np.array(batch), shape
+            batch, grown = [], tuple(sizes)
+        batch.append(i)
+        shape = grown
+    if batch:
+        yield np.array(batch), shape
+
+
+def padded_stack(boxes: np.ndarray, starts: np.ndarray, counts: np.ndarray, width: int,
+                 pad=(0.0, 0.0, 0.0, 0.0)):
+    """A (runs, width, 4) stack whose row r holds the boxes
+    `boxes[starts[r]:starts[r] + counts[r]]` and then copies of `pad`; with
+    it, `ragged(starts, counts)`, which places each index of `boxes` in the
+    stack."""
+    stack = np.empty((len(counts), width, 4))
+    stack[...] = pad
+    index, run, pos = placed = ragged(starts, counts)
+    stack[run, pos] = boxes[index]
+    return stack, placed
 
 
 def greedy_match(ious: np.ndarray, threshold: float) -> list:

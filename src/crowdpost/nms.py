@@ -1,8 +1,17 @@
 """Greedy score-descending non-maximum suppression.
 
-Returns both the survivors and the floor-filtered input so callers can keep
-the before/after pair that the recall post-process needs.  Zero-area boxes
-are degenerate detections: they are dropped at the score floor.
+`nms_groups` suppresses every group of a `DetectionColumns` in one array
+pass: the groups are size-sorted into zero-padded stacks
+(`geometry.padded_batches`) and one IoU call covers each stack.  The greedy
+step then walks each group's boxes in rank order over its overlap rows
+packed into Python ints, one bit per box, so it costs a few integer
+operations per box, not a numpy call.  A zero pad box has IoU 0 with every
+box, so it never suppresses.  `nms` and
+`build_detection_set` are the one-group calls on `Detection` lists.
+
+Each group keeps both its survivors and its floor-filtered input, the
+before/after pair that the recall post-process needs.  Zero-area boxes are
+degenerate detections: they are dropped at the score floor.
 """
 
 from __future__ import annotations
@@ -12,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Detection, DetectionSet
-from .geometry import area, box_array, pairwise_iou
+from .data_model import Detection, DetectionColumns, DetectionSet, id_keys
+from .geometry import areas, box_array, padded_batches, padded_stack, pairwise_iou
 
 logger = logging.getLogger(__name__)
 
@@ -30,32 +39,68 @@ class NmsConfig:
             raise ValueError(f"score_floor {self.score_floor} outside [0, 1)")
 
 
+def _suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, floored): indices into `dets`, group after group.  `floored`
+    holds, in input order, the detections that reach the score floor and
+    have a box of positive area; `kept` is sorted by descending score with
+    ties broken by ascending det id, and a box is suppressed when its IoU
+    with a higher-ranked kept box of its group exceeds the threshold."""
+    group = dets.det_groups()
+    scored = dets.scores >= cfg.score_floor
+    floored = np.flatnonzero(scored & (areas(dets.boxes) > 0.0))
+    if len(floored) < scored.sum():
+        logger.info("dropped %d zero-area detections", scored.sum() - len(floored))
+    ids = dets.det_ids
+    ranked = floored[np.lexsort((id_keys([ids[i] for i in floored.tolist()]),
+                                 -dets.scores[floored], group[floored]))]
+    counts = np.bincount(group[ranked], minlength=len(dets.scene_ids))
+    starts = np.cumsum(counts) - counts
+    boxes = dets.boxes[ranked]
+    keep: list[int] = []
+    for batch, (n, _) in padded_batches(counts, counts):
+        stack, _ = padded_stack(boxes, starts[batch], counts[batch], n)
+        # row i of a group's overlap matrix as a Python int, bit j for box j
+        words = np.packbits(pairwise_iou(stack, stack) > cfg.iou_threshold, axis=-1,
+                            bitorder="little")
+        width, buf = words.shape[-1], words.tobytes()
+        rows = [int.from_bytes(buf[k:k + width], "little") for k in range(0, len(buf), width)]
+        # the greedy step, group by group in rank order: a box that no kept
+        # box suppressed is kept, and suppresses its overlaps
+        for row, start, count in zip(range(0, len(rows), n), starts[batch].tolist(),
+                                     counts[batch].tolist()):
+            suppressed = 0
+            for i in range(count):
+                if not suppressed >> i & 1:
+                    keep.append(start + i)
+                    suppressed |= rows[row + i]
+    # batches run by size; the kept indices go back to group and rank order
+    return ranked[np.sort(np.array(keep, dtype=np.intp))], floored
+
+
+def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns,
+                                                                DetectionColumns]:
+    """Suppress overlapping detections within each group; the caller passes
+    groups of one class each.  Returns (kept, floored) in the same groups,
+    as `nms` defines them."""
+    kept, floored = _suppress(dets, cfg)
+    return dets.take(kept), dets.take(floored)
+
+
 def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
     """Suppress overlapping detections; the caller passes those of one class
     within one scene.
 
     Returns (kept, input_after_floor): `input_after_floor` keeps, in input
     order, the detections that reach the score floor and have a box of
-    positive area; `kept` is sorted by descending score with ties
-    broken by ascending det id; a box is suppressed when its IoU with a
-    higher-ranked kept box exceeds the threshold.
+    positive area; `kept` is sorted by descending score with ties broken by
+    ascending det id; a box is suppressed when its IoU with a higher-ranked
+    kept box exceeds the threshold.
     """
-    scored = [d for d in dets if d.score >= cfg.score_floor]
-    after_floor = [d for d in scored if area(d.box) > 0.0]
-    if len(after_floor) < len(scored):
-        logger.info("dropped %d zero-area detections", len(scored) - len(after_floor))
-    ranked = sorted(after_floor, key=lambda d: (-d.score, d.det_id))
-    if len(ranked) < 2:
-        return ranked, after_floor
-    boxes = box_array(d.box for d in ranked)
-    overlaps = pairwise_iou(boxes, boxes) > cfg.iou_threshold
-    suppressed = np.zeros(len(ranked), dtype=bool)
-    kept: list[Detection] = []
-    for i, cand in enumerate(ranked):
-        if not suppressed[i]:
-            kept.append(cand)
-            suppressed |= overlaps[i]
-    return kept, after_floor
+    columns = DetectionColumns([""], [0, len(dets)], [d.det_id for d in dets],
+                               box_array(d.box for d in dets),
+                               np.array([d.score for d in dets], dtype=np.float64))
+    kept, floored = _suppress(columns, cfg)
+    return [dets[i] for i in kept.tolist()], [dets[i] for i in floored.tolist()]
 
 
 def build_detection_set(scene_id: str, heads_pre: list[Detection],

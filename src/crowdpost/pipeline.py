@@ -5,23 +5,34 @@ against the kept bodies is missing or too low are re-matched against the
 pre-NMS bodies.  A confident second-round match recalls that suppressed body;
 a failed second round removes the head as a false positive.  Heads landing
 between the two score thresholds are left untouched and recall nothing.
+
+`postprocess` takes a whole split as scene-aligned columns and works in
+three steps: one IoH gate over padded stacks of scenes
+(`geometry.padded_batches`), one scorer call on every gated pair of the
+split, then the decisions scene by scene over plain lists.  A one-scene
+call is the per-scene case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data_model import Detection
-from .geometry import box_array, pairwise_ioh
+from .data_model import DetectionColumns
+from .geometry import padded_batches, padded_stack, pairwise_ioh
 
-# scores of the pairs (heads[k], bodies[k]) of two equal-length sequences
-PairScorer = Callable[[Sequence[Detection], Sequence[Detection]], Sequence[float]]
+# scores of the pairs (heads k, bodies k) of two equal-length columns
+PairScorer = Callable[[DetectionColumns, DetectionColumns], Sequence[float]]
 
 FIRST = "first"
 SECOND = "second"
+
+# stands in for a missing head in a padded stack: its area is positive, so
+# only a real head can raise the zero-area error, and its row is masked out
+_PAD_HEAD = (0.0, 0.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,82 +59,155 @@ class PairRecord:
 
 @dataclass
 class PipelineOutput:
-    final_heads: list[Detection]
-    final_bodies: list[Detection]
-    recalled_body_ids: list[int] = field(default_factory=list)
-    removed_head_ids: list[int] = field(default_factory=list)
-    pair_log: list[PairRecord] = field(default_factory=list)
+    """The post-process of a split.  The final heads and bodies are columns
+    in the scenes of the input; the id lists and the pair log are flat, scene
+    after scene, and entries k and k + 1 of each `*_offsets` list bound
+    scene k's part."""
+
+    final_heads: DetectionColumns
+    final_bodies: DetectionColumns
+    recalled_body_ids: list[int]
+    removed_head_ids: list[int]
+    pair_log: list[PairRecord]
+    recalled_offsets: list[int]
+    removed_offsets: list[int]
+    pair_offsets: list[int]
 
 
-def postprocess(heads: list[Detection], bodies_pre: list[Detection],
-                bodies_post: list[Detection], scorer: PairScorer,
+def _offsets(scenes: np.ndarray, num_scenes: int) -> list[int]:
+    """Offsets that bound each scene's entries of a flat list, given the
+    scene of each entry, in order."""
+    return np.searchsorted(scenes, np.arange(num_scenes + 1)).tolist()
+
+
+def _post_in_pre(bodies_pre: DetectionColumns, bodies_post: DetectionColumns) -> np.ndarray:
+    """The pre-NMS index of each post-NMS body: the detection of its scene
+    with its id, box and score."""
+    pre_scene = bodies_pre.det_groups().tolist()
+    post_scene = bodies_post.det_groups().tolist()
+    where = dict(zip(zip(pre_scene, bodies_pre.det_ids), range(len(pre_scene))))
+    index = np.array([where.get(key, -1) for key in zip(post_scene, bodies_post.det_ids)],
+                     dtype=np.intp)
+    found = index >= 0
+    found[found] = ((bodies_pre.boxes[index[found]] == bodies_post.boxes[found]).all(axis=1)
+                    & (bodies_pre.scores[index[found]] == bodies_post.scores[found]))
+    if not found.all():
+        k = post_scene[np.flatnonzero(~found)[0]]
+        missing = [i for s, i, ok in zip(post_scene, bodies_post.det_ids, found.tolist())
+                   if s == k and not ok]
+        raise ValueError(f"scene {bodies_post.scene_ids[k]!r}: post-NMS bodies {missing} "
+                         "missing from the pre-NMS set")
+    return index
+
+
+def _gate(heads: DetectionColumns, bodies: DetectionColumns,
+          threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(head, body) indices of the pairs of one scene whose IoH exceeds the
+    threshold, scene after scene, in head order and then body order."""
+    head_counts, body_counts = np.diff(heads.det_offsets), np.diff(bodies.det_offsets)
+    head_starts = np.asarray(heads.det_offsets[:-1], dtype=np.intp)
+    body_starts = np.asarray(bodies.det_offsets[:-1], dtype=np.intp)
+    rows, cols = [], []
+    for batch, (n, m) in padded_batches(head_counts, body_counts):
+        head_stack, (_, slot, pos) = padded_stack(
+            heads.boxes, head_starts[batch], head_counts[batch], n, pad=_PAD_HEAD)
+        body_stack, _ = padded_stack(bodies.boxes, body_starts[batch], body_counts[batch], m)
+        # a pad body has IoH 0 with every head; pad heads are masked out
+        real = np.zeros((len(batch), n, 1), dtype=bool)
+        real[slot, pos] = True
+        b, i, j = np.nonzero((pairwise_ioh(head_stack, body_stack) > threshold) & real)
+        rows.append(head_starts[batch][b] + i)
+        cols.append(body_starts[batch][b] + j)
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # batches run by size; head indices run scene after scene in head order,
+    # and each head's bodies already come in order from its batch
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
+
+
+def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
+                bodies_post: DetectionColumns, scorer: PairScorer,
                 cfg: PostProcessConfig) -> PipelineOutput:
-    """Run the full post-process for one scene.
+    """Run the full post-process for every scene of a split.
 
-    Only ever adds bodies and removes heads: the final bodies are a superset
-    of the kept bodies, the final heads a subset of the kept heads.  Each
-    head's outcome depends only on the immutable input sets, so the result is
-    independent of processing order.  The scorer is called at most once, with
-    every IoH-gated (head, pre-NMS body) pair in head order, each head's
-    bodies in pre-NMS order; phase one reads the kept-body scores, phase two
-    all of them.  The pair log lists each head's bodies in the order of the
-    phase's body list.
+    Group k of each argument is scene k: its kept heads, its floor-filtered
+    pre-NMS bodies and its kept bodies, each kept list in rank order.  Only
+    ever adds bodies and removes heads: the final bodies of a scene are a
+    superset of its kept bodies, the final heads a subset of its kept heads.
+    Each head's outcome depends only on its scene's immutable input sets, so
+    the result is independent of processing order.  The scorer is called at
+    most once, with every IoH-gated (head, pre-NMS body) pair of the split,
+    scene by scene, in head order, each head's bodies in pre-NMS order;
+    phase one reads the kept-body scores, phase two all of them.  The pair
+    log lists each head's bodies in the order of the phase's body list.
     """
-    pre_col = {d.det_id: j for j, d in enumerate(bodies_pre)}
-    missing = [d.det_id for d in bodies_post
-               if d.det_id not in pre_col or bodies_pre[pre_col[d.det_id]] != d]
-    if missing:
-        raise ValueError(f"post-NMS bodies {missing} missing from the pre-NMS set")
+    num_scenes = len(heads.scene_ids)
+    if not heads.scene_ids == bodies_pre.scene_ids == bodies_post.scene_ids:
+        raise ValueError("heads, pre-NMS bodies and post-NMS bodies must hold the "
+                         "same scenes in the same order")
+    post_pre = _post_in_pre(bodies_pre, bodies_post)
+    rows, cols = _gate(heads, bodies_pre, cfg.ioh_threshold)
+    scores = np.asarray(scorer(heads.take(rows), bodies_pre.take(cols)),
+                        dtype=np.float64).tolist() if len(rows) else []
 
-    # one IoH gate against the pre-NMS bodies serves both phases; the kept
-    # bodies are a subset of its columns
-    gate = pairwise_ioh(box_array(h.box for h in heads),
-                        box_array(b.box for b in bodies_pre)) > cfg.ioh_threshold
-    head_idx, body_idx = np.nonzero(gate)
-    rows, cols = head_idx.tolist(), body_idx.tolist()
-    scores = np.asarray(scorer([heads[i] for i in rows], [bodies_pre[j] for j in cols]),
-                        dtype=np.float64).tolist() if rows else []
-    # (pre-NMS column, score) of each head's gated bodies
-    partners: list[list[tuple[int, float]]] = [[] for _ in heads]
-    for i, j, s in zip(rows, cols, scores):
-        partners[i].append((j, s))
-    post_rank = {pre_col[d.det_id]: k for k, d in enumerate(bodies_post)}
+    # each pre-NMS body's rank among its scene's kept bodies, -1 if suppressed
+    post_offsets = bodies_post.det_offsets
+    rank = np.full(len(bodies_pre), -1)
+    rank[post_pre] = np.arange(len(post_pre)) - np.repeat(post_offsets[:-1],
+                                                          np.diff(post_offsets))
+    # phase one for every head at once: a head is mismatched when it has no
+    # gated kept body, or when its best kept-body score is below the low threshold
+    on_kept = rank[cols] >= 0
+    best = np.full(len(heads), -np.inf)
+    np.maximum.at(best, rows[on_kept], np.asarray(scores)[on_kept])
+    mismatched = np.flatnonzero(best < cfg.low_threshold).tolist()
 
+    # the decisions, scene by scene over the mismatched heads
+    pair_starts = np.searchsorted(rows, np.arange(len(heads) + 1)).tolist()
+    head_scene = heads.det_groups().tolist()
+    rank, cols, post_pre = rank.tolist(), cols.tolist(), post_pre.tolist()
+    head_ids, body_ids = heads.det_ids, bodies_pre.det_ids
     log: list[PairRecord] = []
-    mismatched: list[tuple[Detection, list[tuple[int, float]]]] = []
-    for head, scored_cols in zip(heads, partners):
-        kept = sorted((post_rank[j], s) for j, s in scored_cols if j in post_rank)
-        if not kept or max(s for _, s in kept) < cfg.low_threshold:
-            mismatched.append((head, scored_cols))
+    log_heads: list[int] = []
+    recalled: list[int] = []  # pre-NMS indices
+    removed: list[int] = []   # head indices
+    for k, scene_heads in groupby(mismatched, key=head_scene.__getitem__):
+        scene_heads = list(scene_heads)
+        for i in scene_heads:
+            a, b = pair_starts[i], pair_starts[i + 1]
+            kept = sorted((rank[j], s, j) for j, s in zip(cols[a:b], scores[a:b])
+                          if rank[j] >= 0)
             # only heads that fail the first phase are audited; a clean match
-            # leaves no trace so an untouched scene has an empty pair log
-            log.extend(PairRecord(head.det_id, bodies_post[k].det_id, s, FIRST)
-                       for k, s in kept)
-
-    final_bodies = list(bodies_post)
-    present_body_ids = {d.det_id for d in bodies_post}
-    recalled: list[int] = []
-    removed: list[int] = []
-    for head, scored_cols in mismatched:
-        scored = [(bodies_pre[j], s) for j, s in scored_cols]
-        log.extend(PairRecord(head.det_id, b.det_id, s, SECOND) for b, s in scored)
-        if scored:
-            best_score = max(s for _, s in scored)
-            if best_score > cfg.high_threshold:
+            # leaves no trace so an untouched scene logs no pair
+            log.extend(PairRecord(head_ids[i], body_ids[j], s, FIRST) for _, s, j in kept)
+            log_heads.extend([i] * len(kept))
+        present = {body_ids[j] for j in post_pre[post_offsets[k]:post_offsets[k + 1]]}
+        for i in scene_heads:
+            a, b = pair_starts[i], pair_starts[i + 1]
+            scored = list(zip(cols[a:b], scores[a:b]))
+            log.extend(PairRecord(head_ids[i], body_ids[j], s, SECOND) for j, s in scored)
+            log_heads.extend([i] * len(scored))
+            best_score = max((s for _, s in scored), default=None)
+            if best_score is not None and best_score > cfg.high_threshold:
                 # argmax body; ties broken by ascending det id for determinism
-                best = min((b for b, s in scored if s == best_score),
-                           key=lambda d: d.det_id)
-                if best.det_id not in present_body_ids:
-                    final_bodies.append(best)
-                    present_body_ids.add(best.det_id)
-                    recalled.append(best.det_id)
-            if best_score < cfg.low_threshold:
-                removed.append(head.det_id)
-        else:
-            removed.append(head.det_id)
+                j = min((j for j, s in scored if s == best_score), key=body_ids.__getitem__)
+                if body_ids[j] not in present:
+                    present.add(body_ids[j])
+                    recalled.append(j)
+            if best_score is None or best_score < cfg.low_threshold:
+                removed.append(i)
 
-    removed_set = set(removed)
-    final_heads = [h for h in heads if h.det_id not in removed_set]
-    return PipelineOutput(final_heads=final_heads, final_bodies=final_bodies,
-                         recalled_body_ids=recalled, removed_head_ids=removed,
-                         pair_log=log)
+    final_heads = np.ones(len(heads), dtype=bool)
+    final_heads[removed] = False
+    pre_scene = bodies_pre.det_groups()
+    # each scene's kept bodies, then the bodies it recalled, in recall order
+    final_bodies = np.concatenate([post_pre, recalled]).astype(np.intp)
+    final_bodies = final_bodies[np.argsort(pre_scene[final_bodies], kind="stable")]
+    return PipelineOutput(
+        heads.take(np.flatnonzero(final_heads)), bodies_pre.take(final_bodies),
+        [body_ids[j] for j in recalled], [head_ids[i] for i in removed], log,
+        _offsets(pre_scene[recalled], num_scenes),
+        _offsets(np.asarray(head_scene)[removed], num_scenes),
+        _offsets(np.asarray(head_scene)[log_heads], num_scenes))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import Detection, DetectionSet, SceneColumns
+from .data_model import Detection, DetectionColumns, DetectionSet, SceneColumns
 from .fileio import atomic_write_text, read_json
 from .geometry import box_array, greedy_match, pairwise_ioh, pairwise_iou
 
@@ -28,17 +28,23 @@ ASSIGN_IOU = 0.5
 # logits are clamped before the logistic so scores stay strictly inside (0, 1)
 _LOGIT_LIMIT = 30.0
 
+# pairs per forward pass of `score_pairs`, which bounds the memory that a
+# split's worth of pairs takes in one scorer call
+SCORE_CHUNK = 256
 
-def pair_features(heads: Sequence[Detection], bodies: Sequence[Detection]) -> np.ndarray:
-    """(n, 10) descriptors of the pairs (heads[k], bodies[k]).
+
+def pair_features(head_boxes: np.ndarray, head_scores: np.ndarray, body_boxes: np.ndarray,
+                  body_scores: np.ndarray) -> np.ndarray:
+    """(n, 10) descriptors of the pairs (head k, body k), from the (n, 4)
+    boxes and the (n,) detector scores of each side.
 
     Entries: normalized center offsets, log size ratios, IoH, IoU, the two
     detector scores, and the two aspect ratios.  Row k is bit-identical to
     the one-pair reference: the same arithmetic in the same order, with
     `math.log` for the size ratios because `np.log` can differ in the last bit.
     """
-    n = len(heads)
-    boxes = box_array([d.box for d in heads] + [d.box for d in bodies])
+    n = len(head_boxes)
+    boxes = np.concatenate([head_boxes, body_boxes]).reshape(-1, 4)
     wh = boxes[:, 2:] - boxes[:, :2]
     if not (wh > 0.0).all():
         raise ValueError("zero-area box in pair feature extraction")
@@ -57,8 +63,8 @@ def pair_features(heads: Sequence[Detection], bodies: Sequence[Detection]) -> np
                            ).reshape(n, 2)
     out[:, 4] = inter / head_area
     out[:, 5] = inter / (head_area + body_area - inter)
-    out[:, 6] = [d.score for d in heads]
-    out[:, 7] = [d.score for d in bodies]
+    out[:, 6] = head_scores
+    out[:, 7] = body_scores
     out[:, 8] = head_wh[:, 0] / head_wh[:, 1]
     out[:, 9] = body_wh[:, 0] / body_wh[:, 1]
     return out
@@ -119,10 +125,15 @@ class RelationModel:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         return self._forward(x)[-1]
 
-    def score_pairs(self, heads: Sequence[Detection],
-                    bodies: Sequence[Detection]) -> np.ndarray:
-        """Scores of the pairs (heads[k], bodies[k]) in one forward pass."""
-        return self.score_many(pair_features(heads, bodies))
+    def score_pairs(self, heads: DetectionColumns, bodies: DetectionColumns) -> np.ndarray:
+        """Scores of the pairs (head k, body k) of two equal-length columns,
+        in forward passes of up to `SCORE_CHUNK` pairs."""
+        scores = np.empty(len(heads))
+        for a in range(0, len(heads), SCORE_CHUNK):
+            b = a + SCORE_CHUNK
+            scores[a:b] = self.score_many(pair_features(heads.boxes[a:b], heads.scores[a:b],
+                                                        bodies.boxes[a:b], bodies.scores[a:b]))
+        return scores
 
     def to_obj(self) -> dict:
         layers = []
@@ -266,11 +277,11 @@ def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet
         heads, bodies = ds.heads_post_nms, ds.bodies_pre_nms
         head_person = _assign_to_persons(heads, scenes.heads[persons])
         body_person = _assign_to_persons(bodies, scenes.bodies[persons])
-        gate = pairwise_ioh(box_array(h.box for h in heads),
-                            box_array(b.box for b in bodies)) > ioh_threshold
-        head_idx, body_idx = np.nonzero(gate)
-        feats.append(pair_features([heads[i] for i in head_idx.tolist()],
-                                   [bodies[j] for j in body_idx.tolist()]))
+        head_boxes, body_boxes = box_array(h.box for h in heads), box_array(b.box for b in bodies)
+        head_idx, body_idx = np.nonzero(pairwise_ioh(head_boxes, body_boxes) > ioh_threshold)
+        feats.append(pair_features(
+            head_boxes[head_idx], np.array([h.score for h in heads])[head_idx],
+            body_boxes[body_idx], np.array([b.score for b in bodies])[body_idx]))
         person = head_person[head_idx]
         labels.append(((person >= 0) & (person == body_person[body_idx])).astype(np.float64))
     if not feats:

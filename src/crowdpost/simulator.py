@@ -46,6 +46,10 @@ _FP_SCORE = (0.40, 0.15)
 # far above any useful value: a larger one is rejected by name before it can
 # draw millions of boxes into a per-person loop.
 MAX_POISSON_MEAN = 1000.0
+# Upper bound on a split's expected person count, the scene count times
+# `persons_per_image`: each setting within its own bound still admits 10^8
+# persons, hours of drawing and gigabytes of output.
+MAX_EXPECTED_PERSONS = 1_000_000
 
 
 def _check_poisson_mean(name: str, value: float) -> None:
@@ -189,6 +193,12 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
 
 
 def generate_scenes(cfg: SimConfig, num_scenes: int) -> list[Scene]:
+    """`num_scenes` scenes; a split of more than `MAX_EXPECTED_PERSONS`
+    expected persons is rejected before any scene is drawn."""
+    if num_scenes * cfg.persons_per_image > MAX_EXPECTED_PERSONS:
+        raise ValueError(f"num_scenes ({num_scenes}) times sim.persons_per_image "
+                         f"({cfg.persons_per_image}) must be at most "
+                         f"MAX_EXPECTED_PERSONS = {MAX_EXPECTED_PERSONS} expected persons")
     return [generate_scene(cfg, i) for i in range(num_scenes)]
 
 

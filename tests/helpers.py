@@ -3,17 +3,22 @@
 The readers and the functions that take their output work on columns; the
 tests build records, and `scene_columns`, `detection_columns` and
 `group_columns` turn those into the columns a reader would return for them.
+`write_groups` writes records to a detection file, as `simulate` does.
+`one_scene` gives one scene's detections as the columns `postprocess` takes,
+and `postprocess_scene` runs a one-scene split given as `Detection` lists.
 `fields` gives every column of a columns object as plain values, so two of
 them compare by the values they hold.
 """
 
+import dataclasses
 from itertools import accumulate
 
 import numpy as np
 
 from crowdpost.data_model import (Detection, DetectionColumns, GroupColumns, PersonInstance,
-                                  Scene, SceneColumns)
+                                  Scene, SceneColumns, write_detection_groups)
 from crowdpost.geometry import BBox, box_array
+from crowdpost.pipeline import postprocess
 
 
 def det(det_id, box, score):
@@ -62,6 +67,31 @@ def detection_columns(pairs) -> DetectionColumns:
     return _detection_columns([scene_id for scene_id, _ in pairs], [[d] for _, d in pairs])
 
 
+def one_scene(dets, scene_id="s0") -> DetectionColumns:
+    """One scene's detections as a split of one group, in their order."""
+    return _detection_columns([scene_id], [list(dets)])
+
+
+def split_columns(runs) -> DetectionColumns:
+    """Scene k's detections `runs[k]` as group k, of scene "s<k>"."""
+    runs = [list(run) for run in runs]
+    return _detection_columns([f"s{k}" for k in range(len(runs))], runs)
+
+
+def detections(columns: DetectionColumns) -> list[Detection]:
+    """Every detection of the columns as a `Detection`, group after group."""
+    return [d for group in columns.detection_lists() for d in group]
+
+
+def postprocess_scene(heads, bodies_pre, bodies_post, scorer, cfg):
+    """`postprocess` of one scene given as `Detection` lists; the final heads
+    and bodies come back as `Detection` lists too."""
+    out = postprocess(one_scene(heads), one_scene(bodies_pre), one_scene(bodies_post),
+                      scorer, cfg)
+    return dataclasses.replace(out, final_heads=detections(out.final_heads),
+                               final_bodies=detections(out.final_bodies))
+
+
 def group_columns(groups) -> GroupColumns:
     """The columns `read_detection_groups` returns for a file of these
     `DetectionGroup` records."""
@@ -69,6 +99,12 @@ def group_columns(groups) -> GroupColumns:
     return GroupColumns(_detection_columns([g.scene_id for g in groups],
                                            [g.dets for g in groups]),
                         [g.class_name for g in groups], [g.stage for g in groups])
+
+
+def write_groups(groups, path) -> None:
+    """Write a detection file of these `DetectionGroup` records, as
+    `simulate` writes its records."""
+    write_detection_groups(GroupColumns.from_groups(groups), path)
 
 
 def group_det_ids(groups: GroupColumns) -> list[tuple]:

@@ -2,9 +2,10 @@
 
 Everything here works on plain tuples and dicts and recomputes results from
 first principles: overlap by counting raster cells, the scalar box overlaps
-and the pair descriptor one pair at a time, NMS by repeated global argmax,
-MR-2 by re-matching every image from scratch at every threshold, and
-rectangle-union area by scanline integration.  None of it shares code with
+and the pair descriptor one pair at a time, NMS by repeated global argmax, the
+post-process of one scene head by head, MR-2 by re-matching every image
+from scratch at every threshold, and rectangle-union area by scanline
+integration.  None of it shares code with
 the package under test.
 
 Boxes are (x_min, y_min, x_max, y_max) sequences.
@@ -132,6 +133,51 @@ def nms_reference(records, iou_threshold, score_floor):
                      if r is not best
                      and iou(r["box"], best["box"]) <= iou_threshold]
     return kept_ids, [r["id"] for r in floored]
+
+
+# ---------------------------------------------------------------------------
+# the post-process of one scene, head by head
+#
+# heads, bodies: records {"id": int, "box": (x1, y1, x2, y2), "score": float}
+
+def postprocess_reference(heads, bodies_pre, bodies_post, score, ioh_threshold,
+                          low_threshold, high_threshold):
+    """Phase one per head in order: its gated (IoH above the threshold)
+    kept bodies in kept order; a head with none, or whose best score is
+    below the low threshold, is mismatched and logs those pairs as "first".
+    Phase two per mismatched head in order: every gated pre-NMS body in
+    pre-NMS order, logged as "second"; a best score above the high threshold
+    recalls the lowest-id body of that score unless present, a best score
+    below the low threshold, or no gated body at all, removes the head.
+    `score(head, body)` scores a pair.  Returns (final head ids, final body
+    ids, recalled body ids, removed head ids, pair log) with pair log rows
+    (head id, body id, score, phase)."""
+    post_ids = [b["id"] for b in bodies_post]
+    log, mismatched = [], []
+    for h in heads:
+        gated = [(b, score(h, b)) for b in bodies_pre
+                 if ioh(h["box"], b["box"]) > ioh_threshold]
+        kept = sorted(((post_ids.index(b["id"]), b, s) for b, s in gated
+                       if b["id"] in post_ids), key=lambda t: t[0])
+        if not kept or max(s for _, _, s in kept) < low_threshold:
+            mismatched.append((h, gated))
+            log += [(h["id"], b["id"], s, "first") for _, b, s in kept]
+    final_bodies, recalled, removed = list(post_ids), [], []
+    for h, gated in mismatched:
+        log += [(h["id"], b["id"], s, "second") for b, s in gated]
+        if not gated:
+            removed.append(h["id"])
+            continue
+        best = max(s for _, s in gated)
+        if best > high_threshold:
+            pick = min(b["id"] for b, s in gated if s == best)
+            if pick not in final_bodies:
+                final_bodies.append(pick)
+                recalled.append(pick)
+        if best < low_threshold:
+            removed.append(h["id"])
+    final_heads = [h["id"] for h in heads if h["id"] not in removed]
+    return final_heads, final_bodies, recalled, removed, log
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ from crowdpost.data_model import BODY, HEAD
 from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2
 from crowdpost.geometry import BBox, box_array, pairwise_ioh, pairwise_iou
 from crowdpost.nms import NmsConfig, build_detection_set, nms
-from crowdpost.pipeline import PostProcessConfig, postprocess
+from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio, apply_ratio, estimate_ratio
 from crowdpost.rdm import TrainConfig, _loss_and_gradients, build_training_pairs, train
 from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scenes,
                                  simulate_detections)
 
-from helpers import box_pairs, det, detection_columns, person, scene, scene_columns
+from helpers import (box_pairs, det, detection_columns, person, postprocess_scene, scene,
+                     scene_columns)
 from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
 from test_evaluator import _random_instance, num_reasonable, oracle_gts
@@ -249,43 +250,43 @@ def test_criterion_6_pipeline():
     cfg = PostProcessConfig()
 
     # no-op: confident first-round match leaves everything untouched
-    out = postprocess([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.95), cfg)
+    out = postprocess_scene([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.95), cfg)
     assert (out.final_heads, out.final_bodies) == ([H_BOTH], BODIES_POST)
     assert out.recalled_body_ids == [] and out.removed_head_ids == []
 
     # recall: second round clears the high threshold, body comes back
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST,
-                      stub(0.95), cfg)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST,
+                            stub(0.95), cfg)
     assert out.final_heads == [H_SUPPRESSED_ONLY]
     assert sorted(d.det_id for d in out.final_bodies) == [1, 2]
     assert out.recalled_body_ids == [2] and out.removed_head_ids == []
 
     # dead zone: second round lands between the thresholds, keep the head
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST,
-                      stub(0.5), cfg)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST,
+                            stub(0.5), cfg)
     assert (out.final_heads, out.final_bodies) == ([H_SUPPRESSED_ONLY],
                                                    BODIES_POST)
     assert out.recalled_body_ids == [] and out.removed_head_ids == []
 
     # remove: low-scoring or partnerless heads are dropped
-    out = postprocess([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.05), cfg)
+    out = postprocess_scene([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.05), cfg)
     assert (out.final_heads, out.removed_head_ids) == ([], [1])
     assert out.final_bodies == BODIES_POST
-    out = postprocess([H_ORPHAN], BODIES_PRE, BODIES_POST, stub(0.95), cfg)
+    out = postprocess_scene([H_ORPHAN], BODIES_PRE, BODIES_POST, stub(0.95), cfg)
     assert (out.final_heads, out.removed_head_ids) == ([], [2])
 
     rng = np.random.default_rng(66)
     for _ in range(1000):
         heads, pre, post = _fuzz_scene(rng)
-        out = postprocess(heads, pre, post, hash_scorer, cfg)
+        out = postprocess_scene(heads, pre, post, hash_scorer, cfg)
         assert {d.det_id for d in post} <= {d.det_id for d in out.final_bodies}
         assert {d.det_id for d in out.final_heads} <= {d.det_id for d in heads}
 
     for _ in range(100):
         heads, pre, post = _fuzz_scene(rng)
-        base = postprocess(heads, pre, post, hash_scorer, cfg)
+        base = postprocess_scene(heads, pre, post, hash_scorer, cfg)
         perm = [heads[i] for i in rng.permutation(len(heads))]
-        moved = postprocess(perm, pre, post, hash_scorer, cfg)
+        moved = postprocess_scene(perm, pre, post, hash_scorer, cfg)
         assert {d.det_id for d in base.final_heads} == \
             {d.det_id for d in moved.final_heads}
         assert {d.det_id for d in base.final_bodies} == \
@@ -315,8 +316,8 @@ def _direction_one_seed(seed, cluster=0.65):
     for s in scenes:
         h, b = dets[s.scene_id]
         ds = build_detection_set(s.scene_id, h, b, nms_cfg)
-        out = postprocess(ds.heads_post_nms, ds.bodies_pre_nms,
-                          ds.bodies_post_nms, model.score_pairs, post_cfg)
+        out = postprocess_scene(ds.heads_post_nms, ds.bodies_pre_nms,
+                                ds.bodies_post_nms, model.score_pairs, post_cfg)
         base[HEAD] += [(s.scene_id, d) for d in ds.heads_post_nms]
         base[BODY] += [(s.scene_id, d) for d in ds.bodies_post_nms]
         with_model[HEAD] += [(s.scene_id, d) for d in out.final_heads]

@@ -7,6 +7,7 @@ import ast
 import inspect
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -80,3 +81,59 @@ def test_eval_calls_each_traced_name_once(monkeypatch, tmp_path):
                    if obj["class"] == BODY and obj["stage"] == POST_NMS)
     assert expected > 0
     assert len(calls["compute_mr2"][0][0]) == expected
+
+
+def perfbench_definitions(source: str, names) -> dict:
+    """The top-level functions and classes `names` of perfbench/run.py,
+    compiled from its text with the stdlib modules they read."""
+    tree = ast.parse(source)
+    body = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+    assert {node.name for node in body} == set(names)
+    namespace = {"time": time}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(RUN), "exec"), namespace)
+    return namespace
+
+
+def test_run_keeps_the_traced_postprocess_contract(monkeypatch, tmp_path):
+    # the traced replay wraps cli.postprocess with perfbench's own wrapper and
+    # counts its result with `_count_post`; an error there fails every timed call
+    bench = perfbench_definitions(RUN.read_text(encoding="utf-8"),
+                                  ("Tracer", "_traced_postprocess", "_count_post"))
+    from crowdpost.rdm import RelationModel, save_model
+
+    dets, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli.main(["simulate", "--out-scenes", str(tmp_path / "s.jsonl"),
+                     "--out-dets", str(dets), "--num-scenes", "6", "--seed", "3",
+                     "--noise-seed", "3"]) == 0
+    save_model(RelationModel.initialize(hidden_dim=4), model)
+
+    calls, results = [], []
+    original = cli.postprocess
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    tracer = bench["Tracer"]()
+    monkeypatch.setattr(cli, "postprocess", bench["_traced_postprocess"](tracer, recorded))
+    assert cli.main(["run", "--dets", str(dets), "--model", str(model),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    # one call per split, five positional arguments, the scorer fourth
+    (args, kwargs), = calls
+    assert len(args) == 5 and kwargs == {}
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("pipeline") == 1
+    assert spans.count("rdm.score") == 1  # the wrapped fourth argument, once
+    out, = results
+    # what `_count_post` reads, and what it counted
+    assert all(r.phase in ("first", "second") for r in out.pair_log)
+    assert len({r.head_id for r in out.pair_log}) > 0
+    # hashable ids, flat over the split (ids repeat across scenes)
+    assert set(out.removed_head_ids) and len(out.removed_head_ids) > 0
+    assert tracer.counts["pipeline.removed"] == len(out.removed_head_ids)
+    assert tracer.counts["pipeline.recalled"] == len(out.recalled_body_ids)
+    assert tracer.counts["pipeline.phase2_pairs"] == sum(r.phase == "second"
+                                                         for r in out.pair_log)

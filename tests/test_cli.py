@@ -387,6 +387,57 @@ def test_too_deep_json_file_is_one_line_error(capsys, chain, tmp_path, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["config", "nested-config", "model", "eval-result"])
+def test_repeated_json_key_is_one_line_error(capsys, chain, tmp_path, target):
+    # the decoder would keep the last value silently; a file is one reading
+    model = (chain / "model.json").read_text(encoding="utf-8")
+    text, key = {
+        "config": ('{"num_scenes": 1, "num_scenes": 3}', "num_scenes"),
+        "nested-config": ('{"sim": {"seed": 1, "seed": 2}}', "seed"),
+        "model": ('{"hidden_dim": 1, ' + model.lstrip()[1:], "hidden_dim"),
+        "eval-result": ('{"name": "a", "class": "body", "mr2": 0.5, "mr2": 0.25}', "mr2"),
+    }[target]
+    path = tmp_path / "in" / "repeated.eval.json"
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "config": ["simulate", "--config", str(path), "--out-scenes", str(out / "s.jsonl"),
+                   "--out-dets", str(out / "d.jsonl")],
+        "model": ["run", "--dets", str(chain / "dets.jsonl"), "--model", str(path),
+                  "--out-dir", str(out)],
+        "eval-result": ["report", "--dir", str(path.parent), "--out", str(out / "report.md")],
+    }[target.removeprefix("nested-")]
+    _expect_error(capsys, argv, f"{path}: repeated key {key!r}")
+    assert not out.exists()
+
+
+def test_audit_is_laid_out_as_json_dumps(chain):
+    # audit.json is formatted by hand, byte for byte as json.dumps(indent=2)
+    from crowdpost import cli
+    from crowdpost.pipeline import PairRecord, PipelineOutput
+
+    text = (chain / "out" / "audit.json").read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    scene_ids = ["a", 'q"\\\u00e9\n', "c", "d"]
+    log = [PairRecord(1, 2, 0.25, "first"), PairRecord(1, 2, 0.125, "second"),
+           PairRecord(2 ** 70, 3, 1e-300, "second")]
+    out = PipelineOutput(None, None, [5, 6], [1, 2 ** 70], log,
+                         [0, 0, 2, 2, 2], [0, 1, 1, 2, 2], [0, 2, 2, 3, 3])
+    expected = {"scenes": [
+        {"scene_id": "a", "recalled_body_ids": [], "removed_head_ids": [1],
+         "pairs": [{"head": 1, "body": 2, "score": 0.25, "phase": "first"},
+                   {"head": 1, "body": 2, "score": 0.125, "phase": "second"}]},
+        {"scene_id": scene_ids[1], "recalled_body_ids": [5, 6], "removed_head_ids": [],
+         "pairs": []},
+        {"scene_id": "c", "recalled_body_ids": [], "removed_head_ids": [2 ** 70],
+         "pairs": [{"head": 2 ** 70, "body": 3, "score": 1e-300, "phase": "second"}]},
+        {"scene_id": "d", "recalled_body_ids": [], "removed_head_ids": [], "pairs": []}]}
+    assert cli._audit_text(scene_ids, out) == json.dumps(expected, indent=2) + "\n"
+    assert cli._audit_text([], PipelineOutput(None, None, [], [], [], [0], [0], [0])) == \
+        json.dumps({"scenes": []}, indent=2) + "\n"
+
+
 def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, monkeypatch):
     # estimate-ratio, train-rdm and eval take the scene file's arrays as the
     # reader returns them; none of them builds a Scene or PersonInstance
@@ -775,8 +826,9 @@ def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
 
     scenes = read_scenes(chain / "scenes.jsonl")
     groups = read_detection_groups(chain / "dets.jsonl")
-    sets = [build_detection_set(sid, heads, bodies, NmsConfig())
-            for sid, heads, bodies in cli._pre_nms_by_scene(groups)]
+    heads, bodies = cli._pre_nms_columns(groups)
+    sets = [build_detection_set(sid, h, b, NmsConfig()) for sid, h, b in
+            zip(heads.scene_ids, heads.detection_lists(), bodies.detection_lists())]
     features, labels = build_training_pairs(scenes, sets, 0.3)
     (got_features, got_labels), = seen
     assert np.array_equal(got_features, features)

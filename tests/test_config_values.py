@@ -10,13 +10,14 @@ import re
 
 import pytest
 
-from crowdpost.cli import _CONFIG_KEYS
+from crowdpost.cli import _CONFIG_KEYS, main
 from crowdpost.evaluator import EvalConfig
 from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio
 from crowdpost.rdm import TrainConfig
-from crowdpost.simulator import MAX_POISSON_MEAN, NoiseConfig, SimConfig
+from crowdpost.simulator import (MAX_EXPECTED_PERSONS, MAX_POISSON_MEAN, NoiseConfig,
+                                 SimConfig, generate_scenes)
 
 CONFIGS = (NmsConfig, PostProcessConfig, TrainConfig, SimConfig, NoiseConfig, EvalConfig,
            HeadBodyRatio)
@@ -67,6 +68,26 @@ def test_poisson_mean_above_bound_rejected(cls, name):
     with pytest.raises(ValueError, match=f"^{name} must be at most MAX_POISSON_MEAN = "
                                          f"{MAX_POISSON_MEAN}, got {value}$"):
         cls(**{name: value})
+
+
+def test_expected_persons_above_bound_rejected():
+    # only a product just above the bound, rejected before a scene is drawn
+    cfg = SimConfig(persons_per_image=1000.0)
+    num_scenes = MAX_EXPECTED_PERSONS // 1000 + 1
+    with pytest.raises(ValueError, match=rf"^num_scenes \({num_scenes}\) times "
+                                         r"sim.persons_per_image \(1000.0\) must be at most "
+                                         rf"MAX_EXPECTED_PERSONS = {MAX_EXPECTED_PERSONS} "):
+        generate_scenes(cfg, num_scenes)
+
+
+def test_simulate_rejects_expected_persons_above_bound(capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out-scenes", str(out / "s.jsonl"), "--out-dets",
+                 str(out / "d.jsonl"), "--persons-per-image", "1000",
+                 "--num-scenes", str(MAX_EXPECTED_PERSONS // 1000 + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "num_scenes" in err and "persons_per_image" in err
+    assert not out.exists()
 
 
 def test_readme_lists_every_config_key():

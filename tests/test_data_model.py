@@ -6,11 +6,10 @@ import pytest
 
 from crowdpost.data_model import (
     BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionGroup, DetectionSet,
-    FormatError, PersonInstance, Scene, read_detection_groups, read_scenes,
-    write_detection_groups, write_scenes)
+    FormatError, PersonInstance, Scene, read_detection_groups, read_scenes, write_scenes)
 from crowdpost.geometry import BBox
 
-from helpers import det, fields, group_columns, person, scene, scene_columns
+from helpers import det, fields, group_columns, person, scene, scene_columns, write_groups
 
 
 def test_person_requires_head_inside_body():
@@ -167,7 +166,7 @@ def test_group_round_trip(tmp_path):
         DetectionGroup("s0", BODY, PRE_NMS, (det(1, (0, 0, 30, 80), 0.625),)),
     ]
     path = tmp_path / "dets.jsonl"
-    write_detection_groups(groups, path)
+    write_groups(groups, path)
     back = read_detection_groups(path)
     assert fields(back) == fields(group_columns(groups)) and len(back.class_names) == 2
     assert fields(back) != fields(group_columns(groups[::-1]))
@@ -184,7 +183,7 @@ def test_group_round_trip(tmp_path):
 def test_duplicate_group_rejected(tmp_path):
     g = DetectionGroup("s0", BODY, PRE_NMS, (det(1, (0, 0, 30, 80), 0.625),))
     path = tmp_path / "dets.jsonl"
-    write_detection_groups([g, g], path)
+    write_groups([g, g], path)
     path.write_text(path.read_text() + "not JSON\n")
     with pytest.raises(FormatError, match="^dets.jsonl:2: duplicate group \\('s0', 'body'"):
         read_detection_groups(path)
@@ -207,7 +206,7 @@ def test_detection_set_round_trip(tmp_path):
     h1 = det(1, (10, 0, 20, 12), 0.8)
     ds = DetectionSet("s0", (h1,), (b1, b2), (b1,))
     path = tmp_path / "sets.jsonl"
-    write_detection_groups([DetectionGroup("s0", HEAD, POST_NMS, ds.heads_post_nms),
+    write_groups([DetectionGroup("s0", HEAD, POST_NMS, ds.heads_post_nms),
                             DetectionGroup("s0", BODY, PRE_NMS, ds.bodies_pre_nms),
                             DetectionGroup("s0", BODY, POST_NMS, ds.bodies_post_nms)], path)
     assert _detection_set(path) == ds

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from crowdpost import evaluator
+from crowdpost import geometry
 from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
                                  write_curve_csv, write_curve_svg, write_result_json)
@@ -329,7 +329,7 @@ def _mixed_split(rng, class_name):
 @pytest.mark.parametrize("class_name, thr", [("body", 0.5), ("head", 0.5), ("body", 0.3)])
 def test_batched_matching_equals_scene_by_scene(monkeypatch, budget, class_name, thr):
     if budget is not None:
-        monkeypatch.setattr(evaluator, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
     rng = np.random.default_rng(97)
     cfg = EvalConfig(iou_match_threshold=thr, class_under_test=class_name)
     for _ in range(3):
@@ -338,7 +338,7 @@ def test_batched_matching_equals_scene_by_scene(monkeypatch, budget, class_name,
         for sid, _ in dets:
             sizes[sid] += 1
         # some crowd outgrows the budget alone; some scenes lack persons or detections
-        assert any(sizes[s.scene_id] * len(s.persons) > evaluator._PAIR_BUDGET for s in scenes)
+        assert any(sizes[s.scene_id] * len(s.persons) > geometry.PAIR_BUDGET for s in scenes)
         assert any(not s.persons for s in scenes) and 0 in sizes.values()
         assert (compute_mr2(detection_columns(dets), scene_columns(scenes), cfg)
                 == _mr2_scene_by_scene(dets, scenes, cfg))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from crowdpost import geometry
 from crowdpost.data_model import BODY, HEAD
-from crowdpost.nms import NmsConfig, build_detection_set, nms
+from crowdpost.nms import NmsConfig, build_detection_set, nms, nms_groups
 
-from helpers import det
+from helpers import det, fields, split_columns
 from oracles import nms_reference
 
 
@@ -152,3 +153,64 @@ def test_zero_area_rule_matches_reference():
         ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
         assert [d.det_id for d in kept] == ref_kept
         assert [d.det_id for d in floored] == ref_floored
+
+
+# ---------------------------------------------------------------------------
+# many groups in one call, group by group against the reference
+
+def _kernel_group(rng, big_ids):
+    """One group's detections: forced score ties, repeated boxes, scores
+    below the floor and zero-area boxes; ids beyond int64 when `big_ids`."""
+    n = int(rng.choice([0, 1, 2, 5, 12, 40]))
+    base = 2 ** 63 + 5 if big_ids else 0
+    dets = []
+    for i in rng.permutation(n).tolist():
+        if dets and rng.random() < 0.2:
+            box = dets[int(rng.integers(len(dets)))].box.as_list()
+        else:
+            x, y = rng.uniform(0, 80, size=2)
+            w, h = rng.uniform(4, 30, size=2)
+            box = [x, y, x + w, y + h]
+        if rng.random() < 0.1:
+            box[2] = box[0]  # zero width
+        score = float(rng.choice([0.01, 0.1, 0.3, 0.5, 0.5, 0.7, 0.9, 0.9]))
+        dets.append(det(base + i, box, score))
+    return dets
+
+
+def test_groups_equal_reference_group_by_group():
+    rng = np.random.default_rng(63)
+    for trial in range(60):
+        cfg = NmsConfig(iou_threshold=float(rng.choice([0.3, 0.5, 1.0])),
+                        score_floor=float(rng.choice([0.0, 0.1, 0.2])))
+        groups = [_kernel_group(rng, big_ids=trial % 3 == 0 and rng.random() < 0.5)
+                  for _ in range(int(rng.integers(1, 30)))]
+        kept, floored = nms_groups(split_columns(groups), cfg)
+        for out in (kept, floored):
+            assert out.scene_ids == [f"s{k}" for k in range(len(groups))]
+        for k, dets in enumerate(groups):
+            records = [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score}
+                       for d in dets]
+            ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
+            a, b = kept.det_offsets[k:k + 2]
+            assert kept.det_ids[a:b] == ref_kept
+            assert [tuple(box) for box in kept.boxes[a:b].tolist()] == \
+                [r["box"] for i in ref_kept for r in records if r["id"] == i]
+            a, b = floored.det_offsets[k:k + 2]
+            assert floored.det_ids[a:b] == ref_floored
+            assert nms(dets, cfg) == (
+                [d for i in ref_kept for d in dets if d.det_id == i],
+                [d for d in dets if d.det_id in ref_floored])
+
+
+def test_groups_larger_than_the_pair_budget(monkeypatch):
+    # each group its own batch, and batches of many small groups
+    rng = np.random.default_rng(8)
+    groups = [_kernel_group(rng, big_ids=False) for _ in range(25)]
+    cfg = NmsConfig()
+    expected = nms_groups(split_columns(groups), cfg)
+    for budget in (1, 30):
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        got = nms_groups(split_columns(groups), cfg)
+        for a, b in zip(got, expected):
+            assert fields(a) == fields(b)

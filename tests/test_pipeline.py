@@ -4,8 +4,8 @@ import pytest
 from crowdpost.geometry import BBox, box_array, pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess
 
-from helpers import det
-from oracles import ioh
+from helpers import det, postprocess_scene, split_columns
+from oracles import ioh, postprocess_reference
 
 
 def stub(value):
@@ -59,7 +59,7 @@ def test_phase1_mismatch_examples():
             (0.95, [(3, 2, SECOND)], [2]),
             (0.05, [(1, 1, FIRST), (1, 1, SECOND), (1, 2, SECOND), (3, 2, SECOND)],
              [1, 2, 3])):
-        out = postprocess(heads, BODIES_PRE, BODIES_POST, stub(value), CFG)
+        out = postprocess_scene(heads, BODIES_PRE, BODIES_POST, stub(value), CFG)
         assert [(r.head_id, r.body_id, r.phase) for r in out.pair_log] == log_expected
         assert out.removed_head_ids == removed
 
@@ -69,7 +69,7 @@ def recording(scorer):
     calls = []
 
     def wrapped(heads, bodies):
-        calls.append([(h.det_id, b.det_id) for h, b in zip(heads, bodies)])
+        calls.append(list(zip(heads.det_ids, bodies.det_ids)))
         return scorer(heads, bodies)
 
     return wrapped, calls
@@ -77,17 +77,17 @@ def recording(scorer):
 
 def test_scorer_called_once_with_every_gated_pair():
     scorer, calls = recording(stub(0.05))
-    postprocess([H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, scorer, CFG)
+    postprocess_scene([H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, scorer, CFG)
     # head order, then pre-NMS order; h3's kept b1 is outside the gate
     assert calls == [[(1, 1), (1, 2), (3, 2)]]
 
     scorer, calls = recording(stub(0.05))
-    postprocess([H_ORPHAN], BODIES_PRE, BODIES_POST, scorer, CFG)
+    postprocess_scene([H_ORPHAN], BODIES_PRE, BODIES_POST, scorer, CFG)
     assert calls == []  # no gated pair, no call
 
 
 def test_branch_noop():
-    out = postprocess([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
+    out = postprocess_scene([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
     assert out.final_heads == [H_BOTH]
     assert out.final_bodies == BODIES_POST
     assert out.recalled_body_ids == []
@@ -98,7 +98,7 @@ def test_branch_noop():
 def test_branch_recall():
     # h3's only kept-body IoH is below the gate, so phase one fails; its
     # suppressed partner scores above the high threshold and is recalled
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
     assert out.final_heads == [H_SUPPRESSED_ONLY]
     assert ids(out.final_bodies) == [1, 2]
     assert out.recalled_body_ids == [2]
@@ -107,7 +107,7 @@ def test_branch_recall():
 
 
 def test_branch_remove_low_score():
-    out = postprocess([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.05), CFG)
+    out = postprocess_scene([H_BOTH], BODIES_PRE, BODIES_POST, stub(0.05), CFG)
     assert out.final_heads == []
     assert out.final_bodies == BODIES_POST
     assert out.recalled_body_ids == []
@@ -117,7 +117,7 @@ def test_branch_remove_low_score():
 
 
 def test_branch_remove_no_partner():
-    out = postprocess([H_ORPHAN], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
+    out = postprocess_scene([H_ORPHAN], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
     assert out.final_heads == []
     assert out.removed_head_ids == [2]
     assert out.final_bodies == BODIES_POST
@@ -125,7 +125,7 @@ def test_branch_remove_no_partner():
 
 
 def test_branch_dead_zone_keep():
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, stub(0.5), CFG)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE, BODIES_POST, stub(0.5), CFG)
     assert out.final_heads == [H_SUPPRESSED_ONLY]
     assert out.final_bodies == BODIES_POST
     assert out.recalled_body_ids == []
@@ -136,9 +136,9 @@ def test_all_four_branches_in_one_scene():
     heads = [H_BOTH, H_ORPHAN, H_SUPPRESSED_ONLY]
 
     def scorer(heads, bodies):
-        return [0.95 if h.det_id in (1, 3) else 0.0 for h in heads]
+        return [0.95 if h in (1, 3) else 0.0 for h in heads.det_ids]
 
-    out = postprocess(heads, BODIES_PRE, BODIES_POST, scorer, CFG)
+    out = postprocess_scene(heads, BODIES_PRE, BODIES_POST, scorer, CFG)
     # h1 matched (no-op), h2 removed (no partner), h3 recalls b2
     assert ids(out.final_heads) == [1, 3]
     assert ids(out.final_bodies) == [1, 2]
@@ -149,37 +149,37 @@ def test_all_four_branches_in_one_scene():
 def test_subset_precondition_checked():
     rogue = det(9, (0, 0, 30, 80), 0.9)
     with pytest.raises(ValueError, match="missing from the pre-NMS set"):
-        postprocess([], BODIES_PRE, [rogue], stub(0.5), CFG)
+        postprocess_scene([], BODIES_PRE, [rogue], stub(0.5), CFG)
 
 
 def test_subset_precondition_compares_whole_detections():
     moved = det(1, (1, 0, 31, 80), 0.9)  # kept id 1 with a box unlike pre-NMS id 1
     with pytest.raises(ValueError, match=r"\[1\] missing from the pre-NMS set"):
-        postprocess([H_BOTH], BODIES_PRE, [moved], stub(0.5), CFG)
+        postprocess_scene([H_BOTH], BODIES_PRE, [moved], stub(0.5), CFG)
 
 
 def test_zero_area_head_raises_only_when_there_are_bodies():
     flat = det(7, (10, 0, 10, 12), 0.9)
     with pytest.raises(ValueError, match="zero-area head"):
-        postprocess([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
+        postprocess_scene([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
     with pytest.raises(ValueError, match="zero-area head"):
-        postprocess([flat], BODIES_PRE, [], stub(0.95), CFG)
-    out = postprocess([flat], [], [], stub(0.95), CFG)
+        postprocess_scene([flat], BODIES_PRE, [], stub(0.95), CFG)
+    out = postprocess_scene([flat], [], [], stub(0.95), CFG)
     assert out.removed_head_ids == [7]
 
 
 def test_duplicate_recall_inserted_once():
     twin = det(4, (31, 0, 36, 12), 0.8)  # also only inside b2
-    out = postprocess([H_SUPPRESSED_ONLY, twin], BODIES_PRE, BODIES_POST,
-                      stub(0.95), CFG)
+    out = postprocess_scene([H_SUPPRESSED_ONLY, twin], BODIES_PRE, BODIES_POST,
+                            stub(0.95), CFG)
     assert ids(out.final_bodies) == [1, 2]
     assert out.recalled_body_ids == [2]
 
 
 def test_recall_argmax_tie_takes_lowest_id():
     other = det(5, (30.5, 0, 36.5, 80), 0.6)  # second suppressed body under h3
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE + [other], BODIES_POST,
-                      stub(0.95), CFG)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE + [other], BODIES_POST,
+                            stub(0.95), CFG)
     assert out.recalled_body_ids == [2]
 
 
@@ -187,10 +187,10 @@ def test_recall_takes_argmax_score():
     other = det(5, (30.5, 0, 36.5, 80), 0.6)
 
     def scorer(heads, bodies):
-        return [0.99 if b.det_id == 5 else 0.92 for b in bodies]
+        return [0.99 if b == 5 else 0.92 for b in bodies.det_ids]
 
-    out = postprocess([H_SUPPRESSED_ONLY], BODIES_PRE + [other], BODIES_POST,
-                      scorer, CFG)
+    out = postprocess_scene([H_SUPPRESSED_ONLY], BODIES_PRE + [other], BODIES_POST,
+                            scorer, CFG)
     assert out.recalled_body_ids == [5]
 
 
@@ -198,7 +198,7 @@ def test_neutral_thresholds_change_nothing():
     cfg = PostProcessConfig(low_threshold=0.0, high_threshold=1.0)
     heads = [H_BOTH, H_SUPPRESSED_ONLY]  # every head has some pre-NMS partner
     for value in (0.001, 0.5, 0.999):
-        out = postprocess(heads, BODIES_PRE, BODIES_POST, stub(value), cfg)
+        out = postprocess_scene(heads, BODIES_PRE, BODIES_POST, stub(value), cfg)
         assert out.final_heads == heads
         assert out.final_bodies == BODIES_POST
         assert out.recalled_body_ids == []
@@ -229,14 +229,14 @@ def _hash_score(head_id, body_id):
 
 
 def hash_scorer(heads, bodies):
-    return [_hash_score(h.det_id, b.det_id) for h, b in zip(heads, bodies)]
+    return [_hash_score(h, b) for h, b in zip(heads.det_ids, bodies.det_ids)]
 
 
 def test_fuzz_superset_subset_invariants():
     rng = np.random.default_rng(42)
     for _ in range(300):
         heads, pre, post = _fuzz_scene(rng)
-        out = postprocess(heads, pre, post, hash_scorer, CFG)
+        out = postprocess_scene(heads, pre, post, hash_scorer, CFG)
         post_ids = {d.det_id for d in post}
         final_body_ids = {d.det_id for d in out.final_bodies}
         assert post_ids <= final_body_ids      # recall only ever adds bodies
@@ -252,9 +252,9 @@ def test_permutation_invariance():
     rng = np.random.default_rng(7)
     for _ in range(50):
         heads, pre, post = _fuzz_scene(rng)
-        base = postprocess(heads, pre, post, hash_scorer, CFG)
+        base = postprocess_scene(heads, pre, post, hash_scorer, CFG)
         perm = [heads[i] for i in rng.permutation(len(heads))]
-        shuffled = postprocess(perm, pre, post, hash_scorer, CFG)
+        shuffled = postprocess_scene(perm, pre, post, hash_scorer, CFG)
         assert ids(base.final_heads) == ids(shuffled.final_heads)
         assert ids(base.final_bodies) == ids(shuffled.final_bodies)
         assert sorted(base.recalled_body_ids) == sorted(shuffled.recalled_body_ids)
@@ -267,7 +267,7 @@ def test_constant_high_stub_removes_only_partnerless_heads():
     rng = np.random.default_rng(13)
     for _ in range(50):
         heads, pre, post = _fuzz_scene(rng)
-        out = postprocess(heads, pre, post, stub(0.95), CFG)
+        out = postprocess_scene(heads, pre, post, stub(0.95), CFG)
         partnerless = {h.det_id for h in heads
                        if all(ioh(h.box.as_list(), b.box.as_list()) <= CFG.ioh_threshold
                               for b in pre)}
@@ -278,7 +278,7 @@ def test_constant_low_stub_removes_every_head_and_recalls_nothing():
     rng = np.random.default_rng(29)
     for _ in range(50):
         heads, pre, post = _fuzz_scene(rng)
-        out = postprocess(heads, pre, post, stub(0.05), CFG)
+        out = postprocess_scene(heads, pre, post, stub(0.05), CFG)
         assert out.recalled_body_ids == []
         assert out.final_heads == []  # every head is mismatched at 0.05
         assert sorted(out.removed_head_ids) == ids(heads)
@@ -291,9 +291,118 @@ def test_fuzz_scorer_sees_exactly_the_gated_pairs():
     for _ in range(200):
         heads, pre, post = _fuzz_scene(rng)
         scorer, calls = recording(hash_scorer)
-        out = postprocess(heads, pre, post, scorer, CFG)
+        out = postprocess_scene(heads, pre, post, scorer, CFG)
         gated = [(h.det_id, b.det_id) for h in heads for b in pre
                  if ioh(h.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
         assert calls == ([gated] if gated else [])
         for r in out.pair_log:
             assert r.score == _hash_score(r.head_id, r.body_id)
+
+
+# ---------------------------------------------------------------------------
+# many scenes in one call, scene by scene against the one-scene oracle
+
+# exact thresholds and repeated values, so best scores tie and land on 0.1 / 0.9
+_TABLE = (0.05, 0.1, 0.5, 0.9, 0.95, 0.95)
+
+
+def _table_score(head_id, body_id):
+    return _TABLE[(head_id * 7 + body_id * 5) % len(_TABLE)]
+
+
+def table_scorer(heads, bodies):
+    return [_table_score(h, b) for h, b in zip(heads.det_ids, bodies.det_ids)]
+
+
+def _records(dets):
+    return [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score} for d in dets]
+
+
+def _split_scene(rng):
+    """(heads, pre-NMS bodies, kept bodies in some rank order) of one scene:
+    empty, heads without bodies, bodies without heads, or a fuzz scene with
+    some boxes repeated."""
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return [], [], []
+    heads, pre, post = _fuzz_scene(rng)
+    if kind == 1:
+        return heads, [], []
+    if kind == 2:
+        return [], pre, post
+    for dets in (heads, pre):
+        for i in range(1, len(dets)):
+            if rng.random() < 0.2:  # a duplicate box under a new id
+                source = dets[int(rng.integers(0, i))]
+                dets[i] = det(dets[i].det_id, source.box.as_list(), dets[i].score)
+    pre_index = {d.det_id: d for d in pre}
+    post = [pre_index[d.det_id] for d in post]
+    return heads, pre, [post[i] for i in rng.permutation(len(post))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_equals_reference_scene_by_scene(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        scenes = [_split_scene(rng) for _ in range(int(rng.integers(1, 12)))]
+        heads, pre, post = (split_columns(s[c] for s in scenes) for c in range(3))
+        scorer, calls = recording(table_scorer)
+        out = postprocess(heads, pre, post, scorer, CFG)
+        gated = []
+        for k, (h, b_pre, b_post) in enumerate(scenes):
+            ref_heads, ref_bodies, recalled, removed, log = postprocess_reference(
+                _records(h), _records(b_pre), _records(b_post),
+                lambda hd, bd: _table_score(hd["id"], bd["id"]), CFG.ioh_threshold,
+                CFG.low_threshold, CFG.high_threshold)
+            fh, fb = out.final_heads.det_offsets, out.final_bodies.det_offsets
+            assert out.final_heads.det_ids[fh[k]:fh[k + 1]] == ref_heads
+            assert out.final_bodies.det_ids[fb[k]:fb[k + 1]] == ref_bodies
+            r, d, p = out.recalled_offsets, out.removed_offsets, out.pair_offsets
+            assert out.recalled_body_ids[r[k]:r[k + 1]] == recalled
+            assert out.removed_head_ids[d[k]:d[k + 1]] == removed
+            assert [(x.head_id, x.body_id, x.score, x.phase)
+                    for x in out.pair_log[p[k]:p[k + 1]]] == log
+            gated += [(a.det_id, b.det_id) for a in h for b in b_pre
+                      if ioh(a.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
+        # one call for the whole split: scene by scene, head order, pre-NMS order
+        assert calls == ([gated] if gated else [])
+        assert out.final_heads.scene_ids == out.final_bodies.scene_ids == heads.scene_ids
+
+
+def test_one_scene_equals_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        heads, pre, post = _split_scene(rng)
+        out = postprocess_scene(heads, pre, post, table_scorer, CFG)
+        ref_heads, ref_bodies, recalled, removed, log = postprocess_reference(
+            _records(heads), _records(pre), _records(post),
+            lambda h, b: _table_score(h["id"], b["id"]), CFG.ioh_threshold,
+            CFG.low_threshold, CFG.high_threshold)
+        assert [d.det_id for d in out.final_heads] == ref_heads
+        assert [d.det_id for d in out.final_bodies] == ref_bodies
+        assert (out.recalled_body_ids, out.removed_head_ids) == (recalled, removed)
+        assert [(r.head_id, r.body_id, r.score, r.phase) for r in out.pair_log] == log
+
+
+def test_split_scenes_must_align():
+    heads = split_columns([[H_BOTH], []])
+    with pytest.raises(ValueError, match="same scenes"):
+        postprocess(heads, split_columns([BODIES_PRE]), split_columns([BODIES_POST]),
+                    stub(0.5), CFG)
+
+
+def test_split_subset_error_names_the_scene():
+    rogue = det(9, (0, 0, 30, 80), 0.9)
+    with pytest.raises(ValueError, match=r"scene 's1': post-NMS bodies \[9\] missing"):
+        postprocess(split_columns([[], []]), split_columns([BODIES_PRE, BODIES_PRE]),
+                    split_columns([BODIES_POST, [B1_KEPT, rogue]]), stub(0.5), CFG)
+
+
+def test_zero_area_head_in_a_split_raises_only_with_bodies():
+    flat = det(7, (10, 0, 10, 12), 0.9)
+    out = postprocess(split_columns([[H_BOTH], [flat]]), split_columns([BODIES_PRE, []]),
+                      split_columns([BODIES_POST, []]), stub(0.95), CFG)
+    assert out.removed_head_ids == [7] and out.removed_offsets == [0, 0, 1]
+    with pytest.raises(ValueError, match="zero-area head"):
+        postprocess(split_columns([[H_BOTH], [flat]]), split_columns([BODIES_PRE, BODIES_PRE]),
+                    split_columns([BODIES_POST, BODIES_POST]), stub(0.95), CFG)

@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from crowdpost.cli import main  # noqa: E402
 from crowdpost.data_model import (  # noqa: E402
     CLASSES, STAGES, Detection, DetectionGroup, FormatError, PersonInstance, Scene,
-    read_detection_groups, read_scenes, write_detection_groups, write_scenes)
+    read_detection_groups, read_scenes, write_scenes)
 from crowdpost.geometry import BBox  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
-from helpers import fields, group_columns, scene_columns  # noqa: E402
+from helpers import fields, group_columns, scene_columns, write_groups  # noqa: E402
 
 # bounded and derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -96,7 +96,7 @@ def test_scene_file_round_trip(records):
 @PROPERTY
 @given(group_files())
 def test_detection_file_round_trip(records):
-    assert (_round_trip(records, write_detection_groups, read_detection_groups)
+    assert (_round_trip(records, write_groups, read_detection_groups)
             == fields(group_columns(records)))
 
 
@@ -166,7 +166,7 @@ def test_detection_writer_bytes_equal_json_dumps(records):
         "stage": g.stage,
         "dets": [{"id": d.det_id, "box": d.box.as_list(), "score": d.score} for d in g.dets],
     }) + "\n" for g in records)
-    assert _written(records, write_detection_groups) == expected.encode("utf-8")
+    assert _written(records, write_groups) == expected.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_corrupt_scene_line_is_rejected(capsys, data):
 @given(st.data())
 def test_corrupt_detection_line_is_rejected(capsys, model_path, data):
     records = data.draw(group_files(min_dets=1))
-    for text, line_no in _corrupted_files(data.draw, records, write_detection_groups,
+    for text, line_no in _corrupted_files(data.draw, records, write_groups,
                                           _group_corruptions):
         _expect_rejected(capsys, text, line_no, read_detection_groups,
                          lambda path, out: ["run", "--dets", path, "--model", str(model_path),

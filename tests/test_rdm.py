@@ -10,13 +10,19 @@ from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_D
                            load_model, pair_features, save_model, train, write_loss_csv,
                            _loss_and_gradients, _sample_batch)
 
-from helpers import det, person, scene, scene_columns
+from helpers import det, one_scene, person, scene, scene_columns
 from oracles import extract_features
+
+
+def _pair_features(heads, bodies):
+    """`pair_features` of the pairs of two equal-length `Detection` lists."""
+    heads, bodies = one_scene(heads), one_scene(bodies)
+    return pair_features(heads.boxes, heads.scores, bodies.boxes, bodies.scores)
 
 
 def _features(head, body):
     """`pair_features` of one pair, the row the kernel gives it."""
-    return pair_features([head], [body])[0]
+    return _pair_features([head], [body])[0]
 
 
 def _reference(head, body):
@@ -117,7 +123,7 @@ def test_pair_features_equal_stacked_reference():
     rng = np.random.default_rng(8)
     for n in (0, 1, 2, 3, 7, 64, 401):
         heads, bodies = _feature_pairs(rng, n)
-        got = pair_features(heads, bodies)
+        got = _pair_features(heads, bodies)
         assert got.shape == (n, FEATURE_DIM)
         expected = np.array([_reference(h, b) for h, b in zip(heads, bodies)])
         assert (got == expected.reshape(n, FEATURE_DIM)).all()
@@ -127,9 +133,9 @@ def test_pair_features_reject_zero_area_box():
     good = det(1, (5, 10, 35, 90), 0.8)
     for flat in (det(2, (10, 10, 10, 20), 0.9), det(2, (10, 10, 20, 10), 0.9)):
         with pytest.raises(ValueError, match="zero-area"):
-            pair_features([good, flat], [good, good])
+            _pair_features([good, flat], [good, good])
         with pytest.raises(ValueError, match="zero-area"):
-            pair_features([good, good], [good, flat])
+            _pair_features([good, good], [good, flat])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +163,7 @@ def test_score_pairs_matches_per_row_scores():
     model = RelationModel.initialize(hidden_dim=64, seed=4)
     for n in (0, 1, 5, 333):
         heads, bodies = _feature_pairs(rng, n)
-        got = model.score_pairs(heads, bodies)
+        got = model.score_pairs(one_scene(heads), one_scene(bodies))
         per_row = [model.score_many(_reference(h, b))[0]
                    for h, b in zip(heads, bodies)]
         assert got.shape == (n,)
