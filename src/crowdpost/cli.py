@@ -12,28 +12,56 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import logging
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
 from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, DetectionGroup,
                          GroupColumns, id_keys, read_detection_groups, read_scenes,
                          write_detection_groups, write_scenes)
-from .evaluator import EvalConfig, compute_mr2, write_curve_csv, write_curve_svg, \
-    write_result_json
 from .fileio import atomic_write_text, read_json, restored_on_error
-from .nms import NmsConfig, build_detection_set, nms_groups
-from .pipeline import PipelineOutput, PostProcessConfig, postprocess
-from .ratio import estimate_ratio, save_ratio, scene_pairs
-from .rdm import TrainConfig, build_training_pairs, load_model, save_model, train, \
-    write_loss_csv
-from .simulator import NoiseConfig, SimConfig, generate_scenes, simulate_detections
 
 logger = logging.getLogger(__name__)
+
+# The names this module takes from the modules behind the commands.  A
+# command imports only the modules it uses (`_bind`), so that `eval`, say,
+# does not pay for importing, and compiling, the simulator and the relation
+# model.  The names become attributes of this module as their module is
+# imported, or when read from outside (`__getattr__`), so that a caller can
+# patch them here, as the benchmark's tracer does.
+_COMMAND_NAMES = {
+    "evaluator": ("EvalConfig", "compute_mr2", "write_curve_csv", "write_curve_svg",
+                  "write_result_json"),
+    "nms": ("NmsConfig", "build_detection_set", "nms_groups"),
+    "pipeline": ("PostProcessConfig", "postprocess", "scene_scorers"),
+    "ratio": ("estimate_ratio", "save_ratio", "scene_pairs"),
+    "rdm": ("TrainConfig", "build_training_pairs", "load_model", "save_model", "train",
+            "write_loss_csv"),
+    "simulator": ("NoiseConfig", "SimConfig", "generate_scenes", "simulate_detections"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and bind their names here; a name already bound (a
+    caller's patch) stays as it is."""
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _COMMAND_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A command module's name, read before a command bound it."""
+    for module, names in _COMMAND_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _DEFAULT_NUM_SCENES = 50
 # far above any useful split; a larger count is rejected before simulating
@@ -101,6 +129,7 @@ def _build(cls, cfg: dict, section: str, **overrides):
 # commands
 
 def cmd_simulate(args) -> int:
+    _bind("simulator")
     cfg = _load_config(args.config)
     sim = _build(SimConfig, cfg, "sim", seed=args.seed,
                  crowd_cluster_prob=args.cluster_prob,
@@ -131,6 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate_ratio(args) -> int:
+    _bind("ratio")
     scenes = read_scenes(args.scenes)
     ratio = estimate_ratio(*scene_pairs(scenes))
     save_ratio(ratio, args.out)
@@ -155,6 +185,7 @@ def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionC
 
 
 def cmd_train_rdm(args) -> int:
+    _bind("nms", "pipeline", "rdm")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms")
     train_cfg = _build(TrainConfig, cfg, "train", epochs=args.epochs,
@@ -192,35 +223,8 @@ def _post_nms_groups(heads: DetectionColumns, bodies: DetectionColumns) -> Group
     return GroupColumns(dets, [HEAD, BODY] * num_scenes, [POST_NMS] * (2 * num_scenes))
 
 
-def _json_block(items: list[str], indent: str) -> str:
-    """A JSON list of already formatted items as `json.dumps(..., indent=2)`
-    lays it out when it closes at `indent`."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
-def _audit_text(scene_ids: list[str], out: PipelineOutput) -> str:
-    """`audit.json`: per scene its recalled body ids, removed head ids and
-    pair log, the bytes `json.dumps({"scenes": [...]}, indent=2)` gives for
-    them (ids are ints, scores finite floats, whose JSON text is their repr)."""
-    pairs = [f'        {{\n          "head": {r.head_id!r},\n          "body": {r.body_id!r},\n'
-             f'          "score": {r.score!r},\n          "phase": {_json_string(r.phase)}\n'
-             '        }' for r in out.pair_log]
-    recalled = [f"        {i!r}" for i in out.recalled_body_ids]
-    removed = [f"        {i!r}" for i in out.removed_head_ids]
-    scenes = [f'    {{\n      "scene_id": {_json_string(scene_id)},\n'
-              f'      "recalled_body_ids": {_json_block(recalled[ra:rb], "      ")},\n'
-              f'      "removed_head_ids": {_json_block(removed[da:db], "      ")},\n'
-              f'      "pairs": {_json_block(pairs[pa:pb], "      ")}\n    }}'
-              for scene_id, ra, rb, da, db, pa, pb in zip(
-                  scene_ids, out.recalled_offsets, out.recalled_offsets[1:],
-                  out.removed_offsets, out.removed_offsets[1:],
-                  out.pair_offsets, out.pair_offsets[1:])]
-    return f'{{\n  "scenes": {_json_block(scenes, "  ")}\n}}\n'
-
-
 def cmd_run(args) -> int:
+    _bind("nms", "pipeline", "rdm")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms", iou_threshold=args.nms_iou,
                      score_floor=args.score_floor)
@@ -233,15 +237,29 @@ def cmd_run(args) -> int:
 
     heads, _ = nms_groups(heads_pre, nms_cfg)
     bodies_post, bodies_floor = nms_groups(bodies_pre, nms_cfg)
-    out = postprocess(heads, bodies_floor, bodies_post, model.score_pairs, post_cfg)
+    scorers = scene_scorers(heads, bodies_floor, model.score_pairs, post_cfg)
+    outs = [postprocess(h, b_floor, b_post, scorer, post_cfg)
+            for h, b_floor, b_post, scorer in zip(heads.groups(), bodies_floor.groups(),
+                                                  bodies_post.groups(), scorers)]
 
     write_detection_groups(_post_nms_groups(heads, bodies_post),
                            os.path.join(args.out_dir, "baseline.jsonl"))
-    write_detection_groups(_post_nms_groups(out.final_heads, out.final_bodies),
-                           os.path.join(args.out_dir, "rdm.jsonl"))
-    atomic_write_text(os.path.join(args.out_dir, "audit.json"), _audit_text(heads.scene_ids, out))
+    write_detection_groups(_post_nms_groups(
+        DetectionColumns.concat(out.final_heads for out in outs),
+        DetectionColumns.concat(out.final_bodies for out in outs)),
+        os.path.join(args.out_dir, "rdm.jsonl"))
+    audit_scenes = [{
+        "scene_id": scene_id,
+        "recalled_body_ids": out.recalled_body_ids,
+        "removed_head_ids": out.removed_head_ids,
+        "pairs": [{"head": r.head_id, "body": r.body_id, "score": r.score, "phase": r.phase}
+                  for r in out.pair_log],
+    } for scene_id, out in zip(heads.scene_ids, outs)]
+    atomic_write_text(os.path.join(args.out_dir, "audit.json"),
+                      json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
     logger.info("recalled %d bodies, removed %d heads over %d scenes",
-                len(out.recalled_body_ids), len(out.removed_head_ids), len(heads.scene_ids))
+                sum(len(out.recalled_body_ids) for out in outs),
+                sum(len(out.removed_head_ids) for out in outs), len(outs))
     return 0
 
 
@@ -250,6 +268,7 @@ def _has_control_character(name: str) -> bool:
 
 
 def cmd_eval(args) -> int:
+    _bind("evaluator")
     eval_cfg = EvalConfig(iou_match_threshold=args.iou if args.iou is not None else 0.5,
                           class_under_test=args.class_name)
     name = args.name if args.name else os.path.basename(args.out_prefix)

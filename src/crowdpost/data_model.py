@@ -300,6 +300,25 @@ class DetectionColumns:
         counts = np.where(present, offsets[groups + 1] - starts, 0)
         return self._gather(scene_ids, ragged(starts, counts)[0], counts)
 
+    def groups(self):
+        """Each group as one-group columns, in order."""
+        ids, boxes, scores, offsets = self.det_ids, self.boxes, self.scores, self.det_offsets
+        for scene_id, a, b in zip(self.scene_ids, offsets, offsets[1:]):
+            yield DetectionColumns([scene_id], [0, b - a], ids[a:b], boxes[a:b], scores[a:b])
+
+    @classmethod
+    def concat(cls, parts) -> "DetectionColumns":
+        """The groups of every columns object of `parts`, one after the other."""
+        parts = list(parts)
+        offsets = [0]
+        for part in parts:
+            base = offsets[-1]
+            offsets += [base + end for end in part.det_offsets[1:]]
+        return cls([s for part in parts for s in part.scene_ids], offsets,
+                   [i for part in parts for i in part.det_ids],
+                   np.concatenate([np.zeros((0, 4))] + [part.boxes for part in parts]),
+                   np.concatenate([np.zeros(0)] + [part.scores for part in parts]))
+
     def detection_lists(self) -> list[list[Detection]]:
         """Each group's detections as a list of `Detection` records."""
         dets = list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),

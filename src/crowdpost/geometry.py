@@ -17,7 +17,8 @@ with the zero box (0, 0, 0, 0): its intersection with any box is 0, so its
 IoU and its IoH with a head are 0 and it never passes a positive threshold.
 `padded_batches` groups the scenes of a split, size-sorted, into such
 stacks under a bound on their padded pairs, and `padded_stack` fills one;
-the evaluator, NMS and the post-process gate all batch through them.
+the evaluator, NMS and the split-wide IoH gate of `pipeline.scene_scorers`
+all batch through them.
 """
 
 from __future__ import annotations

@@ -6,17 +6,17 @@ pre-NMS bodies.  A confident second-round match recalls that suppressed body;
 a failed second round removes the head as a false positive.  Heads landing
 between the two score thresholds are left untouched and recall nothing.
 
-`postprocess` takes a whole split as scene-aligned columns and works in
-three steps: one IoH gate over padded stacks of scenes
-(`geometry.padded_batches`), one scorer call on every gated pair of the
-split, then the decisions scene by scene over plain lists.  A one-scene
-call is the per-scene case.
+`postprocess` takes one scene as one-group columns: one IoH matrix gates
+its pairs, one scorer call scores them, and the decisions run over plain
+lists.  `scene_scorers` lets the scenes of a split share one scoring pass:
+it gates every scene at once over padded stacks (`geometry.padded_batches`),
+scores all the gated pairs in one call, and gives each scene a scorer that
+hands out that scene's scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,55 +59,32 @@ class PairRecord:
 
 @dataclass
 class PipelineOutput:
-    """The post-process of a split.  The final heads and bodies are columns
-    in the scenes of the input; the id lists and the pair log are flat, scene
-    after scene, and entries k and k + 1 of each `*_offsets` list bound
-    scene k's part."""
+    """The post-process of one scene, its final heads and bodies as
+    one-group columns."""
 
     final_heads: DetectionColumns
     final_bodies: DetectionColumns
     recalled_body_ids: list[int]
     removed_head_ids: list[int]
     pair_log: list[PairRecord]
-    recalled_offsets: list[int]
-    removed_offsets: list[int]
-    pair_offsets: list[int]
 
 
-def _offsets(scenes: np.ndarray, num_scenes: int) -> list[int]:
-    """Offsets that bound each scene's entries of a flat list, given the
-    scene of each entry, in order."""
-    return np.searchsorted(scenes, np.arange(num_scenes + 1)).tolist()
-
-
-def _post_in_pre(bodies_pre: DetectionColumns, bodies_post: DetectionColumns) -> np.ndarray:
-    """The pre-NMS index of each post-NMS body: the detection of its scene
-    with its id, box and score."""
-    pre_scene = bodies_pre.det_groups().tolist()
-    post_scene = bodies_post.det_groups().tolist()
-    where = dict(zip(zip(pre_scene, bodies_pre.det_ids), range(len(pre_scene))))
-    index = np.array([where.get(key, -1) for key in zip(post_scene, bodies_post.det_ids)],
-                     dtype=np.intp)
-    found = index >= 0
-    found[found] = ((bodies_pre.boxes[index[found]] == bodies_post.boxes[found]).all(axis=1)
-                    & (bodies_pre.scores[index[found]] == bodies_post.scores[found]))
-    if not found.all():
-        k = post_scene[np.flatnonzero(~found)[0]]
-        missing = [i for s, i, ok in zip(post_scene, bodies_post.det_ids, found.tolist())
-                   if s == k and not ok]
-        raise ValueError(f"scene {bodies_post.scene_ids[k]!r}: post-NMS bodies {missing} "
-                         "missing from the pre-NMS set")
-    return index
+def _pick(dets: DetectionColumns, index: list[int]) -> DetectionColumns:
+    """The detections at `index` of one-group columns, in that order."""
+    ids = dets.det_ids
+    return DetectionColumns(dets.scene_ids, [0, len(index)], [ids[i] for i in index],
+                            dets.boxes[index], dets.scores[index])
 
 
 def _gate(heads: DetectionColumns, bodies: DetectionColumns,
           threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """(head, body) indices of the pairs of one scene whose IoH exceeds the
-    threshold, scene after scene, in head order and then body order."""
+    """(head, body) indices of the pairs within a scene whose IoH exceeds
+    the threshold, over every scene of a split: scene after scene, in head
+    order and then body order."""
     head_counts, body_counts = np.diff(heads.det_offsets), np.diff(bodies.det_offsets)
     head_starts = np.asarray(heads.det_offsets[:-1], dtype=np.intp)
     body_starts = np.asarray(bodies.det_offsets[:-1], dtype=np.intp)
-    rows, cols = [], []
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for batch, (n, m) in padded_batches(head_counts, body_counts):
         head_stack, (_, slot, pos) = padded_stack(
             heads.boxes, head_starts[batch], head_counts[batch], n, pad=_PAD_HEAD)
@@ -118,8 +95,6 @@ def _gate(heads: DetectionColumns, bodies: DetectionColumns,
         b, i, j = np.nonzero((pairwise_ioh(head_stack, body_stack) > threshold) & real)
         rows.append(head_starts[batch][b] + i)
         cols.append(body_starts[batch][b] + j)
-    if not rows:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     # batches run by size; head indices run scene after scene in head order,
     # and each head's bodies already come in order from its batch
@@ -127,87 +102,116 @@ def _gate(heads: DetectionColumns, bodies: DetectionColumns,
     return rows[order], cols[order]
 
 
-def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
-                bodies_post: DetectionColumns, scorer: PairScorer,
-                cfg: PostProcessConfig) -> PipelineOutput:
-    """Run the full post-process for every scene of a split.
+def _scene_scorer(head_ids: list[int], body_ids: list[int], scores: list[float]) -> PairScorer:
+    def scorer(heads: DetectionColumns, bodies: DetectionColumns) -> list[float]:
+        if heads.det_ids != head_ids or bodies.det_ids != body_ids:
+            raise ValueError("asked to score pairs other than the scene's gated pairs")
+        return scores
+    return scorer
 
-    Group k of each argument is scene k: its kept heads, its floor-filtered
-    pre-NMS bodies and its kept bodies, each kept list in rank order.  Only
-    ever adds bodies and removes heads: the final bodies of a scene are a
-    superset of its kept bodies, the final heads a subset of its kept heads.
-    Each head's outcome depends only on its scene's immutable input sets, so
-    the result is independent of processing order.  The scorer is called at
-    most once, with every IoH-gated (head, pre-NMS body) pair of the split,
-    scene by scene, in head order, each head's bodies in pre-NMS order;
-    phase one reads the kept-body scores, phase two all of them.  The pair
-    log lists each head's bodies in the order of the phase's body list.
+
+def scene_scorers(heads: DetectionColumns, bodies_pre: DetectionColumns, scorer: PairScorer,
+                  cfg: PostProcessConfig) -> list[PairScorer]:
+    """A scorer for each scene of a split, to pass to `postprocess` with that
+    scene's groups of `heads` and `bodies_pre` (group k is scene k).
+
+    Every scene's IoH-gated (head, pre-NMS body) pairs are scored up front,
+    in one `scorer` call, so the scenes share one forward pass instead of
+    paying for one each.  Scene k's scorer returns scene k's scores; it
+    accepts only that scene's gated pairs, in the order `postprocess` asks
+    for them, which the one-scene gate gives bit for bit.
     """
-    num_scenes = len(heads.scene_ids)
-    if not heads.scene_ids == bodies_pre.scene_ids == bodies_post.scene_ids:
-        raise ValueError("heads, pre-NMS bodies and post-NMS bodies must hold the "
-                         "same scenes in the same order")
-    post_pre = _post_in_pre(bodies_pre, bodies_post)
+    if heads.scene_ids != bodies_pre.scene_ids:
+        raise ValueError("heads and pre-NMS bodies must hold the same scenes in the same order")
     rows, cols = _gate(heads, bodies_pre, cfg.ioh_threshold)
     scores = np.asarray(scorer(heads.take(rows), bodies_pre.take(cols)),
                         dtype=np.float64).tolist() if len(rows) else []
+    head_ids = [heads.det_ids[i] for i in rows.tolist()]
+    body_ids = [bodies_pre.det_ids[j] for j in cols.tolist()]
+    bounds = np.searchsorted(heads.det_groups()[rows], np.arange(len(heads.scene_ids) + 1))
+    bounds = bounds.tolist()
+    return [_scene_scorer(head_ids[a:b], body_ids[a:b], scores[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
-    # each pre-NMS body's rank among its scene's kept bodies, -1 if suppressed
-    post_offsets = bodies_post.det_offsets
-    rank = np.full(len(bodies_pre), -1)
-    rank[post_pre] = np.arange(len(post_pre)) - np.repeat(post_offsets[:-1],
-                                                          np.diff(post_offsets))
-    # phase one for every head at once: a head is mismatched when it has no
-    # gated kept body, or when its best kept-body score is below the low threshold
-    on_kept = rank[cols] >= 0
-    best = np.full(len(heads), -np.inf)
-    np.maximum.at(best, rows[on_kept], np.asarray(scores)[on_kept])
-    mismatched = np.flatnonzero(best < cfg.low_threshold).tolist()
 
-    # the decisions, scene by scene over the mismatched heads
-    pair_starts = np.searchsorted(rows, np.arange(len(heads) + 1)).tolist()
-    head_scene = heads.det_groups().tolist()
-    rank, cols, post_pre = rank.tolist(), cols.tolist(), post_pre.tolist()
+def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
+                bodies_post: DetectionColumns, scorer: PairScorer,
+                cfg: PostProcessConfig) -> PipelineOutput:
+    """Run the full post-process for one scene.
+
+    Each argument holds the scene as one group: its kept heads, its
+    floor-filtered pre-NMS bodies and its kept bodies, each kept list in
+    rank order.  Only ever adds bodies and removes heads: the final bodies
+    are a superset of the kept bodies, the final heads a subset of the kept
+    heads.  Each head's outcome depends only on the immutable input sets, so
+    the result is independent of processing order.  The scorer is called at
+    most once, with every IoH-gated (head, pre-NMS body) pair in head order,
+    each head's bodies in pre-NMS order; phase one reads the kept-body
+    scores, phase two all of them.  The pair log lists each head's bodies in
+    the order of the phase's body list.
+    """
+    if not len(heads.scene_ids) == 1 or not (heads.scene_ids == bodies_pre.scene_ids
+                                            == bodies_post.scene_ids):
+        raise ValueError("heads, pre-NMS bodies and post-NMS bodies must hold the same "
+                         "one scene")
     head_ids, body_ids = heads.det_ids, bodies_pre.det_ids
+    pre_col = dict(zip(body_ids, range(len(body_ids))))
+    post_pre = [pre_col.get(i, -1) for i in bodies_post.det_ids]
+    pre_boxes, pre_scores = bodies_pre.boxes.tolist(), bodies_pre.scores.tolist()
+    missing = [i for i, j, box, score in zip(bodies_post.det_ids, post_pre,
+                                             bodies_post.boxes.tolist(),
+                                             bodies_post.scores.tolist())
+               if j < 0 or pre_boxes[j] != box or pre_scores[j] != score]
+    if missing:
+        raise ValueError(f"scene {heads.scene_ids[0]!r}: post-NMS bodies {missing} "
+                         "missing from the pre-NMS set")
+
+    # one IoH gate against the pre-NMS bodies serves both phases; the kept
+    # bodies are a subset of its columns
+    rows, cols = (index.tolist() for index in np.nonzero(
+        pairwise_ioh(heads.boxes, bodies_pre.boxes) > cfg.ioh_threshold))
+    scores = np.asarray(scorer(_pick(heads, rows), _pick(bodies_pre, cols)),
+                        dtype=np.float64).tolist() if rows else []
+    # (pre-NMS column, score) of each head's gated bodies
+    partners: list[list[tuple[int, float]]] = [[] for _ in head_ids]
+    for i, j, s in zip(rows, cols, scores):
+        partners[i].append((j, s))
+    post_rank = {j: k for k, j in enumerate(post_pre)}
+
     log: list[PairRecord] = []
-    log_heads: list[int] = []
-    recalled: list[int] = []  # pre-NMS indices
-    removed: list[int] = []   # head indices
-    for k, scene_heads in groupby(mismatched, key=head_scene.__getitem__):
-        scene_heads = list(scene_heads)
-        for i in scene_heads:
-            a, b = pair_starts[i], pair_starts[i + 1]
-            kept = sorted((rank[j], s, j) for j, s in zip(cols[a:b], scores[a:b])
-                          if rank[j] >= 0)
+    mismatched: list[tuple[int, list[tuple[int, float]]]] = []
+    for i, scored in enumerate(partners):
+        kept = sorted((post_rank[j], s, j) for j, s in scored if j in post_rank)
+        if not kept or max(s for _, s, _ in kept) < cfg.low_threshold:
+            mismatched.append((i, scored))
             # only heads that fail the first phase are audited; a clean match
-            # leaves no trace so an untouched scene logs no pair
+            # leaves no trace so an untouched scene has an empty pair log
             log.extend(PairRecord(head_ids[i], body_ids[j], s, FIRST) for _, s, j in kept)
-            log_heads.extend([i] * len(kept))
-        present = {body_ids[j] for j in post_pre[post_offsets[k]:post_offsets[k + 1]]}
-        for i in scene_heads:
-            a, b = pair_starts[i], pair_starts[i + 1]
-            scored = list(zip(cols[a:b], scores[a:b]))
-            log.extend(PairRecord(head_ids[i], body_ids[j], s, SECOND) for j, s in scored)
-            log_heads.extend([i] * len(scored))
-            best_score = max((s for _, s in scored), default=None)
-            if best_score is not None and best_score > cfg.high_threshold:
+
+    final_bodies = list(post_pre)
+    present = {body_ids[j] for j in post_pre}
+    recalled: list[int] = []
+    removed: list[int] = []
+    for i, scored in mismatched:
+        log.extend(PairRecord(head_ids[i], body_ids[j], s, SECOND) for j, s in scored)
+        if scored:
+            best_score = max(s for _, s in scored)
+            if best_score > cfg.high_threshold:
                 # argmax body; ties broken by ascending det id for determinism
                 j = min((j for j, s in scored if s == best_score), key=body_ids.__getitem__)
                 if body_ids[j] not in present:
+                    final_bodies.append(j)
                     present.add(body_ids[j])
-                    recalled.append(j)
-            if best_score is None or best_score < cfg.low_threshold:
+                    recalled.append(body_ids[j])
+            if best_score < cfg.low_threshold:
                 removed.append(i)
+        else:
+            removed.append(i)
 
-    final_heads = np.ones(len(heads), dtype=bool)
-    final_heads[removed] = False
-    pre_scene = bodies_pre.det_groups()
-    # each scene's kept bodies, then the bodies it recalled, in recall order
-    final_bodies = np.concatenate([post_pre, recalled]).astype(np.intp)
-    final_bodies = final_bodies[np.argsort(pre_scene[final_bodies], kind="stable")]
-    return PipelineOutput(
-        heads.take(np.flatnonzero(final_heads)), bodies_pre.take(final_bodies),
-        [body_ids[j] for j in recalled], [head_ids[i] for i in removed], log,
-        _offsets(pre_scene[recalled], num_scenes),
-        _offsets(np.asarray(head_scene)[removed], num_scenes),
-        _offsets(np.asarray(head_scene)[log_heads], num_scenes))
+    removed_set = set(removed)
+    # a scene that removes or recalls nothing ends with its kept detections
+    final_heads = _pick(heads, [i for i in range(len(head_ids)) if i not in removed_set]
+                        ) if removed else heads
+    return PipelineOutput(final_heads,
+                          _pick(bodies_pre, final_bodies) if recalled else bodies_post,
+                          recalled, [head_ids[i] for i in removed], log)

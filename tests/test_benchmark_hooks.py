@@ -121,19 +121,24 @@ def test_run_keeps_the_traced_postprocess_contract(monkeypatch, tmp_path):
     assert cli.main(["run", "--dets", str(dets), "--model", str(model),
                      "--out-dir", str(tmp_path / "out")]) == 0
 
-    # one call per split, five positional arguments, the scorer fourth
-    (args, kwargs), = calls
-    assert len(args) == 5 and kwargs == {}
-    spans = [span[0] for span in tracer.spans]
-    assert spans.count("pipeline") == 1
-    assert spans.count("rdm.score") == 1  # the wrapped fourth argument, once
-    out, = results
+    # one call per scene, five positional arguments each, the scorer fourth
+    assert len(calls) == 6
+    assert all(len(args) == 5 and kwargs == {} for args, kwargs in calls)
+    spans = tracer.spans
+    assert [span[0] for span in spans].count("pipeline") == 6
+    scored = [span for span in spans if span[0] == "rdm.score"]
+    # the wrapped fourth argument, called within a scene's call
+    assert scored and all(spans[parent][0] == "pipeline" for *_, parent in scored)
     # what `_count_post` reads, and what it counted
-    assert all(r.phase in ("first", "second") for r in out.pair_log)
-    assert len({r.head_id for r in out.pair_log}) > 0
-    # hashable ids, flat over the split (ids repeat across scenes)
-    assert set(out.removed_head_ids) and len(out.removed_head_ids) > 0
-    assert tracer.counts["pipeline.removed"] == len(out.removed_head_ids)
-    assert tracer.counts["pipeline.recalled"] == len(out.recalled_body_ids)
-    assert tracer.counts["pipeline.phase2_pairs"] == sum(r.phase == "second"
-                                                         for r in out.pair_log)
+    assert all(r.phase in ("first", "second") for out in results for r in out.pair_log)
+    removed = [i for out in results for i in out.removed_head_ids]
+    assert removed and tracer.counts["pipeline.removed"] == len(removed)
+    assert tracer.counts["pipeline.recalled"] == sum(len(out.recalled_body_ids)
+                                                     for out in results)
+    second = [[r for r in out.pair_log if r.phase == "second"] for out in results]
+    assert tracer.counts["pipeline.phase2_pairs"] == sum(map(len, second))
+    # head ids are unique within a scene, so a scene's mismatched heads are
+    # its heads with a second phase or removed
+    assert tracer.counts["pipeline.mismatched_heads"] == sum(
+        len({r.head_id for r in s} | set(out.removed_head_ids))
+        for s, out in zip(second, results))

@@ -140,6 +140,30 @@ def test_console_script_entry_point(chain, tmp_path):
     assert (tmp_path / "ratio.json").is_file()
 
 
+@pytest.mark.parametrize("command,modules", [("eval", ["evaluator"]),
+                                             ("run", ["nms", "pipeline", "rdm"]),
+                                             ("report", [])])
+def test_command_imports_only_its_modules(chain, tmp_path, command, modules):
+    # a command process imports the modules behind its own command only
+    argv = {
+        "eval": ["eval", "--results", str(chain / "out" / "rdm.jsonl"), "--scenes",
+                 str(chain / "scenes.jsonl"), "--class", BODY,
+                 "--out-prefix", str(tmp_path / "e")],
+        "run": ["run", "--dets", str(chain / "dets.jsonl"), "--model",
+                str(chain / "model.json"), "--out-dir", str(tmp_path / "out")],
+        "report": ["report", "--dir", str(chain / "eval"), "--out", str(tmp_path / "r.md")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crowdpost.cli import main; code = main(sys.argv[1:]); "
+         "print(' '.join(sorted(m for m in sys.modules if m.startswith('crowdpost.')))); "
+         "sys.exit(code)", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the last line; `report` prints its table before it
+    assert proc.stdout.splitlines()[-1].split() == sorted(f"crowdpost.{m}" for m in [
+        "cli", "data_model", "fileio", "geometry", *modules])
+
+
 # ---------------------------------------------------------------------------
 # error paths: exit code 1 and a single-line diagnostic on stderr
 
@@ -413,29 +437,8 @@ def test_repeated_json_key_is_one_line_error(capsys, chain, tmp_path, target):
 
 
 def test_audit_is_laid_out_as_json_dumps(chain):
-    # audit.json is formatted by hand, byte for byte as json.dumps(indent=2)
-    from crowdpost import cli
-    from crowdpost.pipeline import PairRecord, PipelineOutput
-
     text = (chain / "out" / "audit.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
-    scene_ids = ["a", 'q"\\\u00e9\n', "c", "d"]
-    log = [PairRecord(1, 2, 0.25, "first"), PairRecord(1, 2, 0.125, "second"),
-           PairRecord(2 ** 70, 3, 1e-300, "second")]
-    out = PipelineOutput(None, None, [5, 6], [1, 2 ** 70], log,
-                         [0, 0, 2, 2, 2], [0, 1, 1, 2, 2], [0, 2, 2, 3, 3])
-    expected = {"scenes": [
-        {"scene_id": "a", "recalled_body_ids": [], "removed_head_ids": [1],
-         "pairs": [{"head": 1, "body": 2, "score": 0.25, "phase": "first"},
-                   {"head": 1, "body": 2, "score": 0.125, "phase": "second"}]},
-        {"scene_id": scene_ids[1], "recalled_body_ids": [5, 6], "removed_head_ids": [],
-         "pairs": []},
-        {"scene_id": "c", "recalled_body_ids": [], "removed_head_ids": [2 ** 70],
-         "pairs": [{"head": 2 ** 70, "body": 3, "score": 1e-300, "phase": "second"}]},
-        {"scene_id": "d", "recalled_body_ids": [], "removed_head_ids": [], "pairs": []}]}
-    assert cli._audit_text(scene_ids, out) == json.dumps(expected, indent=2) + "\n"
-    assert cli._audit_text([], PipelineOutput(None, None, [], [], [], [0], [0], [0])) == \
-        json.dumps({"scenes": []}, indent=2) + "\n"
 
 
 def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, monkeypatch):

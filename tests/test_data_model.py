@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import (
-    BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionGroup, DetectionSet,
+    BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionColumns, DetectionGroup, DetectionSet,
     FormatError, PersonInstance, Scene, read_detection_groups, read_scenes, write_scenes)
 from crowdpost.geometry import BBox
 
-from helpers import det, fields, group_columns, person, scene, scene_columns, write_groups
+from helpers import (det, fields, group_columns, person, scene, scene_columns, split_columns,
+                     write_groups)
 
 
 def test_person_requires_head_inside_body():
@@ -509,3 +510,16 @@ def test_first_of_several_faulty_lines_reported(tmp_path):
                     + lines[2].replace('"s2"', '"s9"'))
     with pytest.raises(FormatError, match="^dets.jsonl:4: dets\\[0\\]: detection score 2.5"):
         read_detection_groups(path)
+
+
+def test_groups_and_concat_round_trip():
+    runs = [[det(1, (0, 0, 4, 4), 0.5), det(2 ** 70, (1, 1, 5, 6), 0.25)], [],
+            [det(3, (2, 0, 3, 9), 1.0)]]
+    columns = split_columns(runs)
+    groups = list(columns.groups())
+    assert [g.scene_ids for g in groups] == [["s0"], ["s1"], ["s2"]]
+    assert [g.det_offsets for g in groups] == [[0, 2], [0, 0], [0, 1]]
+    assert fields(DetectionColumns.concat(groups)) == fields(columns)
+    empty = DetectionColumns.concat([])
+    assert (empty.scene_ids, empty.det_offsets, empty.det_ids) == ([], [0], [])
+    assert empty.boxes.shape == (0, 4) and empty.scores.shape == (0,)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from crowdpost.data_model import DetectionColumns
 from crowdpost.geometry import BBox, box_array, pairwise_ioh
-from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess
+from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_scorers
 
-from helpers import det, postprocess_scene, split_columns
+from helpers import det, one_scene, postprocess_scene, split_columns
 from oracles import ioh, postprocess_reference
 
 
@@ -158,6 +159,12 @@ def test_subset_precondition_compares_whole_detections():
         postprocess_scene([H_BOTH], BODIES_PRE, [moved], stub(0.5), CFG)
 
 
+def test_subset_precondition_compares_scores():
+    rescored = det(1, (0, 0, 30, 80), 0.5)  # kept id 1 and its box, another score
+    with pytest.raises(ValueError, match=r"\[1\] missing from the pre-NMS set"):
+        postprocess_scene([H_BOTH], BODIES_PRE, [rescored], stub(0.5), CFG)
+
+
 def test_zero_area_head_raises_only_when_there_are_bodies():
     flat = det(7, (10, 0, 10, 12), 0.9)
     with pytest.raises(ValueError, match="zero-area head"):
@@ -300,7 +307,7 @@ def test_fuzz_scorer_sees_exactly_the_gated_pairs():
 
 
 # ---------------------------------------------------------------------------
-# many scenes in one call, scene by scene against the one-scene oracle
+# the scenes of a split, one call each, against the one-scene oracle
 
 # exact thresholds and repeated values, so best scores tie and land on 0.1 / 0.9
 _TABLE = (0.05, 0.1, 0.5, 0.9, 0.95, 0.95)
@@ -341,32 +348,72 @@ def _split_scene(rng):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_split_equals_reference_scene_by_scene(seed):
+def test_split_scene_by_scene_equals_reference(seed):
+    # as `run` calls it: the split's gated pairs scored in one call, then each
+    # scene of the split's columns on its own, with its scene's scorer
     rng = np.random.default_rng(seed)
     for _ in range(40):
         scenes = [_split_scene(rng) for _ in range(int(rng.integers(1, 12)))]
         heads, pre, post = (split_columns(s[c] for s in scenes) for c in range(3))
         scorer, calls = recording(table_scorer)
-        out = postprocess(heads, pre, post, scorer, CFG)
-        gated = []
-        for k, (h, b_pre, b_post) in enumerate(scenes):
+        scorers = scene_scorers(heads, pre, scorer, CFG)
+        assert len(scorers) == len(scenes)
+        outs, gated = [], []
+        for (h, b_pre, b_post), cols, scene_scorer in zip(
+                scenes, zip(heads.groups(), pre.groups(), post.groups()), scorers):
+            out = postprocess(*cols, scene_scorer, CFG)
             ref_heads, ref_bodies, recalled, removed, log = postprocess_reference(
                 _records(h), _records(b_pre), _records(b_post),
                 lambda hd, bd: _table_score(hd["id"], bd["id"]), CFG.ioh_threshold,
                 CFG.low_threshold, CFG.high_threshold)
-            fh, fb = out.final_heads.det_offsets, out.final_bodies.det_offsets
-            assert out.final_heads.det_ids[fh[k]:fh[k + 1]] == ref_heads
-            assert out.final_bodies.det_ids[fb[k]:fb[k + 1]] == ref_bodies
-            r, d, p = out.recalled_offsets, out.removed_offsets, out.pair_offsets
-            assert out.recalled_body_ids[r[k]:r[k + 1]] == recalled
-            assert out.removed_head_ids[d[k]:d[k + 1]] == removed
-            assert [(x.head_id, x.body_id, x.score, x.phase)
-                    for x in out.pair_log[p[k]:p[k + 1]]] == log
+            assert out.final_heads.det_ids == ref_heads
+            assert out.final_bodies.det_ids == ref_bodies
+            assert out.recalled_body_ids == recalled
+            assert out.removed_head_ids == removed
+            assert [(x.head_id, x.body_id, x.score, x.phase) for x in out.pair_log] == log
             gated += [(a.det_id, b.det_id) for a in h for b in b_pre
                       if ioh(a.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
+            outs.append(out)
         # one call for the whole split: scene by scene, head order, pre-NMS order
         assert calls == ([gated] if gated else [])
-        assert out.final_heads.scene_ids == out.final_bodies.scene_ids == heads.scene_ids
+        for final in ("final_heads", "final_bodies"):
+            joined = DetectionColumns.concat(getattr(out, final) for out in outs)
+            assert joined.scene_ids == heads.scene_ids
+            assert [d.det_id for group in joined.detection_lists() for d in group] == \
+                [i for out in outs for i in getattr(out, final).det_ids]
+
+
+def test_scene_scorer_serves_only_its_scene():
+    twin = det(4, H_SUPPRESSED_ONLY.box.as_list(), 0.8)  # one gated pair, like h3's
+    scorers = scene_scorers(split_columns([[H_SUPPRESSED_ONLY], [twin]]),
+                            split_columns([BODIES_PRE, BODIES_PRE]), stub(0.95), CFG)
+    scene = (one_scene([twin], "s1"), one_scene(BODIES_PRE, "s1"),
+             one_scene(BODIES_POST, "s1"))
+    assert postprocess(*scene, scorers[1], CFG).recalled_body_ids == [2]
+    with pytest.raises(ValueError, match="other than the scene's gated pairs"):
+        postprocess(*scene, scorers[0], CFG)
+
+
+def test_pad_heads_never_gate():
+    # scene s0 shares a padded stack with the two-head scene s1; its pad head
+    # row lies inside b1, which must not make it a gated pair
+    scorer, calls = recording(stub(0.5))
+    scene_scorers(split_columns([[H_BOTH], [H_BOTH, H_SUPPRESSED_ONLY]]),
+                  split_columns([BODIES_PRE, BODIES_PRE]), scorer, CFG)
+    assert calls == [[(1, 1), (1, 2), (1, 1), (1, 2), (3, 2)]]
+
+
+def test_scene_scorers_need_aligned_scenes():
+    with pytest.raises(ValueError, match="same scenes"):
+        scene_scorers(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE]), stub(0.5), CFG)
+
+
+def test_split_gate_raises_for_a_zero_area_head_only_with_bodies():
+    flat = det(7, (10, 0, 10, 12), 0.9)
+    heads = split_columns([[H_BOTH], [flat]])
+    assert len(scene_scorers(heads, split_columns([BODIES_PRE, []]), stub(0.95), CFG)) == 2
+    with pytest.raises(ValueError, match="zero-area head"):
+        scene_scorers(heads, split_columns([BODIES_PRE, BODIES_PRE]), stub(0.95), CFG)
 
 
 def test_one_scene_equals_reference():
@@ -384,25 +431,17 @@ def test_one_scene_equals_reference():
         assert [(r.head_id, r.body_id, r.score, r.phase) for r in out.pair_log] == log
 
 
-def test_split_scenes_must_align():
-    heads = split_columns([[H_BOTH], []])
-    with pytest.raises(ValueError, match="same scenes"):
-        postprocess(heads, split_columns([BODIES_PRE]), split_columns([BODIES_POST]),
+def test_postprocess_takes_the_same_one_scene():
+    with pytest.raises(ValueError, match="same one scene"):
+        postprocess(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE, []]),
+                    split_columns([BODIES_POST, []]), stub(0.5), CFG)
+    with pytest.raises(ValueError, match="same one scene"):
+        postprocess(one_scene([H_BOTH]), one_scene(BODIES_PRE, "s1"), one_scene(BODIES_POST),
                     stub(0.5), CFG)
 
 
-def test_split_subset_error_names_the_scene():
+def test_subset_error_names_the_scene():
     rogue = det(9, (0, 0, 30, 80), 0.9)
     with pytest.raises(ValueError, match=r"scene 's1': post-NMS bodies \[9\] missing"):
-        postprocess(split_columns([[], []]), split_columns([BODIES_PRE, BODIES_PRE]),
-                    split_columns([BODIES_POST, [B1_KEPT, rogue]]), stub(0.5), CFG)
-
-
-def test_zero_area_head_in_a_split_raises_only_with_bodies():
-    flat = det(7, (10, 0, 10, 12), 0.9)
-    out = postprocess(split_columns([[H_BOTH], [flat]]), split_columns([BODIES_PRE, []]),
-                      split_columns([BODIES_POST, []]), stub(0.95), CFG)
-    assert out.removed_head_ids == [7] and out.removed_offsets == [0, 0, 1]
-    with pytest.raises(ValueError, match="zero-area head"):
-        postprocess(split_columns([[H_BOTH], [flat]]), split_columns([BODIES_PRE, BODIES_PRE]),
-                    split_columns([BODIES_POST, BODIES_POST]), stub(0.95), CFG)
+        postprocess(one_scene([], "s1"), one_scene(BODIES_PRE, "s1"),
+                    one_scene([B1_KEPT, rogue], "s1"), stub(0.5), CFG)
