@@ -223,6 +223,12 @@ def _post_nms_groups(heads: DetectionColumns, bodies: DetectionColumns) -> Group
     return GroupColumns(dets, [HEAD, BODY] * num_scenes, [POST_NMS] * (2 * num_scenes))
 
 
+def _split_index(dets: DetectionColumns, parts: list[list[int]]) -> np.ndarray:
+    """`parts[k]`, indices into group k of `dets`, as indices into `dets`."""
+    return np.array([a + i for a, part in zip(dets.det_offsets, parts) for i in part],
+                    dtype=np.intp)
+
+
 def cmd_run(args) -> int:
     _bind("nms", "pipeline", "rdm")
     cfg = _load_config(args.config)
@@ -245,8 +251,8 @@ def cmd_run(args) -> int:
     write_detection_groups(_post_nms_groups(heads, bodies_post),
                            os.path.join(args.out_dir, "baseline.jsonl"))
     write_detection_groups(_post_nms_groups(
-        DetectionColumns.concat(out.final_heads for out in outs),
-        DetectionColumns.concat(out.final_bodies for out in outs)),
+        heads.take(_split_index(heads, [out.final_heads for out in outs])),
+        bodies_floor.take(_split_index(bodies_floor, [out.final_bodies for out in outs]))),
         os.path.join(args.out_dir, "rdm.jsonl"))
     audit_scenes = [{
         "scene_id": scene_id,

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import RepeatedKey, atomic_write_text, unique_keys
 from .geometry import BBox, ragged
 
 HEAD = "head"
@@ -306,19 +306,6 @@ class DetectionColumns:
         for scene_id, a, b in zip(self.scene_ids, offsets, offsets[1:]):
             yield DetectionColumns([scene_id], [0, b - a], ids[a:b], boxes[a:b], scores[a:b])
 
-    @classmethod
-    def concat(cls, parts) -> "DetectionColumns":
-        """The groups of every columns object of `parts`, one after the other."""
-        parts = list(parts)
-        offsets = [0]
-        for part in parts:
-            base = offsets[-1]
-            offsets += [base + end for end in part.det_offsets[1:]]
-        return cls([s for part in parts for s in part.scene_ids], offsets,
-                   [i for part in parts for i in part.det_ids],
-                   np.concatenate([np.zeros((0, 4))] + [part.boxes for part in parts]),
-                   np.concatenate([np.zeros(0)] + [part.scores for part in parts]))
-
     def detection_lists(self) -> list[list[Detection]]:
         """Each group's detections as a list of `Detection` records."""
         dets = list(map(Detection, self.det_ids, starmap(BBox, self.boxes.tolist()),
@@ -514,6 +501,19 @@ def _iter_jsonl(path):
                     raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
             if not isinstance(obj, dict):
                 raise FormatError("line is not a JSON object", path, line_no)
+            # every key takes a colon, so a line with more colons than the keys
+            # of its object and of the objects its lists hold may repeat a key,
+            # which the decoder resolves silently, last value winning: such a
+            # line is decoded again, checking the keys of each of its objects
+            keys = len(obj)
+            for value in obj.values():
+                if type(value) is list and set(map(type, value)) <= _DICT:
+                    keys += sum(map(len, value))
+            if line.count(":") != keys:
+                try:
+                    json.loads(line, object_pairs_hook=unique_keys)
+                except RepeatedKey as exc:
+                    raise FormatError(str(exc), path, line_no) from None
             yield line_no, obj
 
 
@@ -562,7 +562,7 @@ def _read_rows(path, fast_row, parse, fields, key, duplicate):
 
 _GET_ID, _GET_HEAD, _GET_BODY = itemgetter("id"), itemgetter("head"), itemgetter("body")
 _GET_BOX, _GET_SCORE = itemgetter("box"), itemgetter("score")
-_INT, _FLOAT, _BOOL, _LIST, _FOUR = {int}, {float}, {bool}, {list}, {4}
+_INT, _FLOAT, _BOOL, _LIST, _DICT, _FOUR = {int}, {float}, {bool}, {list}, {dict}, {4}
 
 
 def _flat_boxes(boxes) -> list | None:

@@ -15,17 +15,19 @@ _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
 
 
-class _RepeatedKey(ValueError):
-    pass
+class RepeatedKey(ValueError):
+    """A JSON object repeats a key, which the decoder would resolve silently,
+    last value winning."""
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The `object_pairs_hook` that raises `RepeatedKey` for a repeated key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise _RepeatedKey(f"repeated key {key!r}")
+                raise RepeatedKey(f"repeated key {key!r}")
             seen.add(key)
     return obj
 
@@ -37,8 +39,8 @@ def read_json(path):
     winning) raises a one-line ValueError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    except _RepeatedKey as exc:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except RepeatedKey as exc:
         raise ValueError(f"{path}: {exc}") from None
     except (RecursionError, ValueError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None

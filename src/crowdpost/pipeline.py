@@ -6,17 +6,18 @@ pre-NMS bodies.  A confident second-round match recalls that suppressed body;
 a failed second round removes the head as a false positive.  Heads landing
 between the two score thresholds are left untouched and recall nothing.
 
-`postprocess` takes one scene as one-group columns: one IoH matrix gates
-its pairs, one scorer call scores them, and the decisions run over plain
-lists.  `scene_scorers` lets the scenes of a split share one scoring pass:
-it gates every scene at once over padded stacks (`geometry.padded_batches`),
-scores all the gated pairs in one call, and gives each scene a scorer that
-hands out that scene's scores.
+`scene_scorers` is the one IoH gate: it gates every scene of a split at
+once over padded stacks (`geometry.padded_batches`), scores all the gated
+pairs in one call, and gives each scene a callable that hands out that
+scene's gated pairs and their scores.  `postprocess` takes one scene as
+one-group columns with that callable, decides over plain lists, and returns
+its final detections as indices into its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .geometry import padded_batches, padded_stack, pairwise_ioh
 
 # scores of the pairs (heads k, bodies k) of two equal-length columns
 PairScorer = Callable[[DetectionColumns, DetectionColumns], Sequence[float]]
+# one scene's gated pairs: head indices, pre-NMS body indices and scores
+ScenePairs = Callable[[], tuple[list[int], list[int], list[float]]]
 
 FIRST = "first"
 SECOND = "second"
@@ -59,21 +62,15 @@ class PairRecord:
 
 @dataclass
 class PipelineOutput:
-    """The post-process of one scene, its final heads and bodies as
-    one-group columns."""
+    """The post-process of one scene: its final heads as indices into its
+    kept heads, and its final bodies, the kept ones and then the recalled
+    ones, as indices into its pre-NMS bodies."""
 
-    final_heads: DetectionColumns
-    final_bodies: DetectionColumns
+    final_heads: list[int]
+    final_bodies: list[int]
     recalled_body_ids: list[int]
     removed_head_ids: list[int]
     pair_log: list[PairRecord]
-
-
-def _pick(dets: DetectionColumns, index: list[int]) -> DetectionColumns:
-    """The detections at `index` of one-group columns, in that order."""
-    ids = dets.det_ids
-    return DetectionColumns(dets.scene_ids, [0, len(index)], [ids[i] for i in index],
-                            dets.boxes[index], dets.scores[index])
 
 
 def _gate(heads: DetectionColumns, bodies: DetectionColumns,
@@ -102,53 +99,48 @@ def _gate(heads: DetectionColumns, bodies: DetectionColumns,
     return rows[order], cols[order]
 
 
-def _scene_scorer(head_ids: list[int], body_ids: list[int], scores: list[float]) -> PairScorer:
-    def scorer(heads: DetectionColumns, bodies: DetectionColumns) -> list[float]:
-        if heads.det_ids != head_ids or bodies.det_ids != body_ids:
-            raise ValueError("asked to score pairs other than the scene's gated pairs")
-        return scores
-    return scorer
-
-
 def scene_scorers(heads: DetectionColumns, bodies_pre: DetectionColumns, scorer: PairScorer,
-                  cfg: PostProcessConfig) -> list[PairScorer]:
-    """A scorer for each scene of a split, to pass to `postprocess` with that
-    scene's groups of `heads` and `bodies_pre` (group k is scene k).
+                  cfg: PostProcessConfig) -> list[ScenePairs]:
+    """The gated, scored pairs of each scene of a split, to pass to
+    `postprocess` with that scene's groups of `heads` and `bodies_pre`
+    (group k is scene k).
 
     Every scene's IoH-gated (head, pre-NMS body) pairs are scored up front,
     in one `scorer` call, so the scenes share one forward pass instead of
-    paying for one each.  Scene k's scorer returns scene k's scores; it
-    accepts only that scene's gated pairs, in the order `postprocess` asks
-    for them, which the one-scene gate gives bit for bit.
+    paying for one each.  Scene k's callable returns scene k's pairs as
+    indices into its groups, in head order and each head's bodies in
+    pre-NMS order, and their scores.
     """
     if heads.scene_ids != bodies_pre.scene_ids:
         raise ValueError("heads and pre-NMS bodies must hold the same scenes in the same order")
     rows, cols = _gate(heads, bodies_pre, cfg.ioh_threshold)
     scores = np.asarray(scorer(heads.take(rows), bodies_pre.take(cols)),
                         dtype=np.float64).tolist() if len(rows) else []
-    head_ids = [heads.det_ids[i] for i in rows.tolist()]
-    body_ids = [bodies_pre.det_ids[j] for j in cols.tolist()]
-    bounds = np.searchsorted(heads.det_groups()[rows], np.arange(len(heads.scene_ids) + 1))
-    bounds = bounds.tolist()
-    return [_scene_scorer(head_ids[a:b], body_ids[a:b], scores[a:b])
-            for a, b in zip(bounds, bounds[1:])]
+    scene = heads.det_groups()[rows]
+    bounds = np.searchsorted(scene, np.arange(len(heads.scene_ids) + 1)).tolist()
+    rows = (rows - np.asarray(heads.det_offsets, dtype=np.intp)[scene]).tolist()
+    cols = (cols - np.asarray(bodies_pre.det_offsets, dtype=np.intp)[scene]).tolist()
+
+    def pairs(a: int, b: int) -> tuple[list[int], list[int], list[float]]:
+        return rows[a:b], cols[a:b], scores[a:b]
+    return [partial(pairs, a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
-                bodies_post: DetectionColumns, scorer: PairScorer,
+                bodies_post: DetectionColumns, scorer: ScenePairs,
                 cfg: PostProcessConfig) -> PipelineOutput:
     """Run the full post-process for one scene.
 
-    Each argument holds the scene as one group: its kept heads, its
+    Each column argument holds the scene as one group: its kept heads, its
     floor-filtered pre-NMS bodies and its kept bodies, each kept list in
-    rank order.  Only ever adds bodies and removes heads: the final bodies
-    are a superset of the kept bodies, the final heads a subset of the kept
-    heads.  Each head's outcome depends only on the immutable input sets, so
-    the result is independent of processing order.  The scorer is called at
-    most once, with every IoH-gated (head, pre-NMS body) pair in head order,
-    each head's bodies in pre-NMS order; phase one reads the kept-body
-    scores, phase two all of them.  The pair log lists each head's bodies in
-    the order of the phase's body list.
+    rank order.  `scorer`, the scene's callable from `scene_scorers`, is
+    called once and gives the scene's IoH-gated (head, pre-NMS body) pairs;
+    phase one reads the kept-body scores, phase two all of them.  Only ever
+    adds bodies and removes heads: the final bodies are a superset of the
+    kept bodies, the final heads a subset of the kept heads.  Each head's
+    outcome depends only on the immutable input sets, so the result is
+    independent of processing order.  The pair log lists each head's bodies
+    in the order of the phase's body list.
     """
     if not len(heads.scene_ids) == 1 or not (heads.scene_ids == bodies_pre.scene_ids
                                             == bodies_post.scene_ids):
@@ -166,12 +158,9 @@ def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
         raise ValueError(f"scene {heads.scene_ids[0]!r}: post-NMS bodies {missing} "
                          "missing from the pre-NMS set")
 
-    # one IoH gate against the pre-NMS bodies serves both phases; the kept
+    # the gate against the pre-NMS bodies serves both phases; the kept
     # bodies are a subset of its columns
-    rows, cols = (index.tolist() for index in np.nonzero(
-        pairwise_ioh(heads.boxes, bodies_pre.boxes) > cfg.ioh_threshold))
-    scores = np.asarray(scorer(_pick(heads, rows), _pick(bodies_pre, cols)),
-                        dtype=np.float64).tolist() if rows else []
+    rows, cols, scores = scorer()
     # (pre-NMS column, score) of each head's gated bodies
     partners: list[list[tuple[int, float]]] = [[] for _ in head_ids]
     for i, j, s in zip(rows, cols, scores):
@@ -209,9 +198,5 @@ def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
             removed.append(i)
 
     removed_set = set(removed)
-    # a scene that removes or recalls nothing ends with its kept detections
-    final_heads = _pick(heads, [i for i in range(len(head_ids)) if i not in removed_set]
-                        ) if removed else heads
-    return PipelineOutput(final_heads,
-                          _pick(bodies_pre, final_bodies) if recalled else bodies_post,
-                          recalled, [head_ids[i] for i in removed], log)
+    return PipelineOutput([i for i in range(len(head_ids)) if i not in removed_set],
+                          final_bodies, recalled, [head_ids[i] for i in removed], log)

@@ -5,7 +5,8 @@ tests build records, and `scene_columns`, `detection_columns` and
 `group_columns` turn those into the columns a reader would return for them.
 `write_groups` writes records to a detection file, as `simulate` does.
 `one_scene` gives one scene's detections as the columns `postprocess` takes,
-and `postprocess_scene` runs a one-scene split given as `Detection` lists.
+and `postprocess_scene` runs a one-scene split given as `Detection` lists
+through `scene_scorers` and `postprocess`.
 `fields` gives every column of a columns object as plain values, so two of
 them compare by the values they hold.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from crowdpost.data_model import (Detection, DetectionColumns, GroupColumns, PersonInstance,
                                   Scene, SceneColumns, write_detection_groups)
 from crowdpost.geometry import BBox, box_array
-from crowdpost.pipeline import postprocess
+from crowdpost.pipeline import postprocess, scene_scorers
 
 
 def det(det_id, box, score):
@@ -78,18 +79,16 @@ def split_columns(runs) -> DetectionColumns:
     return _detection_columns([f"s{k}" for k in range(len(runs))], runs)
 
 
-def detections(columns: DetectionColumns) -> list[Detection]:
-    """Every detection of the columns as a `Detection`, group after group."""
-    return [d for group in columns.detection_lists() for d in group]
-
-
 def postprocess_scene(heads, bodies_pre, bodies_post, scorer, cfg):
-    """`postprocess` of one scene given as `Detection` lists; the final heads
-    and bodies come back as `Detection` lists too."""
-    out = postprocess(one_scene(heads), one_scene(bodies_pre), one_scene(bodies_post),
-                      scorer, cfg)
-    return dataclasses.replace(out, final_heads=detections(out.final_heads),
-                               final_bodies=detections(out.final_bodies))
+    """`postprocess` of one scene given as `Detection` lists, its pairs gated
+    and scored by `scene_scorers` with the pair scorer `scorer`; the final
+    heads and bodies come back as `Detection` lists too."""
+    heads, bodies_pre = list(heads), list(bodies_pre)
+    h, b_pre = one_scene(heads), one_scene(bodies_pre)
+    out = postprocess(h, b_pre, one_scene(bodies_post),
+                      scene_scorers(h, b_pre, scorer, cfg)[0], cfg)
+    return dataclasses.replace(out, final_heads=[heads[i] for i in out.final_heads],
+                               final_bodies=[bodies_pre[j] for j in out.final_bodies])
 
 
 def group_columns(groups) -> GroupColumns:

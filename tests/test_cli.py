@@ -436,6 +436,28 @@ def test_repeated_json_key_is_one_line_error(capsys, chain, tmp_path, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["scene", "person", "det"])
+def test_repeated_key_in_a_data_line_is_one_line_error(capsys, chain, tmp_path, target):
+    # the decoder would keep the last value silently: scene "b" for
+    # `"scene_id": "a", "scene_id": "b"`, id 2 for `"id": 1, "id": 2`
+    name, key, value = {"scene": ("scenes.jsonl", "scene_id", '"a"'),
+                        "person": ("scenes.jsonl", "id", "7"),
+                        "det": ("dets.jsonl", "id", "1")}[target]
+    lines = (chain / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    field = f'"{key}": '
+    assert field in lines[1]
+    lines[1] = lines[1].replace(field, f"{field}{value}, {field}", 1)
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    path.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = (["run", "--dets", str(path), "--model", str(chain / "model.json"),
+             "--out-dir", str(out)] if target == "det" else
+            ["estimate-ratio", "--scenes", str(path), "--out", str(out / "ratio.json")])
+    _expect_error(capsys, argv, f"{name}:2: repeated key {key!r}")
+    assert not out.exists()
+
+
 def test_audit_is_laid_out_as_json_dumps(chain):
     text = (chain / "out" / "audit.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(text), indent=2) + "\n" == text

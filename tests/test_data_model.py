@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import (
-    BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionColumns, DetectionGroup, DetectionSet,
+    BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionGroup, DetectionSet,
     FormatError, PersonInstance, Scene, read_detection_groups, read_scenes, write_scenes)
 from crowdpost.geometry import BBox
 
-from helpers import (det, fields, group_columns, person, scene, scene_columns, split_columns,
-                     write_groups)
+from helpers import (det, fields, group_columns, one_scene, person, scene, scene_columns,
+                     split_columns, write_groups)
 
 
 def test_person_requires_head_inside_body():
@@ -130,6 +130,20 @@ def test_invalid_json_reports_line(tmp_path):
     with pytest.raises(FormatError) as exc_info:
         read_scenes(path)
     assert exc_info.value.line == 1
+
+
+def test_repeated_key_rejected_at_any_depth(tmp_path):
+    # a colon in a string does not look like a repeat; a repeat inside an
+    # unknown key's object, which no field check reads, is still one
+    path = tmp_path / "scenes.jsonl"
+    write_scenes([_demo_scene("a:b")], path)
+    line = path.read_text()
+    assert read_scenes(path).scene_ids == ["a:b"]
+    path.write_text(line + line.replace('"a:b"', '"c", "x": {"k": [{"j": 1, "j": 2}]}'))
+    with pytest.raises(FormatError, match="^scenes.jsonl:2: repeated key 'j'$"):
+        read_scenes(path)
+    path.write_text(line.replace('"a:b"', '"c", "x": {"k": 1, "l": 2}'))
+    assert read_scenes(path).scene_ids == ["c"]
 
 
 def test_missing_key_reports_field(tmp_path):
@@ -512,14 +526,22 @@ def test_first_of_several_faulty_lines_reported(tmp_path):
         read_detection_groups(path)
 
 
-def test_groups_and_concat_round_trip():
+def test_groups_and_take_round_trip():
     runs = [[det(1, (0, 0, 4, 4), 0.5), det(2 ** 70, (1, 1, 5, 6), 0.25)], [],
             [det(3, (2, 0, 3, 9), 1.0)]]
     columns = split_columns(runs)
     groups = list(columns.groups())
     assert [g.scene_ids for g in groups] == [["s0"], ["s1"], ["s2"]]
     assert [g.det_offsets for g in groups] == [[0, 2], [0, 0], [0, 1]]
-    assert fields(DetectionColumns.concat(groups)) == fields(columns)
-    empty = DetectionColumns.concat([])
-    assert (empty.scene_ids, empty.det_offsets, empty.det_ids) == ([], [0], [])
+    assert [fields(g) for g in groups] == [fields(one_scene(run, f"s{k}"))
+                                           for k, run in enumerate(runs)]
+    # each group's indices, offset into the split, take the split back whole
+    index = [a + i for a, g in zip(columns.det_offsets, groups) for i in range(len(g))]
+    assert fields(columns.take(np.array(index, dtype=np.intp))) == fields(columns)
+    part = columns.take(np.array([1, 2], dtype=np.intp))
+    assert (part.det_offsets, part.det_ids) == ([0, 1, 1, 2], [2 ** 70, 3])
+    assert part.boxes.tolist() == [[1, 1, 5, 6], [2, 0, 3, 9]]
+    empty = columns.take(np.zeros(0, dtype=np.intp))
+    assert (empty.scene_ids, empty.det_offsets, empty.det_ids) == (
+        ["s0", "s1", "s2"], [0, 0, 0, 0], [])
     assert empty.boxes.shape == (0, 4) and empty.scores.shape == (0,)

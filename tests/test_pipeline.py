@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from crowdpost.data_model import DetectionColumns
 from crowdpost.geometry import BBox, box_array, pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_scorers
 
@@ -166,6 +165,7 @@ def test_subset_precondition_compares_scores():
 
 
 def test_zero_area_head_raises_only_when_there_are_bodies():
+    # raised by the split gate of `scene_scorers`, the one gate
     flat = det(7, (10, 0, 10, 12), 0.9)
     with pytest.raises(ValueError, match="zero-area head"):
         postprocess_scene([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
@@ -366,8 +366,8 @@ def test_split_scene_by_scene_equals_reference(seed):
                 _records(h), _records(b_pre), _records(b_post),
                 lambda hd, bd: _table_score(hd["id"], bd["id"]), CFG.ioh_threshold,
                 CFG.low_threshold, CFG.high_threshold)
-            assert out.final_heads.det_ids == ref_heads
-            assert out.final_bodies.det_ids == ref_bodies
+            assert [h[i].det_id for i in out.final_heads] == ref_heads
+            assert [b_pre[j].det_id for j in out.final_bodies] == ref_bodies
             assert out.recalled_body_ids == recalled
             assert out.removed_head_ids == removed
             assert [(x.head_id, x.body_id, x.score, x.phase) for x in out.pair_log] == log
@@ -376,22 +376,15 @@ def test_split_scene_by_scene_equals_reference(seed):
             outs.append(out)
         # one call for the whole split: scene by scene, head order, pre-NMS order
         assert calls == ([gated] if gated else [])
-        for final in ("final_heads", "final_bodies"):
-            joined = DetectionColumns.concat(getattr(out, final) for out in outs)
+        # the scenes' indices, offset into the split, take each scene's final
+        # detections into its own group, as `run` takes them
+        for final, columns, c in (("final_heads", heads, 0), ("final_bodies", pre, 1)):
+            index = [a + i for a, out in zip(columns.det_offsets, outs)
+                     for i in getattr(out, final)]
+            joined = columns.take(np.array(index, dtype=np.intp))
             assert joined.scene_ids == heads.scene_ids
-            assert [d.det_id for group in joined.detection_lists() for d in group] == \
-                [i for out in outs for i in getattr(out, final).det_ids]
-
-
-def test_scene_scorer_serves_only_its_scene():
-    twin = det(4, H_SUPPRESSED_ONLY.box.as_list(), 0.8)  # one gated pair, like h3's
-    scorers = scene_scorers(split_columns([[H_SUPPRESSED_ONLY], [twin]]),
-                            split_columns([BODIES_PRE, BODIES_PRE]), stub(0.95), CFG)
-    scene = (one_scene([twin], "s1"), one_scene(BODIES_PRE, "s1"),
-             one_scene(BODIES_POST, "s1"))
-    assert postprocess(*scene, scorers[1], CFG).recalled_body_ids == [2]
-    with pytest.raises(ValueError, match="other than the scene's gated pairs"):
-        postprocess(*scene, scorers[0], CFG)
+            assert [group.det_ids for group in joined.groups()] == \
+                [[s[c][i].det_id for i in getattr(out, final)] for s, out in zip(scenes, outs)]
 
 
 def test_pad_heads_never_gate():
@@ -431,17 +424,64 @@ def test_one_scene_equals_reference():
         assert [(r.head_id, r.body_id, r.score, r.phase) for r in out.pair_log] == log
 
 
+def no_pairs():
+    return [], [], []
+
+
 def test_postprocess_takes_the_same_one_scene():
     with pytest.raises(ValueError, match="same one scene"):
         postprocess(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE, []]),
-                    split_columns([BODIES_POST, []]), stub(0.5), CFG)
+                    split_columns([BODIES_POST, []]), no_pairs, CFG)
     with pytest.raises(ValueError, match="same one scene"):
         postprocess(one_scene([H_BOTH]), one_scene(BODIES_PRE, "s1"), one_scene(BODIES_POST),
-                    stub(0.5), CFG)
+                    no_pairs, CFG)
 
 
 def test_subset_error_names_the_scene():
     rogue = det(9, (0, 0, 30, 80), 0.9)
     with pytest.raises(ValueError, match=r"scene 's1': post-NMS bodies \[9\] missing"):
         postprocess(one_scene([], "s1"), one_scene(BODIES_PRE, "s1"),
-                    one_scene([B1_KEPT, rogue], "s1"), stub(0.5), CFG)
+                    one_scene([B1_KEPT, rogue], "s1"), no_pairs, CFG)
+
+
+def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_path):
+    # `run` decides on the pairs of the one split-wide gate: `pairwise_ioh`
+    # runs once per padded batch of `_gate`, and never inside `postprocess`
+    from crowdpost import cli, pipeline
+    from crowdpost.data_model import read_detection_groups
+    from crowdpost.geometry import padded_batches
+    from crowdpost.nms import NmsConfig, nms_groups
+    from crowdpost.rdm import RelationModel, save_model
+
+    dets, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert cli.main(["simulate", "--out-scenes", str(tmp_path / "s.jsonl"),
+                     "--out-dets", str(dets), "--num-scenes", "8", "--seed", "3",
+                     "--noise-seed", "3", "--cluster-prob", "0.95",
+                     "--persons-per-image", "30"]) == 0
+    save_model(RelationModel.initialize(hidden_dim=4), model)
+
+    gated, inside = [], []
+    ioh, post = pipeline.pairwise_ioh, cli.postprocess
+
+    def counted(*args):
+        gated.append(bool(inside))
+        return ioh(*args)
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return post(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pipeline, "pairwise_ioh", counted)
+    monkeypatch.setattr(cli, "postprocess", marked)
+    assert cli.main(["run", "--dets", str(dets), "--model", str(model),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    heads_pre, bodies_pre = cli._pre_nms_columns(read_detection_groups(dets))
+    heads, _ = nms_groups(heads_pre, NmsConfig())
+    _, bodies_floor = nms_groups(bodies_pre, NmsConfig())
+    batches = list(padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets)))
+    assert len(batches) > 1
+    assert gated == [False] * len(batches)
