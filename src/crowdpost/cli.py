@@ -20,27 +20,27 @@ import sys
 
 import numpy as np
 
-from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, DetectionGroup,
-                         GroupColumns, id_keys, read_detection_groups, read_scenes,
-                         write_detection_groups, write_scenes)
+from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, GroupColumns,
+                         id_keys, read_detection_groups, read_scenes, write_detection_groups)
 from .fileio import atomic_write_text, read_json, restored_on_error
 
 logger = logging.getLogger(__name__)
 
 # The names this module takes from the modules behind the commands.  A
 # command imports only the modules it uses (`_bind`), so that `eval`, say,
-# does not pay for importing, and compiling, the simulator and the relation
-# model.  The names become attributes of this module as their module is
-# imported, or when read from outside (`__getattr__`), so that a caller can
-# patch them here, as the benchmark's tracer does.
+# does not pay for importing, and compiling, the simulator, the relation
+# model or the records.  The names become attributes of this module as their
+# module is imported, or when read from outside (`__getattr__`), so that a
+# caller can patch them here, as the benchmark's tracer does.
 _COMMAND_NAMES = {
     "evaluator": ("EvalConfig", "compute_mr2", "write_curve_csv", "write_curve_svg",
                   "write_result_json"),
-    "nms": ("NmsConfig", "build_detection_set", "nms_groups"),
+    "nms": ("NmsConfig", "nms_groups"),
     "pipeline": ("PostProcessConfig", "postprocess", "scene_scorers"),
     "ratio": ("estimate_ratio", "save_ratio", "scene_pairs"),
-    "rdm": ("TrainConfig", "build_training_pairs", "load_model", "save_model", "train",
-            "write_loss_csv"),
+    "rdm": ("TrainConfig", "load_model", "save_model", "train", "write_loss_csv"),
+    "records": ("DetectionGroup", "build_detection_set", "build_training_pairs",
+                "detection_lists", "groups_as_columns", "write_scenes"),
     "simulator": ("NoiseConfig", "SimConfig", "generate_scenes", "simulate_detections"),
 }
 
@@ -129,7 +129,7 @@ def _build(cls, cfg: dict, section: str, **overrides):
 # commands
 
 def cmd_simulate(args) -> int:
-    _bind("simulator")
+    _bind("simulator", "records")
     cfg = _load_config(args.config)
     sim = _build(SimConfig, cfg, "sim", seed=args.seed,
                  crowd_cluster_prob=args.cluster_prob,
@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
         groups.append(DetectionGroup(scene.scene_id, HEAD, PRE_NMS, heads))
         groups.append(DetectionGroup(scene.scene_id, BODY, PRE_NMS, bodies))
     write_scenes(scenes, args.out_scenes)
-    write_detection_groups(GroupColumns.from_groups(groups), args.out_dets)
+    write_detection_groups(groups_as_columns(groups), args.out_dets)
     logger.info("wrote %d scenes (%d persons) and %d detection groups",
                 len(scenes), sum(len(s.persons) for s in scenes), len(groups))
     return 0
@@ -185,7 +185,7 @@ def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionC
 
 
 def cmd_train_rdm(args) -> int:
-    _bind("nms", "pipeline", "rdm")
+    _bind("nms", "pipeline", "rdm", "records")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms")
     train_cfg = _build(TrainConfig, cfg, "train", epochs=args.epochs,
@@ -198,7 +198,7 @@ def cmd_train_rdm(args) -> int:
     groups = read_detection_groups(args.dets)
     heads, bodies = _pre_nms_columns(groups)
     sets = [build_detection_set(sid, h, b, nms_cfg) for sid, h, b in
-            zip(heads.scene_ids, heads.detection_lists(), bodies.detection_lists())]
+            zip(heads.scene_ids, detection_lists(heads), detection_lists(bodies))]
     features, labels = build_training_pairs(scenes, sets, post_cfg.ioh_threshold)
     logger.info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
     model, trace = train(features, labels, train_cfg)

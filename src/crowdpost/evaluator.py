@@ -150,16 +150,30 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     fp_scores = np.sort(ranked[~(tp | ignored)])
     # Sweep every distinct input score, not just scores of counted outcomes:
     # a level where only ignored detections enter still yields a curve point.
-    thresholds = np.unique(dets.scores)[::-1]
-    if len(thresholds) and thresholds[-1] == 0.0:
-        # a set of the scores keeps the first zero in input order, whatever its sign
-        thresholds[-1] = dets.scores[np.flatnonzero(dets.scores == 0.0)[0]]
+    thresholds = _thresholds(dets.scores)
     tps = len(tp_scores) - np.searchsorted(tp_scores, thresholds)
     fps = len(fp_scores) - np.searchsorted(fp_scores, thresholds)
     fppi, miss = fps / num_images, 1.0 - tps / num_gt
     mr2 = _log_average(fppi, miss, FPPI_POINTS)
     curve = tuple(zip(thresholds.tolist(), fppi.tolist(), miss.tolist()))
     return EvalResult(mr2=mr2, curve=curve, num_gt=num_gt, num_images=num_images)
+
+
+def _thresholds(scores: np.ndarray) -> np.ndarray:
+    """The distinct scores, descending.  These are the values of
+    `np.unique(scores)[::-1]`, found by a sort and a mask of the entries
+    that differ from their predecessor, because `np.unique` imports all of
+    `numpy.ma` on its first call.  A zero takes the sign of the first zero
+    in input order."""
+    ordered = np.sort(scores)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    thresholds = ordered[first][::-1]
+    if len(thresholds) and thresholds[-1] == 0.0:
+        # a set of the scores keeps the first zero in input order, whatever its sign
+        thresholds[-1] = scores[np.flatnonzero(scores == 0.0)[0]]
+    return thresholds
 
 
 def _log_average(fppi: np.ndarray, miss: np.ndarray, fppi_points) -> float:
@@ -197,9 +211,12 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
     left, right, top, bottom = 70, 24, 24, 56
     pw, ph = width - left - right, height - top - bottom
 
+    # the curve points by ascending FPPI, ties in curve order
+    curve = np.array(result.curve, dtype=np.float64).reshape(-1, 3)
+    curve = curve[np.argsort(curve[:, 1], kind="stable")]
     x_lo, x_hi = math.log10(FPPI_POINTS[0]), math.log10(FPPI_POINTS[-1])
     y_hi = 0.0  # miss rate 1.0
-    y_lo = _curve_floor(result)
+    y_lo = _curve_floor(curve[:, 2])
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * pw
@@ -233,15 +250,16 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
                  f'transform="rotate(-90 16 {top + ph / 2:.2f})">miss rate</text>')
 
     color = "#d62728"
-    pts = []
-    for _t, fppi, miss in sorted(result.curve, key=lambda c: c[1]):
-        if fppi <= 0.0:
-            continue
-        x = min(max(math.log10(fppi), x_lo), x_hi)
-        y = min(max(math.log10(max(miss, 10.0 ** y_lo)), y_lo), y_hi)
-        pts.append(f"{px(x):.2f},{py(y):.2f}")
-    if pts:
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+    fppi, miss = curve[curve[:, 1] > 0.0, 1:].T
+    if len(fppi):
+        # `math.log10`, because `np.log10` can differ in the last bit
+        x = np.fromiter(map(math.log10, fppi.tolist()), dtype=np.float64, count=len(fppi))
+        y = np.fromiter(map(math.log10, np.maximum(miss, 10.0 ** y_lo).tolist()),
+                        dtype=np.float64, count=len(miss))
+        xs = px(np.minimum(np.maximum(x, x_lo), x_hi)).tolist()
+        ys = py(np.minimum(np.maximum(y, y_lo), y_hi)).tolist()
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+        parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="2"/>')
     ly = top + 18
     # escaped by hand: xml.sax.saxutils pulls in urllib.request at import
@@ -255,9 +273,10 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def _curve_floor(result: EvalResult) -> float:
-    lo = -1.0
-    for _t, _f, miss in result.curve:
-        if miss > 0.0:
-            lo = min(lo, math.floor(math.log10(miss)))
-    return max(lo, -4.0)
+def _curve_floor(miss: np.ndarray) -> float:
+    """The log10 of the plot's lowest miss rate: the decade of the smallest
+    positive miss rate, kept between 1e-4 and 1e-1."""
+    positive = miss[miss > 0.0]
+    if not len(positive):
+        return -1.0
+    return max(min(-1.0, math.floor(math.log10(positive.min()))), -4.0)

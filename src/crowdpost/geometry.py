@@ -1,5 +1,7 @@
-"""Axis-aligned bounding-box arithmetic: areas, overlaps, IoU and IoH.
+"""Axis-aligned bounding-box arithmetic on arrays: areas, overlaps, IoU and IoH.
 
+Boxes are the rows of float64 arrays in corner form (x_min, y_min, x_max,
+y_max); the box record `BBox` lives in `records`, with the other records.
 `pairwise_intersection`, `pairwise_iou` and `pairwise_ioh` compute the
 overlaps of every pair of boxes from two (n, 4) float64 arrays.  Each entry
 is bit-identical, for finite input and up to the sign of zero, to the
@@ -24,74 +26,8 @@ the evaluator, NMS and the post-process's one IoH gate, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-_COORDINATES = ("x_min", "y_min", "x_max", "y_max")
-_isfinite = math.isfinite
-
-
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Rectangle in pixel coordinates, corner form (x_min, y_min, x_max, y_max).
-
-    Zero-area boxes are allowed; negative extents and non-finite coordinates
-    are rejected at construction.  Coordinates are stored as Python floats.
-    """
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
-        if not (type(x1) is float and type(y1) is float
-                and type(x2) is float and type(y2) is float
-                and _isfinite(x1) and _isfinite(y1) and _isfinite(x2) and _isfinite(y2)):
-            # convert and check in field order, so the first bad coordinate is named
-            for name in _COORDINATES:
-                value = float(getattr(self, name))
-                if not _isfinite(value):
-                    raise ValueError(f"non-finite box coordinate {name}={value}")
-                object.__setattr__(self, name, value)
-            x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
-        if x2 < x1 or y2 < y1:
-            raise ValueError(f"box has negative extent: ({x1}, {y1}, {x2}, {y2})")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
-
-    @classmethod
-    def from_center_size(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
-        return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
-
-
-def area(b: BBox) -> float:
-    return b.width * b.height
-
-
-# ---------------------------------------------------------------------------
-# array kernels
-
-def box_array(boxes: Iterable[BBox]) -> np.ndarray:
-    """Stack boxes into an (n, 4) float64 array in corner form."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
 
 
 def areas(boxes: np.ndarray) -> np.ndarray:
@@ -140,6 +76,7 @@ def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     if bodies.shape[-2]:
         degenerate = np.argwhere(head_area <= 0.0)
         if len(degenerate):
+            from .records import BBox  # the message shows the head as a record
             raise ValueError(f"zero-area head box: {BBox(*heads[tuple(degenerate[0])])}")
     return pairwise_intersection(heads, bodies) / head_area[..., :, None]
 

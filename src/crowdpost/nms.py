@@ -6,8 +6,8 @@ pass: the groups are size-sorted into zero-padded stacks
 step then walks each group's boxes in rank order over its overlap rows
 packed into Python ints, one bit per box, so it costs a few integer
 operations per box, not a numpy call.  A zero pad box has IoU 0 with every
-box, so it never suppresses.  `nms` and
-`build_detection_set` are the one-group calls on `Detection` lists.
+box, so it never suppresses.  `records.nms` and
+`records.build_detection_set` are the one-group calls on `Detection` lists.
 
 Each group keeps both its survivors and its floor-filtered input, the
 before/after pair that the recall post-process needs.  Zero-area boxes are
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Detection, DetectionColumns, DetectionSet, id_keys
-from .geometry import areas, box_array, padded_batches, padded_stack, pairwise_iou
+from .data_model import DetectionColumns, id_keys
+from .geometry import areas, padded_batches, padded_stack, pairwise_iou
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class NmsConfig:
             raise ValueError(f"score_floor {self.score_floor} outside [0, 1)")
 
 
-def _suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.ndarray]:
+def suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.ndarray]:
     """(kept, floored): indices into `dets`, group after group.  `floored`
     holds, in input order, the detections that reach the score floor and
     have a box of positive area; `kept` is sorted by descending score with
@@ -81,36 +81,6 @@ def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns
                                                                 DetectionColumns]:
     """Suppress overlapping detections within each group; the caller passes
     groups of one class each.  Returns (kept, floored) in the same groups,
-    as `nms` defines them."""
-    kept, floored = _suppress(dets, cfg)
+    as `suppress` defines them."""
+    kept, floored = suppress(dets, cfg)
     return dets.take(kept), dets.take(floored)
-
-
-def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
-    """Suppress overlapping detections; the caller passes those of one class
-    within one scene.
-
-    Returns (kept, input_after_floor): `input_after_floor` keeps, in input
-    order, the detections that reach the score floor and have a box of
-    positive area; `kept` is sorted by descending score with ties broken by
-    ascending det id; a box is suppressed when its IoU with a higher-ranked
-    kept box exceeds the threshold.
-    """
-    columns = DetectionColumns([""], [0, len(dets)], [d.det_id for d in dets],
-                               box_array(d.box for d in dets),
-                               np.array([d.score for d in dets], dtype=np.float64))
-    kept, floored = _suppress(columns, cfg)
-    return [dets[i] for i in kept.tolist()], [dets[i] for i in floored.tolist()]
-
-
-def build_detection_set(scene_id: str, heads_pre: list[Detection],
-                        bodies_pre: list[Detection], cfg: NmsConfig) -> DetectionSet:
-    """NMS both classes of one scene into the post-process input triple.
-
-    Heads keep only their survivors; bodies keep both the floor-filtered
-    pre-NMS list (recall candidates) and the survivors.
-    """
-    heads_kept, _ = nms(heads_pre, cfg)
-    bodies_kept, bodies_floor = nms(bodies_pre, cfg)
-    return DetectionSet(scene_id=scene_id, heads_post_nms=heads_kept,
-                        bodies_pre_nms=bodies_floor, bodies_post_nms=bodies_kept)

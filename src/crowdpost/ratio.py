@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_model import SceneColumns
 from .fileio import atomic_write_text
-from .geometry import BBox
+from .records import BBox
 
 logger = logging.getLogger(__name__)
 

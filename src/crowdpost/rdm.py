@@ -12,17 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .data_model import Detection, DetectionColumns, DetectionSet, SceneColumns
+from .data_model import DetectionColumns
 from .fileio import atomic_write_text, read_json
-from .geometry import box_array, greedy_match, pairwise_ioh, pairwise_iou
 
 FEATURE_DIM = 10
 
-# IoU at which a detection counts as localizing a ground-truth person
+# IoU at which a detection counts as localizing a ground-truth person, when
+# `records.build_training_pairs` labels the training pairs
 ASSIGN_IOU = 0.5
 
 # logits are clamped before the logistic so scores stay strictly inside (0, 1)
@@ -237,56 +236,6 @@ class TrainConfig:
     @property
     def positives_per_batch(self) -> int:
         return round(self.batch_size * POSITIVE_SHARE)
-
-
-# ---------------------------------------------------------------------------
-# training data
-
-def _assign_to_persons(dets: Sequence[Detection], boxes: np.ndarray) -> np.ndarray:
-    """Greedy score-descending assignment of detections to ground truth.
-
-    Each detection takes the unmatched person of maximal IoU when that IoU
-    reaches ASSIGN_IOU; each person is used at most once.  Returns each
-    detection's row of `boxes`, -1 for none.
-    """
-    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].det_id))
-    ious = pairwise_iou(box_array(dets[i].box for i in ranked), boxes)
-    rows = np.full(len(dets), -1)
-    rows[ranked] = greedy_match(ious, ASSIGN_IOU)
-    return rows
-
-
-def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet],
-                         ioh_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate head x body pairs above the IoH gate and label them.
-
-    Heads come from the post-NMS set, bodies from the pre-NMS set so that
-    pairs with suppressed bodies are represented.  A pair is positive exactly
-    when both detections are assigned to the same ground-truth person.
-
-    Returns (features, labels) as (n, 10) and (n,) float arrays.
-    """
-    row_of = {scene_id: k for k, scene_id in enumerate(scenes.scene_ids)}
-    offsets = scenes.person_offsets
-    feats, labels = [], []
-    for ds in detection_sets:
-        if ds.scene_id not in row_of:
-            raise ValueError(f"no ground-truth scene for {ds.scene_id!r}")
-        k = row_of[ds.scene_id]
-        persons = slice(offsets[k], offsets[k + 1])
-        heads, bodies = ds.heads_post_nms, ds.bodies_pre_nms
-        head_person = _assign_to_persons(heads, scenes.heads[persons])
-        body_person = _assign_to_persons(bodies, scenes.bodies[persons])
-        head_boxes, body_boxes = box_array(h.box for h in heads), box_array(b.box for b in bodies)
-        head_idx, body_idx = np.nonzero(pairwise_ioh(head_boxes, body_boxes) > ioh_threshold)
-        feats.append(pair_features(
-            head_boxes[head_idx], np.array([h.score for h in heads])[head_idx],
-            body_boxes[body_idx], np.array([b.score for b in bodies])[body_idx]))
-        person = head_person[head_idx]
-        labels.append(((person >= 0) & (person == body_person[body_idx])).astype(np.float64))
-    if not feats:
-        return np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    return np.concatenate(feats), np.concatenate(labels)
 
 
 # ---------------------------------------------------------------------------

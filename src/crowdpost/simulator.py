@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Detection, PersonInstance, Scene
-from .geometry import BBox, area, box_array, pairwise_intersection
+from .geometry import pairwise_intersection
 from .ratio import HeadBodyRatio, apply_ratio
+from .records import BBox, Detection, PersonInstance, Scene, area, box_array
 
 _MIN_HEIGHT = 12.0
 # body occupies at most this fraction of the image height

@@ -16,10 +16,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from crowdpost.data_model import (Detection, DetectionColumns, GroupColumns, PersonInstance,
-                                  Scene, SceneColumns, write_detection_groups)
-from crowdpost.geometry import BBox, box_array
+from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
+                                  write_detection_groups)
 from crowdpost.pipeline import postprocess, scene_scorers
+from crowdpost.records import (BBox, Detection, PersonInstance, Scene, box_array,
+                               groups_as_columns)
 
 
 def det(det_id, box, score):
@@ -103,7 +104,7 @@ def group_columns(groups) -> GroupColumns:
 def write_groups(groups, path) -> None:
     """Write a detection file of these `DetectionGroup` records, as
     `simulate` writes its records."""
-    write_detection_groups(GroupColumns.from_groups(groups), path)
+    write_detection_groups(groups_as_columns(groups), path)
 
 
 def group_det_ids(groups: GroupColumns) -> list[tuple]:

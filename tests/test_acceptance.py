@@ -17,11 +17,12 @@ import pytest
 
 from crowdpost.data_model import BODY, HEAD
 from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2
-from crowdpost.geometry import BBox, box_array, pairwise_ioh, pairwise_iou
-from crowdpost.nms import NmsConfig, build_detection_set, nms
+from crowdpost.geometry import pairwise_ioh, pairwise_iou
+from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio, apply_ratio, estimate_ratio
-from crowdpost.rdm import TrainConfig, _loss_and_gradients, build_training_pairs, train
+from crowdpost.rdm import TrainConfig, _loss_and_gradients, train
+from crowdpost.records import BBox, box_array, build_detection_set, build_training_pairs, nms
 from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scenes,
                                  simulate_detections)
 

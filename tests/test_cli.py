@@ -157,11 +157,58 @@ def test_command_imports_only_its_modules(chain, tmp_path, command, modules):
         [sys.executable, "-c",
          "import sys; from crowdpost.cli import main; code = main(sys.argv[1:]); "
          "print(' '.join(sorted(m for m in sys.modules if m.startswith('crowdpost.')))); "
+         "print('numpy.ma' in sys.modules); "
          "sys.exit(code)", *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # the last line; `report` prints its table before it
-    assert proc.stdout.splitlines()[-1].split() == sorted(f"crowdpost.{m}" for m in [
+    # the last two lines; `report` prints its table before them.  No list
+    # holds `records`, which only a line the readers' fast path turns away
+    # loads, and `numpy.ma`, which `np.unique` would load, stays out
+    *_, loaded, masked = proc.stdout.splitlines()
+    assert loaded.split() == sorted(f"crowdpost.{m}" for m in [
         "cli", "data_model", "fileio", "geometry", *modules])
+    assert masked == "False"
+
+
+def _fresh_eval(results, scenes, prefix):
+    """`eval` of the body class in a new process, where no module is loaded yet."""
+    return subprocess.run(
+        [sys.executable, "-m", "crowdpost.cli", "eval", "--results", str(results),
+         "--scenes", str(scenes), "--class", BODY, "--out-prefix", str(prefix),
+         "--name", "rdm"], capture_output=True, text=True)
+
+
+def test_fresh_eval_reads_an_integer_coordinate_as_its_float(chain, tmp_path):
+    # the fast path turns the integer away, and the per-field parser, whose
+    # module the reader imports only then, converts it
+    lines = (chain / "scenes.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    body = first["persons"][0]["body"]
+    for name, x_min in (("floats", float(int(body[0]))), ("integer", int(body[0]))):
+        body[0] = x_min
+        (tmp_path / f"{name}.jsonl").write_text(
+            "\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        proc = _fresh_eval(chain / "out" / "rdm.jsonl", tmp_path / f"{name}.jsonl",
+                           tmp_path / name)
+        assert proc.returncode == 0, proc.stderr
+    assert '"body": [%d, ' % int(body[0]) in (tmp_path / "integer.jsonl").read_text()
+    for suffix in (".eval.json", ".curve.csv", ".svg"):
+        assert filecmp.cmp(tmp_path / f"floats{suffix}", tmp_path / f"integer{suffix}",
+                           shallow=False), suffix
+
+
+def test_fresh_eval_names_a_bad_detection_field(chain, tmp_path):
+    lines = (chain / "out" / "rdm.jsonl").read_text(encoding="utf-8").splitlines()
+    k = next(k for k, line in enumerate(lines) if json.loads(line)["dets"])
+    obj = json.loads(lines[k])
+    obj["dets"][0]["score"] = "high"
+    lines[k] = json.dumps(obj)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _fresh_eval(bad, chain / "scenes.jsonl", tmp_path / "e")
+    assert proc.returncode == 1
+    assert proc.stderr == (f"crowdpost eval: error: bad.jsonl:{k + 1}: dets[0].score: "
+                           "expected a number, got 'high'\n")
+    assert not list(tmp_path.glob("e.*"))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +513,7 @@ def test_audit_is_laid_out_as_json_dumps(chain):
 def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, monkeypatch):
     # estimate-ratio, train-rdm and eval take the scene file's arrays as the
     # reader returns them; none of them builds a Scene or PersonInstance
-    from crowdpost.data_model import PersonInstance, Scene
+    from crowdpost.records import PersonInstance, Scene
 
     def refuse(record):
         raise ValueError(f"{type(record).__name__} record built")
@@ -834,8 +881,8 @@ def test_simulate_rejects_non_finite_ratio(capsys, tmp_path, ratio):
 
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
     from crowdpost import cli
-    from crowdpost.nms import NmsConfig, build_detection_set
-    from crowdpost.rdm import build_training_pairs
+    from crowdpost.nms import NmsConfig
+    from crowdpost.records import build_detection_set, build_training_pairs, detection_lists
 
     seen = []
     real_train = cli.train
@@ -853,7 +900,7 @@ def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
     groups = read_detection_groups(chain / "dets.jsonl")
     heads, bodies = cli._pre_nms_columns(groups)
     sets = [build_detection_set(sid, h, b, NmsConfig()) for sid, h, b in
-            zip(heads.scene_ids, heads.detection_lists(), bodies.detection_lists())]
+            zip(heads.scene_ids, detection_lists(heads), detection_lists(bodies))]
     features, labels = build_training_pairs(scenes, sets, 0.3)
     (got_features, got_labels), = seen
     assert np.array_equal(got_features, features)

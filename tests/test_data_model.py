@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from crowdpost.data_model import (
-    BODY, HEAD, POST_NMS, PRE_NMS, Detection, DetectionGroup, DetectionSet,
-    FormatError, PersonInstance, Scene, read_detection_groups, read_scenes, write_scenes)
-from crowdpost.geometry import BBox
+    BODY, HEAD, POST_NMS, PRE_NMS, FormatError, read_detection_groups, read_scenes)
+from crowdpost.records import (BBox, Detection, DetectionGroup, DetectionSet, PersonInstance,
+                               Scene, detection_lists, write_scenes)
 
 from helpers import (det, fields, group_columns, one_scene, person, scene, scene_columns,
                      split_columns, write_groups)
@@ -209,7 +209,7 @@ def _detection_set(path, scene_id="s0"):
     columns = read_detection_groups(path)
     d = columns.detections
     groups = {(c, stage): tuple(dets) for sid, c, stage, dets in
-              zip(d.scene_ids, columns.class_names, columns.stages, d.detection_lists())
+              zip(d.scene_ids, columns.class_names, columns.stages, detection_lists(d))
               if sid == scene_id}
     return DetectionSet(scene_id, groups[(HEAD, POST_NMS)], groups[(BODY, PRE_NMS)],
                         groups[(BODY, POST_NMS)])
@@ -459,8 +459,8 @@ def test_integer_valued_numbers_read_as_floats(tmp_path):
          person(2, (2.0, 0.5, 8.0, 6.0), (0.0, 0.0, 10.0, 40.0), occ=0.0)],
         width=100.0, height=100.0)]))
     assert all(type(v) is float
-               for dets in read_detection_groups(tmp_path / "dets.jsonl").detections
-               .detection_lists() for d in dets for v in (*d.box.as_list(), d.score))
+               for dets in detection_lists(read_detection_groups(tmp_path / "dets.jsonl")
+                                           .detections) for d in dets for v in (*d.box.as_list(), d.score))
 
 
 _LONG = 40

@@ -436,3 +436,40 @@ def test_write_curve_svg_deterministic(tmp_path):
     write_curve_svg("m", result, a)
     write_curve_svg("m", result, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _polyline_reference(curve) -> str:
+    """The plotted points, one Python float at a time: each point's log10 is
+    clamped to the plot, the miss rate first raised to the plot's floor, the
+    decade of the smallest positive miss rate within 1e-4..1e-1."""
+    x_lo, x_hi = math.log10(FPPI_POINTS[0]), math.log10(FPPI_POINTS[-1])
+    y_lo = -1.0
+    for _t, _f, miss in curve:
+        if miss > 0.0:
+            y_lo = min(y_lo, math.floor(math.log10(miss)))
+    y_lo = max(y_lo, -4.0)
+    points = []
+    for _t, fppi, miss in sorted(curve, key=lambda c: c[1]):
+        if fppi > 0.0:
+            x = min(max(math.log10(fppi), x_lo), x_hi)
+            y = min(max(math.log10(max(miss, 10.0 ** y_lo)), y_lo), 0.0)
+            # the plot area spans 546 x 400 pixels from (70, 24)
+            points.append(f"{70 + (x - x_lo) / (x_hi - x_lo) * 546:.2f},"
+                          f"{24 + (0.0 - y) / (0.0 - y_lo) * 400:.2f}")
+    return " ".join(points)
+
+
+@pytest.mark.parametrize("floor", [1e-2, 1e-6])
+def test_svg_points_equal_the_per_point_reference(tmp_path, floor):
+    # FPPI of 0 (not drawn), below and above the plotted range, ties in FPPI
+    # kept in curve order, and miss rates of 0 and below the plot's floor
+    rng = np.random.default_rng(3)
+    fppi = np.concatenate([[0.0, 0.0, 1e-4, 5.0, 0.5, 0.5],
+                           10.0 ** rng.uniform(-3.0, 1.0, 300)])
+    miss = np.concatenate([[0.5, 0.0, 0.9, floor, 0.0, 0.3],
+                           rng.choice([0.0, floor, 1.0], 300) * rng.uniform(0.5, 1.0, 300)])
+    curve = tuple(zip(np.linspace(1.0, 0.0, len(fppi)).tolist(), fppi.tolist(), miss.tolist()))
+    path = tmp_path / "plot.svg"
+    write_curve_svg("m", EvalResult(mr2=0.3, curve=curve, num_gt=5, num_images=2), path)
+    polyline, = [el for el in ET.parse(path).getroot().iter() if el.tag.endswith("polyline")]
+    assert polyline.get("points") == _polyline_reference(curve)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import (BBox, area, box_array, greedy_match, pairwise_intersection,
-                                pairwise_ioh, pairwise_iou)
+from crowdpost.geometry import greedy_match, pairwise_intersection, pairwise_ioh, pairwise_iou
+from crowdpost.records import BBox, area, box_array
 
 from oracles import intersection_area, ioh, iou, raster_iou, raster_ioh
 

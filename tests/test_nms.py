@@ -3,7 +3,8 @@ import pytest
 
 from crowdpost import geometry
 from crowdpost.data_model import BODY, HEAD
-from crowdpost.nms import NmsConfig, build_detection_set, nms, nms_groups
+from crowdpost.nms import NmsConfig, nms_groups
+from crowdpost.records import build_detection_set, nms
 
 from helpers import det, fields, split_columns
 from oracles import nms_reference

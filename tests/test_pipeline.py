@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import BBox, box_array, pairwise_ioh
+from crowdpost.geometry import pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_scorers
+from crowdpost.records import BBox, box_array
 
 from helpers import det, one_scene, postprocess_scene, split_columns
 from oracles import ioh, postprocess_reference

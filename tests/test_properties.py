@@ -1,22 +1,25 @@
 """Property tests for the JSON-lines files: round trips, and the rule that a
 malformed line is a FormatError naming it, which the CLI reports as exit 1,
-one stderr line and no output files."""
+one stderr line and no output files.  Also the evaluator's distinct score
+thresholds against `np.unique`."""
 
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from crowdpost.cli import main  # noqa: E402
 from crowdpost.data_model import (  # noqa: E402
-    CLASSES, STAGES, Detection, DetectionGroup, FormatError, PersonInstance, Scene,
-    read_detection_groups, read_scenes, write_scenes)
-from crowdpost.geometry import BBox  # noqa: E402
+    CLASSES, STAGES, FormatError, read_detection_groups, read_scenes)
+from crowdpost.evaluator import _thresholds  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
+from crowdpost.records import (  # noqa: E402
+    BBox, Detection, DetectionGroup, PersonInstance, Scene, write_scenes)
 from helpers import fields, group_columns, scene_columns, write_groups  # noqa: E402
 
 # bounded and derandomized: tier-1 runs the same examples every time
@@ -98,6 +101,31 @@ def test_scene_file_round_trip(records):
 def test_detection_file_round_trip(records):
     assert (_round_trip(records, write_groups, read_detection_groups)
             == fields(group_columns(records)))
+
+
+def _unique_thresholds(scores: np.ndarray) -> np.ndarray:
+    """`np.unique(scores)[::-1]`, then the rule that a zero takes the sign of
+    the first zero in input order."""
+    thresholds = np.unique(scores)[::-1]
+    if len(thresholds) and thresholds[-1] == 0.0:
+        thresholds[-1] = scores[np.flatnonzero(scores == 0.0)[0]]
+    return thresholds
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), _unit), max_size=40))
+@example([0.5, 0.25, 0.5, 0.25, 1.0])  # ties
+@example([0.5, -0.0, 0.0])             # -0.0 next to 0.0
+@example([0.0, 0.25, -0.0])
+@example([0.75])                       # a single score
+@example([0.3] * 6)                    # all equal
+@example([0.0] * 3)
+@example([])
+def test_thresholds_equal_unique(scores):
+    scores = np.array(scores, dtype=np.float64)
+    got = _thresholds(scores)
+    # equal bits, so equal signs of zero too
+    assert got.dtype == np.float64 and got.tobytes() == _unique_thresholds(scores).tobytes()
 
 
 # ids that need escaping, and coordinates, scores and occlusions that may be -0.0

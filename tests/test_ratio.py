@@ -4,9 +4,9 @@ import logging
 import numpy as np
 import pytest
 
-from crowdpost.geometry import BBox
 from crowdpost.ratio import (HeadBodyRatio, apply_ratio, estimate_ratio, save_ratio,
                              scene_pairs)
+from crowdpost.records import BBox
 
 from helpers import box_pairs, person, scene, scene_columns
 

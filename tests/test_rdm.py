@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from crowdpost.data_model import DetectionSet
-from crowdpost.geometry import BBox
 from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_DIM,
-                           RelationModel, TrainConfig, bce_loss, build_training_pairs,
-                           load_model, pair_features, save_model, train, write_loss_csv,
-                           _loss_and_gradients, _sample_batch)
+                           RelationModel, TrainConfig, bce_loss, load_model, pair_features,
+                           save_model, train, write_loss_csv, _loss_and_gradients,
+                           _sample_batch)
+from crowdpost.records import BBox, DetectionSet, build_training_pairs
 
 from helpers import det, one_scene, person, scene, scene_columns
 from oracles import extract_features

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from crowdpost.data_model import PersonInstance, Scene
-from crowdpost.geometry import BBox, area
-from crowdpost.nms import NmsConfig, nms
+from crowdpost.nms import NmsConfig
+from crowdpost.records import BBox, PersonInstance, Scene, area, nms
 from crowdpost.simulator import (NoiseConfig, SimConfig, _overlap_partners, generate_scene,
                                  generate_scenes, simulate_detections,
                                  simulate_detector)
