@@ -13,12 +13,18 @@ class are those of the group, set or list that holds it:
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
 
 The readers return a file as columns (`SceneColumns`, `GroupColumns`): flat
-lists and arrays, not records, and `write_detection_groups` writes a
-`GroupColumns`.  The records (`BBox`, `Scene`, `Detection`, ...), which
-the simulator makes and `train-rdm`'s per-scene NMS works on, live in
-`records` with their per-field parsers.  A reader loads that module only
-for a line its fast path turns away, so reading a file the writers wrote
-builds no record and compiles no record class.
+lists and arrays, not records; `write_detection_groups` writes a
+`GroupColumns`.  A reader takes a file in batches of whole lines, about 64
+KiB each: it decodes and scans each line with the C scanner behind
+`json.loads`, takes each field of the batch's lines with a few C-level
+calls and makes the batch's numbers float64 arrays before it reads the next.
+This pass raises nothing.  At any doubt (a line that is not one JSON object
+alone, a field missing or not of the type the writers write, a repeated key
+or id, a value out of range) the reader reads the whole file again through
+the per-field parser of `records`, which raises the first fault in file
+order or, for a valid file such as one with integer coordinates, gives the
+same columns.  Only that path loads `records`, the module of the records
+(`BBox`, `Scene`, `Detection`, ...).
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import itemgetter
+from operator import add, eq, itemgetter
 
 import numpy as np
 
@@ -77,13 +83,6 @@ def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
             & (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1]))
 
 
-def _owners(offsets: list[int], bad: np.ndarray) -> list[int]:
-    """The rows, bounded by `offsets`, that hold an entry flagged in `bad`."""
-    if not bad.any():
-        return []
-    return np.unique(np.searchsorted(offsets, np.flatnonzero(bad), side="right") - 1).tolist()
-
-
 def id_keys(ids: list[int]) -> np.ndarray:
     """int64 keys that sort like `ids`, also for ids beyond int64."""
     try:
@@ -119,18 +118,6 @@ class SceneColumns:
         self.scene_ids, self.widths, self.heights = scene_ids, widths, heights
         self.person_offsets, self.person_ids = person_offsets, person_ids
         self.heads, self.bodies, self.ignore, self.occlusion = heads, bodies, ignore, occlusion
-
-    def _faulty(self) -> list[int]:
-        """The scenes holding a person that `PersonInstance` or `Scene` rejects."""
-        heads, bodies, occ = self.heads, self.bodies, self.occlusion
-        counts = np.diff(self.person_offsets)
-        ok = (_valid_boxes(heads) & _valid_boxes(bodies) & (occ >= 0.0) & (occ <= 1.0)
-              & (heads[:, :2] >= bodies[:, :2]).all(axis=1)
-              & (heads[:, 2:] <= bodies[:, 2:]).all(axis=1)
-              & (bodies[:, :2] >= 0.0).all(axis=1)
-              & (bodies[:, 2] <= np.repeat(self.widths, counts))
-              & (bodies[:, 3] <= np.repeat(self.heights, counts)))
-        return _owners(self.person_offsets, ~ok)
 
 
 class DetectionColumns:
@@ -184,12 +171,6 @@ class DetectionColumns:
         for scene_id, a, b in zip(self.scene_ids, offsets, offsets[1:]):
             yield DetectionColumns([scene_id], [0, b - a], ids[a:b], boxes[a:b], scores[a:b])
 
-    def _faulty(self) -> list[int]:
-        """The groups holding a detection that `BBox` or `Detection` rejects."""
-        scores = self.scores
-        return _owners(self.det_offsets,
-                       ~(_valid_boxes(self.boxes) & (scores >= 0.0) & (scores <= 1.0)))
-
 
 class GroupColumns:
     """Detection groups as columns: `detections` holds every group's scene and
@@ -230,13 +211,35 @@ def group_columns(rows: list[tuple]) -> GroupColumns:
 # ---------------------------------------------------------------------------
 # reading
 
-# the C scanner behind `json.loads`, called without its wrapper; a line it
-# does not take whole goes to `json.loads`, which raises the error
+_BATCH_BYTES = 1 << 16
+
+# the C scanner behind `json.loads`, called without its wrapper
 _scan_once = json.JSONDecoder().scan_once
-_JSON_SPACE = " \t\n\r"
+_INT, _FLOAT, _BOOL, _STR, _LIST, _DICT, _FOUR = {int}, {float}, {bool}, {str}, {list}, {dict}, {4}
 
 
-def _iter_jsonl(path):
+def _repeated_key(line: str, obj: dict) -> str | None:
+    """The fault of a line whose object repeats a key at any depth, which the
+    decoder resolves silently, last value winning; None if it repeats none.
+    Every key takes a colon, so only a line with more colons than the keys of
+    its object and of the objects its lists hold is decoded again for it."""
+    keys = len(obj)
+    for value in obj.values():
+        if type(value) is list and set(map(type, value)) <= _DICT:
+            keys += sum(map(len, value))
+    if line.count(":") != keys:
+        try:
+            json.loads(line, object_pairs_hook=unique_keys)
+        except RepeatedKey as exc:
+            return str(exc)
+    return None
+
+
+def _parsed_rows(path, parse, key, duplicate) -> list[tuple]:
+    """The exact path: one row per line, made by `parse`, the per-field
+    parser, which raises the first fault in file order; a second row of the
+    same `key` is one too."""
+    rows, seen = [], set()
     # read as bytes and decoded per line, so a byte that is not UTF-8 names its line
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -248,175 +251,169 @@ def _iter_jsonl(path):
             if line.isspace():
                 continue
             try:
-                obj, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = 0
-            if not end or line[end:].strip(_JSON_SPACE):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON ({exc.msg})", path, line_no) from exc
-                except (RecursionError, ValueError) as exc:
-                    # nesting deeper than the decoder's recursion limit, or an
-                    # integer literal longer than int() accepts
-                    raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON ({exc.msg})", path, line_no) from exc
+            except (RecursionError, ValueError) as exc:
+                # nesting deeper than the decoder's recursion limit, or an
+                # integer literal longer than int() accepts
+                raise FormatError(f"invalid JSON ({exc})", path, line_no) from exc
             if not isinstance(obj, dict):
                 raise FormatError("line is not a JSON object", path, line_no)
-            # every key takes a colon, so a line with more colons than the keys
-            # of its object and of the objects its lists hold may repeat a key,
-            # which the decoder resolves silently, last value winning: such a
-            # line is decoded again, checking the keys of each of its objects
-            keys = len(obj)
-            for value in obj.values():
-                if type(value) is list and set(map(type, value)) <= _DICT:
-                    keys += sum(map(len, value))
-            if line.count(":") != keys:
-                try:
-                    json.loads(line, object_pairs_hook=unique_keys)
-                except RepeatedKey as exc:
-                    raise FormatError(str(exc), path, line_no) from None
-            yield line_no, obj
-
-
-def _raise_first_fault(path, parse, flagged: list[int], error: FormatError | None) -> None:
-    """Raise the fault of the first of the `flagged` lines, as `parse`, the
-    per-field parser, words it, when that line comes no later than the line
-    of `error`, the fault the reading pass stopped at; else raise `error`."""
-    if error is not None:
-        flagged = [n for n in flagged if n <= error.line]
-    if flagged:
-        wanted = set(flagged)
-        for line_no, obj in _iter_jsonl(path):
-            if line_no in wanted:
-                parse(obj, path, line_no)
-                if line_no == flagged[-1]:
-                    break
-    if error is not None:
-        raise error
-
-
-def _read_rows(path, fast_row, parse, key, duplicate):
-    """One row per line: `fast_row(obj)`, or the row that `parse`, the
-    per-field parser, makes of a line `fast_row` turns away.  Returns the
-    rows, their line numbers, and the `FormatError` the pass stopped at, if
-    any; a second row of the same `key` is one."""
-    rows, lines, seen, error = [], [], set(), None
-    try:
-        for line_no, obj in _iter_jsonl(path):
-            row = fast_row(obj) or parse(obj, path, line_no)
-            rows.append(row)
-            lines.append(line_no)
+            repeated = _repeated_key(line, obj)
+            if repeated:
+                raise FormatError(repeated, path, line_no)
+            row = parse(obj, path, line_no)
             if key(row) in seen:
                 raise FormatError(duplicate(key(row)), path, line_no)
             seen.add(key(row))
-    except FormatError as exc:
-        error = exc
-    return rows, lines, error
+            rows.append(row)
+    return rows
 
 
-# The readers take a line's values with C-level calls when every field has
-# its JSON type, leaving the range checks to one array pass over the file.
-# Any other line goes through the per-field parser of `records`, which
-# converts an integer or raises the error that names the field.  A range
-# fault that the array pass finds is raised by the same parser, for the
-# first such line, unless the reading pass stopped at an earlier line.
-# `records` is imported on the first such line only.
+def _entries(raw: list[bytes], fmt: str, fields: tuple[str, ...]):
+    """Of a batch of lines, each a `fmt` object up to its "\n": a list per
+    field of `fields` but the last, which holds objects (persons,
+    detections); the number of those in each line; the objects, flat; and
+    their ids.  None for any other batch, a first field not a string, an id
+    not an integer or repeated in its line, or a repeated key."""
+    lines = list(map(bytes.decode, raw))
+    scanned = list(map(_scan_once, lines, repeat(0)))
+    # the StopIteration of a line the scanner cannot start ends the map early
+    if len(scanned) != len(lines):
+        return None
+    objs, ends = zip(*scanned)
+    if (tuple(map(add, ends, map(str.endswith, lines, repeat("\n")))) != tuple(map(len, lines))
+            or not set(map(dict.get, objs, repeat("format"), repeat(fmt))) <= {fmt}):
+        return None
+    *columns, runs = map(list, zip(*map(itemgetter(*fields), objs)))
+    entries = list(chain.from_iterable(runs))
+    ids = list(map(itemgetter("id"), entries))
+    counts = list(map(len, runs))
+    if (not (set(map(type, columns[0])) <= _STR and set(map(type, runs)) <= _LIST
+             and set(map(type, ids)) <= _INT)
+            or list(map(len, map(set, map(map, repeat(itemgetter("id")), runs)))) != counts):
+        return None
+    # as in `_repeated_key`, a batch with no more colons than keys repeats none
+    if (sum(map(bytes.count, raw, repeat(b":"))) != sum(map(len, objs)) + sum(map(len, entries))
+            and any(map(_repeated_key, lines, objs))):
+        return None
+    return columns, counts, entries, ids
 
-def _parsed_scene_row(obj, path, line_no) -> tuple:
-    from .records import parsed_scene_row
-    return parsed_scene_row(obj, path, line_no)
 
-
-def _parsed_group_row(obj, path, line_no) -> tuple:
-    from .records import parsed_group_row
-    return parsed_group_row(obj, path, line_no)
-
-
-_GET_ID, _GET_HEAD, _GET_BODY = itemgetter("id"), itemgetter("head"), itemgetter("body")
-_GET_BOX, _GET_SCORE = itemgetter("box"), itemgetter("score")
-_INT, _FLOAT, _BOOL, _LIST, _DICT, _FOUR = {int}, {float}, {bool}, {list}, {dict}, {4}
-
-
-def _flat_boxes(boxes) -> list | None:
-    """The corners of a list of boxes, flat, if each is a list of four floats."""
+def _boxes(boxes) -> np.ndarray | None:
+    """(n, 4) float64 corners of boxes that are each a list of four floats."""
+    boxes = list(boxes)
     if set(map(type, boxes)) <= _LIST and set(map(len, boxes)) <= _FOUR:
         coords = list(chain.from_iterable(boxes))
         if set(map(type, coords)) <= _FLOAT:
-            return coords
+            return np.fromiter(coords, np.float64, len(coords)).reshape(-1, 4)
     return None
+
+
+def _distinct(keys) -> bool:
+    # sorted, not a set: a list of a file's keys takes 8 bytes a key
+    keys = sorted(keys)
+    return not any(map(eq, keys, islice(keys, 1, None)))
+
+
+def _joined(path, batch_columns) -> list | None:
+    """The columns `batch_columns(lines)` gives for each batch of a file,
+    joined batch by batch: a list is extended, and an array's bytes go to a
+    buffer the joined array views, so that neither a batch nor a second copy
+    of the arrays is held.  None if it turns a batch away or none comes."""
+    joined = part = None
+    with open(path, "rb") as fh:
+        while raw := fh.readlines(_BATCH_BYTES):
+            try:
+                part = batch_columns(raw)
+            # not UTF-8 or not JSON; a field missing, or of another type
+            except (ValueError, RecursionError, KeyError, TypeError):
+                return None
+            if part is None:
+                return None
+            joined = joined or [[] if type(p) is list else bytearray() for p in part]
+            for whole, p in zip(joined, part):
+                whole += p if type(p) is list else p.data
+    return joined and [whole if type(p) is list
+                       else np.frombuffer(whole, p.dtype).reshape(-1, *p.shape[1:])
+                       for whole, p in zip(joined, part)]
 
 
 # ---------------------------------------------------------------------------
 # scene files
 
-def _scene_row(obj) -> tuple | None:
-    """The row of a scene line whose fields all have their JSON type, whose
-    size is positive and finite and whose person ids are unique; None for
-    any other line."""
-    try:
-        if obj.get("format", SCENE_FORMAT) != SCENE_FORMAT:
-            return None
-        scene_id, width, height = obj["scene_id"], obj["width"], obj["height"]
-        persons = obj["persons"]
-        if not (type(scene_id) is str and type(width) is float and type(height) is float
-                and 0.0 < width < math.inf and 0.0 < height < math.inf
-                and type(persons) is list):
-            return None
-        ids = list(map(_GET_ID, persons))
-        heads = _flat_boxes(list(map(_GET_HEAD, persons)))
-        bodies = _flat_boxes(list(map(_GET_BODY, persons)))
-        ignore = list(map(dict.get, persons, repeat("ignore"), repeat(False)))
-        occlusion = list(map(dict.get, persons, repeat("occ"), repeat(0.0)))
-        if (heads is None or bodies is None or not set(map(type, ids)) <= _INT
-                or not set(map(type, ignore)) <= _BOOL
-                or not set(map(type, occlusion)) <= _FLOAT or len(set(ids)) != len(ids)):
-            return None
-    except (KeyError, TypeError):
+def _scene_batch(raw: list[bytes]) -> list | None:
+    """The columns of a batch of scene lines as the writers write them, with
+    each scene's person count in place of the offsets; None for others."""
+    batch = _entries(raw, SCENE_FORMAT, ("scene_id", "width", "height", "persons"))
+    if batch is None:
         return None
-    return scene_id, width, height, ids, heads, bodies, ignore, occlusion
+    (scene_ids, widths, heights), counts, persons, ids = batch
+    heads, bodies = (_boxes(map(itemgetter(key), persons)) for key in ("head", "body"))
+    ignore = list(map(dict.get, persons, repeat("ignore"), repeat(False)))
+    occ = list(map(dict.get, persons, repeat("occ"), repeat(0.0)))
+    if (heads is None or bodies is None or not set(map(type, widths + heights + occ)) <= _FLOAT
+            or not set(map(type, ignore)) <= _BOOL):
+        return None
+    occ, sizes = np.fromiter(occ, np.float64, len(occ)), np.array([widths, heights])
+    # does `Scene` or `PersonInstance` reject a scene's size or a person?
+    if not (((sizes > 0.0) & (sizes < math.inf)).all()
+            and (_valid_boxes(heads) & _valid_boxes(bodies) & (occ >= 0.0) & (occ <= 1.0)
+                 & (heads[:, :2] >= bodies[:, :2]).all(axis=1)
+                 & (heads[:, 2:] <= bodies[:, 2:]).all(axis=1)
+                 & (bodies[:, :2] >= 0.0).all(axis=1)
+                 & (bodies[:, 2:] <= np.repeat(sizes.T, counts, axis=0)).all(axis=1)).all()):
+        return None
+    return [scene_ids, widths, heights, counts, ids, heads, bodies,
+            np.array(ignore, dtype=bool), occ]
 
 
 def read_scenes(path) -> SceneColumns:
     """The scenes of a file, as columns."""
-    rows, lines, error = _read_rows(path, _scene_row, _parsed_scene_row, itemgetter(0),
-                                    "duplicate scene_id {!r}".format)
-    scenes = _scene_columns(rows)
-    _raise_first_fault(path, _parsed_scene_row, [lines[k] for k in scenes._faulty()], error)
-    return scenes
+    joined = _joined(path, _scene_batch)
+    if not joined or not _distinct(joined[0]):
+        from .records import parsed_scene_row
+        return _scene_columns(_parsed_rows(path, parsed_scene_row, itemgetter(0),
+                                           "duplicate scene_id {!r}".format))
+    scene_ids, widths, heights, counts, *persons = joined
+    return SceneColumns(scene_ids, widths, heights, list(accumulate(counts, initial=0)), *persons)
 
 
 # ---------------------------------------------------------------------------
 # detection files
 
-def _group_row(obj) -> tuple | None:
-    """The row of a detection line whose fields all have their JSON type and
-    whose det ids are unique; None for any other line."""
-    try:
-        if obj.get("format", DETECTION_FORMAT) != DETECTION_FORMAT:
-            return None
-        scene_id, class_name, stage, dets = obj["scene_id"], obj["class"], obj["stage"], obj["dets"]
-        if not (type(scene_id) is str and class_name in CLASSES and stage in STAGES
-                and type(dets) is list):
-            return None
-        ids = list(map(_GET_ID, dets))
-        boxes = _flat_boxes(list(map(_GET_BOX, dets)))
-        scores = list(map(_GET_SCORE, dets))
-        if (boxes is None or not set(map(type, ids)) <= _INT
-                or not set(map(type, scores)) <= _FLOAT or len(set(ids)) != len(ids)):
-            return None
-    except (KeyError, TypeError):
+def _group_batch(raw: list[bytes]) -> list | None:
+    """The columns of a batch of detection lines as the writers write them,
+    flat (scene ids, class names, stages, each group's detection count in
+    place of the offsets, then the detections' fields); None for others."""
+    batch = _entries(raw, DETECTION_FORMAT, ("scene_id", "class", "stage", "dets"))
+    if batch is None:
         return None
-    return scene_id, class_name, stage, ids, boxes, scores
+    (scene_ids, class_names, stages), counts, dets, ids = batch
+    boxes, scores = _boxes(map(itemgetter("box"), dets)), list(map(itemgetter("score"), dets))
+    if (boxes is None or not set(class_names) <= set(CLASSES) or not set(stages) <= set(STAGES)
+            or not set(map(type, scores)) <= _FLOAT):
+        return None
+    scores = np.fromiter(scores, np.float64, len(scores))
+    # does `BBox` or `Detection` reject a detection?
+    if not (_valid_boxes(boxes) & (scores >= 0.0) & (scores <= 1.0)).all():
+        return None
+    return [scene_ids, class_names, stages, counts, ids, boxes, scores]
 
 
 def read_detection_groups(path) -> GroupColumns:
     """The detection groups of a file, as columns."""
-    rows, lines, error = _read_rows(path, _group_row, _parsed_group_row, itemgetter(0, 1, 2),
-                                    "duplicate group {}".format)
-    groups = group_columns(rows)
-    _raise_first_fault(path, _parsed_group_row,
-                       [lines[g] for g in groups.detections._faulty()], error)
-    return groups
+    joined = _joined(path, _group_batch)
+    if not joined or not all(
+            _distinct(compress(joined[0], map(eq, zip(joined[1], joined[2]), repeat(key))))
+            for key in set(zip(joined[1], joined[2]))):
+        from .records import parsed_group_row
+        return group_columns(_parsed_rows(path, parsed_group_row, itemgetter(0, 1, 2),
+                                          "duplicate group {}".format))
+    scene_ids, class_names, stages, counts, *dets = joined
+    return GroupColumns(DetectionColumns(scene_ids, list(accumulate(counts, initial=0)), *dets),
+                        class_names, stages)
 
 
 # The writer formats each line directly, giving the bytes `json.dumps` gives

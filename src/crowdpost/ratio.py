@@ -18,7 +18,6 @@ import numpy as np
 
 from .data_model import SceneColumns
 from .fileio import atomic_write_text
-from .records import BBox
 
 logger = logging.getLogger(__name__)
 
@@ -61,18 +60,17 @@ def estimate_ratio(heads: np.ndarray, bodies: np.ndarray) -> HeadBodyRatio:
     body_wh = bodies[:, 2:] - bodies[:, :2]
     offset = (bodies[:, :2] + bodies[:, 2:]) / 2.0 - (heads[:, :2] + heads[:, 2:]) / 2.0
     per_pair = np.hstack([body_wh / head_wh, offset / head_wh])
-    alpha_w, alpha_h, delta_x, delta_y = np.median(per_pair, axis=0)
-    return HeadBodyRatio(float(alpha_w), float(alpha_h), float(delta_x), float(delta_y))
+    return HeadBodyRatio(*_median(per_pair).tolist())
 
 
-def apply_ratio(head: BBox, ratio: HeadBodyRatio) -> BBox:
-    """Infer a body box from a head box."""
-    hw, hh = head.width, head.height
-    hcx, hcy = head.center
-    return BBox.from_center_size(hcx + ratio.delta_x * hw,
-                                 hcy + ratio.delta_y * hh,
-                                 ratio.alpha_w * hw,
-                                 ratio.alpha_h * hh)
+def _median(values: np.ndarray) -> np.ndarray:
+    """`np.median(values, axis=0)` bit for bit, taken as numpy takes it (one
+    partition, the mean of the middle one or two, summed from 0.0, NaN where
+    a column holds one), without `np.median`, which imports `numpy.ma`."""
+    n = len(values)
+    part = np.partition(values, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1], axis=0)
+    middle = (0.0 + part[n // 2 - 1] + part[n // 2]) / 2.0 if n % 2 == 0 else 0.0 + part[n // 2]
+    return np.where(np.isnan(part[-1]), np.nan, middle)
 
 
 def scene_pairs(scenes: SceneColumns) -> tuple[np.ndarray, np.ndarray]:

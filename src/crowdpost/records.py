@@ -3,11 +3,11 @@
 The simulator makes records, `write_scenes` writes them, and `train-rdm`'s
 per-scene NMS (`nms`, `build_detection_set`) and its pair builder
 (`build_training_pairs`) work on them.  The readers return columns
-(`data_model`), and turn a line into a record only when it does not have the
-shape of the writers' lines: an integer where a float belongs, a field of the
-wrong type, a value out of range.  Then the per-field parser here converts
-it, or raises the error that names the field.  `run` and `eval` never load
-this module on valid input.
+(`data_model`), and turn lines into records only in a file with a line not
+shaped like the writers' lines: an integer where a float belongs, a field
+of the wrong type, a value out of range.  Then the per-field parser here
+converts each line, or raises the error that names the first faulty field.
+`run` and `eval` never load this module on the files the writers write.
 """
 
 from __future__ import annotations
@@ -258,10 +258,7 @@ def _parse_box(value, path, line_no, item, key) -> BBox:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise FormatError("box must be a 4-element [x1, y1, x2, y2] list",
                           path, line_no, _field(item, key))
-    x1, y1, x2, y2 = value
-    if not (type(x1) is float and type(y1) is float
-            and type(x2) is float and type(y2) is float):
-        x1, y1, x2, y2 = (_number(v, path, line_no, item, key) for v in value)
+    x1, y1, x2, y2 = (_number(v, path, line_no, item, key) for v in value)
     try:
         return BBox(x1, y1, x2, y2)
     except (TypeError, ValueError, OverflowError) as exc:

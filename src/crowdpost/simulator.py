@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import pairwise_intersection
-from .ratio import HeadBodyRatio, apply_ratio
+from .ratio import HeadBodyRatio
 from .records import BBox, Detection, PersonInstance, Scene, area, box_array
 
 _MIN_HEIGHT = 12.0
@@ -114,6 +114,13 @@ class NoiseConfig:
 
 # ---------------------------------------------------------------------------
 # scene generation
+
+def apply_ratio(head: BBox, ratio: HeadBodyRatio) -> BBox:
+    """Infer a body box from a head box."""
+    (hcx, hcy), hw, hh = head.center, head.width, head.height
+    return BBox.from_center_size(hcx + ratio.delta_x * hw, hcy + ratio.delta_y * hh,
+                                 ratio.alpha_w * hw, ratio.alpha_h * hh)
+
 
 def _feasible_center_range(head_w, head_h, ratio, image_w, image_h):
     """Interval of head centers keeping both boxes inside the image."""

@@ -20,10 +20,10 @@ from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2
 from crowdpost.geometry import pairwise_ioh, pairwise_iou
 from crowdpost.nms import NmsConfig
 from crowdpost.pipeline import PostProcessConfig
-from crowdpost.ratio import HeadBodyRatio, apply_ratio, estimate_ratio
+from crowdpost.ratio import HeadBodyRatio, estimate_ratio
 from crowdpost.rdm import TrainConfig, _loss_and_gradients, train
 from crowdpost.records import BBox, box_array, build_detection_set, build_training_pairs, nms
-from crowdpost.simulator import (NoiseConfig, SimConfig, generate_scenes,
+from crowdpost.simulator import (NoiseConfig, SimConfig, apply_ratio, generate_scenes,
                                  simulate_detections)
 
 from helpers import (box_pairs, det, detection_columns, person, postprocess_scene, scene,

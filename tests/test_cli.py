@@ -169,6 +169,26 @@ def test_command_imports_only_its_modules(chain, tmp_path, command, modules):
     assert masked == "False"
 
 
+def test_estimate_ratio_loads_neither_records_nor_numpy_ma(chain, tmp_path):
+    # the ratio fit reads the scene columns and takes its medians by a
+    # partition, so the record module and `numpy.ma` (which `np.median`
+    # imports) stay out of the process; its bytes are those of the chain's
+    out = tmp_path / "ratio.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crowdpost.cli import main; code = main(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.startswith('crowdpost.'))); "
+         "print('numpy.ma' in sys.modules); sys.exit(code)",
+         "estimate-ratio", "--scenes", str(chain / "scenes.jsonl"), "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, masked = proc.stdout.splitlines()
+    assert loaded == str([f"crowdpost.{m}" for m in
+                          ("cli", "data_model", "fileio", "geometry", "ratio")])
+    assert masked == "False"
+    assert filecmp.cmp(out, chain / "ratio.json", shallow=False)
+
+
 def _fresh_eval(results, scenes, prefix):
     """`eval` of the body class in a new process, where no module is loaded yet."""
     return subprocess.run(

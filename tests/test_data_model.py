@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from crowdpost import data_model, records
 from crowdpost.data_model import (
     BODY, HEAD, POST_NMS, PRE_NMS, FormatError, read_detection_groups, read_scenes)
 from crowdpost.records import (BBox, Detection, DetectionGroup, DetectionSet, PersonInstance,
@@ -545,3 +547,177 @@ def test_groups_and_take_round_trip():
     assert (empty.scene_ids, empty.det_offsets, empty.det_ids) == (
         ["s0", "s1", "s2"], [0, 0, 0, 0], [])
     assert empty.boxes.shape == (0, 4) and empty.scores.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the batch pass
+#
+# The readers take a file in batches of whole lines; a batch of a few bytes
+# holds one line, so each fault below sits in a batch after the first.
+
+def _scene_lines(count, prefix="s"):
+    path_scenes = [_demo_scene(f"{prefix}{k}") for k in range(count)]
+    return [_scene_text(s) for s in path_scenes], path_scenes
+
+
+def _scene_text(s) -> str:
+    return json.dumps({
+        "format": "scenes/v1", "scene_id": s.scene_id, "width": s.width, "height": s.height,
+        "persons": [{"id": p.person_id, "head": p.head.as_list(), "body": p.body.as_list(),
+                     "ignore": p.ignore, "occ": p.occlusion_ratio} for p in s.persons],
+    }) + "\n"
+
+
+@pytest.fixture(params=[1, 600], ids=["one-line-batches", "two-line-batches"])
+def small_batches(request, monkeypatch):
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", request.param)
+    return request.param
+
+
+@pytest.fixture
+def batch_pass_only(monkeypatch):
+    """A read that reaches the per-field parser fails."""
+    def refuse(*args):
+        raise AssertionError("the exact path read the file")
+    monkeypatch.setattr(records, "parsed_scene_row", refuse)
+    monkeypatch.setattr(records, "parsed_group_row", refuse)
+
+
+def test_batches_hold_whole_lines(tmp_path, small_batches, batch_pass_only):
+    lines, scenes = _scene_lines(7)
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(lines))
+    assert len(lines[0]) < 600 < 2 * len(lines[0])
+    assert fields(read_scenes(path)) == fields(scene_columns(scenes))
+
+
+@pytest.mark.parametrize("old, new, field, message", [
+    ('"width": 200.0', '"width": "200"', "width", "expected a number, got '200'"),
+    ('"occ": 0.25', '"occ": 1.5', "persons[0]", "occlusion_ratio 1.5 outside [0, 1]"),
+    ('"scene_id": "s4"', '"scene_id": "s1"', None, "duplicate scene_id 's1'"),
+    ('"occ": 0.25', '"occ": 0.25, "occ": 0.5', None, "repeated key 'occ'"),
+    ('"id": 1,', '"id": 1.0,', "persons[0].id", "expected an integer, got 1.0"),
+], ids=["type", "range", "duplicate-scene", "repeated-key", "float-id"])
+def test_fault_in_a_later_batch_names_its_line(tmp_path, small_batches, old, new, field,
+                                                message):
+    lines, _ = _scene_lines(7)
+    assert old in lines[4]
+    lines[4] = lines[4].replace(old, new, 1)
+    path = tmp_path / "in.jsonl"
+    for tail in ("", "not JSON\n"):
+        path.write_text("".join(lines) + tail)
+        # the batch pass turns the file away, raising nothing
+        joined = data_model._joined(path, data_model._scene_batch)
+        assert joined is None or len(set(joined[0])) < len(joined[0])
+        with pytest.raises(FormatError) as exc_info:
+            read_scenes(path)
+        assert str(exc_info.value) == f"in.jsonl:5:{f' {field}:' if field else ''} {message}"
+
+
+def test_undecodable_byte_in_a_later_batch_names_its_line(tmp_path, small_batches):
+    lines, _ = _scene_lines(5)
+    path = tmp_path / "in.jsonl"
+    data = "".join(lines).encode("utf-8").splitlines(keepends=True)
+    data[3] = data[3].replace(b'"s3"', b'"s\xff3"')
+    path.write_bytes(b"".join(data))
+    assert data_model._joined(path, data_model._scene_batch) is None
+    with pytest.raises(FormatError, match="^in.jsonl:4: not UTF-8 \\(invalid start byte at "
+                                          "byte 38\\)$"):
+        read_scenes(path)
+
+
+def test_repeated_detection_key_in_a_later_batch(tmp_path, small_batches):
+    lines = [_float_det_line('{"id": 1, "box": %s, "score": 0.5}' % _BOX, f"s{k}")
+             for k in range(6)]
+    lines[3] = lines[3].replace('"score": 0.5', '"score": 0.5, "score": 0.75')
+    path = tmp_path / "dets.jsonl"
+    path.write_text("".join(lines))
+    assert data_model._joined(path, data_model._group_batch) is None
+    with pytest.raises(FormatError, match="^dets.jsonl:4: repeated key 'score'$"):
+        read_detection_groups(path)
+
+
+def test_colon_in_scene_id_read_by_the_batch_pass(tmp_path, small_batches, batch_pass_only):
+    # more colons than keys: the batch's lines are screened one by one
+    lines, scenes = _scene_lines(6, prefix="cam:1:")
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(lines))
+    assert fields(read_scenes(path)) == fields(scene_columns(scenes))
+    groups = [DetectionGroup(f"a:{k}", BODY, PRE_NMS, (det(1, (0, 0, 30, 80), 0.625),))
+              for k in range(5)]
+    write_groups(groups, path)
+    assert fields(read_detection_groups(path)) == fields(group_columns(groups))
+
+
+@pytest.mark.parametrize("text", [
+    "{0}{1}\n{2}",         # the last line has no line break
+    "{0}\n{1}{2}",         # a blank line
+    "{0}{1} \t\n{2}\n",    # a line of blanks
+    "\n{0}{1}{2}\n\n",     # blank lines at both ends
+])
+def test_blank_lines_and_unended_last_line_at_a_batch_edge(tmp_path, small_batches, text):
+    lines, scenes = _scene_lines(3)
+    path = tmp_path / "in.jsonl"
+    path.write_text(text.format(lines[0], lines[1], lines[2].rstrip("\n")))
+    assert fields(read_scenes(path)) == fields(scene_columns(scenes))
+
+
+def test_unended_last_line_read_by_the_batch_pass(tmp_path, small_batches, batch_pass_only):
+    lines, scenes = _scene_lines(3)
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(lines).rstrip("\n"))
+    assert fields(read_scenes(path)) == fields(scene_columns(scenes))
+
+
+def test_empty_files_keep_their_column_types(tmp_path, batch_pass_only):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    assert fields(read_scenes(path)) == fields(scene_columns([]))
+    assert fields(read_detection_groups(path)) == fields(group_columns([]))
+
+
+def _sized_file(path, lines: int, entries: int, scenes: bool) -> None:
+    """`lines` lines of `entries` persons or detections each, all of one length."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for k in range(lines):
+            if scenes:
+                items = [{"id": i, "head": [2.5, 0.5, 8.5, 6.5], "body": [0.5, 0.5, 10.5, 40.5],
+                          "ignore": False, "occ": 0.25} for i in range(entries)]
+                obj = {"format": "scenes/v1", "scene_id": f"s{k:08d}", "width": 100.0,
+                       "height": 100.0, "persons": items}
+            else:
+                items = [{"id": i, "box": [0.5, 0.5, 10.5, 40.5], "score": 0.5}
+                         for i in range(entries)]
+                obj = {"format": "detections/v1", "scene_id": f"s{k:08d}", "class": "body",
+                       "stage": "pre_nms", "dets": items}
+            fh.write(json.dumps(obj) + "\n")
+
+
+@pytest.mark.parametrize("lines, entries, scenes", [
+    (1500, 3, True),   # the sparse benchmark split's shape: short lines
+    (40, 60, True),    # the dense split's: lines of about 13 KB
+    (1500, 3, False),
+], ids=["sparse-scenes", "dense-scenes", "sparse-detections"])
+def test_working_set_does_not_grow_with_the_file(tmp_path, batch_pass_only, lines, entries,
+                                                 scenes):
+    # what a read holds beyond the columns it returns is one batch of about
+    # 64 KiB of lines: neither the file's decoded objects nor a batch of a
+    # fixed number of lines, which grows with the lines' length.  It may grow
+    # by the part of the growing column buffers (lists, `bytearray`s) that was
+    # not yet allocated when the largest batch was read: they over-allocate
+    # by about an eighth
+    reader = read_scenes if scenes else read_detection_groups
+    held = []
+    for scale in (1, 4):
+        path = tmp_path / f"x{scale}.jsonl"
+        _sized_file(path, scale * lines, entries, scenes)
+        reader(path)
+        tracemalloc.start()
+        try:
+            columns = reader(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns.scene_ids if scenes else columns.class_names) == scale * lines
+        held.append(peak - current)
+    assert held[1] - held[0] <= current / 8, (held, current)

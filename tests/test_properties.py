@@ -4,6 +4,7 @@ one stderr line and no output files.  Also the evaluator's distinct score
 thresholds against `np.unique`."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -13,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
+from crowdpost import data_model  # noqa: E402
 from crowdpost.cli import main  # noqa: E402
 from crowdpost.data_model import (  # noqa: E402
     CLASSES, STAGES, FormatError, read_detection_groups, read_scenes)
@@ -345,6 +347,170 @@ def test_corrupt_detection_line_is_rejected(capsys, model_path, data):
         _expect_rejected(capsys, text, line_no, read_detection_groups,
                          lambda path, out: ["run", "--dets", path, "--model", str(model_path),
                                             "--out-dir", out])
+
+
+# ---------------------------------------------------------------------------
+# the batch pass against the per-field path
+#
+# A reader takes its file in batches of whole lines, about
+# `data_model._BATCH_BYTES` each, and reads the whole file again through the
+# per-field parser at any doubt.  With `_joined`, the batch pass, turning
+# every file away, a reader takes that exact path alone.
+
+def _outcome(read, path):
+    """The fields of the columns `read` gives, or the message it raises."""
+    try:
+        return fields(read(path))
+    except FormatError as exc:
+        return str(exc)
+
+
+def _exact_outcome(monkeypatch, read, path):
+    with monkeypatch.context() as m:
+        m.setattr(data_model, "_joined", lambda path, batch_columns: None)
+        return _outcome(read, path)
+
+
+def _integers(value):
+    """`value` with each integral float other than zero written as an integer."""
+    if type(value) is float and value.is_integer() and value != 0.0:
+        return int(value)
+    if isinstance(value, list):
+        return list(map(_integers, value))
+    if isinstance(value, dict):
+        return {key: _integers(item) for key, item in value.items()}
+    return value
+
+
+def _variant(line: str, how: str) -> str:
+    """A valid line of the same values as `line`, written another way."""
+    obj = json.loads(line)
+    if how == "integers":
+        return json.dumps(_integers(obj)) + "\n"
+    if how == "crlf":
+        return line[:-1] + "\r\n"
+    if how == "extra-keys":
+        # keys that no field check reads, one holding colons and objects
+        obj["note"] = {"a:b": [1, {"c": "d:e"}]}
+        for entry in obj.get("persons", obj.get("dets")):
+            entry["x"] = "y"
+        return json.dumps(obj) + "\n"
+    if how == "unescaped":
+        # a line separator, accents and emoji as UTF-8, not escaped
+        text = json.dumps(obj, ensure_ascii=False) + "\n"
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate is written escaped
+            return line
+        return text
+    return line
+
+
+_VARIANTS = st.sampled_from(["as-written", "integers", "crlf", "extra-keys", "unescaped"])
+
+
+def _outward(box: BBox) -> BBox:
+    """`box` grown to integral corners; a box inside another stays inside."""
+    return BBox(math.floor(box.x_min), math.floor(box.y_min),
+                math.ceil(box.x_max), math.ceil(box.y_max))
+
+
+def _integral_scene(s: Scene) -> Scene:
+    return Scene(s.scene_id, math.ceil(s.width), math.ceil(s.height), tuple(
+        PersonInstance(p.person_id, _outward(p.head), _outward(p.body), p.ignore,
+                       p.occlusion_ratio) for p in s.persons))
+
+
+def _integral_group(g: DetectionGroup) -> DetectionGroup:
+    return DetectionGroup(g.scene_id, g.class_name, g.stage, tuple(
+        Detection(d.det_id, _outward(d.box), d.score) for d in g.dets))
+
+
+def _differential(monkeypatch, data, records, write, read, batch_columns):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.jsonl")
+        write(records, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        hows = [data.draw(_VARIANTS) for _ in lines]
+        variants = list(map(_variant, lines, hows))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(variants)
+        exact = _exact_outcome(monkeypatch, read, path)
+        # integers and CRLF endings take the exact path; the rest the batch pass
+        batch = data_model._joined(path, batch_columns)
+        assert (batch is None) == any(how in ("integers", "crlf") and new != old
+                                      for how, new, old in zip(hows, variants, lines))
+        for size in (1, 200, 1 << 16):
+            monkeypatch.setattr(data_model, "_BATCH_BYTES", size)
+            assert _outcome(read, path) == exact
+        return exact
+
+
+@PROPERTY
+@given(st.data())
+def test_batch_pass_equals_the_exact_path_on_scene_files(monkeypatch, data):
+    records = [_integral_scene(s) if data.draw(st.booleans()) else s
+               for s in data.draw(_tricky_scenes())]
+    exact = _differential(monkeypatch, data, records, write_scenes, read_scenes,
+                          data_model._scene_batch)
+    assert exact == fields(scene_columns(records))
+
+
+@PROPERTY
+@given(st.data())
+def test_batch_pass_equals_the_exact_path_on_detection_files(monkeypatch, data):
+    records = [_integral_group(g) if data.draw(st.booleans()) else g
+               for g in data.draw(_tricky_groups())]
+    exact = _differential(monkeypatch, data, records, write_groups, read_detection_groups,
+                          data_model._group_batch)
+    keys = [(g.scene_id, g.class_name, g.stage) for g in records]
+    if len(set(keys)) == len(keys):
+        assert exact == fields(group_columns(records))
+    else:
+        assert exact.startswith("f.jsonl:") and "duplicate group" in exact
+
+
+def _expect_rejected_in_batches(capsys, monkeypatch, size, text, line_no, read,
+                                batch_columns, argv_for):
+    """`_expect_rejected` with batches of `size` bytes: the batch pass turns
+    the file away, raising nothing, and the message is the exact path's."""
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", size)
+    _expect_rejected(capsys, text, line_no, read, argv_for)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        joined = data_model._joined(path, batch_columns)
+        assert joined is None or len(set(joined[0])) < len(joined[0])
+        assert _outcome(read, path) == _exact_outcome(monkeypatch, read, path)
+
+
+@CORRUPTION
+@given(st.data())
+def test_corrupt_scene_line_is_rejected_in_small_batches(capsys, monkeypatch, data):
+    records = data.draw(scene_files(min_persons=1))
+    size = data.draw(st.sampled_from([1, 64, 300]))
+    for text, line_no in _corrupted_files(data.draw, records, write_scenes,
+                                          _scene_corruptions):
+        _expect_rejected_in_batches(
+            capsys, monkeypatch, size, text, line_no, read_scenes, data_model._scene_batch,
+            lambda path, out: ["estimate-ratio", "--scenes", path, "--out", out])
+
+
+@CORRUPTION
+@given(st.data())
+def test_corrupt_detection_line_is_rejected_in_small_batches(capsys, monkeypatch, model_path,
+                                                             data):
+    records = data.draw(group_files(min_dets=1))
+    size = data.draw(st.sampled_from([1, 64, 300]))
+    for text, line_no in _corrupted_files(data.draw, records, write_groups,
+                                          _group_corruptions):
+        _expect_rejected_in_batches(
+            capsys, monkeypatch, size, text, line_no, read_detection_groups,
+            data_model._group_batch,
+            lambda path, out: ["run", "--dets", path, "--model", str(model_path),
+                               "--out-dir", out])
 
 
 # ---------------------------------------------------------------------------

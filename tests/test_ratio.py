@@ -4,9 +4,9 @@ import logging
 import numpy as np
 import pytest
 
-from crowdpost.ratio import (HeadBodyRatio, apply_ratio, estimate_ratio, save_ratio,
-                             scene_pairs)
+from crowdpost.ratio import HeadBodyRatio, estimate_ratio, save_ratio, scene_pairs
 from crowdpost.records import BBox
+from crowdpost.simulator import apply_ratio
 
 from helpers import box_pairs, person, scene, scene_columns
 
@@ -123,3 +123,38 @@ def test_save_load_round_trip(tmp_path):
     save_ratio(r, path)
     with open(path, encoding="utf-8") as fh:
         assert HeadBodyRatio(**json.load(fh)) == r
+
+
+def _median_cases():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, 5e-324, 1.7e308])
+    for n in (1, 2, 3, 4, 5, 8, 9, 40, 41):
+        yield rng.normal(size=(n, 4))
+        yield rng.integers(-2, 3, size=(n, 4)).astype(np.float64)  # many ties
+        yield rng.choice(special, size=(n, 4))
+        with_nan = rng.normal(size=(n, 4))
+        with_nan[rng.integers(n), rng.integers(4)] = np.nan
+        yield with_nan
+
+
+def test_median_equals_np_median_bit_for_bit():
+    # `_median` replaces `np.median(values, axis=0)`, which imports `numpy.ma`;
+    # it must give the same bits: signed zeros, infinities, ties and NaN too
+    from crowdpost.ratio import _median
+    for values in _median_cases():
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.median(values, axis=0)
+            got = _median(values)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), values
+
+
+def test_nan_parameter_rejected():
+    # centres of boxes near the float maximum overflow, and their difference
+    # is NaN: the fit rejects it, as it did with `np.median`
+    heads = np.array([[1.7e308, 0.0, 1.71e308, 10.0], [0.0, 0.0, 10.0, 10.0],
+                      [0.0, 0.0, 10.0, 10.0]])
+    bodies = np.array([[1.7e308, 0.0, 1.75e308, 80.0], [0.0, 0.0, 30.0, 80.0],
+                       [0.0, 0.0, 30.0, 80.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="^delta_x must be finite, got nan$"):
+            estimate_ratio(heads, bodies)
