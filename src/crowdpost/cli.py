@@ -36,7 +36,7 @@ _COMMAND_NAMES = {
     "evaluator": ("EvalConfig", "compute_mr2", "write_curve_csv", "write_curve_svg",
                   "write_result_json"),
     "nms": ("NmsConfig", "nms_groups"),
-    "pipeline": ("PostProcessConfig", "postprocess", "scene_scorers"),
+    "pipeline": ("PostProcessConfig", "postprocess", "scene_inputs"),
     "ratio": ("estimate_ratio", "save_ratio", "scene_pairs"),
     "rdm": ("TrainConfig", "load_model", "save_model", "train", "write_loss_csv"),
     "records": ("DetectionGroup", "build_detection_set", "build_training_pairs",
@@ -241,14 +241,13 @@ def cmd_run(args) -> int:
     model = load_model(args.model)
     heads_pre, bodies_pre = _pre_nms_columns(read_detection_groups(args.dets))
 
-    heads, _ = nms_groups(heads_pre, nms_cfg)
-    bodies_post, bodies_floor = nms_groups(bodies_pre, nms_cfg)
-    scorers = scene_scorers(heads, bodies_floor, model.score_pairs, post_cfg)
-    outs = [postprocess(h, b_floor, b_post, scorer, post_cfg)
-            for h, b_floor, b_post, scorer in zip(heads.groups(), bodies_floor.groups(),
-                                                  bodies_post.groups(), scorers)]
+    heads_floor, heads_kept = nms_groups(heads_pre, nms_cfg)
+    heads = heads_floor.take(heads_kept)
+    bodies_floor, bodies_kept = nms_groups(bodies_pre, nms_cfg)
+    outs = [postprocess(*scene, post_cfg) for scene in
+            scene_inputs(heads, bodies_floor, bodies_kept, model.score_pairs, post_cfg)]
 
-    write_detection_groups(_post_nms_groups(heads, bodies_post),
+    write_detection_groups(_post_nms_groups(heads, bodies_floor.take(bodies_kept)),
                            os.path.join(args.out_dir, "baseline.jsonl"))
     write_detection_groups(_post_nms_groups(
         heads.take(_split_index(heads, [out.final_heads for out in outs])),
@@ -275,8 +274,8 @@ def _has_control_character(name: str) -> bool:
 
 def cmd_eval(args) -> int:
     _bind("evaluator")
-    eval_cfg = EvalConfig(iou_match_threshold=args.iou if args.iou is not None else 0.5,
-                          class_under_test=args.class_name)
+    eval_cfg = _build(EvalConfig, {}, "eval", iou_match_threshold=args.iou,
+                      class_under_test=args.class_name)
     name = args.name if args.name else os.path.basename(args.out_prefix)
     if not name:
         raise ValueError("empty variant name: give --name, or an --out-prefix that ends "

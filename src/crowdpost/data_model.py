@@ -165,16 +165,11 @@ class DetectionColumns:
         counts = np.where(present, offsets[groups + 1] - starts, 0)
         return self._gather(scene_ids, ragged(starts, counts)[0], counts)
 
-    def groups(self):
-        """Each group as one-group columns, in order."""
-        ids, boxes, scores, offsets = self.det_ids, self.boxes, self.scores, self.det_offsets
-        for scene_id, a, b in zip(self.scene_ids, offsets, offsets[1:]):
-            yield DetectionColumns([scene_id], [0, b - a], ids[a:b], boxes[a:b], scores[a:b])
-
 
 class GroupColumns:
     """Detection groups as columns: `detections` holds every group's scene and
-    detections, `class_names` and `stages` the rest of each group's key."""
+    detections, `class_names` and `stages` the rest of each group's key (the
+    readers give the `CLASSES` and `STAGES` constants, not a string a line)."""
 
     __slots__ = ("detections", "class_names", "stages")
 
@@ -383,6 +378,9 @@ def read_scenes(path) -> SceneColumns:
 # ---------------------------------------------------------------------------
 # detection files
 
+_CLASS, _STAGE = {c: c for c in CLASSES}, {s: s for s in STAGES}
+
+
 def _group_batch(raw: list[bytes]) -> list | None:
     """The columns of a batch of detection lines as the writers write them,
     flat (scene ids, class names, stages, each group's detection count in
@@ -391,9 +389,12 @@ def _group_batch(raw: list[bytes]) -> list | None:
     if batch is None:
         return None
     (scene_ids, class_names, stages), counts, dets, ids = batch
+    # the constants in place of the scanner's strings, one per group; a
+    # KeyError for any other value sends the file to the exact path
+    class_names = list(map(_CLASS.__getitem__, class_names))
+    stages = list(map(_STAGE.__getitem__, stages))
     boxes, scores = _boxes(map(itemgetter("box"), dets)), list(map(itemgetter("score"), dets))
-    if (boxes is None or not set(class_names) <= set(CLASSES) or not set(stages) <= set(STAGES)
-            or not set(map(type, scores)) <= _FLOAT):
+    if boxes is None or not set(map(type, scores)) <= _FLOAT:
         return None
     scores = np.fromiter(scores, np.float64, len(scores))
     # does `BBox` or `Detection` reject a detection?

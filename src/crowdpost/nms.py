@@ -9,9 +9,10 @@ operations per box, not a numpy call.  A zero pad box has IoU 0 with every
 box, so it never suppresses.  `records.nms` and
 `records.build_detection_set` are the one-group calls on `Detection` lists.
 
-Each group keeps both its survivors and its floor-filtered input, the
-before/after pair that the recall post-process needs.  Zero-area boxes are
-degenerate detections: they are dropped at the score floor.
+Each group keeps its floor-filtered input and its survivors as positions in
+it, the before/after pair that the recall post-process needs, so a kept
+detection can only be a floored one.  Zero-area boxes are degenerate
+detections: they are dropped at the score floor.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ def suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.nda
     return ranked[np.sort(np.array(keep, dtype=np.intp))], floored
 
 
-def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns,
-                                                                DetectionColumns]:
+def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns, np.ndarray]:
     """Suppress overlapping detections within each group; the caller passes
-    groups of one class each.  Returns (kept, floored) in the same groups,
-    as `suppress` defines them."""
+    groups of one class each.  Returns the detections `suppress` floors, in
+    the same groups, and the position among them of each one it keeps."""
     kept, floored = suppress(dets, cfg)
-    return dets.take(kept), dets.take(floored)
+    return dets.take(floored), np.searchsorted(floored, kept)

@@ -6,16 +6,17 @@ pre-NMS bodies.  A confident second-round match recalls that suppressed body;
 a failed second round removes the head as a false positive.  Heads landing
 between the two score thresholds are left untouched and recall nothing.
 
-`scene_scorers` is the one IoH gate: it gates every scene of a split at
+`scene_inputs` is the one IoH gate: it gates every scene of a split at
 once over padded stacks (`geometry.padded_batches`), scores all the gated
-pairs in one call, and gives each scene a callable that hands out that
-scene's gated pairs and their scores.  `postprocess` takes one scene as
-one-group columns with that callable, decides over plain lists, and returns
-its final detections as indices into its inputs.
+pairs in one call, and gives each scene its head and body ids, its kept
+bodies as positions among those, and a callable that hands out its gated,
+scored pairs.  `postprocess` takes one scene so, decides over plain lists,
+and returns its final detections as indices into its inputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -99,73 +100,69 @@ def _gate(heads: DetectionColumns, bodies: DetectionColumns,
     return rows[order], cols[order]
 
 
-def scene_scorers(heads: DetectionColumns, bodies_pre: DetectionColumns, scorer: PairScorer,
-                  cfg: PostProcessConfig) -> list[ScenePairs]:
-    """The gated, scored pairs of each scene of a split, to pass to
-    `postprocess` with that scene's groups of `heads` and `bodies_pre`
-    (group k is scene k).
+def scene_inputs(heads: DetectionColumns, bodies_pre: DetectionColumns, bodies_post: np.ndarray,
+                 scorer: PairScorer, cfg: PostProcessConfig) -> list[tuple]:
+    """The arguments of `postprocess` but its config, for each scene of a
+    split: `heads` holds the kept heads, `bodies_pre` the floored pre-NMS
+    bodies (group k is scene k in both), and `bodies_post` the kept bodies
+    as positions in `bodies_pre`, group after group, as `nms_groups` gives.
 
     Every scene's IoH-gated (head, pre-NMS body) pairs are scored up front,
     in one `scorer` call, so the scenes share one forward pass instead of
     paying for one each.  Scene k's callable returns scene k's pairs as
-    indices into its groups, in head order and each head's bodies in
-    pre-NMS order, and their scores.
+    indices into its ids, in head order and each head's bodies in pre-NMS
+    order, and their scores.
     """
     if heads.scene_ids != bodies_pre.scene_ids:
         raise ValueError("heads and pre-NMS bodies must hold the same scenes in the same order")
     rows, cols = _gate(heads, bodies_pre, cfg.ioh_threshold)
     scores = np.asarray(scorer(heads.take(rows), bodies_pre.take(cols)),
                         dtype=np.float64).tolist() if len(rows) else []
+    starts = np.asarray(bodies_pre.det_offsets, dtype=np.intp)
     scene = heads.det_groups()[rows]
     bounds = np.searchsorted(scene, np.arange(len(heads.scene_ids) + 1)).tolist()
     rows = (rows - np.asarray(heads.det_offsets, dtype=np.intp)[scene]).tolist()
-    cols = (cols - np.asarray(bodies_pre.det_offsets, dtype=np.intp)[scene]).tolist()
+    cols = (cols - starts[scene]).tolist()
+    # the kept bodies come group after group, so the group starts bound them
+    post_bounds = np.searchsorted(bodies_post, starts)
+    post = (bodies_post - np.repeat(starts[:-1], np.diff(post_bounds))).tolist()
 
     def pairs(a: int, b: int) -> tuple[list[int], list[int], list[float]]:
         return rows[a:b], cols[a:b], scores[a:b]
-    return [partial(pairs, a, b) for a, b in zip(bounds, bounds[1:])]
+    h, b, p, g = heads.det_offsets, bodies_pre.det_offsets, post_bounds.tolist(), bounds
+    return [(heads.det_ids[h[k]:h[k + 1]], bodies_pre.det_ids[b[k]:b[k + 1]],
+             post[p[k]:p[k + 1]], partial(pairs, g[k], g[k + 1])) for k in range(len(h) - 1)]
 
 
-def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
-                bodies_post: DetectionColumns, scorer: ScenePairs,
-                cfg: PostProcessConfig) -> PipelineOutput:
+def postprocess(heads: list[int], bodies_pre: list[int], bodies_post: list[int],
+                scorer: ScenePairs, cfg: PostProcessConfig) -> PipelineOutput:
     """Run the full post-process for one scene.
 
-    Each column argument holds the scene as one group: its kept heads, its
-    floor-filtered pre-NMS bodies and its kept bodies, each kept list in
-    rank order.  `scorer`, the scene's callable from `scene_scorers`, is
-    called once and gives the scene's IoH-gated (head, pre-NMS body) pairs;
-    phase one reads the kept-body scores, phase two all of them.  Only ever
-    adds bodies and removes heads: the final bodies are a superset of the
-    kept bodies, the final heads a subset of the kept heads.  Each head's
-    outcome depends only on the immutable input sets, so the result is
-    independent of processing order.  The pair log lists each head's bodies
-    in the order of the phase's body list.
+    `heads` holds the scene's kept head ids, `bodies_pre` its floored
+    pre-NMS body ids and `bodies_post` its kept bodies as positions in
+    `bodies_pre`, in rank order.  `scorer`, the scene's callable from
+    `scene_inputs`, is called once and gives the scene's IoH-gated (head,
+    pre-NMS body) pairs; phase one reads the kept-body scores, phase two
+    all of them.  Only ever adds bodies and removes heads: the final bodies
+    are a superset of the kept bodies, the final heads a subset of the kept
+    heads.  Each head's outcome depends only on the immutable input sets,
+    so the result is independent of processing order.  The pair log lists
+    each head's bodies in the order of the phase's body list.
     """
-    if not len(heads.scene_ids) == 1 or not (heads.scene_ids == bodies_pre.scene_ids
-                                            == bodies_post.scene_ids):
-        raise ValueError("heads, pre-NMS bodies and post-NMS bodies must hold the same "
-                         "one scene")
-    head_ids, body_ids = heads.det_ids, bodies_pre.det_ids
-    pre_col = dict(zip(body_ids, range(len(body_ids))))
-    post_pre = [pre_col.get(i, -1) for i in bodies_post.det_ids]
-    pre_boxes, pre_scores = bodies_pre.boxes.tolist(), bodies_pre.scores.tolist()
-    missing = [i for i, j, box, score in zip(bodies_post.det_ids, post_pre,
-                                             bodies_post.boxes.tolist(),
-                                             bodies_post.scores.tolist())
-               if j < 0 or pre_boxes[j] != box or pre_scores[j] != score]
-    if missing:
-        raise ValueError(f"scene {heads.scene_ids[0]!r}: post-NMS bodies {missing} "
-                         "missing from the pre-NMS set")
+    post_rank = {j: k for k, j in enumerate(bodies_post)}
+    # a negative position would wrap around silently
+    if len(post_rank) < len(bodies_post) or not all(0 <= j < len(bodies_pre) for j in post_rank):
+        bad = [j for j, n in Counter(bodies_post).items() if n > 1 or not 0 <= j < len(bodies_pre)]
+        raise ValueError(f"post-NMS body positions {bad} are not distinct positions among "
+                         f"{len(bodies_pre)} pre-NMS bodies")
 
     # the gate against the pre-NMS bodies serves both phases; the kept
-    # bodies are a subset of its columns
+    # bodies are among its columns
     rows, cols, scores = scorer()
     # (pre-NMS column, score) of each head's gated bodies
-    partners: list[list[tuple[int, float]]] = [[] for _ in head_ids]
+    partners: list[list[tuple[int, float]]] = [[] for _ in heads]
     for i, j, s in zip(rows, cols, scores):
         partners[i].append((j, s))
-    post_rank = {j: k for k, j in enumerate(post_pre)}
 
     log: list[PairRecord] = []
     mismatched: list[tuple[int, list[tuple[int, float]]]] = []
@@ -175,28 +172,28 @@ def postprocess(heads: DetectionColumns, bodies_pre: DetectionColumns,
             mismatched.append((i, scored))
             # only heads that fail the first phase are audited; a clean match
             # leaves no trace so an untouched scene has an empty pair log
-            log.extend(PairRecord(head_ids[i], body_ids[j], s, FIRST) for _, s, j in kept)
+            log.extend(PairRecord(heads[i], bodies_pre[j], s, FIRST) for _, s, j in kept)
 
-    final_bodies = list(post_pre)
-    present = {body_ids[j] for j in post_pre}
+    final_bodies = list(bodies_post)
+    present = {bodies_pre[j] for j in bodies_post}
     recalled: list[int] = []
     removed: list[int] = []
     for i, scored in mismatched:
-        log.extend(PairRecord(head_ids[i], body_ids[j], s, SECOND) for j, s in scored)
+        log.extend(PairRecord(heads[i], bodies_pre[j], s, SECOND) for j, s in scored)
         if scored:
             best_score = max(s for _, s in scored)
             if best_score > cfg.high_threshold:
                 # argmax body; ties broken by ascending det id for determinism
-                j = min((j for j, s in scored if s == best_score), key=body_ids.__getitem__)
-                if body_ids[j] not in present:
+                j = min((j for j, s in scored if s == best_score), key=bodies_pre.__getitem__)
+                if bodies_pre[j] not in present:
                     final_bodies.append(j)
-                    present.add(body_ids[j])
-                    recalled.append(body_ids[j])
+                    present.add(bodies_pre[j])
+                    recalled.append(bodies_pre[j])
             if best_score < cfg.low_threshold:
                 removed.append(i)
         else:
             removed.append(i)
 
     removed_set = set(removed)
-    return PipelineOutput([i for i in range(len(head_ids)) if i not in removed_set],
-                          final_bodies, recalled, [head_ids[i] for i in removed], log)
+    return PipelineOutput([i for i in range(len(heads)) if i not in removed_set],
+                          final_bodies, recalled, [heads[i] for i in removed], log)

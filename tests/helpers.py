@@ -4,9 +4,9 @@ The readers and the functions that take their output work on columns; the
 tests build records, and `scene_columns`, `detection_columns` and
 `group_columns` turn those into the columns a reader would return for them.
 `write_groups` writes records to a detection file, as `simulate` does.
-`one_scene` gives one scene's detections as the columns `postprocess` takes,
-and `postprocess_scene` runs a one-scene split given as `Detection` lists
-through `scene_scorers` and `postprocess`.
+`one_scene` gives one scene's detections as a split of one group, and
+`postprocess_scene` runs a one-scene split given as `Detection` lists
+through `scene_inputs` and `postprocess`.
 `fields` gives every column of a columns object as plain values, so two of
 them compare by the values they hold.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
                                   write_detection_groups)
-from crowdpost.pipeline import postprocess, scene_scorers
+from crowdpost.pipeline import postprocess, scene_inputs
 from crowdpost.records import (BBox, Detection, PersonInstance, Scene, box_array,
                                groups_as_columns)
 
@@ -81,13 +81,15 @@ def split_columns(runs) -> DetectionColumns:
 
 
 def postprocess_scene(heads, bodies_pre, bodies_post, scorer, cfg):
-    """`postprocess` of one scene given as `Detection` lists, its pairs gated
-    and scored by `scene_scorers` with the pair scorer `scorer`; the final
-    heads and bodies come back as `Detection` lists too."""
+    """`postprocess` of one scene given as `Detection` lists, each kept body
+    one of the pre-NMS bodies, its pairs gated and scored by `scene_inputs`
+    with the pair scorer `scorer`; the final heads and bodies come back as
+    `Detection` lists too."""
     heads, bodies_pre = list(heads), list(bodies_pre)
-    h, b_pre = one_scene(heads), one_scene(bodies_pre)
-    out = postprocess(h, b_pre, one_scene(bodies_post),
-                      scene_scorers(h, b_pre, scorer, cfg)[0], cfg)
+    position = {d: k for k, d in enumerate(bodies_pre)}
+    kept = np.array([position[d] for d in bodies_post], dtype=np.intp)
+    (scene,) = scene_inputs(one_scene(heads), one_scene(bodies_pre), kept, scorer, cfg)
+    out = postprocess(*scene, cfg)
     return dataclasses.replace(out, final_heads=[heads[i] for i in out.final_heads],
                                final_bodies=[bodies_pre[j] for j in out.final_bodies])
 

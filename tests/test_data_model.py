@@ -7,7 +7,8 @@ import pytest
 
 from crowdpost import data_model, records
 from crowdpost.data_model import (
-    BODY, HEAD, POST_NMS, PRE_NMS, FormatError, read_detection_groups, read_scenes)
+    BODY, CLASSES, HEAD, POST_NMS, PRE_NMS, STAGES, FormatError, read_detection_groups,
+    read_scenes)
 from crowdpost.records import (BBox, Detection, DetectionGroup, DetectionSet, PersonInstance,
                                Scene, detection_lists, write_scenes)
 
@@ -195,6 +196,21 @@ def test_group_round_trip(tmp_path):
     assert len(back.select(BODY, PRE_NMS)) == 1
     assert selected.boxes.tolist() == [d.box.as_list() for d in groups[0].dets]
     assert selected.scores.tolist() == [0.875, 0.5] and selected.det_ids == [1, 2]
+
+
+def test_group_keys_read_as_the_constants(tmp_path):
+    # one class and one stage string per group would be one object per line;
+    # the reader gives the module's constants instead
+    groups = [DetectionGroup(f"s{k}", cls, stage, (det(k, (0, 0, 10, 10), 0.5),))
+              for k, (cls, stage) in enumerate([(HEAD, PRE_NMS), (BODY, PRE_NMS),
+                                                (HEAD, POST_NMS), (BODY, POST_NMS)] * 3)]
+    path = tmp_path / "dets.jsonl"
+    write_groups(groups, path)
+    back = read_detection_groups(path)
+    assert back.class_names == [g.class_name for g in groups]
+    assert back.stages == [g.stage for g in groups]
+    assert all(any(c is k for k in CLASSES) for c in back.class_names)
+    assert all(any(s is k for k in STAGES) for s in back.stages)
 
 
 def test_duplicate_group_rejected(tmp_path):
@@ -532,7 +548,7 @@ def test_groups_and_take_round_trip():
     runs = [[det(1, (0, 0, 4, 4), 0.5), det(2 ** 70, (1, 1, 5, 6), 0.25)], [],
             [det(3, (2, 0, 3, 9), 1.0)]]
     columns = split_columns(runs)
-    groups = list(columns.groups())
+    groups = [columns.regroup([scene_id], [k]) for k, scene_id in enumerate(columns.scene_ids)]
     assert [g.scene_ids for g in groups] == [["s0"], ["s1"], ["s2"]]
     assert [g.det_offsets for g in groups] == [[0, 2], [0, 0], [0, 1]]
     assert [fields(g) for g in groups] == [fields(one_scene(run, f"s{k}"))

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from crowdpost.geometry import pairwise_ioh
-from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_scorers
+from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_inputs
 from crowdpost.records import BBox, box_array
 
-from helpers import det, one_scene, postprocess_scene, split_columns
+from helpers import det, postprocess_scene, split_columns
 from oracles import ioh, postprocess_reference
 
 
@@ -147,26 +149,8 @@ def test_all_four_branches_in_one_scene():
     assert out.removed_head_ids == [2]
 
 
-def test_subset_precondition_checked():
-    rogue = det(9, (0, 0, 30, 80), 0.9)
-    with pytest.raises(ValueError, match="missing from the pre-NMS set"):
-        postprocess_scene([], BODIES_PRE, [rogue], stub(0.5), CFG)
-
-
-def test_subset_precondition_compares_whole_detections():
-    moved = det(1, (1, 0, 31, 80), 0.9)  # kept id 1 with a box unlike pre-NMS id 1
-    with pytest.raises(ValueError, match=r"\[1\] missing from the pre-NMS set"):
-        postprocess_scene([H_BOTH], BODIES_PRE, [moved], stub(0.5), CFG)
-
-
-def test_subset_precondition_compares_scores():
-    rescored = det(1, (0, 0, 30, 80), 0.5)  # kept id 1 and its box, another score
-    with pytest.raises(ValueError, match=r"\[1\] missing from the pre-NMS set"):
-        postprocess_scene([H_BOTH], BODIES_PRE, [rescored], stub(0.5), CFG)
-
-
 def test_zero_area_head_raises_only_when_there_are_bodies():
-    # raised by the split gate of `scene_scorers`, the one gate
+    # raised by the split gate of `scene_inputs`, the one gate
     flat = det(7, (10, 0, 10, 12), 0.9)
     with pytest.raises(ValueError, match="zero-area head"):
         postprocess_scene([H_BOTH, flat], BODIES_PRE, BODIES_POST, stub(0.95), CFG)
@@ -355,14 +339,15 @@ def test_split_scene_by_scene_equals_reference(seed):
     rng = np.random.default_rng(seed)
     for _ in range(40):
         scenes = [_split_scene(rng) for _ in range(int(rng.integers(1, 12)))]
-        heads, pre, post = (split_columns(s[c] for s in scenes) for c in range(3))
+        heads, pre = (split_columns(s[c] for s in scenes) for c in range(2))
+        kept = np.array([a + s[1].index(d) for a, s in zip(pre.det_offsets, scenes)
+                         for d in s[2]], dtype=np.intp)
         scorer, calls = recording(table_scorer)
-        scorers = scene_scorers(heads, pre, scorer, CFG)
-        assert len(scorers) == len(scenes)
+        inputs = scene_inputs(heads, pre, kept, scorer, CFG)
+        assert len(inputs) == len(scenes)
         outs, gated = [], []
-        for (h, b_pre, b_post), cols, scene_scorer in zip(
-                scenes, zip(heads.groups(), pre.groups(), post.groups()), scorers):
-            out = postprocess(*cols, scene_scorer, CFG)
+        for (h, b_pre, b_post), scene in zip(scenes, inputs):
+            out = postprocess(*scene, CFG)
             ref_heads, ref_bodies, recalled, removed, log = postprocess_reference(
                 _records(h), _records(b_pre), _records(b_post),
                 lambda hd, bd: _table_score(hd["id"], bd["id"]), CFG.ioh_threshold,
@@ -383,31 +368,37 @@ def test_split_scene_by_scene_equals_reference(seed):
             index = [a + i for a, out in zip(columns.det_offsets, outs)
                      for i in getattr(out, final)]
             joined = columns.take(np.array(index, dtype=np.intp))
+            offsets = joined.det_offsets
             assert joined.scene_ids == heads.scene_ids
-            assert [group.det_ids for group in joined.groups()] == \
+            assert [joined.det_ids[a:b] for a, b in zip(offsets, offsets[1:])] == \
                 [[s[c][i].det_id for i in getattr(out, final)] for s, out in zip(scenes, outs)]
+
+
+NONE_KEPT = np.zeros(0, dtype=np.intp)
 
 
 def test_pad_heads_never_gate():
     # scene s0 shares a padded stack with the two-head scene s1; its pad head
     # row lies inside b1, which must not make it a gated pair
     scorer, calls = recording(stub(0.5))
-    scene_scorers(split_columns([[H_BOTH], [H_BOTH, H_SUPPRESSED_ONLY]]),
-                  split_columns([BODIES_PRE, BODIES_PRE]), scorer, CFG)
+    scene_inputs(split_columns([[H_BOTH], [H_BOTH, H_SUPPRESSED_ONLY]]),
+                 split_columns([BODIES_PRE, BODIES_PRE]), NONE_KEPT, scorer, CFG)
     assert calls == [[(1, 1), (1, 2), (1, 1), (1, 2), (3, 2)]]
 
 
 def test_scene_scorers_need_aligned_scenes():
     with pytest.raises(ValueError, match="same scenes"):
-        scene_scorers(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE]), stub(0.5), CFG)
+        scene_inputs(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE]), NONE_KEPT,
+                     stub(0.5), CFG)
 
 
 def test_split_gate_raises_for_a_zero_area_head_only_with_bodies():
     flat = det(7, (10, 0, 10, 12), 0.9)
     heads = split_columns([[H_BOTH], [flat]])
-    assert len(scene_scorers(heads, split_columns([BODIES_PRE, []]), stub(0.95), CFG)) == 2
+    assert len(scene_inputs(heads, split_columns([BODIES_PRE, []]), NONE_KEPT, stub(0.95),
+                            CFG)) == 2
     with pytest.raises(ValueError, match="zero-area head"):
-        scene_scorers(heads, split_columns([BODIES_PRE, BODIES_PRE]), stub(0.95), CFG)
+        scene_inputs(heads, split_columns([BODIES_PRE, BODIES_PRE]), NONE_KEPT, stub(0.95), CFG)
 
 
 def test_one_scene_equals_reference():
@@ -429,20 +420,12 @@ def no_pairs():
     return [], [], []
 
 
-def test_postprocess_takes_the_same_one_scene():
-    with pytest.raises(ValueError, match="same one scene"):
-        postprocess(split_columns([[H_BOTH], []]), split_columns([BODIES_PRE, []]),
-                    split_columns([BODIES_POST, []]), no_pairs, CFG)
-    with pytest.raises(ValueError, match="same one scene"):
-        postprocess(one_scene([H_BOTH]), one_scene(BODIES_PRE, "s1"), one_scene(BODIES_POST),
-                    no_pairs, CFG)
-
-
-def test_subset_error_names_the_scene():
-    rogue = det(9, (0, 0, 30, 80), 0.9)
-    with pytest.raises(ValueError, match=r"scene 's1': post-NMS bodies \[9\] missing"):
-        postprocess(one_scene([], "s1"), one_scene(BODIES_PRE, "s1"),
-                    one_scene([B1_KEPT, rogue], "s1"), no_pairs, CFG)
+@pytest.mark.parametrize("kept, bad", [([-1], [-1]), ([0, 2], [2]), ([1, 0, 1], [1])],
+                         ids=["negative", "past_the_end", "repeated"])
+def test_kept_positions_must_be_distinct_and_in_range(kept, bad):
+    # a negative position would otherwise name a body from the end
+    with pytest.raises(ValueError, match=re.escape(f"post-NMS body positions {bad} are not")):
+        postprocess([1], [1, 2], kept, no_pairs, CFG)
 
 
 def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_path):
@@ -481,8 +464,37 @@ def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_pa
                      "--out-dir", str(tmp_path / "out")]) == 0
 
     heads_pre, bodies_pre = cli._pre_nms_columns(read_detection_groups(dets))
-    heads, _ = nms_groups(heads_pre, NmsConfig())
-    _, bodies_floor = nms_groups(bodies_pre, NmsConfig())
+    heads_floor, heads_kept = nms_groups(heads_pre, NmsConfig())
+    heads = heads_floor.take(heads_kept)
+    bodies_floor, _ = nms_groups(bodies_pre, NmsConfig())
     batches = list(padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets)))
     assert len(batches) > 1
     assert gated == [False] * len(batches)
+
+
+def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):
+    # `run` hands each scene plain lists: the detection columns it builds
+    # are the split's, as many for 40 scenes as for 4
+    from crowdpost import cli
+    from crowdpost.data_model import DetectionColumns
+    from crowdpost.rdm import RelationModel, save_model
+
+    model = tmp_path / "m.json"
+    save_model(RelationModel.initialize(hidden_dim=4), model)
+    for num_scenes in (4, 40):
+        assert cli.main(["simulate", "--out-scenes", str(tmp_path / "s.jsonl"),
+                         "--out-dets", str(tmp_path / f"d{num_scenes}.jsonl"),
+                         "--num-scenes", str(num_scenes), "--seed", "3",
+                         "--noise-seed", "3"]) == 0
+    init, counts = DetectionColumns.__init__, []
+
+    def counted(self, *args):
+        counts[-1] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(DetectionColumns, "__init__", counted)
+    for num_scenes in (4, 40):
+        counts.append(0)
+        assert cli.main(["run", "--dets", str(tmp_path / f"d{num_scenes}.jsonl"),
+                         "--model", str(model), "--out-dir", str(tmp_path / "out")]) == 0
+    assert counts[0] == counts[1] > 0
