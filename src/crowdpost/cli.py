@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, GroupColumns,
-                         id_keys, read_detection_groups, read_scenes, write_detection_groups)
+                         group_columns, id_keys, read_detection_groups, read_scenes,
+                         scene_columns, write_detection_groups, write_scenes)
 from .fileio import atomic_write_text, read_json, restored_on_error
 
 logger = logging.getLogger(__name__)
@@ -39,8 +40,7 @@ _COMMAND_NAMES = {
     "pipeline": ("PostProcessConfig", "postprocess", "scene_inputs"),
     "ratio": ("estimate_ratio", "save_ratio", "scene_pairs"),
     "rdm": ("TrainConfig", "load_model", "save_model", "train", "write_loss_csv"),
-    "records": ("DetectionGroup", "build_detection_set", "build_training_pairs",
-                "detection_lists", "groups_as_columns", "write_scenes"),
+    "records": ("build_detection_set", "build_training_pairs", "detection_lists"),
     "simulator": ("NoiseConfig", "SimConfig", "generate_scenes", "simulate_detections"),
 }
 
@@ -129,7 +129,7 @@ def _build(cls, cfg: dict, section: str, **overrides):
 # commands
 
 def cmd_simulate(args) -> int:
-    _bind("simulator", "records")
+    _bind("simulator")
     cfg = _load_config(args.config)
     sim = _build(SimConfig, cfg, "sim", seed=args.seed,
                  crowd_cluster_prob=args.cluster_prob,
@@ -145,17 +145,18 @@ def cmd_simulate(args) -> int:
     if num_scenes > _MAX_NUM_SCENES:
         raise ValueError(f"num-scenes must be at most {_MAX_NUM_SCENES}, got {num_scenes}")
 
-    scenes = generate_scenes(sim, num_scenes)
-    detections = simulate_detections(scenes, noise)
-    groups = []
-    for scene in scenes:
-        heads, bodies = detections[scene.scene_id]
-        groups.append(DetectionGroup(scene.scene_id, HEAD, PRE_NMS, heads))
-        groups.append(DetectionGroup(scene.scene_id, BODY, PRE_NMS, bodies))
+    rows = generate_scenes(sim, num_scenes)
+    scenes = scene_columns(rows)
+    # a detection's id is its position in its scene's head or body list
+    groups = group_columns([
+        (scene_id, class_name, PRE_NMS, list(range(len(dets))),
+         [v for box, _ in dets for v in box], [score for _, score in dets])
+        for scene_id, pair in simulate_detections(rows, noise).items()
+        for class_name, dets in zip((HEAD, BODY), pair)])
     write_scenes(scenes, args.out_scenes)
-    write_detection_groups(groups_as_columns(groups), args.out_dets)
+    write_detection_groups(groups, args.out_dets)
     logger.info("wrote %d scenes (%d persons) and %d detection groups",
-                len(scenes), sum(len(s.persons) for s in scenes), len(groups))
+                len(scenes.scene_ids), len(scenes.person_ids), len(groups.class_names))
     return 0
 
 

@@ -12,21 +12,20 @@ class are those of the group, set or list that holds it:
     {"format": "detections/v1", "scene_id": ..., "class": "head"|"body",
      "stage": "pre_nms"|"post_nms", "dets": [{"id", "box": [...], "score"}, ...]}
 
-The readers return a file as columns (`SceneColumns`, `GroupColumns`): flat
-lists and arrays, not records; `write_detection_groups` writes a
-`GroupColumns`.  A reader takes a file in batches of whole lines, about 64
-KiB each: it decodes and scans each line with the C scanner behind
-`json.loads`, takes each field of the batch's lines with a few C-level
-calls and makes the batch's numbers float64 arrays before it reads the next.
-This pass raises nothing.  At any doubt (a line that is not one JSON object
-alone, a field missing or not of the type the writers write, a repeated key
-or id, a value out of range) the reader reads the whole file again through
-the per-field parser of `records`, which raises the first fault in file
-order or, for a valid file such as one with integer coordinates, gives the
-same columns.  Only that path loads `records`, the module of the records
-(`BBox`, `Scene`, `Detection`, ...).
+In memory a file is columns (`SceneColumns`, `GroupColumns`): flat lists and
+arrays, not records.  `write_scenes` and `write_detection_groups` write
+columns; `scene_columns` and `group_columns` make them from rows, one per
+line, as the simulator and the per-field parser give them.  A reader takes a
+file in batches of whole lines, about 64 KiB each: it decodes and scans each
+line with the C scanner behind `json.loads`, takes each field of the batch's
+lines with a few C-level calls and makes the batch's numbers float64 arrays
+before it reads the next.  This pass raises nothing.  At any doubt (a line
+that is not one JSON object alone, a field missing or not of the type the
+writers write, a repeated key or id, a value out of range) the reader reads
+the whole file again through the per-field parser of `records`, which raises
+the first fault in file order or, for a valid file such as one with integer
+coordinates, gives the same columns.  Only that path loads `records`.
 """
-
 from __future__ import annotations
 
 import json
@@ -73,12 +72,12 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # columns
 #
-# The readers return the records of a file as columns: one list or array per
-# field, entries of one scene or group next to each other, and offsets that
-# bound each scene's persons or each group's detections.
+# The readers return a file as columns: one list or array per field,
+# entries of one scene or group next to each other, and offsets that bound
+# each scene's persons or each group's detections.
 
 def _valid_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Per row of an (n, 4) array: does `BBox` accept it (finite, no negative extent)?"""
+    """Per row of an (n, 4) array: is it a valid box (finite, no negative extent)?"""
     return (np.isfinite(boxes).all(axis=1)
             & (boxes[:, 2] >= boxes[:, 0]) & (boxes[:, 3] >= boxes[:, 1]))
 
@@ -185,10 +184,10 @@ class GroupColumns:
 
 
 # A row is one scene's or one group's fields, with a list per person or
-# detection field and box corners flat; the readers collect rows, and these
-# turn them into columns (`records.groups_as_columns` too).
+# detection field and box corners flat, four per box; the exact path and the
+# simulator make rows, and these turn them into columns.
 
-def _scene_columns(rows: list[tuple]) -> SceneColumns:
+def scene_columns(rows: list[tuple]) -> SceneColumns:
     scene_ids, widths, heights, ids, heads, bodies, ignore, occ = list(zip(*rows)) or [()] * 8
     return SceneColumns(list(scene_ids), list(widths), list(heights), _offsets(ids),
                         list(chain.from_iterable(ids)), _floats(heads).reshape(-1, 4),
@@ -352,7 +351,7 @@ def _scene_batch(raw: list[bytes]) -> list | None:
             or not set(map(type, ignore)) <= _BOOL):
         return None
     occ, sizes = np.fromiter(occ, np.float64, len(occ)), np.array([widths, heights])
-    # does `Scene` or `PersonInstance` reject a scene's size or a person?
+    # does the per-field parser reject a scene's size or a person?
     if not (((sizes > 0.0) & (sizes < math.inf)).all()
             and (_valid_boxes(heads) & _valid_boxes(bodies) & (occ >= 0.0) & (occ <= 1.0)
                  & (heads[:, :2] >= bodies[:, :2]).all(axis=1)
@@ -369,8 +368,8 @@ def read_scenes(path) -> SceneColumns:
     joined = _joined(path, _scene_batch)
     if not joined or not _distinct(joined[0]):
         from .records import parsed_scene_row
-        return _scene_columns(_parsed_rows(path, parsed_scene_row, itemgetter(0),
-                                           "duplicate scene_id {!r}".format))
+        return scene_columns(_parsed_rows(path, parsed_scene_row, itemgetter(0),
+                                          "duplicate scene_id {!r}".format))
     scene_ids, widths, heights, counts, *persons = joined
     return SceneColumns(scene_ids, widths, heights, list(accumulate(counts, initial=0)), *persons)
 
@@ -397,7 +396,7 @@ def _group_batch(raw: list[bytes]) -> list | None:
     if boxes is None or not set(map(type, scores)) <= _FLOAT:
         return None
     scores = np.fromiter(scores, np.float64, len(scores))
-    # does `BBox` or `Detection` reject a detection?
+    # does the per-field parser reject a detection?
     if not (_valid_boxes(boxes) & (scores >= 0.0) & (scores <= 1.0)).all():
         return None
     return [scene_ids, class_names, stages, counts, ids, boxes, scores]
@@ -417,13 +416,38 @@ def read_detection_groups(path) -> GroupColumns:
                         class_names, stages)
 
 
-# The writer formats each line directly, giving the bytes `json.dumps` gives
-# for the line's object: the columns hold exact ints and finite floats, whose
-# JSON text is their repr, and the one free-form string, the scene id, is
-# escaped by the function `json.dumps` uses for it.
+# ---------------------------------------------------------------------------
+# writing
+#
+# The writers format each line directly, giving the bytes `json.dumps` gives
+# for the line's object: the columns hold exact ints, bools and finite
+# floats, whose JSON text is their repr, and the one free-form string, the
+# scene id, is escaped by the function `json.dumps` uses for it.  They go
+# scene by scene and group by group, so that a file's text is never held
+# whole.
+
+def _scene_lines(scenes: SceneColumns):
+    offsets = scenes.person_offsets
+    for scene_id, width, height, a, b in zip(scenes.scene_ids, scenes.widths, scenes.heights,
+                                             offsets, offsets[1:]):
+        persons = ", ".join(
+            f'{{"id": {i!r}, "head": [{hx1!r}, {hy1!r}, {hx2!r}, {hy2!r}], '
+            f'"body": [{bx1!r}, {by1!r}, {bx2!r}, {by2!r}], '
+            f'"ignore": {"true" if ignore else "false"}, "occ": {occ!r}}}'
+            for i, (hx1, hy1, hx2, hy2), (bx1, by1, bx2, by2), ignore, occ in zip(
+                scenes.person_ids[a:b], scenes.heads[a:b].tolist(),
+                scenes.bodies[a:b].tolist(), scenes.ignore[a:b].tolist(),
+                scenes.occlusion[a:b].tolist()))
+        yield (f'{{"format": "{SCENE_FORMAT}", "scene_id": {_json_string(scene_id)}, '
+               f'"width": {width!r}, "height": {height!r}, "persons": [{persons}]}}\n')
+
+
+def write_scenes(scenes: SceneColumns, path) -> None:
+    """One line per scene, from the columns."""
+    atomic_write_text(path, _scene_lines(scenes))
+
 
 def _group_lines(groups: GroupColumns):
-    # group by group, so that a file's text is never held whole
     d = groups.detections
     offsets = d.det_offsets
     for scene_id, class_name, stage, a, b in zip(d.scene_ids, groups.class_names,
@@ -437,6 +461,5 @@ def _group_lines(groups: GroupColumns):
 
 
 def write_detection_groups(groups: GroupColumns, path) -> None:
-    """One line per group, from the columns (`records.groups_as_columns`
-    gives the columns of records)."""
+    """One line per group, from the columns."""
     atomic_write_text(path, _group_lines(groups))

@@ -1,7 +1,7 @@
 """Axis-aligned bounding-box arithmetic on arrays: areas, overlaps, IoU and IoH.
 
 Boxes are the rows of float64 arrays in corner form (x_min, y_min, x_max,
-y_max); the box record `BBox` lives in `records`, with the other records.
+y_max).
 `pairwise_intersection`, `pairwise_iou` and `pairwise_ioh` compute the
 overlaps of every pair of boxes from two (n, 4) float64 arrays.  Each entry
 is bit-identical, for finite input and up to the sign of zero, to the
@@ -76,8 +76,7 @@ def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     if bodies.shape[-2]:
         degenerate = np.argwhere(head_area <= 0.0)
         if len(degenerate):
-            from .records import BBox  # the message shows the head as a record
-            raise ValueError(f"zero-area head box: {BBox(*heads[tuple(degenerate[0])])}")
+            raise ValueError(f"zero-area head box: {tuple(heads[tuple(degenerate[0])].tolist())}")
     return pairwise_intersection(heads, bodies) / head_area[..., :, None]
 
 

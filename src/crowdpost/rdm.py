@@ -126,12 +126,17 @@ class RelationModel:
 
     def score_pairs(self, heads: DetectionColumns, bodies: DetectionColumns) -> np.ndarray:
         """Scores of the pairs (head k, body k) of two equal-length columns,
-        in forward passes of up to `SCORE_CHUNK` pairs."""
+        in forward passes of `SCORE_CHUNK` rows.  The last chunk is padded
+        with zero rows, whose scores are dropped: the bits of a row's score
+        can depend on the row count of its pass, and with one count a
+        pair's score does not depend on the other pairs of the split."""
         scores = np.empty(len(heads))
         for a in range(0, len(heads), SCORE_CHUNK):
-            b = a + SCORE_CHUNK
-            scores[a:b] = self.score_many(pair_features(heads.boxes[a:b], heads.scores[a:b],
-                                                        bodies.boxes[a:b], bodies.scores[a:b]))
+            b = min(a + SCORE_CHUNK, len(heads))
+            x = np.zeros((SCORE_CHUNK, FEATURE_DIM))
+            x[:b - a] = pair_features(heads.boxes[a:b], heads.scores[a:b],
+                                      bodies.boxes[a:b], bodies.scores[a:b])
+            scores[a:b] = self.score_many(x)[:b - a]
         return scores
 
     def to_obj(self) -> dict:

@@ -1,13 +1,14 @@
-"""The record route: boxes, persons, scenes and detections as frozen records.
+"""`train-rdm`'s record route and the readers' per-field parser.
 
-The simulator makes records, `write_scenes` writes them, and `train-rdm`'s
-per-scene NMS (`nms`, `build_detection_set`) and its pair builder
-(`build_training_pairs`) work on them.  The readers return columns
-(`data_model`), and turn lines into records only in a file with a line not
-shaped like the writers' lines: an integer where a float belongs, a field
-of the wrong type, a value out of range.  Then the per-field parser here
-converts each line, or raises the error that names the first faulty field.
-`run` and `eval` never load this module on the files the writers write.
+`train-rdm`'s per-scene NMS (`nms`, `build_detection_set`) and its pair
+builder (`build_training_pairs`) work on `Detection` records, each with its
+`BBox`.  The readers return columns (`data_model`), and come here only for
+a file with a line not shaped like the writers' lines: an integer where a
+float belongs, a field of the wrong type, a value out of range.  Then the
+per-field parser here checks each line and turns it into the row
+`data_model.scene_columns` or `group_columns` takes, or raises the error
+that names the first faulty field.  `simulate`, `estimate-ratio`, `run` and
+`eval` never load this module on the files the writers write.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import starmap
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .data_model import (CLASSES, DETECTION_FORMAT, SCENE_FORMAT, STAGES, DetectionColumns,
-                         FormatError, GroupColumns, SceneColumns, group_columns)
-from .fileio import atomic_write_text
+                         FormatError, SceneColumns)
 from .geometry import greedy_match, pairwise_ioh, pairwise_iou
 
 if TYPE_CHECKING:
@@ -30,6 +29,17 @@ if TYPE_CHECKING:
 
 _COORDINATES = ("x_min", "y_min", "x_max", "y_max")
 _isfinite = math.isfinite
+
+
+def _box_fault(x1, y1, x2, y2) -> str | None:
+    """Why a box of float corners is not valid, None if it is: the first
+    non-finite coordinate, or a negative extent."""
+    for name, value in zip(_COORDINATES, (x1, y1, x2, y2)):
+        if not _isfinite(value):
+            return f"non-finite box coordinate {name}={value}"
+    if x2 < x1 or y2 < y1:
+        return f"box has negative extent: ({x1}, {y1}, {x2}, {y2})"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,41 +57,15 @@ class BBox:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
-        if not (type(x1) is float and type(y1) is float
-                and type(x2) is float and type(y2) is float
-                and _isfinite(x1) and _isfinite(y1) and _isfinite(x2) and _isfinite(y2)):
-            # convert and check in field order, so the first bad coordinate is named
-            for name in _COORDINATES:
-                value = float(getattr(self, name))
-                if not _isfinite(value):
-                    raise ValueError(f"non-finite box coordinate {name}={value}")
+        if not (type(x1) is float and type(y1) is float and type(x2) is float
+                and type(y2) is float):
+            x1, y1, x2, y2 = corners = float(x1), float(y1), float(x2), float(y2)
+            for name, value in zip(_COORDINATES, corners):
                 object.__setattr__(self, name, value)
-            x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
-        if x2 < x1 or y2 < y1:
-            raise ValueError(f"box has negative extent: ({x1}, {y1}, {x2}, {y2})")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
-
-    @classmethod
-    def from_center_size(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
-        return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
-
-
-def area(b: BBox) -> float:
-    return b.width * b.height
+        # the checks of `_box_fault`, inline for the valid box
+        if not (_isfinite(x1) and _isfinite(y1) and _isfinite(x2) and _isfinite(y2)
+                and x1 <= x2 and y1 <= y2):
+            raise ValueError(_box_fault(x1, y1, x2, y2))
 
 
 def box_array(boxes: Iterable[BBox]) -> np.ndarray:
@@ -90,74 +74,12 @@ def box_array(boxes: Iterable[BBox]) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-# The records below convert a field only when it does not already hold the
-# target type, so values read from a file are converted once, and numpy
-# scalars from programmatic callers still become Python ints and floats.
-
-@dataclass(frozen=True, slots=True)
-class PersonInstance:
-    """One annotated person: paired head and full-body boxes."""
-
-    person_id: int
-    head: BBox
-    body: BBox
-    ignore: bool = False
-    occlusion_ratio: float = 0.0
-
-    def __post_init__(self):
-        if type(self.person_id) is not int:
-            object.__setattr__(self, "person_id", int(self.person_id))
-        if type(self.ignore) is not bool:
-            object.__setattr__(self, "ignore", bool(self.ignore))
-        occ = self.occlusion_ratio
-        if type(occ) is not float:
-            occ = float(occ)
-            object.__setattr__(self, "occlusion_ratio", occ)
-        if not 0.0 <= occ <= 1.0:
-            raise ValueError(f"occlusion_ratio {occ} outside [0, 1]")
-        h, b = self.head, self.body
-        # labeling rule: the head box lies within the body box
-        if h.x_min < b.x_min or h.y_min < b.y_min or h.x_max > b.x_max or h.y_max > b.y_max:
-            raise ValueError("head box extends beyond body box")
-
-
-@dataclass(frozen=True, slots=True)
-class Scene:
-    """Ground truth for one image."""
-
-    scene_id: str
-    width: float
-    height: float
-    persons: tuple[PersonInstance, ...]
-
-    def __post_init__(self):
-        width, height, persons = self.width, self.height, self.persons
-        if type(width) is not float:
-            width = float(width)
-            object.__setattr__(self, "width", width)
-        if type(height) is not float:
-            height = float(height)
-            object.__setattr__(self, "height", height)
-        if type(persons) is not tuple:
-            persons = tuple(persons)
-            object.__setattr__(self, "persons", persons)
-        if width <= 0 or height <= 0:
-            raise ValueError(f"non-positive image size {width}x{height}")
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise ValueError(f"non-finite image size {width}x{height}")
-        seen = set()
-        for p in persons:
-            if p.person_id in seen:
-                raise ValueError(f"duplicate person id {p.person_id}")
-            seen.add(p.person_id)
-            b = p.body
-            if b.x_min < 0 or b.y_min < 0 or b.x_max > width or b.y_max > height:
-                raise ValueError(f"person {p.person_id} body box outside image bounds")
-
-
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """A scored box: its scene and class are those of the group that holds it."""
+    """A scored box: its scene and class are those of the group that holds it.
+
+    A field not of its type is converted, so numpy scalars from programmatic
+    callers become Python ints and floats."""
 
     det_id: int
     box: BBox
@@ -175,31 +97,6 @@ class Detection:
 
 
 @dataclass(frozen=True, slots=True)
-class DetectionGroup:
-    """All detections of one (scene, class, stage) triple, as stored on one file line."""
-
-    scene_id: str
-    class_name: str
-    stage: str
-    dets: tuple[Detection, ...]
-
-    def __post_init__(self):
-        dets = self.dets
-        if type(dets) is not tuple:
-            dets = tuple(dets)
-            object.__setattr__(self, "dets", dets)
-        if self.class_name not in CLASSES:
-            raise ValueError(f"unknown class {self.class_name!r}")
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-        seen = set()
-        for d in dets:
-            if d.det_id in seen:
-                raise ValueError(f"duplicate det id {d.det_id}")
-            seen.add(d.det_id)
-
-
-@dataclass(frozen=True, slots=True)
 class DetectionSet:
     """Pipeline input for one scene: kept heads, and bodies before/after NMS."""
 
@@ -214,31 +111,6 @@ class DetectionSet:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
-# ---------------------------------------------------------------------------
-# records and columns
-#
-# A row is one scene's or one group's fields, with a list per person or
-# detection field and box corners flat, as the readers collect them.
-
-def _scene_fields(scene: Scene) -> tuple:
-    persons = scene.persons
-    return (scene.scene_id, scene.width, scene.height, [p.person_id for p in persons],
-            [v for p in persons for v in p.head.as_list()],
-            [v for p in persons for v in p.body.as_list()],
-            [p.ignore for p in persons], [p.occlusion_ratio for p in persons])
-
-
-def _group_fields(group: DetectionGroup) -> tuple:
-    dets = group.dets
-    return (group.scene_id, group.class_name, group.stage, [d.det_id for d in dets],
-            [v for d in dets for v in d.box.as_list()], [d.score for d in dets])
-
-
-def groups_as_columns(groups: Iterable[DetectionGroup]) -> GroupColumns:
-    """The columns of these `DetectionGroup` records, in their order."""
-    return group_columns(list(map(_group_fields, groups)))
-
-
 def detection_lists(dets: DetectionColumns) -> list[list[Detection]]:
     """Each group's detections as a list of `Detection` records."""
     records = list(map(Detection, dets.det_ids, starmap(BBox, dets.boxes.tolist()),
@@ -248,21 +120,25 @@ def detection_lists(dets: DetectionColumns) -> list[list[Detection]]:
 
 
 # ---------------------------------------------------------------------------
-# the per-field parsers
+# the per-field parser
+#
+# It checks a decoded line field by field, in the order below, and raises
+# the `FormatError` of the first fault; a valid line becomes its row, with a
+# list per person or detection field and box corners flat.
 
 def _field(item, key):
     return f"{item}.{key}" if item else key
 
 
-def _parse_box(value, path, line_no, item, key) -> BBox:
+def _parse_box(value, path, line_no, item, key) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise FormatError("box must be a 4-element [x1, y1, x2, y2] list",
                           path, line_no, _field(item, key))
-    x1, y1, x2, y2 = (_number(v, path, line_no, item, key) for v in value)
-    try:
-        return BBox(x1, y1, x2, y2)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(str(exc), path, line_no, _field(item, key)) from exc
+    box = tuple(_number(v, path, line_no, item, key) for v in value)
+    fault = _box_fault(*box)
+    if fault:
+        raise FormatError(fault, path, line_no, _field(item, key))
+    return box
 
 
 def _entry(value, path, line_no, item) -> dict:
@@ -272,8 +148,8 @@ def _entry(value, path, line_no, item) -> dict:
 
 
 def _typed(value, kind, what, path, line_no, item, key):
-    # the record classes convert, so a float id or a string flag would be
-    # misread rather than rejected; a file must hold the JSON type itself
+    # a float id or a string flag is rejected, not converted: a file must
+    # hold the JSON type itself
     if type(value) is not kind:
         raise FormatError(f"expected {what}, got {value!r}", path, line_no, _field(item, key))
     return value
@@ -305,8 +181,8 @@ def _check_format(obj, expected, path, line_no):
                           path, line_no, "format")
 
 
-def _parse_person(p, path, line_no, item) -> PersonInstance:
-    """One `persons` entry, every field checked and a fault named."""
+def _parse_person(p, path, line_no, item) -> tuple:
+    """One `persons` entry as (id, head, body, ignore, occ)."""
     p = _entry(p, path, line_no, item)
     head = _parse_box(_require(p, "head", path, line_no, item), path, line_no, item, "head")
     body = _parse_box(_require(p, "body", path, line_no, item), path, line_no, item, "body")
@@ -314,14 +190,16 @@ def _parse_person(p, path, line_no, item) -> PersonInstance:
                        path, line_no, item, "id")
     ignore = _typed(p.get("ignore", False), bool, "a boolean", path, line_no, item, "ignore")
     occ = _number(p.get("occ", 0.0), path, line_no, item, "occ")
-    try:
-        return PersonInstance(person_id=person_id, head=head, body=body,
-                              ignore=ignore, occlusion_ratio=occ)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(str(exc), path, line_no, item) from exc
+    if not 0.0 <= occ <= 1.0:
+        raise FormatError(f"occlusion_ratio {occ} outside [0, 1]", path, line_no, item)
+    # labeling rule: the head box lies within the body box
+    if (head[0] < body[0] or head[1] < body[1] or head[2] > body[2] or head[3] > body[3]):
+        raise FormatError("head box extends beyond body box", path, line_no, item)
+    return person_id, head, body, ignore, occ
 
 
-def _parse_scene(obj, path, line_no) -> Scene:
+def parsed_scene_row(obj, path, line_no) -> tuple:
+    """The row of a scene line, every field checked."""
     _check_format(obj, SCENE_FORMAT, path, line_no)
     scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
                       path, line_no, "", "scene_id")
@@ -332,31 +210,37 @@ def _parse_scene(obj, path, line_no) -> Scene:
         raise FormatError("persons must be a list", path, line_no, "persons")
     persons = [_parse_person(p, path, line_no, f"persons[{i}]")
                for i, p in enumerate(raw_persons)]
-    try:
-        return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(str(exc), path, line_no) from exc
+    if width <= 0 or height <= 0:
+        raise FormatError(f"non-positive image size {width}x{height}", path, line_no)
+    if not (_isfinite(width) and _isfinite(height)):
+        raise FormatError(f"non-finite image size {width}x{height}", path, line_no)
+    seen = set()
+    for person_id, _, (x1, y1, x2, y2), _, _ in persons:
+        if person_id in seen:
+            raise FormatError(f"duplicate person id {person_id}", path, line_no)
+        seen.add(person_id)
+        if x1 < 0 or y1 < 0 or x2 > width or y2 > height:
+            raise FormatError(f"person {person_id} body box outside image bounds",
+                              path, line_no)
+    return (scene_id, width, height, [p[0] for p in persons],
+            [v for p in persons for v in p[1]], [v for p in persons for v in p[2]],
+            [p[3] for p in persons], [p[4] for p in persons])
 
 
-def parsed_scene_row(obj, path, line_no) -> tuple:
-    """The row of a scene line, every field checked by the per-field parser."""
-    return _scene_fields(_parse_scene(obj, path, line_no))
-
-
-def _parse_det(d, path, line_no, item) -> Detection:
-    """One `dets` entry, every field checked and a fault named."""
+def _parse_det(d, path, line_no, item) -> tuple:
+    """One `dets` entry as (id, box, score)."""
     d = _entry(d, path, line_no, item)
     box = _parse_box(_require(d, "box", path, line_no, item), path, line_no, item, "box")
     det_id = _require(d, "id", path, line_no, item)
     score = _number(_require(d, "score", path, line_no, item), path, line_no, item, "score")
     _typed(det_id, int, "an integer", path, line_no, item, "id")
-    try:
-        return Detection(det_id=det_id, box=box, score=score)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(str(exc), path, line_no, item) from exc
+    if not 0.0 <= score <= 1.0:
+        raise FormatError(f"detection score {score} outside [0, 1]", path, line_no, item)
+    return det_id, box, score
 
 
-def _parse_group(obj, path, line_no) -> DetectionGroup:
+def parsed_group_row(obj, path, line_no) -> tuple:
+    """The row of a detection line, every field checked."""
     _check_format(obj, DETECTION_FORMAT, path, line_no)
     scene_id = _typed(_require(obj, "scene_id", path, line_no), str, "a string",
                       path, line_no, "", "scene_id")
@@ -370,48 +254,20 @@ def _parse_group(obj, path, line_no) -> DetectionGroup:
     if not isinstance(raw, list):
         raise FormatError("dets must be a list", path, line_no, "dets")
     dets = [_parse_det(d, path, line_no, f"dets[{i}]") for i, d in enumerate(raw)]
-    try:
-        return DetectionGroup(scene_id=scene_id, class_name=class_name,
-                              stage=stage, dets=tuple(dets))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc), path, line_no) from exc
-
-
-def parsed_group_row(obj, path, line_no) -> tuple:
-    """The row of a detection line, every field checked by the per-field parser."""
-    return _group_fields(_parse_group(obj, path, line_no))
-
-
-# ---------------------------------------------------------------------------
-# scene files
-#
-# `write_scenes` formats each line directly, as `data_model` writes
-# detection lines: the records hold exact ints, bools and finite floats, so
-# the text is the bytes `json.dumps` gives for the line's object.
-
-def _box_text(b: BBox) -> str:
-    return f"[{b.x_min!r}, {b.y_min!r}, {b.x_max!r}, {b.y_max!r}]"
-
-
-def _scene_line(scene: Scene) -> str:
-    persons = ", ".join(
-        f'{{"id": {p.person_id!r}, "head": {_box_text(p.head)}, "body": {_box_text(p.body)}, '
-        f'"ignore": {"true" if p.ignore else "false"}, "occ": {p.occlusion_ratio!r}}}'
-        for p in scene.persons)
-    return (f'{{"format": "{SCENE_FORMAT}", "scene_id": {_json_string(scene.scene_id)}, '
-            f'"width": {scene.width!r}, "height": {scene.height!r}, "persons": [{persons}]}}\n')
-
-
-def write_scenes(scenes, path) -> None:
-    atomic_write_text(path, "".join(map(_scene_line, scenes)))
+    seen = set()
+    for det_id, _, _ in dets:
+        if det_id in seen:
+            raise FormatError(f"duplicate det id {det_id}", path, line_no)
+        seen.add(det_id)
+    return (scene_id, class_name, stage, [d[0] for d in dets],
+            [v for d in dets for v in d[1]], [d[2] for d in dets])
 
 
 # ---------------------------------------------------------------------------
 # train-rdm's per-scene NMS and training pairs
 #
-# These import `nms` and `rdm` when called, so that `simulate`,
-# `estimate-ratio` and a reader's fallback line, which need only the records,
-# do not load NMS and the relation model.
+# These import `nms` and `rdm` when called, so that a reader's fallback
+# line, which needs only the parser, does not load NMS and the relation model.
 
 def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
     """Suppress overlapping detections; the caller passes those of one class

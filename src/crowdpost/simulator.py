@@ -15,6 +15,13 @@ fraction of its body covered by the bodies in front of it.
 The detector model emits one jittered head and body detection per sampled
 person, plus limb-site head false positives and offset body false positives.
 No rendering happens anywhere; everything is box arithmetic.
+
+A box is a 4-tuple of corners (x_min, y_min, x_max, y_max).  A scene is its
+row, as the readers collect one and `data_model.scene_columns` takes it:
+(scene_id, width, height, person ids, head corners, body corners, ignore
+flags, occlusions), a list per person field and the corners of every box one
+after the other.  A detection is a (box, score) pair, and its id is its
+position in its scene's head or body list.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import numpy as np
 
 from .geometry import pairwise_intersection
 from .ratio import HeadBodyRatio
-from .records import BBox, Detection, PersonInstance, Scene, area, box_array
 
 _MIN_HEIGHT = 12.0
 # body occupies at most this fraction of the image height
@@ -115,11 +121,24 @@ class NoiseConfig:
 # ---------------------------------------------------------------------------
 # scene generation
 
-def apply_ratio(head: BBox, ratio: HeadBodyRatio) -> BBox:
+def _center_box(cx: float, cy: float, w: float, h: float) -> tuple:
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
+def _center(box) -> tuple[float, float]:
+    return (box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0
+
+
+def _boxes(corners: list[float]) -> list[tuple]:
+    """The boxes of a row's flat corner list."""
+    return list(zip(*[iter(corners)] * 4))
+
+
+def apply_ratio(head, ratio: HeadBodyRatio) -> tuple:
     """Infer a body box from a head box."""
-    (hcx, hcy), hw, hh = head.center, head.width, head.height
-    return BBox.from_center_size(hcx + ratio.delta_x * hw, hcy + ratio.delta_y * hh,
-                                 ratio.alpha_w * hw, ratio.alpha_h * hh)
+    (hcx, hcy), hw, hh = _center(head), head[2] - head[0], head[3] - head[1]
+    return _center_box(hcx + ratio.delta_x * hw, hcy + ratio.delta_y * hh,
+                       ratio.alpha_w * hw, ratio.alpha_h * hh)
 
 
 def _feasible_center_range(head_w, head_h, ratio, image_w, image_h):
@@ -135,14 +154,14 @@ def _feasible_center_range(head_w, head_h, ratio, image_w, image_h):
     return lo_x, hi_x, lo_y, hi_y
 
 
-def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
-    """Build one scene; scene `index` is seeded with cfg.seed + index."""
+def generate_scene(cfg: SimConfig, index: int = 0) -> tuple:
+    """Build one scene's row; scene `index` is seeded with cfg.seed + index."""
     rng = np.random.default_rng(cfg.seed + index)
     img_w, img_h = cfg.image_size
     ratio = _TRUE_RATIO
     count = int(rng.poisson(cfg.persons_per_image))
 
-    heads: list[BBox] = []
+    heads: list[tuple] = []
     # unpaired persons eligible as overlap anchors; pairing keeps crowd
     # overlaps pairwise instead of snowballing into many-body stacks
     free: list[int] = []
@@ -155,7 +174,7 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
         if anchor_body is None:
             height = cfg.median_height * math.exp(_LOG_HEIGHT_SIGMA * rng.standard_normal())
         else:
-            height = anchor_body.height * math.exp(rng.normal(0.0, 0.05))
+            height = (anchor_body[3] - anchor_body[1]) * math.exp(rng.normal(0.0, 0.05))
         height = min(max(height, _MIN_HEIGHT), _MAX_HEIGHT_FRACTION * img_h)
         head_h = height / ratio.alpha_h
         head_w = head_h / _HEAD_ASPECT
@@ -168,12 +187,12 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
             cy = lo_y + (hi_y - lo_y) * rng.random()
             free.append(len(heads))
         else:
-            bw = anchor_body.width
-            acx, acy = anchor_body.center
+            bw = anchor_body[2] - anchor_body[0]
+            acx, acy = _center(anchor_body)
             # lateral offset floor keeps neighbors geometrically distinct
             offset = bw * (0.25 + abs(rng.normal(0.0, 0.18)))
             sign = -1.0 if rng.random() < 0.5 else 1.0
-            dy = anchor_body.height * rng.normal(0.0, 0.0625)
+            dy = (anchor_body[3] - anchor_body[1]) * rng.normal(0.0, 0.0625)
             cx = None
             for s in (sign, -sign):
                 cand = min(max(acx + s * offset - ratio.delta_x * head_w, lo_x), hi_x)
@@ -183,23 +202,19 @@ def generate_scene(cfg: SimConfig, index: int = 0) -> Scene:
             if cx is None:
                 cx = min(max(acx + sign * offset - ratio.delta_x * head_w, lo_x), hi_x)
             cy = min(max(acy + dy - ratio.delta_y * head_h, lo_y), hi_y)
-        heads.append(BBox.from_center_size(cx, cy, head_w, head_h))
+        heads.append(_center_box(cx, cy, head_w, head_h))
 
     bodies = [apply_ratio(h, ratio) for h in heads]
     # clamp heads into their bodies: the ratio puts the head top flush with
     # the body top, where float rounding can violate containment by one ulp
-    heads = [BBox(max(h.x_min, b.x_min), max(h.y_min, b.y_min),
-                  min(h.x_max, b.x_max), min(h.y_max, b.y_max))
+    heads = [(max(h[0], b[0]), max(h[1], b[1]), min(h[2], b[2]), min(h[3], b[3]))
              for h, b in zip(heads, bodies)]
-    occ = _occlusion_ratios(bodies)
-    persons = tuple(
-        PersonInstance(person_id=i, head=heads[i], body=bodies[i],
-                       ignore=False, occlusion_ratio=occ[i])
-        for i in range(len(heads)))
-    return Scene(scene_id=f"s{index:05d}", width=img_w, height=img_h, persons=persons)
+    return (f"s{index:05d}", img_w, img_h, list(range(len(heads))),
+            [v for h in heads for v in h], [v for b in bodies for v in b],
+            [False] * len(heads), _occlusion_ratios(bodies))
 
 
-def generate_scenes(cfg: SimConfig, num_scenes: int) -> list[Scene]:
+def generate_scenes(cfg: SimConfig, num_scenes: int) -> list[tuple]:
     """`num_scenes` scenes; a split of more than `MAX_EXPECTED_PERSONS`
     expected persons is rejected before any scene is drawn."""
     if num_scenes * cfg.persons_per_image > MAX_EXPECTED_PERSONS:
@@ -209,16 +224,16 @@ def generate_scenes(cfg: SimConfig, num_scenes: int) -> list[Scene]:
     return [generate_scene(cfg, i) for i in range(num_scenes)]
 
 
-def _painter_overlaps(bodies: list[BBox], ids) -> tuple[np.ndarray, np.ndarray]:
+def _painter_overlaps(bodies: list[tuple], ids) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise body intersections and the mask `behind[i, j]`: body j is
     behind body i in painter order."""
-    boxes = box_array(bodies)
+    boxes = np.array(bodies, dtype=np.float64).reshape(-1, 4)
     depth = np.empty(len(boxes), dtype=np.intp)
     depth[np.lexsort((np.asarray(ids), boxes[:, 3]))] = np.arange(len(boxes))
     return pairwise_intersection(boxes, boxes), depth < depth[:, None]
 
 
-def _occlusion_ratios(bodies: list[BBox]) -> list[float]:
+def _occlusion_ratios(bodies: list[tuple]) -> list[float]:
     """Fraction of each body covered by bodies in front of it."""
     if len(bodies) < 2:
         return [0.0] * len(bodies)
@@ -227,20 +242,22 @@ def _occlusion_ratios(bodies: list[BBox]) -> list[float]:
     # a zero-area body overlaps nothing, so it is never divided by
     for body, in_front in zip(bodies, (behind.T & (inter > 0.0)).tolist()):
         others = [b for b, front in zip(bodies, in_front) if front]
-        ratios.append(min(_covered_area(body, others) / area(body), 1.0) if others else 0.0)
+        area = (body[2] - body[0]) * (body[3] - body[1])
+        ratios.append(min(_covered_area(body, others) / area, 1.0) if others else 0.0)
     return ratios
 
 
-def _covered_area(target: BBox, others: list[BBox]) -> float:
+def _covered_area(target: tuple, others: list[tuple]) -> float:
     """Area of target covered by the union of the other boxes.
 
     Coordinate compression over x, interval union over y per strip; exact for
     axis-aligned boxes, no rasterization.
     """
     clipped = []
-    for o in others:
-        x1, y1 = max(o.x_min, target.x_min), max(o.y_min, target.y_min)
-        x2, y2 = min(o.x_max, target.x_max), min(o.y_max, target.y_max)
+    tx1, ty1, tx2, ty2 = target
+    for ox1, oy1, ox2, oy2 in others:
+        x1, y1 = max(ox1, tx1), max(oy1, ty1)
+        x2, y2 = min(ox2, tx2), min(oy2, ty2)
         if x2 > x1 and y2 > y1:
             clipped.append((x1, y1, x2, y2))
     if not clipped:
@@ -271,76 +288,72 @@ def _clip_score(rng, mean, std):
     return float(min(max(rng.normal(mean, std), 0.0), 1.0))
 
 
-def _jitter_box(rng, box: BBox, sigma: float, img_w: float, img_h: float) -> BBox:
-    w, h = box.width, box.height
-    x1 = box.x_min + rng.normal(0.0, sigma * w)
-    x2 = box.x_max + rng.normal(0.0, sigma * w)
-    y1 = box.y_min + rng.normal(0.0, sigma * h)
-    y2 = box.y_max + rng.normal(0.0, sigma * h)
+def _jitter_box(rng, box: tuple, sigma: float, img_w: float, img_h: float) -> tuple | None:
+    bx1, by1, bx2, by2 = box
+    w, h = bx2 - bx1, by2 - by1
+    x1 = bx1 + rng.normal(0.0, sigma * w)
+    x2 = bx2 + rng.normal(0.0, sigma * w)
+    y1 = by1 + rng.normal(0.0, sigma * h)
+    y2 = by2 + rng.normal(0.0, sigma * h)
     return _bounded_box(x1, y1, x2, y2, img_w, img_h)
 
 
-def _bounded_box(x1, y1, x2, y2, img_w, img_h) -> BBox | None:
+def _bounded_box(x1, y1, x2, y2, img_w, img_h) -> tuple | None:
     x1, x2 = min(x1, x2), max(x1, x2)
     y1, y2 = min(y1, y2), max(y1, y2)
     x1, x2 = max(x1, 0.0), min(x2, img_w)
     y1, y2 = max(y1, 0.0), min(y2, img_h)
     if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
         return None
-    return BBox(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
-def _overlap_partners(scene: Scene) -> dict[int, BBox]:
-    """Drift target per person: the body it most overlaps among those behind it.
+def _overlap_partners(ids: list[int], bodies: list[tuple]) -> dict[int, tuple]:
+    """Drift target per person id: the body it most overlaps among those
+    behind it.
 
     Only the occluder's detection drifts (its box absorbs the occludee's
     evidence); the occludee keeps an honest box.  Of equal overlaps the
     first person in the scene wins.
     """
-    persons = scene.persons
-    if len(persons) < 2:
+    if len(ids) < 2:
         return {}
-    inter, behind = _painter_overlaps([p.body for p in persons],
-                                      [p.person_id for p in persons])
+    inter, behind = _painter_overlaps(bodies, ids)
     inter[~behind] = 0.0
     best = inter.argmax(axis=1).tolist()
-    return {p.person_id: persons[j].body
-            for i, (p, j) in enumerate(zip(persons, best)) if inter[i, j] > 0.0}
+    return {person_id: bodies[j]
+            for i, (person_id, j) in enumerate(zip(ids, best)) if inter[i, j] > 0.0}
 
 
-def _attract(rng, box: BBox, target: BBox, max_blend: float,
-             img_w: float, img_h: float) -> BBox | None:
+def _attract(rng, box: tuple, target: tuple, max_blend: float,
+             img_w: float, img_h: float) -> tuple | None:
     a = rng.uniform(0.0, max_blend)
-    return _bounded_box(box.x_min + a * (target.x_min - box.x_min),
-                        box.y_min + a * (target.y_min - box.y_min),
-                        box.x_max + a * (target.x_max - box.x_max),
-                        box.y_max + a * (target.y_max - box.y_max),
-                        img_w, img_h)
+    return _bounded_box(*(v + a * (t - v) for v, t in zip(box, target)), img_w, img_h)
 
 
 _HEAD_FP_SITES = ("bottom_left", "bottom_right", "bottom_center",
                   "left_edge", "right_edge", "lower_half")
 
 
-def _head_fp_box(rng, person: PersonInstance, img_w, img_h) -> BBox | None:
-    b = person.body
-    hw = person.head.width * math.exp(rng.normal(0.0, 0.1))
-    hh = person.head.height * math.exp(rng.normal(0.0, 0.1))
-    bcx, bcy = b.center
+def _head_fp_box(rng, head: tuple, body: tuple, img_w, img_h) -> tuple | None:
+    bx1, _, bx2, by2 = body
+    hw = (head[2] - head[0]) * math.exp(rng.normal(0.0, 0.1))
+    hh = (head[3] - head[1]) * math.exp(rng.normal(0.0, 0.1))
+    bcx, bcy = _center(body)
     site = _HEAD_FP_SITES[int(rng.integers(len(_HEAD_FP_SITES)))]
     if site == "bottom_left":
-        cx, cy = b.x_min, b.y_max
+        cx, cy = bx1, by2
     elif site == "bottom_right":
-        cx, cy = b.x_max, b.y_max
+        cx, cy = bx2, by2
     elif site == "bottom_center":
-        cx, cy = bcx, b.y_max - 0.6 * hh
+        cx, cy = bcx, by2 - 0.6 * hh
     elif site == "left_edge":
-        cx, cy = b.x_min, bcy
+        cx, cy = bx1, bcy
     elif site == "right_edge":
-        cx, cy = b.x_max, bcy
+        cx, cy = bx2, bcy
     else:
-        lo_x, hi_x = b.x_min + hw / 2.0, b.x_max - hw / 2.0
-        lo_y, hi_y = bcy, b.y_max - hh / 2.0
+        lo_x, hi_x = bx1 + hw / 2.0, bx2 - hw / 2.0
+        lo_y, hi_y = bcy, by2 - hh / 2.0
         if lo_x >= hi_x or lo_y >= hi_y:
             cx, cy = bcx, bcy
         else:
@@ -350,24 +363,25 @@ def _head_fp_box(rng, person: PersonInstance, img_w, img_h) -> BBox | None:
                         cx + hw / 2.0, cy + hh / 2.0, img_w, img_h)
 
 
-def _body_fp_box(rng, person: PersonInstance, img_w, img_h) -> BBox | None:
-    b = person.body
-    bw = b.width * math.exp(rng.normal(0.0, 0.1))
-    bh = b.height * math.exp(rng.normal(0.0, 0.1))
-    bcx, bcy = b.center
+def _body_fp_box(rng, body: tuple, img_w, img_h) -> tuple | None:
+    w, h = body[2] - body[0], body[3] - body[1]
+    bw = w * math.exp(rng.normal(0.0, 0.1))
+    bh = h * math.exp(rng.normal(0.0, 0.1))
+    bcx, bcy = _center(body)
     # lateral shift at least 0.6 widths keeps IoU with the source below 0.5
-    shift = (0.6 + 0.6 * rng.random()) * b.width
+    shift = (0.6 + 0.6 * rng.random()) * w
     sign = -1.0 if rng.random() < 0.5 else 1.0
     cx = bcx + sign * shift
-    cy = bcy + b.height * rng.normal(0.0, 0.05)
+    cy = bcy + h * rng.normal(0.0, 0.05)
     return _bounded_box(cx - bw / 2.0, cy - bh / 2.0,
                         cx + bw / 2.0, cy + bh / 2.0, img_w, img_h)
 
 
-def simulate_detector(scene: Scene, noise: NoiseConfig,
+def simulate_detector(scene: tuple, noise: NoiseConfig,
                       rng: np.random.Generator | None = None,
-                      ) -> tuple[list[Detection], list[Detection]]:
-    """Emit pre-NMS head and body detections for one scene.
+                      ) -> tuple[list[tuple], list[tuple]]:
+    """Emit pre-NMS head and body detections, (box, score) pairs, for one
+    scene row.
 
     Per person one Bernoulli(detect_prob) draw decides whether both its head
     and body detections fire; detected boxes are corner-jittered and scored
@@ -377,44 +391,47 @@ def simulate_detector(scene: Scene, noise: NoiseConfig,
     """
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    img_w, img_h = scene.width, scene.height
-    heads: list[Detection] = []
-    bodies: list[Detection] = []
+    _, img_w, img_h, ids, heads, bodies, *_ = scene
+    body_boxes = _boxes(bodies)
+    persons = list(zip(ids, _boxes(heads), body_boxes))
+    head_dets: list[tuple] = []
+    body_dets: list[tuple] = []
 
     def emit(dets, box, score):
         if box is not None:
-            dets.append(Detection(det_id=len(dets), box=box, score=score))
+            dets.append((box, score))
 
-    partners = _overlap_partners(scene) if noise.crowd_attraction > 0 else {}
-    for p in scene.persons:
+    partners = _overlap_partners(ids, body_boxes) if noise.crowd_attraction > 0 else {}
+    for person_id, head, body in persons:
         if rng.random() >= noise.detect_prob:
             continue
-        hbox = _jitter_box(rng, p.head, noise.loc_jitter_sigma, img_w, img_h)
-        bbox = _jitter_box(rng, p.body, noise.loc_jitter_sigma, img_w, img_h)
-        partner = partners.get(p.person_id)
+        hbox = _jitter_box(rng, head, noise.loc_jitter_sigma, img_w, img_h)
+        bbox = _jitter_box(rng, body, noise.loc_jitter_sigma, img_w, img_h)
+        partner = partners.get(person_id)
         if bbox is not None and partner is not None:
             bbox = _attract(rng, bbox, partner, noise.crowd_attraction, img_w, img_h)
-        emit(heads, hbox, _clip_score(rng, *_TP_SCORE))
-        emit(bodies, bbox, _clip_score(rng, *_TP_SCORE))
+        emit(head_dets, hbox, _clip_score(rng, *_TP_SCORE))
+        emit(body_dets, bbox, _clip_score(rng, *_TP_SCORE))
 
-    if scene.persons:
+    if persons:
         for _ in range(int(rng.poisson(noise.head_fp_rate))):
-            person = scene.persons[int(rng.integers(len(scene.persons)))]
-            emit(heads, _head_fp_box(rng, person, img_w, img_h),
+            _, head, body = persons[int(rng.integers(len(persons)))]
+            emit(head_dets, _head_fp_box(rng, head, body, img_w, img_h),
                  _clip_score(rng, *_FP_SCORE))
         for _ in range(int(rng.poisson(noise.body_fp_rate))):
-            person = scene.persons[int(rng.integers(len(scene.persons)))]
-            emit(bodies, _body_fp_box(rng, person, img_w, img_h),
+            _, _, body = persons[int(rng.integers(len(persons)))]
+            emit(body_dets, _body_fp_box(rng, body, img_w, img_h),
                  _clip_score(rng, *_FP_SCORE))
 
-    return heads, bodies
+    return head_dets, body_dets
 
 
-def simulate_detections(scenes: list[Scene], noise: NoiseConfig,
-                        ) -> dict[str, tuple[list[Detection], list[Detection]]]:
-    """Run the detector over scenes with per-scene child seeds [seed, index]."""
+def simulate_detections(scenes: list[tuple], noise: NoiseConfig,
+                        ) -> dict[str, tuple[list[tuple], list[tuple]]]:
+    """Run the detector over scene rows with per-scene child seeds [seed,
+    index]: each scene's (heads, bodies) by its id."""
     out = {}
     for index, scene in enumerate(scenes):
         rng = np.random.default_rng([noise.seed, index])
-        out[scene.scene_id] = simulate_detector(scene, noise, rng)
+        out[scene[0]] = simulate_detector(scene, noise, rng)
     return out

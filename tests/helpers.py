@@ -1,58 +1,115 @@
 """Small builders shared by the test modules.
 
 The readers and the functions that take their output work on columns; the
-tests build records, and `scene_columns`, `detection_columns` and
-`group_columns` turn those into the columns a reader would return for them.
-`write_groups` writes records to a detection file, as `simulate` does.
-`one_scene` gives one scene's detections as a split of one group, and
-`postprocess_scene` runs a one-scene split given as `Detection` lists
-through `scene_inputs` and `postprocess`.
+tests build ground truth one person at a time, as plain named tuples
+(`person`, `scene`, with boxes as 4-tuples of float corners, as `simulator`
+makes them), and detections as `Detection` records (`det`).
+`scene_columns`, `detection_columns` and `group_columns` turn those into the
+columns a reader would return for them, and `scene_of` reads a simulator
+row back as a `Scene`.
+`write_scene_file` and `write_groups` write scene and detection files, as
+`simulate` does.  `one_scene` gives one scene's detections as a split of
+one group, and `postprocess_scene` runs a one-scene split given as
+`Detection` lists through `scene_inputs` and `postprocess`.
 `fields` gives every column of a columns object as plain values, so two of
 them compare by the values they hold.
 """
 
 import dataclasses
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
-                                  write_detection_groups)
+                                  write_detection_groups, write_scenes)
 from crowdpost.pipeline import postprocess, scene_inputs
-from crowdpost.records import (BBox, Detection, PersonInstance, Scene, box_array,
-                               groups_as_columns)
+from crowdpost.records import BBox, Detection, box_array
+
+
+class Person(NamedTuple):
+    """One annotated person: paired head and full-body boxes."""
+    person_id: int
+    head: tuple
+    body: tuple
+    ignore: bool = False
+    occlusion_ratio: float = 0.0
+
+
+class Scene(NamedTuple):
+    """Ground truth for one image."""
+    scene_id: str
+    width: float
+    height: float
+    persons: tuple
+
+
+class Group(NamedTuple):
+    """The detections of one (scene, class, stage) triple, one file line."""
+    scene_id: str
+    class_name: str
+    stage: str
+    dets: tuple
 
 
 def det(det_id, box, score):
     return Detection(det_id=det_id, box=BBox(*box), score=score)
 
 
+def corners(box: BBox) -> tuple:
+    """A `BBox` as its 4-tuple of corners."""
+    return box.x_min, box.y_min, box.x_max, box.y_max
+
+
+def box(*corners) -> tuple:
+    """A box as a 4-tuple of float corners (x_min, y_min, x_max, y_max)."""
+    return tuple(map(float, corners))
+
+
 def person(person_id, head, body, ignore=False, occ=0.0):
-    return PersonInstance(person_id=person_id, head=BBox(*head), body=BBox(*body),
-                          ignore=ignore, occlusion_ratio=occ)
+    return Person(int(person_id), box(*head), box(*body), bool(ignore), float(occ))
 
 
 def scene(persons, scene_id="s0", width=200.0, height=200.0):
-    return Scene(scene_id=scene_id, width=width, height=height, persons=tuple(persons))
+    return Scene(scene_id, float(width), float(height), tuple(persons))
+
+
+def scene_of(row) -> Scene:
+    """A scene row, as `generate_scene` gives it, as a `Scene`."""
+    scene_id, width, height, ids, heads, bodies, ignore, occ = row
+    return Scene(scene_id, width, height, tuple(map(
+        Person, ids, zip(*[iter(heads)] * 4), zip(*[iter(bodies)] * 4), ignore, occ)))
+
+
+def sim_dets(pairs) -> list:
+    """Simulated (box, score) detections as `Detection` records, each with
+    its position as its id."""
+    return [det(i, box, score) for i, (box, score) in enumerate(pairs)]
 
 
 def box_pairs(pairs):
-    """(head, body) `BBox` pairs as the two (n, 4) arrays `estimate_ratio` takes."""
+    """(head, body) box pairs as the two (n, 4) arrays `estimate_ratio` takes."""
     pairs = list(pairs)
-    return box_array(h for h, _ in pairs), box_array(b for _, b in pairs)
+    return (np.array([h for h, _ in pairs], dtype=np.float64).reshape(-1, 4),
+            np.array([b for _, b in pairs], dtype=np.float64).reshape(-1, 4))
 
 
 def scene_columns(scenes) -> SceneColumns:
-    """The columns `read_scenes` returns for a file of these `Scene` records."""
+    """The columns `read_scenes` returns for a file of these scenes."""
     scenes = list(scenes)
     persons = [p for s in scenes for p in s.persons]
+    heads, bodies = box_pairs((p.head, p.body) for p in persons)
     return SceneColumns([s.scene_id for s in scenes], [s.width for s in scenes],
                         [s.height for s in scenes],
                         list(accumulate((len(s.persons) for s in scenes), initial=0)),
-                        [p.person_id for p in persons], box_array(p.head for p in persons),
-                        box_array(p.body for p in persons),
+                        [p.person_id for p in persons], heads, bodies,
                         np.array([p.ignore for p in persons], dtype=bool),
                         np.array([p.occlusion_ratio for p in persons], dtype=np.float64))
+
+
+def write_scene_file(scenes, path) -> None:
+    """Write a scene file of these scenes."""
+    write_scenes(scene_columns(scenes), path)
 
 
 def _detection_columns(scene_ids, runs) -> DetectionColumns:
@@ -96,7 +153,7 @@ def postprocess_scene(heads, bodies_pre, bodies_post, scorer, cfg):
 
 def group_columns(groups) -> GroupColumns:
     """The columns `read_detection_groups` returns for a file of these
-    `DetectionGroup` records."""
+    `Group`s."""
     groups = list(groups)
     return GroupColumns(_detection_columns([g.scene_id for g in groups],
                                            [g.dets for g in groups]),
@@ -104,9 +161,8 @@ def group_columns(groups) -> GroupColumns:
 
 
 def write_groups(groups, path) -> None:
-    """Write a detection file of these `DetectionGroup` records, as
-    `simulate` writes its records."""
-    write_detection_groups(groups_as_columns(groups), path)
+    """Write a detection file of these `Group`s."""
+    write_detection_groups(group_columns(groups), path)
 
 
 def group_det_ids(groups: GroupColumns) -> list[tuple]:

@@ -8,26 +8,27 @@ failure.
 
 import filecmp
 import functools
+import json
 import tempfile
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crowdpost.cli import main
 from crowdpost.data_model import BODY, HEAD
 from crowdpost.evaluator import FPPI_POINTS, EvalConfig, compute_mr2
 from crowdpost.geometry import pairwise_ioh, pairwise_iou
-from crowdpost.nms import NmsConfig
+from crowdpost.nms import NmsConfig, nms_groups
 from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio, estimate_ratio
 from crowdpost.rdm import TrainConfig, _loss_and_gradients, train
-from crowdpost.records import BBox, box_array, build_detection_set, build_training_pairs, nms
-from crowdpost.simulator import (NoiseConfig, SimConfig, apply_ratio, generate_scenes,
-                                 simulate_detections)
+from crowdpost.simulator import NoiseConfig, apply_ratio
 
-from helpers import (box_pairs, det, detection_columns, person, postprocess_scene, scene,
-                     scene_columns)
+from helpers import (box, box_pairs, det, detection_columns, person, postprocess_scene, scene,
+                     scene_columns, split_columns)
 from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
 from test_evaluator import _random_instance, num_reasonable, oracle_gts
@@ -79,8 +80,8 @@ def criterion(num, title, budget=None):
 
 @criterion(1, "geometry matches the pixel-rasterization oracle", budget=5.0)
 def test_criterion_1_geometry():
-    assert pairwise_ioh(box_array([BBox(0, 0, 10, 10)]),
-                        box_array([BBox(5, 0, 100, 100)]))[0, 0] == 0.5
+    assert pairwise_ioh(np.array([[0.0, 0.0, 10.0, 10.0]]),
+                        np.array([[5.0, 0.0, 100.0, 100.0]]))[0, 0] == 0.5
     rng = np.random.default_rng(11)
     boxes_a, boxes_b = [], []
     for _ in range(1000):
@@ -105,6 +106,9 @@ def test_criterion_1_geometry():
 def test_criterion_2_nms():
     rng = np.random.default_rng(22)
     tie_scores = (0.1, 0.3, 0.5, 0.5, 0.7, 0.9)
+    # the cases of one config are the groups of one `nms_groups` call, as
+    # `run` passes a split's scenes
+    cases = defaultdict(list)
     for _ in range(500):
         n = int(rng.integers(0, 51))
         cfg = NmsConfig(iou_threshold=float(rng.choice([0.3, 0.5, 0.7])),
@@ -112,20 +116,26 @@ def test_criterion_2_nms():
         dets, records = [], []
         for i in range(n):
             if dets and rng.random() < 0.15:
-                box = records[int(rng.integers(len(records)))]["box"]
+                corners = records[int(rng.integers(len(records)))]["box"]
             else:
                 x, y = rng.uniform(0, 100, size=2)
                 w, h = rng.uniform(5, 40, size=2)
-                box = (float(x), float(y), float(x + w), float(y + h))
+                corners = (float(x), float(y), float(x + w), float(y + h))
             score = float(rng.choice(tie_scores)) if rng.random() < 0.5 \
                 else float(rng.uniform(0.05, 1.0))
-            dets.append(det(i, box, score))
-            records.append({"id": i, "box": box, "score": score})
-        kept, floored = nms(dets, cfg)
-        ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold,
-                                              cfg.score_floor)
-        assert [d.det_id for d in kept] == ref_kept
-        assert [d.det_id for d in floored] == ref_floored
+            dets.append(det(i, corners, score))
+            records.append({"id": i, "box": corners, "score": score})
+        cases[cfg].append((dets, records))
+    assert sum(map(len, cases.values())) == 500
+    for cfg, groups in cases.items():
+        floored, kept = nms_groups(split_columns(dets for dets, _ in groups), cfg)
+        kept = floored.take(kept)
+        for k, (_, records) in enumerate(groups):
+            ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold,
+                                                  cfg.score_floor)
+            assert kept.det_ids[kept.det_offsets[k]:kept.det_offsets[k + 1]] == ref_kept
+            assert (floored.det_ids[floored.det_offsets[k]:floored.det_offsets[k + 1]]
+                    == ref_floored)
 
 
 def _boundary_mr2(height, occ):
@@ -187,7 +197,7 @@ def test_criterion_4_ratio():
         for _ in range(50):
             x, y = (int(v) for v in rng.integers(0, 200, size=2))
             w = int(rng.integers(4, 33))
-            head = BBox(x, y, x + w, y + w)
+            head = box(x, y, x + w, y + w)
             pairs.append((head, apply_ratio(head, true)))
         assert estimate_ratio(*box_pairs(pairs)) == true
 
@@ -199,10 +209,10 @@ def test_criterion_4_ratio():
         for i in range(100):
             x, y = rng.uniform(0, 300, size=2)
             w = rng.uniform(6, 30)
-            head = BBox(x, y, x + w, y + w)
+            head = box(x, y, x + w, y + w)
             body = apply_ratio(head, true)
             if i % 10 == 0:
-                body = BBox(x - 40, y - 40, x + 5 * w, y + 20 * w)
+                body = box(x - 40, y - 40, x + 5 * w, y + 20 * w)
             pairs.append((head, body))
         got = estimate_ratio(*box_pairs(pairs))
         assert abs(got.alpha_w - true.alpha_w) <= 0.05 * abs(true.alpha_w)
@@ -294,41 +304,34 @@ def test_criterion_6_pipeline():
             {d.det_id for d in moved.final_bodies}
 
 
-def _direction_one_seed(seed, cluster=0.65):
-    """Train on one split, post-process a disjoint split, return per-class
-    (baseline, with-model) score pairs."""
-    nms_cfg = NmsConfig()
-    train_scenes = generate_scenes(
-        SimConfig(seed=seed * 1000 + 500, crowd_cluster_prob=cluster), 60)
-    train_dets = simulate_detections(train_scenes,
-                                     NoiseConfig(seed=seed * 1000 + 500))
-    sets = [build_detection_set(sid, h, b, nms_cfg)
-            for sid, (h, b) in train_dets.items()]
-    feats, labels = build_training_pairs(scene_columns(train_scenes), sets, 0.7)
-    model, _ = train(feats, labels,
-                     TrainConfig(epochs=150, learning_rate=0.05, seed=seed))
+def _direction_one_seed(seed, base, cluster=0.65):
+    """Train on one split and post-process a disjoint one through the
+    commands, as the README does, in files under `base`; return per class
+    the (baseline, with-model) MR-2 that `eval` writes."""
+    def simulate(split, num_scenes, split_seed):
+        assert main(["simulate", "--out-scenes", f"{base}/{split}_scenes.jsonl",
+                     "--out-dets", f"{base}/{split}_dets.jsonl",
+                     "--num-scenes", str(num_scenes), "--seed", str(split_seed),
+                     "--noise-seed", str(split_seed), "--cluster-prob", repr(cluster)]) == 0
 
-    scenes = generate_scenes(
-        SimConfig(seed=seed * 1000, crowd_cluster_prob=cluster), 200)
-    dets = simulate_detections(scenes, NoiseConfig(seed=seed * 1000))
-    post_cfg = PostProcessConfig()
-    base = {HEAD: [], BODY: []}
-    with_model = {HEAD: [], BODY: []}
-    for s in scenes:
-        h, b = dets[s.scene_id]
-        ds = build_detection_set(s.scene_id, h, b, nms_cfg)
-        out = postprocess_scene(ds.heads_post_nms, ds.bodies_pre_nms,
-                                ds.bodies_post_nms, model.score_pairs, post_cfg)
-        base[HEAD] += [(s.scene_id, d) for d in ds.heads_post_nms]
-        base[BODY] += [(s.scene_id, d) for d in ds.bodies_post_nms]
-        with_model[HEAD] += [(s.scene_id, d) for d in out.final_heads]
-        with_model[BODY] += [(s.scene_id, d) for d in out.final_bodies]
+    simulate("train", 60, seed * 1000 + 500)
+    assert main(["train-rdm", "--scenes", f"{base}/train_scenes.jsonl",
+                 "--dets", f"{base}/train_dets.jsonl", "--out-model", f"{base}/model.json",
+                 "--out-loss", f"{base}/loss.csv", "--epochs", "150",
+                 "--learning-rate", "0.05", "--seed", str(seed)]) == 0
+    simulate("test", 200, seed * 1000)
+    assert main(["run", "--dets", f"{base}/test_dets.jsonl", "--model", f"{base}/model.json",
+                 "--out-dir", f"{base}/out"]) == 0
     result = {}
-    gt = scene_columns(scenes)
     for cls in (HEAD, BODY):
-        cfg = EvalConfig(class_under_test=cls)
-        result[cls] = (compute_mr2(detection_columns(base[cls]), gt, cfg).mr2,
-                       compute_mr2(detection_columns(with_model[cls]), gt, cfg).mr2)
+        mr2 = []
+        for variant in ("baseline", "rdm"):
+            prefix = f"{base}/eval/{variant}_{cls}"
+            assert main(["eval", "--results", f"{base}/out/{variant}.jsonl",
+                         "--scenes", f"{base}/test_scenes.jsonl", "--class", cls,
+                         "--out-prefix", prefix]) == 0
+            mr2.append(json.loads(Path(prefix + ".eval.json").read_text())["mr2"])
+        result[cls] = tuple(mr2)
     return result
 
 
@@ -338,7 +341,8 @@ def test_criterion_7_direction():
     assert NoiseConfig().head_fp_rate > 0  # head improvement is conditional on FPs
     wins = {HEAD: 0, BODY: 0}
     for seed in range(20):
-        result = _direction_one_seed(seed)
+        with tempfile.TemporaryDirectory() as base:
+            result = _direction_one_seed(seed, base)
         for cls in (HEAD, BODY):
             baseline, improved = result[cls]
             wins[cls] += improved < baseline

@@ -189,6 +189,26 @@ def test_estimate_ratio_loads_neither_records_nor_numpy_ma(chain, tmp_path):
     assert filecmp.cmp(out, chain / "ratio.json", shallow=False)
 
 
+def test_simulate_loads_no_records(chain, tmp_path):
+    # the simulator makes rows and `data_model` writes their columns, so
+    # `simulate` loads neither the record module nor NMS, the relation model
+    # or the evaluator; its files are the chain's, byte for byte
+    scenes, dets = tmp_path / "scenes.jsonl", tmp_path / "dets.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crowdpost.cli import main; code = main(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.startswith('crowdpost.'))); "
+         "sys.exit(code)",
+         "simulate", "--out-scenes", str(scenes), "--out-dets", str(dets),
+         "--num-scenes", "12", "--seed", "5", "--noise-seed", "7", "--cluster-prob", "0.5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([f"crowdpost.{m}" for m in (
+        "cli", "data_model", "fileio", "geometry", "ratio", "simulator")])
+    assert filecmp.cmp(scenes, chain / "scenes.jsonl", shallow=False)
+    assert filecmp.cmp(dets, chain / "dets.jsonl", shallow=False)
+
+
 def _fresh_eval(results, scenes, prefix):
     """`eval` of the body class in a new process, where no module is loaded yet."""
     return subprocess.run(
@@ -525,6 +545,48 @@ def test_repeated_key_in_a_data_line_is_one_line_error(capsys, chain, tmp_path, 
     assert not out.exists()
 
 
+def _audit_entries(dets_text, model, out) -> dict:
+    """`run` on a detection file of these lines: each scene's audit entry
+    as JSON text, by scene id."""
+    out.mkdir()
+    (out / "dets.jsonl").write_text(dets_text, encoding="utf-8")
+    assert main(["run", "--dets", str(out / "dets.jsonl"), "--model", str(model),
+                 "--out-dir", str(out)]) == 0
+    audit = json.loads((out / "audit.json").read_text(encoding="utf-8"))
+    return {entry["scene_id"]: json.dumps(entry) for entry in audit["scenes"]}
+
+
+def test_audit_entry_of_a_scene_is_its_own(tmp_path):
+    # a scene's relation scores, and so its audit entry, do not depend on
+    # the other scenes of its file: alone, in the split and in the split
+    # with its lines reversed, each scene gives the same bytes.  The
+    # README's model and the first 20 scenes of its test split
+    def simulate(prefix, num_scenes, seed):
+        assert main(["simulate", "--out-scenes", str(tmp_path / f"{prefix}_scenes.jsonl"),
+                     "--out-dets", str(tmp_path / f"{prefix}_dets.jsonl"),
+                     "--num-scenes", str(num_scenes), "--seed", str(seed),
+                     "--noise-seed", str(seed), "--cluster-prob", "0.65"]) == 0
+
+    simulate("train", 60, 500)
+    model = tmp_path / "model.json"
+    assert main(["train-rdm", "--scenes", str(tmp_path / "train_scenes.jsonl"),
+                 "--dets", str(tmp_path / "train_dets.jsonl"), "--out-model", str(model),
+                 "--out-loss", str(tmp_path / "loss.csv"), "--epochs", "150",
+                 "--learning-rate", "0.05", "--seed", "0"]) == 0
+    simulate("test", 20, 0)
+    lines = (tmp_path / "test_dets.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    whole = _audit_entries("".join(lines), model, tmp_path / "whole")
+    assert _audit_entries("".join(lines[::-1]), model, tmp_path / "reversed") == whole
+    by_scene = {}
+    for line in lines:
+        by_scene.setdefault(json.loads(line)["scene_id"], []).append(line)
+    alone = {}
+    for k, scene_lines in enumerate(by_scene.values()):
+        alone.update(_audit_entries("".join(scene_lines), model, tmp_path / f"alone{k}"))
+    assert alone == whole
+    assert sum(entry.count('"score"') for entry in whole.values()) > 200
+
+
 def test_audit_is_laid_out_as_json_dumps(chain):
     text = (chain / "out" / "audit.json").read_text(encoding="utf-8")
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
@@ -532,14 +594,14 @@ def test_audit_is_laid_out_as_json_dumps(chain):
 
 def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, monkeypatch):
     # estimate-ratio, train-rdm and eval take the scene file's arrays as the
-    # reader returns them; none of them builds a Scene or PersonInstance
-    from crowdpost.records import PersonInstance, Scene
+    # reader's batch pass returns them; none of them parses a scene line by
+    # line into its persons
+    from crowdpost import records
 
-    def refuse(record):
-        raise ValueError(f"{type(record).__name__} record built")
+    def refuse(obj, *_):
+        raise ValueError(f"scene {obj.get('scene_id')!r} parsed field by field")
 
-    for cls in (PersonInstance, Scene):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(records, "parsed_scene_row", refuse)
     assert main(["estimate-ratio", "--scenes", str(chain / "scenes.jsonl"),
                  "--out", str(tmp_path / "ratio.json")]) == 0
     assert main(_train_argv(chain, tmp_path)) == 0

@@ -10,7 +10,7 @@ from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
                                  write_curve_csv, write_curve_svg, write_result_json)
 
-from helpers import det, detection_columns, person, scene, scene_columns
+from helpers import corners, det, detection_columns, person, scene, scene_columns
 from oracles import (FP, IGNORED, TP, log_average, match_outcomes, mr2_reference,
                      reasonable_ignore)
 
@@ -21,14 +21,14 @@ def _person_at(pid, x, y, w=30.0, h=100.0, occ=0.0, ignore=False):
 
 
 def _reasonable_ignore(p):
-    return reasonable_ignore({"body": p.body.as_list(), "occlusion": p.occlusion_ratio,
+    return reasonable_ignore({"body": p.body, "occlusion": p.occlusion_ratio,
                               "ignore": p.ignore})
 
 
 def oracle_gts(s, class_name=BODY):
     """A scene's ground truth as the oracles take it, flagged by the
     Reasonable rule."""
-    return [{"box": tuple(getattr(p, class_name).as_list()), "ignore": _reasonable_ignore(p)}
+    return [{"box": getattr(p, class_name), "ignore": _reasonable_ignore(p)}
             for p in s.persons]
 
 
@@ -37,7 +37,7 @@ def num_reasonable(scenes):
 
 
 def _oracle_dets(dets):
-    return [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score} for d in dets]
+    return [{"id": d.det_id, "box": corners(d.box), "score": d.score} for d in dets]
 
 
 def _outcomes(dets, s, cfg=EvalConfig()):
@@ -69,7 +69,7 @@ def test_reasonable_filter_boundaries():
     assert flags == {1: True, 2: False, 3: True}
     assert compute_mr2(detection_columns([]), scene_columns([s]), EvalConfig()).num_gt == 1
     # flagged, never deleted: a detection on a filtered person is absorbed
-    dets = [det(p.person_id, tuple(p.body.as_list()), 0.9) for p in s.persons]
+    dets = [det(p.person_id, p.body, 0.9) for p in s.persons]
     assert _outcomes(dets, s) == [(1, IGNORED), (2, TP), (3, IGNORED)]
     _assert_mr2_matches(dets, s)
 
@@ -170,7 +170,7 @@ def test_perfect_detector_scores_zero():
     dets = []
     for s in scenes:
         for p in s.persons:
-            dets.append((s.scene_id, det(p.person_id, tuple(p.body.as_list()), 1.0)))
+            dets.append((s.scene_id, det(p.person_id, p.body, 1.0)))
     result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
     assert result.mr2 == 0.0
     assert result.num_gt == 3
@@ -246,9 +246,9 @@ def _random_instance(rng, n_scenes):
             if persons and rng.random() < 0.7:
                 base = persons[rng.integers(0, len(persons))].body
                 jit = rng.normal(scale=6.0, size=4)
-                box = (base.x_min + jit[0], base.y_min + jit[1],
-                       max(base.x_min + jit[0] + 1, base.x_max + jit[2]),
-                       max(base.y_min + jit[1] + 1, base.y_max + jit[3]))
+                box = (base[0] + jit[0], base[1] + jit[1],
+                       max(base[0] + jit[0] + 1, base[2] + jit[2]),
+                       max(base[1] + jit[1] + 1, base[3] + jit[3]))
             else:
                 x, y = rng.uniform(0, 300, size=2)
                 w, h = rng.uniform(10, 80, size=2)
@@ -309,7 +309,7 @@ def _mixed_split(rng, class_name):
         scenes.append(scene(persons, scene_id=f"s{i}", width=400, height=400))
         for j in range(int(rng.integers(70, 90) if crowd else rng.choice([0, 1, 3, 8]))):
             if persons and rng.random() < 0.7:
-                base = getattr(persons[rng.integers(0, len(persons))], class_name).as_list()
+                base = getattr(persons[rng.integers(0, len(persons))], class_name)
                 jit = rng.normal(scale=3.0, size=4)
                 box = (base[0] + jit[0], base[1] + jit[1],
                        max(base[0] + jit[0] + 1, base[2] + jit[2]),

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from crowdpost.geometry import greedy_match, pairwise_intersection, pairwise_ioh, pairwise_iou
-from crowdpost.records import BBox, area, box_array
+from crowdpost.geometry import (areas, greedy_match, pairwise_intersection, pairwise_ioh,
+                                pairwise_iou)
+from crowdpost.records import BBox, box_array
+from crowdpost.simulator import _center, _center_box
 
-from oracles import intersection_area, ioh, iou, raster_iou, raster_ioh
+from helpers import corners
+from oracles import area, intersection_area, ioh, iou, raster_iou, raster_ioh
 
 
 def _one(kernel, a, b):
@@ -29,30 +32,28 @@ def test_bbox_rejects_non_finite(bad):
 
 
 def test_bbox_zero_area_allowed():
-    b = BBox(3, 4, 3, 10)
+    b = corners(BBox(3, 4, 3, 10))
     assert area(b) == 0.0
-    assert b.width == 0.0
+    assert b[2] - b[0] == 0.0
 
 
 def test_bbox_accessors():
     b = BBox(1, 2, 5, 10)
-    assert b.width == 4
-    assert b.height == 8
-    assert b.center == (3.0, 6.0)
-    assert b.as_list() == [1, 2, 5, 10]
+    assert corners(b) == (1, 2, 5, 10)
+    assert [type(v) for v in corners(b)] == [float] * 4
 
 
 def test_from_center_size_round_trip():
-    b = BBox.from_center_size(12.5, 40.0, 5.0, 16.0)
-    assert b.center == (12.5, 40.0)
-    assert b.width == 5.0
-    assert b.height == 16.0
+    # the simulator's boxes, made from a center and a size
+    b = _center_box(12.5, 40.0, 5.0, 16.0)
+    assert _center(b) == (12.5, 40.0)
+    assert b[2] - b[0] == 5.0
+    assert b[3] - b[1] == 16.0
 
 
 def test_area_examples():
-    assert area(BBox(0, 0, 10, 10)) == 100.0
-    assert area(BBox(0, 0, 0, 10)) == 0.0
-    assert area(BBox(1.5, 2.0, 4.0, 6.0)) == 10.0
+    assert areas(np.array([(0, 0, 10, 10), (0, 0, 0, 10), (1.5, 2.0, 4.0, 6.0)],
+                          dtype=np.float64)).tolist() == [100.0, 0.0, 10.0]
 
 
 def test_intersection_examples():
@@ -68,7 +69,8 @@ def test_intersection_bounded_by_min_area():
         x = rng.uniform(0, 50, size=8)
         a = BBox(min(x[0], x[1]), min(x[2], x[3]), max(x[0], x[1]), max(x[2], x[3]))
         b = BBox(min(x[4], x[5]), min(x[6], x[7]), max(x[4], x[5]), max(x[6], x[7]))
-        assert _one(pairwise_intersection, a, b) <= min(area(a), area(b)) + 1e-12
+        assert _one(pairwise_intersection, a, b) <= min(area(corners(a)),
+                                                        area(corners(b))) + 1e-12
 
 
 def test_iou_examples():
@@ -81,7 +83,7 @@ def test_iou_examples():
 def test_iou_both_zero_area():
     z = BBox(5, 5, 5, 5)
     assert _one(pairwise_iou, z, z) == 0.0
-    assert iou(z.as_list(), z.as_list()) == 0.0
+    assert iou(corners(z), corners(z)) == 0.0
 
 
 def test_iou_symmetric():
@@ -136,7 +138,7 @@ def test_agreement_with_raster_oracle():
     for _ in range(200):
         a = _random_int_box(rng)
         b = _random_int_box(rng)
-        ta, tb = tuple(a.as_list()), tuple(b.as_list())
+        ta, tb = corners(a), corners(b)
         assert abs(_one(pairwise_iou, a, b) - raster_iou(ta, tb)) < 1e-9
         assert abs(_one(pairwise_ioh, a, b) - raster_ioh(ta, tb)) < 1e-9
         assert abs(iou(ta, tb) - raster_iou(ta, tb)) < 1e-9
@@ -172,16 +174,16 @@ def test_pairwise_iou_equals_scalar():
         assert matrix.shape == (len(boxes), len(boxes))
         for i, a in enumerate(boxes):
             for j, b in enumerate(boxes[::-1]):
-                assert matrix[i, j] == scalar(a.as_list(), b.as_list())
+                assert matrix[i, j] == scalar(corners(a), corners(b))
 
 
 def test_pairwise_ioh_equals_scalar():
     boxes = _kernel_cases()
-    heads = [b for b in boxes if area(b) > 0.0]
+    heads = [b for b in boxes if area(corners(b)) > 0.0]
     matrix = pairwise_ioh(box_array(heads), box_array(boxes))
     for i, h in enumerate(heads):
         for j, b in enumerate(boxes):
-            assert matrix[i, j] == ioh(h.as_list(), b.as_list())
+            assert matrix[i, j] == ioh(corners(h), corners(b))
 
 
 def test_pairwise_empty_shapes():

@@ -6,7 +6,7 @@ from crowdpost.data_model import BODY, HEAD
 from crowdpost.nms import NmsConfig, nms_groups
 from crowdpost.records import build_detection_set, nms
 
-from helpers import det, fields, split_columns
+from helpers import corners, det, fields, split_columns
 from oracles import nms_reference
 
 
@@ -85,7 +85,7 @@ def test_matches_quadratic_reference():
     for _ in range(100):
         dets = _random_scene(rng, int(rng.integers(0, 50)))
         kept, floored = nms(dets, cfg)
-        records = [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score}
+        records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
                    for d in dets]
         ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
         assert [d.det_id for d in kept] == ref_kept
@@ -145,11 +145,11 @@ def test_zero_area_rule_matches_reference():
     for _ in range(100):
         dets = _random_scene(rng, int(rng.integers(0, 30)))
         for i in rng.choice(len(dets), size=len(dets) // 4, replace=False):
-            x1, y1, x2, y2 = dets[i].box.as_list()
+            x1, y1, x2, y2 = corners(dets[i].box)
             box = (x1, y1, x1, y2) if rng.random() < 0.5 else (x1, y1, x2, y1)
             dets[i] = det(dets[i].det_id, box, dets[i].score)
         kept, floored = nms(dets, cfg)
-        records = [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score}
+        records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
                    for d in dets]
         ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
         assert [d.det_id for d in kept] == ref_kept
@@ -167,7 +167,7 @@ def _kernel_group(rng, big_ids):
     dets = []
     for i in rng.permutation(n).tolist():
         if dets and rng.random() < 0.2:
-            box = dets[int(rng.integers(len(dets)))].box.as_list()
+            box = list(corners(dets[int(rng.integers(len(dets)))].box))
         else:
             x, y = rng.uniform(0, 80, size=2)
             w, h = rng.uniform(4, 30, size=2)
@@ -191,7 +191,7 @@ def test_groups_equal_reference_group_by_group():
         for out in (kept, floored):
             assert out.scene_ids == [f"s{k}" for k in range(len(groups))]
         for k, dets in enumerate(groups):
-            records = [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score}
+            records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
                        for d in dets]
             ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
             a, b = kept.det_offsets[k:k + 2]

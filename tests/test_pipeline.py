@@ -5,9 +5,8 @@ import pytest
 
 from crowdpost.geometry import pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_inputs
-from crowdpost.records import BBox, box_array
 
-from helpers import det, postprocess_scene, split_columns
+from helpers import corners, det, postprocess_scene, split_columns
 from oracles import ioh, postprocess_reference
 
 
@@ -43,11 +42,12 @@ def test_config_validation():
 
 
 def test_ioh_gate_examples():
-    head = box_array([BBox(10, 0, 20, 10)])
-    bodies = box_array([BBox(0, 0, 30, 80),      # head inside: IoH 1
-                        BBox(0, 0, 18, 80),      # IoH 0.8
-                        BBox(12.5, 0, 40, 80),   # IoH 0.75
-                        BBox(14, 0, 40, 80)])    # IoH 0.6
+    head = np.array([(10, 0, 20, 10)], dtype=np.float64)
+    bodies = np.array([(0, 0, 30, 80),      # head inside: IoH 1
+                       (0, 0, 18, 80),      # IoH 0.8
+                       (12.5, 0, 40, 80),   # IoH 0.75
+                       (14, 0, 40, 80)],    # IoH 0.6
+                      dtype=np.float64)
     values = pairwise_ioh(head, bodies)
     assert values.tolist() == [[1.0, 0.8, 0.75, 0.6]]
     assert (values > CFG.ioh_threshold).tolist() == [[True, True, True, False]]
@@ -208,10 +208,10 @@ def _fuzz_scene(rng):
     bodies_post = [bodies_pre[i] for i in sorted(bodies_post)]
     heads = []
     for i in range(rng.integers(0, 10)):
-        anchor = bodies_pre[rng.integers(0, len(bodies_pre))].box
-        hw = anchor.width * 0.35
-        hx = anchor.x_min + rng.uniform(-0.3, 1.0) * anchor.width
-        hy = anchor.y_min + rng.uniform(-0.2, 0.4) * anchor.height
+        x1, y1, x2, y2 = corners(bodies_pre[rng.integers(0, len(bodies_pre))].box)
+        hw = (x2 - x1) * 0.35
+        hx = x1 + rng.uniform(-0.3, 1.0) * (x2 - x1)
+        hy = y1 + rng.uniform(-0.2, 0.4) * (y2 - y1)
         heads.append(det(i, (hx, hy, hx + hw, hy + hw), float(rng.uniform(0.1, 1))))
     return heads, bodies_pre, bodies_post
 
@@ -261,7 +261,7 @@ def test_constant_high_stub_removes_only_partnerless_heads():
         heads, pre, post = _fuzz_scene(rng)
         out = postprocess_scene(heads, pre, post, stub(0.95), CFG)
         partnerless = {h.det_id for h in heads
-                       if all(ioh(h.box.as_list(), b.box.as_list()) <= CFG.ioh_threshold
+                       if all(ioh(corners(h.box), corners(b.box)) <= CFG.ioh_threshold
                               for b in pre)}
         assert set(out.removed_head_ids) == partnerless
 
@@ -285,7 +285,7 @@ def test_fuzz_scorer_sees_exactly_the_gated_pairs():
         scorer, calls = recording(hash_scorer)
         out = postprocess_scene(heads, pre, post, scorer, CFG)
         gated = [(h.det_id, b.det_id) for h in heads for b in pre
-                 if ioh(h.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
+                 if ioh(corners(h.box), corners(b.box)) > CFG.ioh_threshold]
         assert calls == ([gated] if gated else [])
         for r in out.pair_log:
             assert r.score == _hash_score(r.head_id, r.body_id)
@@ -307,7 +307,7 @@ def table_scorer(heads, bodies):
 
 
 def _records(dets):
-    return [{"id": d.det_id, "box": tuple(d.box.as_list()), "score": d.score} for d in dets]
+    return [{"id": d.det_id, "box": corners(d.box), "score": d.score} for d in dets]
 
 
 def _split_scene(rng):
@@ -326,7 +326,7 @@ def _split_scene(rng):
         for i in range(1, len(dets)):
             if rng.random() < 0.2:  # a duplicate box under a new id
                 source = dets[int(rng.integers(0, i))]
-                dets[i] = det(dets[i].det_id, source.box.as_list(), dets[i].score)
+                dets[i] = det(dets[i].det_id, corners(source.box), dets[i].score)
     pre_index = {d.det_id: d for d in pre}
     post = [pre_index[d.det_id] for d in post]
     return heads, pre, [post[i] for i in rng.permutation(len(post))]
@@ -358,7 +358,7 @@ def test_split_scene_by_scene_equals_reference(seed):
             assert out.removed_head_ids == removed
             assert [(x.head_id, x.body_id, x.score, x.phase) for x in out.pair_log] == log
             gated += [(a.det_id, b.det_id) for a in h for b in b_pre
-                      if ioh(a.box.as_list(), b.box.as_list()) > CFG.ioh_threshold]
+                      if ioh(corners(a.box), corners(b.box)) > CFG.ioh_threshold]
             outs.append(out)
         # one call for the whole split: scene by scene, head order, pre-NMS order
         assert calls == ([gated] if gated else [])

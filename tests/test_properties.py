@@ -20,9 +20,10 @@ from crowdpost.data_model import (  # noqa: E402
     CLASSES, STAGES, FormatError, read_detection_groups, read_scenes)
 from crowdpost.evaluator import _thresholds  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
-from crowdpost.records import (  # noqa: E402
-    BBox, Detection, DetectionGroup, PersonInstance, Scene, write_scenes)
-from helpers import fields, group_columns, scene_columns, write_groups  # noqa: E402
+from crowdpost.records import BBox, Detection  # noqa: E402
+from helpers import (  # noqa: E402
+    Group, Person, box, corners, fields, group_columns, scene, scene_columns, write_groups,
+    write_scene_file)
 
 # bounded and derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -49,7 +50,7 @@ def boxes(draw, within=None):
         y1, y2 = sorted((draw(_coord), draw(_coord)))
     else:
         (x1, x2), (y1, y2) = draw(_span(*within[0])), draw(_span(*within[1]))
-    return BBox(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 @st.composite
@@ -59,9 +60,9 @@ def scenes(draw, scene_id, min_persons):
     persons = []
     for pid in draw(st.lists(_ids, min_size=min_persons, max_size=4, unique=True)):
         body = draw(boxes(within=((0.0, width), (0.0, height))))
-        head = draw(boxes(within=((body.x_min, body.x_max), (body.y_min, body.y_max))))
-        persons.append(PersonInstance(pid, head, body, draw(st.booleans()), draw(_unit)))
-    return Scene(scene_id, width, height, tuple(persons))
+        head = draw(boxes(within=((body[0], body[2]), (body[1], body[3]))))
+        persons.append(Person(pid, head, body, draw(st.booleans()), draw(_unit)))
+    return scene(persons, scene_id, width, height)
 
 
 @st.composite
@@ -77,10 +78,10 @@ def group_files(draw, min_dets=0):
                          min_size=1, max_size=4, unique=True))
     groups = []
     for scene_id, class_name, stage in keys:
-        dets = tuple(Detection(det_id, draw(boxes()), draw(_unit))
+        dets = tuple(Detection(det_id, BBox(*draw(boxes())), draw(_unit))
                      for det_id in draw(st.lists(_ids, min_size=min_dets, max_size=4,
                                                  unique=True)))
-        groups.append(DetectionGroup(scene_id, class_name, stage, dets))
+        groups.append(Group(scene_id, class_name, stage, dets))
     return groups
 
 
@@ -95,7 +96,7 @@ def _round_trip(records, write, read):
 @PROPERTY
 @given(scene_files())
 def test_scene_file_round_trip(records):
-    assert _round_trip(records, write_scenes, read_scenes) == fields(scene_columns(records))
+    assert _round_trip(records, write_scene_file, read_scenes) == fields(scene_columns(records))
 
 
 @PROPERTY
@@ -149,9 +150,9 @@ def _tricky_scenes(draw):
             x1, x2 = sorted((draw(st.one_of(_signed_zero, st.floats(0.0, width))),
                              draw(st.floats(0.0, width))))
             y1, y2 = sorted((draw(_signed_zero), draw(st.floats(0.0, height))))
-            persons.append(PersonInstance(pid, BBox(x1, y1, x2, y1), BBox(x1, y1, x2, y2),
-                                          draw(st.booleans()), draw(_any_unit)))
-        scenes.append(Scene(scene_id, width, height, tuple(persons)))
+            persons.append(Person(pid, (x1, y1, x2, y1), (x1, y1, x2, y2),
+                                  draw(st.booleans()), draw(_any_unit)))
+        scenes.append(scene(persons, scene_id, width, height))
     return scenes
 
 
@@ -164,8 +165,8 @@ def _tricky_groups(draw):
             x1, x2 = sorted((draw(_any_coord), draw(_any_coord)))
             y1, y2 = sorted((draw(_any_coord), draw(_any_coord)))
             dets.append(Detection(det_id, BBox(x1, y1, x2, y2), draw(_any_unit)))
-        groups.append(DetectionGroup(scene_id, draw(st.sampled_from(CLASSES)),
-                                     draw(st.sampled_from(STAGES)), tuple(dets)))
+        groups.append(Group(scene_id, draw(st.sampled_from(CLASSES)),
+                            draw(st.sampled_from(STAGES)), tuple(dets)))
     return groups
 
 
@@ -182,10 +183,10 @@ def _written(records, write) -> bytes:
 def test_scene_writer_bytes_equal_json_dumps(records):
     expected = "".join(json.dumps({
         "format": "scenes/v1", "scene_id": s.scene_id, "width": s.width, "height": s.height,
-        "persons": [{"id": p.person_id, "head": p.head.as_list(), "body": p.body.as_list(),
+        "persons": [{"id": p.person_id, "head": list(p.head), "body": list(p.body),
                      "ignore": p.ignore, "occ": p.occlusion_ratio} for p in s.persons],
     }) + "\n" for s in records)
-    assert _written(records, write_scenes) == expected.encode("utf-8")
+    assert _written(records, write_scene_file) == expected.encode("utf-8")
 
 
 @PROPERTY
@@ -194,7 +195,8 @@ def test_detection_writer_bytes_equal_json_dumps(records):
     expected = "".join(json.dumps({
         "format": "detections/v1", "scene_id": g.scene_id, "class": g.class_name,
         "stage": g.stage,
-        "dets": [{"id": d.det_id, "box": d.box.as_list(), "score": d.score} for d in g.dets],
+        "dets": [{"id": d.det_id, "box": list(corners(d.box)), "score": d.score}
+                 for d in g.dets],
     }) + "\n" for g in records)
     assert _written(records, write_groups) == expected.encode("utf-8")
 
@@ -332,7 +334,7 @@ def _expect_rejected(capsys, text, line_no, reader, argv_for):
 @given(st.data())
 def test_corrupt_scene_line_is_rejected(capsys, data):
     records = data.draw(scene_files(min_persons=1))
-    for text, line_no in _corrupted_files(data.draw, records, write_scenes,
+    for text, line_no in _corrupted_files(data.draw, records, write_scene_file,
                                           _scene_corruptions):
         _expect_rejected(capsys, text, line_no, read_scenes,
                          lambda path, out: ["estimate-ratio", "--scenes", path, "--out", out])
@@ -409,21 +411,21 @@ def _variant(line: str, how: str) -> str:
 _VARIANTS = st.sampled_from(["as-written", "integers", "crlf", "extra-keys", "unescaped"])
 
 
-def _outward(box: BBox) -> BBox:
-    """`box` grown to integral corners; a box inside another stays inside."""
-    return BBox(math.floor(box.x_min), math.floor(box.y_min),
-                math.ceil(box.x_max), math.ceil(box.y_max))
+def _outward(corners: tuple) -> tuple:
+    """A box grown to integral corners; a box inside another stays inside."""
+    x1, y1, x2, y2 = corners
+    return box(math.floor(x1), math.floor(y1), math.ceil(x2), math.ceil(y2))
 
 
-def _integral_scene(s: Scene) -> Scene:
-    return Scene(s.scene_id, math.ceil(s.width), math.ceil(s.height), tuple(
-        PersonInstance(p.person_id, _outward(p.head), _outward(p.body), p.ignore,
-                       p.occlusion_ratio) for p in s.persons))
+def _integral_scene(s):
+    return scene([Person(p.person_id, _outward(p.head), _outward(p.body), p.ignore,
+                         p.occlusion_ratio) for p in s.persons],
+                 s.scene_id, math.ceil(s.width), math.ceil(s.height))
 
 
-def _integral_group(g: DetectionGroup) -> DetectionGroup:
-    return DetectionGroup(g.scene_id, g.class_name, g.stage, tuple(
-        Detection(d.det_id, _outward(d.box), d.score) for d in g.dets))
+def _integral_group(g):
+    return Group(g.scene_id, g.class_name, g.stage, tuple(
+        Detection(d.det_id, BBox(*_outward(corners(d.box))), d.score) for d in g.dets))
 
 
 def _differential(monkeypatch, data, records, write, read, batch_columns):
@@ -452,7 +454,7 @@ def _differential(monkeypatch, data, records, write, read, batch_columns):
 def test_batch_pass_equals_the_exact_path_on_scene_files(monkeypatch, data):
     records = [_integral_scene(s) if data.draw(st.booleans()) else s
                for s in data.draw(_tricky_scenes())]
-    exact = _differential(monkeypatch, data, records, write_scenes, read_scenes,
+    exact = _differential(monkeypatch, data, records, write_scene_file, read_scenes,
                           data_model._scene_batch)
     assert exact == fields(scene_columns(records))
 
@@ -491,7 +493,7 @@ def _expect_rejected_in_batches(capsys, monkeypatch, size, text, line_no, read,
 def test_corrupt_scene_line_is_rejected_in_small_batches(capsys, monkeypatch, data):
     records = data.draw(scene_files(min_persons=1))
     size = data.draw(st.sampled_from([1, 64, 300]))
-    for text, line_no in _corrupted_files(data.draw, records, write_scenes,
+    for text, line_no in _corrupted_files(data.draw, records, write_scene_file,
                                           _scene_corruptions):
         _expect_rejected_in_batches(
             capsys, monkeypatch, size, text, line_no, read_scenes, data_model._scene_batch,

@@ -7,9 +7,9 @@ from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_D
                            RelationModel, TrainConfig, bce_loss, load_model, pair_features,
                            save_model, train, write_loss_csv, _loss_and_gradients,
                            _sample_batch)
-from crowdpost.records import BBox, DetectionSet, build_training_pairs
+from crowdpost.records import DetectionSet, build_training_pairs
 
-from helpers import det, one_scene, person, scene, scene_columns
+from helpers import corners, det, one_scene, person, scene, scene_columns
 from oracles import extract_features
 
 
@@ -26,7 +26,7 @@ def _features(head, body):
 
 def _reference(head, body):
     """The one-pair oracle's descriptor of two detections."""
-    return extract_features(head.box.as_list(), head.score, body.box.as_list(), body.score)
+    return extract_features(corners(head.box), head.score, corners(body.box), body.score)
 
 
 # ---------------------------------------------------------------------------
