@@ -4,8 +4,8 @@
 are the config dataclasses; command-line flags override config values.  All
 outputs are written atomically, a failed command leaves each output path as
 it found it, and they are byte-identical across reruns with the same inputs and
-seeds.  Log verbosity comes from the CROWDPOST_LOG environment variable
-(default WARNING).
+seeds.  Log verbosity comes from the CROWDPOST_LOG environment variable, a
+level name in any case (WARNING when unset or empty).
 """
 
 from __future__ import annotations
@@ -435,12 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CROWDPOST_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("CROWDPOST_LOG") or "WARNING"
+        # `getLevelName` maps a level's name, in upper case, to its number
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ValueError(f"CROWDPOST_LOG={level!r} is not a log level name")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s",
+                            stream=sys.stderr)
         with restored_on_error():
             return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

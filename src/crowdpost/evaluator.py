@@ -8,12 +8,13 @@ log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
 `compute_mr2` works on columns only: the detections' boxes, scores and
 scenes, and the persons' boxes and flags, as arrays
 (`data_model.DetectionColumns` and `SceneColumns`, which the readers
-return).  The matching of many scenes
-shares one IoU call and one greedy pass: the ranked detections and the
-ground truth of each scene are gathered into (scenes, n, 4) and
-(scenes, m, 4) arrays, zero-padded to the largest scene of the batch
-(`geometry.padded_batches`, which bounds the padded pairs of a batch).  A
-zero box has IoU 0 with every box, and `EvalConfig` requires a match
+return).  The matcher, `greedy_assign`, is shared: `train-rdm` labels
+its training pairs with it too (`records.build_training_pairs`).  Its
+matching of many scenes shares one IoU call and one greedy pass: the ranked
+detections and the ground truth of each scene are gathered into
+(scenes, n, 4) and (scenes, m, 4) arrays, zero-padded to the largest scene
+of the batch (`geometry.padded_batches`, which bounds the padded pairs of a
+batch).  A zero box has IoU 0 with every box, and both callers match at a
 threshold above 0, so padding never matches.  `tests/oracles.py` holds
 the one-image references: the greedy match, the Reasonable rule and the
 log-average.
@@ -63,38 +64,39 @@ class EvalResult:
     num_images: int
 
 
-def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
-           matchable: np.ndarray, cfg: EvalConfig):
-    """Greedy matching of every scene of `gt` at once; detection i belongs to
-    scene `det_scene[i]`, and ground truth that is not `matchable` is ignored.
+def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.ndarray,
+                  person_offsets, matchable: np.ndarray, threshold: float):
+    """Greedy matching of every scene at once; detection i belongs to scene
+    `det_scene[i]`, the persons of scene k are the rows `person_offsets[k]`
+    up to `person_offsets[k + 1]` of `gt_boxes`, and ground truth that is
+    not `matchable` is ignored.
 
     In ranked order, a detection takes the free matchable ground truth of
-    maximal IoU at the threshold (TP); failing that, an ignored one at the
-    threshold absorbs it (neither TP nor FP); otherwise it is an FP.
+    maximal IoU at the threshold, the first on ties; failing that, an
+    ignored one at the threshold absorbs it.
 
     Returns `order`, the detection indices scene after scene, each scene's
-    in ranked order, and per entry of `order` whether it is a TP and whether
-    an ignored ground truth absorbed it.
+    in ranked order, and per entry of `order` the row of `gt_boxes` it took,
+    -1 for none, and whether an ignored ground truth absorbed it.
     """
-    num_scenes = len(gt.scene_ids)
+    num_scenes = len(person_offsets) - 1
     order = np.lexsort((id_keys(dets.det_ids), -dets.scores, det_scene))
     boxes = dets.boxes[order]
     det_counts = np.bincount(det_scene, minlength=num_scenes)
     det_starts = np.cumsum(det_counts) - det_counts
     # each scene's matchable ground truth first, then its ignored, both in
     # person order: a tie goes to the lower column
-    person_counts = np.diff(gt.person_offsets)
+    person_counts = np.diff(person_offsets)
     person_scene = np.repeat(np.arange(num_scenes), person_counts)
-    gt_boxes = (gt.heads if cfg.class_under_test == HEAD else gt.bodies)[
-        np.lexsort((~matchable, person_scene))]
-    gt_starts = np.asarray(gt.person_offsets[:-1], dtype=np.intp)
+    gt_order = np.lexsort((~matchable, person_scene))
+    gt_boxes = gt_boxes[gt_order]
+    gt_starts = np.asarray(person_offsets[:-1], dtype=np.intp)
     matchable_counts = np.bincount(person_scene[matchable], minlength=num_scenes)
     ignored_counts = person_counts - matchable_counts
 
-    thr = cfg.iou_match_threshold
-    tp = np.zeros(len(order), dtype=bool)
+    rows = np.full(len(order), -1, dtype=np.intp)
     absorbed = np.zeros(len(order), dtype=bool)
-    # a scene without ground truth leaves its detections FPs
+    # a scene without ground truth leaves its detections unmatched
     for batch, (n, n_matchable, n_ignored) in padded_batches(det_counts, matchable_counts,
                                                              ignored_counts):
         det_stack, (index, slot, pos) = padded_stack(boxes, det_starts[batch],
@@ -105,10 +107,12 @@ def _match(dets: DetectionColumns, det_scene: np.ndarray, gt: SceneColumns,
              padded_stack(gt_boxes, starts + matchable_counts[batch], ignored_counts[batch],
                           n_ignored)[0]], axis=1)
         ious = pairwise_iou(det_stack, gt_stack)
-        matched = np.array(greedy_match(ious[..., :n_matchable], thr))
-        tp[index] = matched[slot, pos] >= 0
-        absorbed[index] = (ious[..., n_matchable:] >= thr).any(axis=-1)[slot, pos]
-    return order, tp, absorbed & ~tp
+        rows[index] = np.array(greedy_match(ious[..., :n_matchable], threshold))[slot, pos]
+        absorbed[index] = (ious[..., n_matchable:] >= threshold).any(axis=-1)[slot, pos]
+    # a matched column counts from its scene's first matchable ground truth
+    hit = rows >= 0
+    rows[hit] = gt_order[gt_starts[det_scene[order[hit]]] + rows[hit]]
+    return order, rows, absorbed & ~hit
 
 
 def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -> EvalResult:
@@ -144,8 +148,10 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
         raise ValueError("no ground truth left after the Reasonable filter")
     num_images = len(scenes.scene_ids)
 
-    order, tp, ignored = _match(dets, det_scene, scenes, matchable, cfg)
-    ranked = dets.scores[order]
+    order, rows, ignored = greedy_assign(
+        dets, det_scene, scenes.heads if cfg.class_under_test == HEAD else scenes.bodies,
+        scenes.person_offsets, matchable, cfg.iou_match_threshold)
+    ranked, tp = dets.scores[order], rows >= 0
     tp_scores = np.sort(ranked[tp])
     fp_scores = np.sort(ranked[~(tp | ignored)])
     # Sweep every distinct input score, not just scores of counted outcomes:

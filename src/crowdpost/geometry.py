@@ -19,8 +19,8 @@ with the zero box (0, 0, 0, 0): its intersection with any box is 0, so its
 IoU and its IoH with a head are 0 and it never passes a positive threshold.
 `padded_batches` groups the scenes of a split, size-sorted, into such
 stacks under a bound on their padded pairs, and `padded_stack` fills one;
-the evaluator, NMS and the post-process's one IoH gate, which
-`pipeline.scene_inputs` runs over a whole split, all batch through them.
+the evaluator's matcher, NMS and the one IoH gate, `pipeline.gate`, which
+`run` and `train-rdm` run over a whole split, all batch through them.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ pass: the groups are size-sorted into zero-padded stacks
 step then walks each group's boxes in rank order over its overlap rows
 packed into Python ints, one bit per box, so it costs a few integer
 operations per box, not a numpy call.  A zero pad box has IoU 0 with every
-box, so it never suppresses.  `records.nms` and
-`records.build_detection_set` are the one-group calls on `Detection` lists.
+box, so it never suppresses.  `records.build_detection_set` calls
+`suppress` on one scene's `Detection` lists, its two classes as two groups.
 
 Each group keeps its floor-filtered input and its survivors as positions in
 it, the before/after pair that the recall post-process needs, so a kept

@@ -6,12 +6,13 @@ pre-NMS bodies.  A confident second-round match recalls that suppressed body;
 a failed second round removes the head as a false positive.  Heads landing
 between the two score thresholds are left untouched and recall nothing.
 
-`scene_inputs` is the one IoH gate: it gates every scene of a split at
-once over padded stacks (`geometry.padded_batches`), scores all the gated
-pairs in one call, and gives each scene its head and body ids, its kept
-bodies as positions among those, and a callable that hands out its gated,
-scored pairs.  `postprocess` takes one scene so, decides over plain lists,
-and returns its final detections as indices into its inputs.
+`gate` is the one IoH gate, of `run` and `train-rdm`: it gates every scene
+of a split at once over padded stacks (`geometry.padded_batches`).
+`scene_inputs` scores all the gated pairs in one call, and gives each scene
+its head and body ids, its kept bodies as positions among those, and a
+callable that hands out its gated, scored pairs.  `postprocess` takes one
+scene so, decides over plain lists, and returns its final detections as
+indices into its inputs.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class PipelineOutput:
     pair_log: list[PairRecord]
 
 
-def _gate(heads: DetectionColumns, bodies: DetectionColumns,
-          threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def gate(heads: DetectionColumns, bodies: DetectionColumns,
+         threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """(head, body) indices of the pairs within a scene whose IoH exceeds
     the threshold, over every scene of a split: scene after scene, in head
     order and then body order."""
@@ -115,7 +116,7 @@ def scene_inputs(heads: DetectionColumns, bodies_pre: DetectionColumns, bodies_p
     """
     if heads.scene_ids != bodies_pre.scene_ids:
         raise ValueError("heads and pre-NMS bodies must hold the same scenes in the same order")
-    rows, cols = _gate(heads, bodies_pre, cfg.ioh_threshold)
+    rows, cols = gate(heads, bodies_pre, cfg.ioh_threshold)
     scores = np.asarray(scorer(heads.take(rows), bodies_pre.take(cols)),
                         dtype=np.float64).tolist() if len(rows) else []
     starts = np.asarray(bodies_pre.det_offsets, dtype=np.intp)

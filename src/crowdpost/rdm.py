@@ -21,7 +21,8 @@ from .fileio import atomic_write_text, read_json
 FEATURE_DIM = 10
 
 # IoU at which a detection counts as localizing a ground-truth person, when
-# `records.build_training_pairs` labels the training pairs
+# `records.build_training_pairs` assigns detections to persons with
+# `evaluator.greedy_assign`, every person matchable, to label the pairs
 ASSIGN_IOU = 0.5
 
 # logits are clamped before the logistic so scores stay strictly inside (0, 1)

@@ -1,10 +1,11 @@
 """`train-rdm`'s record route and the readers' per-field parser.
 
-`train-rdm`'s per-scene NMS (`nms`, `build_detection_set`) and its pair
-builder (`build_training_pairs`) work on `Detection` records, each with its
-`BBox`.  The readers return columns (`data_model`), and come here only for
-a file with a line not shaped like the writers' lines: an integer where a
-float belongs, a field of the wrong type, a value out of range.  Then the
+`train-rdm`'s per-scene NMS (`build_detection_set`) takes `Detection`
+records, named tuples of fields a reader checked, and its pair builder
+(`build_training_pairs`) runs `run`'s gate and `eval`'s matcher.  The
+readers return columns (`data_model`), and come here only for a file with
+a line not shaped like the writers' lines: an integer where a float
+belongs, a field of the wrong type, a value out of range.  Then the
 per-field parser here checks each line and turns it into the row
 `data_model.scene_columns` or `group_columns` takes, or raises the error
 that names the first faulty field.  `simulate`, `estimate-ratio`, `run` and
@@ -14,15 +15,13 @@ that names the first faulty field.  `simulate`, `estimate-ratio`, `run` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import starmap
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .data_model import (CLASSES, DETECTION_FORMAT, SCENE_FORMAT, STAGES, DetectionColumns,
                          FormatError, SceneColumns)
-from .geometry import greedy_match, pairwise_ioh, pairwise_iou
 
 if TYPE_CHECKING:
     from .nms import NmsConfig
@@ -42,81 +41,39 @@ def _box_fault(x1, y1, x2, y2) -> str | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Rectangle in pixel coordinates, corner form (x_min, y_min, x_max, y_max).
-
-    Zero-area boxes are allowed; negative extents and non-finite coordinates
-    are rejected at construction.  Coordinates are stored as Python floats.
-    """
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.x_min, self.y_min, self.x_max, self.y_max
-        if not (type(x1) is float and type(y1) is float and type(x2) is float
-                and type(y2) is float):
-            x1, y1, x2, y2 = corners = float(x1), float(y1), float(x2), float(y2)
-            for name, value in zip(_COORDINATES, corners):
-                object.__setattr__(self, name, value)
-        # the checks of `_box_fault`, inline for the valid box
-        if not (_isfinite(x1) and _isfinite(y1) and _isfinite(x2) and _isfinite(y2)
-                and x1 <= x2 and y1 <= y2):
-            raise ValueError(_box_fault(x1, y1, x2, y2))
-
-
-def box_array(boxes: Iterable[BBox]) -> np.ndarray:
-    """Stack boxes into an (n, 4) float64 array in corner form."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """A scored box: its scene and class are those of the group that holds it.
-
-    A field not of its type is converted, so numpy scalars from programmatic
-    callers become Python ints and floats."""
+class Detection(NamedTuple):
+    """A scored box, its corners (x_min, y_min, x_max, y_max) as a 4-tuple of
+    floats: its scene and class are those of the group that holds it."""
 
     det_id: int
-    box: BBox
+    box: tuple
     score: float
 
-    def __post_init__(self):
-        if type(self.det_id) is not int:
-            object.__setattr__(self, "det_id", int(self.det_id))
-        score = self.score
-        if type(score) is not float:
-            score = float(score)
-            object.__setattr__(self, "score", score)
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"detection score {score} outside [0, 1]")
 
-
-@dataclass(frozen=True, slots=True)
-class DetectionSet:
+class DetectionSet(NamedTuple):
     """Pipeline input for one scene: kept heads, and bodies before/after NMS."""
 
     scene_id: str
-    heads_post_nms: tuple[Detection, ...]
-    bodies_pre_nms: tuple[Detection, ...]
-    bodies_post_nms: tuple[Detection, ...]
-
-    def __post_init__(self):
-        for name in ("heads_post_nms", "bodies_pre_nms", "bodies_post_nms"):
-            if type(getattr(self, name)) is not tuple:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+    heads_post_nms: tuple
+    bodies_pre_nms: tuple
+    bodies_post_nms: tuple
 
 
 def detection_lists(dets: DetectionColumns) -> list[list[Detection]]:
     """Each group's detections as a list of `Detection` records."""
-    records = list(map(Detection, dets.det_ids, starmap(BBox, dets.boxes.tolist()),
+    records = list(map(Detection, dets.det_ids, map(tuple, dets.boxes.tolist()),
                        dets.scores.tolist()))
     offsets = dets.det_offsets
     return [records[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _columns(scene_ids: list[str], runs: list) -> DetectionColumns:
+    """Detection runs as columns, run k as group k of scene `scene_ids[k]`."""
+    dets = [d for run in runs for d in run]
+    ids, boxes, scores = zip(*dets) if dets else ((), (), ())
+    return DetectionColumns(scene_ids, list(accumulate(map(len, runs), initial=0)), list(ids),
+                            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                            np.array(scores, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -264,55 +221,29 @@ def parsed_group_row(obj, path, line_no) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# train-rdm's per-scene NMS and training pairs
+# train-rdm's NMS and training pairs
 #
-# These import `nms` and `rdm` when called, so that a reader's fallback
-# line, which needs only the parser, does not load NMS and the relation model.
-
-def nms(dets: list[Detection], cfg: NmsConfig) -> tuple[list[Detection], list[Detection]]:
-    """Suppress overlapping detections; the caller passes those of one class
-    within one scene.
-
-    Returns (kept, input_after_floor): `input_after_floor` keeps, in input
-    order, the detections that reach the score floor and have a box of
-    positive area; `kept` is sorted by descending score with ties broken by
-    ascending det id; a box is suppressed when its IoU with a higher-ranked
-    kept box exceeds the threshold.
-    """
-    from .nms import suppress
-    columns = DetectionColumns([""], [0, len(dets)], [d.det_id for d in dets],
-                               box_array(d.box for d in dets),
-                               np.array([d.score for d in dets], dtype=np.float64))
-    kept, floored = suppress(columns, cfg)
-    return [dets[i] for i in kept.tolist()], [dets[i] for i in floored.tolist()]
-
+# These import `nms`, `pipeline`, `evaluator` and `rdm` when called, so that
+# a reader's fallback line, which needs only the parser, loads none of them.
 
 def build_detection_set(scene_id: str, heads_pre: list[Detection],
                         bodies_pre: list[Detection], cfg: NmsConfig) -> DetectionSet:
     """NMS both classes of one scene into the post-process input triple.
 
     Heads keep only their survivors; bodies keep both the floor-filtered
-    pre-NMS list (recall candidates) and the survivors.
+    pre-NMS list (recall candidates) and the survivors.  Survivors come by
+    descending score, ties by ascending det id; the floored list keeps the
+    input order.
     """
-    heads_kept, _ = nms(heads_pre, cfg)
-    bodies_kept, bodies_floor = nms(bodies_pre, cfg)
-    return DetectionSet(scene_id=scene_id, heads_post_nms=heads_kept,
-                        bodies_pre_nms=bodies_floor, bodies_post_nms=bodies_kept)
-
-
-def _assign_to_persons(dets: Sequence[Detection], boxes: np.ndarray) -> np.ndarray:
-    """Greedy score-descending assignment of detections to ground truth.
-
-    Each detection takes the unmatched person of maximal IoU when that IoU
-    reaches ASSIGN_IOU; each person is used at most once.  Returns each
-    detection's row of `boxes`, -1 for none.
-    """
-    from .rdm import ASSIGN_IOU
-    ranked = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].det_id))
-    ious = pairwise_iou(box_array(dets[i].box for i in ranked), boxes)
-    rows = np.full(len(dets), -1)
-    rows[ranked] = greedy_match(ious, ASSIGN_IOU)
-    return rows
+    from .nms import suppress
+    dets = [*heads_pre, *bodies_pre]
+    kept, floored = suppress(_columns([scene_id, scene_id], [heads_pre, bodies_pre]), cfg)
+    kept, floored = kept.tolist(), floored.tolist()
+    # `suppress` gives the head group first
+    num_heads = len(heads_pre)
+    return DetectionSet(scene_id, tuple(dets[i] for i in kept if i < num_heads),
+                        tuple(dets[i] for i in floored if i >= num_heads),
+                        tuple(dets[i] for i in kept if i >= num_heads))
 
 
 def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet],
@@ -320,30 +251,38 @@ def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet
     """Enumerate head x body pairs above the IoH gate and label them.
 
     Heads come from the post-NMS set, bodies from the pre-NMS set so that
-    pairs with suppressed bodies are represented.  A pair is positive exactly
-    when both detections are assigned to the same ground-truth person.
+    pairs with suppressed bodies are represented; `pipeline.gate` passes
+    them, set after set.  A pair is positive exactly when both detections
+    are assigned to the same ground-truth person by `evaluator.greedy_assign`
+    at `rdm.ASSIGN_IOU`, every person of their scene, flagged ignore or not,
+    a candidate.  The sets name distinct scenes, as `train-rdm` gives them.
 
     Returns (features, labels) as (n, 10) and (n,) float arrays.
     """
-    from .rdm import FEATURE_DIM, pair_features
+    from .evaluator import greedy_assign
+    from .pipeline import gate
+    from .rdm import ASSIGN_IOU, pair_features
     row_of = {scene_id: k for k, scene_id in enumerate(scenes.scene_ids)}
-    offsets = scenes.person_offsets
-    feats, labels = [], []
-    for ds in detection_sets:
-        if ds.scene_id not in row_of:
-            raise ValueError(f"no ground-truth scene for {ds.scene_id!r}")
-        k = row_of[ds.scene_id]
-        persons = slice(offsets[k], offsets[k + 1])
-        heads, bodies = ds.heads_post_nms, ds.bodies_pre_nms
-        head_person = _assign_to_persons(heads, scenes.heads[persons])
-        body_person = _assign_to_persons(bodies, scenes.bodies[persons])
-        head_boxes, body_boxes = box_array(h.box for h in heads), box_array(b.box for b in bodies)
-        head_idx, body_idx = np.nonzero(pairwise_ioh(head_boxes, body_boxes) > ioh_threshold)
-        feats.append(pair_features(
-            head_boxes[head_idx], np.array([h.score for h in heads])[head_idx],
-            body_boxes[body_idx], np.array([b.score for b in bodies])[body_idx]))
-        person = head_person[head_idx]
-        labels.append(((person >= 0) & (person == body_person[body_idx])).astype(np.float64))
-    if not feats:
-        return np.zeros((0, FEATURE_DIM)), np.zeros(0)
-    return np.concatenate(feats), np.concatenate(labels)
+    scene_ids = [ds.scene_id for ds in detection_sets]
+    for scene_id in scene_ids:
+        if scene_id not in row_of:
+            raise ValueError(f"no ground-truth scene for {scene_id!r}")
+    heads = _columns(scene_ids, [ds.heads_post_nms for ds in detection_sets])
+    bodies = _columns(scene_ids, [ds.bodies_pre_nms for ds in detection_sets])
+    set_scene = np.array([row_of[scene_id] for scene_id in scene_ids], dtype=np.intp)
+    everyone = np.ones(len(scenes.person_ids), dtype=bool)
+
+    def assigned(dets: DetectionColumns, gt_boxes: np.ndarray) -> np.ndarray:
+        # each detection's person row, -1 for none
+        order, rows, _ = greedy_assign(dets, set_scene[dets.det_groups()], gt_boxes,
+                                       scenes.person_offsets, everyone, ASSIGN_IOU)
+        person = np.empty(len(dets), dtype=np.intp)
+        person[order] = rows
+        return person
+
+    head_person, body_person = assigned(heads, scenes.heads), assigned(bodies, scenes.bodies)
+    rows, cols = gate(heads, bodies, ioh_threshold)
+    features = pair_features(heads.boxes[rows], heads.scores[rows], bodies.boxes[cols],
+                             bodies.scores[cols])
+    person = head_person[rows]
+    return features, ((person >= 0) & (person == body_person[cols])).astype(np.float64)

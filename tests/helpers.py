@@ -2,8 +2,9 @@
 
 The readers and the functions that take their output work on columns; the
 tests build ground truth one person at a time, as plain named tuples
-(`person`, `scene`, with boxes as 4-tuples of float corners, as `simulator`
-makes them), and detections as `Detection` records (`det`).
+(`person`, `scene`), and detections as `Detection` records (`det`), all
+with boxes as 4-tuples of float corners (`box`), as `simulator` makes them.
+`box_array` stacks such boxes into the (n, 4) array the kernels take.
 `scene_columns`, `detection_columns` and `group_columns` turn those into the
 columns a reader would return for them, and `scene_of` reads a simulator
 row back as a `Scene`.
@@ -24,7 +25,7 @@ import numpy as np
 from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
                                   write_detection_groups, write_scenes)
 from crowdpost.pipeline import postprocess, scene_inputs
-from crowdpost.records import BBox, Detection, box_array
+from crowdpost.records import Detection
 
 
 class Person(NamedTuple):
@@ -52,18 +53,18 @@ class Group(NamedTuple):
     dets: tuple
 
 
-def det(det_id, box, score):
-    return Detection(det_id=det_id, box=BBox(*box), score=score)
-
-
-def corners(box: BBox) -> tuple:
-    """A `BBox` as its 4-tuple of corners."""
-    return box.x_min, box.y_min, box.x_max, box.y_max
-
-
 def box(*corners) -> tuple:
     """A box as a 4-tuple of float corners (x_min, y_min, x_max, y_max)."""
     return tuple(map(float, corners))
+
+
+def box_array(boxes) -> np.ndarray:
+    """Stack boxes into an (n, 4) float64 array in corner form."""
+    return np.array(list(boxes), dtype=np.float64).reshape(-1, 4)
+
+
+def det(det_id, corners, score):
+    return Detection(int(det_id), box(*corners), float(score))
 
 
 def person(person_id, head, body, ignore=False, occ=0.0):

@@ -3,9 +3,9 @@
 Everything here works on plain tuples and dicts and recomputes results from
 first principles: overlap by counting raster cells, the scalar box overlaps
 and the pair descriptor one pair at a time, NMS by repeated global argmax, the
-post-process of one scene head by head, MR-2 by re-matching every image
-from scratch at every threshold, and rectangle-union area by scanline
-integration.  None of it shares code with
+post-process of one scene head by head, `train-rdm`'s labeled pairs scene
+by scene, MR-2 by re-matching every image from scratch at every threshold,
+and rectangle-union area by scanline integration.  None of it shares code with
 the package under test.
 
 Boxes are (x_min, y_min, x_max, y_max) sequences.
@@ -178,6 +178,51 @@ def postprocess_reference(heads, bodies_pre, bodies_post, score, ioh_threshold,
             removed.append(h["id"])
     final_heads = [h["id"] for h in heads if h["id"] not in removed]
     return final_heads, final_bodies, recalled, removed, log
+
+
+# ---------------------------------------------------------------------------
+# train-rdm's training pairs, one scene at a time
+#
+# persons: {scene_id: [(head, body) box pairs]}; sets: (scene_id, heads,
+# bodies) triples, each detection an (id, box, score) triple
+
+def assign_reference(dets, truth, iou_threshold=0.5):
+    """Greedy assignment of one scene's detections to its ground-truth boxes:
+    in ranked order, descending score then ascending id, a detection takes
+    the free box of maximal IoU at or above the threshold, the first such
+    box on ties.  Returns the index into `truth` per detection, in input
+    order, -1 for none."""
+    assigned = [-1] * len(dets)
+    taken = [False] * len(truth)
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i][2], dets[i][0])):
+        best, best_iou = -1, iou_threshold
+        for j, t in enumerate(truth):
+            value = iou(dets[i][1], t)
+            if not taken[j] and (value > best_iou or (best < 0 and value == best_iou)):
+                best, best_iou = j, value
+        if best >= 0:
+            taken[best] = True
+            assigned[i] = best
+    return assigned
+
+
+def training_pairs_reference(persons, sets, ioh_threshold):
+    """(features, labels) of every set in order: its (head, body) pairs of
+    IoH above the threshold, head by head and each head's bodies in order,
+    each with its `extract_features` row, labeled 1.0 exactly when the head
+    and the body are assigned (`assign_reference`, every person a
+    candidate) to the same person of the set's scene."""
+    rows, labels = [], []
+    for scene_id, heads, bodies in sets:
+        head_person = assign_reference(heads, [h for h, _ in persons[scene_id]])
+        body_person = assign_reference(bodies, [b for _, b in persons[scene_id]])
+        for i, (_, head, head_score) in enumerate(heads):
+            for j, (_, body, body_score) in enumerate(bodies):
+                if ioh(head, body) > ioh_threshold:
+                    rows.append(extract_features(head, head_score, body, body_score))
+                    labels.append(float(head_person[i] >= 0
+                                        and head_person[i] == body_person[j]))
+    return np.array(rows, dtype=np.float64).reshape(-1, 10), np.array(labels, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -961,6 +961,28 @@ def test_simulate_rejects_non_finite_ratio(capsys, tmp_path, ratio):
     assert not scenes.exists() and not dets.exists()
 
 
+@pytest.mark.parametrize("value", ["", "bogus", "10"], ids=["empty", "bogus", "number"])
+def test_log_level_variable(chain, tmp_path, value):
+    # an empty CROWDPOST_LOG reads as WARNING, which keeps `train-rdm`'s INFO
+    # line off stderr; a value that names no level is a one-line error that
+    # leaves no output
+    model, loss = tmp_path / "model.json", tmp_path / "loss.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdpost.cli",
+         *_train_argv(chain, tmp_path, "--epochs", "5", "--seed", "0", "--hidden-dim", "16")],
+        capture_output=True, text=True, env={**os.environ, "CROWDPOST_LOG": value})
+    assert proc.stdout == ""
+    if value:
+        assert proc.returncode == 1
+        assert proc.stderr == (f"crowdpost train-rdm: error: CROWDPOST_LOG={value!r} "
+                               "is not a log level name\n")
+        assert not model.exists() and not loss.exists()
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert filecmp.cmp(model, chain / "model.json", shallow=False)
+
+
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):
     from crowdpost import cli
     from crowdpost.nms import NmsConfig

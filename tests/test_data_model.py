@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -9,9 +8,9 @@ from crowdpost import data_model, records
 from crowdpost.data_model import (
     BODY, CLASSES, HEAD, POST_NMS, PRE_NMS, STAGES, FormatError, read_detection_groups,
     read_scenes)
-from crowdpost.records import BBox, Detection, DetectionSet, detection_lists
+from crowdpost.records import DetectionSet, detection_lists
 
-from helpers import (Group, corners, det, fields, group_columns, one_scene, person, scene,
+from helpers import (Group, det, fields, group_columns, one_scene, person, scene,
                      scene_columns, split_columns, write_groups, write_scene_file)
 
 
@@ -30,7 +29,7 @@ def _parse_scene(persons=(), width=200, height=200):
 def _parse_group(class_name, dets):
     return records.parsed_group_row(
         {"format": "detections/v1", "scene_id": "s0", "class": class_name, "stage": PRE_NMS,
-         "dets": [{"id": d.det_id, "box": list(corners(d.box)), "score": d.score}
+         "dets": [{"id": d.det_id, "box": list(d.box), "score": d.score}
                   for d in dets]}, None, None)
 
 
@@ -65,9 +64,9 @@ def test_scene_rejects_non_positive_size():
 
 def test_detection_score_range():
     with pytest.raises(ValueError):
-        det(1, (0, 0, 10, 10), 1.5)
+        _parse_group(BODY, (det(1, (0, 0, 10, 10), 1.5),))
     with pytest.raises(ValueError):
-        det(1, (0, 0, 10, 10), -0.01)
+        _parse_group(BODY, (det(1, (0, 0, 10, 10), -0.01),))
 
 
 def test_detection_class_checked():
@@ -212,7 +211,7 @@ def test_group_round_trip(tmp_path):
     assert len(selected) == 2
     assert fields(back.select(BODY, POST_NMS)) == fields(group_columns([]).detections)
     assert len(back.select(BODY, PRE_NMS)) == 1
-    assert selected.boxes.tolist() == [list(corners(d.box)) for d in groups[0].dets]
+    assert selected.boxes.tolist() == [list(d.box) for d in groups[0].dets]
     assert selected.scores.tolist() == [0.875, 0.5] and selected.det_ids == [1, 2]
 
 
@@ -275,39 +274,17 @@ def test_unsupported_format_rejected(tmp_path):
 # record types
 
 def _records():
-    box = BBox(0, 0, 10, 40)
     d = det(1, (0, 0, 10, 10), 0.5)
-    return [box, d, DetectionSet("s0", (), (d,), (d,))]
+    return [d, DetectionSet("s0", (), (d,), (d,))]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_are_slotted_and_frozen(record):
     assert "__slots__" in type(record).__dict__
     assert not hasattr(record, "__dict__")
-    name = dataclasses.fields(record)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
         setattr(record, name, getattr(record, name))
-
-
-def test_replace_still_validates():
-    box, d, _ = _records()
-    with pytest.raises(ValueError, match="negative extent"):
-        dataclasses.replace(box, x_max=-1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        dataclasses.replace(box, y_min=float("nan"))
-    with pytest.raises(ValueError, match="outside"):
-        dataclasses.replace(d, score=2)
-
-
-def test_numpy_scalars_stored_as_python_numbers():
-    box = BBox(np.float32(1.5), np.int64(2), np.float64(3.0), 4)
-    assert [type(v) for v in corners(box)] == [float] * 4
-    assert corners(box) == (1.5, 2.0, 3.0, 4.0)
-    d = Detection(np.int32(7), box, np.float64(0.5))
-    assert (type(d.det_id), type(d.score)) == (int, float)
-    ds = DetectionSet("s0", [], [d], [d])
-    assert all(type(v) is tuple for v in (ds.heads_post_nms, ds.bodies_pre_nms,
-                                          ds.bodies_post_nms))
 
 
 @pytest.mark.parametrize("width, height", [(float("nan"), 100), (100, float("inf"))])
@@ -455,8 +432,6 @@ def test_undecodable_json_reports_line(tmp_path, line):
 
 
 def test_box_names_first_bad_coordinate(tmp_path):
-    with pytest.raises(ValueError, match="non-finite box coordinate y_min=nan"):
-        BBox(0, float("nan"), float("inf"), 1)
     path = tmp_path / "dets.jsonl"
     path.write_text(_det_line('{"id": 1, "box": [0, Infinity, NaN, 1], "score": 0.5}'))
     with pytest.raises(FormatError, match="dets\\[0\\].box: non-finite box coordinate "
@@ -482,7 +457,7 @@ def test_integer_valued_numbers_read_as_floats(tmp_path):
         width=100.0, height=100.0)]))
     dets = read_detection_groups(tmp_path / "dets.jsonl").detections
     assert all(type(v) is float for run in detection_lists(dets) for d in run
-               for v in (*corners(d.box), d.score))
+               for v in (*d.box, d.score))
 
 
 _LONG = 40

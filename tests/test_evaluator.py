@@ -10,7 +10,7 @@ from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
                                  write_curve_csv, write_curve_svg, write_result_json)
 
-from helpers import corners, det, detection_columns, person, scene, scene_columns
+from helpers import det, detection_columns, person, scene, scene_columns
 from oracles import (FP, IGNORED, TP, log_average, match_outcomes, mr2_reference,
                      reasonable_ignore)
 
@@ -37,7 +37,7 @@ def num_reasonable(scenes):
 
 
 def _oracle_dets(dets):
-    return [{"id": d.det_id, "box": corners(d.box), "score": d.score} for d in dets]
+    return [{"id": d.det_id, "box": d.box, "score": d.score} for d in dets]
 
 
 def _outcomes(dets, s, cfg=EvalConfig()):

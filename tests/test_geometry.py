@@ -3,10 +3,10 @@ import pytest
 
 from crowdpost.geometry import (areas, greedy_match, pairwise_intersection, pairwise_ioh,
                                 pairwise_iou)
-from crowdpost.records import BBox, box_array
+from crowdpost.records import _parse_box
 from crowdpost.simulator import _center, _center_box
 
-from helpers import corners
+from helpers import box, box_array
 from oracles import area, intersection_area, ioh, iou, raster_iou, raster_ioh
 
 
@@ -15,11 +15,17 @@ def _one(kernel, a, b):
     return kernel(box_array([a]), box_array([b]))[0, 0]
 
 
+def _read_box(*corners):
+    """A box as the per-field parser reads a file's box field: the rules
+    of a box are checked there, and its corners become floats."""
+    return _parse_box(list(corners), None, None, "", "box")
+
+
 def test_bbox_rejects_negative_extent():
     with pytest.raises(ValueError):
-        BBox(10, 0, 5, 10)
+        _read_box(10, 0, 5, 10)
     with pytest.raises(ValueError):
-        BBox(0, 10, 10, 5)
+        _read_box(0, 10, 10, 5)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -28,19 +34,19 @@ def test_bbox_rejects_non_finite(bad):
         coords = [0.0, 0.0, 10.0, 10.0]
         coords[i] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            BBox(*coords)
+            _read_box(*coords)
 
 
 def test_bbox_zero_area_allowed():
-    b = corners(BBox(3, 4, 3, 10))
+    b = _read_box(3, 4, 3, 10)
     assert area(b) == 0.0
     assert b[2] - b[0] == 0.0
 
 
 def test_bbox_accessors():
-    b = BBox(1, 2, 5, 10)
-    assert corners(b) == (1, 2, 5, 10)
-    assert [type(v) for v in corners(b)] == [float] * 4
+    b = _read_box(1, 2, 5, 10)
+    assert b == (1, 2, 5, 10)
+    assert [type(v) for v in b] == [float] * 4
 
 
 def test_from_center_size_round_trip():
@@ -57,72 +63,71 @@ def test_area_examples():
 
 
 def test_intersection_examples():
-    a = BBox(0, 0, 10, 10)
-    assert _one(pairwise_intersection, a, BBox(0, 0, 10, 10)) == 100.0
-    assert _one(pairwise_intersection, a, BBox(20, 20, 30, 30)) == 0.0
-    assert _one(pairwise_intersection, a, BBox(5, 0, 100, 100)) == 50.0
+    a = box(0, 0, 10, 10)
+    assert _one(pairwise_intersection, a, box(0, 0, 10, 10)) == 100.0
+    assert _one(pairwise_intersection, a, box(20, 20, 30, 30)) == 0.0
+    assert _one(pairwise_intersection, a, box(5, 0, 100, 100)) == 50.0
 
 
 def test_intersection_bounded_by_min_area():
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = rng.uniform(0, 50, size=8)
-        a = BBox(min(x[0], x[1]), min(x[2], x[3]), max(x[0], x[1]), max(x[2], x[3]))
-        b = BBox(min(x[4], x[5]), min(x[6], x[7]), max(x[4], x[5]), max(x[6], x[7]))
-        assert _one(pairwise_intersection, a, b) <= min(area(corners(a)),
-                                                        area(corners(b))) + 1e-12
+        a = box(min(x[0], x[1]), min(x[2], x[3]), max(x[0], x[1]), max(x[2], x[3]))
+        b = box(min(x[4], x[5]), min(x[6], x[7]), max(x[4], x[5]), max(x[6], x[7]))
+        assert _one(pairwise_intersection, a, b) <= min(area(a), area(b)) + 1e-12
 
 
 def test_iou_examples():
-    a = BBox(0, 0, 10, 10)
+    a = box(0, 0, 10, 10)
     assert _one(pairwise_iou, a, a) == 1.0
-    assert _one(pairwise_iou, a, BBox(20, 20, 30, 30)) == 0.0
-    assert _one(pairwise_iou, a, BBox(5, 0, 100, 100)) == 50.0 / 9550.0
+    assert _one(pairwise_iou, a, box(20, 20, 30, 30)) == 0.0
+    assert _one(pairwise_iou, a, box(5, 0, 100, 100)) == 50.0 / 9550.0
 
 
 def test_iou_both_zero_area():
-    z = BBox(5, 5, 5, 5)
+    z = box(5, 5, 5, 5)
     assert _one(pairwise_iou, z, z) == 0.0
-    assert iou(corners(z), corners(z)) == 0.0
+    assert iou(z, z) == 0.0
 
 
 def test_iou_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(100):
         c = rng.integers(0, 40, size=8)
-        a = BBox(min(c[0], c[1]), min(c[2], c[3]), max(c[0], c[1]) + 1, max(c[2], c[3]) + 1)
-        b = BBox(min(c[4], c[5]), min(c[6], c[7]), max(c[4], c[5]) + 1, max(c[6], c[7]) + 1)
+        a = box(min(c[0], c[1]), min(c[2], c[3]), max(c[0], c[1]) + 1, max(c[2], c[3]) + 1)
+        b = box(min(c[4], c[5]), min(c[6], c[7]), max(c[4], c[5]) + 1, max(c[6], c[7]) + 1)
         assert _one(pairwise_iou, a, b) == _one(pairwise_iou, b, a)
 
 
 def test_ioh_worked_example():
-    assert _one(pairwise_ioh, BBox(0, 0, 10, 10), BBox(5, 0, 100, 100)) == 0.5
+    assert _one(pairwise_ioh, box(0, 0, 10, 10), box(5, 0, 100, 100)) == 0.5
 
 
 def test_ioh_containment_and_disjoint():
-    body = BBox(0, 0, 50, 120)
-    assert _one(pairwise_ioh, BBox(10, 5, 20, 15), body) == 1.0
-    assert _one(pairwise_ioh, BBox(200, 200, 210, 210), body) == 0.0
+    body = box(0, 0, 50, 120)
+    assert _one(pairwise_ioh, box(10, 5, 20, 15), body) == 1.0
+    assert _one(pairwise_ioh, box(200, 200, 210, 210), body) == 0.0
 
 
 def test_ioh_is_one_iff_contained():
-    inside = BBox(1, 1, 9, 9)
-    assert _one(pairwise_ioh, inside, BBox(0, 0, 10, 10)) == 1.0
-    sticking_out = BBox(1, 1, 11, 9)
-    assert _one(pairwise_ioh, sticking_out, BBox(0, 0, 10, 10)) < 1.0
+    inside = box(1, 1, 9, 9)
+    assert _one(pairwise_ioh, inside, box(0, 0, 10, 10)) == 1.0
+    sticking_out = box(1, 1, 11, 9)
+    assert _one(pairwise_ioh, sticking_out, box(0, 0, 10, 10)) < 1.0
 
 
 def test_ioh_asymmetric_pair():
     # regression: IoH must not be symmetric
-    small = BBox(0, 0, 10, 10)
-    big = BBox(0, 0, 100, 100)
+    small = box(0, 0, 10, 10)
+    big = box(0, 0, 100, 100)
     assert _one(pairwise_ioh, small, big) == 1.0
     assert _one(pairwise_ioh, big, small) == 0.01
 
 
 def test_ioh_zero_area_head_rejected():
     with pytest.raises(ValueError, match="zero-area head"):
-        _one(pairwise_ioh, BBox(5, 5, 5, 5), BBox(0, 0, 10, 10))
+        _one(pairwise_ioh, box(5, 5, 5, 5), box(0, 0, 10, 10))
     with pytest.raises(ValueError, match="zero-area head"):
         ioh((5, 5, 5, 5), (0, 0, 10, 10))
 
@@ -130,7 +135,7 @@ def test_ioh_zero_area_head_rejected():
 def _random_int_box(rng, lo=0, hi=60):
     x = sorted(rng.integers(lo, hi, size=2).tolist())
     y = sorted(rng.integers(lo, hi, size=2).tolist())
-    return BBox(x[0], y[0], x[1] + 1, y[1] + 1)
+    return box(x[0], y[0], x[1] + 1, y[1] + 1)
 
 
 def test_agreement_with_raster_oracle():
@@ -138,11 +143,10 @@ def test_agreement_with_raster_oracle():
     for _ in range(200):
         a = _random_int_box(rng)
         b = _random_int_box(rng)
-        ta, tb = corners(a), corners(b)
-        assert abs(_one(pairwise_iou, a, b) - raster_iou(ta, tb)) < 1e-9
-        assert abs(_one(pairwise_ioh, a, b) - raster_ioh(ta, tb)) < 1e-9
-        assert abs(iou(ta, tb) - raster_iou(ta, tb)) < 1e-9
-        assert abs(ioh(ta, tb) - raster_ioh(ta, tb)) < 1e-9
+        assert abs(_one(pairwise_iou, a, b) - raster_iou(a, b)) < 1e-9
+        assert abs(_one(pairwise_ioh, a, b) - raster_ioh(a, b)) < 1e-9
+        assert abs(iou(a, b) - raster_iou(a, b)) < 1e-9
+        assert abs(ioh(a, b) - raster_ioh(a, b)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +158,14 @@ def _kernel_cases():
     for _ in range(40):
         x = np.sort(rng.uniform(-20, 80, size=2))
         y = np.sort(rng.uniform(-20, 80, size=2))
-        boxes.append(BBox(x[0], y[0], x[1], y[1]))
+        boxes.append(box(x[0], y[0], x[1], y[1]))
     boxes += [
-        BBox(0, 0, 10, 10), BBox(0, 0, 10, 10),      # identical
-        BBox(10, 0, 20, 10), BBox(0, 10, 10, 20),    # shared edges
-        BBox(2, 3, 7, 8), BBox(-5, -5, 30, 30),      # containment both ways
-        BBox(4, 0, 4, 10), BBox(4, 0, 4, 10),        # zero width, identical
-        BBox(0, 5, 10, 5),                           # zero height
-        BBox(0.1, 0.2, 0.7, 0.9), BBox(0.3, 0.1, 1.1, 0.6),
+        box(0, 0, 10, 10), box(0, 0, 10, 10),      # identical
+        box(10, 0, 20, 10), box(0, 10, 10, 20),    # shared edges
+        box(2, 3, 7, 8), box(-5, -5, 30, 30),      # containment both ways
+        box(4, 0, 4, 10), box(4, 0, 4, 10),        # zero width, identical
+        box(0, 5, 10, 5),                           # zero height
+        box(0.1, 0.2, 0.7, 0.9), box(0.3, 0.1, 1.1, 0.6),
     ]
     return boxes
 
@@ -174,21 +178,21 @@ def test_pairwise_iou_equals_scalar():
         assert matrix.shape == (len(boxes), len(boxes))
         for i, a in enumerate(boxes):
             for j, b in enumerate(boxes[::-1]):
-                assert matrix[i, j] == scalar(corners(a), corners(b))
+                assert matrix[i, j] == scalar(a, b)
 
 
 def test_pairwise_ioh_equals_scalar():
     boxes = _kernel_cases()
-    heads = [b for b in boxes if area(corners(b)) > 0.0]
+    heads = [b for b in boxes if area(b) > 0.0]
     matrix = pairwise_ioh(box_array(heads), box_array(boxes))
     for i, h in enumerate(heads):
         for j, b in enumerate(boxes):
-            assert matrix[i, j] == ioh(corners(h), corners(b))
+            assert matrix[i, j] == ioh(h, b)
 
 
 def test_pairwise_empty_shapes():
     none = box_array([])
-    some = box_array([BBox(0, 0, 1, 1), BBox(0, 0, 2, 2)])
+    some = box_array([box(0, 0, 1, 1), box(0, 0, 2, 2)])
     assert pairwise_intersection(none, some).shape == (0, 2)
     assert pairwise_intersection(some, none).shape == (2, 0)
     assert pairwise_iou(none, some).shape == (0, 2)
@@ -198,9 +202,9 @@ def test_pairwise_empty_shapes():
 
 
 def test_pairwise_ioh_zero_area_head_needs_bodies_to_raise():
-    heads = box_array([BBox(0, 0, 4, 4), BBox(5, 5, 5, 9)])
+    heads = box_array([box(0, 0, 4, 4), box(5, 5, 5, 9)])
     with pytest.raises(ValueError, match="zero-area head"):
-        pairwise_ioh(heads, box_array([BBox(0, 0, 10, 10)]))
+        pairwise_ioh(heads, box_array([box(0, 0, 10, 10)]))
     assert pairwise_ioh(heads, box_array([])).shape == (2, 0)
 
 

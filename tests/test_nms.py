@@ -4,10 +4,17 @@ import pytest
 from crowdpost import geometry
 from crowdpost.data_model import BODY, HEAD
 from crowdpost.nms import NmsConfig, nms_groups
-from crowdpost.records import build_detection_set, nms
+from crowdpost.records import build_detection_set
 
-from helpers import corners, det, fields, split_columns
+from helpers import det, fields, split_columns
 from oracles import nms_reference
+
+
+def _nms(dets, cfg):
+    """(kept, floored) of one class's detections in one scene, as lists:
+    the kept and the floored bodies of a scene with no heads."""
+    ds = build_detection_set("s0", [], dets, cfg)
+    return list(ds.bodies_post_nms), list(ds.bodies_pre_nms)
 
 
 def test_config_validation():
@@ -21,7 +28,7 @@ def test_config_validation():
 
 def test_single_detection_kept():
     d = det(1, (0, 0, 10, 10), 0.9)
-    kept, floored = nms([d], NmsConfig())
+    kept, floored = _nms([d], NmsConfig())
     assert kept == [d]
     assert floored == [d]
 
@@ -29,35 +36,35 @@ def test_single_detection_kept():
 def test_identical_boxes_keep_higher_score():
     hi = det(1, (0, 0, 10, 10), 0.9)
     lo = det(2, (0, 0, 10, 10), 0.8)
-    kept, _ = nms([lo, hi], NmsConfig(iou_threshold=0.5))
+    kept, _ = _nms([lo, hi], NmsConfig(iou_threshold=0.5))
     assert kept == [hi]
 
 
 def test_empty_input():
-    assert nms([], NmsConfig()) == ([], [])
+    assert _nms([], NmsConfig()) == ([], [])
 
 
 def test_suppression_is_strictly_greater_than_threshold():
     # IoU of the pair is exactly 0.5: half-area box nested in the other
     a = det(1, (0, 0, 10, 10), 0.9)
     b = det(2, (0, 0, 10, 5), 0.8)
-    kept, _ = nms([a, b], NmsConfig(iou_threshold=0.5))
+    kept, _ = _nms([a, b], NmsConfig(iou_threshold=0.5))
     assert kept == [a, b]
-    kept, _ = nms([a, b], NmsConfig(iou_threshold=0.4999))
+    kept, _ = _nms([a, b], NmsConfig(iou_threshold=0.4999))
     assert kept == [a]
 
 
 def test_score_ties_broken_by_det_id():
     a = det(5, (0, 0, 10, 10), 0.8)
     b = det(2, (0, 0, 10, 10), 0.8)
-    kept, _ = nms([a, b], NmsConfig())
+    kept, _ = _nms([a, b], NmsConfig())
     assert [d.det_id for d in kept] == [2]
 
 
 def test_score_floor_drops_before_nms():
     strong = det(1, (0, 0, 10, 10), 0.9)
     weak = det(2, (50, 50, 60, 60), 0.01)
-    kept, floored = nms([weak, strong], NmsConfig(score_floor=0.05))
+    kept, floored = _nms([weak, strong], NmsConfig(score_floor=0.05))
     assert kept == [strong]
     assert floored == [strong]
 
@@ -65,7 +72,7 @@ def test_score_floor_drops_before_nms():
 def test_floored_list_preserves_input_order():
     d1 = det(3, (0, 0, 10, 10), 0.5)
     d2 = det(1, (30, 0, 40, 10), 0.9)
-    _, floored = nms([d1, d2], NmsConfig())
+    _, floored = _nms([d1, d2], NmsConfig())
     assert floored == [d1, d2]
 
 
@@ -84,8 +91,8 @@ def test_matches_quadratic_reference():
     cfg = NmsConfig(iou_threshold=0.5, score_floor=0.2)
     for _ in range(100):
         dets = _random_scene(rng, int(rng.integers(0, 50)))
-        kept, floored = nms(dets, cfg)
-        records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
+        kept, floored = _nms(dets, cfg)
+        records = [{"id": d.det_id, "box": d.box, "score": d.score}
                    for d in dets]
         ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
         assert [d.det_id for d in kept] == ref_kept
@@ -96,8 +103,8 @@ def test_idempotent():
     rng = np.random.default_rng(3)
     cfg = NmsConfig()
     dets = _random_scene(rng, 40)
-    kept, _ = nms(dets, cfg)
-    again, _ = nms(kept, cfg)
+    kept, _ = _nms(dets, cfg)
+    again, _ = _nms(kept, cfg)
     assert again == kept
 
 
@@ -106,7 +113,7 @@ def test_raising_threshold_never_shrinks_kept_set():
     dets = _random_scene(rng, 40)
     previous = set()
     for thr in (0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
-        kept, _ = nms(dets, NmsConfig(iou_threshold=thr))
+        kept, _ = _nms(dets, NmsConfig(iou_threshold=thr))
         ids = {d.det_id for d in kept}
         assert previous <= ids
         previous = ids
@@ -129,7 +136,7 @@ def test_zero_area_boxes_dropped_at_floor(caplog, class_name):
     good = det(3, (0, 0, 10, 10), 0.8)
     dets = [flat, line, good]
     with caplog.at_level("INFO", logger="crowdpost.nms"):
-        kept, floored = nms(dets, NmsConfig())
+        kept, floored = _nms(dets, NmsConfig())
         ds = build_detection_set("s0", dets if class_name == HEAD else [],
                                  dets if class_name == BODY else [], NmsConfig())
     assert kept == [good]
@@ -145,11 +152,11 @@ def test_zero_area_rule_matches_reference():
     for _ in range(100):
         dets = _random_scene(rng, int(rng.integers(0, 30)))
         for i in rng.choice(len(dets), size=len(dets) // 4, replace=False):
-            x1, y1, x2, y2 = corners(dets[i].box)
+            x1, y1, x2, y2 = dets[i].box
             box = (x1, y1, x1, y2) if rng.random() < 0.5 else (x1, y1, x2, y1)
             dets[i] = det(dets[i].det_id, box, dets[i].score)
-        kept, floored = nms(dets, cfg)
-        records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
+        kept, floored = _nms(dets, cfg)
+        records = [{"id": d.det_id, "box": d.box, "score": d.score}
                    for d in dets]
         ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
         assert [d.det_id for d in kept] == ref_kept
@@ -167,7 +174,7 @@ def _kernel_group(rng, big_ids):
     dets = []
     for i in rng.permutation(n).tolist():
         if dets and rng.random() < 0.2:
-            box = list(corners(dets[int(rng.integers(len(dets)))].box))
+            box = list(dets[int(rng.integers(len(dets)))].box)
         else:
             x, y = rng.uniform(0, 80, size=2)
             w, h = rng.uniform(4, 30, size=2)
@@ -191,7 +198,7 @@ def test_groups_equal_reference_group_by_group():
         for out in (kept, floored):
             assert out.scene_ids == [f"s{k}" for k in range(len(groups))]
         for k, dets in enumerate(groups):
-            records = [{"id": d.det_id, "box": corners(d.box), "score": d.score}
+            records = [{"id": d.det_id, "box": d.box, "score": d.score}
                        for d in dets]
             ref_kept, ref_floored = nms_reference(records, cfg.iou_threshold, cfg.score_floor)
             a, b = kept.det_offsets[k:k + 2]
@@ -200,7 +207,7 @@ def test_groups_equal_reference_group_by_group():
                 [r["box"] for i in ref_kept for r in records if r["id"] == i]
             a, b = floored.det_offsets[k:k + 2]
             assert floored.det_ids[a:b] == ref_floored
-            assert nms(dets, cfg) == (
+            assert _nms(dets, cfg) == (
                 [d for i in ref_kept for d in dets if d.det_id == i],
                 [d for d in dets if d.det_id in ref_floored])
 

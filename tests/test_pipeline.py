@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from crowdpost.geometry import pairwise_ioh
 from crowdpost.pipeline import FIRST, SECOND, PostProcessConfig, postprocess, scene_inputs
 
-from helpers import corners, det, postprocess_scene, split_columns
+from helpers import det, postprocess_scene, split_columns
 from oracles import ioh, postprocess_reference
 
 
@@ -208,7 +210,7 @@ def _fuzz_scene(rng):
     bodies_post = [bodies_pre[i] for i in sorted(bodies_post)]
     heads = []
     for i in range(rng.integers(0, 10)):
-        x1, y1, x2, y2 = corners(bodies_pre[rng.integers(0, len(bodies_pre))].box)
+        x1, y1, x2, y2 = bodies_pre[rng.integers(0, len(bodies_pre))].box
         hw = (x2 - x1) * 0.35
         hx = x1 + rng.uniform(-0.3, 1.0) * (x2 - x1)
         hy = y1 + rng.uniform(-0.2, 0.4) * (y2 - y1)
@@ -261,7 +263,7 @@ def test_constant_high_stub_removes_only_partnerless_heads():
         heads, pre, post = _fuzz_scene(rng)
         out = postprocess_scene(heads, pre, post, stub(0.95), CFG)
         partnerless = {h.det_id for h in heads
-                       if all(ioh(corners(h.box), corners(b.box)) <= CFG.ioh_threshold
+                       if all(ioh(h.box, b.box) <= CFG.ioh_threshold
                               for b in pre)}
         assert set(out.removed_head_ids) == partnerless
 
@@ -285,7 +287,7 @@ def test_fuzz_scorer_sees_exactly_the_gated_pairs():
         scorer, calls = recording(hash_scorer)
         out = postprocess_scene(heads, pre, post, scorer, CFG)
         gated = [(h.det_id, b.det_id) for h in heads for b in pre
-                 if ioh(corners(h.box), corners(b.box)) > CFG.ioh_threshold]
+                 if ioh(h.box, b.box) > CFG.ioh_threshold]
         assert calls == ([gated] if gated else [])
         for r in out.pair_log:
             assert r.score == _hash_score(r.head_id, r.body_id)
@@ -307,7 +309,7 @@ def table_scorer(heads, bodies):
 
 
 def _records(dets):
-    return [{"id": d.det_id, "box": corners(d.box), "score": d.score} for d in dets]
+    return [{"id": d.det_id, "box": d.box, "score": d.score} for d in dets]
 
 
 def _split_scene(rng):
@@ -326,7 +328,7 @@ def _split_scene(rng):
         for i in range(1, len(dets)):
             if rng.random() < 0.2:  # a duplicate box under a new id
                 source = dets[int(rng.integers(0, i))]
-                dets[i] = det(dets[i].det_id, corners(source.box), dets[i].score)
+                dets[i] = det(dets[i].det_id, source.box, dets[i].score)
     pre_index = {d.det_id: d for d in pre}
     post = [pre_index[d.det_id] for d in post]
     return heads, pre, [post[i] for i in rng.permutation(len(post))]
@@ -358,7 +360,7 @@ def test_split_scene_by_scene_equals_reference(seed):
             assert out.removed_head_ids == removed
             assert [(x.head_id, x.body_id, x.score, x.phase) for x in out.pair_log] == log
             gated += [(a.det_id, b.det_id) for a in h for b in b_pre
-                      if ioh(corners(a.box), corners(b.box)) > CFG.ioh_threshold]
+                      if ioh(a.box, b.box) > CFG.ioh_threshold]
             outs.append(out)
         # one call for the whole split: scene by scene, head order, pre-NMS order
         assert calls == ([gated] if gated else [])
@@ -430,7 +432,7 @@ def test_kept_positions_must_be_distinct_and_in_range(kept, bad):
 
 def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_path):
     # `run` decides on the pairs of the one split-wide gate: `pairwise_ioh`
-    # runs once per padded batch of `_gate`, and never inside `postprocess`
+    # runs once per padded batch of `gate`, and never inside `postprocess`
     from crowdpost import cli, pipeline
     from crowdpost.data_model import read_detection_groups
     from crowdpost.geometry import padded_batches
@@ -470,6 +472,43 @@ def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_pa
     batches = list(padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets)))
     assert len(batches) > 1
     assert gated == [False] * len(batches)
+
+
+def test_train_rdm_gates_each_padded_batch_once(monkeypatch, tmp_path):
+    # `train-rdm` labels the pairs of `run`'s gate: `pairwise_ioh` runs once
+    # per padded batch of `gate` over the split, and the record route has no
+    # overlap kernel of its own
+    from crowdpost import cli, pipeline, records
+    from crowdpost.data_model import read_detection_groups
+    from crowdpost.geometry import padded_batches
+    from crowdpost.nms import NmsConfig, nms_groups
+
+    scenes, dets = tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+    assert cli.main(["simulate", "--out-scenes", str(scenes), "--out-dets", str(dets),
+                     "--num-scenes", "8", "--seed", "3", "--noise-seed", "3",
+                     "--cluster-prob", "0.95", "--persons-per-image", "30"]) == 0
+    gated, ioh = [], pipeline.pairwise_ioh
+
+    def counted(*args):
+        gated.append(args)
+        return ioh(*args)
+
+    monkeypatch.setattr(pipeline, "pairwise_ioh", counted)
+    assert cli.main(["train-rdm", "--scenes", str(scenes), "--dets", str(dets),
+                     "--out-model", str(tmp_path / "m.json"),
+                     "--out-loss", str(tmp_path / "loss.csv"), "--epochs", "1",
+                     "--hidden-dim", "4"]) == 0
+
+    heads_pre, bodies_pre = cli._pre_nms_columns(read_detection_groups(dets))
+    heads_floor, heads_kept = nms_groups(heads_pre, NmsConfig())
+    heads = heads_floor.take(heads_kept)
+    bodies_floor, _ = nms_groups(bodies_pre, NmsConfig())
+    batches = list(padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets)))
+    assert len(batches) > 1
+    assert len(gated) == len(batches)
+    imported = [node.module for node in ast.walk(ast.parse(inspect.getsource(records)))
+                if isinstance(node, ast.ImportFrom)]
+    assert "geometry" not in imported
 
 
 def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):

@@ -20,9 +20,9 @@ from crowdpost.data_model import (  # noqa: E402
     CLASSES, STAGES, FormatError, read_detection_groups, read_scenes)
 from crowdpost.evaluator import _thresholds  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
-from crowdpost.records import BBox, Detection  # noqa: E402
+from crowdpost.records import Detection  # noqa: E402
 from helpers import (  # noqa: E402
-    Group, Person, box, corners, fields, group_columns, scene, scene_columns, write_groups,
+    Group, Person, box, fields, group_columns, scene, scene_columns, write_groups,
     write_scene_file)
 
 # bounded and derandomized: tier-1 runs the same examples every time
@@ -78,7 +78,7 @@ def group_files(draw, min_dets=0):
                          min_size=1, max_size=4, unique=True))
     groups = []
     for scene_id, class_name, stage in keys:
-        dets = tuple(Detection(det_id, BBox(*draw(boxes())), draw(_unit))
+        dets = tuple(Detection(det_id, box(*draw(boxes())), draw(_unit))
                      for det_id in draw(st.lists(_ids, min_size=min_dets, max_size=4,
                                                  unique=True)))
         groups.append(Group(scene_id, class_name, stage, dets))
@@ -164,7 +164,7 @@ def _tricky_groups(draw):
         for det_id in draw(st.lists(_ids, max_size=4, unique=True)):
             x1, x2 = sorted((draw(_any_coord), draw(_any_coord)))
             y1, y2 = sorted((draw(_any_coord), draw(_any_coord)))
-            dets.append(Detection(det_id, BBox(x1, y1, x2, y2), draw(_any_unit)))
+            dets.append(Detection(det_id, box(x1, y1, x2, y2), draw(_any_unit)))
         groups.append(Group(scene_id, draw(st.sampled_from(CLASSES)),
                             draw(st.sampled_from(STAGES)), tuple(dets)))
     return groups
@@ -195,7 +195,7 @@ def test_detection_writer_bytes_equal_json_dumps(records):
     expected = "".join(json.dumps({
         "format": "detections/v1", "scene_id": g.scene_id, "class": g.class_name,
         "stage": g.stage,
-        "dets": [{"id": d.det_id, "box": list(corners(d.box)), "score": d.score}
+        "dets": [{"id": d.det_id, "box": list(d.box), "score": d.score}
                  for d in g.dets],
     }) + "\n" for g in records)
     assert _written(records, write_groups) == expected.encode("utf-8")
@@ -425,7 +425,7 @@ def _integral_scene(s):
 
 def _integral_group(g):
     return Group(g.scene_id, g.class_name, g.stage, tuple(
-        Detection(d.det_id, BBox(*_outward(corners(d.box))), d.score) for d in g.dets))
+        Detection(d.det_id, _outward(d.box), d.score) for d in g.dets))
 
 
 def _differential(monkeypatch, data, records, write, read, batch_columns):

@@ -9,8 +9,8 @@ from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_D
                            _sample_batch)
 from crowdpost.records import DetectionSet, build_training_pairs
 
-from helpers import corners, det, one_scene, person, scene, scene_columns
-from oracles import extract_features
+from helpers import det, one_scene, person, scene, scene_columns
+from oracles import extract_features, training_pairs_reference
 
 
 def _pair_features(heads, bodies):
@@ -26,7 +26,7 @@ def _features(head, body):
 
 def _reference(head, body):
     """The one-pair oracle's descriptor of two detections."""
-    return extract_features(corners(head.box), head.score, corners(body.box), body.score)
+    return extract_features(head.box, head.score, body.box, body.score)
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +451,63 @@ def test_no_pairs_gives_empty_arrays():
     feats, labels = build_training_pairs(scene_columns([s]), [ds], 0.7)
     assert feats.shape == (0, FEATURE_DIM)
     assert labels.shape == (0,)
+
+
+def _labeling_split(rng):
+    """Scenes and their detection sets for `build_training_pairs`: scenes of
+    different sizes, about a third of the persons flagged ignore, a first
+    scene with no persons and a set with no heads; two detections of a
+    person often share a score, and the sets come in shuffled order."""
+    scenes, sets = [], []
+    num_scenes = int(rng.integers(4, 9))
+    headless = int(rng.integers(num_scenes))
+    for k in range(num_scenes):
+        persons, heads, bodies = [], [], []
+        for pid in range(int(rng.integers(1, 7)) if k else 0):
+            x, y = rng.uniform(0, 150, size=2)
+            w = rng.uniform(12, 40)
+            body = (x, y, x + w, y + w * rng.uniform(1.5, 3.0))
+            size = w * 0.4
+            hx = x + rng.uniform(0, w - size)
+            head = (hx, y, hx + size, y + size)
+            persons.append(person(pid, head, body, ignore=rng.random() < 0.3))
+            score = float(rng.choice([0.3, 0.5, 0.9]))
+            for dets, (x1, y1, x2, y2) in ((heads, head), (bodies, body)):
+                for _ in range(int(rng.integers(0, 3))):
+                    dx, dy = rng.normal(0.0, 0.08, size=2) * (x2 - x1)
+                    dets.append(((x1 + dx, y1 + dy, x2 + dx, y2 + dy), score))
+        for dets in (heads, bodies):
+            for _ in range(int(rng.integers(0, 3))):
+                x, y = rng.uniform(0, 180, size=2)
+                w, h = rng.uniform(4, 40, size=2)
+                dets.append(((x, y, x + w, y + h), float(rng.choice([0.3, 0.5, 0.9]))))
+        if k == headless:
+            heads = []
+        heads, bodies = ([det(i, b, sc) for i, (b, sc) in zip(rng.permutation(len(dets)).tolist(),
+                                                               dets)]
+                         for dets in (heads, bodies))
+        scenes.append(scene(persons, scene_id=f"s{k}"))
+        sets.append(DetectionSet(f"s{k}", tuple(heads), tuple(bodies), ()))
+    return scenes, [sets[k] for k in rng.permutation(num_scenes).tolist()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_training_pairs_equal_scene_by_scene_reference(seed):
+    from crowdpost.geometry import padded_batches
+
+    rng = np.random.default_rng(seed)
+    scenes, sets = _labeling_split(rng)
+    heads = np.array([len(ds.heads_post_nms) for ds in sets])
+    bodies = np.array([len(ds.bodies_pre_nms) for ds in sets])
+    # the split-wide gate puts scenes of different sizes into one padded stack
+    assert any(len(set(heads[batch].tolist())) > 1 for batch, _ in padded_batches(heads, bodies))
+    persons = {s.scene_id: [(p.head, p.body) for p in s.persons] for s in scenes}
+    for threshold in (0.3, 0.7):
+        features, labels = build_training_pairs(scene_columns(scenes), sets, threshold)
+        ref_features, ref_labels = training_pairs_reference(
+            persons, [(ds.scene_id, ds.heads_post_nms, ds.bodies_pre_nms) for ds in sets],
+            threshold)
+        assert features.shape == ref_features.shape
+        assert features.tobytes() == ref_features.tobytes()
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert 0.0 < labels.mean() < 1.0

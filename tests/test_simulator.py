@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from crowdpost.nms import NmsConfig
-from crowdpost.records import nms
+from crowdpost.nms import NmsConfig, nms_groups
 from crowdpost.simulator import (NoiseConfig, SimConfig, _overlap_partners, generate_scene,
                                  generate_scenes, simulate_detections,
                                  simulate_detector)
 
-from helpers import corners, person, scene, scene_of, sim_dets
+from helpers import one_scene, person, scene, scene_of, sim_dets
 from oracles import area, intersection_area, ioh, iou, union_area_reference
 
 
@@ -245,11 +244,12 @@ def _suppressed_best_fraction(cluster_prob, seeds, scenes_per_seed=3):
         dets = simulate_detections(rows, NoiseConfig(seed=seed * 37))
         for s in map(scene_of, rows):
             bodies = sim_dets(dets[s.scene_id][1])
-            kept_ids = {d.det_id for d in nms(bodies, nms_cfg)[0]}
+            floored, kept = nms_groups(one_scene(bodies), nms_cfg)
+            kept_ids = {floored.det_ids[i] for i in kept.tolist()}
             for p in s.persons:
                 best, best_iou = None, 0.0
                 for d in bodies:
-                    v = iou(corners(d.box), p.body)
+                    v = iou(d.box, p.body)
                     if v > best_iou:
                         best, best_iou = d, v
                 if best is None:
