@@ -125,10 +125,17 @@ def _build(cls, cfg: dict, section: str, **overrides):
     return cls(**data)
 
 
+def _check_distinct(flag_a: str, path_a, flag_b: str, path_b) -> None:
+    """Reject two outputs of one command that name one file."""
+    if os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise ValueError(f"{flag_a} {path_a!r} and {flag_b} {path_b!r} name the same file")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_simulate(args) -> int:
+    _check_distinct("--out-scenes", args.out_scenes, "--out-dets", args.out_dets)
     _bind("simulator")
     cfg = _load_config(args.config)
     sim = _build(SimConfig, cfg, "sim", seed=args.seed,
@@ -186,6 +193,7 @@ def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionC
 
 
 def cmd_train_rdm(args) -> int:
+    _check_distinct("--out-model", args.out_model, "--out-loss", args.out_loss)
     _bind("nms", "pipeline", "rdm", "records")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms")

@@ -64,7 +64,6 @@ class FormatError(ValueError):
         if field:
             where += f" {field}:"
         super().__init__(f"{where} {message}".strip())
-        self.path = os.fspath(path) if path is not None else None
         self.line = line
         self.field = field
 

@@ -52,8 +52,6 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.iou_match_threshold <= 1.0:
             raise ValueError(f"iou_match_threshold {self.iou_match_threshold} outside (0, 1]")
-        if self.class_under_test not in (HEAD, BODY):
-            raise ValueError(f"unknown class {self.class_under_test!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.nd
              padded_stack(gt_boxes, starts + matchable_counts[batch], ignored_counts[batch],
                           n_ignored)[0]], axis=1)
         ious = pairwise_iou(det_stack, gt_stack)
-        rows[index] = np.array(greedy_match(ious[..., :n_matchable], threshold))[slot, pos]
+        rows[index] = greedy_match(ious[..., :n_matchable], threshold)[slot, pos]
         absorbed[index] = (ious[..., n_matchable:] >= threshold).any(axis=-1)[slot, pos]
     # a matched column counts from its scene's first matchable ground truth
     hit = rows >= 0
@@ -127,9 +125,7 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     point the lowest miss rate among curve points at or below it is taken
     (1.0 when the curve never gets there).
     """
-    index: dict[str, int] = {}
-    for k, scene_id in enumerate(scenes.scene_ids):
-        index.setdefault(scene_id, k)
+    index = {scene_id: k for k, scene_id in enumerate(scenes.scene_ids)}
     counts = np.diff(dets.det_offsets)
     group_scene = []
     for scene_id, count in zip(dets.scene_ids, counts.tolist()):
@@ -160,7 +156,7 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     tps = len(tp_scores) - np.searchsorted(tp_scores, thresholds)
     fps = len(fp_scores) - np.searchsorted(fp_scores, thresholds)
     fppi, miss = fps / num_images, 1.0 - tps / num_gt
-    mr2 = _log_average(fppi, miss, FPPI_POINTS)
+    mr2 = _log_average(fppi, miss)
     curve = tuple(zip(thresholds.tolist(), fppi.tolist(), miss.tolist()))
     return EvalResult(mr2=mr2, curve=curve, num_gt=num_gt, num_images=num_images)
 
@@ -182,9 +178,9 @@ def _thresholds(scores: np.ndarray) -> np.ndarray:
     return thresholds
 
 
-def _log_average(fppi: np.ndarray, miss: np.ndarray, fppi_points) -> float:
+def _log_average(fppi: np.ndarray, miss: np.ndarray) -> float:
     samples = []
-    for ref in fppi_points:
+    for ref in FPPI_POINTS:
         eligible = miss[fppi <= ref]
         samples.append(float(eligible.min()) if len(eligible) else 1.0)
     if all(m == 0.0 for m in samples):

@@ -9,14 +9,14 @@ one-pair references `intersection_area`, `iou` and `ioh` in
 `tests/oracles.py`: intersection 0 for disjoint or touching boxes, IoU 0 for
 two zero-area boxes, and IoH (the overlap over the head's area) an error for
 a zero-area head.
-`greedy_match` is the one greedy assignment over such a matrix.
-
-The kernels and `greedy_match` also take leading batch axes: (..., n, 4)
-and (..., m, 4) stacks give (..., n, m) matrices whose every slice is
-bit-identical to the 2-D call on that slice, and the matcher assigns each
-slice on its own.  Scenes of different sizes share one stack by padding
-with the zero box (0, 0, 0, 0): its intersection with any box is 0, so its
-IoU and its IoH with a head are 0 and it never passes a positive threshold.
+The kernels also take leading batch axes: (..., n, 4) and (..., m, 4)
+stacks give (..., n, m) matrices whose every slice is bit-identical to the
+2-D call on that slice.  `greedy_match`, the one greedy assignment, takes a
+(b, n, m) stack of such matrices, matches each slice on its own and
+returns the (b, n) array of the columns taken.  Scenes of different sizes
+share one stack by padding with the zero box (0, 0, 0, 0): its
+intersection with any box is 0, so its IoU and its IoH with a head are 0
+and it never passes a positive threshold.
 `padded_batches` groups the scenes of a split, size-sorted, into such
 stacks under a bound on their padded pairs, and `padded_stack` fills one;
 the evaluator's matcher, NMS and the one IoH gate, `pipeline.gate`, which
@@ -24,8 +24,6 @@ the evaluator's matcher, NMS and the one IoH gate, `pipeline.gate`, which
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -129,28 +127,24 @@ def padded_stack(boxes: np.ndarray, starts: np.ndarray, counts: np.ndarray, widt
     return stack, placed
 
 
-def greedy_match(ious: np.ndarray, threshold: float) -> list:
-    """One-to-one greedy assignment of rows to columns, rows in order.
-
-    Each row takes the still-free column of maximal value when that value
-    reaches `threshold`, the lowest such column on ties.  Returns the column
-    per row, -1 for rows left unmatched.  An (..., n, m) stack is matched
-    slice by slice and gives the per-slice lists nested as its leading axes.
-    """
-    *lead, n, m = ious.shape
-    flat = ious.reshape(math.prod(lead), n, m)
-    hits = flat >= threshold
+def greedy_match(ious: np.ndarray, threshold: float) -> np.ndarray:
+    """One-to-one greedy assignment of rows to columns, rows in order, in
+    each slice of a (b, n, m) stack.  Each row takes the still-free column
+    of maximal value when that value reaches `threshold`, the lowest such
+    column on ties.  Returns the (b, n) column per row, -1 for none."""
+    b, n, m = ious.shape
+    hits = ious >= threshold
     slices, rows, cols = np.nonzero(hits)
     # one key per (slice, row) and per (slice, column), so every slice has
     # its own rows and its own taken columns
     row_keys = (slices * n + rows).tolist()
     col_keys = (slices * m + cols).tolist()
-    match = [-1] * (len(flat) * n)
+    match = [-1] * (b * n)
     taken: set[int] = set()
     # candidates come row by row, columns ascending; a row's pick is fixed
     # once the next row starts
     row, best, best_value = -1, -1, 0.0
-    for r, c, k, v in zip(row_keys, cols.tolist(), col_keys, flat[hits].tolist()):
+    for r, c, k, v in zip(row_keys, cols.tolist(), col_keys, ious[hits].tolist()):
         if r != row:
             if best >= 0:
                 match[row] = best
@@ -161,6 +155,4 @@ def greedy_match(ious: np.ndarray, threshold: float) -> list:
             best, best_value = c, v
     if best >= 0:
         match[row] = best
-    if not lead:
-        return match
-    return np.array(match, dtype=np.int64).reshape(ious.shape[:-1]).tolist()
+    return np.array(match, dtype=np.intp).reshape(b, n)

@@ -6,8 +6,8 @@ pass: the groups are size-sorted into zero-padded stacks
 step then walks each group's boxes in rank order over its overlap rows
 packed into Python ints, one bit per box, so it costs a few integer
 operations per box, not a numpy call.  A zero pad box has IoU 0 with every
-box, so it never suppresses.  `records.build_detection_set` calls
-`suppress` on one scene's `Detection` lists, its two classes as two groups.
+box, so it never suppresses.  `records.build_detection_set` calls it on one
+scene's `Detection` lists, its two classes as two groups.
 
 Each group keeps its floor-filtered input and its survivors as positions in
 it, the before/after pair that the recall post-process needs, so a kept
@@ -40,20 +40,23 @@ class NmsConfig:
             raise ValueError(f"score_floor {self.score_floor} outside [0, 1)")
 
 
-def suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(kept, floored): indices into `dets`, group after group.  `floored`
-    holds, in input order, the detections that reach the score floor and
-    have a box of positive area; `kept` is sorted by descending score with
-    ties broken by ascending det id, and a box is suppressed when its IoU
-    with a higher-ranked kept box of its group exceeds the threshold."""
+def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns, np.ndarray]:
+    """Suppress overlapping detections within each group, of one class each.
+    Returns the floored detections (those that reach the score floor and
+    have a box of positive area) in input order and in the same groups, and
+    the position among them of each kept one, group after group, by
+    descending score with ties broken by ascending det id; a box is
+    suppressed when its IoU with a higher-ranked kept box of its group
+    exceeds the threshold."""
     group = dets.det_groups()
     scored = dets.scores >= cfg.score_floor
     floored = np.flatnonzero(scored & (areas(dets.boxes) > 0.0))
     if len(floored) < scored.sum():
         logger.info("dropped %d zero-area detections", scored.sum() - len(floored))
     ids = dets.det_ids
-    ranked = floored[np.lexsort((id_keys([ids[i] for i in floored.tolist()]),
-                                 -dets.scores[floored], group[floored]))]
+    rank = np.lexsort((id_keys([ids[i] for i in floored.tolist()]), -dets.scores[floored],
+                       group[floored]))
+    ranked = floored[rank]
     counts = np.bincount(group[ranked], minlength=len(dets.scene_ids))
     starts = np.cumsum(counts) - counts
     boxes = dets.boxes[ranked]
@@ -75,12 +78,4 @@ def suppress(dets: DetectionColumns, cfg: NmsConfig) -> tuple[np.ndarray, np.nda
                     keep.append(start + i)
                     suppressed |= rows[row + i]
     # batches run by size; the kept indices go back to group and rank order
-    return ranked[np.sort(np.array(keep, dtype=np.intp))], floored
-
-
-def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns, np.ndarray]:
-    """Suppress overlapping detections within each group; the caller passes
-    groups of one class each.  Returns the detections `suppress` floors, in
-    the same groups, and the position among them of each one it keeps."""
-    kept, floored = suppress(dets, cfg)
-    return dets.take(floored), np.searchsorted(floored, kept)
+    return dets.take(floored), rank[np.sort(np.array(keep, dtype=np.intp))]

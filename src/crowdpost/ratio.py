@@ -30,8 +30,6 @@ class HeadBodyRatio:
     delta_y: float
 
     def __post_init__(self):
-        for name in ("alpha_w", "alpha_h", "delta_x", "delta_y"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         # each comparison is written so that NaN fails it
         for name in ("alpha_w", "alpha_h"):
             if not 0.0 < getattr(self, name) < math.inf:

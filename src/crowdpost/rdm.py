@@ -17,6 +17,7 @@ import numpy as np
 
 from .data_model import DetectionColumns
 from .fileio import atomic_write_text, read_json
+from .geometry import pairwise_intersection
 
 FEATURE_DIM = 10
 
@@ -52,10 +53,8 @@ def pair_features(head_boxes: np.ndarray, head_scores: np.ndarray, body_boxes: n
     area = wh[:, 0] * wh[:, 1]
     head_wh, body_wh = wh[:n], wh[n:]
     head_area, body_area = area[:n], area[n:]
-    # a disjoint or touching pair clamps to 0 overlap (up to the sign of zero)
-    overlap = np.minimum(boxes[:n, 2:], boxes[n:, 2:]) - np.maximum(boxes[:n, :2], boxes[n:, :2])
-    np.maximum(overlap, 0.0, out=overlap)
-    inter = overlap[:, 0] * overlap[:, 1]
+    # pair k as a one-by-one slice: each slice is bit-identical to the 2-D call
+    inter = pairwise_intersection(boxes[:n, None], boxes[n:, None])[:, 0, 0]
 
     out = np.empty((n, FEATURE_DIM))
     out[:, 0:2] = (center[:n] - center[n:]) / body_wh
@@ -122,8 +121,7 @@ class RelationModel:
 
     def score_many(self, features: np.ndarray) -> np.ndarray:
         """Relationship scores in (0, 1) for an (n, 10) feature batch."""
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return self._forward(x)[-1]
+        return self._forward(features)[-1]
 
     def score_pairs(self, heads: DetectionColumns, bodies: DetectionColumns) -> np.ndarray:
         """Scores of the pairs (head k, body k) of two equal-length columns,

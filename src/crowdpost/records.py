@@ -1,15 +1,15 @@
 """`train-rdm`'s record route and the readers' per-field parser.
 
-`train-rdm`'s per-scene NMS (`build_detection_set`) takes `Detection`
-records, named tuples of fields a reader checked, and its pair builder
-(`build_training_pairs`) runs `run`'s gate and `eval`'s matcher.  The
-readers return columns (`data_model`), and come here only for a file with
-a line not shaped like the writers' lines: an integer where a float
-belongs, a field of the wrong type, a value out of range.  Then the
-per-field parser here checks each line and turns it into the row
-`data_model.scene_columns` or `group_columns` takes, or raises the error
-that names the first faulty field.  `simulate`, `estimate-ratio`, `run` and
-`eval` never load this module on the files the writers write.
+`train-rdm`'s per-scene NMS (`build_detection_set`) runs `run`'s
+`nms_groups` on `Detection` records, named tuples of fields a reader
+checked, and its pair builder (`build_training_pairs`) runs `run`'s gate
+and `eval`'s matcher.  The readers return columns (`data_model`), and come
+here only for a file with a line not shaped like the writers' lines: an
+integer where a float belongs, a field of the wrong type, a value out of
+range.  Then the per-field parser here checks each line and turns it into
+the row `data_model.scene_columns` or `group_columns` takes, or raises the
+error that names the first faulty field.  `simulate`, `estimate-ratio`,
+`run` and `eval` never load this module on the files the writers write.
 """
 
 from __future__ import annotations
@@ -235,15 +235,11 @@ def build_detection_set(scene_id: str, heads_pre: list[Detection],
     descending score, ties by ascending det id; the floored list keeps the
     input order.
     """
-    from .nms import suppress
-    dets = [*heads_pre, *bodies_pre]
-    kept, floored = suppress(_columns([scene_id, scene_id], [heads_pre, bodies_pre]), cfg)
-    kept, floored = kept.tolist(), floored.tolist()
-    # `suppress` gives the head group first
-    num_heads = len(heads_pre)
-    return DetectionSet(scene_id, tuple(dets[i] for i in kept if i < num_heads),
-                        tuple(dets[i] for i in floored if i >= num_heads),
-                        tuple(dets[i] for i in kept if i >= num_heads))
+    from .nms import nms_groups
+    floored, kept = nms_groups(_columns([scene_id, scene_id], [heads_pre, bodies_pre]), cfg)
+    heads_post, bodies_post = detection_lists(floored.take(kept))
+    return DetectionSet(scene_id, tuple(heads_post), tuple(detection_lists(floored)[1]),
+                        tuple(bodies_post))
 
 
 def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet],

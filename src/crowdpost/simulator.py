@@ -378,8 +378,7 @@ def _body_fp_box(rng, body: tuple, img_w, img_h) -> tuple | None:
 
 
 def simulate_detector(scene: tuple, noise: NoiseConfig,
-                      rng: np.random.Generator | None = None,
-                      ) -> tuple[list[tuple], list[tuple]]:
+                      rng: np.random.Generator) -> tuple[list[tuple], list[tuple]]:
     """Emit pre-NMS head and body detections, (box, score) pairs, for one
     scene row.
 
@@ -389,8 +388,6 @@ def simulate_detector(scene: tuple, noise: NoiseConfig,
     at limb-like sites of random persons, body FPs as laterally shifted
     copies, both scored from the FP distribution.
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     _, img_w, img_h, ids, heads, bodies, *_ = scene
     body_boxes = _boxes(bodies)
     persons = list(zip(ids, _boxes(heads), body_boxes))

@@ -458,6 +458,25 @@ def test_failed_command_removes_outputs_it_wrote(capsys, chain, tmp_path, comman
     assert list((tmp_path / blocked).iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "train-rdm"])
+def test_outputs_naming_one_file_rejected(capsys, tmp_path, monkeypatch, command):
+    # two spellings of one file: the second write would replace the first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.out").write_text("before")
+    argv, flags = {
+        "simulate": (["simulate", "--out-scenes", "same.out", "--out-dets", "./same.out",
+                      "--num-scenes", "2"], ("--out-scenes", "--out-dets")),
+        # a missing input: the clash is reported before anything is read
+        "train-rdm": (["train-rdm", "--scenes", "missing.jsonl", "--dets", "missing.jsonl",
+                       "--out-model", "same.out", "--out-loss", "./same.out"],
+                      ("--out-model", "--out-loss")),
+    }[command]
+    _expect_error(capsys, argv,
+                  f"{flags[0]} 'same.out' and {flags[1]} './same.out' name the same file")
+    assert [p.name for p in tmp_path.iterdir()] == ["same.out"]
+    assert (tmp_path / "same.out").read_text() == "before"
+
+
 def test_failed_command_keeps_previous_outputs(capsys, chain, tmp_path):
     # an earlier run's files are put back when a rerun into the same
     # directory fails on its last output

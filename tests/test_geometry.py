@@ -229,9 +229,9 @@ def test_greedy_match_examples():
                      [0.4, 0.9, 0.6],    # column 1 taken: next best
                      [0.5, 0.2, 0.2],    # exactly at threshold
                      [0.7, 0.7, 0.7]])   # everything taken
-    assert greedy_match(ious, 0.5) == [1, 2, 0, -1]
-    assert greedy_match(np.zeros((3, 0)), 0.5) == [-1, -1, -1]
-    assert greedy_match(np.zeros((0, 3)), 0.5) == []
+    assert greedy_match(ious[None], 0.5)[0].tolist() == [1, 2, 0, -1]
+    assert greedy_match(np.zeros((1, 3, 0)), 0.5)[0].tolist() == [-1, -1, -1]
+    assert greedy_match(np.zeros((1, 0, 3)), 0.5)[0].tolist() == []
 
 
 def test_greedy_match_agrees_with_loop_reference():
@@ -240,7 +240,7 @@ def test_greedy_match_agrees_with_loop_reference():
         n, m = rng.integers(0, 8, size=2)
         # coarse values make ties and exact-threshold hits common
         ious = rng.integers(0, 5, size=(n, m)) / 4.0
-        assert greedy_match(ious, 0.5) == _greedy_match_reference(ious, 0.5)
+        assert greedy_match(ious[None], 0.5)[0].tolist() == _greedy_match_reference(ious, 0.5)
 
 
 def _padded_stack(rng, boxes, slices, size):
@@ -282,6 +282,8 @@ def test_batched_greedy_match_equals_per_slice():
     for _ in range(100):
         s, n, m = rng.integers(0, 6, size=3)
         ious = rng.integers(0, 5, size=(s, n, m)) / 4.0
-        assert greedy_match(ious, 0.5) == [greedy_match(x, 0.5) for x in ious]
+        assert greedy_match(ious, 0.5).tolist() == [greedy_match(x[None], 0.5)[0].tolist()
+                                                    for x in ious]
     ious = rng.integers(0, 5, size=(2, 3, 4, 5)) / 4.0
-    assert greedy_match(ious, 0.5) == [[greedy_match(x, 0.5) for x in row] for row in ious]
+    assert (greedy_match(ious.reshape(6, 4, 5), 0.5).reshape(2, 3, 4).tolist()
+            == [[greedy_match(x[None], 0.5)[0].tolist() for x in row] for row in ious])

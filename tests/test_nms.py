@@ -4,7 +4,8 @@ import pytest
 from crowdpost import geometry
 from crowdpost.data_model import BODY, HEAD
 from crowdpost.nms import NmsConfig, nms_groups
-from crowdpost.records import build_detection_set
+from crowdpost.records import build_detection_set, detection_lists
+from crowdpost.simulator import NoiseConfig, SimConfig, generate_scenes, simulate_detections
 
 from helpers import det, fields, split_columns
 from oracles import nms_reference
@@ -223,3 +224,25 @@ def test_groups_larger_than_the_pair_budget(monkeypatch):
         got = nms_groups(split_columns(groups), cfg)
         assert fields(got[0]) == fields(expected[0])
         assert got[1].tolist() == expected[1].tolist()
+
+
+def test_build_detection_set_agrees_with_split_wide_nms_groups():
+    # a simulated split: both classes, scenes of different sizes, scores
+    # below the floor and crowds that NMS thins
+    rows = generate_scenes(SimConfig(persons_per_image=8.0, crowd_cluster_prob=0.8, seed=3), 16)
+    pairs = list(simulate_detections(rows, NoiseConfig(seed=4)).values())
+    heads, bodies = ([[det(i, box, score) for i, (box, score) in enumerate(run)] for run in runs]
+                     for runs in zip(*pairs))
+    assert len({len(h) + len(b) for h, b in zip(heads, bodies)}) > 1
+    cfg = NmsConfig()
+    # one call per class over the whole split, scene k as group k
+    heads_floor, heads_kept = nms_groups(split_columns(heads), cfg)
+    bodies_floor, bodies_kept = nms_groups(split_columns(bodies), cfg)
+    expected = zip(detection_lists(heads_floor.take(heads_kept)), detection_lists(bodies_floor),
+                   detection_lists(bodies_floor.take(bodies_kept)))
+    suppressed = 0
+    for k, (heads_post, bodies_pre, bodies_post) in enumerate(expected):
+        ds = build_detection_set(f"s{k}", heads[k], bodies[k], cfg)
+        assert ds == (f"s{k}", tuple(heads_post), tuple(bodies_pre), tuple(bodies_post))
+        suppressed += len(heads[k]) - len(heads_post) + len(bodies_pre) - len(bodies_post)
+    assert suppressed > 0

@@ -145,7 +145,7 @@ def test_zero_model_scores_half():
     model = RelationModel(np.zeros((FEATURE_DIM, d)), np.zeros(d),
                           np.zeros((d, d)), np.zeros(d),
                           np.zeros((d, 1)), np.zeros(1))
-    assert model.score_many(np.ones(FEATURE_DIM)).tolist() == [0.5]
+    assert model.score_many(np.ones(FEATURE_DIM)[None]).tolist() == [0.5]
 
 
 def test_scores_strictly_inside_unit_interval():
@@ -163,7 +163,7 @@ def test_score_pairs_matches_per_row_scores():
     for n in (0, 1, 5, 333):
         heads, bodies = _feature_pairs(rng, n)
         got = model.score_pairs(one_scene(heads), one_scene(bodies))
-        per_row = [model.score_many(_reference(h, b))[0]
+        per_row = [model.score_many(_reference(h, b)[None])[0]
                    for h, b in zip(heads, bodies)]
         assert got.shape == (n,)
         assert np.allclose(got, per_row, rtol=0.0, atol=1e-12)

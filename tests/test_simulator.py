@@ -163,7 +163,7 @@ def test_noise_free_detector_reproduces_ground_truth():
     row = generate_scene(SMALL, 0)
     noise = NoiseConfig(detect_prob=1.0, loc_jitter_sigma=0.0, head_fp_rate=0.0,
                         body_fp_rate=0.0, crowd_attraction=0.0, seed=0)
-    heads, bodies = simulate_detector(row, noise)
+    heads, bodies = simulate_detector(row, noise, np.random.default_rng(noise.seed))
     persons = scene_of(row).persons
     assert len(heads) == len(bodies) == len(persons)
     for p, (head_box, head_score), (body_box, _) in zip(persons, heads, bodies):
@@ -175,7 +175,7 @@ def test_noise_free_detector_reproduces_ground_truth():
 def test_detect_prob_zero_without_fps_is_silent():
     scene = generate_scene(SMALL, 0)
     noise = NoiseConfig(detect_prob=0.0, head_fp_rate=0.0, body_fp_rate=0.0, seed=0)
-    assert simulate_detector(scene, noise) == ([], [])
+    assert simulate_detector(scene, noise, np.random.default_rng(noise.seed)) == ([], [])
 
 
 def test_detect_prob_zero_leaves_only_false_positives():
@@ -188,7 +188,7 @@ def test_detect_prob_zero_leaves_only_false_positives():
     for seed in range(4):
         noise = NoiseConfig(detect_prob=0.0, head_fp_rate=4.0,
                             body_fp_rate=2.0, seed=seed)
-        heads, bodies = simulate_detector(row, noise)
+        heads, bodies = simulate_detector(row, noise, np.random.default_rng(noise.seed))
         total_heads += len(heads)
         total_bodies += len(bodies)
         # no false positive may localize a ground-truth box of its class
