@@ -125,17 +125,22 @@ def _build(cls, cfg: dict, section: str, **overrides):
     return cls(**data)
 
 
-def _check_distinct(flag_a: str, path_a, flag_b: str, path_b) -> None:
-    """Reject two outputs of one command that name one file."""
-    if os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise ValueError(f"{flag_a} {path_a!r} and {flag_b} {path_b!r} name the same file")
+def _check_distinct(outputs, inputs) -> None:
+    """Reject an output, a (flag, path), that names one file with a later
+    output or with an input (a None path is an absent option)."""
+    named = [(flag, path) for flag, path in [*outputs, *inputs] if path is not None]
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in named[i + 1:]:
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ValueError(f"{flag} {path!r} and {other} {other_path!r} name the same file")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_simulate(args) -> int:
-    _check_distinct("--out-scenes", args.out_scenes, "--out-dets", args.out_dets)
+    _check_distinct([("--out-scenes", args.out_scenes), ("--out-dets", args.out_dets)],
+                    [("--config", args.config)])
     _bind("simulator")
     cfg = _load_config(args.config)
     sim = _build(SimConfig, cfg, "sim", seed=args.seed,
@@ -168,6 +173,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate_ratio(args) -> int:
+    _check_distinct([("--out", args.out)], [("--scenes", args.scenes)])
     _bind("ratio")
     scenes = read_scenes(args.scenes)
     ratio = estimate_ratio(*scene_pairs(scenes))
@@ -193,7 +199,8 @@ def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionC
 
 
 def cmd_train_rdm(args) -> int:
-    _check_distinct("--out-model", args.out_model, "--out-loss", args.out_loss)
+    _check_distinct([("--out-model", args.out_model), ("--out-loss", args.out_loss)],
+                    [("--config", args.config), ("--scenes", args.scenes), ("--dets", args.dets)])
     _bind("nms", "pipeline", "rdm", "records")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms")
@@ -239,6 +246,9 @@ def _split_index(dets: DetectionColumns, parts: list[list[int]]) -> np.ndarray:
 
 
 def cmd_run(args) -> int:
+    files = [os.path.join(args.out_dir, f) for f in ("baseline.jsonl", "rdm.jsonl", "audit.json")]
+    _check_distinct([("--out-dir", path) for path in files],
+                    [("--config", args.config), ("--dets", args.dets), ("--model", args.model)])
     _bind("nms", "pipeline", "rdm")
     cfg = _load_config(args.config)
     nms_cfg = _build(NmsConfig, cfg, "nms", iou_threshold=args.nms_iou,
@@ -256,12 +266,11 @@ def cmd_run(args) -> int:
     outs = [postprocess(*scene, post_cfg) for scene in
             scene_inputs(heads, bodies_floor, bodies_kept, model.score_pairs, post_cfg)]
 
-    write_detection_groups(_post_nms_groups(heads, bodies_floor.take(bodies_kept)),
-                           os.path.join(args.out_dir, "baseline.jsonl"))
+    write_detection_groups(_post_nms_groups(heads, bodies_floor.take(bodies_kept)), files[0])
     write_detection_groups(_post_nms_groups(
         heads.take(_split_index(heads, [out.final_heads for out in outs])),
         bodies_floor.take(_split_index(bodies_floor, [out.final_bodies for out in outs]))),
-        os.path.join(args.out_dir, "rdm.jsonl"))
+        files[1])
     audit_scenes = [{
         "scene_id": scene_id,
         "recalled_body_ids": out.recalled_body_ids,
@@ -269,8 +278,7 @@ def cmd_run(args) -> int:
         "pairs": [{"head": r.head_id, "body": r.body_id, "score": r.score, "phase": r.phase}
                   for r in out.pair_log],
     } for scene_id, out in zip(heads.scene_ids, outs)]
-    atomic_write_text(os.path.join(args.out_dir, "audit.json"),
-                      json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
+    atomic_write_text(files[2], json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
     logger.info("recalled %d bodies, removed %d heads over %d scenes",
                 sum(len(out.recalled_body_ids) for out in outs),
                 sum(len(out.removed_head_ids) for out in outs), len(outs))
@@ -282,6 +290,9 @@ def _has_control_character(name: str) -> bool:
 
 
 def cmd_eval(args) -> int:
+    files = [args.out_prefix + suffix for suffix in (".eval.json", ".curve.csv", ".svg")]
+    _check_distinct([("--out-prefix", path) for path in files],
+                    [("--results", args.results), ("--scenes", args.scenes)])
     _bind("evaluator")
     eval_cfg = _build(EvalConfig, {}, "eval", iou_match_threshold=args.iou,
                       class_under_test=args.class_name)
@@ -301,9 +312,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.results}: no post-NMS {args.class_name} groups")
 
     result = compute_mr2(selected, scenes, eval_cfg)
-    write_result_json(result, args.out_prefix + ".eval.json", name, args.class_name)
-    write_curve_csv(result, args.out_prefix + ".curve.csv")
-    write_curve_svg(name, result, args.out_prefix + ".svg")
+    write_result_json(result, files[0], name, args.class_name)
+    write_curve_csv(result, files[1])
+    write_curve_svg(name, result, files[2])
     logger.info("%s %s: mr2 %.4f over %d GT / %d images",
                 name, args.class_name, result.mr2, result.num_gt, result.num_images)
     return 0
@@ -336,6 +347,7 @@ def cmd_report(args) -> int:
              if f.endswith(".eval.json")]
     if not paths:
         raise ValueError(f"no .eval.json files under {args.dir}")
+    _check_distinct([("--out", args.out)], [("--dir", path) for path in paths])
     cells: dict[str, dict[str, float]] = {}
     for path in paths:
         name, class_name, mr2 = _read_eval_result(path)

@@ -55,8 +55,8 @@ DETECTION_FORMAT = "detections/v1"
 class FormatError(ValueError):
     """Schema violation in a JSON-lines file; points at the offending line/field."""
 
-    def __init__(self, message: str, path: str | None = None,
-                 line: int | None = None, field: str | None = None):
+    def __init__(self, message: str, path: str | None, line: int | None,
+                 field: str | None = None):
         where = ""
         if path is not None:
             where = f"{os.path.basename(os.fspath(path))}:"

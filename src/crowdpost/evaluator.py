@@ -9,15 +9,16 @@ log-spaced FPPI reference points between 0.01 and 1.  Lower is better.
 scenes, and the persons' boxes and flags, as arrays
 (`data_model.DetectionColumns` and `SceneColumns`, which the readers
 return).  The matcher, `greedy_assign`, is shared: `train-rdm` labels
-its training pairs with it too (`records.build_training_pairs`).  Its
-matching of many scenes shares one IoU call and one greedy pass: the ranked
-detections and the ground truth of each scene are gathered into
-(scenes, n, 4) and (scenes, m, 4) arrays, zero-padded to the largest scene
-of the batch (`geometry.padded_batches`, which bounds the padded pairs of a
-batch).  A zero box has IoU 0 with every box, and both callers match at a
-threshold above 0, so padding never matches.  `tests/oracles.py` holds
-the one-image references: the greedy match, the Reasonable rule and the
-log-average.
+its training pairs with it too (`records.build_training_pairs`), and it
+answers per detection.  Its matching of many scenes shares one IoU call and
+one greedy pass: the ranked detections and the persons of each scene, in
+person order, are gathered into (scenes, n, 4) and (scenes, m, 4) arrays,
+zero-padded to the largest scene of the batch (`geometry.padded_batches`,
+which bounds the padded pairs of a batch).  Ignored persons are a mask over
+the columns: the match sees their IoU, and a pad's, as 0, and both callers
+match at a threshold above 0, so neither ever matches.  `tests/oracles.py`
+holds the one-image references: the greedy match, the Reasonable rule and
+the log-average.
 """
 
 from __future__ import annotations
@@ -69,48 +70,39 @@ def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.nd
     up to `person_offsets[k + 1]` of `gt_boxes`, and ground truth that is
     not `matchable` is ignored.
 
-    In ranked order, a detection takes the free matchable ground truth of
-    maximal IoU at the threshold, the first on ties; failing that, an
-    ignored one at the threshold absorbs it.
+    Each scene's detections go in ranked order.  A detection takes the
+    untaken matchable person of maximal IoU at the threshold, the first in
+    person order on ties; failing that, an ignored person at the threshold
+    absorbs it.
 
-    Returns `order`, the detection indices scene after scene, each scene's
-    in ranked order, and per entry of `order` the row of `gt_boxes` it took,
-    -1 for none, and whether an ignored ground truth absorbed it.
+    Returns, per detection, the row of `gt_boxes` it took, -1 for none, and
+    whether an ignored person absorbed it.
     """
     num_scenes = len(person_offsets) - 1
     order = np.lexsort((id_keys(dets.det_ids), -dets.scores, det_scene))
     boxes = dets.boxes[order]
     det_counts = np.bincount(det_scene, minlength=num_scenes)
     det_starts = np.cumsum(det_counts) - det_counts
-    # each scene's matchable ground truth first, then its ignored, both in
-    # person order: a tie goes to the lower column
-    person_counts = np.diff(person_offsets)
-    person_scene = np.repeat(np.arange(num_scenes), person_counts)
-    gt_order = np.lexsort((~matchable, person_scene))
-    gt_boxes = gt_boxes[gt_order]
     gt_starts = np.asarray(person_offsets[:-1], dtype=np.intp)
-    matchable_counts = np.bincount(person_scene[matchable], minlength=num_scenes)
-    ignored_counts = person_counts - matchable_counts
+    gt_counts = np.diff(person_offsets)
 
     rows = np.full(len(order), -1, dtype=np.intp)
     absorbed = np.zeros(len(order), dtype=bool)
     # a scene without ground truth leaves its detections unmatched
-    for batch, (n, n_matchable, n_ignored) in padded_batches(det_counts, matchable_counts,
-                                                             ignored_counts):
+    for batch, (n, m) in padded_batches(det_counts, gt_counts):
         det_stack, (index, slot, pos) = padded_stack(boxes, det_starts[batch],
                                                      det_counts[batch], n)
-        starts = gt_starts[batch]
-        gt_stack = np.concatenate(
-            [padded_stack(gt_boxes, starts, matchable_counts[batch], n_matchable)[0],
-             padded_stack(gt_boxes, starts + matchable_counts[batch], ignored_counts[batch],
-                          n_ignored)[0]], axis=1)
+        gt_stack, (person, gt_slot, gt_pos) = padded_stack(gt_boxes, gt_starts[batch],
+                                                          gt_counts[batch], m)
+        # the matchable persons; an ignored or a pad column matches nothing
+        free = np.zeros((len(batch), 1, m), dtype=bool)
+        free[gt_slot, 0, gt_pos] = matchable[person]
         ious = pairwise_iou(det_stack, gt_stack)
-        rows[index] = greedy_match(ious[..., :n_matchable], threshold)[slot, pos]
-        absorbed[index] = (ious[..., n_matchable:] >= threshold).any(axis=-1)[slot, pos]
-    # a matched column counts from its scene's first matchable ground truth
-    hit = rows >= 0
-    rows[hit] = gt_order[gt_starts[det_scene[order[hit]]] + rows[hit]]
-    return order, rows, absorbed & ~hit
+        cols = greedy_match(ious * free, threshold)[slot, pos]
+        det = order[index]
+        rows[det] = np.where(cols >= 0, gt_starts[batch][slot] + cols, -1)
+        absorbed[det] = ((ious >= threshold) & ~free).any(axis=-1)[slot, pos]
+    return rows, absorbed & (rows < 0)
 
 
 def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -> EvalResult:
@@ -144,12 +136,12 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
         raise ValueError("no ground truth left after the Reasonable filter")
     num_images = len(scenes.scene_ids)
 
-    order, rows, ignored = greedy_assign(
+    rows, ignored = greedy_assign(
         dets, det_scene, scenes.heads if cfg.class_under_test == HEAD else scenes.bodies,
         scenes.person_offsets, matchable, cfg.iou_match_threshold)
-    ranked, tp = dets.scores[order], rows >= 0
-    tp_scores = np.sort(ranked[tp])
-    fp_scores = np.sort(ranked[~(tp | ignored)])
+    tp = rows >= 0
+    tp_scores = np.sort(dets.scores[tp])
+    fp_scores = np.sort(dets.scores[~(tp | ignored)])
     # Sweep every distinct input score, not just scores of counted outcomes:
     # a level where only ignored detections enter still yields a curve point.
     thresholds = _thresholds(dets.scores)

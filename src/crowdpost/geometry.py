@@ -90,24 +90,22 @@ def ragged(starts: np.ndarray, counts: np.ndarray):
     return starts[run] + pos, run, pos
 
 
-def padded_batches(rows: np.ndarray, *cols: np.ndarray):
-    """Batches of the items i that have pairs (`rows[i]` times the sum of
-    the `cols[c][i]` is positive), as arrays of item indices sorted by size,
-    so that items of like size share a batch, each with its largest `rows`
-    entry and its largest entry of each `cols`.  A batch's zero-padded
-    stack, its item count times the largest rows times the sum of the
-    largest cols, stays within `PAIR_BUDGET` pairs; an item larger than that
-    forms a batch alone."""
-    items = np.flatnonzero(rows * sum(cols))
-    items = items[np.lexsort(tuple(c[items] for c in reversed((rows, *cols))))]
+def padded_batches(rows: np.ndarray, cols: np.ndarray):
+    """Batches of the items i that have pairs (`rows[i] * cols[i]` is
+    positive), as arrays of item indices sorted by size, so that items of
+    like size share a batch, each with its largest `rows` and its largest
+    `cols` entry.  A batch's zero-padded stack, its item count times those
+    two, stays within `PAIR_BUDGET` pairs; an item larger than that forms a
+    batch alone."""
+    items = np.flatnonzero(rows * cols)
+    items = items[np.lexsort((cols[items], rows[items]))]
     batch: list[int] = []
-    shape: tuple = ()
-    for i, *sizes in zip(items.tolist(), rows[items].tolist(),
-                         *(c[items].tolist() for c in cols)):
-        grown = tuple(map(max, shape or sizes, sizes))
-        if batch and (len(batch) + 1) * grown[0] * sum(grown[1:]) > PAIR_BUDGET:
+    shape = (0, 0)
+    for i, n, m in zip(items.tolist(), rows[items].tolist(), cols[items].tolist()):
+        grown = (max(shape[0], n), max(shape[1], m))
+        if batch and (len(batch) + 1) * grown[0] * grown[1] > PAIR_BUDGET:
             yield np.array(batch), shape
-            batch, grown = [], tuple(sizes)
+            batch, grown = [], (n, m)
         batch.append(i)
         shape = grown
     if batch:

@@ -90,7 +90,7 @@ class RelationModel:
     b3: np.ndarray  # (1,)
 
     @classmethod
-    def initialize(cls, hidden_dim: int = 64,
+    def initialize(cls, hidden_dim: int,
                    seed: int | np.random.Generator = 0) -> "RelationModel":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 

@@ -270,11 +270,8 @@ def build_training_pairs(scenes: SceneColumns, detection_sets: list[DetectionSet
 
     def assigned(dets: DetectionColumns, gt_boxes: np.ndarray) -> np.ndarray:
         # each detection's person row, -1 for none
-        order, rows, _ = greedy_assign(dets, set_scene[dets.det_groups()], gt_boxes,
-                                       scenes.person_offsets, everyone, ASSIGN_IOU)
-        person = np.empty(len(dets), dtype=np.intp)
-        person[order] = rows
-        return person
+        return greedy_assign(dets, set_scene[dets.det_groups()], gt_boxes,
+                             scenes.person_offsets, everyone, ASSIGN_IOU)[0]
 
     head_person, body_person = assigned(heads, scenes.heads), assigned(bodies, scenes.bodies)
     rows, cols = gate(heads, bodies, ioh_threshold)

@@ -154,7 +154,7 @@ def _feasible_center_range(head_w, head_h, ratio, image_w, image_h):
     return lo_x, hi_x, lo_y, hi_y
 
 
-def generate_scene(cfg: SimConfig, index: int = 0) -> tuple:
+def generate_scene(cfg: SimConfig, index: int) -> tuple:
     """Build one scene's row; scene `index` is seeded with cfg.seed + index."""
     rng = np.random.default_rng(cfg.seed + index)
     img_w, img_h = cfg.image_size

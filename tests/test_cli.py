@@ -477,6 +477,44 @@ def test_outputs_naming_one_file_rejected(capsys, tmp_path, monkeypatch, command
     assert (tmp_path / "same.out").read_text() == "before"
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate-ratio", "train-rdm", "run", "eval",
+                                     "report"])
+def test_output_naming_an_input_rejected(capsys, chain, tmp_path, monkeypatch, command):
+    # each input is a copy of a file the command accepts, so only the clash
+    # stops it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "evals").mkdir()
+    copies = {"simulate": {"c.json": '{"num_scenes": 2}'},
+              "estimate-ratio": {"s.jsonl": chain / "scenes.jsonl"},
+              "train-rdm": {"d.jsonl": chain / "dets.jsonl"},
+              "run": {"out/rdm.jsonl": chain / "dets.jsonl"},
+              "eval": {"x.eval.json": chain / "out" / "rdm.jsonl"},
+              "report": {f"evals/{p.name}": p
+                         for p in sorted((chain / "eval").glob("*.eval.json"))}}[command]
+    for name, source in copies.items():
+        (tmp_path / name).write_text(source if isinstance(source, str) else source.read_text())
+    argv, clash = {
+        "simulate": (["simulate", "--config", "c.json", "--out-scenes", "./c.json",
+                      "--out-dets", "d.jsonl"], "--out-scenes './c.json' and --config 'c.json'"),
+        "estimate-ratio": (["estimate-ratio", "--scenes", "s.jsonl", "--out", "s.jsonl"],
+                           "--out 's.jsonl' and --scenes 's.jsonl'"),
+        "train-rdm": (["train-rdm", "--scenes", str(chain / "scenes.jsonl"), "--dets", "d.jsonl",
+                       "--out-model", "d.jsonl", "--out-loss", "loss.csv", "--epochs", "1"],
+                      "--out-model 'd.jsonl' and --dets 'd.jsonl'"),
+        "run": (["run", "--dets", "out/rdm.jsonl", "--model", str(chain / "model.json"),
+                 "--out-dir", "out"], "--out-dir 'out/rdm.jsonl' and --dets 'out/rdm.jsonl'"),
+        "eval": (["eval", "--results", "x.eval.json", "--scenes", str(chain / "scenes.jsonl"),
+                  "--class", BODY, "--out-prefix", "x"],
+                 "--out-prefix 'x.eval.json' and --results 'x.eval.json'"),
+        "report": (["report", "--dir", "evals", "--out", "evals/rdm_body.eval.json"],
+                   "--out 'evals/rdm_body.eval.json' and --dir 'evals/rdm_body.eval.json'"),
+    }[command]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    _expect_error(capsys, argv, f"{clash} name the same file")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_failed_command_keeps_previous_outputs(capsys, chain, tmp_path):
     # an earlier run's files are put back when a rerun into the same
     # directory fails on its last output

@@ -8,10 +8,11 @@ import pytest
 from crowdpost import geometry
 from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
-                                 write_curve_csv, write_curve_svg, write_result_json)
+                                 greedy_assign, write_curve_csv, write_curve_svg,
+                                 write_result_json)
 
 from helpers import det, detection_columns, person, scene, scene_columns
-from oracles import (FP, IGNORED, TP, log_average, match_outcomes, mr2_reference,
+from oracles import (FP, IGNORED, TP, iou, log_average, match_outcomes, mr2_reference,
                      reasonable_ignore)
 
 
@@ -162,6 +163,28 @@ def test_match_prefers_max_iou_not_score_order():
     d2 = det(2, (21, 0, 51, 100), 0.8)
     assert _outcomes([d, d2], s) == [(1, TP), (2, FP)]
     _assert_mr2_matches([d, d2], s)
+
+
+def test_greedy_assign_answers_per_detection_in_person_rows():
+    # scene "b" lists an ignored person before a matchable one; its
+    # detections come first although "a" is the first scene
+    a = scene([_person_at(1, 100, 0)], scene_id="a")
+    ignored, matchable = _person_at(1, 0, 0, w=40, ignore=True), _person_at(2, 24, 0, w=40)
+    b = scene([ignored, matchable], scene_id="b")
+    both = det(1, (11, 0, 51, 100), 0.9)
+    assert iou(both.box, ignored.body) > iou(both.box, matchable.body) >= 0.5
+    only_ignored = det(2, (0, 0, 22, 100), 0.8)
+    assert iou(only_ignored.box, matchable.body) == 0.0
+    pairs = [("b", both), ("b", only_ignored), ("a", det(1, (100, 0, 130, 100), 0.7)),
+             ("a", det(2, (150, 100, 180, 200), 0.95))]
+    scenes = scene_columns([a, b])
+    rows, absorbed = greedy_assign(detection_columns(pairs), np.array([1, 1, 0, 0]),
+                                   scenes.bodies, scenes.person_offsets, ~scenes.ignore, 0.5)
+    # the matchable person of "b" is row 2 of the persons
+    assert rows.tolist() == [2, -1, 0, -1]
+    assert absorbed.tolist() == [False, True, False, False]
+    assert _outcomes([both, only_ignored], b) == [(1, TP), (2, IGNORED)]
+    _assert_mr2_matches([both, only_ignored], b)
 
 
 def test_perfect_detector_scores_zero():

@@ -107,3 +107,85 @@ def test_package_root_binds_only_version():
         else:
             bound.append(ast.unparse(node).splitlines()[0])
     assert bound == ["__version__"]
+
+
+def needless_defaults(sources: list[str]) -> list[str]:
+    """`name.parameter` for each parameter default of a function or method
+    of the given modules that every call of that name passes.  A call of a
+    class is a call of its `__init__`; a call through `*` or `**`, and a
+    reference that is not a call (a method passed as a value, say), pass no
+    defaulted parameter.  A definition that no call names is not checked."""
+    trees = [ast.parse(source) for source in sources]
+    methods = {id(f): c for tree in trees for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
+    callees = {id(n.func) for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    definitions, calls = [], {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner, args = methods.get(id(node)), node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            if owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list):
+                params = params[1:]  # self or cls
+            defaulted = params[len(params) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = owner.name if owner is not None and node.name == "__init__" else node.name
+            definitions.append((name, params, defaulted))
+        elif isinstance(node, ast.Call):
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            calls.setdefault(_named(node.func), []).append(
+                None if unpacked else (len(node.args), {k.arg for k in node.keywords}))
+        elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+              and id(node) not in callees):
+            calls.setdefault(_named(node), []).append(None)  # passes nothing
+    flagged = []
+    for name, params, defaulted in definitions:
+        uses = calls.get(name, [])
+        for param in defaulted:
+            position = params.index(param) if param in params else len(params)
+            if uses and all(use is not None and (position < use[0] or param in use[1])
+                            for use in uses):
+                flagged.append(f"{name}.{param}")
+    return sorted(flagged)
+
+
+def _named(node: ast.AST):
+    """The name a call or a reference goes by: a bare name or an attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_needless_defaults_detects():
+    source = ("class Error(ValueError):\n"
+              "    def __init__(self, message, path=None, field=None):\n"
+              "        super().__init__(message)\n"
+              "class Model:\n"
+              "    @classmethod\n"
+              "    def make(cls, width=4, *, seed=0): return cls()\n"
+              "    @staticmethod\n"
+              "    def fixed(a=1): pass\n"
+              "    def score(self, pairs=()): pass\n"
+              "def scene(cfg, index=0, scale=1.0): pass\n"
+              "def unused(a=1): pass\n"
+              "def spread(a=1, b=2): pass\n"
+              "Error('m', 'p')\nError('m', path='p', field='f')\n"
+              "Model.make(8, seed=1)\nModel().make(width=2, seed=2)\n"
+              "Model.fixed(3)\nModel().score([])\nrun(Model().score)\n"
+              "scene(c, 1)\nscene(c, index=2)\nscene(c, 3, scale=2.0)\n"
+              "spread(1, 2)\nspread(*args)\n")
+    assert needless_defaults([source]) == ["Error.path", "fixed.a", "make.seed", "make.width",
+                                           "scene.index"]
+
+
+# a default that a caller outside src/ needs, with the reason
+NEEDED_DEFAULTS = {
+    # tests/test_benchmark_hooks.py builds a model with `initialize(hidden_dim=4)`,
+    # and that file changes only with the benchmark
+    "initialize.seed",
+}
+
+
+def test_no_default_every_call_passes():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert [d for d in needless_defaults(sources) if d not in NEEDED_DEFAULTS] == []
