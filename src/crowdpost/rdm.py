@@ -73,10 +73,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -_LOGIT_LIMIT, _LOGIT_LIMIT)))
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 @dataclass
 class RelationModel:
     """Three stacked fully-connected layers with rectifier activations and a
@@ -112,12 +108,14 @@ class RelationModel:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
     def _forward(self, x: np.ndarray):
-        z1 = x @ self.w1 + self.b1
-        a1 = _relu(z1)
-        z2 = a1 @ self.w2 + self.b2
-        a2 = _relu(z2)
-        z3 = a2 @ self.w3 + self.b3
-        return z1, a1, z2, a2, z3, _sigmoid(z3)[:, 0]
+        """The hidden activations `a1`, `a2` and the scores of a feature batch."""
+        a1 = x @ self.w1
+        a1 += self.b1
+        np.maximum(a1, 0.0, out=a1)
+        a2 = a1 @ self.w2
+        a2 += self.b2
+        np.maximum(a2, 0.0, out=a2)
+        return a1, a2, _sigmoid(a2 @ self.w3 + self.b3)[:, 0]
 
     def score_many(self, features: np.ndarray) -> np.ndarray:
         """Relationship scores in (0, 1) for an (n, 10) feature batch."""
@@ -249,20 +247,20 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-labels * np.log(probs) - (1.0 - labels) * np.log(1.0 - probs)))
 
 
-def _loss_and_gradients(model: RelationModel, x: np.ndarray, y: np.ndarray):
-    z1, a1, z2, a2, _z3, p = model._forward(x)
-    n = len(y)
-    loss = bce_loss(p, y)
-    dz3 = ((p - y) / n)[:, None]
+def _gradients(model: RelationModel, x: np.ndarray, y: np.ndarray):
+    """Gradients of the batch's mean BCE, in the order of `model.params()`.
+    A unit is active where `a > 0`, as where its pre-activation is `> 0`."""
+    a1, a2, p = model._forward(x)
+    dz3 = ((p - y) / len(y))[:, None]
     gw3 = a2.T @ dz3
     gb3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ model.w3.T) * (z2 > 0)
+    dz2 = (dz3 @ model.w3.T) * (a2 > 0)
     gw2 = a1.T @ dz2
     gb2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ model.w2.T) * (z1 > 0)
+    dz1 = (dz2 @ model.w2.T) * (a1 > 0)
     gw1 = x.T @ dz1
     gb1 = dz1.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2, gw3, gb3)
+    return gw1, gb1, gw2, gb2, gw3, gb3
 
 
 def _sample_batch(rng: np.random.Generator, pos_idx: np.ndarray, neg_idx: np.ndarray,
@@ -302,7 +300,7 @@ def train(features: np.ndarray, labels: np.ndarray,
     for _epoch in range(cfg.epochs):
         for _step in range(steps_per_epoch):
             idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
-            _, grads = _loss_and_gradients(model, x[idx], y[idx])
+            grads = _gradients(model, x[idx], y[idx])
             for param, vel, grad in zip(model.params(), velocity, grads):
                 vel *= MOMENTUM
                 vel += grad + WEIGHT_DECAY * param

@@ -2,7 +2,8 @@
 
 Everything here works on plain tuples and dicts and recomputes results from
 first principles: overlap by counting raster cells, the scalar box overlaps
-and the pair descriptor one pair at a time, NMS by repeated global argmax, the
+and the pair descriptor one pair at a time, the relation model's score one
+row at a time, NMS by repeated global argmax, the
 post-process of one scene head by head, `train-rdm`'s labeled pairs scene
 by scene, MR-2 by re-matching every image from scratch at every threshold,
 and rectangle-union area by scanline integration.  None of it shares code with
@@ -112,6 +113,26 @@ def extract_features(head, head_score, body, body_score) -> np.ndarray:
         hw / hh,
         bw / bh,
     ], dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# the relation model's forward pass, one row at a time
+#
+# model: the `RelationModel.to_obj` dict, each layer's weights row-major
+
+def mlp_score(model, row) -> float:
+    """Score of one feature row: two rectified hidden layers, then the
+    logistic of the output logit clamped to [-30, 30].  Python floats, each
+    unit's sum taken in input order, so it agrees with the BLAS forward pass
+    to rounding, not bit for bit."""
+    a = [float(v) for v in row]
+    for k, layer in enumerate(model["layers"]):
+        n_in, n_out, w = layer["in"], layer["out"], layer["weights"]
+        z = [sum(a[i] * w[i * n_out + j] for i in range(n_in)) + layer["bias"][j]
+             for j in range(n_out)]
+        a = z if k == 2 else [max(v, 0.0) for v in z]
+    logit = min(max(a[0], -30.0), 30.0)
+    return 1.0 / (1.0 + math.exp(-logit))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,55 @@ def test_chain_rerun_is_byte_identical(chain, tmp_path_factory):
         assert filecmp.cmp(chain / rel, other / rel, shallow=False), rel
 
 
+def _kernel_chain(base, coretype):
+    """Run a small README-recipe chain in one child process whose OpenBLAS
+    takes the kernel `coretype`.  Returns the `Core:` lines, the kernel
+    OpenBLAS reports it loaded."""
+    base.mkdir()
+    simulate = ["simulate", "--cluster-prob", "0.65"]
+    calls = [simulate + ["--out-scenes", "train_scenes.jsonl", "--out-dets", "train_dets.jsonl",
+                         "--num-scenes", "20", "--seed", "500", "--noise-seed", "500"],
+             ["train-rdm", "--scenes", "train_scenes.jsonl", "--dets", "train_dets.jsonl",
+              "--out-model", "model.json", "--out-loss", "loss.csv",
+              "--epochs", "20", "--learning-rate", "0.05", "--seed", "0"],
+             simulate + ["--out-scenes", "test_scenes.jsonl", "--out-dets", "test_dets.jsonl",
+                         "--num-scenes", "40", "--seed", "0", "--noise-seed", "0"],
+             ["run", "--dets", "test_dets.jsonl", "--model", "model.json", "--out-dir", "out"]]
+    calls += [["eval", "--results", f"out/{variant}.jsonl", "--scenes", "test_scenes.jsonl",
+               "--class", cls, "--out-prefix", f"eval/{variant}_{cls}", "--name", variant]
+              for variant in ("baseline", "rdm") for cls in (HEAD, BODY)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, os, sys; from crowdpost.cli import main; os.chdir(sys.argv[2]); "
+         "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))",
+         json.dumps(calls), str(base)],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_VERBOSE": "2"})
+    assert proc.returncode == 0, proc.stderr
+    return [line for line in proc.stderr.splitlines() if line.startswith("Core:")]
+
+
+def test_decisions_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the model's bits may differ under another BLAS kernel; the decisions
+    # and every file computed from them may not
+    cores = {coretype: _kernel_chain(tmp_path / coretype, coretype)
+             for coretype in ("Haswell", "Prescott")}
+    if not all(cores.values()):
+        pytest.skip("no `Core:` line under OPENBLAS_VERBOSE=2: numpy's BLAS is not an "
+                    "OpenBLAS that picks its kernel at run time")
+    if cores["Haswell"] == cores["Prescott"]:
+        pytest.skip(f"OPENBLAS_CORETYPE does not switch the kernel: both report "
+                    f"{cores['Haswell']}")
+    a, b = tmp_path / "Haswell", tmp_path / "Prescott"
+    outputs = ["out/baseline.jsonl", "out/rdm.jsonl"]
+    outputs += sorted(str(p.relative_to(a)) for p in (a / "eval").iterdir())
+    assert len(outputs) == 2 + 4 * 3
+    for rel in outputs:
+        assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+    # the post-process recalled or removed something, so decisions were taken
+    assert not filecmp.cmp(a / outputs[0], a / outputs[1], shallow=False)
+
+
 def test_console_script_entry_point(chain, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -5,12 +5,11 @@ import pytest
 
 from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_DIM,
                            RelationModel, TrainConfig, bce_loss, load_model, pair_features,
-                           save_model, train, write_loss_csv, _loss_and_gradients,
-                           _sample_batch)
+                           save_model, train, write_loss_csv, _gradients, _sample_batch)
 from crowdpost.records import DetectionSet, build_training_pairs
 
 from helpers import det, one_scene, person, scene, scene_columns
-from oracles import extract_features, training_pairs_reference
+from oracles import extract_features, mlp_score, training_pairs_reference
 
 
 def _pair_features(heads, bodies):
@@ -169,6 +168,43 @@ def test_score_pairs_matches_per_row_scores():
         assert np.allclose(got, per_row, rtol=0.0, atol=1e-12)
 
 
+def _random_rows(model, rng):
+    for b in (model.b1, model.b2, model.b3):
+        b += rng.normal(scale=0.1, size=b.shape)
+    return rng.normal(size=(200, FEATURE_DIM))
+
+
+def _zero_pre_activation_row(model, rng):
+    """Hidden unit 0 sums 0.5 - 0.5 and zero products: exactly 0."""
+    x = rng.normal(size=(1, FEATURE_DIM))
+    x[0, :2] = 1.0
+    model.w1[:, 0] = 0.0
+    model.w1[:2, 0] = (0.5, -0.5)
+    assert (x @ model.w1 + model.b1)[0, 0] == 0.0
+    return x
+
+
+def _logits_beyond(limit):
+    def case(model, rng):
+        model.b3[:] = limit
+        return rng.normal(size=(20, FEATURE_DIM))
+    return case
+
+
+@pytest.mark.parametrize("case", [_random_rows, _zero_pre_activation_row,
+                                  _logits_beyond(-1000.0), _logits_beyond(1000.0)],
+                         ids=["random", "zero_pre_activation", "logit_below", "logit_above"])
+def test_scores_match_mlp_reference(case):
+    rng = np.random.default_rng(7)
+    model = RelationModel.initialize(hidden_dim=16, seed=rng)
+    x = case(model, rng)
+    obj = model.to_obj()
+    got = model.score_many(x)
+    assert np.allclose(got, [mlp_score(obj, row) for row in x], rtol=0.0, atol=1e-12)
+    # an unclamped logit of +-1000 would round its score to exactly 0 or 1
+    assert np.all((0.0 < got) & (got < 1.0))
+
+
 def test_initialize_deterministic():
     a = RelationModel.initialize(hidden_dim=32, seed=5)
     b = RelationModel.initialize(hidden_dim=32, seed=5)
@@ -268,7 +304,9 @@ def _kink_free_case(seed):
     for _ in range(200):
         x = rng.normal(size=(8, FEATURE_DIM))
         y = rng.integers(0, 2, size=8).astype(float)
-        z1, _, z2, _, _, _ = model._forward(x)
+        a1, _, _ = model._forward(x)
+        z1 = x @ model.w1 + model.b1
+        z2 = a1 @ model.w2 + model.b2
         if min(np.abs(z1).min(), np.abs(z2).min()) > 1e-3:
             return model, x, y
     raise AssertionError("could not sample a kink-free batch")
@@ -276,7 +314,7 @@ def _kink_free_case(seed):
 
 def test_gradients_match_finite_differences():
     model, x, y = _kink_free_case(seed=12)
-    _, grads = _loss_and_gradients(model, x, y)
+    grads = _gradients(model, x, y)
     eps = 1e-6
     worst = 0.0
     for param, grad in zip(model.params(), grads):
@@ -284,9 +322,9 @@ def test_gradients_match_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = _loss_and_gradients(model, x, y)[0]
+            up = bce_loss(model.score_many(x), y)
             flat[i] = orig - eps
-            down = _loss_and_gradients(model, x, y)[0]
+            down = bce_loss(model.score_many(x), y)
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             a = grad.ravel()[i]
