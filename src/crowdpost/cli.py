@@ -107,10 +107,8 @@ def _check_value(key: str, value, like) -> None:
 
 def _build(cls, cfg: dict, section: str, **overrides):
     """Instantiate a config dataclass from one config section plus flag overrides."""
-    obj = cfg.get(section)
-    if obj is None:
-        obj = {}
-    elif not isinstance(obj, dict):
+    obj = cfg.get(section, {})
+    if not isinstance(obj, dict):
         raise ValueError(f"config key {section}: expected an object, got {obj!r}")
     data = dict(obj)
     fields = {f.name: f for f in dataclasses.fields(cls)}

@@ -702,12 +702,12 @@ def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, mo
     # estimate-ratio, train-rdm and eval take the scene file's arrays as the
     # reader's batch pass returns them; none of them parses a scene line by
     # line into its persons
-    from crowdpost import records
+    from crowdpost import data_model
 
-    def refuse(obj, *_):
+    def refuse(obj):
         raise ValueError(f"scene {obj.get('scene_id')!r} parsed field by field")
 
-    monkeypatch.setattr(records, "parsed_scene_row", refuse)
+    monkeypatch.setattr(data_model, "_scene_row", refuse)
     assert main(["estimate-ratio", "--scenes", str(chain / "scenes.jsonl"),
                  "--out", str(tmp_path / "ratio.json")]) == 0
     assert main(_train_argv(chain, tmp_path)) == 0
@@ -783,7 +783,13 @@ def test_config_wrong_value_type(capsys, chain, tmp_path):
                 "--out-scenes", str(tmp_path / "s.jsonl"),
                 "--out-dets", str(tmp_path / "d.jsonl")]
     train = _train_argv(chain, tmp_path, "--config", str(cfg))
+    run = ["run", "--config", str(cfg), "--dets", str(chain / "dets.jsonl"),
+           "--model", str(chain / "model.json"), "--out-dir", str(out)]
     for config, argv, fragment in [
+        # a present section is an object; null is not its absence
+        ({"sim": None, "noise": None}, simulate, "config key sim: expected an object, got None"),
+        ({"noise": None}, simulate, "config key noise: expected an object, got None"),
+        ({"post": None}, run, "config key post: expected an object, got None"),
         ({"sim": {"median_height": _HUGE}}, simulate,
          "config key sim.median_height: integer too large for a float"),
         ({"sim": {"image_size": [_HUGE, 800]}}, simulate,

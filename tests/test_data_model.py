@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crowdpost import data_model, records
+from crowdpost import data_model
 from crowdpost.data_model import (
     BODY, CLASSES, HEAD, POST_NMS, PRE_NMS, STAGES, FormatError, read_detection_groups,
     read_scenes)
@@ -22,15 +22,14 @@ def _entry(person_id, head, body, occ=0.0):
 
 
 def _parse_scene(persons=(), width=200, height=200):
-    return records.parsed_scene_row({"format": "scenes/v1", "scene_id": "s0", "width": width,
-                                     "height": height, "persons": list(persons)}, None, None)
+    return data_model._scene_row({"format": "scenes/v1", "scene_id": "s0", "width": width,
+                                  "height": height, "persons": list(persons)})
 
 
 def _parse_group(class_name, dets):
-    return records.parsed_group_row(
+    return data_model._group_row(
         {"format": "detections/v1", "scene_id": "s0", "class": class_name, "stage": PRE_NMS,
-         "dets": [{"id": d.det_id, "box": list(d.box), "score": d.score}
-                  for d in dets]}, None, None)
+         "dets": [{"id": d.det_id, "box": list(d.box), "score": d.score} for d in dets]})
 
 
 def test_person_requires_head_inside_body():
@@ -574,8 +573,8 @@ def batch_pass_only(monkeypatch):
     """A read that reaches the per-field parser fails."""
     def refuse(*args):
         raise AssertionError("the exact path read the file")
-    monkeypatch.setattr(records, "parsed_scene_row", refuse)
-    monkeypatch.setattr(records, "parsed_group_row", refuse)
+    monkeypatch.setattr(data_model, "_scene_row", refuse)
+    monkeypatch.setattr(data_model, "_group_row", refuse)
 
 
 def test_batches_hold_whole_lines(tmp_path, small_batches, batch_pass_only):

@@ -3,7 +3,7 @@ import pytest
 
 from crowdpost.geometry import (areas, greedy_match, pairwise_intersection, pairwise_ioh,
                                 pairwise_iou)
-from crowdpost.records import _parse_box
+from crowdpost.data_model import _parse_box
 from crowdpost.simulator import _center, _center_box
 
 from helpers import box, box_array
@@ -18,7 +18,7 @@ def _one(kernel, a, b):
 def _read_box(*corners):
     """A box as the per-field parser reads a file's box field: the rules
     of a box are checked there, and its corners become floats."""
-    return _parse_box(list(corners), None, None, "", "box")
+    return _parse_box(list(corners), "", "box")
 
 
 def test_bbox_rejects_negative_extent():

@@ -1,7 +1,8 @@
 """Every name a module under src/ imports is used in that module, so a
 deletion cannot leave a stale import behind, and no module imports another
 crowdpost module's underscore-prefixed names, so a helper two modules share
-is public.  Every public function and class is used by code under src/, so
+is public.  `data_model` imports no crowdpost module but `fileio` and
+`geometry`.  Every public function and class is used by code under src/, so
 API that only tests call lives in the tests, and the package root binds
 nothing but `__version__`."""
 
@@ -63,6 +64,38 @@ def test_private_imports_detects():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def crowdpost_imports(source: str) -> list[str]:
+    """The crowdpost modules a module imports, relative or absolute, at
+    module level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("crowdpost.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "crowdpost"):
+            # the module path below the package; empty for `from . import x`
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            found |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+    return sorted(found)
+
+
+def test_crowdpost_imports_detects():
+    source = ("from __future__ import annotations\nimport numpy\nimport crowdpost.nms as n\n"
+              "from .fileio import read_json\nfrom crowdpost.pipeline import gate\n"
+              "from crowdpost import cli\nfrom json.decoder import scanstring\n"
+              "def f():\n    from .records import Detection\n    from . import rdm, geometry\n")
+    assert crowdpost_imports(source) == ["cli", "fileio", "geometry", "nms", "pipeline",
+                                         "rdm", "records"]
+
+
+def test_data_model_imports_only_fileio_and_geometry():
+    # the file formats, their readers and their parser stand on these two,
+    # so that reading a file never loads the record route or a model
+    source = (SRC / "data_model.py").read_text(encoding="utf-8")
+    assert set(crowdpost_imports(source)) <= {"fileio", "geometry"}
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:

@@ -85,25 +85,27 @@ def group_files(draw, min_dets=0):
     return groups
 
 
-def _round_trip(records, write, read):
-    """The fields of the columns `read` returns for a file `write` made."""
+def _round_trip(monkeypatch, records, write, read):
+    """The fields of the columns `read` returns for a file `write` made, by
+    the batch pass and by the exact path."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "a.jsonl")
         write(records, path)
-        return fields(read(path))
+        return _outcome(read, path), _exact_outcome(monkeypatch, read, path)
 
 
 @PROPERTY
 @given(scene_files())
-def test_scene_file_round_trip(records):
-    assert _round_trip(records, write_scene_file, read_scenes) == fields(scene_columns(records))
+def test_scene_file_round_trip(monkeypatch, records):
+    batch, exact = _round_trip(monkeypatch, records, write_scene_file, read_scenes)
+    assert batch == exact == fields(scene_columns(records))
 
 
 @PROPERTY
 @given(group_files())
-def test_detection_file_round_trip(records):
-    assert (_round_trip(records, write_groups, read_detection_groups)
-            == fields(group_columns(records)))
+def test_detection_file_round_trip(monkeypatch, records):
+    batch, exact = _round_trip(monkeypatch, records, write_groups, read_detection_groups)
+    assert batch == exact == fields(group_columns(records))
 
 
 def _unique_thresholds(scores: np.ndarray) -> np.ndarray:
