@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib
 import json
 import logging
 import os
 import sys
 
-import numpy as np
-
 from .data_model import (BODY, HEAD, POST_NMS, PRE_NMS, DetectionColumns, GroupColumns,
-                         group_columns, id_keys, read_detection_groups, read_scenes,
-                         scene_columns, write_detection_groups, write_scenes)
+                         group_columns, read_detection_groups, read_scenes, scene_columns,
+                         write_detection_groups, write_scenes)
 from .fileio import atomic_write_text, read_json, restored_on_error
 
 logger = logging.getLogger(__name__)
@@ -37,7 +36,7 @@ _COMMAND_NAMES = {
     "evaluator": ("EvalConfig", "compute_mr2", "write_curve_csv", "write_curve_svg",
                   "write_result_json"),
     "nms": ("NmsConfig", "nms_groups"),
-    "pipeline": ("PostProcessConfig", "postprocess", "scene_inputs"),
+    "pipeline": ("PostProcessConfig", "postprocess", "scene_inputs", "write_outputs"),
     "ratio": ("estimate_ratio", "save_ratio", "scene_pairs"),
     "rdm": ("TrainConfig", "load_model", "save_model", "train", "write_loss_csv"),
     "records": ("build_detection_set", "build_training_pairs", "detection_lists"),
@@ -221,28 +220,6 @@ def cmd_train_rdm(args) -> int:
     return 0
 
 
-def _post_nms_groups(heads: DetectionColumns, bodies: DetectionColumns) -> GroupColumns:
-    """Each scene's head group, then its body group, at the post-NMS stage,
-    each group's detections sorted by det id."""
-    num_scenes = len(heads.scene_ids)
-    ids = heads.det_ids + bodies.det_ids
-    # group 2k holds scene k's heads, group 2k + 1 its bodies
-    group = np.concatenate([2 * heads.det_groups(), 2 * bodies.det_groups() + 1])
-    order = np.lexsort((id_keys(ids), group))
-    counts = np.bincount(group, minlength=2 * num_scenes)
-    dets = DetectionColumns([scene_id for scene_id in heads.scene_ids for _ in (HEAD, BODY)],
-                            [0, *np.cumsum(counts).tolist()], [ids[i] for i in order.tolist()],
-                            np.concatenate([heads.boxes, bodies.boxes])[order],
-                            np.concatenate([heads.scores, bodies.scores])[order])
-    return GroupColumns(dets, [HEAD, BODY] * num_scenes, [POST_NMS] * (2 * num_scenes))
-
-
-def _split_index(dets: DetectionColumns, parts: list[list[int]]) -> np.ndarray:
-    """`parts[k]`, indices into group k of `dets`, as indices into `dets`."""
-    return np.array([a + i for a, part in zip(dets.det_offsets, parts) for i in part],
-                    dtype=np.intp)
-
-
 def cmd_run(args) -> int:
     files = [os.path.join(args.out_dir, f) for f in ("baseline.jsonl", "rdm.jsonl", "audit.json")]
     _check_distinct([("--out-dir", path) for path in files],
@@ -264,19 +241,7 @@ def cmd_run(args) -> int:
     outs = [postprocess(*scene, post_cfg) for scene in
             scene_inputs(heads, bodies_floor, bodies_kept, model.score_pairs, post_cfg)]
 
-    write_detection_groups(_post_nms_groups(heads, bodies_floor.take(bodies_kept)), files[0])
-    write_detection_groups(_post_nms_groups(
-        heads.take(_split_index(heads, [out.final_heads for out in outs])),
-        bodies_floor.take(_split_index(bodies_floor, [out.final_bodies for out in outs]))),
-        files[1])
-    audit_scenes = [{
-        "scene_id": scene_id,
-        "recalled_body_ids": out.recalled_body_ids,
-        "removed_head_ids": out.removed_head_ids,
-        "pairs": [{"head": r.head_id, "body": r.body_id, "score": r.score, "phase": r.phase}
-                  for r in out.pair_log],
-    } for scene_id, out in zip(heads.scene_ids, outs)]
-    atomic_write_text(files[2], json.dumps({"scenes": audit_scenes}, indent=2) + "\n")
+    write_outputs(files, heads, bodies_floor, bodies_kept, outs)
     logger.info("recalled %d bodies, removed %d heads over %d scenes",
                 sum(len(out.recalled_body_ids) for out in outs),
                 sum(len(out.removed_head_ids) for out in outs), len(outs))
@@ -468,5 +433,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def script() -> int:
+    """The console entry: `main` in a process that ends with it.  The objects
+    the imports built go to the collector's permanent generation, which no
+    collection examines, also not the one at interpreter shutdown; the OS
+    takes them back when the process exits."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -573,7 +573,8 @@ def read_detection_groups(path) -> GroupColumns:
 # floats, whose JSON text is their repr, and the one free-form string, the
 # scene id, is escaped by the function `json.dumps` uses for it.  They go
 # scene by scene and group by group, so that a file's text is never held
-# whole.
+# whole.  `detection_texts` and `group_line` also serve `run`, which formats
+# each detection once for the two detection files it writes side by side.
 
 def _scene_lines(scenes: SceneColumns):
     offsets = scenes.person_offsets
@@ -596,17 +597,25 @@ def write_scenes(scenes: SceneColumns, path) -> None:
     atomic_write_text(path, _scene_lines(scenes))
 
 
+def detection_texts(ids, boxes: np.ndarray, scores: np.ndarray) -> list[str]:
+    """The text of each detection in a detection line."""
+    return [f'{{"id": {i!r}, "box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "score": {s!r}}}'
+            for i, (x1, y1, x2, y2), s in zip(ids, boxes.tolist(), scores.tolist())]
+
+
+def group_line(scene_id: str, class_name: str, stage: str, texts) -> str:
+    """The detection line of one group, from its detections' texts."""
+    return (f'{{"format": "{DETECTION_FORMAT}", "scene_id": {_json_string(scene_id)}, '
+            f'"class": "{class_name}", "stage": "{stage}", "dets": [{", ".join(texts)}]}}\n')
+
+
 def _group_lines(groups: GroupColumns):
     d = groups.detections
     offsets = d.det_offsets
     for scene_id, class_name, stage, a, b in zip(d.scene_ids, groups.class_names,
                                                   groups.stages, offsets, offsets[1:]):
-        dets = ", ".join(
-            f'{{"id": {i!r}, "box": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], "score": {s!r}}}'
-            for i, (x1, y1, x2, y2), s in zip(d.det_ids[a:b], d.boxes[a:b].tolist(),
-                                               d.scores[a:b].tolist()))
-        yield (f'{{"format": "{DETECTION_FORMAT}", "scene_id": {_json_string(scene_id)}, '
-               f'"class": "{class_name}", "stage": "{stage}", "dets": [{dets}]}}\n')
+        yield group_line(scene_id, class_name, stage,
+                         detection_texts(d.det_ids[a:b], d.boxes[a:b], d.scores[a:b]))
 
 
 def write_detection_groups(groups: GroupColumns, path) -> None:

@@ -9,7 +9,7 @@ import os
 import tempfile
 from typing import Iterable
 
-# (path, backup) for each file `atomic_write_text` wrote inside
+# (path, backup) for each file `atomic_file` wrote inside
 # `restored_on_error`, the backup holding the file it replaced, else None
 _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
@@ -54,14 +54,16 @@ def _unlink_quietly(path: str | None) -> None:
             pass
 
 
-def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
-    """Write `text`, or the concatenation of an iterable of strings, via a
-    temp file in the same directory, then rename.
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike):
+    """A text file to write, which takes the place of `path` when the block
+    ends, through a temp file in the same directory and a rename; when the
+    block raises, the temp file is removed and `path` keeps its bytes.
 
-    Creates the directory when it is missing.  Keeps failed runs from leaving
-    half-written outputs behind.  The file gets the mode a plain `open` would
-    give it under the process umask, not the owner-only mode of the temp file.
-    Inside `restored_on_error`, the file it replaces is kept aside.
+    Creates the directory when it is missing.  The file gets the mode a plain
+    `open` would give it under the process umask, not the owner-only mode of
+    the temp file.  Inside `restored_on_error`, the file it replaces is kept
+    aside.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -74,10 +76,7 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            yield fh
         if written is not None and os.path.isfile(path):
             # a hard link under the temp file's unique name keeps the old file
             link = tmp.removesuffix(".tmp") + ".bak"
@@ -92,12 +91,22 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
         written.append((path, backup))
 
 
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write `text`, or the concatenation of an iterable of strings, through
+    `atomic_file`, so a failed write leaves no half-written output behind."""
+    with atomic_file(path) as fh:
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
+
+
 @contextlib.contextmanager
 def restored_on_error():
-    """Run a block; when it raises, undo every write `atomic_write_text` made
+    """Run a block; when it raises, undo every write `atomic_file` made
     inside it, latest first: a new file is removed and a replaced one put
     back, so a failed command leaves its output paths as it found them.
-    Each file stays in place as soon as its writer returns."""
+    Each file stays in place as soon as its writer's block ends."""
     written: list[tuple[str, str | None]] = []
     token = _written.set(written)
     try:

@@ -69,10 +69,6 @@ def pair_features(head_boxes: np.ndarray, head_scores: np.ndarray, body_boxes: n
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -_LOGIT_LIMIT, _LOGIT_LIMIT)))
-
-
 @dataclass
 class RelationModel:
     """Three stacked fully-connected layers with rectifier activations and a
@@ -107,19 +103,9 @@ class RelationModel:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
-    def _forward(self, x: np.ndarray):
-        """The hidden activations `a1`, `a2` and the scores of a feature batch."""
-        a1 = x @ self.w1
-        a1 += self.b1
-        np.maximum(a1, 0.0, out=a1)
-        a2 = a1 @ self.w2
-        a2 += self.b2
-        np.maximum(a2, 0.0, out=a2)
-        return a1, a2, _sigmoid(a2 @ self.w3 + self.b3)[:, 0]
-
     def score_many(self, features: np.ndarray) -> np.ndarray:
         """Relationship scores in (0, 1) for an (n, 10) feature batch."""
-        return self._forward(features)[-1]
+        return _Pass(self, len(features)).forward(features)
 
     def score_pairs(self, heads: DetectionColumns, bodies: DetectionColumns) -> np.ndarray:
         """Scores of the pairs (head k, body k) of two equal-length columns,
@@ -128,12 +114,14 @@ class RelationModel:
         can depend on the row count of its pass, and with one count a
         pair's score does not depend on the other pairs of the split."""
         scores = np.empty(len(heads))
+        x = np.empty((SCORE_CHUNK, FEATURE_DIM))
+        chunk = _Pass(self, SCORE_CHUNK)
         for a in range(0, len(heads), SCORE_CHUNK):
             b = min(a + SCORE_CHUNK, len(heads))
-            x = np.zeros((SCORE_CHUNK, FEATURE_DIM))
             x[:b - a] = pair_features(heads.boxes[a:b], heads.scores[a:b],
                                       bodies.boxes[a:b], bodies.scores[a:b])
-            scores[a:b] = self.score_many(x)[:b - a]
+            x[b - a:] = 0.0
+            scores[a:b] = chunk.forward(x)[:b - a]
         return scores
 
     def to_obj(self) -> dict:
@@ -188,6 +176,68 @@ class RelationModel:
                 raise ValueError(f"layer {k}: non-finite weight or bias")
             arrays.extend([w.reshape(shape), b])
         return cls(*arrays)
+
+
+class _Pass:
+    """The forward pass, and the backward pass of training, over a fixed
+    number of feature rows, in arrays allocated once and refilled in place
+    by every pass, by the same operations in the same order as with fresh
+    arrays, so the bits are the same.  It reads the model's parameters as
+    they are at each call."""
+
+    def __init__(self, model: RelationModel, rows: int):
+        d = model.hidden_dim
+        self.model = model
+        self.a1, self.a2, self.z = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, 1))
+        self._backward = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The scores of the rows of `x`, a view of this pass's logit array;
+        `a1` and `a2` hold the hidden activations."""
+        m, a1, a2, z = self.model, self.a1, self.a2, self.z
+        np.matmul(x, m.w1, out=a1)
+        a1 += m.b1
+        np.maximum(a1, 0.0, out=a1)
+        np.matmul(a1, m.w2, out=a2)
+        a2 += m.b2
+        np.maximum(a2, 0.0, out=a2)
+        np.matmul(a2, m.w3, out=z)
+        z += m.b3
+        # the logistic of the clamped logit: 1 / (1 + exp(-z))
+        np.clip(z, -_LOGIT_LIMIT, _LOGIT_LIMIT, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        return z[:, 0]
+
+    def gradients(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        """Gradients of the mean BCE of the rows of `x` with labels `y`, in
+        the order of `model.params()`, in arrays the next call refills.  A
+        unit is active where `a > 0`, as where its pre-activation is `> 0`."""
+        m, a1, a2 = self.model, self.a1, self.a2
+        if self._backward is None:
+            self._backward = (np.empty_like(self.z), np.empty_like(a1), np.empty_like(a1),
+                              np.empty(a1.shape, dtype=bool),
+                              [np.empty_like(p) for p in m.params()])
+        dz3, dz2, dz1, active, grads = self._backward
+        gw1, gb1, gw2, gb2, gw3, gb3 = grads
+        p = self.forward(x)
+        np.subtract(p, y, out=dz3[:, 0])
+        dz3 /= len(y)
+        np.matmul(a2.T, dz3, out=gw3)
+        np.sum(dz3, axis=0, out=gb3)
+        np.matmul(dz3, m.w3.T, out=dz2)
+        np.greater(a2, 0.0, out=active)
+        dz2 *= active
+        np.matmul(a1.T, dz2, out=gw2)
+        np.sum(dz2, axis=0, out=gb2)
+        np.matmul(dz2, m.w2.T, out=dz1)
+        np.greater(a1, 0.0, out=active)
+        dz1 *= active
+        np.matmul(x.T, dz1, out=gw1)
+        np.sum(dz1, axis=0, out=gb1)
+        return grads
 
 
 def save_model(model: RelationModel, path) -> None:
@@ -247,22 +297,6 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-labels * np.log(probs) - (1.0 - labels) * np.log(1.0 - probs)))
 
 
-def _gradients(model: RelationModel, x: np.ndarray, y: np.ndarray):
-    """Gradients of the batch's mean BCE, in the order of `model.params()`.
-    A unit is active where `a > 0`, as where its pre-activation is `> 0`."""
-    a1, a2, p = model._forward(x)
-    dz3 = ((p - y) / len(y))[:, None]
-    gw3 = a2.T @ dz3
-    gb3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ model.w3.T) * (a2 > 0)
-    gw2 = a1.T @ dz2
-    gb2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ model.w2.T) * (a1 > 0)
-    gw1 = x.T @ dz1
-    gb1 = dz1.sum(axis=0)
-    return gw1, gb1, gw2, gb2, gw3, gb3
-
-
 def _sample_batch(rng: np.random.Generator, pos_idx: np.ndarray, neg_idx: np.ndarray,
                   cfg: TrainConfig) -> np.ndarray:
     """One class-balanced batch; sampling falls back to replacement only when a
@@ -294,18 +328,30 @@ def train(features: np.ndarray, labels: np.ndarray,
     model = RelationModel.initialize(cfg.hidden_dim, np.random.default_rng(init_seq))
     rng = np.random.default_rng(batch_seq)
 
+    # every step and every epoch's loss fill the same arrays
     velocity = [np.zeros_like(p) for p in model.params()]
+    scratch = [np.empty_like(p) for p in model.params()]
+    xb, yb = np.empty((cfg.batch_size, x.shape[1])), np.empty(cfg.batch_size)
+    step, whole = _Pass(model, cfg.batch_size), _Pass(model, len(y))
     steps_per_epoch = max(1, math.ceil(len(y) / cfg.batch_size))
     trace = []
     for _epoch in range(cfg.epochs):
         for _step in range(steps_per_epoch):
             idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
-            grads = _gradients(model, x[idx], y[idx])
-            for param, vel, grad in zip(model.params(), velocity, grads):
+            # the indices are valid; "raise" would gather through a temporary
+            np.take(x, idx, axis=0, out=xb, mode="clip")
+            np.take(y, idx, out=yb, mode="clip")
+            grads = step.gradients(xb, yb)
+            for param, vel, grad, tmp in zip(model.params(), velocity, grads, scratch):
+                # vel = MOMENTUM * vel + (grad + WEIGHT_DECAY * param)
                 vel *= MOMENTUM
-                vel += grad + WEIGHT_DECAY * param
-                param -= cfg.learning_rate * vel
-        trace.append(bce_loss(model.score_many(x), y))
+                np.multiply(param, WEIGHT_DECAY, out=tmp)
+                tmp += grad
+                vel += tmp
+                # param -= learning_rate * vel
+                np.multiply(vel, cfg.learning_rate, out=tmp)
+                param -= tmp
+        trace.append(bce_loss(whole.forward(x), y))
     return model, trace
 
 

@@ -3,11 +3,11 @@
 Everything here works on plain tuples and dicts and recomputes results from
 first principles: overlap by counting raster cells, the scalar box overlaps
 and the pair descriptor one pair at a time, the relation model's score one
-row at a time, NMS by repeated global argmax, the
-post-process of one scene head by head, `train-rdm`'s labeled pairs scene
-by scene, MR-2 by re-matching every image from scratch at every threshold,
-and rectangle-union area by scanline integration.  None of it shares code with
-the package under test.
+row at a time, NMS by repeated global argmax, the post-process of one scene
+head by head, `run`'s output groups scene by scene, `train-rdm`'s labeled
+pairs scene by scene, MR-2 by re-matching every image from scratch at every
+threshold, and rectangle-union area by scanline integration.  None of it
+shares code with the package under test.
 
 Boxes are (x_min, y_min, x_max, y_max) sequences.
 """
@@ -154,6 +154,21 @@ def nms_reference(records, iou_threshold, score_floor):
                      if r is not best
                      and iou(r["box"], best["box"]) <= iou_threshold]
     return kept_ids, [r["id"] for r in floored]
+
+
+# ---------------------------------------------------------------------------
+# the post-NMS groups of `run`'s two detection files, scene by scene
+#
+# detections: records {"id": int, "box": (x1, y1, x2, y2), "score": float}
+
+def run_groups(scenes):
+    """The groups of `baseline.jsonl` or `rdm.jsonl` as (scene_id, class,
+    stage, records): for each (scene_id, heads, bodies) of `scenes`, its
+    post-NMS head group, then its body group, each group's records sorted
+    by det id."""
+    return [(scene_id, class_name, "post_nms", sorted(records, key=lambda r: r["id"]))
+            for scene_id, heads, bodies in scenes
+            for class_name, records in (("head", heads), ("body", bodies))]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from crowdpost.geometry import pairwise_ioh, pairwise_iou
 from crowdpost.nms import NmsConfig, nms_groups
 from crowdpost.pipeline import PostProcessConfig
 from crowdpost.ratio import HeadBodyRatio, estimate_ratio
-from crowdpost.rdm import TrainConfig, _gradients, bce_loss, train
+from crowdpost.rdm import TrainConfig, _Pass, bce_loss, train
 from crowdpost.simulator import NoiseConfig, apply_ratio
 
 from helpers import (box, box_pairs, det, detection_columns, person, postprocess_scene, scene,
@@ -225,7 +225,7 @@ def test_criterion_4_ratio():
 def test_criterion_5_rdm():
     # central differences on a 4-unit model, away from rectifier kinks
     model, x, y = _kink_free_case(seed=5)
-    grads = _gradients(model, x, y)
+    grads = _Pass(model, len(x)).gradients(x, y)
     eps = 1e-6
     worst = 0.0
     for param, grad in zip(model.params(), grads):

@@ -2,8 +2,10 @@
 error-path diagnostics."""
 
 import filecmp
+import gc
 import json
 import os
+import pathlib
 import re
 import stat
 import subprocess
@@ -178,15 +180,74 @@ def test_decisions_do_not_depend_on_the_blas_kernel(tmp_path):
     assert not filecmp.cmp(a / outputs[0], a / outputs[1], shallow=False)
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _console_entry() -> tuple[str, str]:
+    """The (module, function) the `crowdpost` console script calls."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^crowdpost = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return module, function
+
+
 def test_console_script_entry_point(chain, tmp_path):
+    module, function = _console_entry()
     proc = subprocess.run(
         [sys.executable, "-c",
-         "from crowdpost.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
+         f"from {module} import {function}; import sys; sys.exit({function}())",
          "estimate-ratio", "--scenes", str(chain / "scenes.jsonl"),
          "--out", str(tmp_path / "ratio.json")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "ratio.json").is_file()
+    assert filecmp.cmp(tmp_path / "ratio.json", chain / "ratio.json", shallow=False)
+
+
+@pytest.mark.parametrize("launch", ["console_script", "python_m"])
+def test_script_entry_freezes_the_import_heap_before_the_command(chain, tmp_path, launch):
+    # the console script and `python -m crowdpost.cli` move the objects the
+    # imports built to the collector's permanent generation before the
+    # command runs; the command reads its scenes through a probe that
+    # prints the freeze count and whether the collector is on
+    module, function = _console_entry()
+    start = {"console_script": f"from {module} import {function}; sys.exit({function}())",
+             "python_m": "runpy.run_module('crowdpost.cli', run_name='__main__')"}[launch]
+    code = ("import gc, runpy, sys\n"
+            "from crowdpost import data_model\n"
+            "def probe(path, _read=data_model.read_scenes):\n"
+            "    print(gc.get_freeze_count(), gc.isenabled(), flush=True)\n"
+            "    return _read(path)\n"
+            "data_model.read_scenes = probe\n"
+            "sys.argv[0] = 'crowdpost'\n" + start + "\n")
+    out = tmp_path / "ratio.json"
+    proc = subprocess.run([sys.executable, "-c", code, "estimate-ratio",
+                           "--scenes", str(chain / "scenes.jsonl"), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = proc.stdout.split()
+    assert int(frozen) > 1000 and enabled == "True"
+    assert filecmp.cmp(out, chain / "ratio.json", shallow=False)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_main_leaves_the_collector_as_it_found_it(chain, tmp_path, capsys, enabled):
+    # tests and the benchmark call `main` in process; only the script entry
+    # freezes, so their collector state is theirs
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count()
+        assert main(["run", "--dets", str(chain / "dets.jsonl"),
+                     "--model", str(chain / "model.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["eval", "--results", str(tmp_path / "out" / "rdm.jsonl"),
+                     "--scenes", str(chain / "scenes.jsonl"), "--class", BODY,
+                     "--out-prefix", str(tmp_path / "e")]) == 0
+        assert main(["estimate-ratio", "--scenes", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "ratio.json")]) == 1
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command,modules", [("eval", ["evaluator"]),
@@ -210,8 +271,8 @@ def test_command_imports_only_its_modules(chain, tmp_path, command, modules):
          "sys.exit(code)", *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # the last two lines; `report` prints its table before them.  No list
-    # holds `records`, which only a line the readers' fast path turns away
-    # loads, and `numpy.ma`, which `np.unique` would load, stays out
+    # holds `records`, which no reader loads, and `numpy.ma`, which
+    # `np.unique` would load, stays out
     *_, loaded, masked = proc.stdout.splitlines()
     assert loaded.split() == sorted(f"crowdpost.{m}" for m in [
         "cli", "data_model", "fileio", "geometry", *modules])
