@@ -38,11 +38,18 @@ def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., n, m) matrix of the intersection areas of boxes a[..., i] and
     b[..., j]."""
     # clamping the extents at 0 gives 0 for every disjoint or touching pair
-    # (up to the sign of zero)
+    # (up to the sign of zero).  The x and the y extents are separate
+    # (..., n, m) planes: with a trailing axis of 2, each ufunc's inner loop
+    # would handle two values per call.
     a, b = a[..., :, None, :], b[..., None, :, :]
-    wh = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    np.maximum(wh, 0.0, out=wh)
-    return wh[..., 0] * wh[..., 1]
+    w = np.minimum(a[..., 2], b[..., 2])
+    w -= np.maximum(a[..., 0], b[..., 0])
+    np.maximum(w, 0.0, out=w)
+    h = np.minimum(a[..., 3], b[..., 3])
+    h -= np.maximum(a[..., 1], b[..., 1])
+    np.maximum(h, 0.0, out=h)
+    w *= h
+    return w
 
 
 # The union of two boxes is never below either area, so it is 0 only for two
@@ -58,8 +65,11 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = areas(a)
     area_b = area_a if b is a else areas(b)
     inter = pairwise_intersection(a, b)
-    return inter / np.maximum(area_a[..., :, None] + area_b[..., None, :] - inter,
-                              _UNION_FLOOR)
+    union = area_a[..., :, None] + area_b[..., None, :]
+    union -= inter
+    np.maximum(union, _UNION_FLOOR, out=union)
+    inter /= union
+    return inter
 
 
 def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
@@ -75,7 +85,9 @@ def pairwise_ioh(heads: np.ndarray, bodies: np.ndarray) -> np.ndarray:
         degenerate = np.argwhere(head_area <= 0.0)
         if len(degenerate):
             raise ValueError(f"zero-area head box: {tuple(heads[tuple(degenerate[0])].tolist())}")
-    return pairwise_intersection(heads, bodies) / head_area[..., :, None]
+    inter = pairwise_intersection(heads, bodies)
+    inter /= head_area[..., :, None]
+    return inter
 
 
 # padded pairs per stack that `padded_batches` forms
