@@ -25,9 +25,9 @@ writers write, a repeated key or id, a value out of range) the reader reads
 the whole file again through the per-field parser below, which raises the
 first fault in file order or, for a valid file such as one with integer
 coordinates, gives the same columns.  The batch pass stays beside the parser
-because it reads the writers' files 1.5 to 1.9 times as fast (scene,
+because it reads the writers' files 1.08 to 1.89 times as fast (scene,
 pre-NMS and post-processed detection files of 60 dense or 1500 sparse
-scenes, in process).
+scenes, in process; 1.08 times on the dense scene file).
 """
 from __future__ import annotations
 

@@ -74,38 +74,28 @@ class RelationModel:
     """Three stacked fully-connected layers with rectifier activations and a
     logistic output."""
 
-    w1: np.ndarray  # (FEATURE_DIM, d)
-    b1: np.ndarray  # (d,)
-    w2: np.ndarray  # (d, d)
-    b2: np.ndarray  # (d,)
-    w3: np.ndarray  # (d, 1)
-    b3: np.ndarray  # (1,)
+    # (weights, bias) per layer in file order: (FEATURE_DIM, d) and (d,),
+    # (d, d) and (d,), (d, 1) and (1,)
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
     def initialize(cls, hidden_dim: int,
                    seed: int | np.random.Generator = 0) -> "RelationModel":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-        def layer(fan_in, fan_out):
+        widths = (FEATURE_DIM, hidden_dim, hidden_dim, 1)
+        layers = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
             bound = 1.0 / math.sqrt(fan_in)
-            return (rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                    np.zeros(fan_out))
-
-        w1, b1 = layer(FEATURE_DIM, hidden_dim)
-        w2, b2 = layer(hidden_dim, hidden_dim)
-        w3, b3 = layer(hidden_dim, 1)
-        return cls(w1, b1, w2, b2, w3, b3)
+            layers.append((rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                           np.zeros(fan_out)))
+        return cls(tuple(layers))
 
     @property
     def hidden_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.layers[0][0].shape[1]
 
     def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
-
-    def score_many(self, features: np.ndarray) -> np.ndarray:
-        """Relationship scores in (0, 1) for an (n, 10) feature batch."""
-        return _Pass(self, len(features)).forward(features)
+        return tuple(a for layer in self.layers for a in layer)
 
     def score_pairs(self, heads: DetectionColumns, bodies: DetectionColumns) -> np.ndarray:
         """Scores of the pairs (head k, body k) of two equal-length columns,
@@ -125,12 +115,10 @@ class RelationModel:
         return scores
 
     def to_obj(self) -> dict:
-        layers = []
-        for w, b in ((self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)):
-            layers.append({"in": w.shape[0], "out": w.shape[1],
-                           "weights": [float(v) for v in w.ravel(order="C")],
-                           "bias": [float(v) for v in b]})
-        return {"hidden_dim": self.hidden_dim, "layers": layers}
+        return {"hidden_dim": self.hidden_dim,
+                "layers": [{"in": w.shape[0], "out": w.shape[1],
+                            "weights": [float(v) for v in w.ravel(order="C")],
+                            "bias": [float(v) for v in b]} for w, b in self.layers]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RelationModel":
@@ -158,7 +146,7 @@ class RelationModel:
         d = layers[0].get("out")
         if type(d) is not int or d <= 0:
             raise ValueError(f"layer 1: width {d!r} is not a positive integer")
-        arrays = []
+        pairs = []
         for k, (spec, shape) in enumerate(zip(layers, ((FEATURE_DIM, d), (d, d), (d, 1))),
                                           start=1):
             if (spec.get("in"), spec.get("out")) != shape:
@@ -174,8 +162,8 @@ class RelationModel:
                                  f"{shape[0]}->{shape[1]} layer")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {k}: non-finite weight or bias")
-            arrays.extend([w.reshape(shape), b])
-        return cls(*arrays)
+            pairs.append((w.reshape(shape), b))
+        return cls(tuple(pairs))
 
 
 class _Pass:
@@ -186,57 +174,51 @@ class _Pass:
     they are at each call."""
 
     def __init__(self, model: RelationModel, rows: int):
-        d = model.hidden_dim
         self.model = model
-        self.a1, self.a2, self.z = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, 1))
+        # each layer's output: a hidden activation, or the logit, then the score
+        self.out = [np.empty((rows, w.shape[1])) for w, _ in model.layers]
         self._backward = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """The scores of the rows of `x`, a view of this pass's logit array;
-        `a1` and `a2` hold the hidden activations."""
-        m, a1, a2, z = self.model, self.a1, self.a2, self.z
-        np.matmul(x, m.w1, out=a1)
-        a1 += m.b1
-        np.maximum(a1, 0.0, out=a1)
-        np.matmul(a1, m.w2, out=a2)
-        a2 += m.b2
-        np.maximum(a2, 0.0, out=a2)
-        np.matmul(a2, m.w3, out=z)
-        z += m.b3
+        """The scores of the rows of `x`, a view of this pass's last output
+        array; the others hold the hidden activations."""
+        a = x
+        for k, ((w, b), out) in enumerate(zip(self.model.layers, self.out)):
+            np.matmul(a, w, out=out)
+            out += b
+            if k < len(self.out) - 1:
+                np.maximum(out, 0.0, out=out)
+            a = out
         # the logistic of the clamped logit: 1 / (1 + exp(-z))
-        np.clip(z, -_LOGIT_LIMIT, _LOGIT_LIMIT, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        return z[:, 0]
+        np.clip(a, -_LOGIT_LIMIT, _LOGIT_LIMIT, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        return a[:, 0]
 
     def gradients(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Gradients of the mean BCE of the rows of `x` with labels `y`, in
         the order of `model.params()`, in arrays the next call refills.  A
         unit is active where `a > 0`, as where its pre-activation is `> 0`."""
-        m, a1, a2 = self.model, self.a1, self.a2
+        layers = self.model.layers
         if self._backward is None:
-            self._backward = (np.empty_like(self.z), np.empty_like(a1), np.empty_like(a1),
-                              np.empty(a1.shape, dtype=bool),
-                              [np.empty_like(p) for p in m.params()])
-        dz3, dz2, dz1, active, grads = self._backward
-        gw1, gb1, gw2, gb2, gw3, gb3 = grads
+            # one error array per layer output, and the mask of a hidden layer
+            self._backward = ([np.empty_like(a) for a in self.out],
+                              np.empty(self.out[0].shape, dtype=bool),
+                              [np.empty_like(p) for p in self.model.params()])
+        dz, active, grads = self._backward
         p = self.forward(x)
-        np.subtract(p, y, out=dz3[:, 0])
-        dz3 /= len(y)
-        np.matmul(a2.T, dz3, out=gw3)
-        np.sum(dz3, axis=0, out=gb3)
-        np.matmul(dz3, m.w3.T, out=dz2)
-        np.greater(a2, 0.0, out=active)
-        dz2 *= active
-        np.matmul(a1.T, dz2, out=gw2)
-        np.sum(dz2, axis=0, out=gb2)
-        np.matmul(dz2, m.w2.T, out=dz1)
-        np.greater(a1, 0.0, out=active)
-        dz1 *= active
-        np.matmul(x.T, dz1, out=gw1)
-        np.sum(dz1, axis=0, out=gb1)
+        np.subtract(p, y, out=dz[-1][:, 0])
+        dz[-1] /= len(y)
+        inputs = [x] + self.out[:-1]
+        for k in reversed(range(len(layers))):
+            np.matmul(inputs[k].T, dz[k], out=grads[2 * k])
+            np.sum(dz[k], axis=0, out=grads[2 * k + 1])
+            if k > 0:
+                np.matmul(dz[k], layers[k][0].T, out=dz[k - 1])
+                np.greater(inputs[k], 0.0, out=active)
+                dz[k - 1] *= active
         return grads
 
 
@@ -316,6 +298,8 @@ def train(features: np.ndarray, labels: np.ndarray,
     seeded: identical inputs and config give bit-identical parameters.
 
     Returns the trained model and the end-of-epoch loss over the full input.
+    A step that overflows or makes a NaN raises a ValueError that names the
+    epoch and the learning rate, instead of returning non-finite parameters.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -335,23 +319,28 @@ def train(features: np.ndarray, labels: np.ndarray,
     step, whole = _Pass(model, cfg.batch_size), _Pass(model, len(y))
     steps_per_epoch = max(1, math.ceil(len(y) / cfg.batch_size))
     trace = []
-    for _epoch in range(cfg.epochs):
-        for _step in range(steps_per_epoch):
-            idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
-            # the indices are valid; "raise" would gather through a temporary
-            np.take(x, idx, axis=0, out=xb, mode="clip")
-            np.take(y, idx, out=yb, mode="clip")
-            grads = step.gradients(xb, yb)
-            for param, vel, grad, tmp in zip(model.params(), velocity, grads, scratch):
-                # vel = MOMENTUM * vel + (grad + WEIGHT_DECAY * param)
-                vel *= MOMENTUM
-                np.multiply(param, WEIGHT_DECAY, out=tmp)
-                tmp += grad
-                vel += tmp
-                # param -= learning_rate * vel
-                np.multiply(vel, cfg.learning_rate, out=tmp)
-                param -= tmp
-        trace.append(bce_loss(whole.forward(x), y))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                for _step in range(steps_per_epoch):
+                    idx = _sample_batch(rng, pos_idx, neg_idx, cfg)
+                    # the indices are valid; "raise" would gather through a temporary
+                    np.take(x, idx, axis=0, out=xb, mode="clip")
+                    np.take(y, idx, out=yb, mode="clip")
+                    grads = step.gradients(xb, yb)
+                    for param, vel, grad, tmp in zip(model.params(), velocity, grads, scratch):
+                        # vel = MOMENTUM * vel + (grad + WEIGHT_DECAY * param)
+                        vel *= MOMENTUM
+                        np.multiply(param, WEIGHT_DECAY, out=tmp)
+                        tmp += grad
+                        vel += tmp
+                        # param -= learning_rate * vel
+                        np.multiply(vel, cfg.learning_rate, out=tmp)
+                        param -= tmp
+                trace.append(bce_loss(whole.forward(x), y))
+            except FloatingPointError as exc:
+                raise ValueError(f"training diverged in epoch {epoch} ({exc}); lower "
+                                 f"train.learning_rate, now {cfg.learning_rate!r}") from None
     return model, trace
 
 

@@ -193,14 +193,11 @@ def generate_scene(cfg: SimConfig, index: int) -> tuple:
             offset = bw * (0.25 + abs(rng.normal(0.0, 0.18)))
             sign = -1.0 if rng.random() < 0.5 else 1.0
             dy = (anchor_body[3] - anchor_body[1]) * rng.normal(0.0, 0.0625)
-            cx = None
-            for s in (sign, -sign):
-                cand = min(max(acx + s * offset - ratio.delta_x * head_w, lo_x), hi_x)
-                if abs(cand + ratio.delta_x * head_w - acx) >= 0.15 * bw:
-                    cx = cand
-                    break
-            if cx is None:
-                cx = min(max(acx + sign * offset - ratio.delta_x * head_w, lo_x), hi_x)
+            # the first side whose head lands off the anchor's axis, else the first
+            cands = [min(max(acx + s * offset - ratio.delta_x * head_w, lo_x), hi_x)
+                     for s in (sign, -sign)]
+            cx = next((c for c in cands if abs(c + ratio.delta_x * head_w - acx) >= 0.15 * bw),
+                      cands[0])
             cy = min(max(acy + dy - ratio.delta_y * head_h, lo_y), hi_y)
         heads.append(_center_box(cx, cy, head_w, head_h))
 

@@ -13,7 +13,8 @@ row back as a `Scene`.
 one group, and `postprocess_scene` runs a one-scene split given as
 `Detection` lists through `scene_inputs` and `postprocess`.
 `fields` gives every column of a columns object as plain values, so two of
-them compare by the values they hold.
+them compare by the values they hold.  `model_scores` gives a relation
+model's scores of feature rows, from one forward pass over all of them.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ import numpy as np
 from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
                                   write_detection_groups, write_scenes)
 from crowdpost.pipeline import postprocess, scene_inputs
+from crowdpost.rdm import _Pass
 from crowdpost.records import Detection
 
 
@@ -188,3 +190,8 @@ def fields(columns) -> dict:
             value = fields(value)
         out[name] = value
     return out
+
+
+def model_scores(model, x) -> np.ndarray:
+    """The scores of the (n, 10) feature rows `x`, in one pass of n rows."""
+    return _Pass(model, len(x)).forward(x)

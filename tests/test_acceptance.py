@@ -27,8 +27,8 @@ from crowdpost.ratio import HeadBodyRatio, estimate_ratio
 from crowdpost.rdm import TrainConfig, _Pass, bce_loss, train
 from crowdpost.simulator import NoiseConfig, apply_ratio
 
-from helpers import (box, box_pairs, det, detection_columns, person, postprocess_scene, scene,
-                     scene_columns, split_columns)
+from helpers import (box, box_pairs, det, detection_columns, model_scores, person,
+                     postprocess_scene, scene, scene_columns, split_columns)
 from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
 from test_evaluator import _random_instance, num_reasonable, oracle_gts
@@ -233,9 +233,9 @@ def test_criterion_5_rdm():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = bce_loss(model.score_many(x), y)
+            up = bce_loss(model_scores(model, x), y)
             flat[i] = orig - eps
-            down = bce_loss(model.score_many(x), y)
+            down = bce_loss(model_scores(model, x), y)
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             a = grad.ravel()[i]
@@ -245,7 +245,7 @@ def test_criterion_5_rdm():
     feats, labels = _separable_pairs()
     cfg = TrainConfig(epochs=100, seed=0, hidden_dim=16)
     fitted, trace = train(feats, labels, cfg)
-    accuracy = np.mean((fitted.score_many(feats) > 0.5) == (labels == 1.0))
+    accuracy = np.mean((model_scores(fitted, feats) > 0.5) == (labels == 1.0))
     assert accuracy >= 0.99
     for earlier, later in zip(trace[:5], trace[1:6]):
         assert later <= earlier + 1e-12

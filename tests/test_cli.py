@@ -10,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1104,6 +1105,20 @@ def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, 
         cfg.write_text(json.dumps(config))
         flags = ["--config", str(cfg), *flags]
     _expect_error(capsys, _train_argv(chain, tmp_path, *flags), fragment)
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "loss.csv").exists()
+
+
+def test_train_rdm_rejects_a_diverging_learning_rate(capsys, chain, tmp_path):
+    # the weights overflow within a few epochs: one error line, no numpy
+    # warning, and no model of NaNs or loss trace left behind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_train_argv(chain, tmp_path, "--epochs", "40",
+                                "--learning-rate", "1e12")) == 1
+    assert re.fullmatch(r"crowdpost train-rdm: error: training diverged in epoch \d+ \(.+\); "
+                        r"lower train\.learning_rate, now 1000000000000\.0\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "model.json").exists()
     assert not (tmp_path / "loss.csv").exists()
 

@@ -2,9 +2,10 @@
 deletion cannot leave a stale import behind, and no module imports another
 crowdpost module's underscore-prefixed names, so a helper two modules share
 is public.  `data_model` imports no crowdpost module but `fileio` and
-`geometry`.  Every public function and class is used by code under src/, so
-API that only tests call lives in the tests, and the package root binds
-nothing but `__version__`."""
+`geometry`.  Every public function and class, and every public method and
+property of a class, is used by code under src/, so API that only tests
+call lives in the tests, and the package root binds nothing but
+`__version__`."""
 
 import ast
 import pathlib
@@ -99,9 +100,10 @@ def test_data_model_imports_only_fileio_and_geometry():
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
-    """Public top-level functions and classes of the given modules that no
-    code in them reads, as a name or an attribute.  Imports, strings and
-    `__all__` entries do not count as a use."""
+    """Public top-level functions and classes of the given modules, and the
+    public methods and properties (`Class.name`) of their top-level classes,
+    that no code in them reads, as a name or an attribute.  Imports, strings
+    and `__all__` entries do not count as a use; dunders are not checked."""
     trees = [ast.parse(source) for source in sources]
     used = set()
     for tree in trees:
@@ -110,9 +112,16 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_") \
+                and node.name not in used:
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{f.name}" for f in node.body if isinstance(f, functions)
+                      and not f.name.startswith("_") and f.name not in used]
+    return found
 
 
 def test_unreferenced_definitions_detects():
@@ -122,6 +131,17 @@ def test_unreferenced_definitions_detects():
                "import a\ndef imported_only(): pass\ndef by_attribute(): pass\n"
                "a.by_attribute\n"]
     assert unreferenced_definitions(sources) == ["Unused", "exported", "imported_only"]
+
+
+def test_unreferenced_methods_detects():
+    sources = ["class _Pass:\n    def forward(self): pass\n    def spare(self): pass\n"
+               "class Model:\n    def __len__(self): return 0\n    def _helper(self): pass\n"
+               "    @property\n    def width(self): return 1\n"
+               "    @property\n    def depth(self): return 2\n"
+               "    @classmethod\n    def load(cls): 'score()'\n"
+               "    def score(self): self.forward()\n",
+               "from a import Model\nModel.load()\nModel().width\nlen(Model())\n"]
+    assert unreferenced_definitions(sources) == ["_Pass.spare", "Model.depth", "Model.score"]
 
 
 def test_every_public_definition_is_used_in_src():

@@ -8,7 +8,7 @@ from crowdpost.rdm import (FEATURE_DIM, MAX_BATCH_SIZE, MAX_EPOCHS, MAX_HIDDEN_D
                            save_model, train, write_loss_csv, _Pass, _sample_batch)
 from crowdpost.records import DetectionSet, build_training_pairs
 
-from helpers import det, one_scene, person, scene, scene_columns
+from helpers import det, model_scores, one_scene, person, scene, scene_columns, split_columns
 from oracles import extract_features, mlp_score, training_pairs_reference
 
 
@@ -139,19 +139,36 @@ def test_pair_features_reject_zero_area_box():
 # ---------------------------------------------------------------------------
 # model
 
+def _constant_model(d, p):
+    """Weights and hidden biases 0, last bias logit(p): every pair scores p."""
+    return RelationModel(((np.zeros((FEATURE_DIM, d)), np.zeros(d)),
+                          (np.zeros((d, d)), np.zeros(d)),
+                          (np.zeros((d, 1)), np.full(1, math.log(p / (1.0 - p))))))
+
+
 def test_zero_model_scores_half():
     d = 8
-    model = RelationModel(np.zeros((FEATURE_DIM, d)), np.zeros(d),
-                          np.zeros((d, d)), np.zeros(d),
-                          np.zeros((d, 1)), np.zeros(1))
-    assert model.score_many(np.ones(FEATURE_DIM)[None]).tolist() == [0.5]
+    model = _constant_model(d, 0.5)
+    assert model_scores(model, np.ones(FEATURE_DIM)[None]).tolist() == [0.5]
+    # a model that learned nothing, through the scorer `run` calls
+    rng = np.random.default_rng(12)
+    runs = [_feature_pairs(rng, n) for n in (3, 0, 300, 1)]
+    heads = split_columns([h for h, _ in runs])
+    bodies = split_columns([b for _, b in runs])
+    rows = [_reference(h, b) for hs, bs in runs for h, b in zip(hs, bs)]
+    for p in (0.95, 0.5):
+        model = _constant_model(d, p)
+        got = model.score_pairs(heads, bodies)
+        assert got.shape == (len(rows),)
+        assert got.tolist() == [mlp_score(model.to_obj(), row) for row in rows]
+        assert np.all(np.abs(got - p) <= 1e-12)
 
 
 def test_scores_strictly_inside_unit_interval():
     rng = np.random.default_rng(0)
     model = RelationModel.initialize(hidden_dim=16, seed=1)
     x = rng.normal(scale=50.0, size=(1000, FEATURE_DIM))
-    p = model.score_many(x)
+    p = model_scores(model, x)
     assert np.all(p > 0.0)
     assert np.all(p < 1.0)
 
@@ -162,14 +179,14 @@ def test_score_pairs_matches_per_row_scores():
     for n in (0, 1, 5, 333):
         heads, bodies = _feature_pairs(rng, n)
         got = model.score_pairs(one_scene(heads), one_scene(bodies))
-        per_row = [model.score_many(_reference(h, b)[None])[0]
+        per_row = [model_scores(model, _reference(h, b)[None])[0]
                    for h, b in zip(heads, bodies)]
         assert got.shape == (n,)
         assert np.allclose(got, per_row, rtol=0.0, atol=1e-12)
 
 
 def _random_rows(model, rng):
-    for b in (model.b1, model.b2, model.b3):
+    for _, b in model.layers:
         b += rng.normal(scale=0.1, size=b.shape)
     return rng.normal(size=(200, FEATURE_DIM))
 
@@ -178,15 +195,16 @@ def _zero_pre_activation_row(model, rng):
     """Hidden unit 0 sums 0.5 - 0.5 and zero products: exactly 0."""
     x = rng.normal(size=(1, FEATURE_DIM))
     x[0, :2] = 1.0
-    model.w1[:, 0] = 0.0
-    model.w1[:2, 0] = (0.5, -0.5)
-    assert (x @ model.w1 + model.b1)[0, 0] == 0.0
+    w1, b1 = model.layers[0]
+    w1[:, 0] = 0.0
+    w1[:2, 0] = (0.5, -0.5)
+    assert (x @ w1 + b1)[0, 0] == 0.0
     return x
 
 
 def _logits_beyond(limit):
     def case(model, rng):
-        model.b3[:] = limit
+        model.layers[2][1][:] = limit
         return rng.normal(size=(20, FEATURE_DIM))
     return case
 
@@ -199,7 +217,7 @@ def test_scores_match_mlp_reference(case):
     model = RelationModel.initialize(hidden_dim=16, seed=rng)
     x = case(model, rng)
     obj = model.to_obj()
-    got = model.score_many(x)
+    got = model_scores(model, x)
     assert np.allclose(got, [mlp_score(obj, row) for row in x], rtol=0.0, atol=1e-12)
     # an unclamped logit of +-1000 would round its score to exactly 0 or 1
     assert np.all((0.0 < got) & (got < 1.0))
@@ -211,7 +229,7 @@ def test_initialize_deterministic():
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa, pb)
     c = RelationModel.initialize(hidden_dim=32, seed=6)
-    assert not np.array_equal(a.w1, c.w1)
+    assert not np.array_equal(a.layers[0][0], c.layers[0][0])
 
 
 def test_save_load_bit_exact(tmp_path):
@@ -299,13 +317,14 @@ def _kink_free_case(seed):
     rng = np.random.default_rng(seed)
     d = 4
     model = RelationModel.initialize(hidden_dim=d, seed=rng)
-    model.b1 += rng.uniform(0.05, 0.2, size=d) * rng.choice([-1, 1], size=d)
-    model.b2 += rng.uniform(0.05, 0.2, size=d) * rng.choice([-1, 1], size=d)
+    (w1, b1), (w2, b2), _ = model.layers
+    b1 += rng.uniform(0.05, 0.2, size=d) * rng.choice([-1, 1], size=d)
+    b2 += rng.uniform(0.05, 0.2, size=d) * rng.choice([-1, 1], size=d)
     for _ in range(200):
         x = rng.normal(size=(8, FEATURE_DIM))
         y = rng.integers(0, 2, size=8).astype(float)
-        z1 = x @ model.w1 + model.b1
-        z2 = np.maximum(z1, 0.0) @ model.w2 + model.b2
+        z1 = x @ w1 + b1
+        z2 = np.maximum(z1, 0.0) @ w2 + b2
         if min(np.abs(z1).min(), np.abs(z2).min()) > 1e-3:
             return model, x, y
     raise AssertionError("could not sample a kink-free batch")
@@ -321,9 +340,9 @@ def test_gradients_match_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = bce_loss(model.score_many(x), y)
+            up = bce_loss(model_scores(model, x), y)
             flat[i] = orig - eps
-            down = bce_loss(model.score_many(x), y)
+            down = bce_loss(model_scores(model, x), y)
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             a = grad.ravel()[i]
@@ -350,7 +369,7 @@ def test_training_separates_separable_pairs():
     x, y = _separable_pairs()
     cfg = TrainConfig(epochs=100, seed=0, hidden_dim=16)
     model, trace = train(x, y, cfg)
-    accuracy = np.mean((model.score_many(x) > 0.5) == (y == 1.0))
+    accuracy = np.mean((model_scores(model, x) > 0.5) == (y == 1.0))
     assert accuracy >= 0.99
     assert len(trace) == cfg.epochs
     # loss settles instead of oscillating

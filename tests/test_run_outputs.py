@@ -58,7 +58,7 @@ def _model(tmp_path, seed) -> str:
     """A random model with weights large enough that its scores reach both
     thresholds and lie as far as 1e-13 from 0 and from 1."""
     model = RelationModel.initialize(8, seed)
-    for w in (model.w1, model.w2, model.w3):
+    for w, _ in model.layers:
         w *= 6.0
     path = tmp_path / "model.json"
     save_model(model, path)
