@@ -16,27 +16,32 @@ In memory a file is columns (`SceneColumns`, `GroupColumns`): flat lists and
 arrays, not records.  `write_scenes` and `write_detection_groups` write
 columns; `scene_columns` and `group_columns` make them from rows, one per
 line, as the simulator and the per-field parser give them.  A reader takes a
-file in batches of whole lines, about 64 KiB each: it decodes and scans each
-line with the C scanner behind `json.loads`, takes each field of the batch's
-lines with a few C-level calls and makes the batch's numbers float64 arrays
-before it reads the next.  This pass raises nothing.  At any doubt (a line
-that is not one JSON object alone, a field missing or not of the type the
-writers write, a repeated key or id, a value out of range) the reader reads
-the whole file again through the per-field parser below, which raises the
-first fault in file order or, for a valid file such as one with integer
-coordinates, gives the same columns.  The batch pass stays beside the parser
-because it reads the writers' files 1.08 to 1.89 times as fast (scene,
-pre-NMS and post-processed detection files of 60 dense or 1500 sparse
-scenes, in process; 1.08 times on the dense scene file).
+file in batches of whole lines, about 64 KiB each (`_parts`): it decodes and
+scans each line with the C scanner behind `json.loads`, takes each field of
+the batch's lines with a few C-level calls and makes the batch's numbers
+float64 arrays before it reads the next.  This pass raises nothing.  At any
+doubt (a line that is not one JSON object alone, a field missing or not of
+the type the writers write, a repeated key or id, a value out of range, a
+scene or group key the file already holds) the reader reads that batch's
+lines again through the per-field parser below, with their line numbers and
+the file's keys.  The batches before it held no fault, so the reader raises
+the first fault in file order or, for a valid batch such as one with integer
+coordinates, gives the same columns.  `read_scenes` and
+`read_detection_groups` join the batches' columns; `detection_batches`
+gives them one by one, which `run` takes block by block of scenes.  The
+batch pass stays beside the parser because it reads the writers' files 1.08
+to 1.89 times as fast (scene, pre-NMS and post-processed detection files of
+60 dense or 1500 sparse scenes, in process; 1.08 times on the dense scene
+file).
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import add, eq, itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -93,10 +98,6 @@ def id_keys(ids: list[int]) -> np.ndarray:
 
 def _floats(runs) -> np.ndarray:
     return np.fromiter(chain.from_iterable(runs), dtype=np.float64)
-
-
-def _offsets(runs) -> list[int]:
-    return list(accumulate(map(len, runs), initial=0))
 
 
 class SceneColumns:
@@ -183,22 +184,55 @@ class GroupColumns:
 
 
 # A row is one scene's or one group's fields, with a list per person or
-# detection field and box corners flat, four per box; the exact path and the
-# simulator make rows, and these turn them into columns.
+# detection field and box corners flat, four per box; the per-field parser
+# and the simulator make rows.  A part is the columns of a batch of lines in
+# the readers' form: each scene's person count or each group's detection
+# count in place of the offsets, so that parts join by extending.
+
+def _scene_part(rows: list[tuple]) -> list:
+    scene_ids, widths, heights, ids, heads, bodies, ignore, occ = list(zip(*rows)) or [()] * 8
+    return [list(scene_ids), list(widths), list(heights), list(map(len, ids)),
+            list(chain.from_iterable(ids)), _floats(heads).reshape(-1, 4),
+            _floats(bodies).reshape(-1, 4), np.fromiter(chain.from_iterable(ignore), dtype=bool),
+            _floats(occ)]
+
+
+def _scenes(part: list) -> SceneColumns:
+    scene_ids, widths, heights, counts, *persons = part
+    return SceneColumns(scene_ids, widths, heights, list(accumulate(counts, initial=0)), *persons)
+
+
+def _group_part(rows: list[tuple]) -> list:
+    scene_ids, class_names, stages, ids, boxes, scores = list(zip(*rows)) or [()] * 6
+    return [list(scene_ids), list(class_names), list(stages), list(map(len, ids)),
+            list(chain.from_iterable(ids)), _floats(boxes).reshape(-1, 4), _floats(scores)]
+
+
+def _groups(part: list) -> GroupColumns:
+    scene_ids, class_names, stages, counts, *dets = part
+    return GroupColumns(DetectionColumns(scene_ids, list(accumulate(counts, initial=0)), *dets),
+                        class_names, stages)
+
 
 def scene_columns(rows: list[tuple]) -> SceneColumns:
-    scene_ids, widths, heights, ids, heads, bodies, ignore, occ = list(zip(*rows)) or [()] * 8
-    return SceneColumns(list(scene_ids), list(widths), list(heights), _offsets(ids),
-                        list(chain.from_iterable(ids)), _floats(heads).reshape(-1, 4),
-                        _floats(bodies).reshape(-1, 4),
-                        np.fromiter(chain.from_iterable(ignore), dtype=bool), _floats(occ))
+    return _scenes(_scene_part(rows))
 
 
 def group_columns(rows: list[tuple]) -> GroupColumns:
-    scene_ids, class_names, stages, ids, boxes, scores = list(zip(*rows)) or [()] * 6
-    detections = DetectionColumns(list(scene_ids), _offsets(ids), list(chain.from_iterable(ids)),
-                                  _floats(boxes).reshape(-1, 4), _floats(scores))
-    return GroupColumns(detections, list(class_names), list(stages))
+    return _groups(_group_part(rows))
+
+
+def _groups_part(groups: GroupColumns) -> list:
+    d = groups.detections
+    return [d.scene_ids, groups.class_names, groups.stages, np.diff(d.det_offsets).tolist(),
+            d.det_ids, d.boxes, d.scores]
+
+
+def join_groups(parts: list[GroupColumns]) -> GroupColumns:
+    """The groups of `parts`, one part after the other."""
+    if len(parts) == 1:
+        return parts[0]
+    return _groups(_joined(map(_groups_part, parts), _group_part([])))
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +429,42 @@ def _line_object(raw: bytes) -> dict | None:
     return obj
 
 
-def _parsed_rows(path, parse, key, duplicate) -> list[tuple]:
-    """The exact path: one row per line, made by `parse`, which raises the
-    first fault in file order; a second row of the same `key` is one too."""
-    rows, seen = [], set()
-    # read as bytes and decoded per line, so a byte that is not UTF-8 names its line
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                obj = _line_object(raw)
-                if obj is None:
-                    continue
-                row = parse(obj)
-                if key(row) in seen:
-                    raise FormatError(duplicate(key(row)))
-            except FormatError as exc:
-                raise FormatError(exc.message, exc.field, path, line_no) from exc.__cause__
-            seen.add(key(row))
-            rows.append(row)
+def _new_keys(seen: dict, columns, bits) -> dict | None:
+    """The entries `seen` takes for the keys of some lines, or None when a
+    line repeats a key of `seen` or of an earlier line.  `columns` are the
+    lines' first three fields, the scene id first, and `bits(*columns)`
+    gives the bit of each line's key among its scene's keys; `seen` maps
+    each scene id to the bits of its keys, so that it holds a file's keys at
+    one string a scene."""
+    new: dict = {}
+    for scene_id, bit in zip(columns[0], bits(*columns)):
+        held = new.get(scene_id) or seen.get(scene_id, 0)
+        if held & bit:
+            return None
+        new[scene_id] = held | bit
+    return new
+
+
+def _parsed_rows(lines: list[bytes], first: int, path, parse, bits, duplicate,
+                 seen: dict) -> list[tuple]:
+    """The exact path for lines `first`, `first` + 1, ... of a file: one row
+    per line, made by `parse`, which raises the line's first fault; a row
+    whose key is in `seen` or on an earlier line is one too."""
+    rows = []
+    # bytes decoded per line, so a byte that is not UTF-8 names its line
+    for line_no, raw in enumerate(lines, start=first):
+        try:
+            obj = _line_object(raw)
+            if obj is None:
+                continue
+            row = parse(obj)
+            new = _new_keys(seen, [[v] for v in row[:3]], bits)
+            if new is None:
+                raise FormatError(duplicate(row))
+        except FormatError as exc:
+            raise FormatError(exc.message, exc.field, path, line_no) from exc.__cause__
+        seen.update(new)
+        rows.append(row)
     return rows
 
 
@@ -456,33 +508,45 @@ def _boxes(boxes) -> np.ndarray | None:
     return None
 
 
-def _distinct(keys) -> bool:
-    # sorted, not a set: a list of a file's keys takes 8 bytes a key
-    keys = sorted(keys)
-    return not any(map(eq, keys, islice(keys, 1, None)))
-
-
-def _joined(path, batch_columns) -> list | None:
-    """The columns `batch_columns(lines)` gives for each batch of a file,
-    joined batch by batch: a list is extended, and an array's bytes go to a
-    buffer the joined array views, so that neither a batch nor a second copy
-    of the arrays is held.  None if it turns a batch away or none comes."""
-    joined = part = None
+def _parts(path, batch_part, parse, rows_part, bits, duplicate):
+    """The loop of the readers: the part of each batch of whole lines of a
+    file, about 64 KiB, in file order.  `batch_part` is the batch pass; a
+    batch that it turns away, or whose keys repeat one of the file's, goes
+    through the per-field parser `parse` on its own lines, which raises the
+    first fault in file order, since the batches before it held none, or
+    gives the batch's rows, which `rows_part` makes a part.  The batches
+    after it go to the parser alone: a file the batch pass turned away once
+    is most likely not the writers' (integer coordinates, CRLF endings), and
+    trying each batch first read an all-integer file 1.4 times as slowly."""
+    seen: dict = {}
+    first = 1
     with open(path, "rb") as fh:
         while raw := fh.readlines(_BATCH_BYTES):
             try:
-                part = batch_columns(raw)
+                part = batch_part and batch_part(raw)
             # not UTF-8 or not JSON; a field missing, or of another type
             except (ValueError, RecursionError, KeyError, TypeError):
-                return None
-            if part is None:
-                return None
-            joined = joined or [[] if type(p) is list else bytearray() for p in part]
-            for whole, p in zip(joined, part):
-                whole += p if type(p) is list else p.data
-    return joined and [whole if type(p) is list
-                       else np.frombuffer(whole, p.dtype).reshape(-1, *p.shape[1:])
-                       for whole, p in zip(joined, part)]
+                part = None
+            new = None if part is None else _new_keys(seen, part[:3], bits)
+            if new is None:
+                batch_part = None
+                part = rows_part(_parsed_rows(raw, first, path, parse, bits, duplicate, seen))
+            else:
+                seen.update(new)
+            first += len(raw)
+            yield part
+
+
+def _joined(parts, empty: list) -> list:
+    """`parts` joined part by part: a list is extended, and an array's bytes
+    go to a buffer the joined array views, so that neither a part nor a
+    second copy of the arrays is held.  `empty` is a part of no rows."""
+    joined = [[] if type(p) is list else bytearray() for p in empty]
+    for part in parts:
+        for whole, p in zip(joined, part):
+            whole += p if type(p) is list else p.data
+    return [whole if type(p) is list else np.frombuffer(whole, p.dtype).reshape(-1, *p.shape[1:])
+            for whole, p in zip(joined, empty)]
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +580,10 @@ def _scene_batch(raw: list[bytes]) -> list | None:
 
 def read_scenes(path) -> SceneColumns:
     """The scenes of a file, as columns."""
-    joined = _joined(path, _scene_batch)
-    if not joined or not _distinct(joined[0]):
-        return scene_columns(_parsed_rows(path, _scene_row, itemgetter(0),
-                                          "duplicate scene_id {!r}".format))
-    scene_ids, widths, heights, counts, *persons = joined
-    return SceneColumns(scene_ids, widths, heights, list(accumulate(counts, initial=0)), *persons)
+    return _scenes(_joined(_parts(path, _scene_batch, _scene_row, _scene_part,
+                                  lambda scene_ids, *_: repeat(1),
+                                  "duplicate scene_id {0[0]!r}".format),
+                           _scene_part([])))
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +614,27 @@ def _group_batch(raw: list[bytes]) -> list | None:
     return [scene_ids, class_names, stages, counts, ids, boxes, scores]
 
 
+# the bit of each (class, stage) of a group among its scene's keys
+_KEY_BITS = {key: 1 << k for k, key in enumerate(product(CLASSES, STAGES))}
+
+
+def _group_parts(path):
+    # a class or stage that is not one of the constants is no key: the
+    # parser rejects it before the key is taken
+    return _parts(path, _group_batch, _group_row, _group_part,
+                  lambda _, class_names, stages: map(_KEY_BITS.__getitem__,
+                                                     zip(class_names, stages)),
+                  lambda row: f"duplicate group {row[:3]}")
+
+
+def detection_batches(path):
+    """The detection groups of a file, as columns, batch by batch."""
+    return map(_groups, _group_parts(path))
+
+
 def read_detection_groups(path) -> GroupColumns:
     """The detection groups of a file, as columns."""
-    joined = _joined(path, _group_batch)
-    if not joined or not all(
-            _distinct(compress(joined[0], map(eq, zip(joined[1], joined[2]), repeat(key))))
-            for key in set(zip(joined[1], joined[2]))):
-        return group_columns(_parsed_rows(path, _group_row, itemgetter(0, 1, 2),
-                                          "duplicate group {}".format))
-    scene_ids, class_names, stages, counts, *dets = joined
-    return GroupColumns(DetectionColumns(scene_ids, list(accumulate(counts, initial=0)), *dets),
-                        class_names, stages)
+    return _groups(_joined(_group_parts(path), _group_part([])))
 
 
 # ---------------------------------------------------------------------------

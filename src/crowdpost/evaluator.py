@@ -58,7 +58,7 @@ class EvalConfig:
 @dataclass(frozen=True)
 class EvalResult:
     mr2: float
-    curve: tuple[tuple[float, float, float], ...]  # (score threshold, fppi, miss rate)
+    curve: np.ndarray  # (n, 3) float64 rows: score threshold, fppi, miss rate
     num_gt: int
     num_images: int
 
@@ -149,8 +149,8 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     fps = len(fp_scores) - np.searchsorted(fp_scores, thresholds)
     fppi, miss = fps / num_images, 1.0 - tps / num_gt
     mr2 = _log_average(fppi, miss)
-    curve = tuple(zip(thresholds.tolist(), fppi.tolist(), miss.tolist()))
-    return EvalResult(mr2=mr2, curve=curve, num_gt=num_gt, num_images=num_images)
+    return EvalResult(mr2=mr2, curve=np.stack([thresholds, fppi, miss], axis=1), num_gt=num_gt,
+                      num_images=num_images)
 
 
 def _thresholds(scores: np.ndarray) -> np.ndarray:
@@ -189,10 +189,18 @@ def write_result_json(result: EvalResult, path, name: str, class_name: str) -> N
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
+# curve rows formatted at a time by `write_curve_csv`
+_CSV_ROWS = 1024
+
+
+def _csv_lines(curve: np.ndarray):
+    yield "threshold,fppi,miss_rate\n"
+    for a in range(0, len(curve), _CSV_ROWS):
+        yield "".join(f"{t!r},{f!r},{m!r}\n" for t, f, m in curve[a:a + _CSV_ROWS].tolist())
+
+
 def write_curve_csv(result: EvalResult, path) -> None:
-    lines = ["threshold,fppi,miss_rate"]
-    lines += [f"{t!r},{f!r},{m!r}" for t, f, m in result.curve]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _csv_lines(result.curve))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +214,7 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
     pw, ph = width - left - right, height - top - bottom
 
     # the curve points by ascending FPPI, ties in curve order
-    curve = np.array(result.curve, dtype=np.float64).reshape(-1, 3)
-    curve = curve[np.argsort(curve[:, 1], kind="stable")]
+    curve = result.curve[np.argsort(result.curve[:, 1], kind="stable")]
     x_lo, x_hi = math.log10(FPPI_POINTS[0]), math.log10(FPPI_POINTS[-1])
     y_hi = 0.0  # miss rate 1.0
     y_lo = _curve_floor(curve[:, 2])

@@ -10,7 +10,8 @@ import tempfile
 from typing import Iterable
 
 # (path, backup) for each file `atomic_file` wrote inside
-# `restored_on_error`, the backup holding the file it replaced, else None
+# `restored_on_error`, the backup holding the file it replaced, else None,
+# and (directory, None) for each directory it made
 _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
 
@@ -63,12 +64,18 @@ def atomic_file(path: str | os.PathLike):
     Creates the directory when it is missing.  The file gets the mode a plain
     `open` would give it under the process umask, not the owner-only mode of
     the temp file.  Inside `restored_on_error`, the file it replaces is kept
-    aside.
+    aside, and the directories it makes are noted, outermost first.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     written = _written.get()
+    missing, parent = [], directory
+    while parent and not os.path.exists(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
+    os.makedirs(directory, exist_ok=True)
+    if written is not None:
+        written.extend((made, None) for made in reversed(missing))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     backup = None
     try:
@@ -104,9 +111,10 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 @contextlib.contextmanager
 def restored_on_error():
     """Run a block; when it raises, undo every write `atomic_file` made
-    inside it, latest first: a new file is removed and a replaced one put
-    back, so a failed command leaves its output paths as it found them.
-    Each file stays in place as soon as its writer's block ends."""
+    inside it, latest first: a new file or directory is removed and a
+    replaced file put back, so a failed command leaves its output paths as
+    it found them.  Each file stays in place as soon as its writer's block
+    ends."""
     written: list[tuple[str, str | None]] = []
     token = _written.set(written)
     try:
@@ -115,7 +123,7 @@ def restored_on_error():
         for path, backup in reversed(written):
             try:
                 if backup is None:
-                    os.unlink(path)
+                    (os.rmdir if os.path.isdir(path) else os.unlink)(path)
                 else:
                     os.replace(backup, path)
             except OSError:

@@ -12,8 +12,9 @@ of a split at once over padded stacks (`geometry.padded_batches`).
 its head and body ids, its kept bodies as positions among those, and a
 callable that hands out its gated, scored pairs.  `postprocess` takes one
 scene so, decides over plain lists, and returns its final detections as
-indices into its inputs.  `write_outputs` writes `run`'s three files from
-those results in one pass over the scenes.
+indices into its inputs.  `run` does this block by block of scenes, and
+`write_outputs` appends each block's lines to `run`'s three files as it
+comes, so that only a block is held.
 """
 
 from __future__ import annotations
@@ -208,12 +209,6 @@ def postprocess(heads: list[int], bodies_pre: list[int], bodies_post: list[int],
 # ---------------------------------------------------------------------------
 # `run`'s files
 
-# detections formatted at a time by `write_outputs`, so that only their text
-# is held while the three files are written: holding a 1,500-scene split's
-# text raised `run`'s peak RSS by 4.7 MB over blocks of this size
-_TEXT_BLOCK = 1024
-
-
 def _mask(dets: DetectionColumns, parts: list[list[int]]) -> np.ndarray:
     """Of each detection of `dets`: is it among `parts[k]`, indices into group k?"""
     mask = np.zeros(len(dets), dtype=bool)
@@ -245,15 +240,10 @@ def _audit_scene(scene_id: str, out: PipelineOutput) -> str:
             f'      "pairs": {_audit_list(pairs)}\n    }}')
 
 
-def write_outputs(files: list[str], heads: DetectionColumns, bodies_pre: DetectionColumns,
-                  bodies_post: np.ndarray, outs: list[PipelineOutput]) -> None:
-    """Write `run`'s three files, baseline.jsonl, rdm.jsonl and audit.json,
-    in one pass over the scenes, from the arguments `scene_inputs` took and
-    each scene's `postprocess` result.  The detection files hold a head and
-    a body line per scene, each group's detections by det id.  Each kept
-    head and each kept or recalled body is formatted once, in blocks of
-    whole scenes of at most `_TEXT_BLOCK` detections or of one scene; the
-    files take their places only when all three are written."""
+def _write_block(files, first: int, heads: DetectionColumns, bodies_pre: DetectionColumns,
+                 bodies_post: np.ndarray, outs: list[PipelineOutput]) -> int:
+    """Append a block of scenes, the first of them scene `first` of the
+    split, to `run`'s three open files; returns the scene after the block."""
     # the final bodies hold the kept ones
     final = np.flatnonzero(_mask(bodies_pre, [out.final_bodies for out in outs]))
     kept = np.zeros(len(bodies_pre), dtype=bool)
@@ -261,37 +251,37 @@ def write_outputs(files: list[str], heads: DetectionColumns, bodies_pre: Detecti
     heads, final_heads = _by_id(heads, _mask(heads, [out.final_heads for out in outs]))
     bodies, kept_bodies = _by_id(bodies_pre.take(final), kept[final])
     h, b = heads.det_offsets, bodies.det_offsets
-    total = np.add(h, b)
-    bounds = [0]
-    while bounds[-1] < len(outs):
-        k = bounds[-1]
-        bounds.append(max(k + 1, int(np.searchsorted(total, total[k] + _TEXT_BLOCK,
-                                                     side="right")) - 1))
+    head_texts = detection_texts(heads.det_ids, heads.boxes, heads.scores)
+    body_texts = detection_texts(bodies.det_ids, bodies.boxes, bodies.scores)
+    base_lines, rdm_lines, audit_lines = [], [], []
+    for k, (scene_id, out) in enumerate(zip(heads.scene_ids, outs)):
+        head_line, body_line = head_texts[h[k]:h[k + 1]], body_texts[b[k]:b[k + 1]]
+        base_lines += [group_line(scene_id, HEAD, POST_NMS, head_line),
+                       group_line(scene_id, BODY, POST_NMS,
+                                  compress(body_line, kept_bodies[b[k]:b[k + 1]]))]
+        rdm_lines += [group_line(scene_id, HEAD, POST_NMS,
+                                 compress(head_line, final_heads[h[k]:h[k + 1]])),
+                      group_line(scene_id, BODY, POST_NMS, body_line)]
+        audit_lines += [",\n" if first + k else "\n", _audit_scene(scene_id, out)]
+    for fh, lines in zip(files, (base_lines, rdm_lines, audit_lines)):
+        fh.writelines(lines)
+    return first + len(outs)
+
+
+def write_outputs(files: list[str], blocks) -> None:
+    """Write `run`'s three files, baseline.jsonl, rdm.jsonl and audit.json,
+    block by block of scenes, from each block's arguments of `scene_inputs`
+    and each of its scenes' `postprocess` result: (heads, bodies_pre,
+    bodies_post, outs).  The detection files hold a head and a body line per
+    scene, each group's detections by det id.  Each kept head and each kept
+    or recalled body is formatted once, and only a block's text is held; the
+    files take their places only when all three are written."""
+    scenes = 0
     with atomic_file(files[0]) as baseline, atomic_file(files[1]) as rdm, \
             atomic_file(files[2]) as audit:
         audit.write('{\n  "scenes": [')
-        for start, stop in zip(bounds, bounds[1:]):
-            head_texts = detection_texts(heads.det_ids[h[start]:h[stop]],
-                                         heads.boxes[h[start]:h[stop]],
-                                         heads.scores[h[start]:h[stop]])
-            body_texts = detection_texts(bodies.det_ids[b[start]:b[stop]],
-                                         bodies.boxes[b[start]:b[stop]],
-                                         bodies.scores[b[start]:b[stop]])
-            base_lines, rdm_lines, audit_lines = [], [], []
-            for k in range(start, stop):
-                scene_id = heads.scene_ids[k]
-                head_line = head_texts[h[k] - h[start]:h[k + 1] - h[start]]
-                body_line = body_texts[b[k] - b[start]:b[k + 1] - b[start]]
-                base_lines += [
-                    group_line(scene_id, HEAD, POST_NMS, head_line),
-                    group_line(scene_id, BODY, POST_NMS,
-                               compress(body_line, kept_bodies[b[k]:b[k + 1]]))]
-                rdm_lines += [
-                    group_line(scene_id, HEAD, POST_NMS,
-                               compress(head_line, final_heads[h[k]:h[k + 1]])),
-                    group_line(scene_id, BODY, POST_NMS, body_line)]
-                audit_lines += [",\n" if k else "\n", _audit_scene(scene_id, outs[k])]
-            baseline.writelines(base_lines)
-            rdm.writelines(rdm_lines)
-            audit.writelines(audit_lines)
-        audit.write("\n  ]\n}\n" if outs else "]\n}\n")
+        for block in blocks:
+            scenes = _write_block((baseline, rdm, audit), scenes, *block)
+            # not held while the next block is read and post-processed
+            del block
+        audit.write("\n  ]\n}\n" if scenes else "]\n}\n")

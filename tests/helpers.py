@@ -15,6 +15,9 @@ one group, and `postprocess_scene` runs a one-scene split given as
 `fields` gives every column of a columns object as plain values, so two of
 them compare by the values they hold.  `model_scores` gives a relation
 model's scores of feature rows, from one forward pass over all of them.
+`batch_pass` reads a file through a reader's batch pass alone.
+`curve_rows` gives an evaluation's curve as a tuple of (threshold, fppi,
+miss rate) tuples.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from crowdpost import data_model
 from crowdpost.data_model import (DetectionColumns, GroupColumns, SceneColumns,
                                   write_detection_groups, write_scenes)
 from crowdpost.pipeline import postprocess, scene_inputs
@@ -195,3 +199,25 @@ def fields(columns) -> dict:
 def model_scores(model, x) -> np.ndarray:
     """The scores of the (n, 10) feature rows `x`, in one pass of n rows."""
     return _Pass(model, len(x)).forward(x)
+
+
+def batch_pass(path, batch_part) -> list | None:
+    """The scene ids of a file, batch by batch of `data_model._BATCH_BYTES`
+    as `batch_part` (`data_model._scene_batch` or `_group_batch`) reads them
+    alone; None if it turns a batch away."""
+    scene_ids = []
+    with open(path, "rb") as fh:
+        while raw := fh.readlines(data_model._BATCH_BYTES):
+            try:
+                part = batch_part(raw)
+            except (ValueError, RecursionError, KeyError, TypeError):
+                return None
+            if part is None:
+                return None
+            scene_ids += part[0]
+    return scene_ids
+
+
+def curve_rows(result) -> tuple:
+    """The rows of `result.curve`, each a tuple of Python floats."""
+    return tuple(map(tuple, result.curve.tolist()))

@@ -27,7 +27,7 @@ from crowdpost.ratio import HeadBodyRatio, estimate_ratio
 from crowdpost.rdm import TrainConfig, _Pass, bce_loss, train
 from crowdpost.simulator import NoiseConfig, apply_ratio
 
-from helpers import (box, box_pairs, det, detection_columns, model_scores, person,
+from helpers import (box, box_pairs, curve_rows, det, detection_columns, model_scores, person,
                      postprocess_scene, scene, scene_columns, split_columns)
 from oracles import ioh, iou, mr2_reference, nms_reference, raster_ioh, raster_iou
 from test_cli import _chain
@@ -163,7 +163,7 @@ def test_criterion_3_evaluator():
     perfect_columns = scene_columns(perfect_scenes)
     assert compute_mr2(detection_columns(perfect), perfect_columns, cfg).mr2 == 0.0
     empty = compute_mr2(detection_columns([]), perfect_columns, cfg)
-    assert empty.mr2 == 1.0 and empty.curve == ()
+    assert empty.mr2 == 1.0 and curve_rows(empty) == ()
 
     # filter boundaries: 50 px and 35% occlusion are the first excluded edge
     assert _boundary_mr2(height=49, occ=0.0) == 0.0
@@ -184,7 +184,7 @@ def test_criterion_3_evaluator():
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
-        assert list(result.curve) == ref_curve
+        assert list(curve_rows(result)) == ref_curve
 
 
 @criterion(4, "ratio fit recovers generating parameters", budget=10.0)

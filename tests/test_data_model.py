@@ -10,7 +10,7 @@ from crowdpost.data_model import (
     read_scenes)
 from crowdpost.records import DetectionSet, detection_lists
 
-from helpers import (Group, det, fields, group_columns, one_scene, person, scene,
+from helpers import (Group, batch_pass, det, fields, group_columns, one_scene, person, scene,
                      scene_columns, split_columns, write_groups, write_scene_file)
 
 
@@ -601,8 +601,8 @@ def test_fault_in_a_later_batch_names_its_line(tmp_path, small_batches, old, new
     for tail in ("", "not JSON\n"):
         path.write_text("".join(lines) + tail)
         # the batch pass turns the file away, raising nothing
-        joined = data_model._joined(path, data_model._scene_batch)
-        assert joined is None or len(set(joined[0])) < len(joined[0])
+        scene_ids = batch_pass(path, data_model._scene_batch)
+        assert scene_ids is None or len(set(scene_ids)) < len(scene_ids)
         with pytest.raises(FormatError) as exc_info:
             read_scenes(path)
         assert str(exc_info.value) == f"in.jsonl:5:{f' {field}:' if field else ''} {message}"
@@ -614,7 +614,7 @@ def test_undecodable_byte_in_a_later_batch_names_its_line(tmp_path, small_batche
     data = "".join(lines).encode("utf-8").splitlines(keepends=True)
     data[3] = data[3].replace(b'"s3"', b'"s\xff3"')
     path.write_bytes(b"".join(data))
-    assert data_model._joined(path, data_model._scene_batch) is None
+    assert batch_pass(path, data_model._scene_batch) is None
     with pytest.raises(FormatError, match="^in.jsonl:4: not UTF-8 \\(invalid start byte at "
                                           "byte 38\\)$"):
         read_scenes(path)
@@ -626,7 +626,7 @@ def test_repeated_detection_key_in_a_later_batch(tmp_path, small_batches):
     lines[3] = lines[3].replace('"score": 0.5', '"score": 0.5, "score": 0.75')
     path = tmp_path / "dets.jsonl"
     path.write_text("".join(lines))
-    assert data_model._joined(path, data_model._group_batch) is None
+    assert batch_pass(path, data_model._group_batch) is None
     with pytest.raises(FormatError, match="^dets.jsonl:4: repeated key 'score'$"):
         read_detection_groups(path)
 

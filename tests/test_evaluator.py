@@ -11,7 +11,7 @@ from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr
                                  greedy_assign, write_curve_csv, write_curve_svg,
                                  write_result_json)
 
-from helpers import det, detection_columns, person, scene, scene_columns
+from helpers import curve_rows, det, detection_columns, person, scene, scene_columns
 from oracles import (FP, IGNORED, TP, iou, log_average, match_outcomes, mr2_reference,
                      reasonable_ignore)
 
@@ -47,11 +47,16 @@ def _outcomes(dets, s, cfg=EvalConfig()):
                           cfg.iou_match_threshold)
 
 
+def _plain(result):
+    """The fields of an `EvalResult`, its curve as tuples."""
+    return result.mr2, curve_rows(result), result.num_gt, result.num_images
+
+
 def _assert_mr2_matches(dets, s, cfg=EvalConfig()):
     """`compute_mr2` on one scene gives the result of the oracle's outcomes."""
     pairs = [(s.scene_id, d) for d in dets]
-    assert (compute_mr2(detection_columns(pairs), scene_columns([s]), cfg)
-            == _mr2_scene_by_scene(pairs, [s], cfg))
+    assert (_plain(compute_mr2(detection_columns(pairs), scene_columns([s]), cfg))
+            == _plain(_mr2_scene_by_scene(pairs, [s], cfg)))
 
 
 def test_default_fppi_points():
@@ -112,7 +117,7 @@ def test_compute_mr2_filters_like_reasonable_filter():
         tp += outcome == TP
         fp += outcome == FP
         expected.append((d.score, float(fp), 1.0 - tp / 2))
-    assert list(result.curve) == expected
+    assert list(curve_rows(result)) == expected
 
 
 def test_match_single_tp():
@@ -204,7 +209,7 @@ def test_empty_detector_scores_one():
     scenes = [scene([_person_at(1, 10, 10)])]
     result = compute_mr2(detection_columns([]), scene_columns(scenes), EvalConfig())
     assert result.mr2 == 1.0
-    assert result.curve == ()
+    assert curve_rows(result) == ()
 
 
 def test_zero_gt_rejected():
@@ -235,7 +240,7 @@ def _worked_example():
 def test_worked_example_curve_and_mr2():
     scenes, dets = _worked_example()
     result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
-    assert result.curve == (
+    assert curve_rows(result) == (
         (0.9, 0.0, 0.75),
         (0.85, 0.25, 0.75),
         (0.8, 0.25, 0.5),
@@ -296,7 +301,7 @@ def test_matches_brute_force_reference():
         ref_mr2, ref_curve = mr2_reference(oracle_images, FPPI_POINTS,
                                            cfg.iou_match_threshold)
         assert result.mr2 == ref_mr2
-        assert list(result.curve) == ref_curve
+        assert list(curve_rows(result)) == ref_curve
 
 
 def _mr2_scene_by_scene(dets, scenes, cfg):
@@ -313,7 +318,8 @@ def _mr2_scene_by_scene(dets, scenes, cfg):
         tp = sum(o == TP for score, o in pool if score >= t)
         fp = sum(o == FP for score, o in pool if score >= t)
         curve.append((t, fp / len(scenes), 1.0 - tp / num_gt))
-    return EvalResult(log_average(curve, FPPI_POINTS), tuple(curve), num_gt, len(scenes))
+    return EvalResult(log_average(curve, FPPI_POINTS), np.array(curve).reshape(-1, 3), num_gt,
+                      len(scenes))
 
 
 def _mixed_split(rng, class_name):
@@ -363,8 +369,8 @@ def test_batched_matching_equals_scene_by_scene(monkeypatch, budget, class_name,
         # some crowd outgrows the budget alone; some scenes lack persons or detections
         assert any(sizes[s.scene_id] * len(s.persons) > geometry.PAIR_BUDGET for s in scenes)
         assert any(not s.persons for s in scenes) and 0 in sizes.values()
-        assert (compute_mr2(detection_columns(dets), scene_columns(scenes), cfg)
-                == _mr2_scene_by_scene(dets, scenes, cfg))
+        assert (_plain(compute_mr2(detection_columns(dets), scene_columns(scenes), cfg))
+                == _plain(_mr2_scene_by_scene(dets, scenes, cfg)))
 
 
 def test_fp_injection_never_improves_mr2():
@@ -392,15 +398,15 @@ def test_ignored_only_score_levels_still_swept():
     assert result.mr2 == 0.0
     assert result.num_gt == 1
     # the absorbed det's score level still appears as a threshold
-    assert [row[0] for row in result.curve] == [0.95, 0.9]
-    assert result.curve[1] == (0.9, 0.0, 0.0)
+    assert [row[0] for row in curve_rows(result)] == [0.95, 0.9]
+    assert curve_rows(result)[1] == (0.9, 0.0, 0.0)
 
 
 def test_log_average_empty_curve():
     assert log_average([], FPPI_POINTS) == 1.0
     result = compute_mr2(detection_columns([]), scene_columns([scene([_person_at(1, 10, 10)])]),
                          EvalConfig())
-    assert result.curve == () and result.mr2 == 1.0
+    assert curve_rows(result) == () and result.mr2 == 1.0
 
 
 def test_log_average_floor():
@@ -410,14 +416,14 @@ def test_log_average_floor():
               for i in range(200)]
     dets = [("s0", det(1, (10, 10, 40, 110), 0.9)), ("s0", det(2, (150, 10, 180, 110), 0.9))]
     result = compute_mr2(detection_columns(dets), scene_columns(scenes), EvalConfig())
-    assert result.curve == ((0.9, 0.005, 0.0),)
+    assert curve_rows(result) == ((0.9, 0.005, 0.0),)
     # all nine references eligible, all sampled at zero miss: reported as 0
     assert log_average(result.curve, FPPI_POINTS) == 0.0
     assert result.mr2 == 0.0
 
 
 def test_write_result_json(tmp_path):
-    result = EvalResult(mr2=0.25, curve=((0.9, 0.0, 0.25),), num_gt=4, num_images=2)
+    result = EvalResult(mr2=0.25, curve=np.array([(0.9, 0.0, 0.25)]), num_gt=4, num_images=2)
     path = tmp_path / "r.json"
     write_result_json(result, path, name="baseline", class_name=BODY)
     obj = json.loads(path.read_text())
@@ -426,7 +432,7 @@ def test_write_result_json(tmp_path):
 
 
 def test_write_curve_csv(tmp_path):
-    result = EvalResult(mr2=0.25, curve=((0.9, 0.0, 0.75), (0.8, 0.25, 0.5)),
+    result = EvalResult(mr2=0.25, curve=np.array([(0.9, 0.0, 0.75), (0.8, 0.25, 0.5)]),
                         num_gt=4, num_images=2)
     path = tmp_path / "c.csv"
     write_curve_csv(result, path)
@@ -435,8 +441,8 @@ def test_write_curve_csv(tmp_path):
 
 
 def test_write_curve_svg(tmp_path):
-    result = EvalResult(mr2=0.52, curve=((0.9, 0.01, 0.75), (0.8, 0.25, 0.5),
-                                         (0.7, 0.9, 0.25)),
+    result = EvalResult(mr2=0.52, curve=np.array([(0.9, 0.01, 0.75), (0.8, 0.25, 0.5),
+                                                  (0.7, 0.9, 0.25)]),
                         num_gt=4, num_images=2)
     path = tmp_path / "plot.svg"
     write_curve_svg("baseline", result, path)
@@ -453,7 +459,7 @@ def test_write_curve_svg(tmp_path):
 
 
 def test_write_curve_svg_deterministic(tmp_path):
-    result = EvalResult(mr2=0.3, curve=((0.9, 0.02, 0.6), (0.5, 0.4, 0.3)),
+    result = EvalResult(mr2=0.3, curve=np.array([(0.9, 0.02, 0.6), (0.5, 0.4, 0.3)]),
                         num_gt=3, num_images=2)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     write_curve_svg("m", result, a)
@@ -493,6 +499,7 @@ def test_svg_points_equal_the_per_point_reference(tmp_path, floor):
                            rng.choice([0.0, floor, 1.0], 300) * rng.uniform(0.5, 1.0, 300)])
     curve = tuple(zip(np.linspace(1.0, 0.0, len(fppi)).tolist(), fppi.tolist(), miss.tolist()))
     path = tmp_path / "plot.svg"
-    write_curve_svg("m", EvalResult(mr2=0.3, curve=curve, num_gt=5, num_images=2), path)
+    write_curve_svg("m", EvalResult(mr2=0.3, curve=np.array(curve), num_gt=5, num_images=2),
+                    path)
     polyline, = [el for el in ET.parse(path).getroot().iter() if el.tag.endswith("polyline")]
     assert polyline.get("points") == _polyline_reference(curve)

@@ -513,8 +513,9 @@ def test_train_rdm_gates_each_padded_batch_once(monkeypatch, tmp_path):
 
 def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):
     # `run` hands each scene plain lists: the detection columns it builds
-    # are the split's, as many for 40 scenes as for 4
-    from crowdpost import cli
+    # are a batch's and a block's, as many for 40 scenes as for 4 when the
+    # split is one batch and one block
+    from crowdpost import cli, data_model
     from crowdpost.data_model import DetectionColumns
     from crowdpost.rdm import RelationModel, save_model
 
@@ -532,6 +533,8 @@ def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):
         init(self, *args)
 
     monkeypatch.setattr(DetectionColumns, "__init__", counted)
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", 1 << 30)
+    monkeypatch.setattr(cli, "_RUN_BLOCK", 1 << 30)
     for num_scenes in (4, 40):
         counts.append(0)
         assert cli.main(["run", "--dets", str(tmp_path / f"d{num_scenes}.jsonl"),

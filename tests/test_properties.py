@@ -22,7 +22,7 @@ from crowdpost.evaluator import _thresholds  # noqa: E402
 from crowdpost.rdm import RelationModel, save_model  # noqa: E402
 from crowdpost.records import Detection  # noqa: E402
 from helpers import (  # noqa: E402
-    Group, Person, box, fields, group_columns, scene, scene_columns, write_groups,
+    Group, Person, batch_pass, box, fields, group_columns, scene, scene_columns, write_groups,
     write_scene_file)
 
 # bounded and derandomized: tier-1 runs the same examples every time
@@ -357,9 +357,9 @@ def test_corrupt_detection_line_is_rejected(capsys, model_path, data):
 # the batch pass against the per-field path
 #
 # A reader takes its file in batches of whole lines, about
-# `data_model._BATCH_BYTES` each, and reads the whole file again through the
-# per-field parser at any doubt.  With `_joined`, the batch pass, turning
-# every file away, a reader takes that exact path alone.
+# `data_model._BATCH_BYTES` each, and reads a batch again through the
+# per-field parser at any doubt.  With `_scene_batch` and `_group_batch`, the
+# batch pass, turning every batch away, a reader takes that exact path alone.
 
 def _outcome(read, path):
     """The fields of the columns `read` gives, or the message it raises."""
@@ -371,7 +371,8 @@ def _outcome(read, path):
 
 def _exact_outcome(monkeypatch, read, path):
     with monkeypatch.context() as m:
-        m.setattr(data_model, "_joined", lambda path, batch_columns: None)
+        for name in ("_scene_batch", "_group_batch"):
+            m.setattr(data_model, name, lambda raw: None)
         return _outcome(read, path)
 
 
@@ -442,7 +443,7 @@ def _differential(monkeypatch, data, records, write, read, batch_columns):
             fh.writelines(variants)
         exact = _exact_outcome(monkeypatch, read, path)
         # integers and CRLF endings take the exact path; the rest the batch pass
-        batch = data_model._joined(path, batch_columns)
+        batch = batch_pass(path, batch_columns)
         assert (batch is None) == any(how in ("integers", "crlf") and new != old
                                       for how, new, old in zip(hows, variants, lines))
         for size in (1, 200, 1 << 16):
@@ -485,8 +486,8 @@ def _expect_rejected_in_batches(capsys, monkeypatch, size, text, line_no, read,
         path = os.path.join(tmp, "in.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        joined = data_model._joined(path, batch_columns)
-        assert joined is None or len(set(joined[0])) < len(joined[0])
+        scene_ids = batch_pass(path, batch_columns)
+        assert scene_ids is None or len(set(scene_ids)) < len(scene_ids)
         assert _outcome(read, path) == _exact_outcome(monkeypatch, read, path)
 
 

@@ -1,20 +1,23 @@
-"""`run` writes baseline.jsonl, rdm.jsonl and audit.json in one pass over the
-scenes, formatting each detection once, in blocks of scenes.  Over seeded
+"""`run` reads its split and writes baseline.jsonl, rdm.jsonl and audit.json
+block by block of scenes, formatting each detection once.  Over seeded
 random splits its files must equal what the scene-by-scene builder
 `run_groups` (tests/oracles.py) gives through `write_detection_groups`, and
 the audit `json.dumps(..., indent=2)` of the post-process results.  A
 failure partway through the writing leaves every output as it was."""
 
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crowdpost import cli, pipeline
+from crowdpost import cli, data_model, pipeline
 from crowdpost.data_model import group_columns, write_detection_groups
 from crowdpost.rdm import RelationModel, save_model
 
+from helpers import batch_pass
 from oracles import run_groups
 
 # scene ids that JSON escapes: a quote, a backslash, non-ASCII text and
@@ -114,8 +117,8 @@ def test_run_files_equal_the_scene_by_scene_oracle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "nms_groups", nms_recorded)
     monkeypatch.setattr(cli, "postprocess", post_recorded)
-    # blocks of one scene, of a few, and of as many as `run` formats at a time
-    blocks = (0, 12, pipeline._TEXT_BLOCK)
+    # blocks of one scene, of a few, and of as many as `run` takes at a time
+    blocks = (0, 12, cli._RUN_BLOCK)
     for seed in range(6):
         d = tmp_path / str(seed)
         d.mkdir()
@@ -123,15 +126,18 @@ def test_run_files_equal_the_scene_by_scene_oracle(tmp_path, monkeypatch):
         dets, model = _dets_file(d, rng, seed), _model(d, seed)
         nms.clear()
         outs.clear()
-        monkeypatch.setattr(pipeline, "_TEXT_BLOCK", blocks[seed % 3])
+        monkeypatch.setattr(cli, "_RUN_BLOCK", blocks[seed % 3])
         floor = ["--score-floor", "0.0"] if seed % 2 else []
         assert cli.main(["run", "--dets", dets, "--model", model,
                          "--out-dir", str(d / "out"), *floor]) == 0
 
-        (heads_floor, heads_kept), (bodies_floor, bodies_kept) = nms
-        scene_ids = heads_floor.scene_ids
-        heads, bodies = _kept(heads_floor, heads_kept), _kept(bodies_floor, bodies_kept)
-        pre = _records(bodies_floor)
+        # `run` calls NMS on the heads and then on the bodies of each block
+        scene_ids, heads, bodies, pre = [], [], [], []
+        for (heads_floor, heads_kept), (bodies_floor, bodies_kept) in zip(nms[::2], nms[1::2]):
+            scene_ids += heads_floor.scene_ids
+            heads += _kept(heads_floor, heads_kept)
+            bodies += _kept(bodies_floor, bodies_kept)
+            pre += _records(bodies_floor)
         final = [([h[i] for i in out.final_heads], [p[j] for j in out.final_bodies])
                  for h, p, out in zip(heads, pre, outs)]
         baseline = run_groups(zip(scene_ids, heads, bodies))
@@ -161,7 +167,7 @@ def test_run_files_equal_the_scene_by_scene_oracle(tmp_path, monkeypatch):
         seen["exponent pair score"] |= bool(re.search(r'"score": [0-9.]+e-',
                                                       expected["audit.json"]))
         seen["huge id"] |= str(HUGE_ID)[:-2] in expected["rdm.jsonl"]
-        seen["blocks"] |= pipeline._TEXT_BLOCK < sum(map(len, heads)) + sum(map(len, pre))
+        seen["blocks"] |= len(nms) > 2
     assert seen == dict.fromkeys(seen, True)
 
 
@@ -191,8 +197,125 @@ def test_failure_while_writing_keeps_every_output(tmp_path, monkeypatch, capsys,
         return _audit(scene_id, result)
 
     monkeypatch.setattr(pipeline, "_audit_scene", failing)
-    monkeypatch.setattr(pipeline, "_TEXT_BLOCK", 0)
+    monkeypatch.setattr(cli, "_RUN_BLOCK", 0)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "crowdpost run: error: audit formatter failed\n"
     assert len(calls) == 4
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        # nor does the directory `run` made for them
+        assert not out.exists()
+
+
+def _sparse_split(tmp_path, num_scenes, seed=5) -> str:
+    path = tmp_path / f"dets{num_scenes}.jsonl"
+    assert cli.main(["simulate", "--out-scenes", str(tmp_path / "scenes.jsonl"),
+                     "--out-dets", str(path), "--num-scenes", str(num_scenes),
+                     "--seed", str(seed), "--noise-seed", str(seed), "--cluster-prob", "0.0",
+                     "--persons-per-image", "3.0"]) == 0
+    return str(path)
+
+
+def test_run_working_set_does_not_grow_with_the_split(tmp_path):
+    # what `run` holds beyond what it leaves allocated is a block of scenes
+    # and the split's group keys, one scene id and one dict entry a scene.
+    # Measured: 1.03 MB on 150 sparse scenes and 1.28 MB on 1,500, where
+    # holding the whole split took 1.11 and 5.36 MB; the bound allows 256
+    # bytes of keys for each added scene
+    model = _model(tmp_path, 3)
+    held = []
+    for num_scenes in (150, 1500):
+        argv = ["run", "--dets", _sparse_split(tmp_path, num_scenes), "--model", model,
+                "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak - current)
+    assert held[1] - held[0] < 256 * 1350, held
+
+
+def _integral(line: str, integers: bool, crlf: bool) -> str:
+    """`line` with each box rounded outward to whole numbers, written as
+    floats or as integers, ending in LF or in CRLF."""
+    obj = json.loads(line)
+    for d in obj["dets"]:
+        x1, y1, x2, y2 = d["box"]
+        box = [math.floor(x1), math.floor(y1), math.ceil(x2), math.ceil(y2)]
+        d["box"] = box if integers else list(map(float, box))
+    return json.dumps(obj) + ("\r\n" if crlf else "\n")
+
+
+def _streaming_case(case: str, lines: list[str]) -> tuple[list[str], list[str] | None, str]:
+    """The lines of a case, the lines of the file whose whole-split outputs
+    it must give (None: it fails), and the error it fails with."""
+    if case == "malformed last line":
+        return (lines[:-1] + [lines[-1][:40] + "\n"], None,
+                f"dets.jsonl:{len(lines)}: invalid JSON (Expecting value)")
+    if case == "group of the first block repeated last":
+        return (lines + lines[:1], None,
+                f"dets.jsonl:{len(lines) + 1}: duplicate group ('s00000', 'head', 'pre_nms')")
+    if case == "every head group first":
+        return sorted(lines, key=lambda line: '"class": "body"' in line), lines, ""
+    if case == "scene without a body group":
+        assert '"scene_id": "s00002", "class": "body"' in lines[5]
+        rest = lines[:5] + lines[6:]
+        return rest, rest, ""
+    # integer coordinates and CRLF endings in the middle of the file, which
+    # the batch pass turns away, against the same values as floats
+    floats = [_integral(line, False, False) for line in lines]
+    mid = len(lines) // 2
+    return (floats[:mid] + [_integral(line, True, k % 2 == 1)
+                            for k, line in enumerate(lines[mid:mid + 6])] + floats[mid + 6:],
+            floats, "")
+
+
+@pytest.mark.parametrize("case", ["malformed last line", "group of the first block repeated last",
+                                  "every head group first", "scene without a body group",
+                                  "integers and CRLF in a middle batch"])
+def test_streamed_run_gives_the_whole_split_outcome(tmp_path, monkeypatch, capsys, case):
+    # a split of 40 scenes in blocks of at most 24 detections and batches of
+    # about 2 KiB gives the outputs of one block and one batch, or its error,
+    # whatever the order of the groups or the batch where a fault lies
+    model = _model(tmp_path, 11)
+    with open(_sparse_split(tmp_path, 40, seed=11), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    streamed, reference, error = _streaming_case(case, lines)
+    d = tmp_path / "in"
+    d.mkdir()
+    (d / "dets.jsonl").write_bytes("".join(streamed).encode("utf-8"))
+    nms = []
+
+    def nms_counted(*args, _nms=cli.nms_groups):
+        nms.append(len(args[0].scene_ids))
+        return _nms(*args)
+
+    monkeypatch.setattr(cli, "nms_groups", nms_counted)
+    monkeypatch.setattr(cli, "_RUN_BLOCK", 24)
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", 2048)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--dets", str(d / "dets.jsonl"), "--model", model,
+                     "--out-dir", str(out)])
+    # blocks went through NMS before the end of the file, a fault included
+    assert len(nms) > 4 and max(nms) < 40
+    if reference is None:
+        assert code == 1
+        assert capsys.readouterr().err == f"crowdpost run: error: {error}\n"
+        assert not out.exists() and [p.name for p in d.iterdir()] == ["dets.jsonl"]
+        return
+    assert code == 0
+    if "integers" in case:
+        assert batch_pass(d / "dets.jsonl", data_model._group_batch) is None
+    (d / "whole.jsonl").write_text("".join(reference), encoding="utf-8")
+    monkeypatch.setattr(cli, "_RUN_BLOCK", math.inf)
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", 1 << 30)
+    nms.clear()
+    assert cli.main(["run", "--dets", str(d / "whole.jsonl"), "--model", model,
+                     "--out-dir", str(tmp_path / "whole")]) == 0
+    assert len(nms) == 2
+    for name in ("baseline.jsonl", "rdm.jsonl", "audit.json"):
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
