@@ -330,11 +330,11 @@ def cmd_eval(args) -> int:
     if _has_control_character(name):
         raise ValueError(f"variant name {name!r} holds a control character")
     scenes = read_scenes(args.scenes)
-    groups = read_detection_groups(args.results)
-    if not groups.class_names:
-        raise ValueError(f"{args.results}: empty results file")
-    selected = groups.select(args.class_name, POST_NMS)
+    selected = read_detection_groups(args.results, args.class_name, POST_NMS).detections
     if not selected.scene_ids:
+        # the read kept no other group, so a read of all tells an empty file
+        if not read_detection_groups(args.results).class_names:
+            raise ValueError(f"{args.results}: empty results file")
         raise ValueError(f"{args.results}: no post-NMS {args.class_name} groups")
 
     result = compute_mr2(selected, scenes, eval_cfg)

@@ -27,12 +27,13 @@ lines again through the per-field parser below, with their line numbers and
 the file's keys.  The batches before it held no fault, so the reader raises
 the first fault in file order or, for a valid batch such as one with integer
 coordinates, gives the same columns.  `read_scenes` and
-`read_detection_groups` join the batches' columns; `detection_batches`
-gives them one by one, which `run` takes block by block of scenes.  The
-batch pass stays beside the parser because it reads the writers' files 1.08
-to 1.89 times as fast (scene, pre-NMS and post-processed detection files of
-60 dense or 1500 sparse scenes, in process; 1.08 times on the dense scene
-file).
+`read_detection_groups` join the batches' columns, the latter, given a class
+and a stage, only the columns of those groups, which `eval` reads;
+`detection_batches` gives them one by one, which `run` takes block by block
+of scenes.  The batch pass stays beside the parser because it reads the
+writers' files 1.08 to 1.89 times as fast (scene, pre-NMS and post-processed
+detection files of 60 dense or 1500 sparse scenes, in process; 1.08 times on
+the dense scene file).
 """
 from __future__ import annotations
 
@@ -174,13 +175,6 @@ class GroupColumns:
 
     def __init__(self, detections: DetectionColumns, class_names, stages):
         self.detections, self.class_names, self.stages = detections, class_names, stages
-
-    def select(self, class_name: str, stage: str) -> DetectionColumns:
-        """The detections of the groups of one class and stage, in file order."""
-        chosen = [c == class_name and s == stage
-                  for c, s in zip(self.class_names, self.stages)]
-        d = self.detections
-        return d.regroup(list(compress(d.scene_ids, chosen)), np.flatnonzero(chosen))
 
 
 # A row is one scene's or one group's fields, with a list per person or
@@ -627,14 +621,31 @@ def _group_parts(path):
                   lambda row: f"duplicate group {row[:3]}")
 
 
+def _chosen(part: list, key: tuple[str, str]) -> list:
+    """Of a part, the groups whose (class, stage) is `key`, in file order."""
+    _, class_names, stages, counts, ids, boxes, scores = part
+    chosen = list(map(key.__eq__, zip(class_names, stages)))
+    dets = list(chain.from_iterable(map(repeat, chosen, counts)))
+    # the per-group columns, then the per-detection ones
+    return [*(list(compress(column, chosen)) for column in part[:4]),
+            list(compress(ids, dets)), boxes[dets], scores[dets]]
+
+
 def detection_batches(path):
     """The detection groups of a file, as columns, batch by batch."""
     return map(_groups, _group_parts(path))
 
 
-def read_detection_groups(path) -> GroupColumns:
-    """The detection groups of a file, as columns."""
-    return _groups(_joined(_group_parts(path), _group_part([])))
+def read_detection_groups(path, class_name: str | None = None,
+                          stage: str | None = None) -> GroupColumns:
+    """The detection groups of a file, as columns.  Given a class and a
+    stage, only the groups of that class and stage: every line and every
+    group's key is checked as for the whole file, and each batch's other
+    groups are dropped once it is, so that they are never joined."""
+    parts = _group_parts(path)
+    if class_name is not None:
+        parts = map(_chosen, parts, repeat((class_name, stage)))
+    return _groups(_joined(parts, _group_part([])))
 
 
 # ---------------------------------------------------------------------------

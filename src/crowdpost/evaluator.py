@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -109,8 +110,9 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     """Evaluate the detections of one class against all scenes.
 
     `dets` are the detections of the class under test, as
-    `GroupColumns.select` returns them, and `scenes` the ground truth as
-    `read_scenes` returns it; their arrays go to the core as they are.
+    `read_detection_groups` returns them when given the class and the
+    post-NMS stage, and `scenes` the ground truth as `read_scenes` returns
+    it; their arrays go to the core as they are.
 
     Applies the Reasonable filter, matches per scene, then sweeps every
     distinct detection score as a keep-threshold.  For each FPPI reference
@@ -189,14 +191,14 @@ def write_result_json(result: EvalResult, path, name: str, class_name: str) -> N
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-# curve rows formatted at a time by `write_curve_csv`
-_CSV_ROWS = 1024
+# curve points formatted at a time by `write_curve_csv` and `write_curve_svg`
+_CURVE_ROWS = 1024
 
 
 def _csv_lines(curve: np.ndarray):
     yield "threshold,fppi,miss_rate\n"
-    for a in range(0, len(curve), _CSV_ROWS):
-        yield "".join(f"{t!r},{f!r},{m!r}\n" for t, f, m in curve[a:a + _CSV_ROWS].tolist())
+    for a in range(0, len(curve), _CURVE_ROWS):
+        yield "".join(f"{t!r},{f!r},{m!r}\n" for t, f, m in curve[a:a + _CURVE_ROWS].tolist())
 
 
 def write_curve_csv(result: EvalResult, path) -> None:
@@ -251,27 +253,32 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
                  f'transform="rotate(-90 16 {top + ph / 2:.2f})">miss rate</text>')
 
     color = "#d62728"
-    fppi, miss = curve[curve[:, 1] > 0.0, 1:].T
-    if len(fppi):
-        # `math.log10`, because `np.log10` can differ in the last bit
-        x = np.fromiter(map(math.log10, fppi.tolist()), dtype=np.float64, count=len(fppi))
-        y = np.fromiter(map(math.log10, np.maximum(miss, 10.0 ** y_lo).tolist()),
-                        dtype=np.float64, count=len(miss))
-        xs = px(np.minimum(np.maximum(x, x_lo), x_hi)).tolist()
-        ys = py(np.minimum(np.maximum(y, y_lo), y_hi)).tolist()
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
+    points = curve[curve[:, 1] > 0.0, 1:]
+
+    def polyline():
+        """The curve's polyline, its points formatted a block at a time."""
+        if not len(points):
+            return
+        yield '<polyline points="'
+        for a in range(0, len(points), _CURVE_ROWS):
+            fppi, miss = points[a:a + _CURVE_ROWS].T
+            # `math.log10`, because `np.log10` can differ in the last bit
+            x = np.fromiter(map(math.log10, fppi.tolist()), dtype=np.float64, count=len(fppi))
+            y = np.fromiter(map(math.log10, np.maximum(miss, 10.0 ** y_lo).tolist()),
+                            dtype=np.float64, count=len(miss))
+            xs = px(np.minimum(np.maximum(x, x_lo), x_hi)).tolist()
+            ys = py(np.minimum(np.maximum(y, y_lo), y_hi)).tolist()
+            yield (" " if a else "") + " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+        yield f'" fill="none" stroke="{color}" stroke-width="2"/>\n'
+
     ly = top + 18
     # escaped by hand: xml.sax.saxutils pulls in urllib.request at import
     label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    parts.append(f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
-                 f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-    parts.append(f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
-                 f'font-family="sans-serif">{label} {result.mr2 * 100.0:.2f}%</text>')
-
-    parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    legend = [f'<line x1="{left + pw - 150}" y1="{ly - 4}" x2="{left + pw - 120}" '
+              f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>',
+              f'<text x="{left + pw - 114}" y="{ly}" font-size="12" '
+              f'font-family="sans-serif">{label} {result.mr2 * 100.0:.2f}%</text>', "</svg>"]
+    atomic_write_text(path, chain(["\n".join(parts) + "\n"], polyline(), ["\n".join(legend) + "\n"]))
 
 
 def _curve_floor(miss: np.ndarray) -> float:

@@ -811,8 +811,9 @@ def test_file_commands_build_no_ground_truth_records(capsys, chain, tmp_path, mo
         assert filecmp.cmp(str(tmp_path / "rdm_body") + suffix,
                            chain / "eval" / ("rdm_body" + suffix), shallow=False)
     # the readers' results are columns, not sequences of records
-    groups = read_detection_groups(chain / "out" / "rdm.jsonl")
-    for columns in (read_scenes(chain / "scenes.jsonl"), groups, groups.select(BODY, "post_nms")):
+    results = chain / "out" / "rdm.jsonl"
+    for columns in (read_scenes(chain / "scenes.jsonl"), read_detection_groups(results),
+                    read_detection_groups(results, BODY, "post_nms").detections):
         with pytest.raises(TypeError):
             iter(columns)
 

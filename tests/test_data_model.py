@@ -205,11 +205,12 @@ def test_group_round_trip(tmp_path):
     assert fields(back) == fields(group_columns(groups)) and len(back.class_names) == 2
     assert fields(back) != fields(group_columns(groups[::-1]))
     # the evaluator's selection: the detections of one class and stage
-    selected = back.select(HEAD, POST_NMS)
+    selected = read_detection_groups(path, HEAD, POST_NMS).detections
     assert fields(selected) == fields(group_columns(groups[:1]).detections)
     assert len(selected) == 2
-    assert fields(back.select(BODY, POST_NMS)) == fields(group_columns([]).detections)
-    assert len(back.select(BODY, PRE_NMS)) == 1
+    assert (fields(read_detection_groups(path, BODY, POST_NMS).detections)
+            == fields(group_columns([]).detections))
+    assert len(read_detection_groups(path, BODY, PRE_NMS).detections) == 1
     assert selected.boxes.tolist() == [list(d.box) for d in groups[0].dets]
     assert selected.scores.tolist() == [0.875, 0.5] and selected.det_ids == [1, 2]
 

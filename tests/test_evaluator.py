@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from crowdpost import geometry
+from crowdpost import evaluator, geometry
 from crowdpost.data_model import BODY
 from crowdpost.evaluator import (FPPI_POINTS, EvalConfig, EvalResult, compute_mr2,
                                  greedy_assign, write_curve_csv, write_curve_svg,
@@ -467,6 +467,16 @@ def test_write_curve_svg_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_svg_of_a_curve_without_positive_fppi_has_no_polyline(tmp_path):
+    result = EvalResult(mr2=1.0, curve=np.array([(0.9, 0.0, 1.0), (0.5, 0.0, 0.5)]),
+                        num_gt=2, num_images=2)
+    path = tmp_path / "plot.svg"
+    write_curve_svg("m", result, path)
+    root = ET.parse(path).getroot()
+    assert not [el for el in root.iter() if el.tag.endswith("polyline")]
+    assert path.read_text().endswith("m 100.00%</text>\n</svg>\n")
+
+
 def _polyline_reference(curve) -> str:
     """The plotted points, one Python float at a time: each point's log10 is
     clamped to the plot, the miss rate first raised to the plot's floor, the
@@ -503,3 +513,21 @@ def test_svg_points_equal_the_per_point_reference(tmp_path, floor):
                     path)
     polyline, = [el for el in ET.parse(path).getroot().iter() if el.tag.endswith("polyline")]
     assert polyline.get("points") == _polyline_reference(curve)
+
+
+def test_curve_files_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # the CSV rows and the SVG points are formatted a block at a time; blocks
+    # of 7 split the 300 drawn points, and the rows, at other places
+    rng = np.random.default_rng(5)
+    fppi = np.concatenate([[0.0, 0.0], 10.0 ** rng.uniform(-3.0, 1.0, 300)])
+    curve = np.stack([np.linspace(1.0, 0.0, len(fppi)), fppi, rng.uniform(0.0, 1.0, len(fppi))],
+                     axis=1)
+    result = EvalResult(mr2=0.3, curve=curve, num_gt=5, num_images=2)
+    texts = []
+    for rows in (evaluator._CURVE_ROWS, 7):
+        monkeypatch.setattr(evaluator, "_CURVE_ROWS", rows)
+        write_curve_csv(result, tmp_path / f"{rows}.csv")
+        write_curve_svg("m", result, tmp_path / f"{rows}.svg")
+        texts.append([(tmp_path / f"{rows}{suffix}").read_text() for suffix in (".csv", ".svg")])
+    assert texts[0] == texts[1]
+    assert texts[0][1].count(",") == 300 and len(texts[0][0].splitlines()) == 303
