@@ -5,17 +5,15 @@ are the config dataclasses; command-line flags override config values.  All
 outputs are written atomically, a failed command leaves each output path as
 it found it, and they are byte-identical across reruns with the same inputs and
 seeds.  Log verbosity comes from the CROWDPOST_LOG environment variable, a
-level name in any case (WARNING when unset or empty).
+level name in any case (WARNING when unset or empty); a process loads
+`logging` only when it is set, or when a module has a line to log.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import gc
 import importlib
 import json
-import logging
 import math
 import os
 import sys
@@ -23,9 +21,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain, starmap
 from operator import sub
 
-from .fileio import atomic_write_text, read_json, restored_on_error
-
-logger = logging.getLogger(__name__)
+from .fileio import atomic_write_text, read_json, restored_on_error, start_logging
 
 # The names this module takes from the modules behind the commands and from
 # `data_model`.  A command imports only the modules it uses (`_bind`), so
@@ -117,6 +113,9 @@ def _build(cls, cfg: dict, section: str, **overrides):
     if not isinstance(obj, dict):
         raise ValueError(f"config key {section}: expected an object, got {obj!r}")
     data = dict(obj)
+    # imported here, as `argparse` is in `build_parser`, so that it loads
+    # after `script` has turned the collector off
+    import dataclasses
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
@@ -127,6 +126,13 @@ def _build(cls, cfg: dict, section: str, **overrides):
         if value is not None:
             data[key] = value
     return cls(**data)
+
+
+def _info(message: str, *args) -> None:
+    """Log an INFO line, when CROWDPOST_LOG is set; at the default level,
+    WARNING, it would not show, and `logging` stays unloaded."""
+    if os.environ.get("CROWDPOST_LOG"):
+        start_logging().getLogger(__name__).info(message, *args)
 
 
 def _check_distinct(outputs, inputs) -> None:
@@ -171,8 +177,8 @@ def cmd_simulate(args) -> int:
         for class_name, dets in zip((HEAD, BODY), pair)])
     write_scenes(scenes, args.out_scenes)
     write_detection_groups(groups, args.out_dets)
-    logger.info("wrote %d scenes (%d persons) and %d detection groups",
-                len(scenes.scene_ids), len(scenes.person_ids), len(groups.class_names))
+    _info("wrote %d scenes (%d persons) and %d detection groups",
+          len(scenes.scene_ids), len(scenes.person_ids), len(groups.class_names))
     return 0
 
 
@@ -182,7 +188,7 @@ def cmd_estimate_ratio(args) -> int:
     scenes = read_scenes(args.scenes)
     ratio = estimate_ratio(*scene_pairs(scenes))
     save_ratio(ratio, args.out)
-    logger.info("ratio: %s", ratio)
+    _info("ratio: %s", ratio)
     return 0
 
 
@@ -265,7 +271,7 @@ def cmd_train_rdm(args) -> int:
     sets = [build_detection_set(sid, h, b, nms_cfg) for sid, h, b in
             zip(heads.scene_ids, detection_lists(heads), detection_lists(bodies))]
     features, labels = build_training_pairs(scenes, sets, post_cfg.ioh_threshold)
-    logger.info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
+    _info("training on %d pairs (%d positive)", len(labels), int(labels.sum()))
     model, trace = train(features, labels, train_cfg)
     save_model(model, args.out_model)
     write_loss_csv(trace, args.out_loss)
@@ -273,10 +279,13 @@ def cmd_train_rdm(args) -> int:
 
 
 # pre-NMS detections in a block of `run`, which bounds what `run` holds.  On
-# the benchmark's splits (1,500 sparse and 60 dense scenes) `run`'s own peak
-# RSS was 32.8 and 32.3 MB at 1,024, 33.5 and 33.0 MB at 2,048, against 36.0
-# and 33.5 MB for the whole split; each block costs about 1 ms of calls
-_RUN_BLOCK = 1024
+# the benchmark's splits (60 dense and 1,500 sparse scenes) `run`'s own peak
+# RSS was 31.8 and 32.2 MB at 512, 32.1 and 32.6 MB at 1,024 and 31.8 and
+# 32.1 MB at 256 (medians of 7); each block costs about 1 ms of calls: in
+# process, `run` took 98 and 155 ms at 512, 91 and 144 ms at 1,024 and 107
+# and 175 ms at 256.  Writing each scene's lines as they form, instead of a
+# block's, left the peak at 32.1 and 32.5 MB at 1,024.
+_RUN_BLOCK = 512
 
 
 def cmd_run(args) -> int:
@@ -307,7 +316,7 @@ def cmd_run(args) -> int:
 
     # `starmap` holds no block once it has passed it on
     write_outputs(files, starmap(post, _pre_nms_blocks(detection_batches(args.dets), _RUN_BLOCK)))
-    logger.info("recalled %d bodies, removed %d heads over %d scenes", *counts)
+    _info("recalled %d bodies, removed %d heads over %d scenes", *counts)
     return 0
 
 
@@ -341,8 +350,8 @@ def cmd_eval(args) -> int:
     write_result_json(result, files[0], name, args.class_name)
     write_curve_csv(result, files[1])
     write_curve_svg(name, result, files[2])
-    logger.info("%s %s: mr2 %.4f over %d GT / %d images",
-                name, args.class_name, result.mr2, result.num_gt, result.num_images)
+    _info("%s %s: mr2 %.4f over %d GT / %d images",
+          name, args.class_name, result.mr2, result.num_gt, result.num_images)
     return 0
 
 
@@ -470,6 +479,7 @@ def _add_report(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="crowdpost",
         description="Joint head/person detection post-processing toolkit.")
@@ -484,12 +494,13 @@ def main(argv=None) -> int:
     _bind("data_model")
     args = build_parser().parse_args(argv)
     try:
-        level = os.environ.get("CROWDPOST_LOG") or "WARNING"
-        # `getLevelName` maps a level's name, in upper case, to its number
-        if not isinstance(logging.getLevelName(level.upper()), int):
-            raise ValueError(f"CROWDPOST_LOG={level!r} is not a log level name")
-        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s",
-                            stream=sys.stderr)
+        level = os.environ.get("CROWDPOST_LOG")
+        if level:
+            import logging
+            # `getLevelName` maps a level's name, in upper case, to its number
+            if not isinstance(logging.getLevelName(level.upper()), int):
+                raise ValueError(f"CROWDPOST_LOG={level!r} is not a log level name")
+            start_logging(level.upper())
         with restored_on_error():
             return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

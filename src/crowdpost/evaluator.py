@@ -32,7 +32,7 @@ import numpy as np
 
 from .data_model import BODY, HEAD, DetectionColumns, SceneColumns, id_keys
 from .fileio import atomic_write_text
-from .geometry import greedy_match, padded_batches, padded_stack, pairwise_iou
+from .geometry import greedy_match, padded_batches, padded_stack, pairwise_iou, ragged
 
 # 10^(-2 + k/4) for k = 0..8
 FPPI_POINTS = tuple(10.0 ** (-2.0 + k / 4.0) for k in range(9))
@@ -81,7 +81,6 @@ def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.nd
     """
     num_scenes = len(person_offsets) - 1
     order = np.lexsort((id_keys(dets.det_ids), -dets.scores, det_scene))
-    boxes = dets.boxes[order]
     det_counts = np.bincount(det_scene, minlength=num_scenes)
     det_starts = np.cumsum(det_counts) - det_counts
     gt_starts = np.asarray(person_offsets[:-1], dtype=np.intp)
@@ -91,8 +90,11 @@ def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.nd
     absorbed = np.zeros(len(order), dtype=bool)
     # a scene without ground truth leaves its detections unmatched
     for batch, (n, m) in padded_batches(det_counts, gt_counts):
-        det_stack, (index, slot, pos) = padded_stack(boxes, det_starts[batch],
-                                                     det_counts[batch], n)
+        # the batch's ranked boxes, gathered from the input, zero-padded
+        index, slot, pos = ragged(det_starts[batch], det_counts[batch])
+        det = order[index]
+        det_stack = np.zeros((len(batch), n, 4))
+        det_stack[slot, pos] = dets.boxes[det]
         gt_stack, (person, gt_slot, gt_pos) = padded_stack(gt_boxes, gt_starts[batch],
                                                           gt_counts[batch], m)
         # the matchable persons; an ignored or a pad column matches nothing
@@ -100,7 +102,6 @@ def greedy_assign(dets: DetectionColumns, det_scene: np.ndarray, gt_boxes: np.nd
         free[gt_slot, 0, gt_pos] = matchable[person]
         ious = pairwise_iou(det_stack, gt_stack)
         cols = greedy_match(ious * free, threshold)[slot, pos]
-        det = order[index]
         rows[det] = np.where(cols >= 0, gt_starts[batch][slot] + cols, -1)
         absorbed[det] = ((ious >= threshold) & ~free).any(axis=-1)[slot, pos]
     return rows, absorbed & (rows < 0)
@@ -144,14 +145,21 @@ def compute_mr2(dets: DetectionColumns, scenes: SceneColumns, cfg: EvalConfig) -
     tp = rows >= 0
     tp_scores = np.sort(dets.scores[tp])
     fp_scores = np.sort(dets.scores[~(tp | ignored)])
+    # Every array of the split's length goes once it has been used; the
+    # curve's columns are filled in place.
+    del det_scene, rows, ignored, tp
     # Sweep every distinct input score, not just scores of counted outcomes:
     # a level where only ignored detections enter still yields a curve point.
     thresholds = _thresholds(dets.scores)
-    tps = len(tp_scores) - np.searchsorted(tp_scores, thresholds)
-    fps = len(fp_scores) - np.searchsorted(fp_scores, thresholds)
-    fppi, miss = fps / num_images, 1.0 - tps / num_gt
-    mr2 = _log_average(fppi, miss)
-    return EvalResult(mr2=mr2, curve=np.stack([thresholds, fppi, miss], axis=1), num_gt=num_gt,
+    curve = np.empty((len(thresholds), 3))
+    curve[:, 0] = thresholds
+    fppi, miss = curve[:, 1], curve[:, 2]
+    np.divide(len(fp_scores) - np.searchsorted(fp_scores, thresholds), num_images, out=fppi)
+    del fp_scores
+    np.divide(len(tp_scores) - np.searchsorted(tp_scores, thresholds), num_gt, out=miss)
+    del tp_scores, thresholds
+    np.subtract(1.0, miss, out=miss)
+    return EvalResult(mr2=_log_average(fppi, miss), curve=curve, num_gt=num_gt,
                       num_images=num_images)
 
 
@@ -215,8 +223,7 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
     left, right, top, bottom = 70, 24, 24, 56
     pw, ph = width - left - right, height - top - bottom
 
-    # the curve points by ascending FPPI, ties in curve order
-    curve = result.curve[np.argsort(result.curve[:, 1], kind="stable")]
+    curve = result.curve
     x_lo, x_hi = math.log10(FPPI_POINTS[0]), math.log10(FPPI_POINTS[-1])
     y_hi = 0.0  # miss rate 1.0
     y_lo = _curve_floor(curve[:, 2])
@@ -253,15 +260,18 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
                  f'transform="rotate(-90 16 {top + ph / 2:.2f})">miss rate</text>')
 
     color = "#d62728"
-    points = curve[curve[:, 1] > 0.0, 1:]
+    # the rows of the points drawn, those of positive FPPI, by ascending
+    # FPPI, ties in curve order; the points are gathered a block at a time
+    drawn = np.flatnonzero(curve[:, 1] > 0.0)
+    drawn = drawn[np.argsort(curve[drawn, 1], kind="stable")]
 
     def polyline():
         """The curve's polyline, its points formatted a block at a time."""
-        if not len(points):
+        if not len(drawn):
             return
         yield '<polyline points="'
-        for a in range(0, len(points), _CURVE_ROWS):
-            fppi, miss = points[a:a + _CURVE_ROWS].T
+        for a in range(0, len(drawn), _CURVE_ROWS):
+            _, fppi, miss = curve[drawn[a:a + _CURVE_ROWS]].T
             # `math.log10`, because `np.log10` can differ in the last bit
             x = np.fromiter(map(math.log10, fppi.tolist()), dtype=np.float64, count=len(fppi))
             y = np.fromiter(map(math.log10, np.maximum(miss, 10.0 ** y_lo).tolist()),
@@ -284,7 +294,8 @@ def write_curve_svg(name: str, result: EvalResult, path) -> None:
 def _curve_floor(miss: np.ndarray) -> float:
     """The log10 of the plot's lowest miss rate: the decade of the smallest
     positive miss rate, kept between 1e-4 and 1e-1."""
-    positive = miss[miss > 0.0]
-    if not len(positive):
+    positive = miss > 0.0
+    if not positive.any():
         return -1.0
-    return max(min(-1.0, math.floor(math.log10(positive.min()))), -4.0)
+    lowest = float(np.min(miss, initial=math.inf, where=positive))
+    return max(min(-1.0, math.floor(math.log10(lowest))), -4.0)

@@ -1,4 +1,5 @@
-"""Small file helpers shared by the readers and writers."""
+"""Small helpers shared by the readers, the writers and the commands: JSON
+files, atomic writes, and the log lines on stderr."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import contextlib
 import contextvars
 import json
 import os
+import sys
 import tempfile
 from typing import Iterable
 
@@ -14,6 +16,19 @@ from typing import Iterable
 # and (directory, None) for each directory it made
 _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
+
+
+def start_logging(level: str | None = None):
+    """`logging`, imported, with its lines going to stderr as the command
+    line sends them, unless it was set up before: one a line, as "LEVEL
+    logger: message", at `level` and up (its default, WARNING, when None).
+    `cli.main` calls it when CROWDPOST_LOG is set, and a module once it has
+    a line to log, so that a process that logs nothing does not load
+    `logging`."""
+    import logging
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
+                        stream=sys.stderr)
+    return logging
 
 
 class RepeatedKey(ValueError):

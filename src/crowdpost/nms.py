@@ -17,15 +17,13 @@ detections: they are dropped at the score floor.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import DetectionColumns, id_keys
+from .fileio import start_logging
 from .geometry import areas, padded_batches, padded_stack, pairwise_iou
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,8 @@ def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns
     scored = dets.scores >= cfg.score_floor
     floored = np.flatnonzero(scored & (areas(dets.boxes) > 0.0))
     if len(floored) < scored.sum():
-        logger.info("dropped %d zero-area detections", scored.sum() - len(floored))
+        start_logging().getLogger(__name__).info("dropped %d zero-area detections",
+                                                 scored.sum() - len(floored))
     ids = dets.det_ids
     rank = np.lexsort((id_keys([ids[i] for i in floored.tolist()]), -dets.scores[floored],
                        group[floored]))

@@ -297,16 +297,17 @@ def test_command_imports_only_its_modules(chain, tmp_path, command, modules):
         [sys.executable, "-c",
          "import sys; from crowdpost.cli import main; code = main(sys.argv[1:]); "
          "print(' '.join(sorted(m for m in sys.modules if m.startswith('crowdpost.')))); "
-         "print('numpy.ma' in sys.modules); "
-         "sys.exit(code)", *argv], capture_output=True, text=True)
+         "print('numpy.ma' in sys.modules, 'logging' in sys.modules); "
+         "sys.exit(code)", *argv], capture_output=True, text=True,
+        env={k: v for k, v in os.environ.items() if k != "CROWDPOST_LOG"})
     assert proc.returncode == 0, proc.stderr
     # the last two lines; `report` prints its table before them.  No list
-    # holds `records`, which no reader loads, and `numpy.ma`, which
-    # `np.unique` would load, stays out
-    *_, loaded, masked = proc.stdout.splitlines()
+    # holds `records`, which no reader loads; `numpy.ma`, which `np.unique`
+    # would load, stays out, and so does `logging`, with nothing to log
+    *_, loaded, unused = proc.stdout.splitlines()
     assert loaded.split() == sorted(f"crowdpost.{m}" for m in [
         "cli", "data_model", "fileio", "geometry", *modules])
-    assert masked == "False"
+    assert unused == "False False"
 
 
 def test_estimate_ratio_loads_neither_records_nor_numpy_ma(chain, tmp_path):
@@ -1111,17 +1112,24 @@ def test_train_rdm_rejects_bad_settings(capsys, chain, tmp_path, config, flags, 
 
 
 def test_train_rdm_rejects_a_diverging_learning_rate(capsys, chain, tmp_path):
-    # the weights overflow within a few epochs: one error line, no numpy
-    # warning, and no model of NaNs or loss trace left behind
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(_train_argv(chain, tmp_path, "--epochs", "40",
-                                "--learning-rate", "1e12")) == 1
-    assert re.fullmatch(r"crowdpost train-rdm: error: training diverged in epoch \d+ \(.+\); "
-                        r"lower train\.learning_rate, now 1000000000000\.0\n",
-                        capsys.readouterr().err)
-    assert not (tmp_path / "model.json").exists()
-    assert not (tmp_path / "loss.csv").exists()
+    # the weights pass the bound in the first epoch and would overflow
+    # within a few: one error line, no numpy warning, and no model or loss
+    # trace left behind.  On 10 scenes, 1 to 4 epochs used to write models
+    # whose largest weight was 2.5e11 to 4.1e127
+    small = tmp_path / "small"
+    assert main(["simulate", "--out-scenes", str(small / "scenes.jsonl"),
+                 "--out-dets", str(small / "dets.jsonl"), "--num-scenes", "10",
+                 "--seed", "1", "--noise-seed", "1"]) == 0
+    for split, epochs in ((chain, 40), (small, 1), (small, 2), (small, 3), (small, 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_train_argv(split, tmp_path, "--epochs", str(epochs),
+                                    "--learning-rate", "1e12")) == 1
+        assert re.fullmatch(r"crowdpost train-rdm: error: training diverged in epoch \d+ "
+                            r"\(.+\); lower train\.learning_rate, now 1000000000000\.0\n",
+                            capsys.readouterr().err), (split, epochs)
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "loss.csv").exists()
 
 
 def test_simulate_rejects_nan_setting(capsys, tmp_path):
@@ -1199,6 +1207,48 @@ def test_log_level_variable(chain, tmp_path, value):
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert filecmp.cmp(model, chain / "model.json", shallow=False)
+
+
+def test_log_lines_on_stderr(chain, tmp_path):
+    # `run`'s INFO lines under CROWDPOST_LOG=INFO, the NMS ones for a
+    # flattened head and body of the first scene included, and the WARNING
+    # line that a zero-area head gives `estimate-ratio` at the default level,
+    # byte for byte; `logging` is loaded in both processes only to log
+    env = {k: v for k, v in os.environ.items() if k != "CROWDPOST_LOG"}
+    dets = (chain / "dets.jsonl").read_text(encoding="utf-8").splitlines()
+    for k, cls in ((0, HEAD), (1, BODY)):
+        group = json.loads(dets[k])
+        assert group["class"] == cls and group["stage"] == "pre_nms"
+        box = max(group["dets"], key=lambda d: d["score"])["box"]
+        box[2] = box[0]
+        dets[k] = json.dumps(group)
+    flat = tmp_path / "dets.jsonl"
+    flat.write_text("\n".join(dets) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdpost.cli", "run", "--dets", str(flat),
+         "--model", str(chain / "model.json"), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**env, "CROWDPOST_LOG": "INFO"})
+    assert proc.returncode == 0, proc.stderr
+    audit = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))["scenes"]
+    recalled = sum(len(scene["recalled_body_ids"]) for scene in audit)
+    removed = sum(len(scene["removed_head_ids"]) for scene in audit)
+    assert proc.stderr == ("INFO crowdpost.nms: dropped 1 zero-area detections\n" * 2
+                           + f"INFO __main__: recalled {recalled} bodies, removed {removed} "
+                           f"heads over {len(audit)} scenes\n")
+
+    scenes = (chain / "scenes.jsonl").read_text(encoding="utf-8").splitlines()
+    scene = json.loads(scenes[0])
+    head = scene["persons"][0]["head"]
+    head[2] = head[0]
+    scenes[0] = json.dumps(scene)
+    flat = tmp_path / "scenes.jsonl"
+    flat.write_text("\n".join(scenes) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdpost.cli", "estimate-ratio", "--scenes", str(flat),
+         "--out", str(tmp_path / "ratio.json")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("WARNING crowdpost.ratio: estimate_ratio skipped 1 pair(s) "
+                           "with zero-area heads\n")
 
 
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):

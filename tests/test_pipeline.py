@@ -431,8 +431,9 @@ def test_kept_positions_must_be_distinct_and_in_range(kept, bad):
 
 
 def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_path):
-    # `run` decides on the pairs of the one split-wide gate: `pairwise_ioh`
-    # runs once per padded batch of `gate`, and never inside `postprocess`
+    # `run` decides on the pairs of one gate per block of scenes:
+    # `pairwise_ioh` runs once per padded batch of `gate` over each block,
+    # and never inside `postprocess`
     from crowdpost import cli, pipeline
     from crowdpost.data_model import read_detection_groups
     from crowdpost.geometry import padded_batches
@@ -465,11 +466,13 @@ def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_pa
     assert cli.main(["run", "--dets", str(dets), "--model", str(model),
                      "--out-dir", str(tmp_path / "out")]) == 0
 
-    heads_pre, bodies_pre = cli._pre_nms_columns(read_detection_groups(dets))
-    heads_floor, heads_kept = nms_groups(heads_pre, NmsConfig())
-    heads = heads_floor.take(heads_kept)
-    bodies_floor, _ = nms_groups(bodies_pre, NmsConfig())
-    batches = list(padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets)))
+    batches = []
+    for heads_pre, bodies_pre in cli._pre_nms_blocks([read_detection_groups(dets)],
+                                                     cli._RUN_BLOCK):
+        heads_floor, heads_kept = nms_groups(heads_pre, NmsConfig())
+        heads = heads_floor.take(heads_kept)
+        bodies_floor, _ = nms_groups(bodies_pre, NmsConfig())
+        batches += padded_batches(np.diff(heads.det_offsets), np.diff(bodies_floor.det_offsets))
     assert len(batches) > 1
     assert gated == [False] * len(batches)
 

@@ -220,9 +220,10 @@ def _sparse_split(tmp_path, num_scenes, seed=5) -> str:
 def test_run_working_set_does_not_grow_with_the_split(tmp_path):
     # what `run` holds beyond what it leaves allocated is a block of scenes
     # and the split's group keys, one scene id and one dict entry a scene.
-    # Measured: 1.03 MB on 150 sparse scenes and 1.28 MB on 1,500, where
-    # holding the whole split took 1.11 and 5.36 MB; the bound allows 256
-    # bytes of keys for each added scene
+    # Measured: 0.63 MB on 150 sparse scenes and 0.79 MB on 1,500 with
+    # blocks of 512 detections, 1.03 and 1.28 MB with blocks of 1,024, where
+    # holding the whole split took 1.11 and 5.36 MB; the bounds allow 256
+    # bytes of keys for each added scene, and a block of 512 detections
     model = _model(tmp_path, 3)
     held = []
     for num_scenes in (150, 1500):
@@ -237,6 +238,7 @@ def test_run_working_set_does_not_grow_with_the_split(tmp_path):
             tracemalloc.stop()
         held.append(peak - current)
     assert held[1] - held[0] < 256 * 1350, held
+    assert held[1] < 1_000_000, held
 
 
 def _integral(line: str, integers: bool, crlf: bool) -> str:
