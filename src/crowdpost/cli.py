@@ -14,14 +14,13 @@ from __future__ import annotations
 import gc
 import importlib
 import json
-import math
 import os
 import sys
 from bisect import bisect_right
 from itertools import accumulate, chain, starmap
 from operator import sub
 
-from .fileio import atomic_write_text, read_json, restored_on_error, start_logging
+from .fileio import atomic_write_text, command_logging, logger, read_json, restored_on_error
 
 # The names this module takes from the modules behind the commands and from
 # `data_model`.  A command imports only the modules it uses (`_bind`), so
@@ -129,10 +128,10 @@ def _build(cls, cfg: dict, section: str, **overrides):
 
 
 def _info(message: str, *args) -> None:
-    """Log an INFO line, when CROWDPOST_LOG is set; at the default level,
-    WARNING, it would not show, and `logging` stays unloaded."""
+    """Log an INFO line as `crowdpost.cli`, under `python -m` too, if
+    CROWDPOST_LOG is set; at WARNING, the default, it would not show."""
     if os.environ.get("CROWDPOST_LOG"):
-        start_logging().getLogger(__name__).info(message, *args)
+        logger("crowdpost.cli").info(message, *args)
 
 
 def _check_distinct(outputs, inputs) -> None:
@@ -192,9 +191,12 @@ def cmd_estimate_ratio(args) -> int:
     return 0
 
 
-def _scene_blocks(groups: GroupColumns, limit: float, end: bool) -> tuple[list, GroupColumns]:
-    """The blocks of `_pre_nms_blocks` that the groups read so far make, and
-    the pre-NMS groups of the scenes that are not in one of them yet."""
+def _scene_blocks(groups: GroupColumns, limit: int, end: bool) -> tuple[list, GroupColumns, int]:
+    """The blocks of `_pre_nms_blocks` that the groups read so far make, the
+    pre-NMS groups of the scenes not in one of them yet, and the bound of a
+    block: `limit`, or while that is 0, half the pre-NMS detections of
+    `groups`.  The last block is held back until the end, so that the
+    groups then hold a pre-NMS group if the file does."""
     d = groups.detections
     slots: dict[str, list[int]] = {}
     for g, (scene_id, class_name, stage) in enumerate(zip(d.scene_ids, groups.class_names,
@@ -202,12 +204,17 @@ def _scene_blocks(groups: GroupColumns, limit: float, end: bool) -> tuple[list, 
         if stage == PRE_NMS:
             slots.setdefault(scene_id, [-1, -1])[class_name == BODY] = g
     scene_ids, pairs = list(slots), list(slots.values())
+    if end and not pairs:
+        raise ValueError("no pre-NMS detection groups found")
     done = len(pairs) if end else next((k for k, pair in enumerate(pairs) if -1 in pair),
                                        len(pairs))
-    # the detections before each scene; a missing group, -1, counts the 0 appended
+    # the detections of each scene; a missing group, -1, counts the 0 appended
     offsets = d.det_offsets
     counts = [*map(sub, offsets[1:], offsets), 0]
-    total = list(accumulate((counts[h] + counts[b] for h, b in pairs[:done]), initial=0))
+    sizes = [counts[h] + counts[b] for h, b in pairs]
+    # half a batch: whole-batch blocks raised `run`'s peak RSS 0.15-0.27 MB on dense splits
+    limit = limit or (sum(sizes) + 1) // 2
+    total = list(accumulate(sizes[:done], initial=0))
     bounds = [0]
     while bounds[-1] < done:
         k = bounds[-1]
@@ -218,39 +225,32 @@ def _scene_blocks(groups: GroupColumns, limit: float, end: bool) -> tuple[list, 
     blocks = [tuple(d.regroup(scene_ids[a:b], [pair[c] for pair in pairs[a:b]]) for c in (0, 1))
               for a, b in zip(bounds, bounds[1:])]
     rest = sorted(g for pair in pairs[bounds[-1]:] for g in pair if g >= 0)
-    return blocks, GroupColumns(d.regroup([d.scene_ids[g] for g in rest], rest),
-                                [groups.class_names[g] for g in rest], [PRE_NMS] * len(rest))
+    held = GroupColumns(d.regroup([d.scene_ids[g] for g in rest], rest),
+                        [groups.class_names[g] for g in rest], [PRE_NMS] * len(rest))
+    return blocks, held, limit
 
 
-def _pre_nms_blocks(parts, limit: float):
+def _pre_nms_blocks(parts):
     """The pre-NMS heads and bodies of the detection groups of `parts`, in
     blocks of whole scenes: in each block one group per scene, in the order
     the scenes first appear, a class the file lacks for a scene as an empty
     group.  A scene goes out once both its groups have come, or once the
-    parts end, and a block holds at most `limit` detections, or one scene.
-    Between blocks only the groups of the scenes still to go out are held,
-    and they are looked at again once `limit` more detections have come."""
-    held, size, due, found = [], 0, limit, False
+    parts end, and a block holds at most half as many detections as the
+    pre-NMS groups of the first part that holds any, or one scene.  Between
+    parts only the groups of the scenes still to go out are held, the last
+    block among them, since it may still grow."""
+    rest, limit = group_columns([]), 0
     for part in chain(parts, [None]):
-        if part is not None:
-            held.append(part)
-            size += len(part.detections)
-            if size < due:
-                continue
-        blocks, rest = _scene_blocks(join_groups(held), limit, part is None)
-        held, size = [rest], len(rest.detections)
-        due = size + limit
-        found = found or bool(blocks)
+        end = part is None
+        blocks, rest, limit = _scene_blocks(rest if end else join_groups([rest, part]), limit, end)
         # popped, so that a block is not held once it is passed on
         while blocks:
             yield blocks.pop(0)
-    if not found:
-        raise ValueError("no pre-NMS detection groups found")
 
 
 def _pre_nms_columns(groups: GroupColumns) -> tuple[DetectionColumns, DetectionColumns]:
     """The pre-NMS heads and bodies of all groups, as one block."""
-    return next(_pre_nms_blocks([groups], math.inf))
+    return _scene_blocks(groups, len(groups.detections), True)[0][0]
 
 
 def cmd_train_rdm(args) -> int:
@@ -276,16 +276,6 @@ def cmd_train_rdm(args) -> int:
     save_model(model, args.out_model)
     write_loss_csv(trace, args.out_loss)
     return 0
-
-
-# pre-NMS detections in a block of `run`, which bounds what `run` holds.  On
-# the benchmark's splits (60 dense and 1,500 sparse scenes) `run`'s own peak
-# RSS was 31.8 and 32.2 MB at 512, 32.1 and 32.6 MB at 1,024 and 31.8 and
-# 32.1 MB at 256 (medians of 7); each block costs about 1 ms of calls: in
-# process, `run` took 98 and 155 ms at 512, 91 and 144 ms at 1,024 and 107
-# and 175 ms at 256.  Writing each scene's lines as they form, instead of a
-# block's, left the peak at 32.1 and 32.5 MB at 1,024.
-_RUN_BLOCK = 512
 
 
 def cmd_run(args) -> int:
@@ -315,7 +305,7 @@ def cmd_run(args) -> int:
         return heads, bodies_floor, bodies_kept, outs
 
     # `starmap` holds no block once it has passed it on
-    write_outputs(files, starmap(post, _pre_nms_blocks(detection_batches(args.dets), _RUN_BLOCK)))
+    write_outputs(files, starmap(post, _pre_nms_blocks(detection_batches(args.dets))))
     _info("recalled %d bodies, removed %d heads over %d scenes", *counts)
     return 0
 
@@ -494,14 +484,13 @@ def main(argv=None) -> int:
     _bind("data_model")
     args = build_parser().parse_args(argv)
     try:
-        level = os.environ.get("CROWDPOST_LOG")
+        level = os.environ.get("CROWDPOST_LOG", "")
         if level:
             import logging
             # `getLevelName` maps a level's name, in upper case, to its number
             if not isinstance(logging.getLevelName(level.upper()), int):
                 raise ValueError(f"CROWDPOST_LOG={level!r} is not a log level name")
-            start_logging(level.upper())
-        with restored_on_error():
+        with command_logging(level.upper()), restored_on_error():
             return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"crowdpost {args.command}: error: {exc}", file=sys.stderr)

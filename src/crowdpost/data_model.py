@@ -224,8 +224,6 @@ def _groups_part(groups: GroupColumns) -> list:
 
 def join_groups(parts: list[GroupColumns]) -> GroupColumns:
     """The groups of `parts`, one part after the other."""
-    if len(parts) == 1:
-        return parts[0]
     return _groups(_joined(map(_groups_part, parts), _group_part([])))
 
 

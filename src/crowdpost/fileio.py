@@ -18,17 +18,30 @@ _written: contextvars.ContextVar[list[tuple[str, str | None]] | None] = \
     contextvars.ContextVar("crowdpost_written", default=None)
 
 
-def start_logging(level: str | None = None):
-    """`logging`, imported, with its lines going to stderr as the command
-    line sends them, unless it was set up before: one a line, as "LEVEL
-    logger: message", at `level` and up (its default, WARNING, when None).
-    `cli.main` calls it when CROWDPOST_LOG is set, and a module once it has
-    a line to log, so that a process that logs nothing does not load
-    `logging`."""
+# the level of the log lines `cli.main`'s command sends to stderr ("" for WARNING)
+_log_level = contextvars.ContextVar("crowdpost_log_level", default=None)
+
+
+@contextlib.contextmanager
+def command_logging(level: str):
+    """Run a command whose log lines go to stderr at `level` and up (WARNING
+    when empty); `logger` sets `logging` up once a line comes, not before."""
+    token = _log_level.set(level)
+    try:
+        yield
+    finally:
+        _log_level.reset(token)
+
+
+def logger(name: str):
+    """The logger `name`, `logging` imported.  Inside `command_logging` its
+    lines go to stderr as "LEVEL logger: message", unless `logging` was set
+    up before; outside it a library call leaves the host's logging as is."""
     import logging
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
-    return logging
+    if (level := _log_level.get()) is not None:
+        logging.basicConfig(level=level or None, format="%(levelname)s %(name)s: %(message)s",
+                            stream=sys.stderr)
+    return logging.getLogger(name)
 
 
 class RepeatedKey(ValueError):

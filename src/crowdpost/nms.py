@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DetectionColumns, id_keys
-from .fileio import start_logging
+from .fileio import logger
 from .geometry import areas, padded_batches, padded_stack, pairwise_iou
 
 
@@ -50,8 +50,7 @@ def nms_groups(dets: DetectionColumns, cfg: NmsConfig) -> tuple[DetectionColumns
     scored = dets.scores >= cfg.score_floor
     floored = np.flatnonzero(scored & (areas(dets.boxes) > 0.0))
     if len(floored) < scored.sum():
-        start_logging().getLogger(__name__).info("dropped %d zero-area detections",
-                                                 scored.sum() - len(floored))
+        logger(__name__).info("dropped %d zero-area detections", scored.sum() - len(floored))
     ids = dets.det_ids
     rank = np.lexsort((id_keys([ids[i] for i in floored.tolist()]), -dets.scores[floored],
                        group[floored]))

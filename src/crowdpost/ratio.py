@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import SceneColumns
-from .fileio import atomic_write_text, start_logging
+from .fileio import atomic_write_text, logger
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def estimate_ratio(heads: np.ndarray, bodies: np.ndarray) -> HeadBodyRatio:
     usable = (head_wh > 0.0).all(axis=1)
     skipped = len(usable) - int(usable.sum())
     if skipped:
-        start_logging().getLogger(__name__).warning(
-            "estimate_ratio skipped %d pair(s) with zero-area heads", skipped)
+        logger(__name__).warning("estimate_ratio skipped %d pair(s) with zero-area heads",
+                                 skipped)
     if skipped == len(usable):
         raise ValueError("no usable head-body pairs to estimate from")
     heads, bodies, head_wh = heads[usable], bodies[usable], head_wh[usable]

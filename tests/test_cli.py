@@ -1213,7 +1213,8 @@ def test_log_lines_on_stderr(chain, tmp_path):
     # `run`'s INFO lines under CROWDPOST_LOG=INFO, the NMS ones for a
     # flattened head and body of the first scene included, and the WARNING
     # line that a zero-area head gives `estimate-ratio` at the default level,
-    # byte for byte; `logging` is loaded in both processes only to log
+    # byte for byte; `logging` is loaded in both processes only to log.
+    # `run` prints the same bytes through `python -m` and through `script`
     env = {k: v for k, v in os.environ.items() if k != "CROWDPOST_LOG"}
     dets = (chain / "dets.jsonl").read_text(encoding="utf-8").splitlines()
     for k, cls in ((0, HEAD), (1, BODY)):
@@ -1224,17 +1225,21 @@ def test_log_lines_on_stderr(chain, tmp_path):
         dets[k] = json.dumps(group)
     flat = tmp_path / "dets.jsonl"
     flat.write_text("\n".join(dets) + "\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "crowdpost.cli", "run", "--dets", str(flat),
-         "--model", str(chain / "model.json"), "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env={**env, "CROWDPOST_LOG": "INFO"})
-    assert proc.returncode == 0, proc.stderr
+    argv = ["run", "--dets", str(flat), "--model", str(chain / "model.json"),
+            "--out-dir", str(tmp_path / "out")]
+    errs = []
+    for entry in (["-m", "crowdpost.cli"],
+                  ["-c", "import sys; from crowdpost.cli import script; sys.exit(script())"]):
+        proc = subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True,
+                              env={**env, "CROWDPOST_LOG": "INFO"})
+        assert proc.returncode == 0, proc.stderr
+        errs.append(proc.stderr)
     audit = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))["scenes"]
     recalled = sum(len(scene["recalled_body_ids"]) for scene in audit)
     removed = sum(len(scene["removed_head_ids"]) for scene in audit)
-    assert proc.stderr == ("INFO crowdpost.nms: dropped 1 zero-area detections\n" * 2
-                           + f"INFO __main__: recalled {recalled} bodies, removed {removed} "
-                           f"heads over {len(audit)} scenes\n")
+    assert errs == 2 * [("INFO crowdpost.nms: dropped 1 zero-area detections\n" * 2
+                         + f"INFO crowdpost.cli: recalled {recalled} bodies, removed {removed} "
+                         f"heads over {len(audit)} scenes\n")]
 
     scenes = (chain / "scenes.jsonl").read_text(encoding="utf-8").splitlines()
     scene = json.loads(scenes[0])
@@ -1249,6 +1254,32 @@ def test_log_lines_on_stderr(chain, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ("WARNING crowdpost.ratio: estimate_ratio skipped 1 pair(s) "
                            "with zero-area heads\n")
+
+
+def test_library_calls_set_up_no_logging():
+    # outside `cli.main`, a zero-area box in `nms_groups` and a zero-area head
+    # in `estimate_ratio` log to their module's logger alone: the root logger
+    # keeps its handlers (none), so the WARNING shows bare through Python's
+    # last-resort handler, and so does a host's own later line
+    code = "\n".join([
+        "import logging",
+        "import numpy as np",
+        "from crowdpost.data_model import HEAD, PRE_NMS, group_columns",
+        "from crowdpost.nms import NmsConfig, nms_groups",
+        "from crowdpost.ratio import estimate_ratio",
+        "groups = group_columns([('s0', HEAD, PRE_NMS, [1, 2],",
+        "                         [5.0, 5.0, 5.0, 15.0, 0.0, 0.0, 10.0, 10.0], [0.9, 0.8])])",
+        "nms_groups(groups.detections, NmsConfig())",
+        "print(logging.getLogger().handlers)",
+        "estimate_ratio(np.array([[0.0, 0.0, 0.0, 10.0], [10.0, 10.0, 20.0, 20.0]]),",
+        "               np.array([[0.0, 0.0, 30.0, 80.0], [5.0, 10.0, 35.0, 90.0]]))",
+        "print(logging.getLogger().handlers)",
+        "logging.getLogger('host').warning('a host line')"])
+    env = {k: v for k, v in os.environ.items() if k != "CROWDPOST_LOG"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+    assert proc.stderr == "estimate_ratio skipped 1 pair(s) with zero-area heads\na host line\n"
 
 
 def test_train_rdm_gates_pairs_like_run(chain, tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
 """Every float setting of every config dataclass, and every parameter of the
 head-body ratio, rejects NaN and infinity, with a message naming it; the
-simulator's Poisson means have an upper bound; and the README lists exactly
-the config keys."""
+simulator's Poisson means have an upper bound; the README lists exactly
+the config keys; and the module names it gives resolve."""
 
 import dataclasses
+import importlib
 import math
 import pathlib
+import pkgutil
 import re
 
 import pytest
+
+import crowdpost
 
 from crowdpost.cli import _CONFIG_KEYS, main
 from crowdpost.evaluator import EvalConfig
@@ -103,3 +107,17 @@ def test_readme_lists_every_config_key():
     for section, cls in SECTIONS.items():
         assert listed[section] == [f.name for f in dataclasses.fields(cls)], section
     assert listed["num_scenes"] == []
+
+
+def test_readme_module_names_resolve():
+    """Every backquoted `module.name` in the README whose module is a
+    crowdpost module names an attribute of that module; a file name such as
+    `cli.py` or `ratio.json` is no reference."""
+    modules = {m.name for m in pkgutil.iter_modules(crowdpost.__path__)}
+    named = [(module, name) for module, name in
+             re.findall(r"`(\w+)\.(\w+)", README.read_text(encoding="utf-8"))
+             if module in modules and name not in {"py", "json", "jsonl", "csv", "svg", "md"}]
+    assert named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"crowdpost.{module}"), name)]
+    assert missing == []

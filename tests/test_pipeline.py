@@ -435,7 +435,7 @@ def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_pa
     # `pairwise_ioh` runs once per padded batch of `gate` over each block,
     # and never inside `postprocess`
     from crowdpost import cli, pipeline
-    from crowdpost.data_model import read_detection_groups
+    from crowdpost.data_model import detection_batches
     from crowdpost.geometry import padded_batches
     from crowdpost.nms import NmsConfig, nms_groups
     from crowdpost.rdm import RelationModel, save_model
@@ -467,8 +467,7 @@ def test_run_gates_each_padded_batch_once_and_no_scene_again(monkeypatch, tmp_pa
                      "--out-dir", str(tmp_path / "out")]) == 0
 
     batches = []
-    for heads_pre, bodies_pre in cli._pre_nms_blocks([read_detection_groups(dets)],
-                                                     cli._RUN_BLOCK):
+    for heads_pre, bodies_pre in cli._pre_nms_blocks(detection_batches(dets)):
         heads_floor, heads_kept = nms_groups(heads_pre, NmsConfig())
         heads = heads_floor.take(heads_kept)
         bodies_floor, _ = nms_groups(bodies_pre, NmsConfig())
@@ -517,7 +516,7 @@ def test_train_rdm_gates_each_padded_batch_once(monkeypatch, tmp_path):
 def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):
     # `run` hands each scene plain lists: the detection columns it builds
     # are a batch's and a block's, as many for 40 scenes as for 4 when the
-    # split is one batch and one block
+    # split is one batch, which both splits cut into three blocks
     from crowdpost import cli, data_model
     from crowdpost.data_model import DetectionColumns
     from crowdpost.rdm import RelationModel, save_model
@@ -537,7 +536,6 @@ def test_run_builds_no_columns_per_scene(monkeypatch, tmp_path):
 
     monkeypatch.setattr(DetectionColumns, "__init__", counted)
     monkeypatch.setattr(data_model, "_BATCH_BYTES", 1 << 30)
-    monkeypatch.setattr(cli, "_RUN_BLOCK", 1 << 30)
     for num_scenes in (4, 40):
         counts.append(0)
         assert cli.main(["run", "--dets", str(tmp_path / f"d{num_scenes}.jsonl"),

@@ -117,8 +117,10 @@ def test_run_files_equal_the_scene_by_scene_oracle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "nms_groups", nms_recorded)
     monkeypatch.setattr(cli, "postprocess", post_recorded)
-    # blocks of one scene, of a few, and of as many as `run` takes at a time
-    blocks = (0, 12, cli._RUN_BLOCK)
+    # batches of one line, of a few and of the whole file, and so blocks
+    # bounded by half of one group's detections, of a few groups' and of the
+    # split's
+    batches = (1, 2048, 1 << 30)
     for seed in range(6):
         d = tmp_path / str(seed)
         d.mkdir()
@@ -126,7 +128,7 @@ def test_run_files_equal_the_scene_by_scene_oracle(tmp_path, monkeypatch):
         dets, model = _dets_file(d, rng, seed), _model(d, seed)
         nms.clear()
         outs.clear()
-        monkeypatch.setattr(cli, "_RUN_BLOCK", blocks[seed % 3])
+        monkeypatch.setattr(data_model, "_BATCH_BYTES", batches[seed % 3])
         floor = ["--score-floor", "0.0"] if seed % 2 else []
         assert cli.main(["run", "--dets", dets, "--model", model,
                          "--out-dir", str(d / "out"), *floor]) == 0
@@ -197,7 +199,7 @@ def test_failure_while_writing_keeps_every_output(tmp_path, monkeypatch, capsys,
         return _audit(scene_id, result)
 
     monkeypatch.setattr(pipeline, "_audit_scene", failing)
-    monkeypatch.setattr(cli, "_RUN_BLOCK", 0)
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", 1)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "crowdpost run: error: audit formatter failed\n"
     assert len(calls) == 4
@@ -220,10 +222,12 @@ def _sparse_split(tmp_path, num_scenes, seed=5) -> str:
 def test_run_working_set_does_not_grow_with_the_split(tmp_path):
     # what `run` holds beyond what it leaves allocated is a block of scenes
     # and the split's group keys, one scene id and one dict entry a scene.
-    # Measured: 0.63 MB on 150 sparse scenes and 0.79 MB on 1,500 with
-    # blocks of 512 detections, 1.03 and 1.28 MB with blocks of 1,024, where
-    # holding the whole split took 1.11 and 5.36 MB; the bounds allow 256
-    # bytes of keys for each added scene, and a block of 512 detections
+    # Measured: 0.50 MB on 150 sparse scenes and 0.66 MB on 1,500 with
+    # blocks of at most half the first 64 KiB batch (213 detections), 0.63
+    # and 0.79 MB with blocks of 512 detections and 1.03 and 1.28 MB with
+    # blocks of 1,024, where holding the whole split took 1.11 and 5.36 MB;
+    # the bounds allow 256 bytes of keys for each added scene, and blocks of
+    # up to 512 detections
     model = _model(tmp_path, 3)
     held = []
     for num_scenes in (150, 1500):
@@ -280,9 +284,10 @@ def _streaming_case(case: str, lines: list[str]) -> tuple[list[str], list[str] |
                                   "every head group first", "scene without a body group",
                                   "integers and CRLF in a middle batch"])
 def test_streamed_run_gives_the_whole_split_outcome(tmp_path, monkeypatch, capsys, case):
-    # a split of 40 scenes in blocks of at most 24 detections and batches of
-    # about 2 KiB gives the outputs of one block and one batch, or its error,
-    # whatever the order of the groups or the batch where a fault lies
+    # a split of 40 scenes in batches of about 2 KiB, and so in blocks of at
+    # most half a batch's detections, gives the outputs of one block and one
+    # batch, or its error, whatever the order of the groups or the batch
+    # where a fault lies
     model = _model(tmp_path, 11)
     with open(_sparse_split(tmp_path, 40, seed=11), encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -297,7 +302,6 @@ def test_streamed_run_gives_the_whole_split_outcome(tmp_path, monkeypatch, capsy
         return _nms(*args)
 
     monkeypatch.setattr(cli, "nms_groups", nms_counted)
-    monkeypatch.setattr(cli, "_RUN_BLOCK", 24)
     monkeypatch.setattr(data_model, "_BATCH_BYTES", 2048)
     out = tmp_path / "out"
     code = cli.main(["run", "--dets", str(d / "dets.jsonl"), "--model", model,
@@ -313,11 +317,60 @@ def test_streamed_run_gives_the_whole_split_outcome(tmp_path, monkeypatch, capsy
     if "integers" in case:
         assert batch_pass(d / "dets.jsonl", data_model._group_batch) is None
     (d / "whole.jsonl").write_text("".join(reference), encoding="utf-8")
-    monkeypatch.setattr(cli, "_RUN_BLOCK", math.inf)
+    # one batch, taken as one block
     monkeypatch.setattr(data_model, "_BATCH_BYTES", 1 << 30)
+    monkeypatch.setattr(cli, "_pre_nms_blocks", lambda parts: [cli._pre_nms_columns(*parts)])
     nms.clear()
     assert cli.main(["run", "--dets", str(d / "whole.jsonl"), "--model", model,
                      "--out-dir", str(tmp_path / "whole")]) == 0
     assert len(nms) == 2
     for name in ("baseline.jsonl", "rdm.jsonl", "audit.json"):
         assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 2048, data_model._BATCH_BYTES],
+                         ids=["line", "2KiB", "default"])
+@pytest.mark.parametrize("case", ["in order", "every head group first",
+                                  "scene without a body group"])
+def test_run_blocks_are_bounded_by_the_first_batch(tmp_path, monkeypatch, case, batch_bytes):
+    # `run` hands NMS blocks of whole scenes in the order the scenes first
+    # appear, each of at most half as many detections as the pre-NMS groups
+    # of the file's first batch that holds any, or of one scene; one after
+    # the other, they are the whole file's pre-NMS columns
+    model = _model(tmp_path, 11)
+    with open(_sparse_split(tmp_path, 40, seed=11), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if case != "in order":
+        lines = _streaming_case(case, lines)[0]
+    path = tmp_path / "dets.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    nms = []
+
+    def nms_recorded(dets, cfg, _nms=cli.nms_groups):
+        nms.append(dets)
+        return _nms(dets, cfg)
+
+    monkeypatch.setattr(cli, "nms_groups", nms_recorded)
+    monkeypatch.setattr(data_model, "_BATCH_BYTES", batch_bytes)
+    assert cli.main(["run", "--dets", str(path), "--model", model,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    blocks = list(zip(nms[::2], nms[1::2]))
+    first = next(filter(None, (
+        sum(n for n, stage in zip(np.diff(batch.detections.det_offsets), batch.stages)
+            if stage == data_model.PRE_NMS)
+        for batch in data_model.detection_batches(path))))
+    for heads, bodies in blocks:
+        assert heads.scene_ids == bodies.scene_ids
+        assert 2 * (len(heads) + len(bodies)) <= first + 1 or len(heads.scene_ids) == 1
+    order = list(dict.fromkeys(json.loads(line)["scene_id"] for line in lines))
+    assert [scene_id for heads, _ in blocks for scene_id in heads.scene_ids] == order
+    for c, whole in enumerate(cli._pre_nms_columns(data_model.read_detection_groups(path))):
+        assert whole.scene_ids == order
+        assert np.concatenate([np.diff(block[c].det_offsets) for block in blocks]).tolist() \
+            == np.diff(whole.det_offsets).tolist()
+        assert [i for block in blocks for i in block[c].det_ids] == whole.det_ids
+        assert np.array_equal(np.concatenate([block[c].boxes for block in blocks]), whole.boxes)
+        assert np.array_equal(np.concatenate([block[c].scores for block in blocks]),
+                              whole.scores)
+    if batch_bytes < data_model._BATCH_BYTES:
+        assert len(blocks) > 2
